@@ -1,14 +1,16 @@
 // Command sage-serve runs the batched policy-serving daemon: one process
 // holding one policy, serving cwnd decisions for any number of flows over
-// a Unix domain socket. Concurrent requests are coalesced into batched
-// forward passes (internal/serve), so a fleet of thin per-flow clients
-// shares the inference cost instead of each paying for its own network.
+// a Unix domain socket. Requests that arrive while every worker is busy
+// are coalesced into batched forward passes (internal/serve), so a fleet
+// of thin per-flow clients shares the inference cost instead of each
+// paying for its own network; an idle daemon answers a lone request at
+// once.
 //
 // Usage:
 //
 //	sage-serve -socket /run/sage.sock -model sage.model
 //	sage-serve -socket /run/sage.sock -registry /var/lib/sage/registry
-//	sage-serve -socket /tmp/sage.sock -max-batch 512 -deadline 100us -pprof :6060
+//	sage-serve -socket /tmp/sage.sock -max-batch 512 -workers 4 -pprof :6060
 //
 // With -registry the daemon serves the registry's promoted incumbent and
 // exposes the model lifecycle: SIGHUP (or the control socket's swap verb)
@@ -69,7 +71,7 @@ func run() int {
 		modelPath   = flag.String("model", "", "trained model file (empty = fresh untrained policy)")
 		registryDir = flag.String("registry", "", "model registry dir: serve the promoted incumbent and enable the lifecycle verbs")
 		maxBatch    = flag.Int("max-batch", 256, "max flows per batched forward pass")
-		deadline    = flag.Duration("deadline", 200*time.Microsecond, "micro-batch deadline")
+		deadline    = flag.Duration("deadline", 200*time.Microsecond, "queue wait considered normal: the overload ladder's batch-wait budget is 50x this (no request is ever held for it)")
 		workers     = flag.Int("workers", 0, "forward-pass workers (0 = GOMAXPROCS)")
 		maxSessions = flag.Int("max-sessions", 4096, "resident session cap (LRU eviction beyond)")
 		stochastic  = flag.Bool("stochastic", false, "sample actions from the GMM instead of its mean")

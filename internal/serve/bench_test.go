@@ -3,7 +3,11 @@ package serve_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sage/internal/cc"
 	"sage/internal/gr"
@@ -13,6 +17,7 @@ import (
 	"sage/internal/serve"
 	"sage/internal/sim"
 	"sage/internal/tcp"
+	"sage/internal/telemetry"
 )
 
 // benchFleet builds n standalone connections plus a per-flow random
@@ -128,3 +133,82 @@ func benchmarkRunMulti(b *testing.B, flows int, batched bool) {
 
 func BenchmarkRunMulti32Batched(b *testing.B)    { benchmarkRunMulti(b, 32, true) }
 func BenchmarkRunMulti32Sequential(b *testing.B) { benchmarkRunMulti(b, 32, false) }
+
+// BenchmarkWireDecide is the wire path end to end at a range of
+// concurrencies: a real Server and conns Clients on a unix socket, each
+// client a closed loop on one session (its next decision leaves when the
+// last reply arrives), engine at the daemon's defaults. Overload protection
+// stays off so that a stall of the benchmark process cannot turn into
+// brownout fallbacks. One op is one decision; besides ns/op it reports
+// decisions/s, the median decision latency, and the mean batch size — how
+// much batching the load produced by itself.
+func BenchmarkWireDecide(b *testing.B) {
+	for _, conns := range []int{1, 2, 8, 64, 256} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) { benchmarkWireDecide(b, conns) })
+	}
+}
+
+func benchmarkWireDecide(b *testing.B, conns int) {
+	reg := telemetry.NewRegistry()
+	eng := serve.NewEngine(serve.Config{Policy: benchPolicy(), Metrics: reg})
+	sock, stop := startServer(b, eng)
+	defer stop()
+
+	clients := make([]*serve.Client, conns)
+	for i := range clients {
+		var err error
+		if clients[i], err = serve.Dial(sock); err != nil {
+			b.Fatalf("dial: %v", err)
+		}
+		defer clients[i].Close()
+	}
+
+	// run drives every client in a closed loop until n decisions are done
+	// in all, and returns each decision's latency.
+	run := func(n int64) []time.Duration {
+		var (
+			next atomic.Int64
+			wg   sync.WaitGroup
+			lats = make([][]time.Duration, conns)
+		)
+		for i, cl := range clients {
+			wg.Add(1)
+			go func(i int, cl *serve.Client) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(i)))
+				state, cwnd := randState(rng), 10.0
+				for next.Add(1) <= n {
+					t0 := time.Now()
+					w, status, err := cl.Decide(uint64(i+1), cwnd, state)
+					if err != nil || status != serve.StatusOK {
+						b.Errorf("conn %d: status %d, err %v", i, status, err)
+						return
+					}
+					lats[i] = append(lats[i], time.Since(t0))
+					cwnd = w
+				}
+			}(i, cl)
+		}
+		wg.Wait()
+		var all []time.Duration
+		for _, l := range lats {
+			all = append(all, l...)
+		}
+		return all
+	}
+
+	run(int64(16 * conns)) // sessions resident, re-prime rings full, scratch sized
+	before := reg.Histogram(serve.MetricBatchSize).Summary()
+	b.ResetTimer()
+	lats := run(int64(b.N))
+	b.StopTimer()
+	after := reg.Histogram(serve.MetricBatchSize).Summary()
+
+	if len(lats) == 0 {
+		return // every client failed; b.Errorf has said why
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	b.ReportMetric(float64(len(lats))/b.Elapsed().Seconds(), "decisions/s")
+	b.ReportMetric(float64(lats[len(lats)/2].Nanoseconds())/1e3, "p50-µs")
+	b.ReportMetric((after.Sum-before.Sum)/float64(after.Count-before.Count), "rows/batch")
+}

@@ -18,8 +18,10 @@
 //     engine: each flow's Control enqueues its state, and the end-of-interval
 //     flush runs one batched pass and applies every cwnd decision.
 //   - The sage-serve daemon (cmd/sage-serve) serves decisions over a Unix
-//     socket with a length-prefixed binary protocol (proto.go, server.go),
-//     micro-batching concurrent requests under a deadline.
+//     socket with a length-prefixed binary protocol (proto.go, server.go).
+//     Its workers pull straight off the request queue: each pass takes
+//     every request already waiting, so batches form under load and an
+//     idle engine answers a lone request with no hold.
 //   - Direct library use: Engine.Decide (async, after Start) or the
 //     enqueue/Flush pair (synchronous, deterministic).
 //

@@ -50,7 +50,8 @@ const (
 // (internal/promote's shadow evaluator implements this). state is the raw
 // (unmasked) observation and is only valid for the duration of the call;
 // ratio is the cwnd multiplier the incumbent actually applied. Observe runs
-// on the engine's batch path and must not block.
+// on the engine's batch path, before the decision is released to its caller
+// (the state slice is the session's reusable slot), and must not block.
 type ShadowObserver interface {
 	Observe(sid uint64, state []float64, ratio float64, fallback bool)
 }
@@ -76,11 +77,12 @@ type Config struct {
 	// from a fresh hidden state (default 4096).
 	MaxSessions int
 	// MaxBatch bounds one batched forward pass (default 256). The
-	// synchronous Flush path chunks larger backlogs; the async dispatcher
-	// closes a batch early when it fills.
+	// synchronous Flush path chunks larger backlogs; an async worker stops
+	// taking queued requests when its batch fills.
 	MaxBatch int
-	// BatchDeadline is how long the async dispatcher holds an open batch
-	// waiting for more requests before running it (default 200µs).
+	// BatchDeadline is no timer — the async batcher never holds a request
+	// while a worker idles. It is the unit of OverloadConfig.BatchWaitBudget's
+	// default: the queue wait a deployment considers normal (default 200µs).
 	BatchDeadline time.Duration
 	// Workers is the async forward-pass pool size (default GOMAXPROCS).
 	Workers int
@@ -147,10 +149,17 @@ type session struct {
 	id     uint64
 	hidden []float64
 	// stateBuf holds the raw state between enqueue and Flush on the
-	// synchronous path (the monitor's slice is not ours to keep).
+	// synchronous path (the monitor's slice is not ours to keep), and
+	// between Decide and the worker's pass on the async one.
 	stateBuf []float64
 	busy     bool // one outstanding async request per session
 	elem     *list.Element
+
+	// The async request slot. busy admits one outstanding Decide per
+	// session, so the session itself is the queued request: stateBuf carries
+	// the input, done the reply, admit the admission time.
+	done  chan asyncResult // 1-buffered, made on the first Decide
+	admit time.Time
 
 	// window is a ring of the last Config.ReprimeWindow raw states that
 	// produced a policy decision, oldest first from window[wpos]: the trace
@@ -216,13 +225,7 @@ type pendingDecision struct {
 	conn *tcp.Conn
 }
 
-// request is one in-flight async decision.
-type request struct {
-	sess  *session
-	state []float64
-	done  chan asyncResult
-}
-
+// asyncResult is a worker's reply to one Decide.
 type asyncResult struct {
 	ratio    float64
 	fallback bool
@@ -265,8 +268,7 @@ type Engine struct {
 	closeMu sync.RWMutex
 	closed  bool
 	started bool
-	reqCh   chan *request
-	workCh  chan []*request
+	reqCh   chan *session // busy sessions awaiting a worker (see session.done)
 	wg      sync.WaitGroup
 	queued  atomic.Int64
 
@@ -566,9 +568,9 @@ func (e *Engine) forwardChunk(chunk []pendingDecision, buf *batchBuf, apply func
 			e.cfg.Metrics.Counter(MetricFallbacks).Inc()
 		}
 		e.cfg.Metrics.Counter(MetricDecisions).Inc()
-		// Trace before apply: apply releases session ownership on the async
-		// path (busy=false), after which a concurrent CloseSession may
-		// export the window.
+		// Trace and shadow before apply: on the async path apply hands the
+		// session back to its caller, after which the next Decide may rewrite
+		// stateBuf and a concurrent CloseSession may export the window.
 		if e.cfg.Trace != nil && finiteVec(chunk[i].sess.stateBuf) {
 			s := chunk[i].sess
 			s.recordTrace(s.stateBuf, ratio, fallback[i])
@@ -576,10 +578,10 @@ func (e *Engine) forwardChunk(chunk []pendingDecision, buf *batchBuf, apply func
 				e.exportTrace(s, TraceReasonRotate)
 			}
 		}
-		apply(i, ratio)
 		if shadow != nil {
 			shadow.Observe(chunk[i].sess.id, chunk[i].sess.stateBuf, ratio, fallback[i])
 		}
+		apply(i, ratio)
 	}
 	e.cfg.Metrics.Counter(MetricBatches).Inc()
 	e.cfg.Metrics.Histogram(MetricBatchSize).Observe(float64(n))
@@ -595,10 +597,12 @@ func (b *batchBuf) ensureFlags(n int) []bool {
 }
 
 // ---------------------------------------------------------------------------
-// Asynchronous path: a deadline micro-batcher in front of a worker pool.
+// Asynchronous path: a work-conserving batcher. Workers pull straight off
+// the request queue, so a request never waits while a worker idles, and
+// batches grow by themselves exactly when every worker is busy.
 
-// Start spins up the dispatcher and worker pool behind Decide. Safe to
-// call once; the synchronous Enqueue/Flush path does not need it.
+// Start spins up the worker pool behind Decide. Safe to call once; the
+// synchronous Enqueue/Flush path does not need it.
 func (e *Engine) Start() {
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
@@ -614,13 +618,10 @@ func (e *Engine) Start() {
 		// backpressure an admitted caller ever sees.
 		depth = e.ov.cfg.MaxInflight
 	}
-	e.reqCh = make(chan *request, depth)
-	e.workCh = make(chan []*request, e.cfg.Workers)
-	e.wg.Add(1 + e.cfg.Workers)
-	go e.dispatch()
+	e.reqCh = make(chan *session, depth)
+	e.wg.Add(e.cfg.Workers)
 	for w := 0; w < e.cfg.Workers; w++ {
-		buf := e.newBatchBuf(w + 1)
-		go e.worker(buf)
+		go e.worker(e.newBatchBuf(w + 1))
 	}
 	if e.ov != nil {
 		e.ovStop = make(chan struct{})
@@ -695,13 +696,7 @@ func (e *Engine) DecidePri(id uint64, cwnd float64, state []float64, highPri boo
 		if n > int64(e.ov.cfg.MaxInflight) {
 			// Bounded queue: reject explicitly rather than stack work the
 			// batcher cannot serve within budget.
-			e.queued.Add(-1)
-			e.mu.Lock()
-			s.busy = false
-			if s.pendingReset {
-				e.resetLocked(s)
-			}
-			e.mu.Unlock()
+			e.release(s)
 			err := e.ov.reject(e.ov.mode())
 			e.closeMu.RUnlock()
 			return cwnd, false, err
@@ -709,97 +704,91 @@ func (e *Engine) DecidePri(id uint64, cwnd float64, state []float64, highPri boo
 		e.ov.notePeak(n)
 		e.ov.noteAdmitted()
 	}
-	var start time.Time
-	if e.ov != nil {
-		start = time.Now()
+	// busy makes this goroutine the slot's only writer until a worker
+	// dequeues the session, so the request costs no allocation.
+	s.stateBuf = append(s.stateBuf[:0], state...)
+	if s.done == nil {
+		s.done = make(chan asyncResult, 1)
 	}
-	req := &request{sess: s, state: append([]float64(nil), state...), done: make(chan asyncResult, 1)}
+	s.admit = time.Now()
 	e.cfg.Metrics.Gauge(MetricQueueDepth).Set(float64(n))
-	e.reqCh <- req
-	e.closeMu.RUnlock() // the dispatcher now owns the request; drain will serve it
+	e.reqCh <- s
+	e.closeMu.RUnlock() // a worker now owns the session; drain will serve it
 
-	res := <-req.done
+	res := <-s.done
 	if e.ov != nil {
-		e.ov.noteLatency(time.Since(start))
+		e.ov.noteLatency(time.Since(s.admit))
 	}
+	e.release(s)
 	w := tcp.ClampCwnd(cwnd*res.ratio, e.cfg.MinCwnd, e.cfg.MaxCwnd)
 	return w, res.fallback, nil
 }
 
-// dispatch coalesces requests into batches: a batch opens on the first
-// request and closes when it reaches MaxBatch or BatchDeadline elapses.
-func (e *Engine) dispatch() {
-	defer e.wg.Done()
-	defer close(e.workCh)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
+// release ends a session's outstanding request: the session may be decided
+// on, reset, closed or evicted again, and its in-flight slot is returned.
+// The admitting goroutine calls it, not the worker — were busy dropped
+// before the reply is received, a second Decide could reuse done and take
+// the first one's result.
+func (e *Engine) release(s *session) {
+	e.mu.Lock()
+	s.busy = false
+	if s.pendingReset {
+		e.resetLocked(s)
 	}
+	e.mu.Unlock()
+	e.cfg.Metrics.Gauge(MetricQueueDepth).Set(float64(e.queued.Add(-1)))
+}
+
+// worker blocks for one request, takes whatever else is already queued,
+// runs the batched pass and completes each request's future. The single
+// yield between two drains lets connection goroutines that are runnable
+// right now enqueue first: with every worker busy that is what rebuilds
+// large batches, and on an idle engine it returns at once.
+func (e *Engine) worker(buf batchBuf) {
+	defer e.wg.Done()
+	chunk := make([]pendingDecision, 0, e.cfg.MaxBatch)
 	for {
 		first, open := <-e.reqCh
 		if !open {
 			return
 		}
-		batch := []*request{first}
-		timer.Reset(e.cfg.BatchDeadline)
-		start := time.Now()
-	fill:
-		for len(batch) < e.cfg.MaxBatch {
-			select {
-			case r, more := <-e.reqCh:
-				if !more {
-					break fill
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				break fill
-			}
+		chunk = e.takeQueued(append(chunk[:0], pendingDecision{sess: first}))
+		if len(chunk) < e.cfg.MaxBatch {
+			runtime.Gosched()
+			chunk = e.takeQueued(chunk)
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		wait := time.Since(start)
+		// Batch wait is admission → start of the pass for the batch's oldest
+		// request (the queue is FIFO), so time behind busy workers counts.
+		wait := time.Since(chunk[0].sess.admit)
 		e.cfg.Metrics.Histogram(MetricBatchWaitUs).Observe(float64(wait.Microseconds()))
 		if e.ov != nil {
 			e.ov.noteBatchWait(wait)
 		}
-		e.workCh <- batch
-	}
-}
-
-// worker runs batched passes and completes each request's future.
-func (e *Engine) worker(buf batchBuf) {
-	defer e.wg.Done()
-	var chunk []pendingDecision
-	for batch := range e.workCh {
-		chunk = chunk[:0]
-		for _, r := range batch {
-			// Reuse the session stateBuf slot so forwardChunk sees one code
-			// path; busy=true guarantees exclusive access.
-			r.sess.stateBuf = r.state
-			chunk = append(chunk, pendingDecision{sess: r.sess})
-		}
 		e.forwardChunk(chunk, &buf, func(i int, ratio float64) {
-			r := batch[i]
-			fb := buf.flags[i]
-			e.mu.Lock()
-			r.sess.busy = false
-			if r.sess.pendingReset {
-				e.resetLocked(r.sess)
-			}
-			e.mu.Unlock()
-			e.queued.Add(-1)
-			e.cfg.Metrics.Gauge(MetricQueueDepth).Set(float64(e.queued.Load()))
-			r.done <- asyncResult{ratio: ratio, fallback: fb}
+			chunk[i].sess.done <- asyncResult{ratio: ratio, fallback: buf.flags[i]}
 		})
 	}
 }
 
+// takeQueued appends requests that are already queued, without blocking,
+// until the batch is full.
+func (e *Engine) takeQueued(chunk []pendingDecision) []pendingDecision {
+	for len(chunk) < e.cfg.MaxBatch {
+		select {
+		case s, open := <-e.reqCh:
+			if !open {
+				return chunk
+			}
+			chunk = append(chunk, pendingDecision{sess: s})
+		default:
+			return chunk
+		}
+	}
+	return chunk
+}
+
 // Close drains the async path: queued and in-flight decisions complete,
-// then the dispatcher and workers exit. Decide afterwards returns ErrClosed
+// then the workers exit. Decide afterwards returns ErrClosed
 // and Enqueue becomes a no-op. Synchronous decisions enqueued but never
 // flushed are dropped and their sessions released (not left pinned to a
 // stale pending entry), so a drain that races a flow mid-Enqueue still

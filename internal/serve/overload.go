@@ -98,7 +98,8 @@ type OverloadConfig struct {
 	// learned policy (default MaxInflight); overflow is served the cheap
 	// ratio-1.0 path rather than growing the batched pass without bound.
 	MaxPending int
-	// BatchWaitBudget is the batch-wait budget (default 50×BatchDeadline):
+	// BatchWaitBudget is the batch-wait budget (default 50×BatchDeadline),
+	// on the time from a batch's oldest admission to the start of its pass:
 	// an evaluation window in which more than ~1% of batches waited longer
 	// than this counts as a p99 breach and escalates the ladder.
 	BatchWaitBudget time.Duration
@@ -180,7 +181,7 @@ type overload struct {
 
 	// Per-window signals, swapped out at each eval.
 	peak     atomic.Int64 // max in-flight seen since last eval
-	waits    atomic.Int64 // batches closed since last eval
+	waits    atomic.Int64 // batches started since last eval
 	waitOver atomic.Int64 // ...of which waited past BatchWaitBudget
 	decided  atomic.Int64 // admitted decisions completed since last eval
 	missed   atomic.Int64 // ...of which blew DecisionBudget

@@ -7,6 +7,7 @@ import (
 
 	"sage/internal/gr"
 	"sage/internal/nn"
+	"sage/internal/telemetry"
 )
 
 func plainPolicy() *nn.Policy { return nn.NewPolicy(nn.PolicyConfig{InDim: gr.StateDim}) }
@@ -163,13 +164,16 @@ func TestDecideBrownoutPriority(t *testing.T) {
 }
 
 // The global in-flight cap rejects rather than queues: with MaxInflight=1
-// and a parked worker pool, a second concurrent Decide must get the typed
-// overload error, and an undone admission must not leak queue slots.
+// and the worker parked on the first request, a second concurrent Decide
+// must get the typed overload error, and an undone admission must not leak
+// queue slots.
 func TestDecideInflightCap(t *testing.T) {
-	eng := overloadEngine(OverloadConfig{MaxInflight: 1})
-	// Long deadline parks the first request in the dispatcher's open batch.
-	eng.cfg.BatchDeadline = 200 * time.Millisecond
-	eng.cfg.MaxBatch = 64
+	eng := NewEngine(Config{
+		Policy:   plainPolicy(),
+		Workers:  1,
+		Overload: &OverloadConfig{MaxInflight: 1, EvalInterval: time.Hour},
+	})
+	hold := HoldWorker(eng)
 	eng.Start()
 	defer eng.Close()
 
@@ -179,13 +183,7 @@ func TestDecideInflightCap(t *testing.T) {
 		_, _, err := eng.Decide(1, 10, state)
 		first <- err
 	}()
-	// Wait until session 1's request is actually admitted.
-	for i := 0; eng.queued.Load() == 0; i++ {
-		if i > 1000 {
-			t.Fatal("first decide never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-hold.Held()
 	if _, _, err := eng.Decide(2, 10, state); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("decide over cap: %v, want ErrOverloaded", err)
 	}
@@ -197,6 +195,7 @@ func TestDecideInflightCap(t *testing.T) {
 	if busy {
 		t.Fatal("rejected session left busy")
 	}
+	hold.Release()
 	if err := <-first; err != nil {
 		t.Fatalf("admitted decide failed: %v", err)
 	}
@@ -205,6 +204,54 @@ func TestDecideInflightCap(t *testing.T) {
 	}
 	if eng.ov.shedT.Load() == 0 {
 		t.Fatal("shed total not incremented")
+	}
+}
+
+// Batch wait is what a request waited for a worker, not what a batcher chose
+// to hold it: a request queued behind a busy worker pool shows its whole wait
+// in serve.batch_wait_us and against BatchWaitBudget.
+func TestBatchWaitCountsTimeBehindBusyWorkers(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	eng := NewEngine(Config{
+		Policy:   plainPolicy(),
+		Workers:  1,
+		Metrics:  reg,
+		Overload: &OverloadConfig{BatchWaitBudget: time.Millisecond, EvalInterval: time.Hour},
+	})
+	hold := HoldWorker(eng)
+	eng.Start()
+	defer eng.Close()
+
+	state := make([]float64, gr.StateDim)
+	errs := make(chan error, 2)
+	decide := func(sid uint64) {
+		_, _, err := eng.Decide(sid, 10, state)
+		errs <- err
+	}
+	go decide(1)
+	<-hold.Held()
+	over := eng.ov.waitOver.Load() // the held request's own wait is already noted
+	go decide(2)
+	for i := 0; eng.QueueLen() == 0; i++ {
+		if i > 5000 {
+			t.Fatal("second decide never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	queuedAt := time.Now()
+	time.Sleep(5 * eng.ov.cfg.BatchWaitBudget)
+	waited := time.Since(queuedAt)
+	hold.Release()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Histogram(MetricBatchWaitUs).Summary().Max; got < float64(waited.Microseconds()) {
+		t.Errorf("largest %s = %vµs, want ≥ the %v the request sat queued", MetricBatchWaitUs, got, waited)
+	}
+	if got := eng.ov.waitOver.Load() - over; got != 1 {
+		t.Errorf("waits over budget rose by %d, want 1 (the queued request)", got)
 	}
 }
 

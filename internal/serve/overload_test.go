@@ -113,13 +113,12 @@ func TestSyncBrownoutLadder(t *testing.T) {
 func TestWireOverloadReply(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	eng := serve.NewEngine(serve.Config{
-		Policy:        testPolicy(43),
-		MaxBatch:      64,
-		BatchDeadline: 150 * time.Millisecond, // parks the first request in the open batch
-		Workers:       1,
-		Metrics:       reg,
-		Overload:      &serve.OverloadConfig{MaxInflight: 1, EvalInterval: time.Hour},
+		Policy:   testPolicy(43),
+		Workers:  1,
+		Metrics:  reg,
+		Overload: &serve.OverloadConfig{MaxInflight: 1, EvalInterval: time.Hour},
 	})
+	hold := serve.HoldWorker(eng) // parks the first request in flight
 	sock, stop := startServer(t, eng)
 	defer stop()
 
@@ -143,13 +142,7 @@ func TestWireOverloadReply(t *testing.T) {
 		}
 		aDone <- status
 	}()
-	// Wait until the first request is admitted into the batcher.
-	for i := 0; reg.Gauge(serve.MetricQueueDepth).Value() == 0; i++ {
-		if i > 1000 {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-hold.Held()
 	cwnd, status, err := b.Decide(2, 17, randState(rand.New(rand.NewSource(12))))
 	if err != nil {
 		t.Fatalf("overloaded decide errored: %v (must be an explicit reply)", err)
@@ -163,6 +156,7 @@ func TestWireOverloadReply(t *testing.T) {
 	if ra := b.RetryAfter(); ra <= 0 {
 		t.Fatalf("RetryAfter = %v, want a positive jittered hint", ra)
 	}
+	hold.Release()
 	if st := <-aDone; st != serve.StatusOK && st != serve.StatusFallback {
 		t.Fatalf("admitted request finished with status %d", st)
 	}

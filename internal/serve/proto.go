@@ -274,8 +274,8 @@ func NewClient(conn net.Conn) *Client { return &Client{conn: conn} }
 // write through response read). Zero restores the default: block until
 // the server answers or the connection dies. A Decide sitting inside a
 // congestion-control tick cannot afford to wait out a wedged daemon, so
-// flow integrations should set this to a small multiple of the batch
-// deadline; a call that exceeds it fails with a net.Error whose
+// flow integrations should set this to a fraction of their control
+// interval; a call that exceeds it fails with a net.Error whose
 // Timeout() is true, after which the connection is poisoned (the late
 // response would desynchronize framing) and the client should redial.
 func (c *Client) SetTimeout(d time.Duration) {
@@ -402,10 +402,14 @@ func (c *Client) roundTripMsg() (float64, byte, string, error) {
 		}
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(c.conn, c.wbuf); err != nil {
-		return 0, StatusError, "", err
-	}
+	// A failed write still reads: a server that shed this connection at
+	// accept wrote its one OVERLOAD frame and hung up, possibly before the
+	// request left, and that frame is the answer.
+	werr := writeFrame(c.conn, c.wbuf)
 	p, err := readFrame(c.conn, c.rbuf)
+	if werr != nil && err != nil {
+		err = werr
+	}
 	if err != nil {
 		return 0, StatusError, "", err
 	}

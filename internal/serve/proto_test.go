@@ -16,7 +16,7 @@ import (
 
 // startServer runs a daemon on a per-test Unix socket and returns the
 // socket path plus a shutdown func.
-func startServer(t *testing.T, eng *serve.Engine) (string, func()) {
+func startServer(t testing.TB, eng *serve.Engine) (string, func()) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "sage.sock")
 	srv := serve.NewServer(eng)
@@ -127,18 +127,12 @@ func TestProtoEndToEnd(t *testing.T) {
 	}
 }
 
-// Shutdown drains: a decision in flight when SIGTERM-style shutdown
-// begins still gets its response, and afterwards the socket is gone.
+// Shutdown drains: decisions in flight and queued when SIGTERM-style
+// shutdown begins still get their responses, and afterwards the socket is
+// gone.
 func TestServerGracefulDrain(t *testing.T) {
-	pol := testPolicy(31)
-	reg := telemetry.NewRegistry()
-	eng := serve.NewEngine(serve.Config{
-		Policy:        pol,
-		MaxBatch:      64,
-		BatchDeadline: 200 * time.Millisecond, // long: requests are in flight during Shutdown
-		Workers:       1,
-		Metrics:       reg,
-	})
+	eng := serve.NewEngine(serve.Config{Policy: testPolicy(31), MaxBatch: 64, Workers: 1})
+	hold := serve.HoldWorker(eng) // one request in flight, the rest queued behind it
 	sock, shutdown := startServer(t, eng)
 
 	const inflight = 4
@@ -159,16 +153,38 @@ func TestServerGracefulDrain(t *testing.T) {
 			outcomes <- outcome{status: status, err: err}
 		}(i)
 	}
-	// Wait until all requests are queued in the open batch, then drain
-	// while they sit on the batch deadline.
+	<-hold.Held()
 	waitUntil := time.Now().Add(5 * time.Second)
-	for reg.Gauge(serve.MetricQueueDepth).Value() < inflight {
+	for eng.Health().QueueDepth < inflight {
 		if time.Now().After(waitUntil) {
 			t.Fatal("requests never queued")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	shutdown()
+	// Drain while all four are admitted and unanswered: Shutdown stops
+	// accepting at once, then waits for the engine, which waits for us.
+	drained := make(chan struct{})
+	go func() {
+		shutdown()
+		close(drained)
+	}()
+	for {
+		cli, err := serve.Dial(sock)
+		if err != nil {
+			break // the listener is closed: the drain has begun
+		}
+		cli.Close()
+		if time.Now().After(waitUntil) {
+			t.Fatal("Shutdown never closed the listener")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-drained:
+		t.Fatal("Shutdown returned with decisions still in flight")
+	default:
+	}
+	hold.Release()
 	for i := 0; i < inflight; i++ {
 		o := <-outcomes
 		if o.err != nil {
@@ -178,6 +194,7 @@ func TestServerGracefulDrain(t *testing.T) {
 			t.Fatalf("in-flight decision status = %d, want StatusOK", o.status)
 		}
 	}
+	<-drained
 	if _, err := serve.Dial(sock); err == nil {
 		t.Error("socket still accepting after Shutdown")
 	}

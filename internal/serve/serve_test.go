@@ -3,9 +3,7 @@ package serve_test
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"sage/internal/cc"
 	"sage/internal/gr"
@@ -192,88 +190,32 @@ func TestFallbackIsolatesBatch(t *testing.T) {
 	}
 }
 
-// The async micro-batcher must coalesce concurrent requests into shared
-// passes and complete every future, including across Close.
-func TestAsyncBatchingAndDrain(t *testing.T) {
-	pol := testPolicy(17)
-	reg := telemetry.NewRegistry()
-	eng := serve.NewEngine(serve.Config{
-		Policy:        pol,
-		MaxBatch:      64,
-		BatchDeadline: 20 * time.Millisecond,
-		Workers:       2,
-		Metrics:       reg,
-	})
-	eng.Start()
-
-	const n = 32
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(i)))
-			_, _, errs[i] = eng.Decide(uint64(i+1), 10, randState(rng))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("Decide %d: %v", i, err)
-		}
-	}
-	if got := reg.Counter(serve.MetricDecisions).Value(); got != n {
-		t.Errorf("decisions = %d, want %d", got, n)
-	}
-	// The 20ms deadline dwarfs goroutine launch time, so the requests
-	// must have shared batches rather than each running alone.
-	if batches := reg.Counter(serve.MetricBatches).Value(); batches >= n {
-		t.Errorf("batches = %d for %d requests: no coalescing happened", batches, n)
-	}
-	eng.Close()
-	if _, _, err := eng.Decide(1, 10, randState(rand.New(rand.NewSource(1)))); err != serve.ErrClosed {
-		t.Errorf("Decide after Close = %v, want ErrClosed", err)
-	}
-}
-
 // One outstanding request per session: a second Decide for a session with
 // one in flight reports ErrSessionBusy instead of racing the hidden state.
 func TestSessionBusy(t *testing.T) {
-	pol := testPolicy(19)
-	eng := serve.NewEngine(serve.Config{
-		Policy:        pol,
-		MaxBatch:      2,
-		BatchDeadline: time.Second, // batch waits for a 2nd request or 1s
-		Workers:       1,
-	})
+	eng := serve.NewEngine(serve.Config{Policy: testPolicy(19), Workers: 1})
+	hold := serve.HoldWorker(eng)
 	eng.Start()
 	defer eng.Close()
 
-	// Two concurrent Decides for session 1: with MaxBatch 2 the winner
-	// blocks waiting for a batch mate, so the loser must observe the busy
-	// session and fail fast instead of racing the hidden state.
-	res := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(seed int64) {
-			_, _, err := eng.Decide(1, 10, randState(rand.New(rand.NewSource(seed))))
-			res <- err
-		}(int64(21 + i))
+	// The worker is parked on session 1's decision, so session 1 is busy
+	// for as long as the test says.
+	winner := make(chan error, 1)
+	go func() {
+		_, _, err := eng.Decide(1, 10, randState(rand.New(rand.NewSource(21))))
+		winner <- err
+	}()
+	<-hold.Held()
+	if _, _, err := eng.Decide(1, 10, randState(rand.New(rand.NewSource(22)))); err != serve.ErrSessionBusy {
+		t.Fatalf("second Decide on a busy session returned %v, want ErrSessionBusy", err)
 	}
-	select {
-	case err := <-res:
-		if err != serve.ErrSessionBusy {
-			t.Fatalf("loser returned %v, want ErrSessionBusy", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("neither Decide returned")
-	}
-	// A different session fills the batch and releases the winner.
-	if _, _, err := eng.Decide(2, 10, randState(rand.New(rand.NewSource(24)))); err != nil {
-		t.Fatalf("Decide session 2: %v", err)
-	}
-	if err := <-res; err != nil {
+	hold.Release()
+	if err := <-winner; err != nil {
 		t.Fatalf("winner returned %v, want nil", err)
+	}
+	// Released: the session takes its next request.
+	if _, _, err := eng.Decide(1, 10, randState(rand.New(rand.NewSource(23)))); err != nil {
+		t.Fatalf("Decide after release: %v", err)
 	}
 }
 

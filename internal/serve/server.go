@@ -25,7 +25,7 @@ type Control interface {
 // Server exposes an Engine over a stream listener (a Unix domain socket
 // for the sage-serve daemon). Each client connection is handled by one
 // goroutine that decodes frames sequentially; concurrency across
-// connections is what the engine's micro-batcher coalesces.
+// connections is what the engine's batcher coalesces.
 type Server struct {
 	eng *Engine
 
