@@ -12,6 +12,7 @@ type Link struct {
 	queue Queue
 	rate  *RateSchedule
 	out   Receiver
+	txEnd sim.Handler // l.txDone, bound once
 
 	busy           bool
 	DeliveredPkts  int64
@@ -22,7 +23,9 @@ type Link struct {
 // NewLink builds a link serving queue at the schedule rate, delivering into
 // out.
 func NewLink(loop *sim.Loop, queue Queue, rate *RateSchedule, out Receiver) *Link {
-	return &Link{loop: loop, queue: queue, rate: rate, out: out}
+	l := &Link{loop: loop, queue: queue, rate: rate, out: out}
+	l.txEnd = l.txDone
+	return l
 }
 
 // Queue exposes the link's queue (for stats and tests).
@@ -32,14 +35,17 @@ func (l *Link) Queue() Queue { return l.queue }
 func (l *Link) Rate() *RateSchedule { return l.rate }
 
 // Send enqueues p at the bottleneck, reporting whether it was admitted, and
-// kicks the server if the link is idle.
+// kicks the server if the link is idle. A packet the queue refuses ends here.
 func (l *Link) Send(p *Packet, now sim.Time) bool {
-	ok := l.queue.Enqueue(p, now)
-	if ok && !l.busy {
+	if !l.queue.Enqueue(p, now) {
+		p.release()
+		return false
+	}
+	if !l.busy {
 		l.busy = true
 		l.serve(now)
 	}
-	return ok
+	return true
 }
 
 func (l *Link) serve(now sim.Time) {
@@ -53,12 +59,18 @@ func (l *Link) serve(now sim.Time) {
 		// The schedule ends in a permanent outage; the packet can never leave.
 		l.StalledDrops++
 		l.busy = false
+		p.release()
 		return
 	}
-	l.loop.At(done, func(t sim.Time) {
-		l.DeliveredPkts++
-		l.DeliveredBytes += int64(p.Size)
-		l.out.Receive(p, t)
-		l.serve(t)
-	})
+	l.loop.AtArg(done, l.txEnd, p)
+}
+
+// txDone runs when p's last bit leaves the link.
+func (l *Link) txDone(t sim.Time, arg any) {
+	p := arg.(*Packet)
+	p.checkLive()
+	l.DeliveredPkts++
+	l.DeliveredBytes += int64(p.Size)
+	l.out.Receive(p, t)
+	l.serve(t)
 }

@@ -33,7 +33,9 @@ type Network struct {
 	ackDupProb   float64
 	ge           *geChain
 
-	flows map[int]Endpoints
+	flows   map[int]Endpoints
+	free    *Packet     // released packets; starts empty, grows on demand
+	arrives sim.Handler // n.deliver, bound once
 
 	RandomLosses int64
 	BurstLosses  int64 // data packets dropped by the Gilbert-Elliott chain
@@ -85,8 +87,22 @@ func New(loop *sim.Loop, cfg Config) *Network {
 	if cfg.Gilbert.Enabled() {
 		n.ge = &geChain{cfg: cfg.Gilbert, rng: rand.New(rand.NewSource(cfg.Seed + 2))}
 	}
+	n.arrives = n.deliver
 	n.Link = NewLink(loop, q, cfg.Rate, ReceiverFunc(n.afterBottleneck))
 	return n
+}
+
+// NewPacket returns a zeroed packet from the network's free list. Passing it
+// to SendData or SendAck hands it to the network, which recycles it when it
+// has been delivered or dropped (see Packet).
+func (n *Network) NewPacket() *Packet {
+	p := n.free
+	if p == nil {
+		return &Packet{net: n}
+	}
+	n.free = p.next
+	*p = Packet{net: n}
+	return p
 }
 
 // MinRTT returns the propagation round-trip time.
@@ -100,10 +116,12 @@ func (n *Network) Attach(id int, ep Endpoints) { n.flows[id] = ep }
 func (n *Network) SendData(p *Packet, now sim.Time) bool {
 	if n.lossProb > 0 && n.rng.Float64() < n.lossProb {
 		n.RandomLosses++
+		p.release()
 		return false
 	}
 	if n.ge != nil && n.ge.drop() {
 		n.BurstLosses++
+		p.release()
 		return false
 	}
 	return n.Link.Send(p, now)
@@ -111,36 +129,47 @@ func (n *Network) SendData(p *Packet, now sim.Time) bool {
 
 func (n *Network) afterBottleneck(p *Packet, now sim.Time) {
 	d := n.owd + n.extraJitter() + n.extraReorder()
-	n.Loop.At(now+d, func(t sim.Time) {
-		if ep, ok := n.flows[p.FlowID]; ok && ep.Data != nil {
-			ep.Data.Receive(p, t)
-		}
-	})
+	n.Loop.AtArg(now+d, n.arrives, p)
 }
 
-// SendAck carries an ACK back to flow p.FlowID's sender over the
-// uncongested reverse path. Under adversarial conditions the reverse path
+// deliver hands p to its flow's endpoint at the end of either path; when
+// Receive returns, the packet's life is over.
+func (n *Network) deliver(t sim.Time, arg any) {
+	p := arg.(*Packet)
+	p.checkLive()
+	ep := n.flows[p.FlowID]
+	to := ep.Data
+	if p.Ack {
+		to = ep.Ack
+	}
+	if to != nil {
+		to.Receive(p, t)
+	}
+	p.release()
+}
+
+// SendAck marks p as an ACK and carries it back to flow p.FlowID's sender
+// over the uncongested reverse path. Under adversarial conditions the reverse path
 // can drop or duplicate ACKs: the sender must survive both the missing
 // acknowledgments (cumulative delivery arrives late, via later ACKs) and
 // the duplicate ones (already-resolved sequence numbers re-acknowledged).
 func (n *Network) SendAck(p *Packet, now sim.Time) {
 	if n.ackLossProb > 0 && n.rng.Float64() < n.ackLossProb {
 		n.AckLosses++
+		p.release()
 		return
 	}
-	deliver := func(d sim.Time) {
-		n.Loop.At(now+d, func(t sim.Time) {
-			if ep, ok := n.flows[p.FlowID]; ok && ep.Ack != nil {
-				ep.Ack.Receive(p, t)
-			}
-		})
-	}
-	deliver(n.owd + n.extraJitter())
+	p.Ack = true
+	n.Loop.AtArg(now+n.owd+n.extraJitter(), n.arrives, p)
 	if n.ackDupProb > 0 && n.rng.Float64() < n.ackDupProb {
 		n.AckDups++
-		// The copy trails the original by a small extra delay, as a
+		// The copy is a packet of its own (each is released at its own
+		// delivery) and trails the original by a small extra delay, as a
 		// duplicated ACK on a real path would.
-		deliver(n.owd + n.extraJitter() + n.owd/4 + 1)
+		dup := n.NewPacket()
+		*dup = *p
+		dup.net = n
+		n.Loop.AtArg(now+n.owd+n.extraJitter()+n.owd/4+1, n.arrives, dup)
 	}
 }
 

@@ -2,7 +2,8 @@
 // with a configurable (possibly time-varying) rate, a finite queue managed by
 // a pluggable AQM, and symmetric propagation delay. It plays the role
 // Mahimahi plays in the paper: the only emulated component; everything above
-// it (TCP datapath, CC logic) is the real control loop.
+// it (TCP datapath, CC logic) is the real control loop. The per-packet path
+// allocates nothing: packets are recycled (see Packet for who owns one when).
 package netem
 
 import "sage/internal/sim"
@@ -11,9 +12,23 @@ import "sage/internal/sim"
 // 1500-byte packets the paper's emulator carries.
 const MTU = 1500
 
+// AckItem acknowledges one data packet.
+type AckItem struct {
+	Seq    int64
+	SentAt sim.Time // when the acknowledged data packet was sent
+	ECE    bool     // congestion-experienced echo (ECN)
+}
+
 // Packet is the unit carried by the emulator. The transport layer stores its
 // own bookkeeping in the exported fields; netem itself reads only Size and
 // stamps Enqueued.
+//
+// Ownership: a packet from Network.NewPacket belongs to the network from the
+// moment it is passed to SendData or SendAck. The network returns it to its
+// free list at the packet's one terminal point — after the receiver's
+// Receive returns, or where it is dropped — so a Receiver copies out what it
+// needs and never retains the pointer. A packet the caller allocated itself
+// (&Packet{...}) is carried the same way and never recycled.
 type Packet struct {
 	FlowID   int
 	Seq      int64
@@ -24,7 +39,36 @@ type Packet struct {
 	Retrans  bool
 	ECT      bool // ECN-capable transport: AQMs mark instead of dropping
 	ECE      bool // congestion experienced, set by a marking AQM
-	Payload  any  // transport-layer data (e.g. the ACK contents)
+
+	// Acks[:NAcks] are the data packets an ACK acknowledges: one, or two
+	// when the receiver delays acknowledgments.
+	Acks  [2]AckItem
+	NAcks int
+
+	net  *Network // whose free list the packet returns to; nil if caller-allocated
+	next *Packet  // free-list link
+}
+
+// releasedSeq poisons Seq while a packet sits on the free list, so a queue,
+// event or receiver still holding the pointer fails loudly in checkLive
+// instead of silently reading another packet's fields.
+const releasedSeq = -1 << 63
+
+// release ends the packet's life: the holder must not touch it afterwards.
+func (p *Packet) release() {
+	p.checkLive()
+	if p.net == nil {
+		return
+	}
+	p.Seq = releasedSeq
+	p.next = p.net.free
+	p.net.free = p
+}
+
+func (p *Packet) checkLive() {
+	if p.Seq == releasedSeq {
+		panic("netem: packet used after it was released to the free list")
+	}
 }
 
 // Receiver consumes packets delivered by the network.

@@ -18,9 +18,12 @@ type Queue interface {
 	Drops() int
 }
 
-// fifo is the shared ring buffer beneath every discipline.
+// fifo is the shared ring buffer beneath every discipline: ring[head] is the
+// oldest of n packets, and the ring's length is a power of two.
 type fifo struct {
-	pkts  []*Packet
+	ring  []*Packet
+	head  int
+	n     int
 	bytes int
 	drops int
 	marks int
@@ -44,22 +47,31 @@ func (q *fifo) markOrDrop(p *Packet) bool {
 
 func (q *fifo) push(p *Packet, now sim.Time) {
 	p.Enqueued = now
-	q.pkts = append(q.pkts, p)
+	if q.n == len(q.ring) {
+		grown := make([]*Packet, max(16, 2*len(q.ring)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+		}
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
+	q.n++
 	q.bytes += p.Size
 }
 
 func (q *fifo) popHead() *Packet {
-	if len(q.pkts) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	p := q.pkts[0]
-	q.pkts[0] = nil
-	q.pkts = q.pkts[1:]
+	p := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	q.bytes -= p.Size
 	return p
 }
 
-func (q *fifo) Len() int   { return len(q.pkts) }
+func (q *fifo) Len() int   { return q.n }
 func (q *fifo) Bytes() int { return q.bytes }
 func (q *fifo) Drops() int { return q.drops }
 
@@ -107,8 +119,8 @@ func (q *HeadDrop) Enqueue(p *Packet, now sim.Time) bool {
 		q.drops++
 		return false
 	}
-	for q.bytes+p.Size > q.capacity && len(q.pkts) > 0 {
-		q.popHead()
+	for q.bytes+p.Size > q.capacity && q.n > 0 {
+		q.popHead().release() // evicted inside the queue: its life ends here
 		q.drops++
 	}
 	q.push(p, now)
@@ -190,6 +202,7 @@ func (q *CoDel) Dequeue(now sim.Time) *Packet {
 				if q.markOrDrop(p) {
 					return p // ECN: marked and delivered (RFC 8289 §3)
 				}
+				p.release()
 				p = q.popHead()
 				if p == nil {
 					q.dropping = false
@@ -211,6 +224,7 @@ func (q *CoDel) Dequeue(now sim.Time) *Packet {
 		if q.markOrDrop(p) {
 			return p
 		}
+		p.release()
 		p = q.popHead()
 		if p == nil {
 			q.dropping = false

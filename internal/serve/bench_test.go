@@ -13,7 +13,6 @@ import (
 	"sage/internal/gr"
 	"sage/internal/nn"
 	"sage/internal/rl"
-	"sage/internal/rollout"
 	"sage/internal/serve"
 	"sage/internal/sim"
 	"sage/internal/tcp"
@@ -103,36 +102,6 @@ func BenchmarkServe1000Flows(b *testing.B)      { benchmarkServe(b, 1000) }
 func BenchmarkSequential10Flows(b *testing.B)   { benchmarkSequential(b, 10) }
 func BenchmarkSequential100Flows(b *testing.B)  { benchmarkSequential(b, 100) }
 func BenchmarkSequential1000Flows(b *testing.B) { benchmarkSequential(b, 1000) }
-
-// BenchmarkRunMulti measures the end-to-end simulation win: a full
-// multi-flow fairness run served batched vs sequentially.
-func benchmarkRunMulti(b *testing.B, flows int, batched bool) {
-	pol := benchPolicy()
-	sc := testScenario(2 * sim.Second)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var eng *serve.Engine
-		if batched {
-			eng = serve.NewEngine(serve.Config{Policy: pol, MaxBatch: 1024, MaxSessions: flows + 1})
-		}
-		specs := make([]rollout.FlowSpec, flows)
-		for j := range specs {
-			var ctl rollout.Controller
-			if batched {
-				ctl = serve.NewController(eng)
-			} else {
-				ctl = rl.NewPolicyController(pol, nil, false, int64(j))
-			}
-			specs[j] = rollout.FlowSpec{
-				Name: fmt.Sprintf("f%d", j), CC: cc.MustNew("pure"), Controller: ctl,
-			}
-		}
-		rollout.RunMulti(sc, specs, rollout.MultiOptions{})
-	}
-}
-
-func BenchmarkRunMulti32Batched(b *testing.B)    { benchmarkRunMulti(b, 32, true) }
-func BenchmarkRunMulti32Sequential(b *testing.B) { benchmarkRunMulti(b, 32, false) }
 
 // BenchmarkWireDecide is the wire path end to end at a range of
 // concurrencies: a real Server and conns Clients on a unix socket, each

@@ -1,0 +1,35 @@
+package tcp_test
+
+import (
+	"testing"
+
+	"sage/internal/cc"
+	"sage/internal/netem"
+	"sage/internal/sim"
+	"sage/internal/tcp"
+)
+
+// BenchmarkFlowPerPacket is the whole datapath's cost per delivered packet:
+// one flow alone on a lossless 1 Gb/s, 10 ms path (the regime of the repo
+// benchmark's tcp.flow_ns_per_pkt probe), in 100 ms slices of simulated time.
+func BenchmarkFlowPerPacket(b *testing.B) {
+	for _, scheme := range []string{"cubic", "bbr2", "vegas"} {
+		b.Run(scheme, func(b *testing.B) {
+			loop := sim.NewLoop()
+			n := netem.New(loop, netem.Config{Rate: netem.FlatRate(netem.Mbps(1000)), MinRTT: 10 * sim.Millisecond})
+			fl := tcp.NewFlow(loop, n, 1, cc.MustNew(scheme), tcp.Options{})
+			fl.Conn.Start(0)
+			loop.RunUntil(sim.Second)
+			before := fl.Sink.RxPkts
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				loop.RunUntil(loop.Now() + 100*sim.Millisecond)
+			}
+			b.StopTimer()
+			pkts := float64(fl.Sink.RxPkts - before)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pkts, "ns/pkt")
+			b.ReportMetric(pkts/float64(b.N), "pkts/op")
+		})
+	}
+}

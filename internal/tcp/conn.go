@@ -35,31 +35,16 @@ func (o *Options) fill() {
 	}
 }
 
-// txRecord tracks one in-flight packet.
+// txRecord tracks one transmitted packet of MSS bytes; its sequence number
+// is its position in Conn.tx.
 type txRecord struct {
-	seq             int64
 	sentAt          sim.Time
-	size            int
 	deliveredAtSend int64 // connection's delivered bytes when this was sent
 	acked           bool
 	lost            bool
 }
 
 func (r *txRecord) resolved() bool { return r.acked || r.lost }
-
-// ackItem acknowledges one data packet.
-type ackItem struct {
-	Seq    int64
-	SentAt sim.Time
-	ECE    bool // congestion-experienced echo (ECN)
-}
-
-// ackInfo is the payload the Sink returns on the reverse path. With delayed
-// ACKs enabled a single ACK packet acknowledges several data packets — the
-// "Ack accumulation" the paper's emulation captures.
-type ackInfo struct {
-	Items []ackItem
-}
 
 // Conn is a backlogged ("iperf-style") sender: it always has data and sends
 // whenever the congestion window (and pacing, if enabled) permits.
@@ -75,10 +60,14 @@ type Conn struct {
 	Ssthresh   float64 // packets
 	PacingRate float64 // bytes/second; 0 disables pacing
 
+	// tx is a ring of the records of seqs [base, nextSeq): seq lives at
+	// index seq&(len(tx)-1), and the ring doubles when full. head is the
+	// oldest unresolved seq; records in [base, head) are resolved and kept
+	// only until advanceHead retires them.
+	tx          []txRecord
+	base        int64
+	head        int64
 	nextSeq     int64
-	pending     map[int64]*txRecord
-	order       []*txRecord // send order; head advances past resolved records
-	head        int
 	inflightCnt int
 
 	srtt, rttvar     sim.Time
@@ -103,6 +92,9 @@ type Conn struct {
 	lossEpisodeLoss  int
 	nextSendAt       sim.Time
 	paceTimer        sim.Handle
+	rtoFn            sim.Event // onRTO, onRackTimer, trySend: bound once
+	rackFn           sim.Event
+	paceFn           sim.Event
 	running          bool
 	stopped          bool
 	enterRecoveryCnt int64
@@ -126,11 +118,11 @@ func NewConn(loop *sim.Loop, n *netem.Network, id int, cc CongestionControl, opt
 		opt:           opt,
 		Cwnd:          opt.InitCwnd,
 		Ssthresh:      math.Inf(1),
-		pending:       make(map[int64]*txRecord),
 		minRTTFilter:  NewMinFilter(10 * sim.Second),
 		maxRateFilter: NewMaxFilter(10 * sim.Second),
 		rto:           sim.Second,
 	}
+	c.rtoFn, c.rackFn, c.paceFn = c.onRTO, c.onRackTimer, c.trySend
 	return c
 }
 
@@ -265,49 +257,46 @@ func (c *Conn) Kick(now sim.Time) { c.trySend(now) }
 
 // Receive implements netem.Receiver for the reverse (ACK) path.
 func (c *Conn) Receive(p *netem.Packet, now sim.Time) {
-	ai, ok := p.Payload.(*ackInfo)
-	if !ok || c.stopped {
+	if c.stopped {
 		return
 	}
-	c.handleAck(ai, now)
+	c.handleAck(p.Acks[:p.NAcks], now)
 }
 
-func (c *Conn) handleAck(ai *ackInfo, now sim.Time) {
-	var newest *txRecord
+func (c *Conn) handleAck(acks []netem.AckItem, now sim.Time) {
+	var rec txRecord // the most recently sent of the newly acknowledged
 	acked := 0
 	ece := false
-	for _, it := range ai.Items {
-		rec, ok := c.pending[it.Seq]
-		if !ok {
-			continue
+	for _, it := range acks {
+		if it.Seq < c.base || it.Seq >= c.nextSeq {
+			continue // retired, or never sent
 		}
-		delete(c.pending, it.Seq)
-		if rec.lost {
+		r := c.rec(it.Seq)
+		if r.acked {
+			continue // duplicate ACK
+		}
+		r.acked = true
+		c.delivered += int64(c.opt.MSS)
+		c.deliveredPkts++
+		if r.lost {
 			// The packet was declared lost but arrived after all: spurious.
 			c.spurious++
 			c.onSpurious()
-			rec.acked = true
-			c.delivered += int64(rec.size)
-			c.deliveredPkts++
 			continue
 		}
-		rec.acked = true
 		c.inflightCnt--
-		c.delivered += int64(rec.size)
-		c.deliveredPkts++
 		acked++
 		if it.ECE {
 			c.ecePkts++
 			ece = true
 		}
-		if newest == nil || rec.sentAt > newest.sentAt {
-			newest = rec
+		if acked == 1 || r.sentAt > rec.sentAt {
+			rec = *r
 		}
 	}
-	if newest == nil {
+	if acked == 0 {
 		return
 	}
-	rec := newest
 	rtt := now - rec.sentAt
 	c.updateRTT(rtt)
 	c.rtoBackoff = 0
@@ -425,8 +414,8 @@ func (c *Conn) rackDetect(now sim.Time) int {
 	reorder := c.reorderWnd()
 	marked := 0
 	var earliest sim.Time
-	for i := c.head; i < len(c.order); i++ {
-		r := c.order[i]
+	for seq := c.head; seq < c.nextSeq; seq++ {
+		r := c.rec(seq)
 		if r.resolved() {
 			continue
 		}
@@ -443,7 +432,7 @@ func (c *Conn) rackDetect(now sim.Time) int {
 	}
 	c.rackTimer.Cancel()
 	if earliest > 0 {
-		c.rackTimer = c.loop.At(earliest, c.onRackTimer)
+		c.rackTimer = c.loop.At(earliest, c.rackFn)
 	}
 	return marked
 }
@@ -470,17 +459,27 @@ func (c *Conn) markLost(r *txRecord) {
 	c.lossEpisodeLoss++
 }
 
+// advanceHead moves head past resolved records and base past retired ones.
+// An acknowledged record is retired at once. A record declared lost is
+// retired when a packet sent more than one RTO after it has been
+// acknowledged: the path delivers in order up to a bounded displacement
+// (jitter, reordering, ACK duplication), so by then its own ACK would have
+// arrived, and an ACK later than that is indistinguishable from a loss. This
+// keeps [base, nextSeq) within a few windows under any amount of loss; an
+// ACK for a retired seq is ignored.
 func (c *Conn) advanceHead() {
-	for c.head < len(c.order) && c.order[c.head].resolved() {
-		c.order[c.head] = nil
+	for c.head < c.nextSeq && c.rec(c.head).resolved() {
 		c.head++
 	}
-	// Periodically compact so the slice doesn't grow without bound.
-	if c.head > 4096 && c.head > len(c.order)/2 {
-		c.order = append(c.order[:0], c.order[c.head:]...)
-		c.head = 0
+	for c.base < c.head {
+		if r := c.rec(c.base); !r.acked && r.sentAt+c.rto > c.lastAckedSentAt {
+			break
+		}
+		c.base++
 	}
 }
+
+func (c *Conn) rec(seq int64) *txRecord { return &c.tx[seq&int64(len(c.tx)-1)] }
 
 func (c *Conn) enterRecovery(now sim.Time, lost int) {
 	c.state = StateRecovery
@@ -494,7 +493,7 @@ func (c *Conn) maybeExitRecovery() {
 	if c.state == StateOpen {
 		return
 	}
-	if c.head < len(c.order) && c.order[c.head].seq <= c.recoveryEnd {
+	if c.head <= c.recoveryEnd {
 		return // still packets from the loss episode outstanding
 	}
 	c.state = StateOpen
@@ -510,7 +509,7 @@ func (c *Conn) resetRTO(now sim.Time) {
 	if d > 60*sim.Second {
 		d = 60 * sim.Second
 	}
-	c.rtoTimer = c.loop.At(now+d, c.onRTO)
+	c.rtoTimer = c.loop.At(now+d, c.rtoFn)
 }
 
 func (c *Conn) onRTO(now sim.Time) {
@@ -522,9 +521,8 @@ func (c *Conn) onRTO(now sim.Time) {
 	c.recoveryEnd = c.nextSeq - 1
 	// Everything in flight is presumed lost.
 	lost := 0
-	for i := c.head; i < len(c.order); i++ {
-		r := c.order[i]
-		if !r.resolved() {
+	for seq := c.head; seq < c.nextSeq; seq++ {
+		if r := c.rec(seq); !r.resolved() {
 			c.markLost(r)
 			lost++
 		}
@@ -550,7 +548,7 @@ func (c *Conn) trySend(now sim.Time) {
 	for float64(c.inflightCnt) < c.Cwnd {
 		if c.PacingRate > 0 && now < c.nextSendAt {
 			if !c.paceTimer.Pending() {
-				c.paceTimer = c.loop.At(c.nextSendAt, func(t sim.Time) { c.trySend(t) })
+				c.paceTimer = c.loop.At(c.nextSendAt, c.paceFn)
 			}
 			return
 		}
@@ -569,19 +567,20 @@ func (c *Conn) trySend(now sim.Time) {
 }
 
 func (c *Conn) sendPacket(now sim.Time) {
+	if int(c.nextSeq-c.base) == len(c.tx) {
+		grown := make([]txRecord, max(16, 2*len(c.tx)))
+		for seq := c.base; seq < c.nextSeq; seq++ {
+			grown[seq&int64(len(grown)-1)] = *c.rec(seq)
+		}
+		c.tx = grown
+	}
 	seq := c.nextSeq
 	c.nextSeq++
-	rec := &txRecord{
-		seq:             seq,
-		sentAt:          now,
-		size:            c.opt.MSS,
-		deliveredAtSend: c.delivered,
-	}
-	c.pending[seq] = rec
-	c.order = append(c.order, rec)
+	*c.rec(seq) = txRecord{sentAt: now, deliveredAtSend: c.delivered}
 	c.inflightCnt++
 	c.sentPkts++
-	p := &netem.Packet{FlowID: c.ID, Seq: seq, Size: c.opt.MSS, Sent: now, ECT: c.ecnEnabled}
+	p := c.net.NewPacket()
+	p.FlowID, p.Seq, p.Size, p.Sent, p.ECT = c.ID, seq, c.opt.MSS, now, c.ecnEnabled
 	c.net.SendData(p, now)
 	if !c.rtoTimer.Pending() {
 		c.resetRTO(now)

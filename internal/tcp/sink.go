@@ -26,9 +26,11 @@ type Sink struct {
 	owdMax  sim.Time
 	AcksTx  int64
 
-	pending  []ackItem
+	pending  [2]netem.AckItem // data packets not yet acknowledged
+	npend    int
 	pendID   int
 	delTimer sim.Handle
+	flushFn  sim.Event // flush, bound once
 }
 
 // NewSink returns a sink that acknowledges over n.
@@ -40,6 +42,7 @@ func NewDelAckSink(loop *sim.Loop, n *netem.Network) *Sink {
 	s := NewSink(n)
 	s.loop = loop
 	s.DelAck = true
+	s.flushFn = s.flush
 	return s
 }
 
@@ -52,37 +55,31 @@ func (s *Sink) Receive(p *netem.Packet, now sim.Time) {
 	if owd > s.owdMax {
 		s.owdMax = owd
 	}
-	item := ackItem{Seq: p.Seq, SentAt: p.Sent, ECE: p.ECE}
-	if !s.DelAck || s.loop == nil {
-		s.send(p.FlowID, now, []ackItem{item})
-		return
-	}
-	s.pending = append(s.pending, item)
+	s.pending[s.npend] = netem.AckItem{Seq: p.Seq, SentAt: p.Sent, ECE: p.ECE}
+	s.npend++
 	s.pendID = p.FlowID
-	if len(s.pending) >= 2 || p.ECE {
-		// ECN marks must be echoed promptly (RFC 3168 §6.1.3).
+	if !s.DelAck || s.loop == nil || s.npend == len(s.pending) || p.ECE {
+		// Not delaying, two packets pending, or an ECN mark, which must be
+		// echoed promptly (RFC 3168 §6.1.3).
 		s.flush(now)
 		return
 	}
 	if !s.delTimer.Pending() {
-		s.delTimer = s.loop.After(s.DelAckTimeout, s.flush)
+		s.delTimer = s.loop.After(s.DelAckTimeout, s.flushFn)
 	}
 }
 
+// flush acknowledges the pending data packets with one ACK packet.
 func (s *Sink) flush(now sim.Time) {
-	if len(s.pending) == 0 {
+	if s.npend == 0 {
 		return
 	}
 	s.delTimer.Cancel()
-	items := s.pending
-	s.pending = nil
-	s.send(s.pendID, now, items)
-}
-
-func (s *Sink) send(flowID int, now sim.Time, items []ackItem) {
 	s.AcksTx++
-	ack := &netem.Packet{FlowID: flowID, Seq: items[len(items)-1].Seq, Size: 40,
-		Ack: true, Sent: now, Payload: &ackInfo{Items: items}}
+	ack := s.net.NewPacket()
+	ack.FlowID, ack.Seq, ack.Size, ack.Sent = s.pendID, s.pending[s.npend-1].Seq, 40, now
+	ack.Acks, ack.NAcks = s.pending, s.npend
+	s.npend = 0
 	s.net.SendAck(ack, now)
 }
 
