@@ -89,7 +89,6 @@ func main() {
 		enc       = flag.Int("enc", 32, "train: encoder width")
 		gru       = flag.Int("gru", 16, "train: GRU width")
 		kMix      = flag.Int("gmm", 3, "train: GMM components")
-		atoms     = flag.Int("atoms", 21, "train: critic atoms")
 		mask      = flag.String("mask", "full", "train: input mask: full|no-minmax|no-rttvar|no-lossinf")
 		nWorkers  = flag.Int("train-workers", 2, "train: data-parallel worker count")
 		ckpt      = flag.String("checkpoint", "", "train: checkpoint file (written every checkpoint-every steps; resumed from if present)")
@@ -136,7 +135,7 @@ func main() {
 	case "train":
 		os.Exit(runTrain(ctx, trainOpts{
 			listen: *listen, poolPath: *poolPath, modelOut: *modelOut,
-			steps: *steps, enc: *enc, gru: *gru, kMix: *kMix, atoms: *atoms,
+			steps: *steps, enc: *enc, gru: *gru, kMix: *kMix,
 			mask: *mask, workers: *nWorkers, seed: *seed,
 			ckpt: *ckpt, ckptEvery: *ckptEvery, ckptKeep: *ckptKeep,
 			logEvery: *logEvery, progress: *progress, chaos: faultSpec,
@@ -292,7 +291,7 @@ func runCollect(ctx context.Context, o collectOpts) int {
 
 type trainOpts struct {
 	listen, poolPath, modelOut, mask string
-	steps, enc, gru, kMix, atoms     int
+	steps, enc, gru, kMix            int
 	workers                          int
 	seed                             int64
 	ckpt                             string
@@ -333,7 +332,6 @@ func runTrain(ctx context.Context, o trainOpts) int {
 	}
 	crrCfg := rl.CRRConfig{
 		Policy:  nn.PolicyConfig{Enc: o.enc, Hidden: o.gru, ResBlocks: 2, K: o.kMix},
-		Critic:  nn.CriticConfig{Hidden: 2 * o.enc, Atoms: o.atoms},
 		Steps:   o.steps,
 		Workers: o.workers,
 		Seed:    o.seed,
@@ -417,7 +415,7 @@ func runTrain(ctx context.Context, o trainOpts) int {
 		return 1
 	}
 	go coord.Serve(wrapChaos(ln, o.chaos, reg))
-	fmt.Printf("training: %d workers, %d total steps (resumed at %d)\n", o.workers, o.steps, done)
+	fmt.Printf("training: %d workers, %d total steps (resumed at %d), critic naf hidden=%d\n", o.workers, o.steps, done, learner.NAF.Cfg.Hidden)
 
 	waitErr := coord.Wait(ctx)
 	if waitErr == nil {

@@ -67,7 +67,7 @@ func (e loopEnv) loopArgs(extra ...string) []string {
 	args := []string{
 		"-spool", e.spool, "-state", e.state, "-registry", e.registry,
 		"-min-admitted", "2", "-warm-start=false",
-		"-steps", "40", "-enc", "8", "-gru", "4", "-gmm", "2", "-atoms", "5",
+		"-steps", "40", "-enc", "8", "-gru", "4", "-gmm", "2",
 		"-checkpoint-every", "5", "-gate-level", "tiny", "-gate-duration", "1s",
 	}
 	return append(args, extra...)

@@ -77,7 +77,6 @@ func run() int {
 		enc       = flag.Int("enc", 32, "encoder width")
 		gru       = flag.Int("gru", 16, "GRU width")
 		kMix      = flag.Int("gmm", 3, "GMM components")
-		atoms     = flag.Int("atoms", 21, "critic atoms")
 		seed      = flag.Int64("seed", 1, "seed (drives the round mix and training determinism)")
 		warmStart = flag.Bool("warm-start", true, "seed each round's learner from the incumbent's weights")
 		ckptEvery = flag.Int("checkpoint-every", 500, "round checkpoint period in steps")
@@ -164,7 +163,6 @@ func run() int {
 		MinRegimes:      *minRegimes,
 		CRR: rl.CRRConfig{
 			Policy: nn.PolicyConfig{Enc: *enc, Hidden: *gru, ResBlocks: 2, K: *kMix},
-			Critic: nn.CriticConfig{Hidden: 2 * *enc, Atoms: *atoms},
 			Steps:  *steps,
 			Seed:   *seed,
 		},
@@ -188,6 +186,7 @@ func run() int {
 		return stateExitCode(err)
 	}
 	defer lp.Close()
+	fmt.Fprintf(os.Stderr, "sage-loop: rounds train critic naf hidden=%d\n", cfg.CRR.NAF.Fill().Hidden)
 	if n, open := lp.Round(); open {
 		fmt.Fprintf(os.Stderr, "sage-loop: resuming open round %d\n", n)
 	}

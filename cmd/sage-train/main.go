@@ -74,7 +74,6 @@ func main() {
 		enc       = flag.Int("enc", 32, "encoder width")
 		gru       = flag.Int("gru", 16, "GRU width")
 		kMix      = flag.Int("gmm", 3, "GMM components")
-		atoms     = flag.Int("atoms", 21, "critic atoms")
 		mask      = flag.String("mask", "full", "input mask: full|no-minmax|no-rttvar|no-lossinf")
 		workers   = flag.Int("workers", 1, "data-parallel training workers")
 		seed      = flag.Int64("seed", 1, "seed")
@@ -164,7 +163,6 @@ func main() {
 		Mask: m,
 		CRR: rl.CRRConfig{
 			Policy:  nn.PolicyConfig{Enc: *enc, Hidden: *gru, ResBlocks: 2, K: *kMix},
-			Critic:  nn.CriticConfig{Hidden: 2 * *enc, Atoms: *atoms},
 			Steps:   *steps,
 			Workers: *workers,
 			Seed:    *seed,
@@ -201,6 +199,7 @@ func main() {
 		crr := cfg.CRR
 		learner = rl.NewCRR(ds, crr)
 	}
+	fmt.Printf("learner: policy %d params, critic naf hidden=%d\n", nn.ParamCount(learner.Policy), learner.NAF.Cfg.Hidden)
 	remaining := *steps - done
 	if remaining < 0 {
 		remaining = 0

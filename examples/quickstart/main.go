@@ -45,7 +45,6 @@ func main() {
 	model := core.Train(pool, core.Config{
 		CRR: rl.CRRConfig{
 			Policy: nn.PolicyConfig{Enc: 24, Hidden: 12, ResBlocks: 2, K: 3},
-			Critic: nn.CriticConfig{Hidden: 32, Atoms: 15},
 			Steps:  400,
 		},
 	}, nil)

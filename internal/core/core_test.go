@@ -31,7 +31,6 @@ func tinyPool(t *testing.T) *collector.Pool {
 func tinyCRR() rl.CRRConfig {
 	return rl.CRRConfig{
 		Policy: nn.PolicyConfig{Enc: 16, Hidden: 8, ResBlocks: 1, K: 3},
-		Critic: nn.CriticConfig{Hidden: 16, Atoms: 11},
 		Steps:  60,
 		Batch:  4,
 		SeqLen: 4,

@@ -37,7 +37,6 @@ type Sizing struct {
 	DaggerIters  int // Indigo
 
 	Policy nn.PolicyConfig
-	Critic nn.CriticConfig
 
 	PathCount int // paths per Fig. 8 regime
 	PathDur   sim.Time
@@ -62,7 +61,6 @@ func Quick() Sizing {
 		Episodes:     8,
 		DaggerIters:  2,
 		Policy:       nn.PolicyConfig{Enc: 32, Hidden: 16, ResBlocks: 2, K: 3},
-		Critic:       nn.CriticConfig{Hidden: 48, Atoms: 21},
 		PathCount:    3,
 		PathDur:      8 * sim.Second,
 		Repeats:      1,
@@ -85,7 +83,6 @@ func Paper() Sizing {
 		Episodes:     60,
 		DaggerIters:  4,
 		Policy:       nn.PolicyConfig{Enc: 128, Hidden: 128, ResBlocks: 2, K: 5},
-		Critic:       nn.CriticConfig{Hidden: 128, Atoms: 51},
 		PathCount:    13,
 		PathDur:      15 * sim.Second,
 		Repeats:      3,
@@ -102,7 +99,6 @@ func (s Sizing) crr() rl.CRRConfig {
 	}
 	return rl.CRRConfig{
 		Policy:  s.Policy,
-		Critic:  s.Critic,
 		Steps:   s.TrainSteps,
 		Workers: workers,
 		Seed:    s.Seed,

@@ -22,7 +22,6 @@ func micro() Sizing {
 	s.Episodes = 2
 	s.DaggerIters = 1
 	s.Policy = nn.PolicyConfig{Enc: 12, Hidden: 6, ResBlocks: 1, K: 2}
-	s.Critic = nn.CriticConfig{Hidden: 12, Atoms: 11}
 	s.PathCount = 1
 	s.PathDur = 4 * sim.Second
 	return s

@@ -18,7 +18,6 @@ var testMask = []int{idxSRTTMs, idxSRTTLgMin, idxLossMbps, idxDRMbps, idxDRMaxMb
 func tinyCRR(steps int) rl.CRRConfig {
 	return rl.CRRConfig{
 		Policy: nn.PolicyConfig{Enc: 8, Hidden: 4, ResBlocks: 1, K: 2},
-		Critic: nn.CriticConfig{Hidden: 8, Atoms: 5},
 		Steps:  steps, Batch: 2, SeqLen: 2, Seed: 7,
 	}
 }

@@ -311,44 +311,6 @@ func TestPolicyAblationVariants(t *testing.T) {
 	}
 }
 
-func TestCriticProjectAndGradients(t *testing.T) {
-	cfg := CriticConfig{InDim: 4, Hidden: 8, Atoms: 11, VMin: 0, VMax: 10, Seed: 3}
-	c := NewCritic(cfg)
-	state := []float64{1, -1, 0.5, 2}
-	action := 0.3
-
-	// Projection of a deterministic next distribution.
-	next := make([]float64, 11)
-	next[5] = 1 // mass at z=5
-	m := c.Project(1, 0.9, next)
-	sum := 0.0
-	ev := 0.0
-	for i, v := range m {
-		sum += v
-		ev += v * c.Z[i]
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("projection mass %v", sum)
-	}
-	if math.Abs(ev-5.5) > 1e-9 { // 1 + 0.9*5
-		t.Fatalf("projection mean %v, want 5.5", ev)
-	}
-	// Clamping at the support edges.
-	m2 := c.Project(100, 1, next)
-	if math.Abs(m2[10]-1) > 1e-9 {
-		t.Fatalf("projection clamp: %v", m2)
-	}
-
-	loss := func() float64 {
-		probs, _ := c.Dist(state, action)
-		return CELoss(probs, m)
-	}
-	checkModuleGrads(t, c, loss, func() {
-		_, cache := c.Dist(state, action)
-		c.BackwardCE(cache, m, 1)
-	}, 1e-3)
-}
-
 func TestAdamReducesLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := NewDense("d", 2, 1, rng)

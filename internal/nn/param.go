@@ -1,9 +1,9 @@
 // Package nn is a small, dependency-free neural-network library sized for
 // the paper's architecture (Fig. 6): dense layers, LayerNorm, a GRU cell
 // trained with truncated BPTT, residual blocks, a Gaussian-mixture policy
-// head, a C51-style categorical value head, and the Adam optimizer. All
-// gradients are hand-derived; finite-difference tests in this package verify
-// every backward pass.
+// head, a normalized-advantage (NAF) quadratic critic, and the Adam
+// optimizer. All gradients are hand-derived; finite-difference tests in this
+// package verify every backward pass.
 package nn
 
 import (

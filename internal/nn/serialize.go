@@ -56,14 +56,6 @@ func ClonePolicy(p *Policy) *Policy {
 	return q
 }
 
-// CloneCritic returns a deep copy (used for target networks).
-func CloneCritic(c *Critic) *Critic {
-	q := NewCritic(c.Cfg)
-	q.Norm = c.Norm
-	CopyParams(q, c)
-	return q
-}
-
 // writeGob persists v through safeio: atomic rename, checksummed payload.
 func writeGob(path string, v any) error {
 	if err := safeio.WriteGobGz(path, v); err != nil {

@@ -66,27 +66,17 @@ func (l *CRR) SaveCheckpoint(path string, stepsDone int) error {
 		StepsDone:    stepsDone,
 		HasFullState: true,
 		OptPi:        l.optPi.State(l.Policy),
-		OptQ:         l.optQ.State(l.criticModule()),
+		Critic:       dumpParams(l.NAF),
+		TargetCrit:   dumpParams(l.targetNAF),
+		OptQ:         l.optQ.State(l.NAF),
 		RNG:          l.rngSrc.State(),
-	}
-	if l.Critic != nil {
-		blob.Critic = dumpParams(l.Critic)
-		blob.TargetCrit = dumpParams(l.targetCritic)
-	} else {
-		blob.Critic = dumpParams(l.NAF)
-		blob.TargetCrit = dumpParams(l.targetNAF)
-	}
-	if l.workerSet != nil {
-		for _, w := range l.workerSet {
-			blob.WorkerRNG = append(blob.WorkerRNG, w.src.State())
-		}
-	} else {
-		// No live worker goroutines: persist the staged positions instead.
-		// They come from a checkpoint that was resumed before the worker
-		// set was (lazily) rebuilt, or from a distributed coordinator
-		// tracking remote trainer streams (SetWorkerRNGStates) — dropping
-		// them would silently fork the batch sequence on the next resume.
-		blob.WorkerRNG = append(blob.WorkerRNG, l.resumeWorkerRNG...)
+		// Live worker streams, or — with no worker goroutines — the staged
+		// positions: they come from a checkpoint that was resumed before
+		// the worker set was (lazily) rebuilt, or from a distributed
+		// coordinator tracking remote trainer streams (SetWorkerRNGStates);
+		// dropping them would silently fork the batch sequence on the next
+		// resume.
+		WorkerRNG: l.WorkerRNGStates(),
 	}
 	if err := safeio.WriteGobGz(path, &blob); err != nil {
 		return fmt.Errorf("rl: checkpoint: %w", err)
@@ -124,29 +114,18 @@ func LoadCheckpoint(path string, ds *Dataset) (*CRR, int, error) {
 	l := NewCRR(ds, blob.Cfg)
 	l.Policy.Norm = &blob.Norm
 	l.targetPolicy.Norm = &blob.Norm
-	if l.Critic != nil {
-		l.Critic.Norm = &blob.Norm
-		l.targetCritic.Norm = &blob.Norm
-	} else {
-		l.NAF.Norm = &blob.Norm
-		l.targetNAF.Norm = &blob.Norm
-	}
+	l.NAF.Norm = &blob.Norm
+	l.targetNAF.Norm = &blob.Norm
 	if err := loadParams(l.Policy, blob.Policy); err != nil {
 		return nil, 0, err
 	}
 	if err := loadParams(l.targetPolicy, blob.TargetPol); err != nil {
 		return nil, 0, err
 	}
-	var crit, tcrit nn.Module
-	if l.Critic != nil {
-		crit, tcrit = l.Critic, l.targetCritic
-	} else {
-		crit, tcrit = l.NAF, l.targetNAF
-	}
-	if err := loadParams(crit, blob.Critic); err != nil {
+	if err := loadParams(l.NAF, blob.Critic); err != nil {
 		return nil, 0, err
 	}
-	if err := loadParams(tcrit, blob.TargetCrit); err != nil {
+	if err := loadParams(l.targetNAF, blob.TargetCrit); err != nil {
 		return nil, 0, err
 	}
 	l.stepIdx = blob.StepsDone
@@ -154,7 +133,7 @@ func LoadCheckpoint(path string, ds *Dataset) (*CRR, int, error) {
 		if err := l.optPi.Restore(l.Policy, blob.OptPi); err != nil {
 			return nil, 0, fmt.Errorf("rl: checkpoint optimizer: %w", err)
 		}
-		if err := l.optQ.Restore(l.criticModule(), blob.OptQ); err != nil {
+		if err := l.optQ.Restore(l.NAF, blob.OptQ); err != nil {
 			return nil, 0, fmt.Errorf("rl: checkpoint optimizer: %w", err)
 		}
 		l.rngSrc.SetState(blob.RNG)

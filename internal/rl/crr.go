@@ -12,16 +12,11 @@ import (
 // 2020), the algorithm beneath Sage's Core Learning block.
 type CRRConfig struct {
 	Policy nn.PolicyConfig
-	Critic nn.CriticConfig // used when CriticKind is "c51"
-	NAF    nn.NAFConfig    // used when CriticKind is "naf"
+	// NAF sizes the critic: the normalized-advantage quadratic Q function,
+	// immune to the dataset's action/return confounding (see nn.NAFCritic).
+	NAF nn.NAFConfig
 
-	// CriticKind selects the Q-function family: "naf" (default — the
-	// normalized-advantage quadratic critic, immune to the dataset's
-	// action/return confounding; see nn.NAFCritic) or "c51" (the
-	// categorical distributional critic of the paper's description).
-	CriticKind string
-
-	Gamma        float64 // discount (default 0.95)
+	Gamma        float64 // discount (default 0.99)
 	Batch        int     // sequences per step (default 16)
 	SeqLen       int     // BPTT segment length (default 8)
 	Steps        int     // gradient steps
@@ -29,12 +24,7 @@ type CRRConfig struct {
 	LRCritic     float64 // default 1e-3
 	TargetEvery  int     // hard target sync period (default 100)
 	ActionSample int     // π-samples for the advantage baseline (default 4)
-	Beta         float64 // advantage temperature for the "exp" filter (default 1)
-	FilterClip   float64 // cap on the "exp" filter (default 20)
-	// Filter selects the CRR action filter: "binary" (f = 1[A>0], the
-	// scale-free variant, default) or "exp" (f = exp(A/β) clipped).
-	Filter string
-	// NStep is the n-step return length for the distributional TD target
+	// NStep is the n-step return length for the TD target
 	// (default 5): per-20 ms micro-actions need multi-step credit for the
 	// critic to see the consequences of sustained window moves.
 	NStep int
@@ -79,20 +69,8 @@ func (c CRRConfig) Fill() CRRConfig {
 	if c.ActionSample == 0 {
 		c.ActionSample = 4
 	}
-	if c.Beta == 0 {
-		c.Beta = 1
-	}
-	if c.FilterClip == 0 {
-		c.FilterClip = 20
-	}
-	if c.Filter == "" {
-		c.Filter = "binary"
-	}
 	if c.NStep == 0 {
 		c.NStep = 5
-	}
-	if c.CriticKind == "" {
-		c.CriticKind = "naf"
 	}
 	if c.EventFrac == 0 {
 		c.EventFrac = 0.5
@@ -107,10 +85,8 @@ func (c CRRConfig) Fill() CRRConfig {
 type CRR struct {
 	Cfg          CRRConfig
 	Policy       *nn.Policy
-	Critic       *nn.Critic    // c51 variant (nil under "naf")
-	NAF          *nn.NAFCritic // naf variant (nil under "c51")
+	NAF          *nn.NAFCritic
 	targetPolicy *nn.Policy
-	targetCritic *nn.Critic
 	targetNAF    *nn.NAFCritic
 
 	rng       *rand.Rand
@@ -149,7 +125,7 @@ type CRR struct {
 // for utilization accounting.
 type TrainStats struct {
 	Step           int       // 1-based step index within this learner
-	CriticLoss     float64   // mean TD/CE loss per transition
+	CriticLoss     float64   // mean TD loss per transition
 	PolicyLoss     float64   // mean filtered −logπ per transition
 	MeanFilter     float64   // mean CRR filter weight f
 	FilterAccept   float64   // fraction of transitions with f > 0
@@ -167,71 +143,52 @@ type TrainStats struct {
 	WorkerBusy     []float64 // per-worker busy seconds (nil when serial)
 }
 
-// shardStats accumulates one batch shard's raw sums; shards from
-// parallel workers add element-wise before finishStep normalizes them.
-type shardStats struct {
-	cLoss, pLoss           float64
-	fSum, advSum, advSqSum float64
-	fCnt, accepted         int
+// ShardSums accumulates one batch shard's raw sums; shards from parallel
+// workers — goroutines or trainer processes — add element-wise before
+// finishStep normalizes them.
+type ShardSums struct {
+	CLoss, PLoss           float64
+	FSum, AdvSum, AdvSqSum float64
+	FCnt, Accepted         int
 }
 
-func (a *shardStats) add(b shardStats) {
-	a.cLoss += b.cLoss
-	a.pLoss += b.pLoss
-	a.fSum += b.fSum
-	a.advSum += b.advSum
-	a.advSqSum += b.advSqSum
-	a.fCnt += b.fCnt
-	a.accepted += b.accepted
+func (a *ShardSums) add(b ShardSums) {
+	a.CLoss += b.CLoss
+	a.PLoss += b.PLoss
+	a.FSum += b.FSum
+	a.AdvSum += b.AdvSum
+	a.AdvSqSum += b.AdvSqSum
+	a.FCnt += b.FCnt
+	a.Accepted += b.Accepted
 }
 
-// / NewCRR builds the learner for a dataset: network input sizes and
+// NewCRR builds the learner for a dataset: network input sizes and
 // normalizers come from the data.
 func NewCRR(ds *Dataset, cfg CRRConfig) *CRR {
 	cfg = cfg.Fill()
 	cfg.Policy.InDim = ds.InDim()
 	cfg.Policy.Seed = cfg.Seed
-	cfg.Critic.InDim = ds.InDim()
-	cfg.Critic.Seed = cfg.Seed
 	cfg.NAF.InDim = ds.InDim()
 	cfg.NAF.Seed = cfg.Seed
 	src := newRNG(cfg.Seed + 101)
 	l := &CRR{
 		Cfg:    cfg,
 		Policy: nn.NewPolicy(cfg.Policy),
+		NAF:    nn.NewNAFCritic(cfg.NAF),
 		rng:    rand.New(src),
 		rngSrc: src,
 	}
 	l.Policy.Norm = ds.Norm
+	l.NAF.Norm = ds.Norm
 	l.targetPolicy = nn.ClonePolicy(l.Policy)
-	if cfg.CriticKind == "c51" {
-		l.Critic = nn.NewCritic(cfg.Critic)
-		l.Critic.Norm = ds.Norm
-		l.targetCritic = nn.CloneCritic(l.Critic)
-	} else {
-		l.NAF = nn.NewNAFCritic(cfg.NAF)
-		l.NAF.Norm = ds.Norm
-		l.targetNAF = nn.CloneNAF(l.NAF)
-	}
+	l.targetNAF = nn.CloneNAF(l.NAF)
 	l.optPi = nn.NewAdam(cfg.LRPolicy)
 	l.optQ = nn.NewAdam(cfg.LRCritic)
 	return l
 }
 
 // QValue evaluates the learner's Q function.
-func (l *CRR) QValue(s []float64, a float64) float64 {
-	if l.NAF != nil {
-		return l.NAF.Q(s, a)
-	}
-	return l.Critic.Q(s, a)
-}
-
-func (l *CRR) criticModule() nn.Module {
-	if l.NAF != nil {
-		return l.NAF
-	}
-	return l.Critic
-}
+func (l *CRR) QValue(s []float64, a float64) float64 { return l.NAF.Q(s, a) }
 
 // Train runs cfg.Steps gradient steps over the dataset, stopping early
 // (after completing the in-flight step) when ctx is cancelled — the
@@ -256,19 +213,20 @@ func (l *CRR) Train(ctx context.Context, ds *Dataset, progress func(step int, cr
 // step and roll back between them.
 func (l *CRR) TrainStep(ds *Dataset) TrainStats {
 	l.step(ds)
-	// Target syncs are scheduled on the absolute step index (stepIdx
-	// survives checkpoint resume), so a resumed run syncs at the same
-	// global steps as an uninterrupted one.
+	l.syncTargets()
+	return l.LastStats
+}
+
+// syncTargets hard-copies the online networks into the targets when the
+// step just applied is a sync step. The schedule runs on the absolute step
+// index (stepIdx survives checkpoint resume), so a resumed run — and a
+// remote worker's replica — syncs at the same global steps as an
+// uninterrupted one.
+func (l *CRR) syncTargets() {
 	if l.stepIdx%l.Cfg.TargetEvery == 0 {
 		nn.CopyParams(l.targetPolicy, l.Policy)
-		if l.Critic != nil {
-			nn.CopyParams(l.targetCritic, l.Critic)
-		}
-		if l.NAF != nil {
-			nn.CopyParams(l.targetNAF, l.NAF)
-		}
+		nn.CopyParams(l.targetNAF, l.NAF)
 	}
-	return l.LastStats
 }
 
 // StepsDone returns the absolute number of gradient steps this learner has
@@ -279,41 +237,46 @@ func (l *CRR) StepsDone() int { return l.stepIdx }
 // shared and only read).
 type netSet struct {
 	policy *nn.Policy
-	critic *nn.Critic
 	naf    *nn.NAFCritic
 }
 
-func (n netSet) qValue(s []float64, a float64) float64 {
-	if n.naf != nil {
-		return n.naf.Q(s, a)
+// online is the learner's own trainable pair.
+func (l *CRR) online() netSet { return netSet{policy: l.Policy, naf: l.NAF} }
+
+// modules lists the pair in the canonical tensor order of snapshots,
+// checkpoints and GradShard.Grads: policy first, then critic.
+func (n netSet) modules() []nn.Module { return []nn.Module{n.policy, n.naf} }
+
+// grads returns views of the gradient accumulators, in modules order.
+func (n netSet) grads() [][]float64 {
+	var out [][]float64
+	for _, m := range n.modules() {
+		for _, p := range m.Params() {
+			out = append(out, p.Grad)
+		}
 	}
-	return n.critic.Q(s, a)
+	return out
 }
 
-func (n netSet) criticModule() nn.Module {
-	if n.naf != nil {
-		return n.naf
-	}
-	return n.critic
+func (n netSet) zeroGrads() {
+	nn.ZeroGrads(n.policy)
+	nn.ZeroGrads(n.naf)
 }
 
 // step performs one combined policy-evaluation + policy-improvement update
 // on a batch of sampled subsequences.
-func (l *CRR) step(ds *Dataset) (criticLoss, policyLoss float64) {
-	cfg := l.Cfg
-	if cfg.Workers > 1 {
-		return l.stepParallel(ds)
+func (l *CRR) step(ds *Dataset) {
+	if l.Cfg.Workers > 1 {
+		l.stepParallel(ds)
+		return
 	}
 	l.lastBatchID = l.rngSrc.State()
-	nets := netSet{policy: l.Policy, critic: l.Critic, naf: l.NAF}
-	st := l.processSeqs(nets, ds, l.rng, cfg.Batch)
-	l.finishStep(st, nil)
-	return l.LastCriticLoss, l.LastPolicyLoss
+	l.finishStep(l.processSeqs(l.online(), ds, l.rng, l.Cfg.Batch), nil)
 }
 
 // processSeqs runs nSeqs sampled subsequences through policy evaluation and
 // improvement, accumulating gradients into nets.
-func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (st shardStats) {
+func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (st ShardSums) {
 	cfg := l.Cfg
 	for b := 0; b < nSeqs; b++ {
 		tr, start := ds.sampleSeqPrioritized(rng, cfg.SeqLen, cfg.EventFrac)
@@ -337,7 +300,7 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 			heads[i], h, caches[i] = nets.policy.Forward(tr.States[start+i], h)
 		}
 
-		// --- Policy evaluation (Eq. 5): distributional n-step TD.
+		// --- Policy evaluation (Eq. 5): n-step TD.
 		for i := 0; i < cfg.SeqLen; i++ {
 			idx := start + i
 			n := cfg.NStep
@@ -356,16 +319,8 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 			}
 			aNext := clampU(l.targetPolicy.GMM.Sample(tHead[i+n], rng))
 			w := 1 / float64(cfg.Batch*cfg.SeqLen)
-			if nets.naf != nil {
-				y := rSum + g*l.targetNAF.Q(tr.States[idx+n], aNext)
-				st.cLoss += nets.naf.TDBackward(s, a, y, w)
-			} else {
-				nextProbs, _ := l.targetCritic.Dist(tr.States[idx+n], aNext)
-				m := nets.critic.Project(rSum, g, nextProbs)
-				probs, cache := nets.critic.Dist(s, a)
-				st.cLoss += nn.CELoss(probs, m)
-				nets.critic.BackwardCE(cache, m, w)
-			}
+			y := rSum + g*l.targetNAF.Q(tr.States[idx+n], aNext)
+			st.CLoss += nets.naf.TDBackward(s, a, y, w)
 		}
 
 		// --- Policy improvement (Eq. 6): advantage-filtered regression.
@@ -373,32 +328,27 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 		for i := cfg.SeqLen - 1; i >= 0; i-- {
 			idx := start + i
 			s, a := tr.States[idx], tr.Actions[idx]
-			q := nets.qValue(s, a)
+			q := nets.naf.Q(s, a)
 			baseline := 0.0
 			for j := 0; j < cfg.ActionSample; j++ {
 				aj := clampU(nets.policy.GMM.Sample(heads[i], rng))
-				baseline += nets.qValue(s, aj)
+				baseline += nets.naf.Q(s, aj)
 			}
 			baseline /= float64(cfg.ActionSample)
 			adv := q - baseline
 			var f float64
-			if cfg.Filter == "exp" {
-				f = math.Exp(adv / cfg.Beta)
-				if f > cfg.FilterClip {
-					f = cfg.FilterClip
-				}
-			} else if adv > 0 {
+			if adv > 0 {
 				f = 1 // binary CRR: regress only onto better-than-policy actions
 			}
-			st.fSum += f
-			st.fCnt++
-			st.advSum += adv
-			st.advSqSum += adv * adv
+			st.FSum += f
+			st.FCnt++
+			st.AdvSum += adv
+			st.AdvSqSum += adv * adv
 			if f > 0 {
-				st.accepted++
+				st.Accepted++
 			}
 			logp, dp := nets.policy.GMM.LogProbGrad(heads[i], a)
-			st.pLoss += -f * logp
+			st.PLoss += -f * logp
 			w := -f / float64(cfg.Batch*cfg.SeqLen)
 			for k := range dp {
 				dp[k] *= w
@@ -412,16 +362,16 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 // finishStep clips, applies the optimizer (unless GradGate rejects the
 // batch), and updates diagnostics. workerBusy carries per-worker busy
 // seconds under parallel training.
-func (l *CRR) finishStep(st shardStats, workerBusy []float64) {
+func (l *CRR) finishStep(st ShardSums, workerBusy []float64) {
 	cfg := l.Cfg
-	gradQ := nn.GradNorm(l.criticModule())
+	gradQ := nn.GradNorm(l.NAF)
 	gradPi := nn.GradNorm(l.Policy)
 
 	n := float64(cfg.Batch * cfg.SeqLen)
-	l.LastCriticLoss = st.cLoss / n
-	l.LastPolicyLoss = st.pLoss / n
-	if st.fCnt > 0 {
-		l.LastMeanFilter = st.fSum / float64(st.fCnt)
+	l.LastCriticLoss = st.CLoss / n
+	l.LastPolicyLoss = st.PLoss / n
+	if st.FCnt > 0 {
+		l.LastMeanFilter = st.FSum / float64(st.FCnt)
 	}
 	l.stepIdx++
 	stats := TrainStats{
@@ -440,11 +390,11 @@ func (l *CRR) finishStep(st shardStats, workerBusy []float64) {
 	if cfg.Workers > 1 {
 		stats.Workers = cfg.Workers
 	}
-	if st.fCnt > 0 {
-		fn := float64(st.fCnt)
-		stats.FilterAccept = float64(st.accepted) / fn
-		stats.AdvMean = st.advSum / fn
-		variance := st.advSqSum/fn - stats.AdvMean*stats.AdvMean
+	if st.FCnt > 0 {
+		fn := float64(st.FCnt)
+		stats.FilterAccept = float64(st.Accepted) / fn
+		stats.AdvMean = st.AdvSum / fn
+		variance := st.AdvSqSum/fn - stats.AdvMean*stats.AdvMean
 		if variance > 0 {
 			stats.AdvStd = math.Sqrt(variance)
 		}
@@ -453,14 +403,13 @@ func (l *CRR) finishStep(st shardStats, workerBusy []float64) {
 		// Rejected: drop the accumulated gradients on the floor so the
 		// parameters (and Adam's moments) never see them.
 		stats.Skipped = true
-		nn.ZeroGrads(l.Policy)
-		nn.ZeroGrads(l.criticModule())
+		l.online().zeroGrads()
 	} else {
-		nn.ClipGrads(l.criticModule(), cfg.ClipNorm)
+		nn.ClipGrads(l.NAF, cfg.ClipNorm)
 		nn.ClipGrads(l.Policy, cfg.ClipNorm)
-		stats.GradNormQClip = nn.GradNorm(l.criticModule())
+		stats.GradNormQClip = nn.GradNorm(l.NAF)
 		stats.GradNormPiClip = nn.GradNorm(l.Policy)
-		l.optQ.Step(l.criticModule())
+		l.optQ.Step(l.NAF)
 		l.optPi.Step(l.Policy)
 	}
 	l.LastStats = stats
@@ -479,16 +428,12 @@ func (l *CRR) SetLearningRates(pi, q float64) {
 	l.optQ.LR = q
 }
 
-// CriticModule returns whichever critic variant is active, as a module —
-// for parameter sweeps and diagnostics outside the package.
-func (l *CRR) CriticModule() nn.Module { return l.criticModule() }
-
 // ParamsFinite reports whether every parameter of the online networks is
 // finite — the sentinel's corruption sweep. (The targets are periodic
 // copies of the online networks, so they cannot be corrupt while the
 // online ones are clean.)
 func (l *CRR) ParamsFinite() bool {
-	return nn.FiniteParams(l.Policy) && nn.FiniteParams(l.criticModule())
+	return nn.FiniteParams(l.Policy) && nn.FiniteParams(l.NAF)
 }
 
 // SkipBatch deterministically advances every batch-sampler stream by one

@@ -2,7 +2,6 @@ package rl
 
 import (
 	"fmt"
-	"math/rand"
 
 	"sage/internal/nn"
 )
@@ -10,37 +9,13 @@ import (
 // This file is the learner's surface for cross-process data-parallel
 // training (internal/dist): a ShardWorker computes gradient shards in a
 // trainer process, the coordinator's master learner sums them with
-// ApplyShards, and parameter snapshots flow back. The decomposition
-// mirrors stepParallel exactly — same per-worker RNG streams, same shard
-// split, same worker-order gradient reduction — so an N-process
-// distributed step is bitwise-identical to an in-process Workers=N step,
-// and everything the checkpoint machinery already persists (Adam
-// moments, RNG positions, step index) keeps working across restarts.
-
-// ShardSums is the exported raw-sum form of one gradient shard's batch
-// statistics. Shards from all workers add element-wise on the
-// coordinator before normalization, exactly like in-process shardStats.
-type ShardSums struct {
-	CLoss, PLoss           float64
-	FSum, AdvSum, AdvSqSum float64
-	FCnt, Accepted         int
-}
-
-func (s ShardSums) toStats() shardStats {
-	return shardStats{
-		cLoss: s.CLoss, pLoss: s.PLoss,
-		fSum: s.FSum, advSum: s.AdvSum, advSqSum: s.AdvSqSum,
-		fCnt: s.FCnt, accepted: s.Accepted,
-	}
-}
-
-func fromStats(st shardStats) ShardSums {
-	return ShardSums{
-		CLoss: st.cLoss, PLoss: st.pLoss,
-		FSum: st.fSum, AdvSum: st.advSum, AdvSqSum: st.advSqSum,
-		FCnt: st.fCnt, Accepted: st.accepted,
-	}
-}
+// ApplyShards, and parameter snapshots flow back. A remote worker is the
+// in-process one (parallel.go: same stream, same shard split, same run)
+// around a replica instead of a clone, and ApplyShards ends in the same
+// reduceShards as stepParallel — so an N-process distributed step is
+// bitwise-identical to an in-process Workers=N step, and everything the
+// checkpoint machinery already persists (Adam moments, RNG positions, step
+// index) keeps working across restarts.
 
 // GradShard is one worker's contribution to one data-parallel step: the
 // accumulated gradients of its shard, the raw batch-statistic sums, and
@@ -57,26 +32,10 @@ type GradShard struct {
 	BusySec   float64
 }
 
-// dumpGrads snapshots gradient accumulators in Params order.
-func dumpGrads(ms ...nn.Module) [][]float64 {
-	var out [][]float64
-	for _, m := range ms {
-		for _, p := range m.Params() {
-			out = append(out, append([]float64(nil), p.Grad...))
-		}
-	}
-	return out
-}
-
-// paramModules returns the learner's trainable modules in the canonical
-// snapshot order: policy first, then the active critic.
-func (l *CRR) paramModules() []nn.Module { return []nn.Module{l.Policy, l.criticModule()} }
+func (l *CRR) paramModules() []nn.Module { return l.online().modules() }
 
 func (l *CRR) targetModules() []nn.Module {
-	if l.NAF != nil {
-		return []nn.Module{l.targetPolicy, l.targetNAF}
-	}
-	return []nn.Module{l.targetPolicy, l.targetCritic}
+	return netSet{policy: l.targetPolicy, naf: l.targetNAF}.modules()
 }
 
 func snapshotModules(ms []nn.Module) [][]float64 {
@@ -150,23 +109,21 @@ func (l *CRR) SetWorkerRNGStates(states []uint64) {
 
 // InitialWorkerRNGStates returns the sampler positions fresh workers
 // start from under cfg — what a coordinator hands out when no checkpoint
-// has recorded positions yet. The seeds match NewShardWorker (and the
-// in-process worker streams), so a fresh distributed run draws the same
-// batches as a fresh in-process Workers=N run.
+// has recorded positions yet: the streams every worker, remote or
+// in-process, is built with.
 func InitialWorkerRNGStates(cfg CRRConfig) []uint64 {
 	cfg = cfg.Fill()
 	out := make([]uint64, cfg.Workers)
 	for i := range out {
-		out[i] = newRNG(cfg.Seed + int64(i)*7907 + 11).State()
+		out[i] = workerStream(cfg.Seed, i).State()
 	}
 	return out
 }
 
 // ApplyShards runs one coordinator-side optimizer step from the workers'
-// gradient shards: gradients are summed in worker order (the same
-// reduction order as stepParallel, so results are bitwise-comparable to
-// in-process parallel training), then clipped, gated, and applied, with
-// the target networks synced on the usual schedule. Every worker must
+// gradient shards: once every shard has been checked it is stepParallel's
+// reduction (reduceShards) and TrainStep's target sync, so results are
+// bitwise-comparable to in-process parallel training. Every worker must
 // contribute exactly one shard per step.
 func (l *CRR) ApplyShards(shards []GradShard) (TrainStats, error) {
 	n := l.Cfg.Workers
@@ -187,45 +144,19 @@ func (l *CRR) ApplyShards(shards []GradShard) (TrainStats, error) {
 		}
 		bySlot[sh.Worker] = sh
 	}
-	var ps []*nn.Param
-	for _, m := range l.paramModules() {
-		nn.ZeroGrads(m)
-		ps = append(ps, m.Params()...)
-	}
-	// Batch identity: the fold of the master stream position and every
-	// worker's pre-shard position, in worker order — identical to the
-	// in-process stepParallel fold.
-	id := l.rngSrc.State()
-	var st shardStats
-	busy := make([]float64, n)
+	want := l.online().grads()
 	for w, sh := range bySlot {
-		id = id*31 + sh.RNGBefore
-		if len(sh.Grads) != len(ps) {
-			return TrainStats{}, fmt.Errorf("rl: worker %d shard has %d grad tensors, want %d", w, len(sh.Grads), len(ps))
+		if len(sh.Grads) != len(want) {
+			return TrainStats{}, fmt.Errorf("rl: worker %d shard has %d grad tensors, want %d", w, len(sh.Grads), len(want))
 		}
-		for i, p := range ps {
-			if len(sh.Grads[i]) != len(p.Grad) {
-				return TrainStats{}, fmt.Errorf("rl: worker %d grad tensor %d size mismatch (%d vs %d)", w, i, len(sh.Grads[i]), len(p.Grad))
-			}
-			for j, g := range sh.Grads[i] {
-				p.Grad[j] += g
+		for i, g := range want {
+			if len(sh.Grads[i]) != len(g) {
+				return TrainStats{}, fmt.Errorf("rl: worker %d grad tensor %d size mismatch (%d vs %d)", w, i, len(sh.Grads[i]), len(g))
 			}
 		}
-		st.add(sh.Sums.toStats())
-		busy[w] = sh.BusySec
 	}
-	l.lastBatchID = id
-	l.finishStep(st, busy)
-	// Target syncs follow the same absolute-step schedule as TrainStep.
-	if l.stepIdx%l.Cfg.TargetEvery == 0 {
-		nn.CopyParams(l.targetPolicy, l.Policy)
-		if l.Critic != nil {
-			nn.CopyParams(l.targetCritic, l.Critic)
-		}
-		if l.NAF != nil {
-			nn.CopyParams(l.targetNAF, l.NAF)
-		}
-	}
+	l.reduceShards(bySlot)
+	l.syncTargets()
 	// Stage the post-shard sampler positions for the next checkpoint.
 	states := make([]uint64, n)
 	for w, sh := range bySlot {
@@ -237,15 +168,12 @@ func (l *CRR) ApplyShards(shards []GradShard) (TrainStats, error) {
 
 // ShardWorker computes gradient shards in a trainer process. It holds a
 // full learner replica (the replica's own optimizer is never stepped —
-// moments live on the coordinator) plus the same sampler stream an
-// in-process worker with the same index would use, so the batches it
-// draws are exactly the in-process worker's batches.
+// moments live on the coordinator) and runs the in-process worker with the
+// same index over the replica's networks, so the batches it draws are
+// exactly the in-process worker's batches.
 type ShardWorker struct {
 	learner *CRR
-	idx     int
-	nSeqs   int
-	rng     *rand.Rand
-	src     *rngSource
+	*worker
 }
 
 // NewShardWorker builds the replica for worker idx of total. The config
@@ -262,28 +190,9 @@ func NewShardWorker(ds *Dataset, cfg CRRConfig, idx, total int) (*ShardWorker, e
 	if cfg.Workers != total {
 		return nil, fmt.Errorf("rl: config Workers=%d but %d shard workers (the counts must agree for deterministic shard splits)", cfg.Workers, total)
 	}
-	per := cfg.Batch / total
-	if idx < cfg.Batch%total {
-		per++
-	}
-	src := newRNG(cfg.Seed + int64(idx)*7907 + 11) // the in-process worker stream
-	return &ShardWorker{
-		learner: NewCRR(ds, cfg),
-		idx:     idx,
-		nSeqs:   per,
-		rng:     rand.New(src),
-		src:     src,
-	}, nil
+	l := NewCRR(ds, cfg)
+	return &ShardWorker{learner: l, worker: newWorker(l.online(), cfg.Seed, idx)}, nil
 }
-
-// Index returns the worker's slot in the shard split.
-func (w *ShardWorker) Index() int { return w.idx }
-
-// SeqsPerShard returns how many sequences this worker samples per step.
-func (w *ShardWorker) SeqsPerShard() int { return w.nSeqs }
-
-// RNGState exposes the sampler position (for diagnostics and tests).
-func (w *ShardWorker) RNGState() uint64 { return w.src.State() }
 
 // Join installs a full coordinator state into the replica: online and
 // target parameters, the absolute step index, and this worker's sampler
@@ -310,38 +219,23 @@ func (w *ShardWorker) Sync(step int, params [][]float64) error {
 		return err
 	}
 	w.learner.SetStepIndex(step)
-	if step%w.learner.Cfg.TargetEvery == 0 {
-		nn.CopyParams(w.learner.targetPolicy, w.learner.Policy)
-		if w.learner.Critic != nil {
-			nn.CopyParams(w.learner.targetCritic, w.learner.Critic)
-		}
-		if w.learner.NAF != nil {
-			nn.CopyParams(w.learner.targetNAF, w.learner.NAF)
-		}
-	}
+	w.learner.syncTargets()
 	return nil
 }
 
 // ComputeShard draws this worker's share of the next batch and runs
-// forward/backward over it, returning the accumulated gradients. The
-// replica's parameters are untouched (no optimizer step); gradients are
+// forward/backward over it, returning a copy of the accumulated gradients.
+// The replica's parameters are untouched (no optimizer step); gradients are
 // zeroed first so shards never bleed into each other.
 func (w *ShardWorker) ComputeShard(ds *Dataset) GradShard {
-	l := w.learner
 	ds.buildEventIndex()
-	nn.ZeroGrads(l.Policy)
-	nn.ZeroGrads(l.criticModule())
-	before := w.src.State()
-	nets := netSet{policy: l.Policy, critic: l.Critic, naf: l.NAF}
-	st := l.processSeqs(nets, ds, w.rng, w.nSeqs)
-	return GradShard{
-		Worker:    w.idx,
-		Step:      l.stepIdx + 1,
-		Sums:      fromStats(st),
-		Grads:     dumpGrads(l.Policy, l.criticModule()),
-		RNGBefore: before,
-		RNGAfter:  w.src.State(),
+	w.run(w.learner, ds)
+	sh := w.shard
+	sh.Grads = make([][]float64, len(w.shard.Grads))
+	for i, g := range w.shard.Grads {
+		sh.Grads[i] = append([]float64(nil), g...)
 	}
+	return sh
 }
 
 // StepsDone mirrors the replica's absolute step counter.

@@ -8,11 +8,53 @@ import (
 	"sage/internal/nn"
 )
 
-// worker holds one goroutine's network clones for data-parallel training.
+// worker is one slot of a data-parallel step: the networks it accumulates
+// gradients into, its own sampler stream, and the shard it produces. In
+// process the networks are clones of the learner's (refreshed every step);
+// in a trainer process they are a ShardWorker replica's own.
 type worker struct {
 	nets netSet
 	rng  *rand.Rand
 	src  *rngSource // rng's source, snapshot-able for checkpoints
+	// shard.Grads are views of nets' gradient accumulators, so the
+	// in-process reduction reads them in place.
+	shard GradShard
+}
+
+func newWorker(nets netSet, seed int64, idx int) *worker {
+	src := workerStream(seed, idx)
+	return &worker{
+		nets: nets, rng: rand.New(src), src: src,
+		shard: GradShard{Worker: idx, Grads: nets.grads()},
+	}
+}
+
+// workerStream is worker idx's sampler stream under a learner seed — the
+// same whether the worker is a goroutine or a trainer process.
+func workerStream(seed int64, idx int) *rngSource { return newRNG(seed + int64(idx)*7907 + 11) }
+
+// shardSeqs is how many of a batch's sequences worker idx of total draws:
+// an even split, the first workers taking the remainder.
+func shardSeqs(batch, total, idx int) int {
+	n := batch / total
+	if idx < batch%total {
+		n++
+	}
+	return n
+}
+
+// run draws the worker's share of one batch from its stream and leaves the
+// gradients in its networks and the sums, stream positions and busy time in
+// its shard. The busy time is what telemetry reports utilization from: with
+// an even shard split, its spread directly exposes stragglers.
+func (w *worker) run(l *CRR, ds *Dataset) {
+	start := time.Now()
+	w.nets.zeroGrads()
+	w.shard.Step = l.stepIdx + 1
+	w.shard.RNGBefore = w.src.State()
+	w.shard.Sums = l.processSeqs(w.nets, ds, w.rng, shardSeqs(l.Cfg.Batch, l.Cfg.Workers, w.shard.Worker))
+	w.shard.RNGAfter = w.src.State()
+	w.shard.BusySec = time.Since(start).Seconds()
 }
 
 func (l *CRR) workers() []*worker {
@@ -21,16 +63,7 @@ func (l *CRR) workers() []*worker {
 	}
 	ws := make([]*worker, l.Cfg.Workers)
 	for i := range ws {
-		src := newRNG(l.Cfg.Seed + int64(i)*7907 + 11)
-		w := &worker{rng: rand.New(src), src: src}
-		w.nets.policy = nn.ClonePolicy(l.Policy)
-		if l.Critic != nil {
-			w.nets.critic = nn.CloneCritic(l.Critic)
-		}
-		if l.NAF != nil {
-			w.nets.naf = nn.CloneNAF(l.NAF)
-		}
-		ws[i] = w
+		ws[i] = newWorker(netSet{policy: nn.ClonePolicy(l.Policy), naf: nn.CloneNAF(l.NAF)}, l.Cfg.Seed, i)
 	}
 	// A checkpoint taken mid-parallel-training recorded each worker's
 	// sampler position; restore them so the resumed run draws the same
@@ -50,71 +83,50 @@ func (l *CRR) workers() []*worker {
 // the main networks before the optimizer step. This is synchronous
 // data-parallel SGD — the general-purpose-cluster analogue the paper's
 // training phase leans on, scaled to cores.
-func (l *CRR) stepParallel(ds *Dataset) (criticLoss, policyLoss float64) {
-	cfg := l.Cfg
+func (l *CRR) stepParallel(ds *Dataset) {
 	ds.buildEventIndex() // before fan-out: the lazy index must not race
 	ws := l.workers()
-	// Batch identity under data parallelism is the fold of the per-worker
-	// sampler positions (the main stream is not consumed here).
-	id := l.rngSrc.State()
-	for _, w := range ws {
-		id = id*31 + w.src.State()
-	}
-	l.lastBatchID = id
-	// Refresh worker parameters and clear their gradients.
-	for _, w := range ws {
-		nn.CopyParams(w.nets.policy, l.Policy)
-		nn.ZeroGrads(w.nets.policy)
-		if w.nets.critic != nil {
-			nn.CopyParams(w.nets.critic, l.Critic)
-			nn.ZeroGrads(w.nets.critic)
-		}
-		if w.nets.naf != nil {
-			nn.CopyParams(w.nets.naf, l.NAF)
-			nn.ZeroGrads(w.nets.naf)
-		}
-	}
-	// Shard the batch (first workers get the remainder). Each worker's
-	// busy time is clocked so telemetry can report utilization: with an
-	// even shard split, busy-time spread directly exposes stragglers.
-	shares := make([]shardStats, len(ws))
-	busy := make([]float64, len(ws))
+	shards := make([]*GradShard, len(ws))
 	var wg sync.WaitGroup
-	per := cfg.Batch / len(ws)
-	extra := cfg.Batch % len(ws)
 	for i, w := range ws {
-		n := per
-		if i < extra {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
+		nn.CopyParams(w.nets.policy, l.Policy)
+		nn.CopyParams(w.nets.naf, l.NAF)
+		shards[i] = &w.shard
 		wg.Add(1)
-		go func(i int, w *worker, n int) {
+		go func() {
 			defer wg.Done()
-			start := time.Now()
-			shares[i] = l.processSeqs(w.nets, ds, w.rng, n)
-			busy[i] = time.Since(start).Seconds()
-		}(i, w, n)
+			w.run(l, ds)
+		}()
 	}
 	wg.Wait()
+	l.reduceShards(shards)
+}
 
-	// Reduce gradients into the main networks.
-	addGrads := func(dst, src nn.Module) {
-		dp, sp := dst.Params(), src.Params()
-		for i := range dp {
-			for j := range dp[i].Grad {
-				dp[i].Grad[j] += sp[i].Grad[j]
+// reduceShards is the one reduction of a data-parallel step, whether the
+// shards come from goroutines (stepParallel) or trainer processes
+// (ApplyShards): in worker order, fold the pre-shard sampler positions into
+// the batch identity (the main stream is not consumed), sum the gradients
+// into the main networks and the raw statistics into one record, then
+// finish the step. The fixed order is what makes an N-process step
+// bitwise-identical to an in-process Workers=N one. shards holds one
+// shape-checked shard per worker, indexed by worker; the main networks'
+// gradients must be zero on entry, as every finished step leaves them.
+func (l *CRR) reduceShards(shards []*GradShard) {
+	dst := l.online().grads()
+	id := l.rngSrc.State()
+	var st ShardSums
+	busy := make([]float64, len(shards))
+	for w, sh := range shards {
+		id = id*31 + sh.RNGBefore
+		for i, g := range sh.Grads {
+			d := dst[i][:len(g)]
+			for j, v := range g {
+				d[j] += v
 			}
 		}
+		st.add(sh.Sums)
+		busy[w] = sh.BusySec
 	}
-	var st shardStats
-	for i, w := range ws {
-		addGrads(l.Policy, w.nets.policy)
-		addGrads(l.criticModule(), w.nets.criticModule())
-		st.add(shares[i])
-	}
+	l.lastBatchID = id
 	l.finishStep(st, busy)
-	return l.LastCriticLoss, l.LastPolicyLoss
 }

@@ -98,7 +98,6 @@ func TestCRRPrefersHighRewardActions(t *testing.T) {
 	ds.Norm = nn.FitNormalizer(good.States)
 	learner := NewCRR(ds, CRRConfig{
 		Policy: nn.PolicyConfig{Enc: 8, Hidden: 4, ResBlocks: 1, K: 2},
-		Critic: nn.CriticConfig{Hidden: 16, Atoms: 11},
 		Steps:  400, Batch: 8, SeqLen: 2, Seed: 3,
 	})
 	learner.Train(context.Background(), ds, nil)
@@ -136,7 +135,6 @@ func TestTrainOnlineRLProducesUsablePolicy(t *testing.T) {
 	pol, err := TrainOnlineRL(OnlineRLConfig{
 		CRR: CRRConfig{
 			Policy: tinyPolicyCfg(),
-			Critic: nn.CriticConfig{Hidden: 12, Atoms: 11},
 			Batch:  4, SeqLen: 4,
 		},
 		Scenarios: tinyScenarios(),

@@ -99,7 +99,7 @@ func (s *Sentinel) abort(reason string) error {
 		StatsWindow:      append([]rl.TrainStats(nil), s.statsWin...),
 		Events:           s.Events(),
 		PolicyParams:     HistogramParams(s.learner.Policy),
-		CriticParams:     HistogramParams(s.learner.CriticModule()),
+		CriticParams:     HistogramParams(s.learner.NAF),
 	}
 	werr := WriteDiagnostics(s.cfg.DiagPath, d)
 	if werr != nil {

@@ -1,6 +1,29 @@
 package sage
 
-import "testing"
+import (
+	"os"
+	"os/exec"
+	"testing"
+)
+
+// bench/ is its own module, so `go build ./...` here never sees it: an
+// exported name it uses can be deleted with tier-1 green. This vets it
+// against the working tree the way bench/run.sh builds it.
+func TestBenchModuleCompiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go tool")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goTool, "vet", "./...")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
+	}
+}
 
 // The façade test walks the public API end to end at toy scale.
 func TestPublicPipeline(t *testing.T) {
