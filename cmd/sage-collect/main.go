@@ -221,7 +221,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		manifest.Close()
+		if err := manifest.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
 		fmt.Printf("interrupted: %d/%d cells done; saved %s\n",
 			len(merged.Trajs), len(names)*len(scens), partialPath)
 		fmt.Printf("rerun with -resume to continue\n")

@@ -12,7 +12,7 @@
 // Collection mode owns the campaign: agents connect, lease (scheme, env)
 // cells under a heartbeat-renewed TTL, and ship back checksummed pool
 // shards; dead or stalled agents are evicted and their cells reassigned.
-// Shards persist through internal/safeio next to a JSONL manifest, so a
+// Shards persist through internal/safeio next to a manifest journal, so a
 // killed coordinator rerun with -resume re-admits verified cells and the
 // final pool is byte-identical to an uninterrupted single-process
 // sage-collect run.
@@ -89,7 +89,7 @@ func main() {
 		enc       = flag.Int("enc", 32, "train: encoder width")
 		gru       = flag.Int("gru", 16, "train: GRU width")
 		kMix      = flag.Int("gmm", 3, "train: GMM components")
-		mask      = flag.String("mask", "full", "train: input mask: full|no-minmax|no-rttvar|no-lossinf")
+		mask      = flag.String("mask", "full", "train: input mask: "+gr.MaskNames)
 		nWorkers  = flag.Int("train-workers", 2, "train: data-parallel worker count")
 		ckpt      = flag.String("checkpoint", "", "train: checkpoint file (written every checkpoint-every steps; resumed from if present)")
 		ckptEvery = flag.Int("checkpoint-every", 1000, "train: checkpoint period in steps")
@@ -305,18 +305,9 @@ func runTrain(ctx context.Context, o trainOpts) int {
 		fmt.Fprintln(os.Stderr, "train mode needs -train-workers >= 2 (use sage-train for single-process training)")
 		return 2
 	}
-	var m []int
-	switch o.mask {
-	case "full":
-		m = nil
-	case "no-minmax":
-		m = gr.MaskNoMinMax()
-	case "no-rttvar":
-		m = gr.MaskNoRTTVar()
-	case "no-lossinf":
-		m = gr.MaskNoLossInflight()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mask %q\n", o.mask)
+	m, err := gr.MaskByName(o.mask)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	pool, err := collector.Load(o.poolPath)
@@ -439,9 +430,6 @@ func runTrain(ctx context.Context, o trainOpts) int {
 		return 130
 	}
 	model := &core.Model{Policy: learner.Policy, Mask: m, GR: pool.GR.Fill()}
-	if model.Mask == nil {
-		model.Mask = gr.MaskFull()
-	}
 	if err := model.Save(o.modelOut); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

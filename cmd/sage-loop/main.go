@@ -66,7 +66,7 @@ func run() int {
 		registryDir = flag.String("registry", "", "model registry dir shared with sage-serve (required)")
 		poolPath    = flag.String("pool", "", "offline experience pool mixed into every round (empty = train on live experience alone)")
 		mix         = flag.Float64("mix", 0.5, "live fraction of each round's training mix")
-		maskName    = flag.String("mask", "full", "input mask: full|no-minmax|no-rttvar|no-lossinf")
+		maskName    = flag.String("mask", "full", "input mask: "+gr.MaskNames)
 
 		quota       = flag.Int("quota", 64, "admitted windows retained per traffic regime")
 		minAdmitted = flag.Int("min-admitted", 8, "fresh admitted windows that trigger a retraining round")
@@ -97,18 +97,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sage-loop: -spool, -state, and -registry are all required")
 		return 2
 	}
-	var mask []int
-	switch *maskName {
-	case "full":
-		mask = gr.MaskFull()
-	case "no-minmax":
-		mask = gr.MaskNoMinMax()
-	case "no-rttvar":
-		mask = gr.MaskNoRTTVar()
-	case "no-lossinf":
-		mask = gr.MaskNoLossInflight()
-	default:
-		fmt.Fprintf(os.Stderr, "sage-loop: unknown mask %q\n", *maskName)
+	mask, err := gr.MaskByName(*maskName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sage-loop:", err)
 		return 2
 	}
 	lvl, ok := map[string]netem.GridLevel{"tiny": netem.GridTiny, "small": netem.GridSmall, "full": netem.GridFull}[*gateLevel]

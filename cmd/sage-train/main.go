@@ -74,7 +74,7 @@ func main() {
 		enc       = flag.Int("enc", 32, "encoder width")
 		gru       = flag.Int("gru", 16, "GRU width")
 		kMix      = flag.Int("gmm", 3, "GMM components")
-		mask      = flag.String("mask", "full", "input mask: full|no-minmax|no-rttvar|no-lossinf")
+		mask      = flag.String("mask", "full", "input mask: "+gr.MaskNames)
 		workers   = flag.Int("workers", 1, "data-parallel training workers")
 		seed      = flag.Int64("seed", 1, "seed")
 		logEvery  = flag.Int("log-every", 100, "progress period in steps")
@@ -143,18 +143,9 @@ func main() {
 		pool = clean
 	}
 
-	var m []int
-	switch *mask {
-	case "full":
-		m = nil
-	case "no-minmax":
-		m = gr.MaskNoMinMax()
-	case "no-rttvar":
-		m = gr.MaskNoRTTVar()
-	case "no-lossinf":
-		m = gr.MaskNoLossInflight()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mask %q\n", *mask)
+	m, err := gr.MaskByName(*mask)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -348,9 +339,6 @@ func main() {
 		os.Exit(130)
 	}
 	model := &core.Model{Policy: learner.Policy, Mask: cfg.Mask, GR: cfg.GR.Fill()}
-	if model.Mask == nil {
-		model.Mask = gr.MaskFull()
-	}
 	if err := model.Save(*out); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -1,25 +1,23 @@
 package collector
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
+	"sync/atomic"
+
+	"sage/internal/safeio"
 )
 
-// A Manifest is the append-only JSONL ledger of a collection campaign:
-// one line per cell as it completes ("ok") or fails permanently
-// ("failed"). sage-collect -resume reads it back to skip finished work.
-// Appends are O_APPEND + per-line fsync, so a crash can at worst tear the
-// final line — which the loader detects and ignores — and never corrupts
-// earlier entries.
+// A Manifest is the append-only ledger of a collection campaign: one
+// record per cell as it completes ("ok") or fails permanently ("failed").
+// sage-collect -resume reads it back to skip finished work. It is a
+// safeio.Journal — checksummed records, fsync per append, flock — so a
+// crash can at worst tear the final record, which the next open truncates.
 type Manifest struct {
-	mu sync.Mutex
-	f  *os.File
+	journal *safeio.Journal[manifestEntry]
+	err     atomic.Pointer[error] // first append failure; sticky, returned by Close
 }
 
-// manifestEntry is one JSONL line of the ledger.
+// manifestEntry is one record of the ledger.
 type manifestEntry struct {
 	Scheme string `json:"scheme"`
 	Env    string `json:"env"`
@@ -30,27 +28,15 @@ type manifestEntry struct {
 // OpenManifest opens (creating if needed) the campaign ledger at path and
 // returns it together with the status of every cell already recorded —
 // later entries win, so a cell that failed in one run and succeeded on
-// resume reads back as "ok".
+// resume reads back as "ok". A plain-JSONL manifest from before the ledger
+// was checksummed is refused, never repaired (safeio.ErrNotJournal).
 func OpenManifest(path string) (*Manifest, map[CellKey]string, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	done := map[CellKey]string{}
+	j, err := safeio.OpenJournal(path, func(e manifestEntry) { done[CellKey{e.Scheme, e.Env}] = e.Status })
 	if err != nil {
 		return nil, nil, fmt.Errorf("collector: manifest: %w", err)
 	}
-	done := map[CellKey]string{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		var e manifestEntry
-		if json.Unmarshal(sc.Bytes(), &e) != nil {
-			break // torn final line from a crash mid-append: stop here
-		}
-		done[CellKey{e.Scheme, e.Env}] = e.Status
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("collector: manifest read: %w", err)
-	}
-	return &Manifest{f: f}, done, nil
+	return &Manifest{journal: j}, done, nil
 }
 
 // Record appends one cell outcome and fsyncs it. It matches the
@@ -63,29 +49,19 @@ func (m *Manifest) Record(scheme, env string, cellErr error) {
 		e.Status = "failed"
 		e.Err = cellErr.Error()
 	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.f == nil {
-		return
-	}
-	if _, err := m.f.Write(append(line, '\n')); err == nil {
-		m.f.Sync()
+	if err := m.journal.Append(e); err != nil {
+		err = fmt.Errorf("collector: manifest: cell %s/%s not recorded (a -resume will redo it): %w", scheme, env, err)
+		m.err.CompareAndSwap(nil, &err)
 	}
 }
 
-// Close closes the ledger file. The file itself is kept; the caller
-// removes it once the campaign's final pool is safely on disk.
+// Close closes the ledger and reports the first Record that failed to
+// reach it, if any. The file itself is kept; the caller removes it once
+// the campaign's final pool is safely on disk.
 func (m *Manifest) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.f == nil {
-		return nil
+	cerr := m.journal.Close()
+	if first := m.err.Load(); first != nil {
+		return *first
 	}
-	err := m.f.Close()
-	m.f = nil
-	return err
+	return cerr
 }

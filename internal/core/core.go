@@ -130,10 +130,7 @@ type modelBlob struct {
 // Save writes the model to path as gzipped gob inside safeio's atomic,
 // checksummed container: a crash mid-save never clobbers a good model.
 func (m *Model) Save(path string) error {
-	blob := modelBlob{Cfg: m.Policy.Cfg, Norm: *m.Policy.Norm, Mask: m.Mask, GR: m.GR}
-	for _, p := range m.Policy.Params() {
-		blob.Params = append(blob.Params, append([]float64(nil), p.Data...))
-	}
+	blob := modelBlob{Cfg: m.Policy.Cfg, Norm: *m.Policy.Norm, Mask: m.Mask, GR: m.GR, Params: nn.DumpParams(m.Policy)}
 	if err := safeio.WriteGobGz(path, &blob); err != nil {
 		return fmt.Errorf("core: save: %w", err)
 	}
@@ -149,15 +146,8 @@ func LoadModel(path string) (*Model, error) {
 	}
 	pol := nn.NewPolicy(blob.Cfg)
 	pol.Norm = &blob.Norm
-	ps := pol.Params()
-	if len(ps) != len(blob.Params) {
-		return nil, fmt.Errorf("core: blob has %d tensors, want %d", len(blob.Params), len(ps))
-	}
-	for i, p := range ps {
-		if len(p.Data) != len(blob.Params[i]) {
-			return nil, fmt.Errorf("core: tensor %d size mismatch", i)
-		}
-		copy(p.Data, blob.Params[i])
+	if err := nn.LoadParams(blob.Params, pol); err != nil {
+		return nil, fmt.Errorf("core: load %s: %w", path, err)
 	}
 	return &Model{Policy: pol, Mask: blob.Mask, GR: blob.GR}, nil
 }

@@ -41,8 +41,8 @@ type CoordConfig struct {
 	Campaign *Campaign
 	// ShardDir is where verified pool shards are persisted (collection).
 	ShardDir string
-	// ManifestPath is the campaign's JSONL cell ledger — the same format
-	// sage-collect -resume reads, reused here for coordinator restarts.
+	// ManifestPath is the campaign's cell ledger (collector.Manifest) — the
+	// same file sage-collect -resume reads, reused for coordinator restarts.
 	ManifestPath string
 	// LeaseTTL bounds how long a silent agent keeps its cells
 	// (default 30s). Agents heartbeat at TTL/3.
@@ -238,18 +238,6 @@ func (c *Coordinator) LastEpoch() int {
 	return c.lastEpoch
 }
 
-func (c *Coordinator) walGrant(agent string, cell collector.CellKey) {
-	c.wal.append(walRecord{T: "grant", Agent: agent, Scheme: cell.Scheme, Env: cell.Env})
-}
-
-func (c *Coordinator) walDone(agent string, cell collector.CellKey) {
-	c.wal.append(walRecord{T: "done", Agent: agent, Scheme: cell.Scheme, Env: cell.Env})
-}
-
-func (c *Coordinator) walFail(agent string, cell collector.CellKey, errMsg string) {
-	c.wal.append(walRecord{T: "fail", Agent: agent, Scheme: cell.Scheme, Env: cell.Env, Err: errMsg})
-}
-
 // Resumed reports how many cells were re-admitted from a previous
 // coordinator's manifest and shards.
 func (c *Coordinator) Resumed() int { return c.resumed }
@@ -396,7 +384,9 @@ func (c *Coordinator) Shutdown() {
 	}
 	c.wg.Wait()
 	if c.manifest != nil {
-		c.manifest.Close()
+		if err := c.manifest.Close(); err != nil {
+			c.cfg.Logf("coord: %v", err)
+		}
 	}
 	c.wal.close()
 }
@@ -508,11 +498,11 @@ func (c *Coordinator) handleRequestCell(req *Message) *Message {
 	switch res {
 	case AcquireGranted:
 		c.cfg.Metrics.Counter("coord.leases_granted").Inc()
-		c.walGrant(req.AgentID, cell)
+		c.wal.appendCell("grant", req.AgentID, cell, "")
 		return &Message{Type: MsgAssign, Scheme: cell.Scheme, Env: cell.Env, Verdict: VerdictOK}
 	case AcquireHedged:
 		c.cfg.Metrics.Counter("dist.hedges").Inc()
-		c.walGrant(req.AgentID, cell)
+		c.wal.appendCell("grant", req.AgentID, cell, "")
 		c.cfg.Logf("coord: hedging straggler cell %s/%s to idle agent %s", cell.Scheme, cell.Env, req.AgentID)
 		return &Message{Type: MsgAssign, Scheme: cell.Scheme, Env: cell.Env, Verdict: VerdictOK}
 	case AcquireWait:
@@ -574,7 +564,7 @@ func (c *Coordinator) handleCellDone(req *Message) *Message {
 	verdict, hedgeWin := c.tracker.Complete(req.AgentID, cell)
 	if verdict == VerdictOK {
 		c.manifest.Record(cell.Scheme, cell.Env, nil)
-		c.walDone(req.AgentID, cell)
+		c.wal.appendCell("done", req.AgentID, cell, "")
 		c.cfg.Metrics.Counter("coord.cells_done").Inc()
 		c.cfg.Metrics.Counter("coord.shard_bytes").Add(int64(len(req.Shard)))
 		if hedgeWin {
@@ -601,7 +591,7 @@ func (c *Coordinator) handleCellFailed(req *Message) *Message {
 	verdict := c.tracker.Fail(req.AgentID, cell, req.Err)
 	if verdict == VerdictOK {
 		c.manifest.Record(cell.Scheme, cell.Env, errors.New(req.Err))
-		c.walFail(req.AgentID, cell, req.Err)
+		c.wal.appendCell("fail", req.AgentID, cell, req.Err)
 		c.cfg.Metrics.Counter("coord.cells_failed").Inc()
 		c.cfg.Progress.Add(1)
 		c.cfg.Logf("coord: cell %s/%s failed permanently: %s", cell.Scheme, cell.Env, req.Err)

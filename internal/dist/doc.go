@@ -10,7 +10,7 @@
 // heartbeats, run each cell with collector.CollectCell, and ship the
 // resulting single-cell pool shard back checksummed; the coordinator
 // persists every shard through internal/safeio and records completion in
-// the same JSONL manifest sage-collect's resume path uses. A lease that
+// the same manifest journal sage-collect's resume path uses. A lease that
 // is not renewed within its TTL returns the cell to the pending set and
 // marks the holder evicted — a revived agent learns its session is dead
 // on its next message and exits with a distinct status so a supervisor

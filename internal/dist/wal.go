@@ -1,9 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
-	"sync"
-
 	"sage/internal/collector"
 	"sage/internal/safeio"
 	"sage/internal/telemetry"
@@ -14,7 +11,7 @@ import (
 // already make *completed* work durable; the WAL makes *in-flight*
 // state durable too: every lease grant, terminal cell outcome, and
 // applied training step is appended (checksummed, fsynced — see
-// safeio.AppendLog) before or immediately after the action it records.
+// safeio.Journal) before or immediately after the action it records.
 // A restarted coordinator replays the log, re-adopts leases whose
 // agents may still be alive (their next heartbeat renews; their
 // in-flight shard lands without re-collection), and knows the last
@@ -39,14 +36,13 @@ func (r walRecord) cell() collector.CellKey {
 	return collector.CellKey{Scheme: r.Scheme, Env: r.Env}
 }
 
-// wal serializes appends from concurrent connection handlers. All
-// methods are nil-receiver safe (WAL disabled) and treat write errors
-// as soft: losing the log costs only recovery speed after a future
-// crash, never correctness, so a full disk degrades durability instead
-// of killing the campaign. Errors are logged and counted.
+// wal is the coordinator's handle on the log. All methods are
+// nil-receiver safe (WAL disabled) and treat write errors as soft: losing
+// the log costs only recovery speed after a future crash, never
+// correctness, so a full disk degrades durability instead of killing the
+// campaign. Errors are logged and counted.
 type wal struct {
-	mu      sync.Mutex
-	log     *safeio.AppendLog
+	log     *safeio.Journal[walRecord]
 	metrics *telemetry.Registry
 	logf    func(string, ...any)
 }
@@ -55,12 +51,7 @@ type wal struct {
 // records drive lease re-adoption and epoch recovery in NewCoordinator.
 func openWAL(path string, metrics *telemetry.Registry, logf func(string, ...any)) (*wal, []walRecord, error) {
 	var recs []walRecord
-	log, _, err := safeio.OpenAppendLog(path, func(payload []byte) {
-		var rec walRecord
-		if json.Unmarshal(payload, &rec) == nil {
-			recs = append(recs, rec)
-		}
-	})
+	log, err := safeio.OpenJournal(path, func(rec walRecord) { recs = append(recs, rec) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,18 +62,17 @@ func (w *wal) append(rec walRecord) {
 	if w == nil {
 		return
 	}
-	payload, err := json.Marshal(rec)
-	if err == nil {
-		w.mu.Lock()
-		err = w.log.Append(payload)
-		w.mu.Unlock()
-	}
-	if err != nil {
+	if err := w.log.Append(rec); err != nil {
 		w.metrics.Counter("dist.wal_errors").Inc()
 		w.logf("coord: wal append %q: %v", rec.T, err)
 		return
 	}
 	w.metrics.Counter("dist.wal_records").Inc()
+}
+
+// appendCell logs a lease transition t ("grant", "done" or "fail") of cell.
+func (w *wal) appendCell(t, agent string, cell collector.CellKey, errMsg string) {
+	w.append(walRecord{T: t, Agent: agent, Scheme: cell.Scheme, Env: cell.Env, Err: errMsg})
 }
 
 func (w *wal) close() {

@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,12 +13,6 @@ import (
 	"sage/internal/safeio"
 	"sage/internal/telemetry"
 )
-
-// openLog opens (creating if needed) one of the ingester's append logs.
-func openLog(path string, replay func(payload []byte)) (*safeio.AppendLog, error) {
-	log, _, err := safeio.OpenAppendLog(path, replay)
-	return log, err
-}
 
 // Ingest metric names. Per-regime admitted counts are exported as
 // "feedback.admitted.<regime>".
@@ -130,8 +125,8 @@ type Counts struct {
 // so no window is ever admitted twice, and none is lost.
 type Ingester struct {
 	cfg     IngestConfig
-	journal *safeio.AppendLog
-	liveLog *safeio.AppendLog
+	journal *safeio.Journal[journalRecord]
+	liveLog *safeio.Journal[liveEntry]
 	cursor  Cursor
 	counts  Counts
 
@@ -155,22 +150,10 @@ func OpenIngester(cfg IngestConfig) (*Ingester, error) {
 	}
 
 	admitted := make(map[Cursor]bool)
-	jr, err := openLog(filepath.Join(cfg.StateDir, ingestJournalName), func(payload []byte) {
-		var r journalRecord
-		if json.Unmarshal(payload, &r) != nil {
-			return
-		}
-		in.cursor = r.Key
-		in.counts.Ingested++
-		switch r.Disp {
-		case DispAdmitted:
-			in.counts.Admitted++
-			in.counts.ByRegime[r.Regime]++
+	jr, err := safeio.OpenJournal(filepath.Join(cfg.StateDir, ingestJournalName), func(r journalRecord) {
+		in.applyDisp(r)
+		if r.Disp == DispAdmitted {
 			admitted[r.Key] = true
-		case DispQuarantined:
-			in.counts.Quarantined++
-		case DispSkipped:
-			in.counts.Skipped++
 		}
 	})
 	if err != nil {
@@ -179,13 +162,7 @@ func OpenIngester(cfg IngestConfig) (*Ingester, error) {
 	in.journal = jr
 
 	var entries []liveEntry
-	ll, err := openLog(filepath.Join(cfg.StateDir, livePoolLogName), func(payload []byte) {
-		var e liveEntry
-		if json.Unmarshal(payload, &e) != nil {
-			return
-		}
-		entries = append(entries, e)
-	})
+	ll, err := safeio.OpenJournal(filepath.Join(cfg.StateDir, livePoolLogName), func(e liveEntry) { entries = append(entries, e) })
 	if err != nil {
 		jr.Close()
 		return nil, err
@@ -319,11 +296,7 @@ func (in *Ingester) ingestOne(pos Cursor, payload []byte) error {
 	}
 	e := liveEntry{Key: pos, Regime: regime, SID: rec.SID, Reason: rec.Reason, Steps: steps, Fallback: rec.Fallback}
 	if !in.pending[pos] {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if err := in.liveLog.Append(b); err != nil {
+		if err := in.liveLog.Append(e); err != nil {
 			return err
 		}
 		in.logRecords++
@@ -340,86 +313,67 @@ func (in *Ingester) ingestOne(pos Cursor, payload []byte) error {
 
 // journalDisp durably records one disposition and advances the cursor.
 func (in *Ingester) journalDisp(r journalRecord) error {
-	b, err := json.Marshal(r)
-	if err != nil {
+	if err := in.journal.Append(r); err != nil {
 		return err
 	}
-	if err := in.journal.Append(b); err != nil {
-		return err
-	}
-	in.cursor = r.Key
-	in.counts.Ingested++
+	in.applyDisp(r)
 	in.cfg.Metrics.Counter(MetricIngested).Inc()
 	switch r.Disp {
 	case DispAdmitted:
-		in.counts.Admitted++
-		in.counts.ByRegime[r.Regime]++
 		in.cfg.Metrics.Counter(MetricAdmitted).Inc()
 	case DispQuarantined:
-		in.counts.Quarantined++
 		in.cfg.Metrics.Counter(MetricQuarantined).Inc()
 	case DispSkipped:
-		in.counts.Skipped++
 		in.cfg.Metrics.Counter(MetricSkipped).Inc()
 	}
 	return nil
 }
 
+// applyDisp folds one journaled disposition into the cursor and the
+// accounting: the ingest journal's fold, at open and after every append.
+func (in *Ingester) applyDisp(r journalRecord) {
+	in.cursor = r.Key
+	in.counts.Ingested++
+	switch r.Disp {
+	case DispAdmitted:
+		in.counts.Admitted++
+		in.counts.ByRegime[r.Regime]++
+	case DispQuarantined:
+		in.counts.Quarantined++
+	case DispSkipped:
+		in.counts.Skipped++
+	}
+}
+
 // maybeCompact rewrites the live pool log down to the retained entries
-// when evictions have bloated it past 4x the pool. The rewrite goes to a
-// temp log that atomically renames over the old one, so a crash at any
-// point leaves either the old or the new log intact.
+// when evictions have bloated it past 4x the pool. Compaction is an
+// optimization and all-or-nothing (safeio.Journal.Rewrite): when it fails
+// the old log, its handle and its record count stand, and ingestion goes on.
 func (in *Ingester) maybeCompact() {
-	retained := in.poolSize()
-	if in.logRecords <= 4*retained || in.logRecords < 64 {
+	if in.logRecords <= 4*in.poolSize() || in.logRecords < 64 {
 		return
 	}
+	entries := in.retained()
+	if in.liveLog.Rewrite(entries) == nil {
+		in.logRecords = len(entries)
+	}
+}
+
+// retained lists the pool's entries in admission order.
+func (in *Ingester) retained() []liveEntry {
 	var entries []liveEntry
 	for _, q := range in.pool {
 		entries = append(entries, q...)
 	}
 	sortEntries(entries)
-	path := filepath.Join(in.cfg.StateDir, livePoolLogName)
-	tmp := path + ".compact"
-	os.Remove(tmp)
-	nl, err := openLog(tmp, nil)
-	if err != nil {
-		return // compaction is an optimization; never fail ingestion over it
-	}
-	for _, e := range entries {
-		b, err := json.Marshal(e)
-		if err != nil {
-			continue
-		}
-		if err := nl.Append(b); err != nil {
-			nl.Close()
-			os.Remove(tmp)
-			return
-		}
-	}
-	nl.Close()
-	in.liveLog.Close()
-	if err := os.Rename(tmp, path); err != nil {
-		// Fall through to reopening whatever is at path.
-	}
-	reopened, err := openLog(path, nil)
-	if err != nil {
-		return
-	}
-	in.liveLog = reopened
-	in.logRecords = len(entries)
+	return entries
 }
 
 // LivePool materializes the retained live experience as a collector pool
 // (freshest entries, regime-balanced by construction).
 func (in *Ingester) LivePool() *collector.Pool {
 	p := &collector.Pool{GR: in.cfg.GR.Fill()}
-	var entries []liveEntry
-	for _, q := range in.pool {
-		entries = append(entries, q...)
-	}
-	sortEntries(entries)
-	for _, e := range entries {
+	for _, e := range in.retained() {
 		p.Trajs = append(p.Trajs, collector.Trajectory{
 			Scheme: "live",
 			Env:    "live-" + e.Regime,
@@ -441,12 +395,7 @@ func (in *Ingester) PoolByRegime() map[string]int {
 
 // Close closes both logs.
 func (in *Ingester) Close() error {
-	err1 := in.journal.Close()
-	err2 := in.liveLog.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return errors.Join(in.journal.Close(), in.liveLog.Close())
 }
 
 func fallbackFrac(rec WindowRecord) float64 {

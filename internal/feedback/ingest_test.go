@@ -2,9 +2,14 @@ package feedback
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"sage/internal/chaos"
+	"sage/internal/safeio"
 	"sage/internal/telemetry"
 )
 
@@ -260,11 +265,7 @@ func TestIngestOrphanPoolEntryAdopted(t *testing.T) {
 		Key: orphanKey, Regime: ClassifyRegime(rec.States), SID: rec.SID,
 		Reason: rec.Reason, Steps: LabelWindow(rec, in.cfg.GR),
 	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.liveLog.Append(b); err != nil {
+	if err := in.liveLog.Append(e); err != nil {
 		t.Fatal(err)
 	}
 	in.Close() // "crash" before journaling
@@ -290,12 +291,81 @@ func TestIngestOrphanPoolEntryAdopted(t *testing.T) {
 	// The pool log must hold exactly one record per admitted window — the
 	// orphan was adopted, not appended again.
 	logN := 0
-	ll, err := openLog(filepath.Join(stateDir, livePoolLogName), func([]byte) { logN++ })
+	ll, err := safeio.OpenJournal(filepath.Join(stateDir, livePoolLogName), func(liveEntry) { logN++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	ll.Close()
 	if logN != 3 {
 		t.Fatalf("pool log holds %d records, want 3 (no duplicate for the orphan)", logN)
+	}
+}
+
+// Compaction is all-or-nothing. With the rename failing (a kill just before
+// it), the live pool log, its handle and its record count must stand, later
+// windows must still be admitted, and the accounting must balance; once the
+// fault clears the next poll compacts, and a reopen finds the same pool.
+func TestIngestCompactionFaultKeepsIngesting(t *testing.T) {
+	spoolDir, stateDir := t.TempDir(), t.TempDir()
+	var recs []WindowRecord
+	for i := 0; i < 70; i++ {
+		recs = append(recs, regimeWindow(uint64(i+1), RegimeSteady, 4))
+	}
+	spoolWindows(t, spoolDir, recs...)
+	in, _ := newTestIngester(t, spoolDir, stateDir, 2)
+	countLog := func() int {
+		t.Helper()
+		n := 0
+		r, err := safeio.OpenAppendLogReader(filepath.Join(stateDir, livePoolLogName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if _, err := r.ReplayFrom(0, func([]byte) { n++ }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	chaos.WithFaults(safeio.Hooks{BeforeRename: chaos.KillBeforeRename()}, func() {
+		if n, err := in.Poll(); err != nil || n != 70 {
+			t.Fatalf("poll under a failing rename = %d, %v", n, err)
+		}
+	})
+	if in.logRecords != 70 || countLog() != 70 {
+		t.Fatalf("failed compaction changed the log: count %d, file holds %d, want 70 and 70", in.logRecords, countLog())
+	}
+	if _, err := os.Stat(filepath.Join(stateDir, livePoolLogName+".compact")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed compaction left its temp file behind: %v", err)
+	}
+
+	skip := regimeWindow(102, RegimeSteady, 4)
+	skip.Fallback = []int{0, 1, 2}
+	spoolWindows(t, spoolDir, regimeWindow(100, RegimeLossy, 4), regimeWindow(101, RegimeSteady, 1), skip)
+	if n, err := in.Poll(); err != nil || n != 3 {
+		t.Fatalf("poll after the failed compaction = %d, %v", n, err)
+	}
+	c := in.Counts()
+	if c.Admitted != 71 || c.Quarantined != 1 || c.Skipped != 1 || c.Ingested != c.Admitted+c.Quarantined+c.Skipped {
+		t.Fatalf("counts after the failed compaction = %+v", c)
+	}
+	if in.logRecords != 3 || countLog() != 3 {
+		t.Fatalf("compaction did not run once the fault cleared: count %d, file holds %d, want 3 and 3", in.logRecords, countLog())
+	}
+
+	// The compacted log is the one the handle now appends to.
+	spoolWindows(t, spoolDir, regimeWindow(103, RegimeFlappy, 4))
+	if n, err := in.Poll(); err != nil || n != 1 {
+		t.Fatalf("poll after compaction = %d, %v", n, err)
+	}
+	want := in.PoolByRegime()
+	in.Close()
+	in2, _ := newTestIngester(t, spoolDir, stateDir, 2)
+	defer in2.Close()
+	if got := in2.PoolByRegime(); got[RegimeSteady] != 2 || got[RegimeLossy] != 1 || got[RegimeFlappy] != 1 || len(got) != len(want) {
+		t.Fatalf("reopened pool = %v, want %v", got, want)
+	}
+	if c := in2.Counts(); c.Admitted != 72 || c.Evicted != 68 || c.Ingested != c.Admitted+c.Quarantined+c.Skipped {
+		t.Fatalf("reopened counts = %+v", c)
 	}
 }

@@ -2,7 +2,6 @@ package feedback
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -113,7 +112,7 @@ type Loop struct {
 	cfg     LoopConfig
 	in      *Ingester
 	reg     *promote.Registry
-	journal *safeio.AppendLog
+	journal *safeio.Journal[loopRecord]
 
 	round     int    // latest round started (0 = none)
 	roundOpen bool   // latest round lacks a verdict
@@ -138,29 +137,14 @@ func OpenLoop(cfg LoopConfig) (*Loop, error) {
 		Metrics:         cfg.Metrics,
 	})
 	if err != nil {
+		reg.Close()
 		return nil, err
 	}
 	lp := &Loop{cfg: cfg, in: in, reg: reg}
-	jr, _, err := safeio.OpenAppendLog(filepath.Join(cfg.StateDir, loopJournalName), func(payload []byte) {
-		var r loopRecord
-		if json.Unmarshal(payload, &r) != nil {
-			return
-		}
-		switch r.T {
-		case "round":
-			lp.round, lp.roundOpen, lp.published, lp.mark = r.N, true, "", r.Admitted
-		case "published":
-			if r.N == lp.round {
-				lp.published = r.ID
-			}
-		case "verdict":
-			if r.N == lp.round {
-				lp.roundOpen = false
-			}
-		}
-	})
+	jr, err := safeio.OpenJournal(filepath.Join(cfg.StateDir, loopJournalName), lp.apply)
 	if err != nil {
 		in.Close()
+		reg.Close()
 		return nil, err
 	}
 	lp.journal = jr
@@ -170,13 +154,34 @@ func OpenLoop(cfg LoopConfig) (*Loop, error) {
 	return lp, nil
 }
 
-// Close releases the loop's journals (the registry holds no open files).
+// Close releases the loop's journals and its registry handle.
 func (l *Loop) Close() error {
-	err := l.journal.Close()
-	if e := l.in.Close(); err == nil {
-		err = e
+	return errors.Join(l.journal.Close(), l.in.Close(), l.reg.Close())
+}
+
+// apply folds one loop journal record into the resume point.
+func (l *Loop) apply(r loopRecord) {
+	switch r.T {
+	case "round":
+		l.round, l.roundOpen, l.published, l.mark = r.N, true, "", r.Admitted
+	case "published":
+		if r.N == l.round {
+			l.published = r.ID
+		}
+	case "verdict":
+		if r.N == l.round {
+			l.roundOpen = false
+		}
 	}
-	return err
+}
+
+// commit journals r and, once it is durable, folds it.
+func (l *Loop) commit(r loopRecord) error {
+	if err := l.journal.Append(r); err != nil {
+		return err
+	}
+	l.apply(r)
+	return nil
 }
 
 // Ingester exposes the loop's ingester (accounting, pool inspection).
@@ -189,14 +194,6 @@ func (l *Loop) kill(stage string) {
 	if l.cfg.Kill != nil {
 		l.cfg.Kill(stage)
 	}
-}
-
-func (l *Loop) journalRec(r loopRecord) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return l.journal.Append(b)
 }
 
 // Step runs one iteration: ingest whatever the spool grew, then start or
@@ -234,10 +231,9 @@ func (l *Loop) startRound(admitted int) error {
 	if err := pool.Save(roundPoolPath(l.cfg.StateDir, n)); err != nil {
 		return err
 	}
-	if err := l.journalRec(loopRecord{T: "round", N: n, Admitted: admitted}); err != nil {
+	if err := l.commit(loopRecord{T: "round", N: n, Admitted: admitted}); err != nil {
 		return err
 	}
-	l.round, l.roundOpen, l.published, l.mark = n, true, "", admitted
 	l.cfg.Metrics.Counter(MetricRounds).Inc()
 	l.cfg.Events.Emit(map[string]any{"event": "feedback_round", "round": n, "admitted": admitted})
 	l.kill(StageRound)
@@ -283,10 +279,9 @@ func (l *Loop) runRound(ctx context.Context) error {
 		if err != nil && !strings.Contains(err.Error(), "already published") {
 			return err
 		}
-		if err := l.journalRec(loopRecord{T: "published", N: l.round, ID: id}); err != nil {
+		if err := l.commit(loopRecord{T: "published", N: l.round, ID: id}); err != nil {
 			return err
 		}
-		l.published = id
 		l.cfg.Metrics.Counter(MetricPublished).Inc()
 		l.cfg.Events.Emit(map[string]any{"event": "feedback_published", "round": l.round, "id": id})
 		l.kill(StagePublished)
@@ -335,10 +330,9 @@ func (l *Loop) finishVerdict(id string, promoted bool, reason string) error {
 	if err != nil && !strings.Contains(err.Error(), "not a candidate") {
 		return err
 	}
-	if err := l.journalRec(loopRecord{T: "verdict", N: l.round, ID: id, Promote: promoted, Reason: reason}); err != nil {
+	if err := l.commit(loopRecord{T: "verdict", N: l.round, ID: id, Promote: promoted, Reason: reason}); err != nil {
 		return err
 	}
-	l.roundOpen = false
 	if promoted {
 		l.cfg.Metrics.Counter(MetricPromoted).Inc()
 	} else {

@@ -192,12 +192,7 @@ func RetrainRound(ctx context.Context, cfg RetrainConfig) (*core.Model, error) {
 // id reuse across serving restarts cannot splice two flows' recurrent
 // state together.
 func (in *Ingester) ReplayShadow(sh *promote.Shadow) {
-	var entries []liveEntry
-	for _, q := range in.pool {
-		entries = append(entries, q...)
-	}
-	sortEntries(entries)
-	for i, e := range entries {
+	for i, e := range in.retained() {
 		sid := uint64(i + 1)
 		sh.TagSession(sid, e.Regime)
 		fb := make(map[int]bool, len(e.Fallback))

@@ -57,6 +57,24 @@ func MaskNoRTTVar() []int { return maskDroppingRange(22, 40) }
 // (Table 1 rows 41–58, indices 40..57), the "no Loss/Inf" model.
 func MaskNoLossInflight() []int { return maskDroppingRange(40, 58) }
 
+// MaskNames lists the names MaskByName resolves, in flag-help form.
+const MaskNames = "full|no-minmax|no-rttvar|no-lossinf"
+
+// MaskByName resolves a mask by the name the commands' -mask flags use.
+func MaskByName(name string) ([]int, error) {
+	switch name {
+	case "full":
+		return MaskFull(), nil
+	case "no-minmax":
+		return MaskNoMinMax(), nil
+	case "no-rttvar":
+		return MaskNoRTTVar(), nil
+	case "no-lossinf":
+		return MaskNoLossInflight(), nil
+	}
+	return nil, fmt.Errorf("unknown mask %q (valid: %s)", name, MaskNames)
+}
+
 func maskDroppingRange(lo, hi int) []int {
 	var keep []int
 	for i := 0; i < StateDim; i++ {

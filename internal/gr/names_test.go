@@ -1,6 +1,7 @@
 package gr
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -41,5 +42,16 @@ func TestApplyMaskIntoNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ApplyMaskInto allocates %v per call with a warm buffer", allocs)
+	}
+}
+
+func TestMaskByName(t *testing.T) {
+	for name, want := range map[string]int{"full": StateDim, "no-minmax": 33, "no-rttvar": StateDim - 18, "no-lossinf": StateDim - 18} {
+		if m, err := MaskByName(name); err != nil || len(m) != want {
+			t.Errorf("MaskByName(%q) keeps %d signals, %v; want %d", name, len(m), err, want)
+		}
+	}
+	if _, err := MaskByName("no-such"); err == nil || !strings.Contains(err.Error(), MaskNames) {
+		t.Errorf("MaskByName(unknown) = %v, want an error listing %s", err, MaskNames)
 	}
 }

@@ -407,30 +407,6 @@ func TestClipGrads(t *testing.T) {
 	}
 }
 
-func TestPolicySaveLoadRoundTrip(t *testing.T) {
-	p := NewPolicy(PolicyConfig{InDim: 5, Enc: 6, Hidden: 4, K: 3, Seed: 2})
-	p.Norm = FitNormalizer([][]float64{{1, 2, 3, 4, 5}, {2, 3, 4, 5, 6}, {0, 1, 2, 3, 4}})
-	path := t.TempDir() + "/policy.gob.gz"
-	if err := SavePolicy(p, path); err != nil {
-		t.Fatal(err)
-	}
-	q, err := LoadPolicy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := []float64{1, 2, 3, 4, 5}
-	a, _, _ := p.Forward(s, p.InitHidden())
-	b, _, _ := q.Forward(s, q.InitHidden())
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("loaded policy diverges")
-		}
-	}
-	if _, err := LoadPolicy(t.TempDir() + "/nope"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
 // Property: softmax output is a probability distribution for any input.
 func TestSoftmaxProperty(t *testing.T) {
 	f := func(raw []float64) bool {

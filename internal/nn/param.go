@@ -7,6 +7,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -72,6 +73,37 @@ func CopyParams(dst, src Module) {
 	for i := range dp {
 		copy(dp[i].Data, sp[i].Data)
 	}
+}
+
+// DumpParams copies the parameter tensors of ms, in order: the one form in
+// which models, checkpoints and parameter broadcasts carry weights.
+func DumpParams(ms ...Module) [][]float64 {
+	var out [][]float64
+	for _, m := range ms {
+		for _, p := range m.Params() {
+			out = append(out, append([]float64(nil), p.Data...))
+		}
+	}
+	return out
+}
+
+// LoadParams overwrites the parameters of ms, in order, from a DumpParams
+// payload, refusing one whose tensor count or sizes differ.
+func LoadParams(data [][]float64, ms ...Module) error {
+	var ps []*Param
+	for _, m := range ms {
+		ps = append(ps, m.Params()...)
+	}
+	if len(ps) != len(data) {
+		return fmt.Errorf("nn: %d parameter tensors, want %d", len(data), len(ps))
+	}
+	for i, p := range ps {
+		if len(p.Data) != len(data[i]) {
+			return fmt.Errorf("nn: parameter tensor %d has %d values, want %d", i, len(data[i]), len(p.Data))
+		}
+		copy(p.Data, data[i])
+	}
+	return nil
 }
 
 // PolyakUpdate blends dst ← (1−tau)·dst + tau·src.

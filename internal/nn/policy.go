@@ -243,3 +243,15 @@ func (p *Policy) Backward(c *PolicyCache, dHead, dHiddenIn []float64) []float64 
 	p.enc1.Backward(c.xn, dE1pre)
 	return dHidden
 }
+
+// LastHidden returns the activation of the network's last hidden layer for a
+// forward cache — the embedding Fig. 16 visualizes with t-SNE.
+func (p *Policy) LastHidden(c *PolicyCache) []float64 { return c.resOut }
+
+// ClonePolicy returns a deep copy (used for target networks).
+func ClonePolicy(p *Policy) *Policy {
+	q := NewPolicy(p.Cfg)
+	q.Norm = p.Norm
+	CopyParams(q, p)
+	return q
+}

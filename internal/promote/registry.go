@@ -1,7 +1,6 @@
 package promote
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -66,14 +65,13 @@ type record struct {
 // <dir>/models/<id>.model (safeio's atomic checksummed container, written
 // *before* the journal records the publish, so a crash between the two
 // leaves only a harmless orphan file); the state machine lives in
-// <dir>/registry.journal (safeio.AppendLog: CRC per record, fsync per
+// <dir>/registry.journal (safeio.Journal: CRC per record, fsync per
 // append, torn tail truncated on open). All methods are safe for
 // concurrent use.
 type Registry struct {
 	mu      sync.Mutex
 	dir     string
-	journal *safeio.AppendLog
-	off     int64 // journal bytes folded into the state machine so far
+	journal *safeio.Journal[record]
 	models  map[string]*ModelInfo
 	lineage []string // promotion order; top (last) is the incumbent
 
@@ -97,18 +95,11 @@ func OpenRegistry(dir string) (*Registry, error) {
 		return nil, fmt.Errorf("promote: registry dir: %w", err)
 	}
 	r := &Registry{dir: dir, models: make(map[string]*ModelInfo)}
-	j, _, err := safeio.OpenAppendLog(filepath.Join(dir, JournalName), func(payload []byte) {
-		var rec record
-		if json.Unmarshal(payload, &rec) != nil {
-			return // CRC passed but JSON didn't: skip, don't lose the rest
-		}
-		r.applyLocked(rec)
-	})
+	j, err := safeio.OpenJournal(filepath.Join(dir, JournalName), r.applyLocked)
 	if err != nil {
 		return nil, fmt.Errorf("promote: open journal: %w", err)
 	}
 	r.journal = j
-	r.off = j.Offset()
 	return r, nil
 }
 
@@ -117,17 +108,9 @@ func OpenRegistry(dir string) (*Registry, error) {
 // journal is the cross-process coordination point: a long-running daemon
 // sees a promotion the moment it next consults the registry.
 func (r *Registry) refreshLocked() error {
-	off, err := r.journal.ReplayFrom(r.off, func(payload []byte) {
-		var rec record
-		if json.Unmarshal(payload, &rec) != nil {
-			return
-		}
-		r.applyLocked(rec)
-	})
-	if err != nil {
+	if err := r.journal.Follow(r.applyLocked); err != nil {
 		return fmt.Errorf("promote: refresh journal: %w", err)
 	}
-	r.off = off
 	return nil
 }
 
@@ -186,11 +169,7 @@ func (r *Registry) applyLocked(rec record) {
 // applies our record and any a concurrent process slipped in before it, in
 // commit order, exactly once.
 func (r *Registry) appendLocked(rec record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := r.journal.Append(payload); err != nil {
+	if err := r.journal.Append(rec); err != nil {
 		return fmt.Errorf("promote: journal append: %w", err)
 	}
 	return r.refreshLocked()
@@ -234,7 +213,7 @@ func (r *Registry) Publish(m *core.Model, meta Meta) (string, error) {
 	if _, exists := r.models[id]; exists {
 		return "", fmt.Errorf("promote: model %q already published", id)
 	}
-	if err := m.Save(r.modelPath(id)); err != nil {
+	if err := m.Save(r.ModelPath(id)); err != nil {
 		return "", err
 	}
 	return id, r.appendLocked(record{
@@ -246,24 +225,13 @@ func (r *Registry) Publish(m *core.Model, meta Meta) (string, error) {
 }
 
 // Promote makes candidate id the incumbent (retiring the previous one).
-func (r *Registry) Promote(id, note string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.refreshLocked(); err != nil {
-		return err
-	}
-	m, ok := r.models[id]
-	if !ok {
-		return fmt.Errorf("promote: unknown model %q", id)
-	}
-	if m.State != StateCandidate {
-		return fmt.Errorf("promote: model %q is %s, not a candidate", id, m.State)
-	}
-	return r.appendLocked(record{T: "promote", ID: id, Note: note})
-}
+func (r *Registry) Promote(id, note string) error { return r.decide("promote", id, note) }
 
 // Reject marks candidate id as having failed the gate.
-func (r *Registry) Reject(id, note string) error {
+func (r *Registry) Reject(id, note string) error { return r.decide("reject", id, note) }
+
+// decide journals a gate verdict (transition t) on candidate id.
+func (r *Registry) decide(t, id, note string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.refreshLocked(); err != nil {
@@ -276,7 +244,7 @@ func (r *Registry) Reject(id, note string) error {
 	if m.State != StateCandidate {
 		return fmt.Errorf("promote: model %q is %s, not a candidate", id, m.State)
 	}
-	return r.appendLocked(record{T: "reject", ID: id, Note: note})
+	return r.appendLocked(record{T: t, ID: id, Note: note})
 }
 
 // Demote reverts the current incumbent to the previous one in a single
@@ -370,22 +338,16 @@ func (r *Registry) List() []ModelInfo {
 }
 
 // ModelPath returns where id's checkpoint lives.
-func (r *Registry) ModelPath(id string) string { return r.modelPath(id) }
-
-func (r *Registry) modelPath(id string) string {
+func (r *Registry) ModelPath(id string) string {
 	return filepath.Join(r.dir, "models", id+".model")
 }
 
 // Load reads model id's checkpoint, surfacing safeio corruption errors.
 func (r *Registry) Load(id string) (*core.Model, error) {
-	r.mu.Lock()
-	r.refreshLocked()
-	_, ok := r.models[id]
-	r.mu.Unlock()
-	if !ok {
+	if _, ok := r.Get(id); !ok {
 		return nil, fmt.Errorf("promote: unknown model %q", id)
 	}
-	return core.LoadModel(r.modelPath(id))
+	return core.LoadModel(r.ModelPath(id))
 }
 
 // LoadIncumbent loads the promoted model a (re)starting daemon must
@@ -396,7 +358,7 @@ func (r *Registry) LoadIncumbent() (*core.Model, ModelInfo, error) {
 	if !ok {
 		return nil, ModelInfo{}, ErrNoIncumbent
 	}
-	m, err := core.LoadModel(r.modelPath(info.ID))
+	m, err := core.LoadModel(r.ModelPath(info.ID))
 	if err != nil {
 		return nil, info, err
 	}

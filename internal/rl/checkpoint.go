@@ -32,28 +32,6 @@ type checkpointBlob struct {
 	WorkerRNG    []uint64
 }
 
-func dumpParams(m nn.Module) [][]float64 {
-	var out [][]float64
-	for _, p := range m.Params() {
-		out = append(out, append([]float64(nil), p.Data...))
-	}
-	return out
-}
-
-func loadParams(m nn.Module, data [][]float64) error {
-	ps := m.Params()
-	if len(ps) != len(data) {
-		return fmt.Errorf("rl: checkpoint has %d tensors, want %d", len(data), len(ps))
-	}
-	for i, p := range ps {
-		if len(p.Data) != len(data[i]) {
-			return fmt.Errorf("rl: tensor %d size mismatch", i)
-		}
-		copy(p.Data, data[i])
-	}
-	return nil
-}
-
 // SaveCheckpoint atomically writes the learner's full training state to
 // path (write-temp → fsync → rename, checksummed): a crash mid-save
 // leaves the previous checkpoint intact.
@@ -61,13 +39,13 @@ func (l *CRR) SaveCheckpoint(path string, stepsDone int) error {
 	blob := checkpointBlob{
 		Cfg:          l.Cfg,
 		Norm:         *l.Policy.Norm,
-		Policy:       dumpParams(l.Policy),
-		TargetPol:    dumpParams(l.targetPolicy),
+		Policy:       nn.DumpParams(l.Policy),
+		TargetPol:    nn.DumpParams(l.targetPolicy),
 		StepsDone:    stepsDone,
 		HasFullState: true,
 		OptPi:        l.optPi.State(l.Policy),
-		Critic:       dumpParams(l.NAF),
-		TargetCrit:   dumpParams(l.targetNAF),
+		Critic:       nn.DumpParams(l.NAF),
+		TargetCrit:   nn.DumpParams(l.targetNAF),
 		OptQ:         l.optQ.State(l.NAF),
 		RNG:          l.rngSrc.State(),
 		// Live worker streams, or — with no worker goroutines — the staged
@@ -116,17 +94,17 @@ func LoadCheckpoint(path string, ds *Dataset) (*CRR, int, error) {
 	l.targetPolicy.Norm = &blob.Norm
 	l.NAF.Norm = &blob.Norm
 	l.targetNAF.Norm = &blob.Norm
-	if err := loadParams(l.Policy, blob.Policy); err != nil {
-		return nil, 0, err
+	if err := nn.LoadParams(blob.Policy, l.Policy); err != nil {
+		return nil, 0, fmt.Errorf("rl: checkpoint: %w", err)
 	}
-	if err := loadParams(l.targetPolicy, blob.TargetPol); err != nil {
-		return nil, 0, err
+	if err := nn.LoadParams(blob.TargetPol, l.targetPolicy); err != nil {
+		return nil, 0, fmt.Errorf("rl: checkpoint: %w", err)
 	}
-	if err := loadParams(l.NAF, blob.Critic); err != nil {
-		return nil, 0, err
+	if err := nn.LoadParams(blob.Critic, l.NAF); err != nil {
+		return nil, 0, fmt.Errorf("rl: checkpoint: %w", err)
 	}
-	if err := loadParams(l.targetNAF, blob.TargetCrit); err != nil {
-		return nil, 0, err
+	if err := nn.LoadParams(blob.TargetCrit, l.targetNAF); err != nil {
+		return nil, 0, fmt.Errorf("rl: checkpoint: %w", err)
 	}
 	l.stepIdx = blob.StepsDone
 	if blob.HasFullState {

@@ -38,47 +38,26 @@ func (l *CRR) targetModules() []nn.Module {
 	return netSet{policy: l.targetPolicy, naf: l.targetNAF}.modules()
 }
 
-func snapshotModules(ms []nn.Module) [][]float64 {
-	var out [][]float64
-	for _, m := range ms {
-		out = append(out, dumpParams(m)...)
-	}
-	return out
-}
-
-func installModules(ms []nn.Module, data [][]float64) error {
-	var ps []*nn.Param
-	for _, m := range ms {
-		ps = append(ps, m.Params()...)
-	}
-	if len(ps) != len(data) {
-		return fmt.Errorf("rl: snapshot has %d tensors, learner has %d", len(data), len(ps))
-	}
-	for i, p := range ps {
-		if len(p.Data) != len(data[i]) {
-			return fmt.Errorf("rl: snapshot tensor %d size mismatch (%d vs %d)", i, len(data[i]), len(p.Data))
-		}
-		copy(p.Data, data[i])
-	}
-	return nil
-}
-
 // SnapshotParams copies the online networks' parameters (policy, then
 // critic) — the payload the coordinator broadcasts after each step.
-func (l *CRR) SnapshotParams() [][]float64 { return snapshotModules(l.paramModules()) }
+func (l *CRR) SnapshotParams() [][]float64 { return nn.DumpParams(l.paramModules()...) }
 
 // SnapshotTargets copies the target networks' parameters. Only needed
 // when a worker (re)joins mid-run: between syncs the targets are a pure
 // function of the step schedule, which workers replicate locally.
-func (l *CRR) SnapshotTargets() [][]float64 { return snapshotModules(l.targetModules()) }
+func (l *CRR) SnapshotTargets() [][]float64 { return nn.DumpParams(l.targetModules()...) }
 
 // InstallParams overwrites the online networks from a SnapshotParams
 // payload.
-func (l *CRR) InstallParams(data [][]float64) error { return installModules(l.paramModules(), data) }
+func (l *CRR) InstallParams(data [][]float64) error {
+	return nn.LoadParams(data, l.paramModules()...)
+}
 
 // InstallTargets overwrites the target networks from a SnapshotTargets
 // payload.
-func (l *CRR) InstallTargets(data [][]float64) error { return installModules(l.targetModules(), data) }
+func (l *CRR) InstallTargets(data [][]float64) error {
+	return nn.LoadParams(data, l.targetModules()...)
+}
 
 // SetStepIndex forces the absolute step counter — used when installing a
 // coordinator's state into a joining worker replica.

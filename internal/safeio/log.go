@@ -65,25 +65,9 @@ func OpenAppendLog(path string, replay func(payload []byte)) (*AppendLog, int, e
 		f.Close()
 		return nil, 0, err
 	}
-	valid, replayed := 0, 0
-	rest := raw
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			break // torn tail: record written without its newline
-		}
-		line := rest[:nl]
-		payload, ok := checkRecord(line)
-		if !ok {
-			break // corrupt record; everything after it is suspect
-		}
-		if replay != nil {
-			replay(payload)
-		}
-		replayed++
-		valid += nl + 1
-		rest = rest[nl+1:]
-	}
+	// A torn tail and a corrupt record are repaired alike: everything
+	// after the last intact record is suspect.
+	valid, replayed, _ := scanRecords(raw, replay)
 	if valid < len(raw) {
 		if err := f.Truncate(int64(valid)); err != nil {
 			f.Close()
@@ -146,23 +130,35 @@ func (l *AppendLog) ReplayFrom(off int64, replay func(payload []byte)) (int64, e
 	if _, err := l.f.ReadAt(buf, off); err != nil && err != io.EOF {
 		return off, err
 	}
-	rest := buf
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
+	n, _, corrupt := scanRecords(buf, replay)
+	off += int64(n)
+	if corrupt {
+		return off, fmt.Errorf("safeio: log record at offset %d: %w", off, ErrLogCorrupt)
+	}
+	return off, nil
+}
+
+// scanRecords streams the intact records at the head of buf to replay (which
+// may be nil) and returns the bytes and records they span. It stops at a
+// record without its newline — a torn or in-flight tail — or at a complete
+// record that fails its checksum, which it reports as corrupt.
+func scanRecords(buf []byte, replay func(payload []byte)) (n, records int, corrupt bool) {
+	for n < len(buf) {
+		nl := bytes.IndexByte(buf[n:], '\n')
 		if nl < 0 {
-			break // in-flight tail: a writer crashed (or died) mid-append
+			break
 		}
-		payload, ok := checkRecord(rest[:nl])
+		payload, ok := checkRecord(buf[n : n+nl])
 		if !ok {
-			return off, fmt.Errorf("safeio: log record at offset %d: %w", off, ErrLogCorrupt)
+			return n, records, true
 		}
 		if replay != nil {
 			replay(payload)
 		}
-		off += int64(nl + 1)
-		rest = rest[nl+1:]
+		records++
+		n += nl + 1
 	}
-	return off, nil
+	return n, records, false
 }
 
 // checkRecord splits "<crc32-hex> <payload>" and verifies the checksum.

@@ -3,12 +3,14 @@ package sage
 import (
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
 // bench/ is its own module, so `go build ./...` here never sees it: an
-// exported name it uses can be deleted with tier-1 green. This vets it
-// against the working tree the way bench/run.sh builds it.
+// exported name it uses can be deleted with tier-1 green. This vets it and
+// runs its short tests against the working tree the way bench/run.sh builds
+// it.
 func TestBenchModuleCompiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
@@ -17,11 +19,13 @@ func TestBenchModuleCompiles(t *testing.T) {
 	if err != nil {
 		t.Skip("go is not on PATH")
 	}
-	cmd := exec.Command(goTool, "vet", "./...")
-	cmd.Dir = "bench"
-	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
+	for _, args := range [][]string{{"vet", "./..."}, {"test", "-short", "./..."}} {
+		cmd := exec.Command(goTool, args...)
+		cmd.Dir = "bench"
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s in bench/: %v\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }
 
