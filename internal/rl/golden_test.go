@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
 
 	"sage/internal/collector"
 	"sage/internal/netem"
+	"sage/internal/nn"
 	"sage/internal/sim"
 )
 
@@ -154,5 +156,161 @@ func TestGoldenParallel(t *testing.T) {
 		if got := paramDigest(w.learner.SnapshotTargets()); got != goldenWorkers2.targets {
 			t.Errorf("shard worker %d targets = %s, want %s", i, got, goldenWorkers2.targets)
 		}
+	}
+}
+
+// The goldens below widen the pin beyond the 3 × 4-row tiny shape: the
+// default widths at the benchmark's batch shape (the only rows that reach
+// the 16-row GEMM tile), the Fig. 12 ablation branches, trajectories short
+// enough to truncate the n-step horizon, and the imitation baselines that
+// share the policy's BPTT.
+
+// statsDigest folds every deterministic TrainStats field of a run.
+type statsDigest struct{ h hash.Hash64 }
+
+func newStatsDigest() *statsDigest { return &statsDigest{h: fnv.New64a()} }
+
+func (d *statsDigest) put(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	d.h.Write(b[:])
+}
+
+func (d *statsDigest) add(s TrainStats) {
+	for _, f := range []float64{
+		s.CriticLoss, s.PolicyLoss, s.MeanFilter, s.FilterAccept, s.AdvMean, s.AdvStd,
+		s.GradNormPi, s.GradNormQ, s.GradNormPiClip, s.GradNormQClip,
+	} {
+		d.put(math.Float64bits(f))
+	}
+	d.put(s.BatchID)
+}
+
+func (d *statsDigest) sum() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
+
+// goldenRun is what a short run leaves behind: parameters, the per-step
+// stats stream and the worker sampler positions.
+type goldenRun struct{ online, targets, stats, rng string }
+
+func runGolden(ds *Dataset, cfg CRRConfig, steps int) goldenRun {
+	l := NewCRR(ds, cfg)
+	sd := newStatsDigest()
+	for l.StepsDone() < steps {
+		sd.add(l.TrainStep(ds))
+	}
+	rd := newStatsDigest()
+	for _, s := range l.WorkerRNGStates() {
+		rd.put(s)
+	}
+	rd.put(l.rngSrc.State())
+	return goldenRun{
+		online:  paramDigest(l.SnapshotParams()),
+		targets: paramDigest(l.SnapshotTargets()),
+		stats:   sd.sum(),
+		rng:     rd.sum(),
+	}
+}
+
+// TestGoldenBenchShape runs the default CRRConfig — Enc 64, Hidden 32, K 5,
+// Batch 16, SeqLen 8, NStep 5, the train_crr workload's shape — serial and
+// with two workers.
+func TestGoldenBenchShape(t *testing.T) {
+	ds := goldenDataset(t)
+	for _, c := range []struct {
+		workers int
+		want    goldenRun
+	}{
+		{0, goldenRun{online: "fac0cd3e637bf6c3", targets: "0a94766bd0cd0c09", stats: "88f0781614c8c47f", rng: "5a5670933092353b"}},
+		{2, goldenRun{online: "b928d7436997d445", targets: "0a94766bd0cd0c09", stats: "d6678a3e9c1b16eb", rng: "3404e465dc37f648"}},
+	} {
+		if got := runGolden(ds, CRRConfig{Workers: c.workers, Seed: 23}, 6); got != c.want {
+			t.Errorf("Workers=%d: %+v, want %+v", c.workers, got, c.want)
+		}
+	}
+}
+
+// TestGoldenAblations pins the Fig. 12 policy variants at the tiny shape.
+func TestGoldenAblations(t *testing.T) {
+	ds := goldenDataset(t)
+	for _, c := range []struct {
+		name string
+		mod  func(*nn.PolicyConfig)
+		want goldenRun
+	}{
+		{"NoGRU", func(p *nn.PolicyConfig) { p.NoGRU = true }, goldenRun{online: "339dadafdfe97493", targets: "5808ff7dbcc8d524", stats: "cb41eefaf87b028e", rng: "7e985630335df0f0"}},
+		{"NoEncoder", func(p *nn.PolicyConfig) { p.NoEncoder = true }, goldenRun{online: "ed4e64fb45e7172f", targets: "0a77a87c9d6e4fbd", stats: "da6f4432945014c9", rng: "7e985630335df0f0"}},
+		{"K1", func(p *nn.PolicyConfig) { p.K = 1 }, goldenRun{online: "5a6cd3e878ea963a", targets: "3b46101a1485f097", stats: "40942cbc220e91fc", rng: "7e985630335df0f0"}},
+	} {
+		cfg := goldenCfg(2)
+		cfg.TargetEvery = 8
+		c.mod(&cfg.Policy)
+		if got := runGolden(ds, cfg, 12); got != c.want {
+			t.Errorf("%s: %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
+// shortTrajDataset cuts the golden pool's trajectories to SeqLen+1,
+// SeqLen+2, … states (SeqLen = 4), so a sampled window's n-step horizon is
+// truncated at every depth and the shortest trajectory admits exactly one
+// window.
+func shortTrajDataset(t *testing.T) *Dataset {
+	ds := goldenDataset(t)
+	for i := range ds.Trajs {
+		tr := &ds.Trajs[i]
+		n := 5 + i
+		if i == len(ds.Trajs)-1 {
+			n = 40 // one trajectory long enough for a full horizon
+		}
+		tr.States, tr.Actions, tr.Rewards = tr.States[:n], tr.Actions[:n], tr.Rewards[:n]
+	}
+	return ds
+}
+
+func TestGoldenShortTrajectories(t *testing.T) {
+	ds := shortTrajDataset(t)
+	for _, c := range []struct {
+		workers int
+		want    goldenRun
+	}{
+		{0, goldenRun{online: "8ab210a6e35575eb", targets: "958efd61271cf171", stats: "cd273766309b8d89", rng: "6526e6d1343660bd"}},
+		{2, goldenRun{online: "df252c545b2669e4", targets: "91fccc0460809c4b", stats: "d7c617f80af839e1", rng: "7e985630335df0f0"}},
+	} {
+		cfg := goldenCfg(c.workers)
+		cfg.TargetEvery = 8
+		if got := runGolden(ds, cfg, 12); got != c.want {
+			t.Errorf("Workers=%d: %+v, want %+v", c.workers, got, c.want)
+		}
+	}
+}
+
+// TestGoldenImitation pins the baselines that train the same policy network
+// by log-likelihood: BC (20 steps), one Indigo DAgger iteration and two
+// Aurora episodes.
+func TestGoldenImitation(t *testing.T) {
+	ds := goldenDataset(t)
+	bc, err := TrainBC(ds, BCConfig{Policy: tinyPolicyCfg(), Steps: 20, Batch: 6, SeqLen: 4, Seed: 23}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := paramDigest(nn.DumpParams(bc)), "1e0a401df482296f"; got != want {
+		t.Errorf("TrainBC: %s, want %s", got, want)
+	}
+
+	scs := netem.SetI(netem.SetIOptions{Level: netem.GridTiny, Duration: sim.Second, Seed: 1})[:2]
+	indigo, err := TrainIndigo(IndigoConfig{Policy: tinyPolicyCfg(), Scenarios: scs, DaggerIters: 1, StepsPer: 20, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := paramDigest(nn.DumpParams(indigo)), "16eb48fb73a844f9"; got != want {
+		t.Errorf("TrainIndigo: %s, want %s", got, want)
+	}
+
+	aurora, err := TrainAurora(AuroraConfig{Policy: tinyPolicyCfg(), Scenarios: scs, Episodes: 2, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := paramDigest(nn.DumpParams(aurora)), "dc2ae8ea3d91f9b0"; got != want {
+		t.Errorf("TrainAurora: %s, want %s", got, want)
 	}
 }
