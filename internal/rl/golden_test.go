@@ -314,3 +314,38 @@ func TestGoldenImitation(t *testing.T) {
 		t.Errorf("TrainAurora: %s, want %s", got, want)
 	}
 }
+
+// TestGoldenWindowWithoutNextState: when no trajectory holds SeqLen+1 states
+// the sampler falls back to the longest one from its start; with exactly
+// SeqLen states that window's last transition has no next state, so it gets
+// no TD target (and draws no target action) but still takes part in policy
+// improvement. The closed loop trains on such windows (8-step trace windows
+// under the default SeqLen 8).
+func TestGoldenWindowWithoutNextState(t *testing.T) {
+	ds := goldenDataset(t)
+	for i := range ds.Trajs {
+		tr := &ds.Trajs[i]
+		n := 4 - i%2 // SeqLen states, or one fewer
+		tr.States, tr.Actions, tr.Rewards = tr.States[:n], tr.Actions[:n], tr.Rewards[:n]
+	}
+	for _, c := range []struct {
+		workers int
+		want    goldenRun
+	}{
+		{0, goldenRun{online: "00165ccdbf7746db", targets: "8b021b8335b298f6", stats: "95f3d452395f058e", rng: "a0723c9780b25670"}},
+		{2, goldenRun{online: "b70344b7e43bd1f3", targets: "bdb50a367b9510b7", stats: "f621e93d635a50df", rng: "6a9349721511b338"}},
+	} {
+		cfg := goldenCfg(c.workers)
+		cfg.TargetEvery = 3
+		if got := runGolden(ds, cfg, 8); got != c.want {
+			t.Errorf("Workers=%d: %+v, want %+v", c.workers, got, c.want)
+		}
+	}
+	bc, err := TrainBC(ds, BCConfig{Policy: tinyPolicyCfg(), Steps: 10, Batch: 6, SeqLen: 4, Seed: 23}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := paramDigest(nn.DumpParams(bc)), "22fb1a4b509703a4"; got != want {
+		t.Errorf("TrainBC: %s, want %s", got, want)
+	}
+}
