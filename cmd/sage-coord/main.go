@@ -317,15 +317,15 @@ func runTrain(ctx context.Context, o trainOpts) int {
 	}
 	fmt.Printf("pool: %d trajectories, %d transitions\n", len(pool.Trajs), pool.Transitions())
 	ds := rl.BuildDataset(pool, m)
-	if ds.Transitions() == 0 {
-		fmt.Fprintln(os.Stderr, "no usable transitions in the pool")
-		return 1
-	}
 	crrCfg := rl.CRRConfig{
 		Policy:  nn.PolicyConfig{Enc: o.enc, Hidden: o.gru, ResBlocks: 2, K: o.kMix},
 		Steps:   o.steps,
 		Workers: o.workers,
 		Seed:    o.seed,
+	}
+	if err := ds.CheckSeqLen(crrCfg.Fill().SeqLen); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	var learner *rl.CRR
 	done := 0

@@ -161,8 +161,8 @@ func main() {
 	}
 	start := time.Now()
 	ds := rl.BuildDataset(pool, m)
-	if ds.Transitions() == 0 {
-		fmt.Fprintln(os.Stderr, "no usable transitions in the pool (all trajectories empty, truncated, or quarantined)")
+	if err := ds.CheckSeqLen(cfg.CRR.Fill().SeqLen); err != nil {
+		fmt.Fprintf(os.Stderr, "pool cannot be trained on (trajectories empty, truncated, or quarantined?): %v\n", err)
 		os.Exit(1)
 	}
 	var learner *rl.CRR

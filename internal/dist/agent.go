@@ -501,9 +501,6 @@ func RunTrainWorker(ctx context.Context, cfg TrainWorkerConfig) error {
 		return errors.New("dist: welcome carried no training config")
 	}
 	ds := rl.BuildDataset(cfg.Pool, welcome.Mask)
-	if ds.Transitions() == 0 {
-		return errors.New("dist: worker pool has no usable transitions")
-	}
 	worker, err := rl.NewShardWorker(ds, *welcome.CRR, cfg.Index, welcome.Workers)
 	if err != nil {
 		return err

@@ -216,7 +216,7 @@ func (l *Loop) Step(ctx context.Context) (verdict bool, err error) {
 		if c.Admitted-l.mark < l.cfg.MinAdmitted || regimes < l.cfg.MinRegimes {
 			return false, nil
 		}
-		if err := l.startRound(c.Admitted); err != nil {
+		if started, err := l.startRound(c.Admitted); err != nil || !started {
 			return false, err
 		}
 	}
@@ -224,20 +224,27 @@ func (l *Loop) Step(ctx context.Context) (verdict bool, err error) {
 }
 
 // startRound freezes the training mix on disk, then journals the round —
-// in that order, so a resumed round always finds its pool.
-func (l *Loop) startRound(admitted int) error {
+// in that order, so a resumed round always finds its pool. A mix the
+// learner cannot sample yet (only trace windows shorter than one training
+// sequence) is not enough data: no round starts, and the next poll asks
+// again.
+func (l *Loop) startRound(admitted int) (bool, error) {
 	n := l.round + 1
 	pool := MixPools(l.cfg.Offline, l.in.LivePool(), l.cfg.LiveFrac, l.cfg.CRR.Seed+int64(n))
+	if err := rl.BuildDataset(pool, l.cfg.Mask).CheckSeqLen(l.cfg.CRR.Fill().SeqLen); err != nil {
+		l.cfg.Events.Emit(map[string]any{"event": "feedback_round_deferred", "admitted": admitted, "reason": err.Error()})
+		return false, nil
+	}
 	if err := pool.Save(roundPoolPath(l.cfg.StateDir, n)); err != nil {
-		return err
+		return false, err
 	}
 	if err := l.commit(loopRecord{T: "round", N: n, Admitted: admitted}); err != nil {
-		return err
+		return false, err
 	}
 	l.cfg.Metrics.Counter(MetricRounds).Inc()
 	l.cfg.Events.Emit(map[string]any{"event": "feedback_round", "round": n, "admitted": admitted})
 	l.kill(StageRound)
-	return nil
+	return true, nil
 }
 
 // runRound drives the open round to its verdict: retrain (resumable via

@@ -214,3 +214,31 @@ func TestLoopTriggerNeedsFreshAdmissions(t *testing.T) {
 		t.Fatalf("round advanced to %d while idle", n)
 	}
 }
+
+// A live pool of trace windows shorter than one training sequence is "not
+// enough data this round": the trigger thresholds are met, but no round
+// starts, nothing is journaled, and the loop keeps polling — it used to
+// start the round and die in the trainer with an index out of range.
+func TestLoopDefersRoundOnShortWindows(t *testing.T) {
+	d := newLoopDirs(t)
+	spoolTriggerWindows(t, d.spool, 0) // 8-step windows
+	cfg := testLoopConfig(d)
+	cfg.CRR.SeqLen = 8 // needs 9 states
+	cfg.CRR.Workers = 2
+	lp, err := OpenLoop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lp.Close()
+	for i := 0; i < 2; i++ {
+		if done, err := lp.Step(context.Background()); err != nil || done {
+			t.Fatalf("step %d: done=%v err=%v, want a deferred round", i, done, err)
+		}
+	}
+	if n, open := lp.Round(); n != 0 || open {
+		t.Fatalf("round %d (open=%v) started on windows too short to sample", n, open)
+	}
+	if c := lp.Ingester().Counts(); c.Admitted < cfg.MinAdmitted {
+		t.Fatalf("only %d windows admitted: the deferral was the thresholds', not the length check's", c.Admitted)
+	}
+}

@@ -128,8 +128,8 @@ func RetrainRound(ctx context.Context, cfg RetrainConfig) (*core.Model, error) {
 	}
 
 	ds := rl.BuildDataset(pool, cfg.Mask)
-	if ds.Transitions() == 0 {
-		return nil, errors.New("feedback: round pool has no usable transitions")
+	if err := ds.CheckSeqLen(cfg.CRR.Fill().SeqLen); err != nil {
+		return nil, fmt.Errorf("feedback: round pool: %w", err)
 	}
 
 	ckptPath := roundCkptPath(cfg.WorkDir, cfg.Round)

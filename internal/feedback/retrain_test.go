@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -76,6 +77,22 @@ func TestMixPools(t *testing.T) {
 // Warm start seeds the round's learner from the incumbent: with zero
 // gradient steps the trained candidate IS the incumbent, fingerprint and
 // all; without warm start it is a fresh initialization.
+// The reproduction from the field: 4 trajectories × 5 states under the
+// default SeqLen 8 have 16 transitions, so the old "any transitions at all?"
+// guard let them through to a trainer that indexed past their end.
+func TestRetrainRoundRejectsShortTrajectories(t *testing.T) {
+	crr := tinyCRR(4)
+	crr.SeqLen = 0 // default: 8
+	crr.Workers = 2
+	_, err := RetrainRound(context.Background(), RetrainConfig{
+		WorkDir: t.TempDir(), Round: 1, Live: syntheticPool("live", 4, 5), LiveFrac: 1,
+		Mask: testMask, CRR: crr, CheckpointEvery: 1,
+	})
+	if !errors.Is(err, rl.ErrShortTrajectories) || !strings.Contains(err.Error(), "has 5 states") {
+		t.Fatalf("err = %v, want ErrShortTrajectories naming the longest trajectory", err)
+	}
+}
+
 func TestRetrainRoundWarmStart(t *testing.T) {
 	live := syntheticPool("live", 4, 8)
 	inc := &core.Model{

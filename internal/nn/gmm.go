@@ -51,41 +51,58 @@ func (g GMM) LogProb(p []float64, a float64) float64 {
 	return LogSumExp(logPi)
 }
 
-// LogProbGrad returns log π(a) and d logπ/dp (length 3K).
-func (g GMM) LogProbGrad(p []float64, a float64) (float64, []float64) {
+// LogProbGrad returns log π(a) and writes d logπ/dp into dp (length 3K),
+// allocating nothing: dp's three K-blocks hold the softmax prior, the joint
+// log-densities and the component scales until entry k of each is
+// overwritten by its gradient.
+func (g GMM) LogProbGrad(p []float64, a float64, dp []float64) float64 {
 	logits, means, logstds := g.split(p)
-	w := Softmax(logits)
-	logJoint := make([]float64, g.K)
-	sigma := make([]float64, g.K)
-	inRange := make([]bool, g.K)
+	w, logJoint, sigma := g.split(dp)
+	softmaxInto(logits, w)
 	lse := LogSumExp(logits)
 	for k := 0; k < g.K; k++ {
 		s := clampLogStd(logstds[k])
-		inRange[k] = logstds[k] > gmmLogStdMin && logstds[k] < gmmLogStdMax
 		sigma[k] = math.Exp(s)
 		z := (a - means[k]) / sigma[k]
 		logJoint[k] = (logits[k] - lse) + (-0.5*z*z - s - 0.5*log2Pi)
 	}
 	logp := LogSumExp(logJoint)
-	dp := make([]float64, 3*g.K)
 	for k := 0; k < g.K; k++ {
 		gamma := math.Exp(logJoint[k] - logp) // responsibility
+		sk := sigma[k]
+		z := (a - means[k]) / sk
 		// d/dlogits: γ_k − w_k (softmax prior gradient).
 		dp[k] = gamma - w[k]
-		z := (a - means[k]) / sigma[k]
-		dp[g.K+k] = gamma * z / sigma[k] // d/dmean
-		if inRange[k] {
+		dp[g.K+k] = gamma * z / sk // d/dmean
+		if logstds[k] > gmmLogStdMin && logstds[k] < gmmLogStdMax {
 			dp[2*g.K+k] = gamma * (z*z - 1) // d/dlogstd
+		} else {
+			dp[2*g.K+k] = 0
 		}
 	}
-	return logp, dp
+	return logp
 }
 
 // Sample draws an action from the mixture.
 func (g GMM) Sample(p []float64, rng *rand.Rand) float64 {
-	logits, means, logstds := g.split(p)
-	w := Softmax(logits)
 	u := rng.Float64()
+	return g.SampleWith(p, u, rng.NormFloat64())
+}
+
+// SampleWith is Sample with the draws supplied: u ∈ [0,1) picks the
+// component, z ~ N(0,1) places the action within it. Sample consumes its
+// stream in exactly this order, and how far either draw advances the stream
+// never depends on p — which lets a trainer draw a whole batch's samples
+// before any head exists.
+func (g GMM) SampleWith(p []float64, u, z float64) float64 {
+	logits, means, logstds := g.split(p)
+	var buf [8]float64
+	w := buf[:]
+	if g.K > len(buf) {
+		w = make([]float64, g.K)
+	}
+	w = w[:g.K]
+	softmaxInto(logits, w)
 	k := g.K - 1
 	acc := 0.0
 	for i, wi := range w {
@@ -95,7 +112,7 @@ func (g GMM) Sample(p []float64, rng *rand.Rand) float64 {
 			break
 		}
 	}
-	return means[k] + math.Exp(clampLogStd(logstds[k]))*rng.NormFloat64()
+	return means[k] + math.Exp(clampLogStd(logstds[k]))*z
 }
 
 // Mean returns the mixture mean (the deterministic action used at

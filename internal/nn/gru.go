@@ -37,14 +37,6 @@ func (g *GRU) Params() []*Param {
 	return []*Param{g.Wz, g.Uz, g.Bz, g.Wr, g.Ur, g.Br, g.Wn, g.Un, g.Bn}
 }
 
-// GRUCache stores one step's intermediates for BPTT.
-type GRUCache struct {
-	x, h    []float64 // inputs
-	z, r, n []float64
-	unH     []float64 // Un·h
-	hNew    []float64
-}
-
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 func matVec(p *Param, x []float64, out []float64) {
@@ -58,113 +50,28 @@ func matVec(p *Param, x []float64, out []float64) {
 	}
 }
 
-// matVecT accumulates out += Wᵀ·dy.
-func matVecT(p *Param, dy []float64, out []float64) {
-	for i := 0; i < p.Rows; i++ {
-		row := p.Data[i*p.Cols : (i+1)*p.Cols]
-		g := dy[i]
-		if g == 0 {
-			continue
-		}
-		for j := range out {
-			out[j] += row[j] * g
-		}
-	}
-}
-
-// outerAcc accumulates p.Grad += dy ⊗ x.
-func outerAcc(p *Param, dy, x []float64) {
-	for i := 0; i < p.Rows; i++ {
-		g := dy[i]
-		if g == 0 {
-			continue
-		}
-		grow := p.Grad[i*p.Cols : (i+1)*p.Cols]
-		for j, xj := range x {
-			grow[j] += g * xj
-		}
-	}
-}
-
-// Forward advances the cell one step, returning the new hidden state and a
-// cache for Backward.
-func (g *GRU) Forward(x, h []float64) ([]float64, *GRUCache) {
+// Forward advances the cell one step and returns the new hidden state (the
+// B = 1 inference form; training steps the cell through PolicyTape).
+func (g *GRU) Forward(x, h []float64) []float64 {
 	H := g.Hidden
-	c := &GRUCache{
-		x: append([]float64(nil), x...),
-		h: append([]float64(nil), h...),
-		z: make([]float64, H), r: make([]float64, H), n: make([]float64, H),
-		unH: make([]float64, H), hNew: make([]float64, H),
-	}
-	zPre := make([]float64, H)
-	rPre := make([]float64, H)
+	z := make([]float64, H)
+	r := make([]float64, H)
 	nPre := make([]float64, H)
-	copy(zPre, g.Bz.Data)
-	copy(rPre, g.Br.Data)
-	matVec(g.Wz, x, zPre)
-	matVec(g.Uz, h, zPre)
-	matVec(g.Wr, x, rPre)
-	matVec(g.Ur, h, rPre)
-	for i := 0; i < H; i++ {
-		c.z[i] = sigmoid(zPre[i])
-		c.r[i] = sigmoid(rPre[i])
-	}
+	unH := make([]float64, H)
+	hNew := make([]float64, H)
+	copy(z, g.Bz.Data)
+	copy(r, g.Br.Data)
+	matVec(g.Wz, x, z)
+	matVec(g.Uz, h, z)
+	matVec(g.Wr, x, r)
+	matVec(g.Ur, h, r)
 	copy(nPre, g.Bn.Data)
 	matVec(g.Wn, x, nPre)
-	matVec(g.Un, h, c.unH)
+	matVec(g.Un, h, unH)
 	for i := 0; i < H; i++ {
-		nPre[i] += c.r[i] * c.unH[i]
-		c.n[i] = math.Tanh(nPre[i])
-		c.hNew[i] = (1-c.z[i])*c.n[i] + c.z[i]*h[i]
+		zi := sigmoid(z[i])
+		n := math.Tanh(nPre[i] + sigmoid(r[i])*unH[i])
+		hNew[i] = (1-zi)*n + zi*h[i]
 	}
-	return c.hNew, c
-}
-
-// Backward consumes the cache and the gradient wrt the new hidden state,
-// accumulates parameter gradients, and returns (dx, dhPrev).
-func (g *GRU) Backward(c *GRUCache, dhNew []float64) (dx, dh []float64) {
-	H := g.Hidden
-	dx = make([]float64, g.In)
-	dh = make([]float64, H)
-	dz := make([]float64, H)
-	dn := make([]float64, H)
-	dnPre := make([]float64, H)
-	drPre := make([]float64, H)
-	dzPre := make([]float64, H)
-	dUnH := make([]float64, H)
-	for i := 0; i < H; i++ {
-		dz[i] = dhNew[i] * (c.h[i] - c.n[i])
-		dn[i] = dhNew[i] * (1 - c.z[i])
-		dh[i] += dhNew[i] * c.z[i]
-		dnPre[i] = dn[i] * (1 - c.n[i]*c.n[i])
-		dr := dnPre[i] * c.unH[i]
-		dUnH[i] = dnPre[i] * c.r[i]
-		drPre[i] = dr * c.r[i] * (1 - c.r[i])
-		dzPre[i] = dz[i] * c.z[i] * (1 - c.z[i])
-	}
-	// n-gate.
-	outerAcc(g.Wn, dnPre, c.x)
-	matVecT(g.Wn, dnPre, dx)
-	for i := 0; i < H; i++ {
-		g.Bn.Grad[i] += dnPre[i]
-	}
-	outerAcc(g.Un, dUnH, c.h)
-	matVecT(g.Un, dUnH, dh)
-	// r-gate.
-	outerAcc(g.Wr, drPre, c.x)
-	matVecT(g.Wr, drPre, dx)
-	outerAcc(g.Ur, drPre, c.h)
-	matVecT(g.Ur, drPre, dh)
-	for i := 0; i < H; i++ {
-		g.Br.Grad[i] += drPre[i]
-	}
-	// z-gate.
-	outerAcc(g.Wz, dzPre, c.x)
-	matVecT(g.Wz, dzPre, dx)
-	outerAcc(g.Uz, dzPre, c.h)
-	matVecT(g.Uz, dzPre, dh)
-	for i := 0; i < H; i++ {
-		g.Bz.Grad[i] += dzPre[i]
-	}
-	return dx, dh
+	return hNew
 }

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 )
 
-// Dense is a fully-connected layer y = Wx + b. Layers are stateless: the
-// caller keeps the input around and passes it back to Backward, which makes
-// reuse across BPTT timesteps trivial.
+// Dense is a fully-connected layer y = Wx + b. Layers are stateless:
+// training keeps inputs and activations on a tape (tape.go), whose batched
+// backward kernels accumulate into W.Grad and B.Grad.
 type Dense struct {
 	W, B     *Param
 	In, Outs int
@@ -37,26 +37,6 @@ func (d *Dense) Forward(x []float64) []float64 {
 	return y
 }
 
-// Backward accumulates parameter gradients for input x and output gradient
-// dy, and returns dx.
-func (d *Dense) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, d.In)
-	for i := 0; i < d.Outs; i++ {
-		g := dy[i]
-		if g == 0 {
-			continue
-		}
-		row := d.W.Data[i*d.In : (i+1)*d.In]
-		grow := d.W.Grad[i*d.In : (i+1)*d.In]
-		d.B.Grad[i] += g
-		for j, xj := range x {
-			grow[j] += g * xj
-			dx[j] += row[j] * g
-		}
-	}
-	return dx
-}
-
 // LayerNorm normalizes its input to zero mean / unit variance and applies a
 // learned affine transform.
 type LayerNorm struct {
@@ -75,80 +55,18 @@ func NewLayerNorm(name string, n int) *LayerNorm {
 // Params implements Module.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.G, ln.B} }
 
-// lnCache carries the normalization statistics Backward needs.
-type lnCache struct {
-	xhat []float64
-	std  float64
-}
-
-// Forward normalizes x; the returned cache must be passed to Backward.
-func (ln *LayerNorm) Forward(x []float64) ([]float64, *lnCache) {
-	n := float64(ln.N)
-	mu := 0.0
-	for _, v := range x {
-		mu += v
-	}
-	mu /= n
-	varr := 0.0
-	for _, v := range x {
-		d := v - mu
-		varr += d * d
-	}
-	varr /= n
-	std := math.Sqrt(varr + ln.Eps)
-	xhat := make([]float64, ln.N)
-	y := make([]float64, ln.N)
-	for i, v := range x {
-		xhat[i] = (v - mu) / std
-		y[i] = xhat[i]*ln.G.Data[i] + ln.B.Data[i]
-	}
-	return y, &lnCache{xhat: xhat, std: std}
-}
-
-// Backward accumulates gradients and returns dx.
-func (ln *LayerNorm) Backward(c *lnCache, dy []float64) []float64 {
-	n := float64(ln.N)
-	dxhat := make([]float64, ln.N)
-	sumDxhat := 0.0
-	sumDxhatX := 0.0
-	for i := range dy {
-		ln.G.Grad[i] += dy[i] * c.xhat[i]
-		ln.B.Grad[i] += dy[i]
-		dxhat[i] = dy[i] * ln.G.Data[i]
-		sumDxhat += dxhat[i]
-		sumDxhatX += dxhat[i] * c.xhat[i]
-	}
-	dx := make([]float64, ln.N)
-	for i := range dx {
-		dx[i] = (dxhat[i] - sumDxhat/n - c.xhat[i]*sumDxhatX/n) / c.std
-	}
-	return dx
+// Forward normalizes one vector: BatchForward on a single row.
+func (ln *LayerNorm) Forward(x []float64) []float64 {
+	var out Mat
+	ln.BatchForward(&Mat{Rows: 1, Cols: len(x), Data: x}, &out)
+	return out.Data
 }
 
 // LeakyReLU applies max(x, alpha·x) elementwise.
 func LeakyReLU(x []float64, alpha float64) []float64 {
 	y := make([]float64, len(x))
-	for i, v := range x {
-		if v >= 0 {
-			y[i] = v
-		} else {
-			y[i] = alpha * v
-		}
-	}
+	leakyReLUTo(y, x, alpha)
 	return y
-}
-
-// LeakyReLUBackward returns dx given the layer input and dy.
-func LeakyReLUBackward(x, dy []float64, alpha float64) []float64 {
-	dx := make([]float64, len(x))
-	for i, v := range x {
-		if v >= 0 {
-			dx[i] = dy[i]
-		} else {
-			dx[i] = alpha * dy[i]
-		}
-	}
-	return dx
 }
 
 // Tanh applies tanh elementwise.
@@ -160,17 +78,15 @@ func Tanh(x []float64) []float64 {
 	return y
 }
 
-// TanhBackward returns dx given the layer *output* y and dy.
-func TanhBackward(y, dy []float64) []float64 {
-	dx := make([]float64, len(y))
-	for i := range y {
-		dx[i] = dy[i] * (1 - y[i]*y[i])
-	}
-	return dx
-}
-
 // Softmax returns the softmax of x (numerically stable).
 func Softmax(x []float64) []float64 {
+	y := make([]float64, len(x))
+	softmaxInto(x, y)
+	return y
+}
+
+// softmaxInto writes the softmax of x into y (len(y) == len(x)).
+func softmaxInto(x, y []float64) {
 	m := x[0]
 	for _, v := range x {
 		if v > m {
@@ -178,7 +94,6 @@ func Softmax(x []float64) []float64 {
 		}
 	}
 	s := 0.0
-	y := make([]float64, len(x))
 	for i, v := range x {
 		y[i] = math.Exp(v - m)
 		s += y[i]
@@ -186,7 +101,6 @@ func Softmax(x []float64) []float64 {
 	for i := range y {
 		y[i] /= s
 	}
-	return y
 }
 
 // LogSumExp computes log Σ exp(x_i), numerically stable.

@@ -26,6 +26,8 @@ type NAFCritic struct {
 	headV  *Dense // V(s)
 	headM  *Dense // pre-tanh maximizer
 	headP  *Dense // pre-softplus curvature
+
+	params []*Param // Params(), built once
 }
 
 // NAFConfig sizes the critic.
@@ -66,27 +68,15 @@ func NewNAFCritic(cfg NAFConfig) *NAFCritic {
 	c.headV = NewDense("nafV", cfg.Hidden, 1, rng)
 	c.headM = NewDense("nafM", cfg.Hidden, 1, rng)
 	c.headP = NewDense("nafP", cfg.Hidden, 1, rng)
+	for _, m := range []*Dense{c.l1, c.l2, c.headV, c.headM, c.headP} {
+		c.params = append(c.params, m.Params()...)
+	}
 	return c
 }
 
-// Params implements Module.
-func (c *NAFCritic) Params() []*Param {
-	var out []*Param
-	for _, m := range []*Dense{c.l1, c.l2, c.headV, c.headM, c.headP} {
-		out = append(out, m.Params()...)
-	}
-	return out
-}
-
-// NAFCache holds forward intermediates.
-type NAFCache struct {
-	xn         []float64
-	h1pre, h1  []float64
-	h2pre, h2  []float64
-	v, mPre, m float64
-	pPre, p    float64
-	a, q       float64
-}
+// Params implements Module. The list is built once; callers must not
+// modify it.
+func (c *NAFCritic) Params() []*Param { return c.params }
 
 func softplus(x float64) float64 {
 	if x > 30 {
@@ -95,71 +85,143 @@ func softplus(x float64) float64 {
 	return math.Log1p(math.Exp(x))
 }
 
-// forward evaluates Q(s, a) with a cache.
-func (c *NAFCritic) forward(state []float64, a float64) *NAFCache {
-	ca := &NAFCache{a: a}
-	ca.xn = c.Norm.Apply(state)
-	ca.h1pre = c.l1.Forward(ca.xn)
-	ca.h1 = LeakyReLU(ca.h1pre, lreluAlpha)
-	ca.h2pre = c.l2.Forward(ca.h1)
-	ca.h2 = LeakyReLU(ca.h2pre, lreluAlpha)
-	ca.v = c.headV.Forward(ca.h2)[0]
-	ca.mPre = c.headM.Forward(ca.h2)[0]
-	ca.m = math.Tanh(ca.mPre)
-	ca.pPre = c.headP.Forward(ca.h2)[0]
-	ca.p = softplus(ca.pPre) + c.Cfg.PMin
-	d := a - ca.m
-	ca.q = ca.v - ca.p*d*d
-	return ca
+// stateTerms evaluates the state-only part of Q for one state (the B = 1
+// inference form; training evaluates whole batches through NAFTape).
+func (c *NAFCritic) stateTerms(state []float64) (v, m, p float64) {
+	h1 := LeakyReLU(c.l1.Forward(c.Norm.Apply(state)), lreluAlpha)
+	h2 := LeakyReLU(c.l2.Forward(h1), lreluAlpha)
+	v = c.headV.Forward(h2)[0]
+	m = math.Tanh(c.headM.Forward(h2)[0])
+	p = softplus(c.headP.Forward(h2)[0]) + c.Cfg.PMin
+	return v, m, p
+}
+
+// nafQ is the quadratic Q(s, a) = v − p·(a − m)² in the operation order
+// every evaluation path shares.
+func nafQ(v, m, p, a float64) float64 {
+	d := a - m
+	return v - p*d*d
 }
 
 // Q returns the action value.
-func (c *NAFCritic) Q(state []float64, a float64) float64 { return c.forward(state, a).q }
+func (c *NAFCritic) Q(state []float64, a float64) float64 {
+	v, m, p := c.stateTerms(state)
+	return nafQ(v, m, p, a)
+}
 
 // Greedy returns the critic's maximizing action m(s) and the value V(s).
 func (c *NAFCritic) Greedy(state []float64) (m, v float64) {
-	ca := c.forward(state, 0)
-	return ca.m, ca.v
+	v, m, _ = c.stateTerms(state)
+	return m, v
 }
 
-func sigmoidOf(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+// NAFTape holds one batched evaluation of a NAFCritic — one state per row —
+// and the scratch of its TD backward. The state-only terms V, M, P are
+// computed once per row and serve every action evaluated at that state. A
+// tape belongs to one goroutine.
+type NAFTape struct {
+	// X holds the raw states, A and Y the TD backward's actions and targets;
+	// the caller fills them after Reset.
+	X    Mat
+	A, Y []float64
+	// V(s), m(s) and p(s) per row, left by BatchForward.
+	V, M, P []float64
 
-// TDBackward accumulates gradients of weight·½(Q(s,a) − y)² and returns the
-// unweighted squared error. The target y is clamped to [0, VMax].
-func (c *NAFCritic) TDBackward(state []float64, a, y, weight float64) float64 {
-	if y < 0 {
-		y = 0
+	xn, h1pre, h1, h2pre, h2 Mat
+	v, mPre, pPre            Mat // head outputs, one column each
+	dV, dM, dP               Mat
+	dh2, dh2m, dh2p, dh1     Mat
+	order                    []int
+	gemm                     gemmScratch
+}
+
+// Reset sizes the tape for rows states of inDim features.
+func (t *NAFTape) Reset(rows, inDim int) {
+	t.X.Reset(rows, inDim)
+	for len(t.order) < rows {
+		t.order = append(t.order, len(t.order))
 	}
-	if y > c.Cfg.VMax {
-		y = c.Cfg.VMax
+	for _, f := range []*[]float64{&t.A, &t.Y, &t.M, &t.P} {
+		if cap(*f) < rows {
+			*f = make([]float64, rows)
+		}
+		*f = (*f)[:rows]
 	}
-	ca := c.forward(state, a)
-	err := ca.q - y
-	dq := err * weight
-	d := a - ca.m
-	// Q = v − p·d²
-	dv := dq
-	dp := -dq * d * d
-	dm := dq * 2 * ca.p * d
-	// Head pre-activations.
-	dmPre := dm * (1 - ca.m*ca.m)
-	var dpPre float64
-	if ca.pPre > 30 {
-		dpPre = dp
-	} else {
-		dpPre = dp * sigmoidOf(ca.pPre) // d softplus/dx = σ(x)
+}
+
+// Q evaluates Q(s, a) for row r's state.
+func (t *NAFTape) Q(r int, a float64) float64 { return nafQ(t.V[r], t.M[r], t.P[r], a) }
+
+// BatchForward evaluates the state-only terms for every row of t.X; row for
+// row it is bitwise the single-state forward.
+func (c *NAFCritic) BatchForward(t *NAFTape) {
+	rows, sc := t.X.Rows, &t.gemm
+	c.Norm.BatchApply(&t.X, &t.xn)
+	c.l1.batchForward(&t.xn, &t.h1pre, sc)
+	leakyReLUTo(t.h1.Reset(rows, c.Cfg.Hidden).Data, t.h1pre.Data, lreluAlpha)
+	c.l2.batchForward(&t.h1, &t.h2pre, sc)
+	leakyReLUTo(t.h2.Reset(rows, c.Cfg.Hidden).Data, t.h2pre.Data, lreluAlpha)
+	c.headV.batchForward(&t.h2, &t.v, sc)
+	c.headM.batchForward(&t.h2, &t.mPre, sc)
+	c.headP.batchForward(&t.h2, &t.pPre, sc)
+	t.V = t.v.Data
+	for r := 0; r < rows; r++ {
+		t.M[r] = math.Tanh(t.mPre.Data[r])
+		t.P[r] = softplus(t.pPre.Data[r]) + c.Cfg.PMin
 	}
-	dh2 := c.headV.Backward(ca.h2, []float64{dv})
-	dh2m := c.headM.Backward(ca.h2, []float64{dmPre})
-	dh2p := c.headP.Backward(ca.h2, []float64{dpPre})
-	for i := range dh2 {
-		dh2[i] += dh2m[i] + dh2p[i]
+}
+
+// TDBackward accumulates, for every row of the pass BatchForward left on t,
+// the gradients of weight·½(Q(s, A[r]) − Y[r])², and returns the sum of the
+// unweighted squared errors. Targets are clamped to [0, VMax]. Rows
+// accumulate in ascending order — bitwise a row-at-a-time backward.
+func (c *NAFCritic) TDBackward(t *NAFTape, weight float64) float64 {
+	rows := t.X.Rows
+	order := t.order[:rows]
+	t.dV.Reset(rows, 1)
+	t.dM.Reset(rows, 1)
+	t.dP.Reset(rows, 1)
+	loss := 0.0
+	for r := 0; r < rows; r++ {
+		y := t.Y[r]
+		if y < 0 {
+			y = 0
+		}
+		if y > c.Cfg.VMax {
+			y = c.Cfg.VMax
+		}
+		a, m, p := t.A[r], t.M[r], t.P[r]
+		err := t.Q(r, a) - y
+		loss += err * err
+		dq := err * weight
+		d := a - m
+		// Q = v − p·d²
+		dp := -dq * d * d
+		dm := dq * 2 * p * d
+		// Head pre-activations.
+		t.dV.Data[r] = dq
+		t.dM.Data[r] = dm * (1 - m*m)
+		if pPre := t.pPre.Data[r]; pPre > 30 {
+			t.dP.Data[r] = dp
+		} else {
+			t.dP.Data[r] = dp * sigmoid(pPre) // d softplus/dx = σ(x)
+		}
 	}
-	dh2pre := LeakyReLUBackward(ca.h2pre, dh2, lreluAlpha)
-	dh1 := c.l2.Backward(ca.h1, dh2pre)
-	dh1pre := LeakyReLUBackward(ca.h1pre, dh1, lreluAlpha)
-	c.l1.Backward(ca.xn, dh1pre)
-	return err * err
+	gradAcc(c.headV.W, c.headV.B, &t.dV, &t.h2, order)
+	gradAcc(c.headM.W, c.headM.B, &t.dM, &t.h2, order)
+	gradAcc(c.headP.W, c.headP.B, &t.dP, &t.h2, order)
+	backMul(c.headV.W, &t.dV, &t.dh2)
+	backMul(c.headM.W, &t.dM, &t.dh2m)
+	backMul(c.headP.W, &t.dP, &t.dh2p)
+	for i := range t.dh2.Data {
+		t.dh2.Data[i] += t.dh2m.Data[i] + t.dh2p.Data[i]
+	}
+	leakyReLUBack(t.h2pre.Data, t.dh2.Data, lreluAlpha)
+	gradAcc(c.l2.W, c.l2.B, &t.dh2, &t.h1, order)
+	backMul(c.l2.W, &t.dh2, &t.dh1)
+	leakyReLUBack(t.h1pre.Data, t.dh1.Data, lreluAlpha)
+	gradAcc(c.l1.W, c.l1.B, &t.dh1, &t.xn, order)
+	return loss
 }
 
 // CloneNAF returns a deep copy (target network).

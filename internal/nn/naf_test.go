@@ -6,17 +6,33 @@ import (
 	"testing"
 )
 
+// nafTD runs one batched TD backward: row r regresses Q(states[r], a[r])
+// onto y[r].
+func nafTD(c *NAFCritic, t *NAFTape, states [][]float64, a, y []float64) float64 {
+	t.Reset(len(states), c.Cfg.InDim)
+	for r, s := range states {
+		t.X.SetRow(r, s)
+	}
+	copy(t.A, a)
+	copy(t.Y, y)
+	c.BatchForward(t)
+	return c.TDBackward(t, 1)
+}
+
 func TestNAFGradients(t *testing.T) {
 	c := NewNAFCritic(NAFConfig{InDim: 4, Hidden: 8, Seed: 3})
-	state := []float64{1, -0.5, 2, 0.3}
-	a, y := 0.4, 1.7
+	states := [][]float64{{1, -0.5, 2, 0.3}, {-0.2, 0.9, 0.1, -1.5}, {0.4, 0.4, -2, 0}}
+	a, y := []float64{0.4, -0.7, 0.1}, []float64{1.7, 0.2, 3}
 	loss := func() float64 {
-		q := c.Q(state, a)
-		return 0.5 * (q - y) * (q - y)
+		s := 0.0
+		for r := range states {
+			q := c.Q(states[r], a[r])
+			s += 0.5 * (q - y[r]) * (q - y[r])
+		}
+		return s
 	}
-	checkModuleGrads(t, c, loss, func() {
-		c.TDBackward(state, a, y, 1)
-	}, 1e-3)
+	var tape NAFTape
+	checkModuleGrads(t, c, loss, func() { nafTD(c, &tape, states, a, y) }, 1e-3)
 }
 
 func TestNAFQuadraticShape(t *testing.T) {
@@ -48,14 +64,16 @@ func TestNAFLearnsQuadratic(t *testing.T) {
 	c := NewNAFCritic(NAFConfig{InDim: 1, Hidden: 16, Seed: 7})
 	opt := NewAdam(0.01)
 	rng := rand.New(rand.NewSource(11))
-	for step := 0; step < 3000; step++ {
-		s0 := float64(rng.Intn(2)*2 - 1) // ±1
-		a := rng.Float64()*2 - 1
-		y := 4 - (a-0.5*s0)*(a-0.5*s0)
-		c.TDBackward([]float64{s0}, a, y, 1)
-		if step%8 == 7 {
-			opt.Step(c)
+	var tape NAFTape
+	states, as, ys := make([][]float64, 8), make([]float64, 8), make([]float64, 8)
+	for step := 0; step < 3000/8; step++ {
+		for r := range states {
+			s0 := float64(rng.Intn(2)*2 - 1) // ±1
+			a := rng.Float64()*2 - 1
+			states[r], as[r], ys[r] = []float64{s0}, a, 4-(a-0.5*s0)*(a-0.5*s0)
 		}
+		nafTD(c, &tape, states, as, ys)
+		opt.Step(c)
 	}
 	mPos, _ := c.Greedy([]float64{1})
 	mNeg, _ := c.Greedy([]float64{-1})

@@ -32,8 +32,7 @@ func BenchmarkGRUStep(b *testing.B) {
 			hid := make([]float64, h)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hid2, _ := g.Forward(x, hid)
-				_ = hid2
+				_ = g.Forward(x, hid)
 			}
 		})
 	}
@@ -60,26 +59,17 @@ func BenchmarkPolicyBPTTStep(b *testing.B) {
 	// One training sample: forward+backward over an 8-step segment.
 	p := NewPolicy(PolicyConfig{InDim: 69, Enc: 32, Hidden: 16, ResBlocks: 2, K: 3, Seed: 1})
 	rng := rand.New(rand.NewSource(3))
-	states := make([][]float64, 8)
-	for i := range states {
-		states[i] = make([]float64, 69)
-		for j := range states[i] {
-			states[i][j] = rng.NormFloat64()
-		}
-	}
+	tape := &PolicyTape{}
+	tape.Reset(1, 8, 69)
+	copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := p.InitHidden()
-		heads := make([][]float64, 8)
-		caches := make([]*PolicyCache, 8)
+		p.ForwardTape(tape)
 		for t := 0; t < 8; t++ {
-			heads[t], h, caches[t] = p.Forward(states[t], h)
+			p.GMM.LogProbGrad(tape.Heads.Row(t), 0.1, tape.DHeads.Row(t))
 		}
-		var dh []float64
-		for t := 7; t >= 0; t-- {
-			_, dp := p.GMM.LogProbGrad(heads[t], 0.1)
-			dh = p.Backward(caches[t], dp, dh)
-		}
+		p.BackwardTape(tape)
 		ZeroGrads(p)
 	}
 }

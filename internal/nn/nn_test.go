@@ -37,41 +37,63 @@ func checkModuleGrads(t *testing.T, m Module, loss func() float64, backward func
 	}
 }
 
+// denseBatch runs d over the rows of x through the training kernels and
+// returns the outputs; backward accumulates d's gradients for dY and returns
+// the input gradient.
+func denseBatch(d *Dense, x *Mat) *Mat {
+	out := &Mat{}
+	d.BatchForward(x, out)
+	return out
+}
+
+func denseBatchBackward(d *Dense, x, dY *Mat) *Mat {
+	order := make([]int, x.Rows)
+	for i := range order {
+		order[i] = i
+	}
+	gradAcc(d.W, d.B, dY, x, order)
+	dX := NewMat(x.Rows, d.In)
+	backMulAcc(d.W, dY, dX)
+	return dX
+}
+
 func TestDenseGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense("d", 4, 3, rng)
-	x := []float64{0.5, -1, 2, 0.1}
-	// loss = sum of squares of output
+	x := NewMat(5, 4)
+	copy(x.Data, randVec(rng, len(x.Data)))
+	// loss = sum of squares of the outputs of every row
 	loss := func() float64 {
-		y := d.Forward(x)
 		s := 0.0
-		for _, v := range y {
+		for _, v := range denseBatch(d, x).Data {
 			s += v * v
 		}
 		return s
 	}
 	checkModuleGrads(t, d, loss, func() {
-		y := d.Forward(x)
-		dy := make([]float64, len(y))
-		for i := range y {
-			dy[i] = 2 * y[i]
+		dY := denseBatch(d, x)
+		for i, v := range dY.Data {
+			dY.Data[i] = 2 * v
 		}
-		d.Backward(x, dy)
+		denseBatchBackward(d, x, dY)
 	}, 1e-4)
 }
 
 func TestDenseInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDense("d", 3, 2, rng)
-	x := []float64{1, -0.5, 0.25}
-	y := d.Forward(x)
-	dy := []float64{1, -1}
-	dx := d.Backward(x, dy)
-	for j := range x {
+	x := NewMat(1, 3)
+	copy(x.Data, []float64{1, -0.5, 0.25})
+	y := append([]float64(nil), denseBatch(d, x).Data...)
+	dY := NewMat(1, 2)
+	copy(dY.Data, []float64{1, -1})
+	dx := denseBatchBackward(d, x, dY).Data
+	for j := range x.Data {
 		h := 1e-6
-		x2 := append([]float64(nil), x...)
-		x2[j] += h
-		y2 := d.Forward(x2)
+		x2 := NewMat(1, 3)
+		copy(x2.Data, x.Data)
+		x2.Data[j] += h
+		y2 := denseBatch(d, x2).Data
 		num := ((y2[0] - y[0]) - (y2[1] - y[1])) / h
 		if math.Abs(num-dx[j]) > 1e-4 {
 			t.Fatalf("dx[%d] = %g, numeric %g", j, dx[j], num)
@@ -86,107 +108,94 @@ func TestLayerNormGradients(t *testing.T) {
 		ln.G.Data[i] = 1 + 0.1*rng.Float64()
 		ln.B.Data[i] = 0.1 * rng.NormFloat64()
 	}
-	x := []float64{0.3, -1.2, 0.8, 2.0, -0.5}
-	target := []float64{1, 0, -1, 0.5, 0.2}
-	loss := func() float64 {
-		y, _ := ln.Forward(x)
+	x := NewMat(2, 5)
+	copy(x.Data, []float64{0.3, -1.2, 0.8, 2.0, -0.5, 1.1, 0.4, -0.9, 0.2, 0.6})
+	target := []float64{1, 0, -1, 0.5, 0.2, -0.3, 0.8, 0, 1, -1}
+	var tape lnTape
+	lossOf := func(x *Mat) float64 {
+		var y Mat
+		ln.forwardTape(x, &y, &tape)
 		s := 0.0
-		for i := range y {
-			d := y[i] - target[i]
+		for i, v := range y.Data {
+			d := v - target[i]
 			s += d * d
 		}
 		return s
 	}
-	checkModuleGrads(t, ln, loss, func() {
-		y, c := ln.Forward(x)
-		dy := make([]float64, len(y))
-		for i := range y {
-			dy[i] = 2 * (y[i] - target[i])
+	// backward returns the input gradient.
+	backward := func() *Mat {
+		var d Mat
+		ln.forwardTape(x, &d, &tape)
+		for i, v := range d.Data {
+			d.Data[i] = 2 * (v - target[i])
 		}
-		ln.Backward(c, dy)
-	}, 1e-4)
-
-	// Input gradient.
-	y, c := ln.Forward(x)
-	dy := make([]float64, len(y))
-	for i := range y {
-		dy[i] = 2 * (y[i] - target[i])
+		ln.backwardTape(&tape, &d, []int{0, 1})
+		return &d
 	}
-	dx := ln.Backward(c, dy)
-	for j := range x {
+	checkModuleGrads(t, ln, func() float64 { return lossOf(x) }, func() { backward() }, 1e-4)
+
+	dx := backward().Data
+	for j := range x.Data {
 		h := 1e-6
-		x2 := append([]float64(nil), x...)
-		x2[j] += h
-		num := (lossOf(ln, x2, target) - lossOf(ln, x, target)) / h
+		x2 := NewMat(2, 5)
+		copy(x2.Data, x.Data)
+		x2.Data[j] += h
+		num := (lossOf(x2) - lossOf(x)) / h
 		if math.Abs(num-dx[j]) > 1e-3 {
 			t.Fatalf("ln dx[%d] = %g, numeric %g", j, dx[j], num)
 		}
 	}
 }
 
-func lossOf(ln *LayerNorm, x, target []float64) float64 {
-	y, _ := ln.Forward(x)
-	s := 0.0
-	for i := range y {
-		d := y[i] - target[i]
-		s += d * d
-	}
-	return s
+// gruTape runs g over x — B·T time-major input rows — on a fresh tape.
+func gruTape(g *GRU, x *Mat, B, T int) *PolicyTape {
+	t := &PolicyTape{}
+	t.Reset(B, T, g.In)
+	t.e2 = *x
+	g.forwardTape(t)
+	return t
 }
 
-func TestGRUGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := NewGRU("g", 3, 4, rng)
-	x := []float64{0.5, -0.3, 1.1}
-	h := []float64{0.2, -0.1, 0.4, 0}
-	loss := func() float64 {
-		hn, _ := g.Forward(x, h)
-		s := 0.0
-		for _, v := range hn {
-			s += v * v
-		}
-		return s
-	}
-	checkModuleGrads(t, g, loss, func() {
-		hn, c := g.Forward(x, h)
-		dh := make([]float64, len(hn))
-		for i := range hn {
-			dh[i] = 2 * hn[i]
-		}
-		g.Backward(c, dh)
-	}, 1e-4)
-
-	// dx and dhPrev.
-	hn, c := g.Forward(x, h)
-	dhn := make([]float64, len(hn))
-	for i := range hn {
-		dhn[i] = 2 * hn[i]
-	}
-	dx, dhp := g.Backward(c, dhn)
-	const eps = 1e-6
-	for j := range x {
-		x2 := append([]float64(nil), x...)
-		x2[j] += eps
-		if num := (gruLoss(g, x2, h) - gruLoss(g, x, h)) / eps; math.Abs(num-dx[j]) > 1e-3 {
-			t.Fatalf("gru dx[%d] = %g, numeric %g", j, dx[j], num)
-		}
-	}
-	for j := range h {
-		h2 := append([]float64(nil), h...)
-		h2[j] += eps
-		if num := (gruLoss(g, x, h2) - gruLoss(g, x, h)) / eps; math.Abs(num-dhp[j]) > 1e-3 {
-			t.Fatalf("gru dh[%d] = %g, numeric %g", j, dhp[j], num)
-		}
-	}
-}
-
-func gruLoss(g *GRU, x, h []float64) float64 {
-	hn, _ := g.Forward(x, h)
+// gruLoss is the sum of squares of every step's new hidden state.
+func gruLoss(g *GRU, x *Mat, B, T int) float64 {
+	t := gruTape(g, x, B, T)
 	s := 0.0
-	for _, v := range hn {
+	for _, v := range t.h.Data[B*g.Hidden:] {
 		s += v * v
 	}
 	return s
+}
+
+// Two sequences of three steps: the recurrent weights only see a gradient
+// through the second and third steps, and the first step's parameters see
+// the last step's loss only through the hidden-state gradient BPTT carries
+// back.
+func TestGRUGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := NewGRU("g", 3, 4, rng)
+	const B, T = 2, 3
+	x := NewMat(B*T, 3)
+	copy(x.Data, randVec(rng, len(x.Data)))
+	backward := func() *Mat {
+		tape := gruTape(g, x, B, T)
+		dh := NewMat(B*T, g.Hidden)
+		for i, v := range tape.h.Data[B*g.Hidden:] {
+			dh.Data[i] = 2 * v
+		}
+		return g.backwardTape(tape, dh)
+	}
+	checkModuleGrads(t, g, func() float64 { return gruLoss(g, x, B, T) }, func() { backward() }, 1e-4)
+
+	dx := backward().Data
+	const eps = 1e-6
+	for j := range x.Data {
+		x2 := NewMat(B*T, 3)
+		copy(x2.Data, x.Data)
+		x2.Data[j] += eps
+		if num := (gruLoss(g, x2, B, T) - gruLoss(g, x, B, T)) / eps; math.Abs(num-dx[j]) > 1e-3 {
+			t.Fatalf("gru dx[%d] = %g, numeric %g", j, dx[j], num)
+		}
+	}
 }
 
 func TestGMMLogProbGrad(t *testing.T) {
@@ -197,7 +206,8 @@ func TestGMMLogProbGrad(t *testing.T) {
 		p[i] = rng.NormFloat64() * 0.5
 	}
 	a := 0.3
-	logp, dp := g.LogProbGrad(p, a)
+	dp := make([]float64, g.HeadDim())
+	logp := g.LogProbGrad(p, a, dp)
 	if math.Abs(logp-g.LogProb(p, a)) > 1e-12 {
 		t.Fatal("LogProb and LogProbGrad disagree")
 	}
@@ -235,54 +245,54 @@ func TestGMMSampleDistribution(t *testing.T) {
 	}
 }
 
+// tapeNLL runs p over one sequence of states on a fresh tape and returns the
+// tape with −Σ logπ(actions); with backward set it also accumulates the
+// loss's parameter gradients.
+func tapeNLL(p *Policy, states [][]float64, actions []float64, backward bool) (*PolicyTape, float64) {
+	t := &PolicyTape{}
+	t.Reset(1, len(states), p.Cfg.InDim)
+	for i, s := range states {
+		t.X.SetRow(t.Row(0, i), s)
+	}
+	p.ForwardTape(t)
+	nll := 0.0
+	for i, a := range actions {
+		dp := t.DHeads.Row(t.Row(0, i))
+		nll -= p.GMM.LogProbGrad(t.Heads.Row(t.Row(0, i)), a, dp)
+		for k := range dp {
+			dp[k] = -dp[k]
+		}
+	}
+	if backward {
+		p.BackwardTape(t)
+	}
+	return t, nll
+}
+
 func TestPolicyForwardBackwardGradients(t *testing.T) {
 	cfg := PolicyConfig{InDim: 6, Enc: 8, Hidden: 5, ResBlocks: 2, K: 2, Seed: 11}
 	p := NewPolicy(cfg)
-	state := []float64{1, -2, 0.5, 3, -0.1, 0.7}
-	hidden := p.InitHidden()
-	action := 0.2
+	states := [][]float64{{1, -2, 0.5, 3, -0.1, 0.7}}
+	actions := []float64{0.2}
 	loss := func() float64 {
-		head, _, _ := p.Forward(state, hidden)
-		return -p.GMM.LogProb(head, action)
+		head, _, _ := p.Forward(states[0], p.InitHidden())
+		return -p.GMM.LogProb(head, actions[0])
 	}
-	checkModuleGrads(t, p, loss, func() {
-		head, _, c := p.Forward(state, hidden)
-		_, dp := p.GMM.LogProbGrad(head, action)
-		for i := range dp {
-			dp[i] = -dp[i]
-		}
-		p.Backward(c, dp, nil)
-	}, 2e-3)
+	checkModuleGrads(t, p, loss, func() { tapeNLL(p, states, actions, true) }, 2e-3)
 }
 
 func TestPolicyBPTTHiddenGradient(t *testing.T) {
 	cfg := PolicyConfig{InDim: 3, Enc: 6, Hidden: 4, ResBlocks: 1, K: 2, Seed: 12}
 	p := NewPolicy(cfg)
-	s1 := []float64{0.5, -1, 2}
-	s2 := []float64{-0.3, 0.8, 0.1}
-	a1, a2 := 0.1, -0.4
+	states := [][]float64{{0.5, -1, 2}, {-0.3, 0.8, 0.1}}
+	actions := []float64{0.1, -0.4}
 	// Two-step BPTT loss.
 	loss := func() float64 {
-		h0 := p.InitHidden()
-		head1, h1, _ := p.Forward(s1, h0)
-		head2, _, _ := p.Forward(s2, h1)
-		return -p.GMM.LogProb(head1, a1) - p.GMM.LogProb(head2, a2)
+		head1, h1, _ := p.Forward(states[0], p.InitHidden())
+		head2, _, _ := p.Forward(states[1], h1)
+		return -p.GMM.LogProb(head1, actions[0]) - p.GMM.LogProb(head2, actions[1])
 	}
-	checkModuleGrads(t, p, loss, func() {
-		h0 := p.InitHidden()
-		head1, h1, c1 := p.Forward(s1, h0)
-		head2, _, c2 := p.Forward(s2, h1)
-		_, dp2 := p.GMM.LogProbGrad(head2, a2)
-		for i := range dp2 {
-			dp2[i] = -dp2[i]
-		}
-		dh1 := p.Backward(c2, dp2, nil)
-		_, dp1 := p.GMM.LogProbGrad(head1, a1)
-		for i := range dp1 {
-			dp1[i] = -dp1[i]
-		}
-		p.Backward(c1, dp1, dh1)
-	}, 5e-3)
+	checkModuleGrads(t, p, loss, func() { tapeNLL(p, states, actions, true) }, 5e-3)
 }
 
 func TestPolicyAblationVariants(t *testing.T) {
@@ -295,16 +305,23 @@ func TestPolicyAblationVariants(t *testing.T) {
 	}
 	for i, cfg := range variants {
 		p := NewPolicy(cfg)
-		head, h, c := p.Forward([]float64{1, 2, 3, 4}, p.InitHidden())
+		state := []float64{1, 2, 3, 4}
+		head, h, c := p.Forward(state, p.InitHidden())
 		if len(head) != 3*p.Cfg.K {
 			t.Fatalf("variant %d: head dim %d", i, len(head))
 		}
 		if cfg.NoGRU && h != nil {
 			t.Fatalf("variant %d: NoGRU produced hidden state", i)
 		}
-		dp := make([]float64, len(head))
-		dp[0] = 1
-		p.Backward(c, dp, nil)
+		tape, _ := tapeNLL(p, [][]float64{state}, []float64{0.3}, true)
+		for k, v := range tape.Heads.Row(0) {
+			if v != head[k] {
+				t.Fatalf("variant %d: tape head[%d] = %v, Forward %v", i, k, v, head[k])
+			}
+		}
+		if GradNorm(p) == 0 {
+			t.Fatalf("variant %d: backward left no gradient", i)
+		}
 		if len(p.LastHidden(c)) != p.Cfg.Enc {
 			t.Fatalf("variant %d: last hidden dim", i)
 		}

@@ -45,13 +45,6 @@ type resBlock struct {
 	fc *Dense
 }
 
-type resCache struct {
-	in    []float64
-	lnC   *lnCache
-	lnOut []float64
-	act   []float64
-}
-
 // Policy is the Fig. 6 network: encoder → GRU → LayerNorm+LReLU → encoder
 // (tanh) → FC+LReLU → residual blocks → GMM head.
 type Policy struct {
@@ -66,6 +59,8 @@ type Policy struct {
 	fc         *Dense
 	res        []resBlock
 	head       *Dense
+
+	params []*Param // Params(), built once
 }
 
 // NewPolicy builds a freshly initialized policy network.
@@ -93,11 +88,15 @@ func NewPolicy(cfg PolicyConfig) *Policy {
 		})
 	}
 	p.head = NewDense("head", cfg.Enc, p.GMM.HeadDim(), rng)
+	p.params = p.listParams()
 	return p
 }
 
-// Params implements Module.
-func (p *Policy) Params() []*Param {
+// Params implements Module. The list is built once; callers must not
+// modify it.
+func (p *Policy) Params() []*Param { return p.params }
+
+func (p *Policy) listParams() []*Param {
 	var out []*Param
 	out = append(out, p.enc1.Params()...)
 	out = append(out, p.enc2.Params()...)
@@ -125,123 +124,39 @@ func (p *Policy) InitHidden() []float64 {
 	return make([]float64, p.Cfg.Hidden)
 }
 
-// PolicyCache holds one forward step's intermediates.
+// PolicyCache is what one Forward leaves behind for inspection.
 type PolicyCache struct {
-	xn         []float64 // normalized input
-	e1pre, e1  []float64
-	e2pre, e2  []float64
-	gruC       *GRUCache
-	lnC        *lnCache
-	lnOut      []float64
-	lrOut      []float64
-	e3pre, e3  []float64
-	fcIn       []float64
-	fcPre, fcA []float64
-	res        []resCache
-	resOut     []float64
-	headOut    []float64
+	resOut []float64
 }
 
 const lreluAlpha = 0.01
 
 // Forward runs one timestep: it normalizes the raw state, advances the GRU,
-// and returns (GMM head output, new hidden state, cache).
+// and returns (GMM head output, new hidden state, cache). It is the B = 1
+// inference reference; BatchForward and the training tape match it bitwise
+// row for row.
 func (p *Policy) Forward(state, hidden []float64) (head, hNew []float64, cache *PolicyCache) {
-	c := &PolicyCache{}
-	c.xn = p.Norm.Apply(state)
-	c.e1pre = p.enc1.Forward(c.xn)
-	c.e1 = LeakyReLU(c.e1pre, lreluAlpha)
-	c.e2pre = p.enc2.Forward(c.e1)
-	c.e2 = LeakyReLU(c.e2pre, lreluAlpha)
-
-	trunk := c.e2
+	xn := p.Norm.Apply(state)
+	e1 := LeakyReLU(p.enc1.Forward(xn), lreluAlpha)
+	trunk := LeakyReLU(p.enc2.Forward(e1), lreluAlpha)
 	hNew = hidden
 	if p.gru != nil {
-		hNew, c.gruC = p.gru.Forward(c.e2, hidden)
-		c.lnOut, c.lnC = p.ln.Forward(hNew)
-		c.lrOut = LeakyReLU(c.lnOut, lreluAlpha)
-		trunk = c.lrOut
+		hNew = p.gru.Forward(trunk, hidden)
+		trunk = LeakyReLU(p.ln.Forward(hNew), lreluAlpha)
 	}
 	if p.enc3 != nil {
-		c.e3pre = p.enc3.Forward(trunk)
-		c.e3 = Tanh(c.e3pre)
-		trunk = c.e3
+		trunk = Tanh(p.enc3.Forward(trunk))
 	}
-	c.fcIn = trunk
-	c.fcPre = p.fc.Forward(trunk)
-	c.fcA = LeakyReLU(c.fcPre, lreluAlpha)
-	cur := c.fcA
+	cur := LeakyReLU(p.fc.Forward(trunk), lreluAlpha)
 	for i := range p.res {
-		rc := resCache{in: cur}
-		var lnOut []float64
-		lnOut, rc.lnC = p.res[i].ln.Forward(cur)
-		rc.lnOut = lnOut
-		rc.act = LeakyReLU(lnOut, lreluAlpha)
-		delta := p.res[i].fc.Forward(rc.act)
+		delta := p.res[i].fc.Forward(LeakyReLU(p.res[i].ln.Forward(cur), lreluAlpha))
 		next := make([]float64, len(cur))
 		for j := range next {
 			next[j] = cur[j] + delta[j]
 		}
-		c.res = append(c.res, rc)
 		cur = next
 	}
-	c.resOut = cur
-	c.headOut = p.head.Forward(cur)
-	return c.headOut, hNew, c
-}
-
-// Backward propagates one step's gradients: dHead is the gradient wrt the
-// GMM head output, dHiddenIn the gradient flowing back into this step's new
-// hidden state from the *next* timestep (nil at the end of a BPTT segment).
-// It accumulates parameter gradients and returns the gradient wrt the
-// incoming hidden state (nil when NoGRU).
-func (p *Policy) Backward(c *PolicyCache, dHead, dHiddenIn []float64) []float64 {
-	dCur := p.head.Backward(c.resOut, dHead)
-	for i := len(p.res) - 1; i >= 0; i-- {
-		rc := c.res[i]
-		dDelta := dCur // gradient into the block's Dense output
-		dAct := p.res[i].fc.Backward(rc.act, dDelta)
-		dLn := LeakyReLUBackward(rc.lnOut, dAct, lreluAlpha)
-		dIn := p.res[i].ln.Backward(rc.lnC, dLn)
-		next := make([]float64, len(dCur))
-		for j := range next {
-			next[j] = dCur[j] + dIn[j] // skip connection
-		}
-		dCur = next
-	}
-	dFcPre := LeakyReLUBackward(c.fcPre, dCur, lreluAlpha)
-	dTrunk := p.fc.Backward(c.fcIn, dFcPre)
-	if p.enc3 != nil {
-		dE3pre := TanhBackward(c.e3, dTrunk)
-		var src []float64
-		if p.gru != nil {
-			src = c.lrOut
-		} else {
-			src = c.e2
-		}
-		dTrunk = p.enc3.Backward(src, dE3pre)
-	}
-	var dHidden []float64
-	dE2 := dTrunk
-	if p.gru != nil {
-		dLn := LeakyReLUBackward(c.lnOut, dTrunk, lreluAlpha)
-		dHNew := p.ln.Backward(c.lnC, dLn)
-		// hNew also feeds the next timestep directly: merge that gradient
-		// before the single GRU backward pass.
-		if dHiddenIn != nil {
-			for i := range dHNew {
-				dHNew[i] += dHiddenIn[i]
-			}
-		}
-		var dx []float64
-		dx, dHidden = p.gru.Backward(c.gruC, dHNew)
-		dE2 = dx
-	}
-	dE2pre := LeakyReLUBackward(c.e2pre, dE2, lreluAlpha)
-	dE1 := p.enc2.Backward(c.e1, dE2pre)
-	dE1pre := LeakyReLUBackward(c.e1pre, dE1, lreluAlpha)
-	p.enc1.Backward(c.xn, dE1pre)
-	return dHidden
+	return p.head.Forward(cur), hNew, &PolicyCache{resOut: cur}
 }
 
 // LastHidden returns the activation of the network's last hidden layer for a

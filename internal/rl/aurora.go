@@ -82,6 +82,7 @@ func TrainAurora(cfg AuroraConfig) (*nn.Policy, error) {
 	pol := nn.NewPolicy(cfg.Policy)
 	pol.Norm = nn.FitNormalizer(sample)
 	opt := nn.NewAdam(cfg.LR)
+	var tape nn.PolicyTape // every step of an episode is a one-step sequence
 
 	for ep := 0; ep < cfg.Episodes; ep++ {
 		var sc netem.Scenario
@@ -126,15 +127,20 @@ func TrainAurora(cfg AuroraConfig) (*nn.Policy, error) {
 			return nil, fmt.Errorf("rl: aurora diverged at episode %d: non-finite return", ep)
 		}
 
+		tape.Reset(n, 1, len(cfg.Mask))
 		for i := 0; i < n; i++ {
-			head, _, cache := pol.Forward(ctl.States[i], nil)
-			_, dp := pol.GMM.LogProbGrad(head, ctl.Actions[i])
+			tape.X.SetRow(i, ctl.States[i])
+		}
+		pol.ForwardTape(&tape)
+		for i := 0; i < n; i++ {
+			dp := tape.DHeads.Row(i)
+			pol.GMM.LogProbGrad(tape.Heads.Row(i), ctl.Actions[i], dp)
 			w := -(returns[i] - mean) / float64(n)
 			for k := range dp {
 				dp[k] *= w
 			}
-			pol.Backward(cache, dp, nil)
 		}
+		pol.BackwardTape(&tape)
 		if !finite(nn.GradNorm(pol)) {
 			return nil, fmt.Errorf("rl: aurora diverged at episode %d: non-finite gradient", ep)
 		}

@@ -36,40 +36,62 @@ func (c BCConfig) Fill() BCConfig {
 	return c
 }
 
+// imitator is the log-likelihood step behavioral cloning and Indigo's
+// supervised phase share: sample segments, run the policy over them on one
+// tape, backpropagate −mean logπ(a|s).
+type imitator struct {
+	pol     *nn.Policy
+	tape    nn.PolicyTape
+	actions []float64 // the sampled segments' actions, sequence-major
+}
+
+// accumulate samples batch segments of seqLen steps from ds, adds the
+// gradient of their mean negative log-likelihood to the policy's
+// accumulators and returns the summed −logπ.
+func (m *imitator) accumulate(ds *Dataset, rng *rand.Rand, batch, seqLen int) (nll float64) {
+	t := &m.tape
+	t.Reset(batch, seqLen, ds.InDim())
+	m.actions = grow(m.actions, batch*seqLen)
+	for b := 0; b < batch; b++ {
+		tr, start := ds.sampleSeq(rng, seqLen)
+		for i := 0; i < seqLen; i++ {
+			t.X.SetRow(t.Row(b, i), tr.States[start+i])
+			m.actions[b*seqLen+i] = tr.Actions[start+i]
+		}
+	}
+	m.pol.ForwardTape(t)
+	for b := 0; b < batch; b++ {
+		for i := seqLen - 1; i >= 0; i-- {
+			dp := t.DHeads.Row(t.Row(b, i))
+			nll += -m.pol.GMM.LogProbGrad(t.Heads.Row(t.Row(b, i)), m.actions[b*seqLen+i], dp)
+			w := -1.0 / float64(batch*seqLen)
+			for k := range dp {
+				dp[k] *= w
+			}
+		}
+	}
+	m.pol.BackwardTape(t)
+	return nll
+}
+
 // TrainBC trains a policy by log-likelihood on the dataset and returns it.
 // A non-finite loss (NaN/Inf from poisoned data or a diverged update)
 // fails fast with an error instead of silently emitting a NaN policy.
 func TrainBC(ds *Dataset, cfg BCConfig, progress func(step int, nll float64)) (*nn.Policy, error) {
 	cfg = cfg.Fill()
+	if err := ds.CheckSeqLen(cfg.SeqLen); err != nil {
+		return nil, err
+	}
 	cfg.Policy.InDim = ds.InDim()
 	cfg.Policy.Seed = cfg.Seed
 	pol := nn.NewPolicy(cfg.Policy)
 	pol.Norm = ds.Norm
 	opt := nn.NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed + 303))
+	im := &imitator{pol: pol}
 
 	for step := 1; step <= cfg.Steps; step++ {
-		nll := 0.0
-		for b := 0; b < cfg.Batch; b++ {
-			tr, start := ds.sampleSeq(rng, cfg.SeqLen)
-			h := pol.InitHidden()
-			heads := make([][]float64, cfg.SeqLen)
-			caches := make([]*nn.PolicyCache, cfg.SeqLen)
-			for i := 0; i < cfg.SeqLen; i++ {
-				heads[i], h, caches[i] = pol.Forward(tr.States[start+i], h)
-			}
-			var dHidden []float64
-			for i := cfg.SeqLen - 1; i >= 0; i-- {
-				a := tr.Actions[start+i]
-				logp, dp := pol.GMM.LogProbGrad(heads[i], a)
-				nll += -logp
-				w := -1.0 / float64(cfg.Batch*cfg.SeqLen)
-				for k := range dp {
-					dp[k] *= w
-				}
-				dHidden = pol.Backward(caches[i], dp, dHidden)
-			}
-		}
+		nll := im.accumulate(ds, rng, cfg.Batch, cfg.SeqLen)
 		if !finite(nll) {
 			return nil, fmt.Errorf("rl: BC diverged at step %d: non-finite loss", step)
 		}

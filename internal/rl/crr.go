@@ -2,6 +2,7 @@ package rl
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -89,6 +90,7 @@ type CRR struct {
 	targetPolicy *nn.Policy
 	targetNAF    *nn.NAFCritic
 
+	nets      netSet // the learner's own trainable pair, and the serial step's arena
 	rng       *rand.Rand
 	rngSrc    *rngSource // rng's source, snapshot-able for checkpoints
 	optPi     *nn.Adam
@@ -180,6 +182,7 @@ func NewCRR(ds *Dataset, cfg CRRConfig) *CRR {
 	}
 	l.Policy.Norm = ds.Norm
 	l.NAF.Norm = ds.Norm
+	l.nets = newNetSet(l.Policy, l.NAF)
 	l.targetPolicy = nn.ClonePolicy(l.Policy)
 	l.targetNAF = nn.CloneNAF(l.NAF)
 	l.optPi = nn.NewAdam(cfg.LRPolicy)
@@ -234,29 +237,28 @@ func (l *CRR) syncTargets() {
 func (l *CRR) StepsDone() int { return l.stepIdx }
 
 // netSet is one worker's view of the trainable networks (the targets are
-// shared and only read).
+// shared and only read) and the arena its share of a step runs in.
 type netSet struct {
 	policy *nn.Policy
 	naf    *nn.NAFCritic
+	// grads are views of the gradient accumulators, in modules order.
+	grads [][]float64
+	arena *stepArena
 }
 
-// online is the learner's own trainable pair.
-func (l *CRR) online() netSet { return netSet{policy: l.Policy, naf: l.NAF} }
+func newNetSet(policy *nn.Policy, naf *nn.NAFCritic) netSet {
+	n := netSet{policy: policy, naf: naf, arena: &stepArena{}}
+	for _, m := range n.modules() {
+		for _, p := range m.Params() {
+			n.grads = append(n.grads, p.Grad)
+		}
+	}
+	return n
+}
 
 // modules lists the pair in the canonical tensor order of snapshots,
 // checkpoints and GradShard.Grads: policy first, then critic.
 func (n netSet) modules() []nn.Module { return []nn.Module{n.policy, n.naf} }
-
-// grads returns views of the gradient accumulators, in modules order.
-func (n netSet) grads() [][]float64 {
-	var out [][]float64
-	for _, m := range n.modules() {
-		for _, p := range m.Params() {
-			out = append(out, p.Grad)
-		}
-	}
-	return out
-}
 
 func (n netSet) zeroGrads() {
 	nn.ZeroGrads(n.policy)
@@ -271,68 +273,145 @@ func (l *CRR) step(ds *Dataset) {
 		return
 	}
 	l.lastBatchID = l.rngSrc.State()
-	l.finishStep(l.processSeqs(l.online(), ds, l.rng, l.Cfg.Batch), nil)
+	l.finishStep(l.processSeqs(l.nets, ds, l.rng, l.Cfg.Batch), nil)
+}
+
+// stepArena is the reusable memory of one worker's share of a step: the
+// draw plan, the TD bookkeeping and the two tapes. It is sized on the first
+// step and nothing is allocated afterwards. Transition (b, i) — sequence b,
+// timestep i — is row b·SeqLen+i of the critic tape and of the per-transition
+// slices, and row tape.Row(b, i) of the (time-major) policy tape.
+type stepArena struct {
+	seqs       []seqDraw
+	tdU, tdZ   []float64 // the TD target action's draws, per transition
+	actU, actZ []float64 // the baseline actions' draws, ActionSample per transition
+	discount   []float64 // γⁿ of each transition's n-step return
+	pol        nn.PolicyTape
+	naf        nn.NAFTape
+}
+
+// seqDraw is one sampled subsequence: SeqLen transitions from start, with
+// horizon further states available for n-step lookahead.
+type seqDraw struct {
+	tr             *Traj
+	start, horizon int
+}
+
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func (a *stepArena) resize(nSeqs, seqLen, actionSample int) {
+	if cap(a.seqs) < nSeqs {
+		a.seqs = make([]seqDraw, nSeqs)
+	}
+	a.seqs = a.seqs[:nSeqs]
+	n := nSeqs * seqLen
+	a.tdU, a.tdZ, a.discount = grow(a.tdU, n), grow(a.tdZ, n), grow(a.discount, n)
+	a.actU, a.actZ = grow(a.actU, n*actionSample), grow(a.actZ, n*actionSample)
 }
 
 // processSeqs runs nSeqs sampled subsequences through policy evaluation and
-// improvement, accumulating gradients into nets.
+// improvement, accumulating gradients into nets. It is three phases over
+// the arena: a draw plan, batched forwards, batched backwards (see
+// DESIGN.md §11). Every output — gradients, sums, the stream's final
+// position — is bitwise what running the sequences one at a time, one
+// timestep at a time would produce; internal/rl/golden_test.go pins it.
 func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (st ShardSums) {
-	cfg := l.Cfg
-	for b := 0; b < nSeqs; b++ {
-		tr, start := ds.sampleSeqPrioritized(rng, cfg.SeqLen, cfg.EventFrac)
+	cfg, a := l.Cfg, nets.arena
+	L, inDim := cfg.SeqLen, ds.InDim()
+	gmm := nets.policy.GMM
+	a.resize(nSeqs, L, cfg.ActionSample)
 
-		// --- Forward the online policy over the segment (for logπ grads) and
-		// the target policy over the segment plus the n-step lookahead
-		// (for TD target actions at s_{t+n}).
-		h := nets.policy.InitHidden()
-		ht := l.targetPolicy.InitHidden()
-		heads := make([][]float64, cfg.SeqLen)
-		caches := make([]*nn.PolicyCache, cfg.SeqLen)
-		horizon := cfg.SeqLen + cfg.NStep
-		if start+horizon > len(tr.States)-1 {
-			horizon = len(tr.States) - 1 - start
+	// --- Draw plan. The stream is consumed in the order a sequence-at-a-time
+	// learner consumes it: sequence b's window, then one GMM sample per
+	// transition for the TD target actions (i ascending), then ActionSample
+	// per transition for the advantage baseline (i descending). How far a
+	// draw advances the stream never depends on a network output, so all of
+	// a batch's draws can be taken before any forward pass runs.
+	for b := range a.seqs {
+		tr, start := ds.sampleSeqPrioritized(rng, L, cfg.EventFrac)
+		horizon := min(L+cfg.NStep, len(tr.States)-1-start)
+		if horizon < L {
+			panic(fmt.Sprintf("rl: sampled a window of %d transitions, SeqLen is %d (Dataset.CheckSeqLen guards this)", horizon, L))
 		}
-		tHead := make([][]float64, horizon+1) // target head at s_{start+j}
-		for j := 0; j <= horizon; j++ {
-			tHead[j], ht, _ = l.targetPolicy.Forward(tr.States[start+j], ht)
+		a.seqs[b] = seqDraw{tr: tr, start: start, horizon: horizon}
+		for r := b * L; r < (b+1)*L; r++ {
+			a.tdU[r] = rng.Float64()
+			a.tdZ[r] = rng.NormFloat64()
 		}
-		for i := 0; i < cfg.SeqLen; i++ {
-			heads[i], h, caches[i] = nets.policy.Forward(tr.States[start+i], h)
+		for i := L - 1; i >= 0; i-- {
+			for k := (b*L + i) * cfg.ActionSample; k < (b*L+i+1)*cfg.ActionSample; k++ {
+				a.actU[k] = rng.Float64()
+				a.actZ[k] = rng.NormFloat64()
+			}
 		}
+	}
 
-		// --- Policy evaluation (Eq. 5): n-step TD.
-		for i := 0; i < cfg.SeqLen; i++ {
-			idx := start + i
-			n := cfg.NStep
-			if i+n > horizon {
-				n = horizon - i
-			}
-			if n < 1 {
-				continue
-			}
-			s, a := tr.States[idx], tr.Actions[idx]
-			// n-step discounted reward sum.
+	// --- Target policy over every window plus its n-step lookahead (for the
+	// TD target actions at s_{t+n}). A window cut short by its trajectory's
+	// end is padded with the last state; padded heads are never read.
+	pol, naf := &a.pol, &a.naf
+	pol.Reset(nSeqs, L+cfg.NStep+1, inDim)
+	for b, sq := range a.seqs {
+		for j := 0; j < pol.T; j++ {
+			pol.X.SetRow(pol.Row(b, j), sq.tr.States[sq.start+min(j, sq.horizon)])
+		}
+	}
+	l.targetPolicy.ForwardTape(pol)
+
+	// --- Policy evaluation (Eq. 5): n-step TD targets from the target
+	// networks. Until the target critic has run, Y holds the discounted
+	// reward sum and A the target policy's action at s_{t+n}.
+	naf.Reset(nSeqs*L, inDim)
+	for b, sq := range a.seqs {
+		for i := 0; i < L; i++ {
+			r, idx := b*L+i, sq.start+i
+			n := min(cfg.NStep, sq.horizon-i)
 			rSum, g := 0.0, 1.0
 			for k := 0; k < n; k++ {
-				rSum += g * tr.Rewards[idx+k]
+				rSum += g * sq.tr.Rewards[idx+k]
 				g *= cfg.Gamma
 			}
-			aNext := clampU(l.targetPolicy.GMM.Sample(tHead[i+n], rng))
-			w := 1 / float64(cfg.Batch*cfg.SeqLen)
-			y := rSum + g*l.targetNAF.Q(tr.States[idx+n], aNext)
-			st.CLoss += nets.naf.TDBackward(s, a, y, w)
+			naf.Y[r], a.discount[r] = rSum, g
+			naf.A[r] = clampU(gmm.SampleWith(pol.Heads.Row(pol.Row(b, i+n)), a.tdU[r], a.tdZ[r]))
+			naf.X.SetRow(r, sq.tr.States[idx+n])
 		}
+	}
+	l.targetNAF.BatchForward(naf)
+	for r := range naf.Y {
+		naf.Y[r] += a.discount[r] * naf.Q(r, naf.A[r])
+	}
 
-		// --- Policy improvement (Eq. 6): advantage-filtered regression.
-		dHidden := []float64(nil)
-		for i := cfg.SeqLen - 1; i >= 0; i-- {
-			idx := start + i
-			s, a := tr.States[idx], tr.Actions[idx]
-			q := nets.naf.Q(s, a)
+	// --- Online networks over the windows themselves. The critic's
+	// state-only terms are computed once per transition and serve the TD
+	// backward here and every Q(s, ·) of the improvement step below.
+	pol.Reset(nSeqs, L, inDim)
+	for b, sq := range a.seqs {
+		for i := 0; i < L; i++ {
+			s := sq.tr.States[sq.start+i]
+			pol.X.SetRow(pol.Row(b, i), s)
+			naf.X.SetRow(b*L+i, s)
+			naf.A[b*L+i] = sq.tr.Actions[sq.start+i]
+		}
+	}
+	nets.naf.BatchForward(naf)
+	st.CLoss = nets.naf.TDBackward(naf, 1/float64(cfg.Batch*cfg.SeqLen))
+
+	// --- Policy improvement (Eq. 6): advantage-filtered regression, each
+	// sequence from its last transition to its first.
+	nets.policy.ForwardTape(pol)
+	for b := range a.seqs {
+		for i := L - 1; i >= 0; i-- {
+			r := b*L + i
+			head, act := pol.Heads.Row(pol.Row(b, i)), naf.A[r]
+			q := naf.Q(r, act)
 			baseline := 0.0
-			for j := 0; j < cfg.ActionSample; j++ {
-				aj := clampU(nets.policy.GMM.Sample(heads[i], rng))
-				baseline += nets.naf.Q(s, aj)
+			for k := r * cfg.ActionSample; k < (r+1)*cfg.ActionSample; k++ {
+				baseline += naf.Q(r, clampU(gmm.SampleWith(head, a.actU[k], a.actZ[k])))
 			}
 			baseline /= float64(cfg.ActionSample)
 			adv := q - baseline
@@ -347,15 +426,15 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 			if f > 0 {
 				st.Accepted++
 			}
-			logp, dp := nets.policy.GMM.LogProbGrad(heads[i], a)
-			st.PLoss += -f * logp
+			dp := pol.DHeads.Row(pol.Row(b, i))
+			st.PLoss += -f * gmm.LogProbGrad(head, act, dp)
 			w := -f / float64(cfg.Batch*cfg.SeqLen)
 			for k := range dp {
 				dp[k] *= w
 			}
-			dHidden = nets.policy.Backward(caches[i], dp, dHidden)
 		}
 	}
+	nets.policy.BackwardTape(pol)
 	return st
 }
 
@@ -403,7 +482,7 @@ func (l *CRR) finishStep(st ShardSums, workerBusy []float64) {
 		// Rejected: drop the accumulated gradients on the floor so the
 		// parameters (and Adam's moments) never see them.
 		stats.Skipped = true
-		l.online().zeroGrads()
+		l.nets.zeroGrads()
 	} else {
 		nn.ClipGrads(l.NAF, cfg.ClipNorm)
 		nn.ClipGrads(l.Policy, cfg.ClipNorm)

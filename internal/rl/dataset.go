@@ -7,6 +7,8 @@
 package rl
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -118,6 +120,26 @@ func (ds *Dataset) Transitions() int {
 	}
 	return n
 }
+
+// CheckSeqLen reports whether the dataset can be sampled in windows of L
+// transitions: some trajectory must hold at least L+1 states (every
+// transition needs its next state). Trainers call it before their first
+// step — a pool of only shorter trajectories, e.g. a live pool of short
+// trace windows, is "not enough data yet", not something to sample from.
+func (ds *Dataset) CheckSeqLen(L int) error {
+	longest := 0
+	for i := range ds.Trajs {
+		longest = max(longest, len(ds.Trajs[i].States))
+	}
+	if longest < L+1 {
+		return fmt.Errorf("rl: %w: the longest of %d trajectories has %d states, sequences of %d transitions need %d",
+			ErrShortTrajectories, len(ds.Trajs), longest, L, L+1)
+	}
+	return nil
+}
+
+// ErrShortTrajectories is wrapped by CheckSeqLen's error.
+var ErrShortTrajectories = errors.New("no trajectory is long enough to train on")
 
 // InDim returns the masked input dimension.
 func (ds *Dataset) InDim() int { return len(ds.Mask) }

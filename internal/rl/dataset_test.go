@@ -1,7 +1,9 @@
 package rl
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sage/internal/collector"
@@ -108,5 +110,41 @@ func TestSampleSeqPrioritizedAnchorsInBounds(t *testing.T) {
 		if start < 0 || start+L > len(got.States)-1 {
 			t.Fatalf("window [%d,%d) lacks a next state (%d states)", start, start+L, len(got.States))
 		}
+	}
+}
+
+// TestCheckSeqLen: 4 trajectories × 5 states hold 16 transitions but no
+// window of the default 8; the check names the longest trajectory, passes
+// as soon as one trajectory fits a window, and — touching no stream — leaves
+// the sampler's draws what they were.
+func TestCheckSeqLen(t *testing.T) {
+	ds := &Dataset{Mask: []int{0}}
+	for i := 0; i < 4; i++ {
+		tr := Traj{}
+		for j := 0; j < 5; j++ {
+			tr.States = append(tr.States, []float64{float64(j)})
+			tr.Actions = append(tr.Actions, 0)
+			tr.Rewards = append(tr.Rewards, 0)
+		}
+		ds.Trajs = append(ds.Trajs, tr)
+	}
+	if ds.Transitions() != 16 {
+		t.Fatalf("transitions = %d", ds.Transitions())
+	}
+	err := ds.CheckSeqLen(8)
+	if !errors.Is(err, ErrShortTrajectories) || !strings.Contains(err.Error(), "has 5 states") {
+		t.Fatalf("CheckSeqLen(8) = %v, want ErrShortTrajectories naming 5 states", err)
+	}
+	if err := ds.CheckSeqLen(4); err != nil {
+		t.Fatalf("CheckSeqLen(4) = %v on 5-state trajectories", err)
+	}
+	if err := (&Dataset{}).CheckSeqLen(1); !errors.Is(err, ErrShortTrajectories) {
+		t.Fatalf("empty dataset: %v", err)
+	}
+	if _, err := TrainBC(ds, BCConfig{SeqLen: 8, Steps: 1}, nil); !errors.Is(err, ErrShortTrajectories) {
+		t.Fatalf("TrainBC on short trajectories: %v", err)
+	}
+	if _, err := NewShardWorker(ds, CRRConfig{Workers: 2}, 0, 2); !errors.Is(err, ErrShortTrajectories) {
+		t.Fatalf("NewShardWorker on short trajectories: %v", err)
 	}
 }

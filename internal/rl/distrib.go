@@ -32,11 +32,9 @@ type GradShard struct {
 	BusySec   float64
 }
 
-func (l *CRR) paramModules() []nn.Module { return l.online().modules() }
+func (l *CRR) paramModules() []nn.Module { return l.nets.modules() }
 
-func (l *CRR) targetModules() []nn.Module {
-	return netSet{policy: l.targetPolicy, naf: l.targetNAF}.modules()
-}
+func (l *CRR) targetModules() []nn.Module { return []nn.Module{l.targetPolicy, l.targetNAF} }
 
 // SnapshotParams copies the online networks' parameters (policy, then
 // critic) — the payload the coordinator broadcasts after each step.
@@ -123,7 +121,7 @@ func (l *CRR) ApplyShards(shards []GradShard) (TrainStats, error) {
 		}
 		bySlot[sh.Worker] = sh
 	}
-	want := l.online().grads()
+	want := l.nets.grads
 	for w, sh := range bySlot {
 		if len(sh.Grads) != len(want) {
 			return TrainStats{}, fmt.Errorf("rl: worker %d shard has %d grad tensors, want %d", w, len(sh.Grads), len(want))
@@ -169,8 +167,11 @@ func NewShardWorker(ds *Dataset, cfg CRRConfig, idx, total int) (*ShardWorker, e
 	if cfg.Workers != total {
 		return nil, fmt.Errorf("rl: config Workers=%d but %d shard workers (the counts must agree for deterministic shard splits)", cfg.Workers, total)
 	}
+	if err := ds.CheckSeqLen(cfg.SeqLen); err != nil {
+		return nil, err
+	}
 	l := NewCRR(ds, cfg)
-	return &ShardWorker{learner: l, worker: newWorker(l.online(), cfg.Seed, idx)}, nil
+	return &ShardWorker{learner: l, worker: newWorker(l.nets, cfg.Seed, idx)}, nil
 }
 
 // Join installs a full coordinator state into the replica: online and

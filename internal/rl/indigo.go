@@ -99,6 +99,7 @@ func TrainIndigo(cfg IndigoConfig) (*nn.Policy, error) {
 	cfg.Policy.Seed = cfg.Seed
 	pol := nn.NewPolicy(cfg.Policy)
 	opt := nn.NewAdam(cfg.LR)
+	im := &imitator{pol: pol}
 
 	ds := &Dataset{Mask: cfg.Mask}
 	for iter := 0; iter < cfg.DaggerIters; iter++ {
@@ -129,27 +130,11 @@ func TrainIndigo(cfg IndigoConfig) (*nn.Policy, error) {
 			pol.Norm = ds.Norm
 		}
 		// Supervised regression on the aggregated dataset.
+		if err := ds.CheckSeqLen(cfg.SeqLen); err != nil {
+			return nil, err
+		}
 		for step := 0; step < cfg.StepsPer; step++ {
-			nll := 0.0
-			for b := 0; b < cfg.Batch; b++ {
-				tr, start := ds.sampleSeq(rng, cfg.SeqLen)
-				h := pol.InitHidden()
-				heads := make([][]float64, cfg.SeqLen)
-				caches := make([]*nn.PolicyCache, cfg.SeqLen)
-				for i := 0; i < cfg.SeqLen; i++ {
-					heads[i], h, caches[i] = pol.Forward(tr.States[start+i], h)
-				}
-				var dHidden []float64
-				for i := cfg.SeqLen - 1; i >= 0; i-- {
-					logp, dp := pol.GMM.LogProbGrad(heads[i], tr.Actions[start+i])
-					nll += -logp
-					w := -1.0 / float64(cfg.Batch*cfg.SeqLen)
-					for k := range dp {
-						dp[k] *= w
-					}
-					dHidden = pol.Backward(caches[i], dp, dHidden)
-				}
-			}
+			nll := im.accumulate(ds, rng, cfg.Batch, cfg.SeqLen)
 			if !finite(nll) {
 				return nil, fmt.Errorf("rl: indigo diverged at iteration %d step %d: non-finite loss", iter, step)
 			}

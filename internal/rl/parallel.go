@@ -25,7 +25,7 @@ func newWorker(nets netSet, seed int64, idx int) *worker {
 	src := workerStream(seed, idx)
 	return &worker{
 		nets: nets, rng: rand.New(src), src: src,
-		shard: GradShard{Worker: idx, Grads: nets.grads()},
+		shard: GradShard{Worker: idx, Grads: nets.grads},
 	}
 }
 
@@ -63,7 +63,7 @@ func (l *CRR) workers() []*worker {
 	}
 	ws := make([]*worker, l.Cfg.Workers)
 	for i := range ws {
-		ws[i] = newWorker(netSet{policy: nn.ClonePolicy(l.Policy), naf: nn.CloneNAF(l.NAF)}, l.Cfg.Seed, i)
+		ws[i] = newWorker(newNetSet(nn.ClonePolicy(l.Policy), nn.CloneNAF(l.NAF)), l.Cfg.Seed, i)
 	}
 	// A checkpoint taken mid-parallel-training recorded each worker's
 	// sampler position; restore them so the resumed run draws the same
@@ -112,7 +112,7 @@ func (l *CRR) stepParallel(ds *Dataset) {
 // shape-checked shard per worker, indexed by worker; the main networks'
 // gradients must be zero on entry, as every finished step leaves them.
 func (l *CRR) reduceShards(shards []*GradShard) {
-	dst := l.online().grads()
+	dst := l.nets.grads
 	id := l.rngSrc.State()
 	var st ShardSums
 	busy := make([]float64, len(shards))

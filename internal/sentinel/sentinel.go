@@ -226,8 +226,8 @@ func (s *Sentinel) Run(ctx context.Context, learner *rl.CRR, ds *rl.Dataset, pro
 	if s.cfg.CheckpointPath == "" {
 		return learner, fmt.Errorf("sentinel: Config.CheckpointPath is required (rollback anchor)")
 	}
-	if ds.Transitions() == 0 {
-		return learner, fmt.Errorf("sentinel: dataset has no usable transitions")
+	if err := ds.CheckSeqLen(learner.Cfg.SeqLen); err != nil {
+		return learner, fmt.Errorf("sentinel: %w", err)
 	}
 	s.learner = learner
 	s.basePi, s.baseQ = learner.LearningRates()
