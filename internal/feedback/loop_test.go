@@ -223,7 +223,7 @@ func TestLoopDefersRoundOnShortWindows(t *testing.T) {
 	d := newLoopDirs(t)
 	spoolTriggerWindows(t, d.spool, 0) // 8-step windows
 	cfg := testLoopConfig(d)
-	cfg.CRR.SeqLen = 8 // needs 9 states
+	cfg.CRR.SeqLen = 9
 	cfg.CRR.Workers = 2
 	lp, err := OpenLoop(cfg)
 	if err != nil {

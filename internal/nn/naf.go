@@ -131,16 +131,12 @@ type NAFTape struct {
 	v, mPre, pPre            Mat // head outputs, one column each
 	dV, dM, dP               Mat
 	dh2, dh2m, dh2p, dh1     Mat
-	order                    []int
 	gemm                     gemmScratch
 }
 
 // Reset sizes the tape for rows states of inDim features.
 func (t *NAFTape) Reset(rows, inDim int) {
 	t.X.Reset(rows, inDim)
-	for len(t.order) < rows {
-		t.order = append(t.order, len(t.order))
-	}
 	for _, f := range []*[]float64{&t.A, &t.Y, &t.M, &t.P} {
 		if cap(*f) < rows {
 			*f = make([]float64, rows)
@@ -171,18 +167,18 @@ func (c *NAFCritic) BatchForward(t *NAFTape) {
 	}
 }
 
-// TDBackward accumulates, for every row of the pass BatchForward left on t,
-// the gradients of weight·½(Q(s, A[r]) − Y[r])², and returns the sum of the
-// unweighted squared errors. Targets are clamped to [0, VMax]. Rows
-// accumulate in ascending order — bitwise a row-at-a-time backward.
-func (c *NAFCritic) TDBackward(t *NAFTape, weight float64) float64 {
+// TDBackward accumulates, for the listed rows of the pass BatchForward left
+// on t, the gradients of weight·½(Q(s, A[r]) − Y[r])², and returns the sum
+// of the unweighted squared errors. Targets are clamped to [0, VMax]. Rows
+// accumulate in the order listed — bitwise a row-at-a-time backward; a row
+// not listed contributes nothing.
+func (c *NAFCritic) TDBackward(t *NAFTape, order []int, weight float64) float64 {
 	rows := t.X.Rows
-	order := t.order[:rows]
-	t.dV.Reset(rows, 1)
-	t.dM.Reset(rows, 1)
-	t.dP.Reset(rows, 1)
+	clear(t.dV.Reset(rows, 1).Data)
+	clear(t.dM.Reset(rows, 1).Data)
+	clear(t.dP.Reset(rows, 1).Data)
 	loss := 0.0
-	for r := 0; r < rows; r++ {
+	for _, r := range order {
 		y := t.Y[r]
 		if y < 0 {
 			y = 0

@@ -16,7 +16,11 @@ func nafTD(c *NAFCritic, t *NAFTape, states [][]float64, a, y []float64) float64
 	copy(t.A, a)
 	copy(t.Y, y)
 	c.BatchForward(t)
-	return c.TDBackward(t, 1)
+	order := make([]int, len(states))
+	for r := range order {
+		order[r] = r
+	}
+	return c.TDBackward(t, order, 1)
 }
 
 func TestNAFGradients(t *testing.T) {

@@ -283,6 +283,7 @@ func (l *CRR) step(ds *Dataset) {
 // slices, and row tape.Row(b, i) of the (time-major) policy tape.
 type stepArena struct {
 	seqs       []seqDraw
+	tdRows     []int     // the transitions with a TD target: all but a window's last when its trajectory ends there
 	tdU, tdZ   []float64 // the TD target action's draws, per transition
 	actU, actZ []float64 // the baseline actions' draws, ActionSample per transition
 	discount   []float64 // γⁿ of each transition's n-step return
@@ -290,8 +291,9 @@ type stepArena struct {
 	naf        nn.NAFTape
 }
 
-// seqDraw is one sampled subsequence: SeqLen transitions from start, with
-// horizon further states available for n-step lookahead.
+// seqDraw is one sampled subsequence: SeqLen states from start, with horizon
+// states after start available — SeqLen+NStep at most, SeqLen−1 at least
+// (then the window's last transition has no next state and no TD target).
 type seqDraw struct {
 	tr             *Traj
 	start, horizon int
@@ -310,6 +312,10 @@ func (a *stepArena) resize(nSeqs, seqLen, actionSample int) {
 	}
 	a.seqs = a.seqs[:nSeqs]
 	n := nSeqs * seqLen
+	if cap(a.tdRows) < n {
+		a.tdRows = make([]int, 0, n)
+	}
+	a.tdRows = a.tdRows[:0]
 	a.tdU, a.tdZ, a.discount = grow(a.tdU, n), grow(a.tdZ, n), grow(a.discount, n)
 	a.actU, a.actZ = grow(a.actU, n*actionSample), grow(a.actZ, n*actionSample)
 }
@@ -328,18 +334,21 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 
 	// --- Draw plan. The stream is consumed in the order a sequence-at-a-time
 	// learner consumes it: sequence b's window, then one GMM sample per
-	// transition for the TD target actions (i ascending), then ActionSample
-	// per transition for the advantage baseline (i descending). How far a
+	// transition that has a next state for the TD target actions (i
+	// ascending), then ActionSample per transition for the advantage baseline
+	// (i descending). How far a
 	// draw advances the stream never depends on a network output, so all of
 	// a batch's draws can be taken before any forward pass runs.
 	for b := range a.seqs {
 		tr, start := ds.sampleSeqPrioritized(rng, L, cfg.EventFrac)
 		horizon := min(L+cfg.NStep, len(tr.States)-1-start)
-		if horizon < L {
-			panic(fmt.Sprintf("rl: sampled a window of %d transitions, SeqLen is %d (Dataset.CheckSeqLen guards this)", horizon, L))
+		if horizon < L-1 {
+			panic(fmt.Sprintf("rl: sampled a window of %d states, SeqLen is %d (Dataset.CheckSeqLen guards this)", horizon+1, L))
 		}
 		a.seqs[b] = seqDraw{tr: tr, start: start, horizon: horizon}
-		for r := b * L; r < (b+1)*L; r++ {
+		for i := 0; i < min(L, horizon); i++ {
+			r := b*L + i
+			a.tdRows = append(a.tdRows, r)
 			a.tdU[r] = rng.Float64()
 			a.tdZ[r] = rng.NormFloat64()
 		}
@@ -371,6 +380,12 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 		for i := 0; i < L; i++ {
 			r, idx := b*L+i, sq.start+i
 			n := min(cfg.NStep, sq.horizon-i)
+			if n < 1 {
+				// The trajectory ends here: no next state, no TD target.
+				// The row is evaluated on its own state and never read.
+				naf.X.SetRow(r, sq.tr.States[idx])
+				continue
+			}
 			rSum, g := 0.0, 1.0
 			for k := 0; k < n; k++ {
 				rSum += g * sq.tr.Rewards[idx+k]
@@ -382,7 +397,7 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 		}
 	}
 	l.targetNAF.BatchForward(naf)
-	for r := range naf.Y {
+	for _, r := range a.tdRows {
 		naf.Y[r] += a.discount[r] * naf.Q(r, naf.A[r])
 	}
 
@@ -399,7 +414,7 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 		}
 	}
 	nets.naf.BatchForward(naf)
-	st.CLoss = nets.naf.TDBackward(naf, 1/float64(cfg.Batch*cfg.SeqLen))
+	st.CLoss = nets.naf.TDBackward(naf, a.tdRows, 1/float64(cfg.Batch*cfg.SeqLen))
 
 	// --- Policy improvement (Eq. 6): advantage-filtered regression, each
 	// sequence from its last transition to its first.

@@ -122,18 +122,21 @@ func (ds *Dataset) Transitions() int {
 }
 
 // CheckSeqLen reports whether the dataset can be sampled in windows of L
-// transitions: some trajectory must hold at least L+1 states (every
-// transition needs its next state). Trainers call it before their first
-// step — a pool of only shorter trajectories, e.g. a live pool of short
-// trace windows, is "not enough data yet", not something to sample from.
+// states: some trajectory must hold at least L. (With L+1 or more the
+// samplers draw windows whose every transition has a next state; with
+// exactly L they fall back to the longest trajectory from its start, whose
+// last transition then trains the policy but gets no TD target — the closed
+// loop's 8-step trace windows under the default SeqLen 8 train this way.)
+// Trainers call it before their first step: a pool of only shorter
+// trajectories is "not enough data yet", not something to sample from.
 func (ds *Dataset) CheckSeqLen(L int) error {
 	longest := 0
 	for i := range ds.Trajs {
 		longest = max(longest, len(ds.Trajs[i].States))
 	}
-	if longest < L+1 {
-		return fmt.Errorf("rl: %w: the longest of %d trajectories has %d states, sequences of %d transitions need %d",
-			ErrShortTrajectories, len(ds.Trajs), longest, L, L+1)
+	if longest < L {
+		return fmt.Errorf("rl: %w: the longest of %d trajectories has %d states, sequences need %d",
+			ErrShortTrajectories, len(ds.Trajs), longest, L)
 	}
 	return nil
 }

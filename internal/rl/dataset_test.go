@@ -114,9 +114,9 @@ func TestSampleSeqPrioritizedAnchorsInBounds(t *testing.T) {
 }
 
 // TestCheckSeqLen: 4 trajectories × 5 states hold 16 transitions but no
-// window of the default 8; the check names the longest trajectory, passes
-// as soon as one trajectory fits a window, and — touching no stream — leaves
-// the sampler's draws what they were.
+// window of the default 8 states; the check names the longest trajectory,
+// passes as soon as one trajectory holds a window, and — touching no stream —
+// leaves the sampler's draws what they were.
 func TestCheckSeqLen(t *testing.T) {
 	ds := &Dataset{Mask: []int{0}}
 	for i := 0; i < 4; i++ {
@@ -131,12 +131,16 @@ func TestCheckSeqLen(t *testing.T) {
 	if ds.Transitions() != 16 {
 		t.Fatalf("transitions = %d", ds.Transitions())
 	}
-	err := ds.CheckSeqLen(8)
-	if !errors.Is(err, ErrShortTrajectories) || !strings.Contains(err.Error(), "has 5 states") {
-		t.Fatalf("CheckSeqLen(8) = %v, want ErrShortTrajectories naming 5 states", err)
+	for _, L := range []int{6, 8} {
+		err := ds.CheckSeqLen(L)
+		if !errors.Is(err, ErrShortTrajectories) || !strings.Contains(err.Error(), "has 5 states") {
+			t.Fatalf("CheckSeqLen(%d) = %v, want ErrShortTrajectories naming 5 states", L, err)
+		}
 	}
-	if err := ds.CheckSeqLen(4); err != nil {
-		t.Fatalf("CheckSeqLen(4) = %v on 5-state trajectories", err)
+	for _, L := range []int{4, 5} {
+		if err := ds.CheckSeqLen(L); err != nil {
+			t.Fatalf("CheckSeqLen(%d) = %v on 5-state trajectories", L, err)
+		}
 	}
 	if err := (&Dataset{}).CheckSeqLen(1); !errors.Is(err, ErrShortTrajectories) {
 		t.Fatalf("empty dataset: %v", err)
