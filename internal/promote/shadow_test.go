@@ -1,10 +1,15 @@
 package promote_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"sage/internal/core"
 	"sage/internal/gr"
+	"sage/internal/nn"
 	"sage/internal/promote"
 	"sage/internal/rl"
 	"sage/internal/telemetry"
@@ -96,5 +101,46 @@ func TestShadowSessionCap(t *testing.T) {
 	}
 	if st := sh.Stats(); st.Mirrored != 100 {
 		t.Fatalf("mirrored = %d, want 100 (the cap bounds residency, not observation)", st.Mirrored)
+	}
+}
+
+// TestShadowGolden pins the candidate mirror bit for bit: an FNV digest of
+// Stats() after a fixed interleaved stream over four sessions (one
+// untagged) and two regimes, mirrored onto a random-weight candidate whose
+// recurrent state makes every divergence depend on its session's history.
+// The constant changes only with a CHANGES.md sentence saying why.
+func TestShadowGolden(t *testing.T) {
+	const want = "2297df395b59a7f9"
+	pol := nn.NewPolicy(nn.PolicyConfig{InDim: gr.StateDim, Enc: 16, Hidden: 8, ResBlocks: 1, K: 3, Seed: 9})
+	cand := &core.Model{Policy: pol, Mask: gr.MaskFull(), GR: gr.Config{}.Fill()}
+	sh := promote.NewShadow(cand, promote.ShadowConfig{})
+	sh.TagSession(1, "flap")
+	sh.TagSession(2, "blackout")
+	sh.TagSession(3, "flap")
+	for i := 0; i < 24; i++ {
+		sid := uint64(1 + i%4)
+		sh.Observe(sid, shadowState(i), rl.UToRatio(float64(i%7)/7-0.4), i%11 == 10)
+	}
+
+	st := sh.Stats()
+	if st.Observed != 24 || st.Mirrored != 22 || st.Fallbacks != 2 {
+		t.Fatalf("stats = %+v, want 24 observed / 22 mirrored / 2 fallbacks", st)
+	}
+	h := fnv.New64a()
+	put := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	put(st.MeanAbsDiv)
+	put(st.MaxAbsDiv)
+	for _, regime := range []string{"blackout", "flap"} {
+		rd := st.PerRegime[regime]
+		put(float64(rd.N))
+		put(rd.MeanAbsDiv)
+		put(rd.MaxAbsDiv)
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("shadow stats digest %s, want %s (%+v)", got, want, st)
 	}
 }

@@ -1,6 +1,9 @@
 package serve_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -316,5 +319,48 @@ func TestGuardRestoreAfterSwapUsesNewModel(t *testing.T) {
 	wantRatio := rl.UToRatio(pol3.GMM.MeanInto(head, mean))
 	if math.Abs(gotRatio-wantRatio) > 1e-12 {
 		t.Fatalf("post-restore ratio %v != fresh new-model ratio %v: re-admitted against stale state", gotRatio, wantRatio)
+	}
+}
+
+// TestSwapGolden pins the re-prime bit for bit: an FNV digest of the first
+// two post-Swap decisions of three sessions whose histories are shorter
+// than, equal to and longer than the re-prime window. The constant changes
+// only with a CHANGES.md sentence saying why.
+func TestSwapGolden(t *testing.T) {
+	const want = "30c2656cd5f5a12d"
+	eng := serve.NewEngine(serve.Config{Policy: testPolicy(71), ReprimeWindow: 8})
+	eng.Start()
+	defer eng.Close()
+
+	rng := rand.New(rand.NewSource(13))
+	sids := []uint64{eng.NewSessionID(), eng.NewSessionID(), eng.NewSessionID()}
+	for i, n := range []int{3, 8, 12} {
+		for j := 0; j < n; j++ {
+			if _, _, err := eng.Decide(sids[i], 100, randState(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stats, err := eng.Swap(testPolicyWide(73), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Reprimed != 3 {
+		t.Fatalf("swap stats = %+v, want three sessions reprimed", stats)
+	}
+	h := fnv.New64a()
+	for step := 0; step < 2; step++ {
+		for _, sid := range sids {
+			cwnd, fallback, err := eng.Decide(sid, 100, randState(rng))
+			if err != nil || fallback {
+				t.Fatalf("post-swap decision: cwnd %v fallback %v err %v", cwnd, fallback, err)
+			}
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(cwnd))
+			h.Write(b[:])
+		}
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("post-swap decisions digest %s, want %s", got, want)
 	}
 }
