@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -15,9 +14,67 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
-// Batched inference must match the sequential path within 1e-12 for every
-// architecture variant (in practice the kernels are bitwise identical;
-// the tolerance guards against future loop-order changes).
+// setAVX2 forces the GEMM tile kernel on or off and returns the previous
+// setting; nil where the build has no such switch (gemm_amd64_test.go).
+var setAVX2 func(on bool) (was bool)
+
+// eachKernelTier runs f with useAVX2 as detected and, where the build has
+// the switch, forced off, over one batch size per matMulBias tier on each
+// side of its boundaries: single-row remainder (1), 8-row blocked scalar
+// (8, 9), 16-row AVX2 tile (16, 17, 33).
+func eachKernelTier(t *testing.T, f func(t *testing.T, B int)) {
+	run := func(name string) {
+		for _, B := range []int{1, 8, 9, 16, 17, 33} {
+			t.Run(fmt.Sprintf("%s/B=%d", name, B), func(t *testing.T) { f(t, B) })
+		}
+	}
+	run("avx2=detected")
+	if setAVX2 != nil {
+		defer setAVX2(setAVX2(false))
+		run("avx2=off")
+	}
+}
+
+// checkRowsMatchOracle holds one BatchForward's heads, new hidden states and
+// last-hidden rows (read off the scratch) to the scalar oracle forwardCached,
+// bit for bit, and the cold-path Policy.Forward with them; it returns the
+// oracle's new hidden states.
+func checkRowsMatchOracle(t *testing.T, p *Policy, states *Mat, seqH [][]float64, heads, hNew *Mat, scratch *PolicyBatchScratch) [][]float64 {
+	t.Helper()
+	same := func(what string, r int, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("row %d %s: %d values, oracle %d", r, what, len(got), len(want))
+		}
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("row %d %s[%d]: %v, oracle %v", r, what, i, got[i], want[i])
+			}
+		}
+	}
+	wbuf := make([]float64, p.GMM.K)
+	next := make([][]float64, states.Rows)
+	for r := range next {
+		head, h2, cache := p.forwardCached(states.Row(r), seqH[r])
+		same("head", r, heads.Row(r), head)
+		same("last hidden", r, scratch.LastHidden().Row(r), cache.resOut)
+		if len(h2) > 0 {
+			same("hidden", r, hNew.Row(r), h2)
+		}
+		cold, hCold, cc := p.Forward(states.Row(r), seqH[r])
+		same("Forward head", r, cold, head)
+		same("Forward hidden", r, hCold, h2)
+		same("Forward last hidden", r, p.LastHidden(cc), cache.resOut)
+		if mu, ms := p.GMM.Mean(head), p.GMM.MeanInto(heads.Row(r), wbuf); !sameBits(mu, ms) {
+			t.Fatalf("row %d mean: MeanInto %v, Mean %v", r, ms, mu)
+		}
+		next[r] = h2
+	}
+	return next
+}
+
+// Batched inference must match the scalar oracle bit for bit — no tolerance
+// — for every architecture variant, at every kernel tier.
 func TestPolicyBatchForwardMatchesSequential(t *testing.T) {
 	cfgs := map[string]PolicyConfig{
 		"full":      {InDim: 69, Enc: 32, Hidden: 24, ResBlocks: 2, K: 5, Seed: 1},
@@ -27,91 +84,66 @@ func TestPolicyBatchForwardMatchesSequential(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			p := NewPolicy(cfg)
-			rng := rand.New(rand.NewSource(99))
-			// Non-trivial normalizer so BatchApply is exercised.
-			var fit [][]float64
-			for i := 0; i < 32; i++ {
-				fit = append(fit, randVec(rng, cfg.InDim))
-			}
-			p.Norm = FitNormalizer(fit)
-
-			const B = 33
-			hidDim := len(p.InitHidden())
-			states := NewMat(B, cfg.InDim)
-			hidden := NewMat(B, hidDim)
-			seqH := make([][]float64, B)
-			for r := 0; r < B; r++ {
-				states.SetRow(r, randVec(rng, cfg.InDim))
-				h := p.InitHidden()
-				for i := range h {
-					h[i] = rng.NormFloat64()
+			eachKernelTier(t, func(t *testing.T, B int) {
+				p := NewPolicy(cfg)
+				rng := rand.New(rand.NewSource(99))
+				// Non-trivial normalizer so BatchApply is exercised.
+				var fit [][]float64
+				for i := 0; i < 32; i++ {
+					fit = append(fit, randVec(rng, cfg.InDim))
 				}
-				seqH[r] = h
-				hidden.SetRow(r, h)
-			}
+				p.Norm = FitNormalizer(fit)
 
-			scratch := p.NewBatchScratch()
-			heads, hNew := p.BatchForward(states, hidden, scratch)
-
-			wbuf := make([]float64, p.GMM.K)
-			for r := 0; r < B; r++ {
-				head, h2, _ := p.Forward(states.Row(r), seqH[r])
-				for i := range head {
-					if d := math.Abs(head[i] - heads.Row(r)[i]); d > 1e-12 {
-						t.Fatalf("row %d head[%d]: batched %v vs sequential %v (Δ=%g)",
-							r, i, heads.Row(r)[i], head[i], d)
+				hidDim := len(p.InitHidden())
+				states := NewMat(B, cfg.InDim)
+				hidden := NewMat(B, hidDim)
+				seqH := make([][]float64, B)
+				for r := 0; r < B; r++ {
+					states.SetRow(r, randVec(rng, cfg.InDim))
+					h := p.InitHidden()
+					for i := range h {
+						h[i] = rng.NormFloat64()
 					}
+					seqH[r] = h
+					hidden.SetRow(r, h)
 				}
-				if hidDim > 0 {
-					for i := range h2 {
-						if d := math.Abs(h2[i] - hNew.Row(r)[i]); d > 1e-12 {
-							t.Fatalf("row %d hidden[%d]: Δ=%g", r, i, d)
-						}
-					}
-				}
-				if mu, ms := p.GMM.Mean(head), p.GMM.MeanInto(heads.Row(r), wbuf); math.Abs(mu-ms) > 1e-12 {
-					t.Fatalf("row %d mean: batched %v vs sequential %v", r, ms, mu)
-				}
-			}
+
+				scratch := p.NewBatchScratch()
+				heads, hNew := p.BatchForward(states, hidden, scratch)
+				checkRowsMatchOracle(t, p, states, seqH, heads, hNew, scratch)
+			})
 		})
 	}
 }
 
 // Multi-step: hidden state threaded through BatchForward calls must track
-// the sequential recurrence exactly.
+// the oracle's recurrence exactly.
 func TestPolicyBatchForwardRecurrent(t *testing.T) {
 	cfg := PolicyConfig{InDim: 20, Enc: 16, Hidden: 12, ResBlocks: 2, K: 3, Seed: 11}
-	p := NewPolicy(cfg)
-	rng := rand.New(rand.NewSource(5))
+	eachKernelTier(t, func(t *testing.T, B int) {
+		p := NewPolicy(cfg)
+		rng := rand.New(rand.NewSource(5))
 
-	const B, steps = 7, 9
-	hid := NewMat(B, cfg.Hidden)
-	seqH := make([][]float64, B)
-	for r := range seqH {
-		seqH[r] = p.InitHidden()
-	}
-	scratch := p.NewBatchScratch()
-	states := NewMat(B, cfg.InDim)
-	for s := 0; s < steps; s++ {
-		for r := 0; r < B; r++ {
-			states.SetRow(r, randVec(rng, cfg.InDim))
+		const steps = 6
+		hid := NewMat(B, cfg.Hidden)
+		clear(hid.Data)
+		seqH := make([][]float64, B)
+		for r := range seqH {
+			seqH[r] = p.InitHidden()
 		}
-		heads, hNew := p.BatchForward(states, hid, scratch)
-		for r := 0; r < B; r++ {
-			head, h2, _ := p.Forward(states.Row(r), seqH[r])
-			seqH[r] = h2
-			for i := range head {
-				if math.Abs(head[i]-heads.Row(r)[i]) > 1e-12 {
-					t.Fatalf("step %d row %d head[%d] diverged", s, r, i)
-				}
+		scratch := p.NewBatchScratch()
+		states := NewMat(B, cfg.InDim)
+		for s := 0; s < steps; s++ {
+			for r := 0; r < B; r++ {
+				states.SetRow(r, randVec(rng, cfg.InDim))
 			}
+			heads, hNew := p.BatchForward(states, hid, scratch)
+			seqH = checkRowsMatchOracle(t, p, states, seqH, heads, hNew, scratch)
+			// hNew aliases scratch: copy it back into the persistent mat the
+			// way the serving engine does.
+			copy(hid.Data, hNew.Data)
 		}
-		// hNew aliases scratch: copy it back into the persistent mat the
-		// way the serving engine does.
-		hid.Reset(B, cfg.Hidden)
-		copy(hid.Data, hNew.Data)
-	}
+	})
 }
 
 // After warm-up a batched forward must not allocate: the engine reuses

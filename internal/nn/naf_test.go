@@ -97,3 +97,33 @@ func TestCloneNAF(t *testing.T) {
 		t.Fatal("clone diverges")
 	}
 }
+
+// The critic's batched forward — one row included, which is all Q and the
+// cold callers run — must match the scalar oracle bit for bit at every
+// kernel tier.
+func TestNAFBatchForwardMatchesSequential(t *testing.T) {
+	cfg := NAFConfig{InDim: 69, Hidden: 64, Seed: 1}
+	eachKernelTier(t, func(t *testing.T, B int) {
+		rng := rand.New(rand.NewSource(int64(B)))
+		c := NewNAFCritic(cfg)
+		var fit [][]float64
+		for i := 0; i < 16; i++ {
+			fit = append(fit, randVec(rng, cfg.InDim))
+		}
+		c.Norm = FitNormalizer(fit)
+		var tape NAFTape
+		tape.Reset(B, cfg.InDim)
+		copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
+		c.BatchForward(&tape)
+		for r := 0; r < B; r++ {
+			a := rng.Float64()*2 - 1
+			ca := c.forwardCached(tape.X.Row(r), a)
+			if !sameBits(ca.v, tape.V[r]) || !sameBits(ca.m, tape.M[r]) || !sameBits(ca.p, tape.P[r]) {
+				t.Fatalf("row %d: batched (v,m,p) = (%v,%v,%v), oracle (%v,%v,%v)", r, tape.V[r], tape.M[r], tape.P[r], ca.v, ca.m, ca.p)
+			}
+			if q := c.Q(tape.X.Row(r), a); !sameBits(q, ca.q) || !sameBits(tape.Q(r, a), ca.q) {
+				t.Fatalf("row %d: Q %v, tape Q %v, oracle %v", r, q, tape.Q(r, a), ca.q)
+			}
+		}
+	})
+}

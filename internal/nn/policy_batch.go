@@ -18,6 +18,11 @@ type PolicyBatchScratch struct {
 // to the batch sizes actually seen).
 func (p *Policy) NewBatchScratch() *PolicyBatchScratch { return &PolicyBatchScratch{} }
 
+// LastHidden returns the last hidden layer's activations from the latest
+// BatchForward on s — row r is the embedding Fig. 16 visualizes for flow r —
+// as a view valid until the next call.
+func (s *PolicyBatchScratch) LastHidden() *Mat { return &s.fc }
+
 // BatchForward runs one timestep for a whole batch of flows: row r of
 // states is flow r's (masked, un-normalized) state vector and row r of
 // hidden its recurrent state. It returns the GMM head outputs and the new
