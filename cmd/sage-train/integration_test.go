@@ -72,7 +72,7 @@ func probeMean(t *testing.T, modelPath string) float64 {
 	for k := range raw {
 		raw[k] = math.Sin(float64(40*(k+1))) * 0.5
 	}
-	head, _, _ := m.Policy.Forward(gr.ApplyMask(raw, m.Mask), m.Policy.InitHidden())
+	head, _ := m.Policy.Forward(gr.ApplyMask(raw, m.Mask), m.Policy.InitHidden())
 	return m.Policy.GMM.Mean(head)
 }
 

@@ -18,15 +18,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"sage/internal/collector"
 	"sage/internal/gr"
 	"sage/internal/nn"
 	"sage/internal/rl"
 	"sage/internal/safeio"
-	"sage/internal/sim"
-	"sage/internal/tcp"
 )
 
 // Config gathers everything Train needs.
@@ -56,66 +53,17 @@ func Train(pool *collector.Pool, cfg Config, progress func(step int, criticLoss,
 	return &Model{Policy: learner.Policy, Mask: cfg.Mask, GR: cfg.GR}
 }
 
-// Agent drives a TCP Pure connection from the model: every GR interval it
-// reads the state vector and multiplies cwnd by 2^u, u ∈ [−1, 1].
-// It implements rollout.Controller.
-type Agent struct {
-	model      *Model
-	hidden     []float64
-	maskBuf    []float64 // scratch for the masked state (reused every interval)
-	meanBuf    []float64 // scratch for GMM weight normalization
-	Stochastic bool      // sample from the GMM instead of taking its mean
-	UseMode    bool      // act on the highest-weight component instead of the mixture mean
-	rng        *rand.Rand
+// Agent is the deployment form of rl.PolicyController: the same per-flow
+// decision step, with a cwnd ceiling and its own RNG stream (NewAgent).
+type Agent = rl.PolicyController
 
-	MinCwnd float64
-	MaxCwnd float64
-}
-
-// NewAgent returns a fresh deployment agent (its own recurrent state).
+// NewAgent returns a fresh deployment agent (its own recurrent state): cwnd
+// clamped to [2, 20000] packets, stochastic draws from stream seed+77.
 func (m *Model) NewAgent(seed int64) *Agent {
-	return &Agent{
-		model:   m,
-		hidden:  m.Policy.InitHidden(),
-		rng:     rand.New(rand.NewSource(seed + 77)),
-		MinCwnd: 2,
-		MaxCwnd: 20000,
-	}
-}
-
-// Reset clears the recurrent state (call between flows).
-func (a *Agent) Reset() { a.hidden = a.model.Policy.InitHidden() }
-
-// Control implements rollout.Controller. The mask projection and mixture
-// mean reuse per-agent scratch so the per-interval decision path allocates
-// only what Policy.Forward itself needs.
-func (a *Agent) Control(now sim.Time, conn *tcp.Conn, state []float64) {
-	a.maskBuf = gr.ApplyMaskInto(a.maskBuf, state, a.model.Mask)
-	head, h, _ := a.model.Policy.Forward(a.maskBuf, a.hidden)
-	a.hidden = h
-	var u float64
-	switch {
-	case a.Stochastic:
-		u = a.model.Policy.GMM.Sample(head, a.rng)
-	case a.UseMode:
-		u = a.model.Policy.GMM.Mode(head)
-	default:
-		if cap(a.meanBuf) < a.model.Policy.GMM.K {
-			a.meanBuf = make([]float64, a.model.Policy.GMM.K)
-		}
-		u = a.model.Policy.GMM.MeanInto(head, a.meanBuf[:a.model.Policy.GMM.K])
-	}
-	conn.SetCwnd(tcp.ClampCwnd(conn.Cwnd*rl.UToRatio(u), a.MinCwnd, a.MaxCwnd))
-}
-
-// LastHiddenEmbedding runs the policy on a state (stateful) and returns the
-// last hidden layer activation — the embedding Fig. 16 visualizes.
-func (a *Agent) LastHiddenEmbedding(state []float64) []float64 {
-	masked := gr.ApplyMask(state, a.model.Mask)
-	head, h, cache := a.model.Policy.Forward(masked, a.hidden)
-	_ = head
-	a.hidden = h
-	return a.model.Policy.LastHidden(cache)
+	// rl.NewPolicyController seeds its stream at seed+991.
+	a := rl.NewPolicyController(m.Policy, m.Mask, false, seed+77-991)
+	a.MaxCwnd = 20000
+	return a
 }
 
 // modelBlob is the serialized form.

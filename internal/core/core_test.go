@@ -86,9 +86,16 @@ func TestAgentRespectsBounds(t *testing.T) {
 			t.Fatalf("cwnd %v exceeded MaxCwnd", s.Cwnd)
 		}
 	}
+	// Reset must leave the recurrent state as a fresh agent's: same width,
+	// all zero (the hidden vector is the rl controller's own now, so look
+	// at what it does to the next step).
 	agent.Reset()
-	if len(agent.hidden) != len(model.Policy.InitHidden()) {
-		t.Fatal("reset broke hidden state")
+	state := make([]float64, gr.StateDim)
+	got, want := agent.LastHiddenEmbedding(state), model.NewAgent(0).LastHiddenEmbedding(state)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatal("reset broke hidden state")
+		}
 	}
 }
 
@@ -136,7 +143,7 @@ func TestCRRLearnsFromPool(t *testing.T) {
 	h := learner.Policy.InitHidden()
 	for _, tr := range pool.Trajs[:2] {
 		for _, s := range tr.Steps[:10] {
-			head, hn, _ := learner.Policy.Forward(gr.ApplyMask(s.State, ds.Mask), h)
+			head, hn := learner.Policy.Forward(gr.ApplyMask(s.State, ds.Mask), h)
 			h = hn
 			u := learner.Policy.GMM.Mean(head)
 			if u != u {

@@ -52,7 +52,7 @@ func TestDiagDeployActions(t *testing.T) {
 			continue
 		}
 		st := gr.ApplyMask(tr.Steps[pr.step].State, ds.Mask)
-		head, _, _ := learner.Policy.Forward(st, learner.Policy.InitHidden())
+		head, _ := learner.Policy.Forward(st, learner.Policy.InitHidden())
 		fmt.Printf("pool %s/%s step%d: mean_u=%.3f  Q(-0.5/0/0.5)=%.2f/%.2f/%.2f\n",
 			tr.Scheme, tr.Env, pr.step, learner.Policy.GMM.Mean(head),
 			learner.QValue(st, -0.5), learner.QValue(st, 0), learner.QValue(st, 0.5))

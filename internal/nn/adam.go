@@ -149,22 +149,3 @@ func FitNormalizer(samples [][]float64) *Normalizer {
 	}
 	return n
 }
-
-// Apply returns the standardized copy of x, clipped to ±10σ so deployment
-// outliers cannot saturate the network.
-func (n *Normalizer) Apply(x []float64) []float64 {
-	if len(n.Mean) == 0 {
-		return append([]float64(nil), x...)
-	}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		z := (v - n.Mean[i]) / n.Std[i]
-		if z > 10 {
-			z = 10
-		} else if z < -10 {
-			z = -10
-		}
-		y[i] = z
-	}
-	return y
-}

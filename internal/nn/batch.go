@@ -4,10 +4,11 @@ import "math"
 
 // Batched inference kernels. A Mat is a row-major batch: row r is one
 // flow's vector. Every Batch* kernel performs, per row, exactly the same
-// floating-point operations in exactly the same order as its sequential
-// counterpart, so a batched forward pass is bitwise identical to N
-// sequential ones — the serving engine can multiplex thousands of flows
-// onto one matrix pass without changing a single decision.
+// floating-point operations in exactly the same order whatever the batch
+// size and whichever kernel tier the row lands in — the order of the scalar
+// oracle in reference_test.go — so a batched forward pass is bitwise
+// identical to N one-row ones: the serving engine can multiplex thousands
+// of flows onto one matrix pass without changing a single decision.
 //
 // The speedup comes from two places. First, matrix–matrix blocking:
 // the GEMM kernels process four batch rows per weight-row pass, which
@@ -88,7 +89,7 @@ func transposeTile(x *Mat, r, cols int, xt []float64) {
 }
 
 // matMulBias computes out[r][i] = bias[i] + Σ_j W[i][j]·x[r][j], the
-// accumulator seeded with the bias exactly as Dense.Forward seeds it.
+// accumulator seeded with the bias and the products added in j order.
 // On amd64 with AVX2, 16-row tiles run through dotTile16; remaining rows
 // take the blocked scalar path (eight rows per weight pass).
 func matMulBias(p *Param, bias []float64, x, out *Mat, sc *gemmScratch) {
@@ -152,8 +153,8 @@ func matMulBias(p *Param, bias []float64, x, out *Mat, sc *gemmScratch) {
 }
 
 // matMulAcc computes out[r][i] += Σ_j W[i][j]·x[r][j] with the dot
-// product summed separately and added once — the exact op order of the
-// GRU's matVec helper. Same tiling strategy as matMulBias.
+// product summed separately, in j order, and added once. Same tiling
+// strategy as matMulBias.
 func matMulAcc(p *Param, x, out *Mat, sc *gemmScratch) {
 	cols := p.Cols
 	r := 0
@@ -214,9 +215,9 @@ func matMulAcc(p *Param, x, out *Mat, sc *gemmScratch) {
 }
 
 // BatchForward computes out[r] = W·x[r] + b for every row, writing into
-// out (resized to x.Rows × d.Outs). Per row it matches Forward exactly.
-// This convenience form allocates its own tile scratch; hot paths go
-// through Policy.BatchForward, whose PolicyBatchScratch is reused.
+// out (resized to x.Rows × d.Outs). This convenience form allocates its own
+// tile scratch; hot paths go through Policy.BatchForward, whose
+// PolicyBatchScratch is reused.
 func (d *Dense) BatchForward(x, out *Mat) {
 	var sc gemmScratch
 	d.batchForward(x, out, &sc)
@@ -228,7 +229,7 @@ func (d *Dense) batchForward(x, out *Mat, sc *gemmScratch) {
 }
 
 // BatchForward normalizes every row of x into out (no cache: inference
-// only). Per row it matches Forward exactly.
+// only).
 func (ln *LayerNorm) BatchForward(x, out *Mat) {
 	out.Reset(x.Rows, ln.N)
 	n := float64(ln.N)
@@ -261,8 +262,7 @@ type GRUScratch struct {
 }
 
 // BatchForward advances the cell one step for every row: hNew[r] =
-// GRU(x[r], h[r]). Per row it performs Forward's operations in Forward's
-// order, so results are bitwise identical to sequential stepping.
+// GRU(x[r], h[r]), each row by itself.
 func (g *GRU) BatchForward(x, h, hNew *Mat, s *GRUScratch) {
 	B, H := x.Rows, g.Hidden
 	hNew.Reset(B, H)
@@ -297,8 +297,8 @@ func (g *GRU) BatchForward(x, h, hNew *Mat, s *GRUScratch) {
 	}
 }
 
-// BatchApply standardizes every row of x into out with the same ±10σ
-// clipping as Apply.
+// BatchApply standardizes every row of x into out, clipped to ±10σ so
+// deployment outliers cannot saturate the network.
 func (n *Normalizer) BatchApply(x, out *Mat) {
 	out.Reset(x.Rows, x.Cols)
 	if len(n.Mean) == 0 {

@@ -61,10 +61,9 @@ func checkRowsMatchOracle(t *testing.T, p *Policy, states *Mat, seqH [][]float64
 		if len(h2) > 0 {
 			same("hidden", r, hNew.Row(r), h2)
 		}
-		cold, hCold, cc := p.Forward(states.Row(r), seqH[r])
+		cold, hCold := p.Forward(states.Row(r), seqH[r])
 		same("Forward head", r, cold, head)
 		same("Forward hidden", r, hCold, h2)
-		same("Forward last hidden", r, p.LastHidden(cc), cache.resOut)
 		if mu, ms := p.GMM.Mean(head), p.GMM.MeanInto(heads.Row(r), wbuf); !sameBits(mu, ms) {
 			t.Fatalf("row %d mean: MeanInto %v, Mean %v", r, ms, mu)
 		}
@@ -218,27 +217,30 @@ func BenchmarkPolicyBatchForward(b *testing.B) {
 }
 
 // BenchmarkPolicySequentialForward is the per-flow baseline the batched
-// path is judged against: N independent Forward calls per round, as the
-// per-flow controllers do today.
+// path is judged against: N independent one-row BatchForward calls per
+// round, as the per-flow controllers do.
 func BenchmarkPolicySequentialForward(b *testing.B) {
 	for _, B := range []int{10, 100, 1000} {
 		B := B
 		b.Run(fmt.Sprintf("flows=%d", B), func(b *testing.B) {
 			p := benchBatchPolicy()
 			rng := rand.New(rand.NewSource(2))
-			states := make([][]float64, B)
-			hidden := make([][]float64, B)
+			states := make([]*Mat, B)
+			hidden := make([]*Mat, B)
 			for r := 0; r < B; r++ {
-				states[r] = randVec(rng, 69)
-				hidden[r] = p.InitHidden()
+				states[r] = NewMat(1, 69)
+				states[r].SetRow(0, randVec(rng, 69))
+				hidden[r] = NewMat(1, 32)
 			}
+			scratch := p.NewBatchScratch()
+			wbuf := make([]float64, p.GMM.K)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < B; r++ {
-					head, h, _ := p.Forward(states[r], hidden[r])
-					hidden[r] = h
-					_ = p.GMM.Mean(head)
+					heads, hNew := p.BatchForward(states[r], hidden[r], scratch)
+					copy(hidden[r].Data, hNew.Data)
+					_ = p.GMM.MeanInto(heads.Data, wbuf)
 				}
 			}
 		})

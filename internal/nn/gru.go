@@ -38,40 +38,3 @@ func (g *GRU) Params() []*Param {
 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
-
-func matVec(p *Param, x []float64, out []float64) {
-	for i := 0; i < p.Rows; i++ {
-		row := p.Data[i*p.Cols : (i+1)*p.Cols]
-		s := 0.0
-		for j, xj := range x {
-			s += row[j] * xj
-		}
-		out[i] += s
-	}
-}
-
-// Forward advances the cell one step and returns the new hidden state (the
-// B = 1 inference form; training steps the cell through PolicyTape).
-func (g *GRU) Forward(x, h []float64) []float64 {
-	H := g.Hidden
-	z := make([]float64, H)
-	r := make([]float64, H)
-	nPre := make([]float64, H)
-	unH := make([]float64, H)
-	hNew := make([]float64, H)
-	copy(z, g.Bz.Data)
-	copy(r, g.Br.Data)
-	matVec(g.Wz, x, z)
-	matVec(g.Uz, h, z)
-	matVec(g.Wr, x, r)
-	matVec(g.Ur, h, r)
-	copy(nPre, g.Bn.Data)
-	matVec(g.Wn, x, nPre)
-	matVec(g.Un, h, unH)
-	for i := 0; i < H; i++ {
-		zi := sigmoid(z[i])
-		n := math.Tanh(nPre[i] + sigmoid(r[i])*unH[i])
-		hNew[i] = (1-zi)*n + zi*h[i]
-	}
-	return hNew
-}

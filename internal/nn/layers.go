@@ -23,20 +23,6 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 // Params implements Module.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// Forward computes y = Wx + b.
-func (d *Dense) Forward(x []float64) []float64 {
-	y := make([]float64, d.Outs)
-	for i := 0; i < d.Outs; i++ {
-		row := d.W.Data[i*d.In : (i+1)*d.In]
-		s := d.B.Data[i]
-		for j, xj := range x {
-			s += row[j] * xj
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // LayerNorm normalizes its input to zero mean / unit variance and applies a
 // learned affine transform.
 type LayerNorm struct {
@@ -54,29 +40,6 @@ func NewLayerNorm(name string, n int) *LayerNorm {
 
 // Params implements Module.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.G, ln.B} }
-
-// Forward normalizes one vector: BatchForward on a single row.
-func (ln *LayerNorm) Forward(x []float64) []float64 {
-	var out Mat
-	ln.BatchForward(&Mat{Rows: 1, Cols: len(x), Data: x}, &out)
-	return out.Data
-}
-
-// LeakyReLU applies max(x, alpha·x) elementwise.
-func LeakyReLU(x []float64, alpha float64) []float64 {
-	y := make([]float64, len(x))
-	leakyReLUTo(y, x, alpha)
-	return y
-}
-
-// Tanh applies tanh elementwise.
-func Tanh(x []float64) []float64 {
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = math.Tanh(v)
-	}
-	return y
-}
 
 // Softmax returns the softmax of x (numerically stable).
 func Softmax(x []float64) []float64 {

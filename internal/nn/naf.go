@@ -85,17 +85,6 @@ func softplus(x float64) float64 {
 	return math.Log1p(math.Exp(x))
 }
 
-// stateTerms evaluates the state-only part of Q for one state (the B = 1
-// inference form; training evaluates whole batches through NAFTape).
-func (c *NAFCritic) stateTerms(state []float64) (v, m, p float64) {
-	h1 := LeakyReLU(c.l1.Forward(c.Norm.Apply(state)), lreluAlpha)
-	h2 := LeakyReLU(c.l2.Forward(h1), lreluAlpha)
-	v = c.headV.Forward(h2)[0]
-	m = math.Tanh(c.headM.Forward(h2)[0])
-	p = softplus(c.headP.Forward(h2)[0]) + c.Cfg.PMin
-	return v, m, p
-}
-
 // nafQ is the quadratic Q(s, a) = v − p·(a − m)² in the operation order
 // every evaluation path shares.
 func nafQ(v, m, p, a float64) float64 {
@@ -103,16 +92,14 @@ func nafQ(v, m, p, a float64) float64 {
 	return v - p*d*d
 }
 
-// Q returns the action value.
+// Q returns the action value of one state — BatchForward on a throwaway
+// one-row tape. It allocates; hot callers hold a NAFTape.
 func (c *NAFCritic) Q(state []float64, a float64) float64 {
-	v, m, p := c.stateTerms(state)
-	return nafQ(v, m, p, a)
-}
-
-// Greedy returns the critic's maximizing action m(s) and the value V(s).
-func (c *NAFCritic) Greedy(state []float64) (m, v float64) {
-	v, m, _ = c.stateTerms(state)
-	return m, v
+	var t NAFTape
+	t.Reset(1, len(state))
+	t.X.SetRow(0, state)
+	c.BatchForward(&t)
+	return t.Q(0, a)
 }
 
 // NAFTape holds one batched evaluation of a NAFCritic — one state per row —

@@ -61,7 +61,7 @@ func TestPolicyForwardNaNStateDoesNotPanic(t *testing.T) {
 			t.Fatalf("panic: %v", r)
 		}
 	}()
-	head, hid, _ := p.Forward(state, p.InitHidden())
+	head, hid := p.Forward(state, p.InitHidden())
 	_ = p.GMM.Sample(head, rand.New(rand.NewSource(2)))
-	_, _, _ = p.Forward(state, hid) // recurrent state poisoned too
+	_, _ = p.Forward(state, hid) // recurrent state poisoned too
 }

@@ -12,13 +12,13 @@ import (
 func BenchmarkDenseForward256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense("d", 256, 256, rng)
-	x := make([]float64, 256)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	x, out := NewMat(1, 256), NewMat(1, 256)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Forward(x)
+		d.BatchForward(x, out)
 	}
 }
 
@@ -28,11 +28,11 @@ func BenchmarkGRUStep(b *testing.B) {
 		b.Run(benchName("hidden", h), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			g := NewGRU("g", 64, h, rng)
-			x := make([]float64, 64)
-			hid := make([]float64, h)
+			x, hid, hNew := NewMat(1, 64), NewMat(1, h), NewMat(1, h)
+			var scratch GRUScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = g.Forward(x, hid)
+				g.BatchForward(x, hid, hNew, &scratch)
 			}
 		})
 	}
@@ -41,17 +41,19 @@ func BenchmarkGRUStep(b *testing.B) {
 func BenchmarkPolicyInference(b *testing.B) {
 	// The deployment-relevant number: one state → one action.
 	p := NewPolicy(PolicyConfig{InDim: 69, Enc: 32, Hidden: 16, ResBlocks: 2, K: 3, Seed: 1})
-	state := make([]float64, 69)
+	state, h := NewMat(1, 69), NewMat(1, 16)
 	rng := rand.New(rand.NewSource(2))
-	for i := range state {
-		state[i] = rng.NormFloat64()
+	for i := range state.Data {
+		state.Data[i] = rng.NormFloat64()
 	}
-	h := p.InitHidden()
+	scratch := p.NewBatchScratch()
+	wbuf := make([]float64, p.GMM.K)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		head, hn, _ := p.Forward(state, h)
-		h = hn
-		_ = p.GMM.Mean(head)
+		heads, hNew := p.BatchForward(state, h, scratch)
+		copy(h.Data, hNew.Data)
+		_ = p.GMM.MeanInto(heads.Data, wbuf)
 	}
 }
 

@@ -275,7 +275,7 @@ func TestPolicyForwardBackwardGradients(t *testing.T) {
 	states := [][]float64{{1, -2, 0.5, 3, -0.1, 0.7}}
 	actions := []float64{0.2}
 	loss := func() float64 {
-		head, _, _ := p.Forward(states[0], p.InitHidden())
+		head, _, _ := p.forwardCached(states[0], p.InitHidden())
 		return -p.GMM.LogProb(head, actions[0])
 	}
 	checkModuleGrads(t, p, loss, func() { tapeNLL(p, states, actions, true) }, 2e-3)
@@ -288,8 +288,8 @@ func TestPolicyBPTTHiddenGradient(t *testing.T) {
 	actions := []float64{0.1, -0.4}
 	// Two-step BPTT loss.
 	loss := func() float64 {
-		head1, h1, _ := p.Forward(states[0], p.InitHidden())
-		head2, _, _ := p.Forward(states[1], h1)
+		head1, h1, _ := p.forwardCached(states[0], p.InitHidden())
+		head2, _, _ := p.forwardCached(states[1], h1)
 		return -p.GMM.LogProb(head1, actions[0]) - p.GMM.LogProb(head2, actions[1])
 	}
 	checkModuleGrads(t, p, loss, func() { tapeNLL(p, states, actions, true) }, 5e-3)
@@ -306,7 +306,7 @@ func TestPolicyAblationVariants(t *testing.T) {
 	for i, cfg := range variants {
 		p := NewPolicy(cfg)
 		state := []float64{1, 2, 3, 4}
-		head, h, c := p.Forward(state, p.InitHidden())
+		head, h, c := p.forwardCached(state, p.InitHidden())
 		if len(head) != 3*p.Cfg.K {
 			t.Fatalf("variant %d: head dim %d", i, len(head))
 		}
@@ -322,7 +322,7 @@ func TestPolicyAblationVariants(t *testing.T) {
 		if GradNorm(p) == 0 {
 			t.Fatalf("variant %d: backward left no gradient", i)
 		}
-		if len(p.LastHidden(c)) != p.Cfg.Enc {
+		if len(c.resOut) != p.Cfg.Enc {
 			t.Fatalf("variant %d: last hidden dim", i)
 		}
 	}
@@ -390,8 +390,8 @@ func TestTargetNetworkSync(t *testing.T) {
 	p := NewPolicy(PolicyConfig{InDim: 3, Enc: 4, Hidden: 3, K: 2, Seed: 1})
 	q := ClonePolicy(p)
 	s := []float64{1, 2, 3}
-	h1, _, _ := p.Forward(s, p.InitHidden())
-	h2, _, _ := q.Forward(s, q.InitHidden())
+	h1, _, _ := p.forwardCached(s, p.InitHidden())
+	h2, _, _ := q.forwardCached(s, q.InitHidden())
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatal("clone diverges")

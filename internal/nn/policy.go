@@ -124,44 +124,17 @@ func (p *Policy) InitHidden() []float64 {
 	return make([]float64, p.Cfg.Hidden)
 }
 
-// PolicyCache is what one Forward leaves behind for inspection.
-type PolicyCache struct {
-	resOut []float64
-}
-
 const lreluAlpha = 0.01
 
-// Forward runs one timestep: it normalizes the raw state, advances the GRU,
-// and returns (GMM head output, new hidden state, cache). It is the B = 1
-// inference reference; BatchForward and the training tape match it bitwise
-// row for row.
-func (p *Policy) Forward(state, hidden []float64) (head, hNew []float64, cache *PolicyCache) {
-	xn := p.Norm.Apply(state)
-	e1 := LeakyReLU(p.enc1.Forward(xn), lreluAlpha)
-	trunk := LeakyReLU(p.enc2.Forward(e1), lreluAlpha)
-	hNew = hidden
-	if p.gru != nil {
-		hNew = p.gru.Forward(trunk, hidden)
-		trunk = LeakyReLU(p.ln.Forward(hNew), lreluAlpha)
-	}
-	if p.enc3 != nil {
-		trunk = Tanh(p.enc3.Forward(trunk))
-	}
-	cur := LeakyReLU(p.fc.Forward(trunk), lreluAlpha)
-	for i := range p.res {
-		delta := p.res[i].fc.Forward(LeakyReLU(p.res[i].ln.Forward(cur), lreluAlpha))
-		next := make([]float64, len(cur))
-		for j := range next {
-			next[j] = cur[j] + delta[j]
-		}
-		cur = next
-	}
-	return p.head.Forward(cur), hNew, &PolicyCache{resOut: cur}
+// Forward runs one timestep for one flow — BatchForward on a throwaway
+// one-row scratch — and returns the GMM head output and the new hidden
+// state. It allocates; hot callers hold a stepper (rl.Stepper).
+func (p *Policy) Forward(state, hidden []float64) (head, hNew []float64) {
+	x := Mat{Rows: 1, Cols: len(state), Data: state}
+	h := Mat{Rows: 1, Cols: len(hidden), Data: hidden}
+	heads, hn := p.BatchForward(&x, &h, p.NewBatchScratch())
+	return heads.Data, hn.Data
 }
-
-// LastHidden returns the activation of the network's last hidden layer for a
-// forward cache — the embedding Fig. 16 visualizes with t-SNE.
-func (p *Policy) LastHidden(c *PolicyCache) []float64 { return c.resOut }
 
 // ClonePolicy returns a deep copy (used for target networks).
 func ClonePolicy(p *Policy) *Policy {

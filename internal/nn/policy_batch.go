@@ -29,9 +29,10 @@ func (s *PolicyBatchScratch) LastHidden() *Mat { return &s.fc }
 // hidden states as views into s — valid only until the next call with the
 // same scratch; callers must copy out anything they keep.
 //
-// Per row the computation is operation-for-operation identical to
-// Forward, so batched and sequential inference produce bitwise-equal
-// decisions (see TestPolicyBatchForwardMatchesSequential).
+// Per row the computation is operation-for-operation that of the scalar
+// oracle in reference_test.go at every batch size, so batched and one-row
+// inference produce bitwise-equal decisions (see
+// TestPolicyBatchForwardMatchesSequential).
 func (p *Policy) BatchForward(states, hidden *Mat, s *PolicyBatchScratch) (heads, hNew *Mat) {
 	p.Norm.BatchApply(states, &s.xn)
 	p.enc1.batchForward(&s.xn, &s.e1, &s.gemm)

@@ -2,10 +2,73 @@ package nn
 
 import "math"
 
-// The sequential reference: the step-at-a-time forward-with-cache and
-// backward passes training ran on before the tape (tape.go), kept verbatim
-// as the oracle TestTapeMatchesSequential holds the batched kernels to, bit
-// for bit. Nothing outside the tests calls them.
+// The sequential reference: the scalar one-vector-at-a-time layers and the
+// step-at-a-time forward-with-cache and backward passes inference and
+// training ran on before the batched kernels (batch.go, tape.go), kept
+// verbatim as the one oracle TestPolicyBatchForwardMatchesSequential and
+// TestTapeMatchesSequential hold those kernels to, bit for bit. Nothing
+// outside the tests calls them.
+
+// Apply returns the standardized copy of x, clipped to ±10σ.
+func (n *Normalizer) Apply(x []float64) []float64 {
+	if len(n.Mean) == 0 {
+		return append([]float64(nil), x...)
+	}
+	y := make([]float64, len(x))
+	for i, v := range x {
+		z := (v - n.Mean[i]) / n.Std[i]
+		if z > 10 {
+			z = 10
+		} else if z < -10 {
+			z = -10
+		}
+		y[i] = z
+	}
+	return y
+}
+
+// Forward computes y = Wx + b.
+func (d *Dense) Forward(x []float64) []float64 {
+	y := make([]float64, d.Outs)
+	for i := 0; i < d.Outs; i++ {
+		row := d.W.Data[i*d.In : (i+1)*d.In]
+		s := d.B.Data[i]
+		for j, xj := range x {
+			s += row[j] * xj
+		}
+		y[i] = s
+	}
+	return y
+}
+
+// LeakyReLU applies max(x, alpha·x) elementwise.
+func LeakyReLU(x []float64, alpha float64) []float64 {
+	y := make([]float64, len(x))
+	leakyReLUTo(y, x, alpha)
+	return y
+}
+
+// Tanh applies tanh elementwise.
+func Tanh(x []float64) []float64 {
+	y := make([]float64, len(x))
+	for i, v := range x {
+		y[i] = math.Tanh(v)
+	}
+	return y
+}
+
+// matVec accumulates out += W·x, each dot product summed separately and
+// added once.
+func matVec(p *Param, x []float64, out []float64) {
+	for i := 0; i < p.Rows; i++ {
+		row := p.Data[i*p.Cols : (i+1)*p.Cols]
+		s := 0.0
+		for j, xj := range x {
+			s += row[j] * xj
+		}
+		out[i] += s
+	}
+}
 
 // Backward accumulates parameter gradients for input x and output gradient
 // dy, and returns dx.
@@ -242,7 +305,8 @@ type policyCacheRef struct {
 	headOut    []float64
 }
 
-// forwardCached is Forward keeping every intermediate Backward needs.
+// forwardCached is one scalar timestep keeping every intermediate Backward
+// needs.
 func (p *Policy) forwardCached(state, hidden []float64) (head, hNew []float64, cache *policyCacheRef) {
 	c := &policyCacheRef{}
 	c.xn = p.Norm.Apply(state)
@@ -367,6 +431,12 @@ func (c *NAFCritic) forwardCached(state []float64, a float64) *NAFCache {
 	d := a - ca.m
 	ca.q = ca.v - ca.p*d*d
 	return ca
+}
+
+// Greedy returns the critic's maximizing action m(s) and the value V(s).
+func (c *NAFCritic) Greedy(state []float64) (m, v float64) {
+	ca := c.forwardCached(state, 0)
+	return ca.m, ca.v
 }
 
 func sigmoidOf(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

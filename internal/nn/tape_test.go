@@ -98,7 +98,7 @@ func TestTapeMatchesSequential(t *testing.T) {
 							r := tape.Row(b, i)
 							var head []float64
 							head, h, caches[i] = ref.forwardCached(tape.X.Row(r), h)
-							plain, hPlain, _ := ref.Forward(tape.X.Row(r), caches[i].gruH())
+							plain, hPlain := ref.Forward(tape.X.Row(r), caches[i].gruH())
 							for k := range head {
 								if !sameBits(head[k], tape.Heads.Row(r)[k]) || !sameBits(head[k], plain[k]) {
 									t.Fatalf("seq %d step %d head[%d]: tape %v, Forward %v, reference %v", b, i, k, tape.Heads.Row(r)[k], plain[k], head[k])

@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"sage/internal/core"
-	"sage/internal/gr"
+	"sage/internal/rl"
 	"sage/internal/telemetry"
 )
 
@@ -84,7 +84,7 @@ type Shadow struct {
 	fallbacks int64
 	sumAbs    float64
 	maxAbs    float64
-	maskBuf   []float64
+	step      rl.Stepper // the candidate's one-row forward, under mu
 	meanBuf   []float64
 }
 
@@ -103,6 +103,8 @@ func NewShadow(cand *core.Model, cfg ShadowConfig) *Shadow {
 	return &Shadow{
 		cfg:      cfg.fill(),
 		model:    cand,
+		step:     rl.Stepper{Policy: cand.Policy, Mask: cand.Mask},
+		meanBuf:  make([]float64, cand.Policy.GMM.K),
 		sessions: make(map[uint64]*shadowSess),
 		regimes:  make(map[uint64]string),
 		stats:    make(map[string]*regimeAcc),
@@ -183,15 +185,10 @@ func (s *Shadow) Observe(sid uint64, state []float64, ratio float64, fallback bo
 		sess = &shadowSess{hidden: s.model.Policy.InitHidden()}
 		s.sessions[sid] = sess
 	}
-	s.maskBuf = gr.ApplyMaskInto(s.maskBuf, state, s.model.Mask)
-	head, h, _ := s.model.Policy.Forward(s.maskBuf, sess.hidden)
-	sess.hidden = h
-	if cap(s.meanBuf) < s.model.Policy.GMM.K {
-		s.meanBuf = make([]float64, s.model.Policy.GMM.K)
-	}
+	head := s.step.Step(state, sess.hidden)
 	// Deterministic mixture mean: the shadow never samples, so it cannot
 	// perturb any RNG the serving path owns.
-	uCand := s.model.Policy.GMM.MeanInto(head, s.meanBuf[:s.model.Policy.GMM.K])
+	uCand := s.model.Policy.GMM.MeanInto(head, s.meanBuf)
 	uLive := math.Log2(ratio)
 	div := math.Abs(uCand - uLive)
 	if math.IsNaN(div) || math.IsInf(div, 0) {

@@ -144,3 +144,18 @@ func TestShadowGolden(t *testing.T) {
 		t.Errorf("shadow stats digest %s, want %s (%+v)", got, want, st)
 	}
 }
+
+// Mirroring a decision of a resident session allocates nothing: the mask
+// projection, the candidate's one-row forward and the mixture mean run on
+// the shadow's own scratch, and the session's hidden vector advances in
+// place.
+func TestShadowObserveNoAllocs(t *testing.T) {
+	sh := promote.NewShadow(constModel(0.25), promote.ShadowConfig{})
+	sh.TagSession(1, "flap")
+	state := shadowState(0)
+	observe := func() { sh.Observe(1, state, 1.0, false) }
+	observe() // admit the session, size the scratch
+	if allocs := testing.AllocsPerRun(50, observe); allocs != 0 {
+		t.Fatalf("Observe allocates %.1f objects/op on a resident session, want 0", allocs)
+	}
+}

@@ -52,10 +52,42 @@ func TestControllerRecordCopiesState(t *testing.T) {
 	}
 }
 
-// BenchmarkControllerControl pins the per-interval allocation budget of
-// the hot decision path. The mask projection and mixture mean reuse
-// controller scratch; what remains is Policy.Forward's internal
-// allocations (the batched serve path eliminates those too).
+// A warmed, non-recording controller decides without allocating, taking the
+// mixture mean (the trainer-side default) or its mode (core.Agent's
+// UseMode): the mask projection, the one-row forward and the mixture mean
+// all run on the controller's own scratch.
+func TestControllerControlNoAllocs(t *testing.T) {
+	for _, useMode := range []bool{false, true} {
+		pc, conn, state := controllerFixture(t)
+		pc.UseMode = useMode
+		step := func() { pc.Control(sim.Second, conn, state) }
+		step() // size the scratch
+		if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+			t.Errorf("UseMode=%v: Control allocates %.1f objects/op after warm-up, want 0", useMode, allocs)
+		}
+	}
+}
+
+// Reset zeroes the recurrent state in place: the next decision is a fresh
+// controller's, and a guard re-admission allocates nothing.
+func TestControllerResetInPlace(t *testing.T) {
+	pc, conn, state := controllerFixture(t)
+	start := conn.Cwnd
+	pc.Control(sim.Second, conn, state)
+	first := conn.Cwnd
+	pc.Control(2*sim.Second, conn, state)
+	conn.SetCwnd(start)
+	if allocs := testing.AllocsPerRun(10, pc.Reset); allocs != 0 {
+		t.Errorf("Reset allocates %.1f objects/op, want 0", allocs)
+	}
+	pc.Control(sim.Second, conn, state)
+	if conn.Cwnd != first {
+		t.Errorf("first decision after Reset moved cwnd to %v, a fresh controller to %v", conn.Cwnd, first)
+	}
+}
+
+// BenchmarkControllerControl is the go test -bench twin of
+// TestControllerControlNoAllocs: ns and bytes per per-flow decision.
 func BenchmarkControllerControl(b *testing.B) {
 	pc, conn, state := controllerFixture(b)
 	b.ReportAllocs()

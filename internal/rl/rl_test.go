@@ -73,7 +73,7 @@ func TestBCConvergesOnConstantPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, _, _ := pol.Forward([]float64{1, -1}, pol.InitHidden())
+	head, _ := pol.Forward([]float64{1, -1}, pol.InitHidden())
 	if got := pol.GMM.Mean(head); math.Abs(got-0.5) > 0.15 {
 		t.Fatalf("BC mean action %v, want ~0.5", got)
 	}
@@ -106,7 +106,7 @@ func TestCRRPrefersHighRewardActions(t *testing.T) {
 	if qGood, qBad := learner.QValue(s, 0.5), learner.QValue(s, -0.5); qGood <= qBad {
 		t.Fatalf("critic ranking wrong: Q(+0.5)=%v <= Q(-0.5)=%v", qGood, qBad)
 	}
-	head, _, _ := learner.Policy.Forward(s, learner.Policy.InitHidden())
+	head, _ := learner.Policy.Forward(s, learner.Policy.InitHidden())
 	if got := learner.Policy.GMM.Mean(head); got < 0.1 {
 		t.Fatalf("CRR mean action %v, want tilted toward +0.5", got)
 	}
@@ -249,7 +249,7 @@ func TestParallelTrainingMatchesShapes(t *testing.T) {
 	}
 	// The trained policy must produce finite in-range actions.
 	h := learner.Policy.InitHidden()
-	head, _, _ := learner.Policy.Forward(ds.Trajs[0].States[0], h)
+	head, _ := learner.Policy.Forward(ds.Trajs[0].States[0], h)
 	u := learner.Policy.GMM.Mean(head)
 	if u != u {
 		t.Fatal("NaN action after parallel training")
@@ -377,8 +377,8 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	// Restored policy behaves identically.
 	s := ds.Trajs[0].States[0]
-	h1, _, _ := learner.Policy.Forward(s, learner.Policy.InitHidden())
-	h2, _, _ := resumed.Policy.Forward(s, resumed.Policy.InitHidden())
+	h1, _ := learner.Policy.Forward(s, learner.Policy.InitHidden())
+	h2, _ := resumed.Policy.Forward(s, resumed.Policy.InitHidden())
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatal("restored policy diverges")

@@ -16,8 +16,11 @@ import (
 // one engine; the first FlushBatch of an interval serves everyone and the
 // rest are no-ops on an empty queue.
 //
-// In deterministic mode the decisions are bitwise identical to giving
-// each flow its own rl.PolicyController (see TestEngineMatchesSequential).
+// In deterministic mode the decisions are those of giving each flow its
+// own rl.PolicyController, bit for bit. Both sides run the batched kernel,
+// so the proof is internal/nn's TestPolicyBatchForwardMatchesSequential
+// (every row against the scalar oracle, at every batch size);
+// TestEngineMatchesSequential checks the engine's plumbing on top of it.
 // For guarded deployments wrap it with guard.NewBatched, which preserves
 // the flush path and resets only this flow's session on re-admission.
 type Controller struct {

@@ -2,14 +2,14 @@
 // service multiplexing any number of concurrent flows onto shared batched
 // forward passes.
 //
-// A per-flow controller (rl.PolicyController, core.Agent) runs one full
-// network forward per flow per control interval; at fleet scale that is
-// thousands of small GEMV calls that thrash the cache and re-derive every
-// scratch buffer. The Engine instead keeps one session per flow — just
-// the recurrent hidden state plus bookkeeping — and folds all flows due
-// for a decision into one matrix forward pass (nn.Policy.BatchForward),
-// which is bitwise identical to the sequential path per row and several
-// times faster in aggregate.
+// A per-flow controller (rl.PolicyController, which core.Agent is) runs one
+// one-row network forward per flow per control interval; at fleet scale that
+// is thousands of passes that each stream every weight matrix through the
+// cache for a single flow. The Engine instead keeps one session per flow —
+// just the recurrent hidden state plus bookkeeping — and folds all flows due
+// for a decision into one pass of the same kernel (nn.Policy.BatchForward),
+// whose rows do not depend on the batch size, bit for bit, and which is
+// several times faster per row in aggregate.
 //
 // Three ways in:
 //

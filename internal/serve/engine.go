@@ -63,9 +63,10 @@ type Config struct {
 	Mask   []int // input subset (nil = full 69-signal vector)
 
 	// Stochastic samples actions from the GMM instead of taking its mean.
-	// Deterministic mode is bitwise identical to a per-flow
-	// rl.PolicyController; stochastic mode draws from per-worker RNG
-	// streams, so individual draws differ from any per-flow sequence.
+	// Deterministic mode decides what a per-flow rl.PolicyController
+	// decides, bit for bit (see Controller); stochastic mode draws from
+	// per-worker RNG streams, so individual draws differ from any per-flow
+	// sequence.
 	Stochastic bool
 	Seed       int64
 
@@ -549,13 +550,7 @@ func (e *Engine) forwardChunk(chunk []pendingDecision, buf *batchBuf, apply func
 	for i := range chunk {
 		ratio := 1.0
 		if !fallback[i] {
-			var u float64
-			if e.cfg.Stochastic {
-				u = pol.GMM.Sample(heads.Row(i), buf.rng)
-			} else {
-				u = pol.GMM.MeanInto(heads.Row(i), buf.meanBuf)
-			}
-			r := rl.UToRatio(u)
+			u, r := rl.HeadAction(pol.GMM, heads.Row(i), buf.meanBuf, e.cfg.Stochastic, false, buf.rng)
 			if math.IsNaN(u) || math.IsNaN(r) || math.IsInf(r, 0) {
 				fallback[i] = true
 			} else {

@@ -7,6 +7,7 @@ import (
 
 	"sage/internal/gr"
 	"sage/internal/nn"
+	"sage/internal/rl"
 )
 
 // ErrSwapClosed reports a Swap on an engine that already drained.
@@ -83,6 +84,7 @@ func (e *Engine) Swap(pol *nn.Policy, mask []int) (SwapStats, error) {
 	e.syncBuf.gen = gen
 
 	stats.Sessions = len(e.sessions)
+	step := rl.Stepper{Policy: pol, Mask: mask}
 	for _, s := range e.sessions {
 		// The acting model is changing: flush the window accumulated under
 		// the old model whole, so no exported trajectory ever mixes two
@@ -97,7 +99,7 @@ func (e *Engine) Swap(pol *nn.Policy, mask []int) (SwapStats, error) {
 		}
 		h := pol.InitHidden()
 		for _, st := range trace {
-			_, h, _ = pol.Forward(gr.ApplyMask(st, mask), h)
+			step.Step(st, h)
 		}
 		if finiteVec(h) {
 			s.hidden = h

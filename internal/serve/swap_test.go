@@ -314,7 +314,7 @@ func TestGuardRestoreAfterSwapUsesNewModel(t *testing.T) {
 	gotRatio := conn.Cwnd / before
 
 	masked := gr.ApplyMask(state, gr.MaskFull())
-	head, _, _ := pol3.Forward(masked, pol3.InitHidden())
+	head, _ := pol3.Forward(masked, pol3.InitHidden())
 	mean := make([]float64, pol3.GMM.K)
 	wantRatio := rl.UToRatio(pol3.GMM.MeanInto(head, mean))
 	if math.Abs(gotRatio-wantRatio) > 1e-12 {

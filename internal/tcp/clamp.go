@@ -2,9 +2,9 @@ package tcp
 
 // ClampCwnd bounds a proposed congestion window to [floor, ceil]; a
 // non-positive ceil means "no ceiling". It is the single cwnd-sanity
-// helper shared by the policy controllers (rl.PolicyController,
-// core.Agent) and the runtime guardian, so the floor lives in exactly one
-// place.
+// helper shared by the per-flow policy controller (rl.PolicyController,
+// which core.Agent is) and the runtime guardian, so the floor lives in
+// exactly one place.
 //
 // NaN is deliberately passed through unchanged: both comparisons are
 // false for NaN, matching the raw `w < floor` checks this helper
