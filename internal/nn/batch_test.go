@@ -30,7 +30,8 @@ func eachKernelTier(t *testing.T, f func(t *testing.T, B int)) {
 	}
 	run("avx2=detected")
 	if setAVX2 != nil {
-		defer setAVX2(setAVX2(false))
+		was := setAVX2(false)
+		defer setAVX2(was)
 		run("avx2=off")
 	}
 }
@@ -125,7 +126,6 @@ func TestPolicyBatchForwardRecurrent(t *testing.T) {
 
 		const steps = 6
 		hid := NewMat(B, cfg.Hidden)
-		clear(hid.Data)
 		seqH := make([][]float64, B)
 		for r := range seqH {
 			seqH[r] = p.InitHidden()

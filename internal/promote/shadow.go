@@ -72,8 +72,7 @@ type ShadowStats struct {
 // mirrored fraction of traffic but is why the shadow pool is separate
 // from the serving hot path.
 type Shadow struct {
-	cfg   ShadowConfig
-	model *core.Model
+	cfg ShadowConfig
 
 	mu        sync.Mutex
 	sessions  map[uint64]*shadowSess
@@ -84,7 +83,7 @@ type Shadow struct {
 	fallbacks int64
 	sumAbs    float64
 	maxAbs    float64
-	step      rl.Stepper // the candidate's one-row forward, under mu
+	step      rl.Stepper // the candidate (policy + mask) and its one-row forward, under mu
 	meanBuf   []float64
 }
 
@@ -102,7 +101,6 @@ type regimeAcc struct {
 func NewShadow(cand *core.Model, cfg ShadowConfig) *Shadow {
 	return &Shadow{
 		cfg:      cfg.fill(),
-		model:    cand,
 		step:     rl.Stepper{Policy: cand.Policy, Mask: cand.Mask},
 		meanBuf:  make([]float64, cand.Policy.GMM.K),
 		sessions: make(map[uint64]*shadowSess),
@@ -182,13 +180,13 @@ func (s *Shadow) Observe(sid uint64, state []float64, ratio float64, fallback bo
 				break
 			}
 		}
-		sess = &shadowSess{hidden: s.model.Policy.InitHidden()}
+		sess = &shadowSess{hidden: s.step.Policy.InitHidden()}
 		s.sessions[sid] = sess
 	}
 	head := s.step.Step(state, sess.hidden)
 	// Deterministic mixture mean: the shadow never samples, so it cannot
 	// perturb any RNG the serving path owns.
-	uCand := s.model.Policy.GMM.MeanInto(head, s.meanBuf)
+	uCand := s.step.Policy.GMM.MeanInto(head, s.meanBuf)
 	uLive := math.Log2(ratio)
 	div := math.Abs(uCand - uLive)
 	if math.IsNaN(div) || math.IsInf(div, 0) {
