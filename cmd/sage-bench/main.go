@@ -12,53 +12,29 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"sage/internal/cli"
 	"sage/internal/exp"
-	"sage/internal/telemetry"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, f *cli.Flags) error {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		sizing    = flag.String("sizing", "quick", "experiment scale: quick|paper")
-		parallel  = flag.Int("parallel", 0, "rollout workers (0 = NumCPU)")
-		seed      = flag.Int64("seed", 1, "global seed")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		metrics   = flag.String("metrics", "", "write per-experiment wall-time records as JSONL to this file")
-		pprofAddr = flag.String("pprof", "", "serve pprof+expvar on this address (e.g. :6060)")
+		expFlag  = f.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		sizing   = f.String("sizing", "quick", "experiment scale: quick|paper")
+		parallel = f.Int("parallel", 0, "rollout workers (0 = NumCPU)")
+		seed     = f.Int64("seed", 1, "global seed")
+		list     = f.Bool("list", false, "list experiments and exit")
+		emit     = f.Sink("metrics", "write per-experiment wall-time records as JSONL to this file")
 	)
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		if _, err := telemetry.ServeDebug(*pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("pprof: http://%s/debug/pprof/\n", *pprofAddr)
-	}
-	var emit *telemetry.JSONL
-	if *metrics != "" {
-		var err error
-		emit, err = telemetry.CreateJSONL(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer emit.Close()
-	}
-
-	if *list {
-		for _, e := range exp.Suite() {
-			fmt.Printf("%-10s %s\n", e.ID, e.About)
-		}
-		return
+	f.Pprof("serve pprof+expvar on this address (e.g. :6060)")
+	if err := f.Parse(); err != nil {
+		return err
 	}
 
 	var s exp.Sizing
@@ -68,16 +44,8 @@ func main() {
 	case "paper":
 		s = exp.Paper()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown sizing %q (want quick|paper)\n", *sizing)
-		os.Exit(2)
+		return cli.Exitf(cli.ExitUsage, "unknown sizing %q (want quick|paper)", *sizing)
 	}
-	s.Parallel = *parallel
-	s.Seed = *seed
-	a := exp.NewArtifacts(s)
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
 	var ids []string
 	if *expFlag == "all" {
 		for _, e := range exp.Suite() {
@@ -92,18 +60,27 @@ func main() {
 	for _, id := range ids {
 		e, err := exp.Find(strings.TrimSpace(id))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return cli.Exit(cli.ExitUsage, err)
 		}
 		exps = append(exps, e)
 	}
+	if err := f.Open(); err != nil {
+		return err
+	}
+
+	if *list {
+		for _, e := range exp.Suite() {
+			fmt.Printf("%-10s %s\n", e.ID, e.About)
+		}
+		return nil
+	}
+
+	s.Parallel = *parallel
+	s.Seed = *seed
+	a := exp.NewArtifacts(s)
 	for _, e := range exps {
 		if ctx.Err() != nil {
-			if emit != nil {
-				emit.Flush()
-			}
-			fmt.Fprintln(os.Stderr, "interrupted; remaining experiments skipped")
-			os.Exit(130)
+			return cli.Exitf(cli.ExitSignal, "interrupted; remaining experiments skipped")
 		}
 		start := time.Now()
 		fmt.Printf("\n### %s — %s\n", e.ID, e.About)
@@ -118,4 +95,5 @@ func main() {
 			Parallel int     `json:"parallel"`
 		}{e.ID, e.About, elapsed.Seconds(), *sizing, *parallel})
 	}
+	return nil
 }

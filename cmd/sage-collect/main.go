@@ -29,31 +29,25 @@
 //
 // With -agent, the process is a distributed collection agent instead: it
 // connects to a sage-coord coordinator, leases cells, and ships shards
-// back until the campaign completes. Exit status (shared with sage-train
-// -worker): 0 campaign complete, 4 lease lost / fenced off (the
-// coordinator evicted this session — relaunch for a fresh one), 130
-// signal drain, 2 usage error, 1 fatal error.
+// back until the campaign completes.
+//
+// Exit codes: the repo-wide table (README "Exit codes"). -doctor exits 3
+// when it finds bad trajectories; an agent the coordinator evicted exits 4.
 package main
 
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io/fs"
 	"os"
-	"os/signal"
 	"sort"
-	"strings"
-	"syscall"
 	"time"
 
-	"sage/internal/cc"
+	"sage/internal/cli"
 	"sage/internal/collector"
 	"sage/internal/dist"
 	"sage/internal/gr"
-	"sage/internal/netem"
-	"sage/internal/sim"
 	"sage/internal/telemetry"
 )
 
@@ -66,77 +60,53 @@ type trajRecord struct {
 	Score     float64 `json:"score"`
 }
 
-func main() {
-	var (
-		out       = flag.String("out", "pool.gob.gz", "output pool file")
-		level     = flag.String("level", "tiny", "grid density: tiny|small|full")
-		setIDur   = flag.Duration("seti-dur", 10*time.Second, "Set I scenario duration")
-		setIIDur  = flag.Duration("setii-dur", 30*time.Second, "Set II scenario duration")
-		schemes   = flag.String("schemes", "", "comma-separated schemes (default: the 13-scheme pool)")
-		window    = flag.Int("window", 0, "uniform observation window (0 = the default 10/200/1000)")
-		parallel  = flag.Int("parallel", 0, "workers (0 = NumCPU)")
-		seed      = flag.Int64("seed", 1, "seed")
-		resume    = flag.Bool("resume", false, "skip cells finished by a previous interrupted run (reads <out>.partial and <out>.manifest)")
-		metrics   = flag.String("metrics", "", "write per-trajectory records as JSONL to this file")
-		progress  = flag.Bool("progress", false, "print a live rollouts/transitions progress line with ETA")
-		pprofAddr = flag.String("pprof", "", "serve pprof+expvar on this address (e.g. :6060)")
-		doctor    = flag.String("doctor", "", "examine an existing pool file instead of collecting: quarantine report to <pool>.quarantine.jsonl, exit 3 if bad trajectories found")
-		clean     = flag.String("clean", "", "with -doctor: also write the sanitized pool to this file")
-		quality   = flag.Bool("quality", true, "quarantine bad trajectories from the collected pool before saving (report: <out>.quarantine.jsonl)")
-		agent     = flag.String("agent", "", "run as a distributed collection agent against the sage-coord coordinator at this address (host:port or unix:/path)")
-		agentID   = flag.String("agent-id", "", "agent identity for leases and eviction (default host:pid)")
-		rpcTO     = flag.Duration("rpc-timeout", 0, "agent: per-RPC deadline before the call is retried on a fresh connection (0 = 10s default, negative disables)")
-		redials   = flag.Int("redial-attempts", 0, "agent: consecutive failed dials tolerated before giving up (0 = default 10); raise to ride out long coordinator outages")
-	)
-	flag.Parse()
+func main() { cli.Main(run) }
 
+func run(ctx context.Context, f *cli.Flags) error {
+	var (
+		out      = f.String("out", "pool.gob.gz", "output pool file")
+		grid     = f.Scenarios("")
+		parallel = f.Int("parallel", 0, "workers (0 = NumCPU)")
+		seed     = f.Int64("seed", 1, "seed")
+		resume   = f.Bool("resume", false, "skip cells finished by a previous interrupted run (reads <out>.partial and <out>.manifest)")
+		emit     = f.Sink("metrics", "write per-trajectory records as JSONL to this file")
+		progress = f.Bool("progress", false, "print a live rollouts/transitions progress line with ETA")
+		doctor   = f.String("doctor", "", "examine an existing pool file instead of collecting: quarantine report to <pool>.quarantine.jsonl, exit 3 if bad trajectories found")
+		clean    = f.String("clean", "", "with -doctor: also write the sanitized pool to this file")
+		quality  = f.Bool("quality", true, "quarantine bad trajectories from the collected pool before saving (report: <out>.quarantine.jsonl)")
+		agent    = f.String("agent", "", "run as a distributed collection agent against the sage-coord coordinator at this address (host:port or unix:/path)")
+		agentID  = f.String("agent-id", "", "agent identity for leases and eviction (default host:pid)")
+		rpcTO    = f.Duration("rpc-timeout", 0, "agent: per-RPC deadline before the call is retried on a fresh connection (0 = 10s default, negative disables)")
+		redials  = f.Int("redial-attempts", 0, "agent: consecutive failed dials tolerated before giving up (0 = default 10); raise to ride out long coordinator outages")
+	)
+	f.Pprof("serve pprof+expvar on this address (e.g. :6060)")
+	if err := f.Parse(); err != nil {
+		return err
+	}
 	if *doctor != "" {
-		os.Exit(runDoctor(*doctor, *clean))
+		return runDoctor(*doctor, *clean)
 	}
 	if *agent != "" {
-		os.Exit(runAgent(*agent, *agentID, *parallel, *pprofAddr, *rpcTO, *redials))
-	}
-
-	if *pprofAddr != "" {
-		if _, err := telemetry.ServeDebug(*pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		// A bad coordinator address must fail before any connection attempt
+		// burns through its redial budget.
+		if _, _, err := dist.ParseAddr(*agent); err != nil {
+			return cli.Exit(cli.ExitUsage, err)
 		}
-		fmt.Printf("pprof: http://%s/debug/pprof/\n", *pprofAddr)
+	}
+	if err := f.Open(); err != nil {
+		return err
+	}
+	if *agent != "" {
+		return runAgent(ctx, *agent, *agentID, *parallel, *rpcTO, *redials)
 	}
 
-	lvl, err := netem.ParseLevel(*level)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	names := cc.PoolNames()
-	if *schemes != "" {
-		names = strings.Split(*schemes, ",")
-	}
-	// Validate scheme names before any work: a typo fails in microseconds
-	// with the known list, not hours into a campaign.
-	if err := cc.Validate(names...); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	names := grid.Schemes
 	grCfg := gr.Config{}
-	if *window > 0 {
-		grCfg = grCfg.WithUniformWindow(*window)
+	if grid.Window > 0 {
+		grCfg = grCfg.WithUniformWindow(grid.Window)
 	}
-	// Open the metrics sink before the (possibly long) collection so a
-	// bad path fails in milliseconds, not after the run.
-	var emit *telemetry.JSONL
-	if *metrics != "" {
-		emit, err = telemetry.CreateJSONL(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	scens := append(
-		netem.SetI(netem.SetIOptions{Level: lvl, Duration: sim.FromSeconds(setIDur.Seconds()), Seed: *seed}),
-		netem.SetII(netem.SetIIOptions{Level: lvl, Duration: sim.FromSeconds(setIIDur.Seconds()), Seed: *seed})...)
+	setI, setII := grid.Sets(*seed)
+	scens := append(setI, setII...)
 
 	manifestPath := *out + ".manifest"
 	partialPath := *out + ".partial"
@@ -160,8 +130,7 @@ func main() {
 	}
 	manifest, recorded, err := collector.OpenManifest(manifestPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer manifest.Close()
 	if prior != nil {
@@ -182,9 +151,6 @@ func main() {
 		prior = kept
 		fmt.Printf("resume: skipping %d finished cells\n", len(skip))
 	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 
 	fmt.Printf("collecting %d schemes x %d environments...\n", len(names), len(scens))
 	var meter *telemetry.Progress
@@ -207,8 +173,7 @@ func main() {
 	if prior != nil && len(prior.Trajs) > 0 {
 		merged, err = collector.Merge(prior, pool)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 	// Canonical order: a resumed campaign's pool is bitwise-identical to an
@@ -218,53 +183,31 @@ func main() {
 	if cerr != nil {
 		// Interrupted: persist what finished and leave the ledger behind.
 		if err := merged.Save(partialPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		if err := manifest.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
-		fmt.Printf("interrupted: %d/%d cells done; saved %s\n",
+		return cli.Exitf(cli.ExitSignal, "interrupted: %d/%d cells done; saved %s\nrerun with -resume to continue",
 			len(merged.Trajs), len(names)*len(scens), partialPath)
-		fmt.Printf("rerun with -resume to continue\n")
-		os.Exit(130)
 	}
 
 	fmt.Printf("pool: %d trajectories, %d transitions (%s)\n",
 		len(merged.Trajs), merged.Transitions(), time.Since(start).Round(time.Second))
-	for _, f := range merged.Failed {
-		fmt.Fprintf(os.Stderr, "failed cell: %s/%s: %s\n", f.Scheme, f.Env, f.Err)
-	}
-
+	merged.ReportFailed(os.Stderr)
 	if *quality {
-		sane, rep := collector.Sanitize(merged, collector.QualityConfig{})
-		if rep.Quarantined > 0 {
-			sidecar := *out + ".quarantine.jsonl"
-			if err := rep.WriteSidecar(sidecar); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("quality: quarantined %d/%d trajectories (report: %s)\n",
-				rep.Quarantined, rep.Total, sidecar)
-			merged = sane
-		}
-	}
-
-	if emit != nil {
-		for _, tr := range merged.Trajs {
-			emit.Emit(trajRecord{
-				Scheme: tr.Scheme, Env: tr.Env, MultiFlow: tr.MultiFlow,
-				Steps: len(tr.Steps), Score: tr.Score,
-			})
-		}
-		if err := emit.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if merged, _, err = collector.Quarantine(merged, *out+".quarantine.jsonl", "quality", os.Stdout); err != nil {
+			return err
 		}
 	}
 	if err := merged.Save(*out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
+	}
+	for _, tr := range merged.Trajs {
+		emit.Emit(trajRecord{
+			Scheme: tr.Scheme, Env: tr.Env, MultiFlow: tr.MultiFlow,
+			Steps: len(tr.Steps), Score: tr.Score,
+		})
 	}
 	// The campaign is safely on disk; the resume state has served its
 	// purpose.
@@ -272,29 +215,21 @@ func main() {
 	os.Remove(manifestPath)
 	os.Remove(partialPath)
 	fmt.Printf("wrote %s\n", *out)
+	return nil
 }
 
-// runDoctor examines an existing pool: it prints a per-reason summary,
-// writes the quarantine sidecar, and optionally writes a sanitized copy.
-// Exit status: 0 clean, 3 bad trajectories found, 1 I/O error.
-func runDoctor(path, cleanOut string) int {
+// runDoctor examines an existing pool: it writes the quarantine sidecar,
+// prints a per-reason summary, and optionally writes a sanitized copy.
+// Bad trajectories found is an integrity failure (exit 3).
+func runDoctor(path, cleanOut string) error {
 	pool, err := collector.Load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-	sane, rep := collector.Sanitize(pool, collector.QualityConfig{})
-	fmt.Printf("doctor: %d trajectories, %d transitions\n", rep.Total, pool.Transitions())
-	if rep.Quarantined == 0 {
-		fmt.Println("doctor: pool is clean")
-		if cleanOut != "" {
-			if err := sane.Save(cleanOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", cleanOut)
-		}
-		return 0
+	fmt.Printf("doctor: %d trajectories, %d transitions\n", len(pool.Trajs), pool.Transitions())
+	sane, rep, err := collector.Quarantine(pool, path+".quarantine.jsonl", "doctor", os.Stdout)
+	if err != nil {
+		return err
 	}
 	byReason := map[string]int{}
 	for _, is := range rep.Issues {
@@ -308,51 +243,27 @@ func runDoctor(path, cleanOut string) int {
 	for _, reason := range reasons {
 		fmt.Printf("doctor: %4d x %s\n", byReason[reason], reason)
 	}
-	sidecar := path + ".quarantine.jsonl"
-	if err := rep.WriteSidecar(sidecar); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("doctor: quarantined %d/%d trajectories (report: %s)\n",
-		rep.Quarantined, rep.Total, sidecar)
 	if cleanOut != "" {
 		if err := sane.Save(cleanOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return err
 		}
 		fmt.Printf("wrote %s (%d trajectories)\n", cleanOut, len(sane.Trajs))
 	}
-	return 3
+	if rep.Quarantined > 0 {
+		return cli.Exitf(cli.ExitIntegrity, "doctor: %d bad trajectories", rep.Quarantined)
+	}
+	fmt.Println("doctor: pool is clean")
+	return nil
 }
 
 // runAgent is the -agent mode: one distributed collection agent driven
-// by a sage-coord coordinator. Exit status: 0 campaign complete, 4 lease
-// revoked (session evicted), 130 signal drain, 1 fatal error, 2 usage.
-func runAgent(coordAddr, id string, parallel int, pprofAddr string, rpcTimeout time.Duration, redials int) int {
-	// A bad coordinator address must fail before any connection attempt
-	// burns through its redial budget.
-	if _, _, err := dist.ParseAddr(coordAddr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
+// by a sage-coord coordinator.
+func runAgent(ctx context.Context, coordAddr, id string, parallel int, rpcTimeout time.Duration, redials int) error {
 	if id == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "agent"
-		}
-		id = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	if pprofAddr != "" {
-		if _, err := telemetry.ServeDebug(pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("pprof: http://%s/debug/pprof/\n", pprofAddr)
+		id = cli.SessionID("agent")
 	}
 	reg := telemetry.NewRegistry()
 	reg.PublishExpvar("sage-collect-agent")
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	fmt.Printf("agent %s: joining coordinator %s\n", id, coordAddr)
 	err := dist.RunAgent(ctx, dist.AgentConfig{
 		Coordinator:    coordAddr,
@@ -361,24 +272,10 @@ func runAgent(coordAddr, id string, parallel int, pprofAddr string, rpcTimeout t
 		RPCTimeout:     rpcTimeout,
 		RedialAttempts: redials,
 		Metrics:        reg,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:           cli.Logf,
 	})
-	switch {
-	case err == nil:
+	if err == nil {
 		fmt.Printf("agent %s: campaign complete\n", id)
-		return 0
-	case errors.Is(err, dist.ErrRevoked):
-		// Distinct from both clean completion and a crash: the session is
-		// dead but the host is fine, so a supervisor should relaunch.
-		fmt.Fprintf(os.Stderr, "agent %s: %v\n", id, err)
-		return 4
-	case errors.Is(err, context.Canceled), ctx.Err() != nil:
-		fmt.Printf("agent %s: drained on signal\n", id)
-		return 130
-	default:
-		fmt.Fprintf(os.Stderr, "agent %s: %v\n", id, err)
-		return 1
 	}
+	return cli.Session(ctx, "agent "+id, err, dist.ErrRevoked)
 }

@@ -27,16 +27,14 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
+	"slices"
 	"strings"
-	"syscall"
-	"time"
 
 	"sage/internal/cc"
+	"sage/internal/cli"
 	"sage/internal/core"
 	"sage/internal/eval"
 	"sage/internal/exp"
@@ -47,108 +45,84 @@ import (
 	"sage/internal/telemetry"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, f *cli.Flags) error {
 	var (
-		modelPath  = flag.String("model", "sage.model", "trained model file")
-		level      = flag.String("level", "tiny", "grid density: tiny|small|full")
-		setIDur    = flag.Duration("seti-dur", 10*time.Second, "Set I duration")
-		setIIDur   = flag.Duration("setii-dur", 30*time.Second, "Set II duration")
-		scenario   = flag.String("scenario", "", "run a single named scenario instead of the league")
-		margin     = flag.Float64("margin", 0.10, "winner margin")
-		alpha      = flag.Float64("alpha", 2, "power-score exponent")
-		parallel   = flag.Int("parallel", 0, "workers (0 = NumCPU)")
-		seed       = flag.Int64("seed", 1, "seed")
-		tracePath  = flag.String("trace", "", "single-scenario mode: write the per-tick flow trace to this file (.csv for CSV, else JSONL)")
-		traceStep  = flag.Duration("trace-period", 0, "decimate the flow trace to one sample per period (0 = every GR tick)")
-		metrics    = flag.String("metrics", "", "league mode: write per-scheme winning rates as JSONL to this file")
-		pprofAddr  = flag.String("pprof", "", "serve pprof+expvar on this address (e.g. :6060)")
-		experiment = flag.String("experiment", "", "run a named deployment experiment with the loaded model (supported: robustness)")
+		modelPath  = f.String("model", "sage.model", "trained model file")
+		grid       = f.Scenarios("", "schemes", "window")
+		scenario   = f.String("scenario", "", "run a single named scenario instead of the league")
+		margin     = f.Float64("margin", 0.10, "winner margin")
+		alpha      = f.Float64("alpha", 2, "power-score exponent")
+		parallel   = f.Int("parallel", 0, "workers (0 = NumCPU)")
+		seed       = f.Int64("seed", 1, "seed")
+		tracePath  = f.String("trace", "", "single-scenario mode: write the per-tick flow trace to this file (.csv for CSV, else JSONL)")
+		traceStep  = f.Duration("trace-period", 0, "decimate the flow trace to one sample per period (0 = every GR tick)")
+		emit       = f.Sink("metrics", "league mode: write per-scheme winning rates as JSONL to this file")
+		experiment = f.String("experiment", "", "run a named deployment experiment with the loaded model (supported: robustness)")
 	)
-	flag.Parse()
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	if *pprofAddr != "" {
-		if _, err := telemetry.ServeDebug(*pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("pprof: http://%s/debug/pprof/\n", *pprofAddr)
+	f.Respell("seti-dur", "Set I duration", "")
+	f.Respell("setii-dur", "Set II duration", "")
+	f.Pprof("serve pprof+expvar on this address (e.g. :6060)")
+	if err := f.Parse(); err != nil {
+		return err
 	}
 	if *tracePath != "" && *scenario == "" {
-		fmt.Fprintln(os.Stderr, "-trace requires -scenario (per-flow traces are a single-rollout export)")
-		os.Exit(2)
+		return cli.Exitf(cli.ExitUsage, "-trace requires -scenario (per-flow traces are a single-rollout export)")
+	}
+	if *experiment != "" && *experiment != "robustness" {
+		return cli.Exitf(cli.ExitUsage, "unknown -experiment %q (supported: robustness; the figure/table experiments live in sage-bench)", *experiment)
+	}
+	setI, setII := grid.Sets(*seed)
+	all := append(append([]netem.Scenario(nil), setI...), setII...)
+	// Reject nonsense before any rollout runs: flag-derived durations can
+	// produce scenarios that would otherwise silently misbehave.
+	if err := netem.ValidateAll(all); err != nil {
+		return cli.Exit(cli.ExitUsage, err)
+	}
+	var single *netem.Scenario
+	if *scenario != "" {
+		i := slices.IndexFunc(all, func(sc netem.Scenario) bool { return sc.Name == *scenario })
+		if i < 0 {
+			return cli.Exitf(cli.ExitUsage, "scenario %q not found", *scenario)
+		}
+		single = &all[i]
+	}
+	if err := f.Open(); err != nil {
+		return err
 	}
 
 	model, err := core.LoadModel(*modelPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	lvl := map[string]netem.GridLevel{"tiny": netem.GridTiny, "small": netem.GridSmall, "full": netem.GridFull}[*level]
-
 	if *experiment != "" {
-		if *experiment != "robustness" {
-			fmt.Fprintf(os.Stderr, "unknown -experiment %q (supported: robustness; the figure/table experiments live in sage-bench)\n", *experiment)
-			os.Exit(2)
-		}
-		var emit *telemetry.JSONL
-		if *metrics != "" {
-			emit, err = telemetry.CreateJSONL(*metrics)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		for _, t := range exp.RobustnessWithModel(model, lvl, sim.FromSeconds(setIDur.Seconds()), *seed, emit) {
+		for _, t := range exp.RobustnessWithModel(model, grid.Level, sim.FromSeconds(grid.SetIDur.Seconds()), *seed, emit.JSONL) {
 			t.Fprint(os.Stdout)
 		}
-		if err := emit.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	setI := netem.SetI(netem.SetIOptions{Level: lvl, Duration: sim.FromSeconds(setIDur.Seconds()), Seed: *seed})
-	setII := netem.SetII(netem.SetIIOptions{Level: lvl, Duration: sim.FromSeconds(setIIDur.Seconds()), Seed: *seed})
-	// Reject nonsense before any rollout runs: flag-derived durations can
-	// produce scenarios that would otherwise silently misbehave.
-	if err := netem.ValidateAll(append(append([]netem.Scenario(nil), setI...), setII...)); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return nil
 	}
 
 	sage := eval.ControllerEntrant("sage", func() rollout.Controller { return model.NewAgent(*seed) })
 
-	if *scenario != "" {
-		for _, sc := range append(setI, setII...) {
-			if sc.Name != *scenario {
-				continue
-			}
-			var trace *telemetry.FlowTrace
-			if *tracePath != "" {
-				trace = telemetry.NewFlowTrace(sim.FromSeconds(traceStep.Seconds()))
-			}
-			res := sage.Run(sc, rollout.Options{Trace: trace, Ctx: ctx})
-			if res.Interrupted {
-				fmt.Fprintln(os.Stderr, "interrupted; partial rollout discarded")
-				os.Exit(130)
-			}
-			fmt.Printf("%s: thr %.2f Mb/s, avg RTT %.1f ms, loss %.3f%%, fair share %.2f Mb/s\n",
-				sc.Name, res.ThroughputBps/1e6, res.AvgRTT.Millis(), res.LossRate*100, res.FairShareBps/1e6)
-			if trace != nil {
-				if err := writeTrace(trace, *tracePath); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s (%d samples)\n", *tracePath, trace.Len())
-			}
-			return
+	if single != nil {
+		var trace *telemetry.FlowTrace
+		if *tracePath != "" {
+			trace = telemetry.NewFlowTrace(sim.FromSeconds(traceStep.Seconds()))
 		}
-		fmt.Fprintf(os.Stderr, "scenario %q not found\n", *scenario)
-		os.Exit(2)
+		res := sage.Run(*single, rollout.Options{Trace: trace, Ctx: ctx})
+		if res.Interrupted {
+			return cli.Exitf(cli.ExitSignal, "interrupted; partial rollout discarded")
+		}
+		fmt.Printf("%s: thr %.2f Mb/s, avg RTT %.1f ms, loss %.3f%%, fair share %.2f Mb/s\n",
+			single.Name, res.ThroughputBps/1e6, res.AvgRTT.Millis(), res.LossRate*100, res.FairShareBps/1e6)
+		if trace != nil {
+			if err := writeTrace(trace, *tracePath); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s (%d samples)\n", *tracePath, trace.Len())
+		}
+		return nil
 	}
 
 	entrants := []eval.Entrant{sage}
@@ -159,18 +133,9 @@ func main() {
 		Margin: *margin, Alpha: *alpha, Parallel: *parallel, Ctx: ctx,
 	})
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "interrupted; league incomplete, no rates reported")
-		os.Exit(130)
+		return cli.Exitf(cli.ExitSignal, "interrupted; league incomplete, no rates reported")
 	}
 	fmt.Printf("%-12s %12s %12s\n", "scheme", "setI", "setII")
-	var emit *telemetry.JSONL
-	if *metrics != "" {
-		emit, err = telemetry.CreateJSONL(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	for _, n := range res.RankingSingle() {
 		fmt.Printf("%-12s %11.1f%% %11.1f%%\n", n, res.RateSingle[n]*100, res.RateMulti[n]*100)
 		emit.Emit(struct {
@@ -179,10 +144,7 @@ func main() {
 			RateSet2 float64 `json:"rate_set2"`
 		}{n, res.RateSingle[n], res.RateMulti[n]})
 	}
-	if err := emit.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return nil
 }
 
 // writeTrace exports the flow trace through safeio's raw atomic writer:

@@ -30,21 +30,14 @@
 // disables the layer). `sage-serve -socket … -health` probes the daemon's
 // health verb and exits 0 iff it is ready (full or shed-shadow service).
 //
-// Exit codes (the repo-wide daemon table):
-//
-//	0    clean exit
-//	1    fatal runtime error
-//	2    usage error
-//	3    model integrity failure: the model file (or registry incumbent)
-//	     is corrupt, truncated, or missing — restore it or re-promote;
-//	     restarting cannot help, which is why this is not exit 1
-//	130  signal-initiated graceful drain
+// Exit codes: the repo-wide table (README "Exit codes"). A model file or
+// registry incumbent that is corrupt, truncated or missing is exit 3.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io/fs"
 	"net"
@@ -53,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"sage/internal/cli"
 	"sage/internal/core"
 	"sage/internal/feedback"
 	"sage/internal/gr"
@@ -63,61 +57,48 @@ import (
 	"sage/internal/telemetry"
 )
 
-func main() { os.Exit(run()) }
+func main() { cli.Main(run) }
 
-func run() int {
+func run(ctx context.Context, f *cli.Flags) error {
 	var (
-		socket      = flag.String("socket", "/tmp/sage-serve.sock", "unix socket path to listen on")
-		modelPath   = flag.String("model", "", "trained model file (empty = fresh untrained policy)")
-		registryDir = flag.String("registry", "", "model registry dir: serve the promoted incumbent and enable the lifecycle verbs")
-		maxBatch    = flag.Int("max-batch", 256, "max flows per batched forward pass")
-		deadline    = flag.Duration("deadline", 200*time.Microsecond, "queue wait considered normal: the overload ladder's batch-wait budget is 50x this (no request is ever held for it)")
-		workers     = flag.Int("workers", 0, "forward-pass workers (0 = GOMAXPROCS)")
-		maxSessions = flag.Int("max-sessions", 4096, "resident session cap (LRU eviction beyond)")
-		stochastic  = flag.Bool("stochastic", false, "sample actions from the GMM instead of its mean")
-		seed        = flag.Int64("seed", 1, "RNG seed for stochastic serving")
-		reprime     = flag.Int("reprime-window", 8, "trace states replayed to re-prime recurrent sessions across a hot-swap")
-		watchEvery  = flag.Duration("watchdog-interval", 2*time.Second, "demotion watchdog polling interval (registry mode)")
-		eventsPath  = flag.String("events", "", "append lifecycle events (swap/demote) to this JSONL file")
-		pprofAddr   = flag.String("pprof", "", "serve pprof + /debug/vars on this addr")
+		socket      = f.String("socket", "/tmp/sage-serve.sock", "unix socket path to listen on")
+		modelPath   = f.String("model", "", "trained model file (empty = fresh untrained policy)")
+		registryDir = f.String("registry", "", "model registry dir: serve the promoted incumbent and enable the lifecycle verbs")
+		maxBatch    = f.Int("max-batch", 256, "max flows per batched forward pass")
+		deadline    = f.Duration("deadline", 200*time.Microsecond, "queue wait considered normal: the overload ladder's batch-wait budget is 50x this (no request is ever held for it)")
+		workers     = f.Int("workers", 0, "forward-pass workers (0 = GOMAXPROCS)")
+		maxSessions = f.Int("max-sessions", 4096, "resident session cap (LRU eviction beyond)")
+		stochastic  = f.Bool("stochastic", false, "sample actions from the GMM instead of its mean")
+		seed        = f.Int64("seed", 1, "RNG seed for stochastic serving")
+		reprime     = f.Int("reprime-window", 8, "trace states replayed to re-prime recurrent sessions across a hot-swap")
+		watchEvery  = f.Duration("watchdog-interval", 2*time.Second, "demotion watchdog polling interval (registry mode)")
+		events      = f.Sink("events", "append lifecycle events (swap/demote) to this JSONL file")
 
-		overload    = flag.Bool("overload", true, "enable overload admission control and the brownout ladder")
-		maxInflight = flag.Int("max-inflight", 0, "global in-flight decision cap (0 = 8x max-batch)")
-		decBudget   = flag.Duration("decision-budget", 250*time.Millisecond, "per-decision latency budget; sustained misses escalate brownout")
-		ovalEvery   = flag.Duration("overload-eval", 10*time.Millisecond, "brownout ladder evaluation window")
-		maxConns    = flag.Int("max-conns", 1024, "connection cap; excess accepts get a typed OVERLOAD reply (0 = unlimited)")
-		healthProbe = flag.Bool("health", false, "probe the daemon at -socket: print its health doc, exit 0 iff ready")
+		overload    = f.Bool("overload", true, "enable overload admission control and the brownout ladder")
+		maxInflight = f.Int("max-inflight", 0, "global in-flight decision cap (0 = 8x max-batch)")
+		decBudget   = f.Duration("decision-budget", 250*time.Millisecond, "per-decision latency budget; sustained misses escalate brownout")
+		ovalEvery   = f.Duration("overload-eval", 10*time.Millisecond, "brownout ladder evaluation window")
+		maxConns    = f.Int("max-conns", 1024, "connection cap; excess accepts get a typed OVERLOAD reply (0 = unlimited)")
+		healthProbe = f.Bool("health", false, "probe the daemon at -socket: print its health doc, exit 0 iff ready")
 
-		traceSpool  = flag.String("trace-spool", "", "spool completed decision windows into this dir for the feedback loop (empty = off)")
-		traceWindow = flag.Int("trace-window", 256, "decisions per exported trace window before rotation")
+		traceSpool  = f.String("trace-spool", "", "spool completed decision windows into this dir for the feedback loop (empty = off)")
+		traceWindow = f.Int("trace-window", 256, "decisions per exported trace window before rotation")
 	)
-	flag.Parse()
+	f.Pprof("serve pprof + /debug/vars on this addr")
+	if err := f.Parse(); err != nil {
+		return err
+	}
 	if *healthProbe {
 		return probeHealth(*socket)
 	}
 	if *modelPath != "" && *registryDir != "" {
-		fmt.Fprintln(os.Stderr, "sage-serve: -model and -registry are mutually exclusive")
-		return 2
+		return cli.Exitf(cli.ExitUsage, "sage-serve: -model and -registry are mutually exclusive")
 	}
-
+	if err := f.Open(); err != nil {
+		return err
+	}
 	reg := telemetry.NewRegistry()
 	reg.PublishExpvar("sage-serve")
-	if *pprofAddr != "" {
-		if _, err := telemetry.ServeDebug(*pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	var events *telemetry.JSONL
-	if *eventsPath != "" {
-		j, err := telemetry.CreateJSONL(*eventsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer j.Close()
-		events = j
-	}
 
 	var (
 		pol       *nn.Policy
@@ -129,14 +110,12 @@ func run() int {
 	case *registryDir != "":
 		r, err := promote.OpenRegistry(*registryDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sage-serve:", err)
-			return modelExitCode(err)
+			return modelErr(err)
 		}
 		defer r.Close()
 		model, info, err := r.LoadIncumbent()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sage-serve:", err)
-			return modelExitCode(err)
+			return modelErr(err)
 		}
 		registry, servingID = r, info.ID
 		pol, mask = model.Policy, model.Mask
@@ -144,8 +123,7 @@ func run() int {
 	case *modelPath != "":
 		model, err := core.LoadModel(*modelPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sage-serve:", err)
-			return modelExitCode(err)
+			return modelErr(err)
 		}
 		pol, mask = model.Policy, model.Mask
 	default:
@@ -161,16 +139,6 @@ func run() int {
 			EvalInterval:   *ovalEvery,
 		}
 	}
-	var sink *feedback.SpoolSink
-	if *traceSpool != "" {
-		s, err := feedback.NewSpoolSink(feedback.SinkConfig{Dir: *traceSpool, Metrics: reg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sage-serve: trace spool:", err)
-			return 1
-		}
-		sink = s
-		fmt.Fprintf(os.Stderr, "sage-serve: spooling trace windows to %s\n", *traceSpool)
-	}
 	engCfg := serve.Config{
 		Policy:           pol,
 		Mask:             mask,
@@ -185,7 +153,12 @@ func run() int {
 		Overload:         ovCfg,
 		TraceWindowSteps: *traceWindow,
 	}
-	if sink != nil {
+	if *traceSpool != "" {
+		sink, err := feedback.NewSpoolSink(feedback.SinkConfig{Dir: *traceSpool, Metrics: reg})
+		if err != nil {
+			return fmt.Errorf("sage-serve: trace spool: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "sage-serve: spooling trace windows to %s\n", *traceSpool)
 		engCfg.Trace = sink
 		// Runs at exit, after the server's shutdown drained the engine (which
 		// flushes every open window into the sink): drain the queue to disk.
@@ -205,11 +178,10 @@ func run() int {
 			Registry: registry,
 			Engine:   eng,
 			Metrics:  reg,
-			Events:   events,
+			Events:   events.JSONL,
 		}, servingID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sage-serve:", err)
-			return 1
+			return fmt.Errorf("sage-serve: %w", err)
 		}
 		mgr, ctl = m, m
 	} else if *modelPath != "" {
@@ -217,10 +189,7 @@ func run() int {
 	}
 	if ctl != nil {
 		srv.SetControl(ctl)
-	}
-
-	hupCh := make(chan os.Signal, 1)
-	if ctl != nil {
+		hupCh := make(chan os.Signal, 1)
 		signal.Notify(hupCh, syscall.SIGHUP)
 		go func() {
 			for range hupCh {
@@ -263,12 +232,10 @@ func run() int {
 		}()
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	drained := make(chan struct{})
 	go func() {
-		sig := <-sigCh
-		fmt.Fprintf(os.Stderr, "sage-serve: %v, draining\n", sig)
+		<-ctx.Done()
+		fmt.Fprintln(os.Stderr, "sage-serve: signal, draining")
 		srv.Shutdown()
 		close(drained)
 	}()
@@ -277,13 +244,11 @@ func run() int {
 	err := srv.ListenAndServe(*socket)
 	close(done)
 	if err != nil && !errors.Is(err, net.ErrClosed) {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	<-drained
 	os.Remove(*socket)
-	fmt.Fprintf(os.Stderr, "sage-serve: final metrics\n%s", reg)
-	return 130
+	return cli.Exitf(cli.ExitSignal, "sage-serve: final metrics\n%s", reg)
 }
 
 // probeHealth is the -health client mode: one round trip to a running
@@ -292,45 +257,35 @@ func run() int {
 // and its brownout ladder is at full service or the shed-shadow rung
 // (still serving every admitted flow from the policy), 1 when it is
 // browned out, draining, or unreachable.
-func probeHealth(socket string) int {
+func probeHealth(socket string) error {
 	cl, err := serve.DialTimeout(socket, 2*time.Second)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sage-serve: health:", err)
-		return 1
+		return fmt.Errorf("sage-serve: health: %w", err)
 	}
 	defer cl.Close()
 	cl.SetTimeout(2 * time.Second)
 	doc, err := cl.Health()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sage-serve: health:", err)
-		return 1
+		return fmt.Errorf("sage-serve: health: %w", err)
 	}
 	fmt.Println(doc)
 	var h serve.Health
 	if err := json.Unmarshal([]byte(doc), &h); err != nil {
-		fmt.Fprintln(os.Stderr, "sage-serve: health:", err)
-		return 1
+		return fmt.Errorf("sage-serve: health: %w", err)
 	}
 	if !h.Ready() {
-		return 1
+		return errors.New("sage-serve: health: not ready")
 	}
-	return 0
+	return nil
 }
 
-// modelExitCode classifies a model-loading failure per the exit-code
-// table: integrity problems (corrupt, truncated, or missing checkpoint;
-// a registry with nothing promoted) are exit 3 — operator intervention,
-// not a restart, is what fixes them. Anything else is a fatal 1.
-func modelExitCode(err error) int {
-	switch {
-	case errors.Is(err, safeio.ErrCorrupt),
-		errors.Is(err, safeio.ErrTruncated),
-		errors.Is(err, fs.ErrNotExist),
-		errors.Is(err, promote.ErrNoIncumbent):
-		return 3
-	default:
-		return 1
-	}
+// modelErr classes a model-loading failure per the exit-code table:
+// integrity problems (corrupt, truncated, or missing checkpoint; a registry
+// with nothing promoted) are exit 3 — operator intervention, not a restart,
+// is what fixes them. Anything else stays a fatal 1.
+func modelErr(err error) error {
+	return cli.Integrity(fmt.Errorf("sage-serve: %w", err),
+		safeio.ErrCorrupt, safeio.ErrTruncated, fs.ErrNotExist, promote.ErrNoIncumbent)
 }
 
 // fileControl is the -model mode lifecycle handler: swap re-reads the

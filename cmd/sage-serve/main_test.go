@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sage/internal/cli"
 	"sage/internal/core"
 	"sage/internal/gr"
 	"sage/internal/nn"
@@ -26,7 +27,7 @@ func TestModelExitCode(t *testing.T) {
 	if err == nil {
 		t.Fatal("loading a missing model succeeded")
 	}
-	if got := modelExitCode(err); got != 3 {
+	if got := cli.Code(modelErr(err)); got != 3 {
 		t.Errorf("missing model -> exit %d, want 3", got)
 	}
 
@@ -51,7 +52,7 @@ func TestModelExitCode(t *testing.T) {
 	}
 	if _, err := core.LoadModel(bad); err == nil {
 		t.Fatal("loading a corrupted model succeeded")
-	} else if got := modelExitCode(err); got != 3 {
+	} else if got := cli.Code(modelErr(err)); got != 3 {
 		t.Errorf("corrupt model -> exit %d, want 3 (err: %v)", got, err)
 	}
 
@@ -62,25 +63,25 @@ func TestModelExitCode(t *testing.T) {
 	}
 	if _, err := core.LoadModel(trunc); err == nil {
 		t.Fatal("loading a truncated model succeeded")
-	} else if got := modelExitCode(err); got != 3 {
+	} else if got := cli.Code(modelErr(err)); got != 3 {
 		t.Errorf("truncated model -> exit %d, want 3 (err: %v)", got, err)
 	}
 
 	// A registry with nothing promoted.
-	if got := modelExitCode(fmt.Errorf("boot: %w", promote.ErrNoIncumbent)); got != 3 {
+	if got := cli.Code(modelErr(fmt.Errorf("boot: %w", promote.ErrNoIncumbent))); got != 3 {
 		t.Errorf("no incumbent -> exit %d, want 3", got)
 	}
 
 	// Wrapped safeio sentinels classify without a real file.
-	if got := modelExitCode(fmt.Errorf("x: %w", safeio.ErrCorrupt)); got != 3 {
+	if got := cli.Code(modelErr(fmt.Errorf("x: %w", safeio.ErrCorrupt))); got != 3 {
 		t.Errorf("wrapped ErrCorrupt -> exit %d, want 3", got)
 	}
-	if got := modelExitCode(fmt.Errorf("x: %w", safeio.ErrTruncated)); got != 3 {
+	if got := cli.Code(modelErr(fmt.Errorf("x: %w", safeio.ErrTruncated))); got != 3 {
 		t.Errorf("wrapped ErrTruncated -> exit %d, want 3", got)
 	}
 
 	// Anything else is a plain fatal error.
-	if got := modelExitCode(fmt.Errorf("dial unix: connection refused")); got != 1 {
+	if got := cli.Code(modelErr(fmt.Errorf("dial unix: connection refused"))); got != 1 {
 		t.Errorf("unrelated error -> exit %d, want 1", got)
 	}
 }

@@ -15,27 +15,23 @@
 // instead: it connects to a sage-coord coordinator (mode train), builds
 // its dataset from -pool with the coordinator's announced mask and
 // config, and loops compute-shard → submit → install-broadcast until the
-// run completes. Exit status (shared with sage-collect -agent): 0 run
-// complete, 4 lease lost / fenced off (the coordinator replaced this
-// session — relaunch for a fresh one), 130 signal drain, 2 usage error,
-// 1 fatal error.
+// run completes.
+//
+// Exit codes: the repo-wide table (README "Exit codes"). A worker whose
+// slot the coordinator gave to a replacement exits 4.
 package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"sage/internal/cli"
 	"sage/internal/collector"
 	"sage/internal/core"
 	"sage/internal/dist"
-	"sage/internal/gr"
 	"sage/internal/nn"
 	"sage/internal/promote"
 	"sage/internal/rl"
@@ -66,140 +62,79 @@ type stepRecord struct {
 	ElapsedSec     float64 `json:"elapsed_s"`
 }
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, f *cli.Flags) error {
 	var (
-		poolPath  = flag.String("pool", "pool.gob.gz", "input pool file")
-		out       = flag.String("out", "sage.model", "output model file")
-		steps     = flag.Int("steps", 2000, "CRR gradient steps")
-		enc       = flag.Int("enc", 32, "encoder width")
-		gru       = flag.Int("gru", 16, "GRU width")
-		kMix      = flag.Int("gmm", 3, "GMM components")
-		mask      = flag.String("mask", "full", "input mask: "+gr.MaskNames)
-		workers   = flag.Int("workers", 1, "data-parallel training workers")
-		seed      = flag.Int64("seed", 1, "seed")
-		logEvery  = flag.Int("log-every", 100, "progress period in steps")
-		ckpt      = flag.String("checkpoint", "", "checkpoint file (written every checkpoint-every steps; resumed from if present)")
-		ckptEvery = flag.Int("checkpoint-every", 1000, "checkpoint period in steps")
-		ckptKeep  = flag.Int("checkpoint-keep", 3, "previous checkpoint generations kept for corruption fallback")
-		metrics   = flag.String("metrics", "", "write per-step training metrics as JSONL to this file")
-		progress  = flag.Bool("progress", false, "print a live progress/ETA line")
-		pprofAddr = flag.String("pprof", "", "serve pprof+expvar on this address (e.g. :6060)")
-		sanitize  = flag.Bool("sanitize", false, "quarantine bad trajectories (non-finite/out-of-range/frozen/truncated) before training; report goes to <pool>.quarantine.jsonl")
-		useSent   = flag.Bool("sentinel", true, "train under the divergence sentinel (batch gating, checkpoint rollback, LR backoff)")
-		publish   = flag.String("publish", "", "also publish the trained model as a candidate in this model registry dir (see sage-serve -registry)")
-		worker    = flag.String("worker", "", "run as a distributed training worker against the sage-coord coordinator at this address (host:port or unix:/path)")
-		workerIdx = flag.Int("worker-index", 0, "with -worker: this worker's slot [0, train-workers)")
-		redials   = flag.Int("redial-attempts", 0, "with -worker: consecutive failed dials tolerated before giving up (0 = default 10); raise to ride out coordinator restarts")
+		poolPath  = f.String("pool", "pool.gob.gz", "input pool file")
+		out       = f.String("out", "sage.model", "output model file")
+		tr        = f.Train("")
+		workers   = f.Int("workers", 1, "data-parallel training workers")
+		emit      = f.Sink("metrics", "write per-step training metrics as JSONL to this file")
+		progress  = f.Bool("progress", false, "print a live progress/ETA line")
+		sanitize  = f.Bool("sanitize", false, "quarantine bad trajectories (non-finite/out-of-range/frozen/truncated) before training; report goes to <pool>.quarantine.jsonl")
+		useSent   = f.Bool("sentinel", true, "train under the divergence sentinel (batch gating, checkpoint rollback, LR backoff)")
+		publish   = f.String("publish", "", "also publish the trained model as a candidate in this model registry dir (see sage-serve -registry)")
+		worker    = f.String("worker", "", "run as a distributed training worker against the sage-coord coordinator at this address (host:port or unix:/path)")
+		workerIdx = f.Int("worker-index", 0, "with -worker: this worker's slot [0, train-workers)")
+		redials   = f.Int("redial-attempts", 0, "with -worker: consecutive failed dials tolerated before giving up (0 = default 10); raise to ride out coordinator restarts")
 	)
-	flag.Parse()
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	if *worker != "" {
-		os.Exit(runWorker(ctx, *worker, *workerIdx, *poolPath, *logEvery, *redials))
+	f.Respell("checkpoint-keep", "previous checkpoint generations kept for corruption fallback", "")
+	f.Pprof("serve pprof+expvar on this address (e.g. :6060)")
+	if err := f.Parse(); err != nil {
+		return err
 	}
-
-	if *pprofAddr != "" {
-		if _, err := telemetry.ServeDebug(*pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	if *worker != "" {
+		// Validate the address before loading a multi-GB pool.
+		if _, _, err := dist.ParseAddr(*worker); err != nil {
+			return cli.Exit(cli.ExitUsage, err)
 		}
-		fmt.Printf("pprof: http://%s/debug/pprof/\n", *pprofAddr)
+		return runWorker(ctx, *worker, *workerIdx, *poolPath, tr.LogEvery, *redials)
+	}
+	if err := f.Open(); err != nil {
+		return err
 	}
 	reg := telemetry.NewRegistry()
 	reg.PublishExpvar("sage-train")
 
-	var emit *telemetry.JSONL
-	if *metrics != "" {
-		var err error
-		emit, err = telemetry.CreateJSONL(*metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer emit.Close()
-	}
-
 	pool, err := collector.Load(*poolPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("pool: %d trajectories, %d transitions\n", len(pool.Trajs), pool.Transitions())
 	if *sanitize {
-		clean, rep := collector.Sanitize(pool, collector.QualityConfig{})
-		if rep.Quarantined > 0 {
-			sidecar := *poolPath + ".quarantine.jsonl"
-			if err := rep.WriteSidecar(sidecar); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("sanitize: quarantined %d/%d trajectories (report: %s)\n",
-				rep.Quarantined, rep.Total, sidecar)
-		} else {
+		var rep collector.QualityReport
+		if pool, rep, err = collector.Quarantine(pool, *poolPath+".quarantine.jsonl", "sanitize", os.Stdout); err != nil {
+			return err
+		}
+		if rep.Quarantined == 0 {
 			fmt.Println("sanitize: pool is clean")
 		}
-		pool = clean
 	}
 
-	m, err := gr.MaskByName(*mask)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	cfg := core.Config{
-		GR:   pool.GR,
-		Mask: m,
-		CRR: rl.CRRConfig{
-			Policy:  nn.PolicyConfig{Enc: *enc, Hidden: *gru, ResBlocks: 2, K: *kMix},
-			Steps:   *steps,
-			Workers: *workers,
-			Seed:    *seed,
-		},
-	}
 	start := time.Now()
-	ds := rl.BuildDataset(pool, m)
-	if err := ds.CheckSeqLen(cfg.CRR.Fill().SeqLen); err != nil {
-		fmt.Fprintf(os.Stderr, "pool cannot be trained on (trajectories empty, truncated, or quarantined?): %v\n", err)
-		os.Exit(1)
+	ds := rl.BuildDataset(pool, tr.Mask)
+	learner, from, err := rl.OpenRun(tr.Checkpoint, ds, rl.CRRConfig{
+		Policy:  tr.Policy(),
+		Steps:   tr.Steps,
+		Workers: *workers,
+		Seed:    tr.Seed,
+	}, nil)
+	if err != nil {
+		return err
 	}
-	var learner *rl.CRR
-	done := 0
-	if *ckpt != "" {
-		resumed, steps, from, err := rl.LoadCheckpointAuto(*ckpt, ds)
-		switch {
-		case err == nil:
-			learner = resumed
-			done = steps
-			if from != *ckpt {
-				fmt.Printf("checkpoint %s unreadable; fell back to %s\n", *ckpt, from)
-			}
-			fmt.Printf("resumed %s at step %d\n", from, steps)
-		case rl.IsNotExist(err):
-			// No checkpoint yet: fresh start.
-		default:
-			// Checkpoints exist but none loads: refuse to silently retrain
-			// from scratch over hours of prior work.
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	done := learner.StepsDone()
+	if from != "" {
+		if from != tr.Checkpoint {
+			fmt.Printf("checkpoint %s unreadable; fell back to %s\n", tr.Checkpoint, from)
 		}
-	}
-	if learner == nil {
-		crr := cfg.CRR
-		learner = rl.NewCRR(ds, crr)
+		fmt.Printf("resumed %s at step %d\n", from, done)
 	}
 	fmt.Printf("learner: policy %d params, critic naf hidden=%d\n", nn.ParamCount(learner.Policy), learner.NAF.Cfg.Hidden)
-	remaining := *steps - done
-	if remaining < 0 {
-		remaining = 0
-	}
-	learner.Cfg.Steps = remaining
 
 	var meter *telemetry.Progress
 	if *progress {
-		meter = telemetry.NewProgress(os.Stdout, "train", int64(remaining), time.Second)
+		meter = telemetry.NewProgress(os.Stdout, "train", int64(learner.Cfg.Steps), time.Second)
 	}
 	stepCtr := reg.Counter("steps")
 	criticG := reg.Gauge("critic_loss")
@@ -214,7 +149,7 @@ func main() {
 		criticG.Set(s.CriticLoss)
 		policyG.Set(s.PolicyLoss)
 		meter.Add(1)
-		if emit == nil {
+		if emit.JSONL == nil {
 			return
 		}
 		elapsed := now.Sub(start).Seconds()
@@ -268,7 +203,7 @@ func main() {
 
 	logProgress := func(step int, cl, pl float64) {
 		abs := done + step
-		if abs%*logEvery == 0 && !*progress {
+		if abs%tr.LogEvery == 0 && !*progress {
 			fmt.Printf("step %6d  critic %.4f  policy %.4f  (%s)\n",
 				abs, cl, pl, time.Since(start).Round(time.Second))
 		}
@@ -277,71 +212,42 @@ func main() {
 		// The sentinel owns checkpointing: its rotations double as the
 		// resume points of PR 2 (same path, same format) and as rollback
 		// anchors, so the plain-save in the progress callback is disabled.
-		ckptPath := *ckpt
+		ckptPath := tr.Checkpoint
 		if ckptPath == "" {
 			ckptPath = *out + ".sentinel-ckpt"
 		}
-		sn := sentinel.New(sentinel.Config{
+		var sn *sentinel.Sentinel
+		learner, sn, err = sentinel.Train(ctx, learner, ds, sentinel.Config{
 			CheckpointPath:  ckptPath,
-			CheckpointEvery: *ckptEvery,
-			CheckpointKeep:  *ckptKeep,
+			CheckpointEvery: tr.CheckpointEvery,
+			CheckpointKeep:  tr.CheckpointKeep,
 			Metrics:         reg,
-		})
-		trained, serr := sn.Run(ctx, learner, ds, logProgress)
-		learner = trained
-		if emit != nil {
-			if err := sn.EmitEvents(emit); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}
+		}, emit.JSONL, logProgress)
 		if sn.Trips() > 0 {
 			fmt.Printf("sentinel: %d trips (%d batch skips, %d rollbacks), final lr scale %g\n",
 				sn.Trips(), sn.Skips(), sn.Rollbacks(), sn.LRScale())
-		}
-		if serr != nil {
-			meter.Finish()
-			if emit != nil {
-				emit.Flush()
-			}
-			fmt.Fprintln(os.Stderr, serr)
-			os.Exit(1)
 		}
 	} else {
 		learner.Train(ctx, ds, func(step int, cl, pl float64) {
 			logProgress(step, cl, pl)
 			abs := done + step
-			if *ckpt != "" && abs%*ckptEvery == 0 {
-				if err := learner.SaveCheckpointRotate(*ckpt, abs, *ckptKeep); err != nil {
+			if tr.Checkpoint != "" && abs%tr.CheckpointEvery == 0 {
+				if err := learner.SaveCheckpointRotate(tr.Checkpoint, abs, tr.CheckpointKeep); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 				}
 			}
 		})
 	}
 	meter.Finish()
-	if emit != nil {
-		if err := emit.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
+	if err != nil {
+		return err
 	}
 	if ctx.Err() != nil {
-		// Interrupted: persist exactly where training stopped, so a rerun
-		// resumes with a bitwise-identical loss curve.
-		if *ckpt != "" {
-			if err := learner.SaveCheckpointRotate(*ckpt, learner.StepsDone(), *ckptKeep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("interrupted at step %d; checkpoint saved to %s — rerun to resume\n",
-				learner.StepsDone(), *ckpt)
-		} else {
-			fmt.Printf("interrupted at step %d (no -checkpoint set; progress lost)\n", learner.StepsDone())
-		}
-		os.Exit(130)
+		return learner.Interrupted(tr.Checkpoint, tr.CheckpointKeep)
 	}
-	model := &core.Model{Policy: learner.Policy, Mask: cfg.Mask, GR: cfg.GR.Fill()}
+	model := &core.Model{Policy: learner.Policy, Mask: tr.Mask, GR: pool.GR.Fill()}
 	if err := model.Save(*out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("wrote %s (policy: %d params)\n", *out, nn.ParamCount(model.Policy))
 	if *publish != "" {
@@ -352,8 +258,7 @@ func main() {
 		// gate-controlled step (promote.RunGate / the serving daemon).
 		r, err := promote.OpenRegistry(*publish)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		id, err := r.Publish(model, promote.Meta{
 			Provenance: "sage-train",
@@ -363,32 +268,22 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("published candidate %s to %s\n", id, *publish)
 	}
+	return nil
 }
 
 // runWorker is the -worker mode: one data-parallel shard worker driven
 // by a sage-coord coordinator. The coordinator announces the training
 // config and mask, so only the pool and worker slot are local decisions.
-func runWorker(ctx context.Context, coordAddr string, index int, poolPath string, logEvery, redials int) int {
-	// Validate the address before loading a multi-GB pool.
-	if _, _, err := dist.ParseAddr(coordAddr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
+func runWorker(ctx context.Context, coordAddr string, index int, poolPath string, logEvery, redials int) error {
 	pool, err := collector.Load(poolPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-	host, _ := os.Hostname()
-	if host == "" {
-		host = "worker"
-	}
-	id := fmt.Sprintf("%s:%d", host, os.Getpid())
+	id := cli.SessionID("worker")
 	fmt.Printf("worker %d (%s): joining coordinator %s\n", index, id, coordAddr)
 	err = dist.RunTrainWorker(ctx, dist.TrainWorkerConfig{
 		Coordinator:    coordAddr,
@@ -396,31 +291,15 @@ func runWorker(ctx context.Context, coordAddr string, index int, poolPath string
 		Index:          index,
 		Pool:           pool,
 		RedialAttempts: redials,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:           cli.Logf,
 		OnStep: func(step int) {
-			if logEvery > 0 && step%logEvery == 0 {
+			if step%logEvery == 0 {
 				fmt.Printf("worker %d: step %6d applied\n", index, step)
 			}
 		},
 	})
-	switch {
-	case err == nil:
+	if err == nil {
 		fmt.Printf("worker %d: run complete\n", index)
-		return 0
-	case errors.Is(err, dist.ErrRevoked):
-		// Same contract as sage-collect -agent: the coordinator fenced
-		// this session off (a replacement Hello took the worker slot, or
-		// the lease lapsed). The host is healthy — a supervisor should
-		// relaunch rather than alert.
-		fmt.Fprintf(os.Stderr, "worker %d: %v\n", index, err)
-		return 4
-	case ctx.Err() != nil:
-		fmt.Printf("worker %d: drained on signal\n", index)
-		return 130
-	default:
-		fmt.Fprintf(os.Stderr, "worker %d: %v\n", index, err)
-		return 1
 	}
+	return cli.Session(ctx, fmt.Sprintf("worker %d", index), err, dist.ErrRevoked)
 }

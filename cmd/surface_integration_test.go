@@ -8,6 +8,7 @@ package cmd
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -50,6 +51,21 @@ func TestMain(m *testing.M) {
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
+}
+
+// saveTinyModel writes a small untrained model into dir.
+func saveTinyModel(t *testing.T, dir string) string {
+	t.Helper()
+	path := filepath.Join(dir, "good.model")
+	m := &core.Model{
+		Policy: nn.NewPolicy(nn.PolicyConfig{InDim: gr.StateDim, Enc: 8, Hidden: 8, ResBlocks: 1, K: 2, Seed: 1}),
+		Mask:   gr.MaskFull(),
+		GR:     gr.Config{}.Fill(),
+	}
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func exitCode(err error) int {
@@ -100,15 +116,7 @@ func TestFlagSurface(t *testing.T) {
 func TestExitCodeTable(t *testing.T) {
 	tmp := t.TempDir()
 
-	good := filepath.Join(tmp, "good.model")
-	m := &core.Model{
-		Policy: nn.NewPolicy(nn.PolicyConfig{InDim: gr.StateDim, Enc: 8, Hidden: 8, ResBlocks: 1, K: 2, Seed: 1}),
-		Mask:   gr.MaskFull(),
-		GR:     gr.Config{}.Fill(),
-	}
-	if err := m.Save(good); err != nil {
-		t.Fatal(err)
-	}
+	good := saveTinyModel(t, tmp)
 	raw, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +178,15 @@ func TestExitCodeTable(t *testing.T) {
 		{"bench bad pprof address", "sage-bench", []string{"-list", "-pprof", "no-port"}, 1},
 
 		{"bench list", "sage-bench", []string{"-list"}, 0},
+
+		// Rows that read differently before the mains moved onto
+		// internal/cli: an unknown -level silently evaluated the tiny grid
+		// and exited 0, and a zero period divided by zero inside the
+		// progress callback.
+		{"eval unknown level", "sage-eval", []string{"-model", good, "-level", "bogus", "-scenario", "flat-24mbps-20ms-1bdp"}, 2},
+		{"train zero log period", "sage-train", []string{"-pool", missing, "-log-every", "0"}, 2},
+		{"train zero checkpoint period", "sage-train", []string{"-pool", missing, "-checkpoint-every", "0"}, 2},
+		{"coord zero log period", "sage-coord", []string{"-mode", "train", "-pool", missing, "-log-every", "0"}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -178,6 +195,20 @@ func TestExitCodeTable(t *testing.T) {
 				t.Errorf("%s %v: exit %d, want %d\n%s", c.bin, c.args, got, c.want, out)
 			}
 		})
+	}
+}
+
+// sage-eval used to open -metrics only after the whole league had run, so a
+// bad path cost minutes of rollouts; every sink now opens before any work.
+func TestSinkOpensBeforeTheLeague(t *testing.T) {
+	tmp := t.TempDir()
+	model := saveTinyModel(t, tmp)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, filepath.Join(binDir, "sage-eval"),
+		"-model", model, "-metrics", filepath.Join(tmp, "no-such-dir", "league.jsonl")).CombinedOutput()
+	if exitCode(err) != 1 || !strings.Contains(string(out), "metrics file") || strings.Contains(string(out), "scheme") {
+		t.Fatalf("exit %d, want 1 from the sink before any league output\n%s", exitCode(err), out)
 	}
 }
 

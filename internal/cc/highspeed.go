@@ -18,7 +18,6 @@ type HighSpeed struct{}
 const (
 	hsLowWindow  = 38.0
 	hsHighWindow = 83000.0
-	hsHighP      = 1e-7
 	hsHighDecr   = 0.1
 )
 

@@ -203,7 +203,7 @@ func TestCheckpointRotationFallback(t *testing.T) {
 	raw1, _ := os.ReadFile(path + ".1")
 	raw1[len(raw1)/2] ^= 0xff
 	os.WriteFile(path+".1", raw1, 0o644)
-	if _, _, _, err := rl.LoadCheckpointAuto(path, ds); err == nil || rl.IsNotExist(err) {
+	if _, _, _, err := rl.LoadCheckpointAuto(path, ds); err == nil || errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt generations reported as %v", err)
 	}
 }

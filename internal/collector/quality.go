@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"sage/internal/telemetry"
@@ -148,6 +149,28 @@ func Sanitize(p *Pool, cfg QualityConfig) (*Pool, QualityReport) {
 	rep.Kept = len(clean.Trajs)
 	rep.Quarantined = rep.Total - rep.Kept
 	return clean, rep
+}
+
+// Quarantine is the data-quality gate as every tool applies it: Sanitize
+// under the default thresholds and, when anything was quarantined, the
+// report written to sidecar and one summary line on w under the caller's
+// prefix. A clean pool writes no sidecar and prints nothing.
+func Quarantine(p *Pool, sidecar, prefix string, w io.Writer) (*Pool, QualityReport, error) {
+	clean, rep := Sanitize(p, QualityConfig{})
+	if rep.Quarantined > 0 {
+		if err := rep.WriteSidecar(sidecar); err != nil {
+			return nil, rep, err
+		}
+		fmt.Fprintf(w, "%s: quarantined %d/%d trajectories (report: %s)\n", prefix, rep.Quarantined, rep.Total, sidecar)
+	}
+	return clean, rep, nil
+}
+
+// ReportFailed lists on w the cells whose rollouts failed permanently.
+func (p *Pool) ReportFailed(w io.Writer) {
+	for _, f := range p.Failed {
+		fmt.Fprintf(w, "failed cell: %s/%s: %s\n", f.Scheme, f.Env, f.Err)
+	}
 }
 
 // WriteSidecar writes the quarantine report as JSONL (one line per issue,

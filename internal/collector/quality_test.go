@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -108,5 +109,46 @@ func TestSanitizeQuarantinesAndReports(t *testing.T) {
 	}
 	if lines != 2 {
 		t.Fatalf("%d sidecar lines, want 2", lines)
+	}
+}
+
+// Quarantine is Sanitize plus what every tool does with the report: a
+// sidecar and one line under the tool's prefix when something was dropped,
+// neither when the pool is clean.
+func TestQuarantineReportsUnderTheCallersPrefix(t *testing.T) {
+	dir := t.TempDir()
+	p := &Pool{Failed: []FailedCell{{Scheme: "x", Env: "e", Err: "boom"}}}
+	p.Trajs = []Trajectory{qTraj("a", 40), qTraj("b", 40)}
+
+	var out bytes.Buffer
+	cleanSidecar := filepath.Join(dir, "clean.quarantine.jsonl")
+	clean, rep, err := Quarantine(p, cleanSidecar, "quality", &out)
+	if err != nil || rep.Quarantined != 0 || len(clean.Trajs) != 2 || out.Len() != 0 {
+		t.Fatalf("clean pool: %+v, %d kept, output %q, err %v", rep, len(clean.Trajs), out.String(), err)
+	}
+	if _, err := os.Stat(cleanSidecar); err == nil {
+		t.Fatal("a clean pool wrote a sidecar")
+	}
+
+	p.Trajs[1].Steps[5].Reward = math.NaN()
+	sidecar := filepath.Join(dir, "pool.quarantine.jsonl")
+	clean, rep, err = Quarantine(p, sidecar, "doctor", &out)
+	if err != nil || rep.Quarantined != 1 || len(clean.Trajs) != 1 || len(clean.Failed) != 1 {
+		t.Fatalf("poisoned pool: %+v, %d kept, err %v", rep, len(clean.Trajs), err)
+	}
+	if want := "doctor: quarantined 1/2 trajectories (report: " + sidecar + ")\n"; out.String() != want {
+		t.Fatalf("output %q, want %q", out.String(), want)
+	}
+	if raw, err := os.ReadFile(sidecar); err != nil || bytes.Count(raw, []byte("\n")) != 2 {
+		t.Fatalf("sidecar %q, err %v", raw, err)
+	}
+	if _, _, err := Quarantine(p, filepath.Join(dir, "missing", "q.jsonl"), "quality", &out); err == nil {
+		t.Fatal("an unwritable sidecar was not reported")
+	}
+
+	out.Reset()
+	clean.ReportFailed(&out)
+	if out.String() != "failed cell: x/e: boom\n" {
+		t.Fatalf("failed-cell report %q", out.String())
 	}
 }

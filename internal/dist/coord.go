@@ -282,9 +282,6 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
-// DoneCh exposes the completion channel.
-func (c *Coordinator) DoneCh() <-chan struct{} { return c.doneCh }
-
 // Serve accepts connections on ln until Shutdown. Always returns a
 // non-nil error; after Shutdown it is net.ErrClosed.
 func (c *Coordinator) Serve(ln net.Listener) error {

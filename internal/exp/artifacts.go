@@ -81,17 +81,6 @@ func (a *Artifacts) Sage() *core.Model {
 	})
 }
 
-// TrainOnPool trains a CRR model on an alternative pool (ablation and
-// diversity studies), memoized under key.
-func (a *Artifacts) TrainOnPool(key string, pool *collector.Pool, cfg core.Config) *core.Model {
-	return a.memo(key, func() *core.Model {
-		if cfg.CRR.Steps == 0 {
-			cfg.CRR = a.S.crr()
-		}
-		return core.Train(pool, cfg, nil)
-	})
-}
-
 // baselineNames lists every learning baseline Baseline can build.
 var baselineNames = []string{"bc", "bc-top", "bc-top3", "bcv2", "onlinerl",
 	"aurora", "genet", "orca", "orcav2", "deepcc", "indigo", "indigov2"}

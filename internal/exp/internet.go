@@ -125,8 +125,3 @@ func parallelism(p int) int {
 	}
 	return 8
 }
-
-// Run executes the entrant on one scenario (exported for experiment code).
-func (a *Artifacts) RunEntrant(name string, sc netem.Scenario, opt rollout.Options) rollout.Result {
-	return a.Entrant(name).Run(sc, opt)
-}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"sage/internal/cc"
-	"sage/internal/collector"
 	"sage/internal/core"
 	"sage/internal/eval"
 	"sage/internal/rl"
@@ -186,11 +185,6 @@ func Table2Table3(a *Artifacts) []*Table {
 		t3.AddRow(n, pct(ml.RateSingle[n]))
 	}
 	return []*Table{t2, t3}
-}
-
-// poolFiltered is a convenience for the diversity studies.
-func (a *Artifacts) poolFiltered(names ...string) *collector.Pool {
-	return a.Pool().FilterSchemes(names...)
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }

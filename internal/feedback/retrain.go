@@ -11,6 +11,7 @@ import (
 
 	"sage/internal/collector"
 	"sage/internal/core"
+	"sage/internal/nn"
 	"sage/internal/promote"
 	"sage/internal/rl"
 	"sage/internal/sentinel"
@@ -127,57 +128,31 @@ func RetrainRound(ctx context.Context, cfg RetrainConfig) (*core.Model, error) {
 		return nil, fmt.Errorf("feedback: round pool: %w", err)
 	}
 
-	ds := rl.BuildDataset(pool, cfg.Mask)
-	if err := ds.CheckSeqLen(cfg.CRR.Fill().SeqLen); err != nil {
-		return nil, fmt.Errorf("feedback: round pool: %w", err)
-	}
-
 	ckptPath := roundCkptPath(cfg.WorkDir, cfg.Round)
-	var learner *rl.CRR
-	done := 0
-	resumed, steps, _, err := rl.LoadCheckpointAuto(ckptPath, ds)
-	switch {
-	case err == nil:
-		learner, done = resumed, steps
-	case rl.IsNotExist(err):
-		learner = rl.NewCRR(ds, cfg.CRR)
-		if cfg.WarmStart && cfg.Incumbent != nil {
-			if err := learner.SeedFromPolicy(cfg.Incumbent.Policy); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		// Checkpoints exist but none loads: a fresh start here would
-		// silently retrain different parameters under the same round
-		// number, breaking publish idempotence. Refuse.
-		return nil, err
+	var warm *nn.Policy
+	if cfg.WarmStart && cfg.Incumbent != nil {
+		warm = cfg.Incumbent.Policy
 	}
-	remaining := cfg.CRR.Steps - done
-	if remaining < 0 {
-		remaining = 0
+	ds := rl.BuildDataset(pool, cfg.Mask)
+	learner, _, err := rl.OpenRun(ckptPath, ds, cfg.CRR, warm)
+	if err != nil {
+		return nil, fmt.Errorf("feedback: round %d: %w", cfg.Round, err)
 	}
-	learner.Cfg.Steps = remaining
+	remaining := learner.Cfg.Steps
 
-	sn := sentinel.New(sentinel.Config{
+	trained, _, err := sentinel.Train(ctx, learner, ds, sentinel.Config{
 		CheckpointPath:  ckptPath,
 		CheckpointEvery: cfg.CheckpointEvery,
 		CheckpointKeep:  cfg.CheckpointKeep,
 		Metrics:         cfg.Metrics,
-	})
-	trained, serr := sn.Run(ctx, learner, ds, cfg.Progress)
-	if cfg.Events != nil {
-		sn.EmitEvents(cfg.Events)
+	}, cfg.Events, cfg.Progress)
+	if err != nil {
+		return nil, fmt.Errorf("feedback: sentinel aborted round %d: %w", cfg.Round, err)
 	}
-	if serr != nil {
-		return nil, fmt.Errorf("feedback: sentinel aborted round %d: %w", cfg.Round, serr)
-	}
-	if err := ctx.Err(); err != nil {
+	if ctx.Err() != nil {
 		// Interrupted mid-round: the checkpoint chain holds the progress;
 		// do not publish a half-trained candidate.
-		if remaining > 0 {
-			trained.SaveCheckpointRotate(ckptPath, trained.StepsDone(), cfg.CheckpointKeep)
-		}
-		return nil, err
+		return nil, trained.Interrupted(ckptPath, cfg.CheckpointKeep)
 	}
 	cfg.Metrics.Counter(MetricRetrains).Inc()
 	cfg.Metrics.Counter(MetricRetrainSteps).Add(int64(remaining))

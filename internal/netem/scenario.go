@@ -150,17 +150,6 @@ func ParseLevel(s string) (GridLevel, error) {
 	return 0, fmt.Errorf("netem: unknown grid level %q (want tiny|small|full)", s)
 }
 
-// LevelName is ParseLevel's inverse, for logs and campaign specs.
-func (l GridLevel) LevelName() string {
-	switch l {
-	case GridSmall:
-		return "small"
-	case GridFull:
-		return "full"
-	}
-	return "tiny"
-}
-
 type gridAxes struct {
 	bwMbps  []float64
 	rttMs   []float64

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -124,7 +125,7 @@ func LoadCheckpoint(path string, ds *Dataset) (*CRR, int, error) {
 // rotated predecessors (path.1, path.2, …) when a file is corrupt or
 // truncated. It returns the path actually loaded so callers can report
 // the fallback. A missing path (and no rotations) returns an error
-// wrapping fs.ErrNotExist, which callers treat as "fresh start".
+// wrapping fs.ErrNotExist, which OpenRun treats as "fresh start".
 func LoadCheckpointAuto(path string, ds *Dataset) (*CRR, int, string, error) {
 	var attempts []string
 	found := false
@@ -156,6 +157,48 @@ func LoadCheckpointAuto(path string, ds *Dataset) (*CRR, int, string, error) {
 		path, len(attempts), strings.Join(attempts, "; "))
 }
 
-// IsNotExist reports whether a LoadCheckpointAuto error just means "no
-// checkpoint yet" (fresh start) rather than corruption.
-func IsNotExist(err error) bool { return errors.Is(err, os.ErrNotExist) }
+// OpenRun is the one way a training run starts. It checks that ds can be
+// sampled at cfg's sequence length, then resumes the newest loadable
+// checkpoint at ckpt or — when there is none yet, or ckpt is "" — builds a
+// fresh learner from cfg, warm-started from warm's weights when warm is
+// non-nil. cfg.Steps is the run's total: the learner comes back with
+// Cfg.Steps set to what is left of it after StepsDone. from names the file
+// resumed from ("" for a fresh start). A checkpoint chain that exists but
+// does not load is an error: a silent fresh start would retrain over hours
+// of prior work, or train different parameters under the same round number.
+func OpenRun(ckpt string, ds *Dataset, cfg CRRConfig, warm *nn.Policy) (l *CRR, from string, err error) {
+	if err := ds.CheckSeqLen(cfg.Fill().SeqLen); err != nil {
+		return nil, "", err
+	}
+	if ckpt != "" {
+		l, _, from, err = LoadCheckpointAuto(ckpt, ds)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, "", err
+		}
+	}
+	if l == nil {
+		l = NewCRR(ds, cfg)
+		if warm != nil {
+			if err := l.SeedFromPolicy(warm); err != nil {
+				return nil, "", err
+			}
+		}
+	}
+	l.Cfg.Steps = max(cfg.Steps-l.StepsDone(), 0)
+	return l, from, nil
+}
+
+// Interrupted is the one way a cancelled training run ends: it persists
+// exactly where training stopped, so a rerun through OpenRun resumes with a
+// bitwise-identical loss curve, and returns the error that says so. The
+// error wraps context.Canceled. With no ckpt the progress is lost, and the
+// error says that instead.
+func (l *CRR) Interrupted(ckpt string, keep int) error {
+	if ckpt == "" {
+		return fmt.Errorf("interrupted at step %d (no checkpoint set; progress lost): %w", l.StepsDone(), context.Canceled)
+	}
+	if err := l.SaveCheckpointRotate(ckpt, l.StepsDone(), keep); err != nil {
+		return err
+	}
+	return fmt.Errorf("interrupted at step %d; checkpoint saved to %s — rerun to resume: %w", l.StepsDone(), ckpt, context.Canceled)
+}

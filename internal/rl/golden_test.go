@@ -3,10 +3,13 @@ package rl
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"sage/internal/collector"
@@ -347,5 +350,70 @@ func TestGoldenWindowWithoutNextState(t *testing.T) {
 	}
 	if got, want := paramDigest(nn.DumpParams(bc)), "22fb1a4b509703a4"; got != want {
 		t.Errorf("TrainBC: %s, want %s", got, want)
+	}
+}
+
+// TestOpenRunResumesBitwise drives the one open-or-resume entry the way the
+// three training binaries do — open fresh, get interrupted, reopen, finish —
+// and holds the result to the uninterrupted Workers=2 golden.
+func TestOpenRunResumesBitwise(t *testing.T) {
+	ds := goldenDataset(t)
+	cfg := goldenCfg(2)
+	cfg.Steps = goldenSteps
+	ckpt := t.TempDir() + "/run.ckpt"
+
+	l, from, err := OpenRun(ckpt, ds, cfg, nil)
+	if err != nil || from != "" || l.StepsDone() != 0 || l.Cfg.Steps != goldenSteps {
+		t.Fatalf("fresh open: from %q, %d done, %d left, err %v", from, l.StepsDone(), l.Cfg.Steps, err)
+	}
+	for l.StepsDone() < 15 {
+		l.TrainStep(ds)
+	}
+	if err := l.Interrupted(ckpt, 2); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "step 15") {
+		t.Fatalf("Interrupted = %v, want a cancellation naming step 15", err)
+	}
+
+	l, from, err = OpenRun(ckpt, ds, cfg, nil)
+	if err != nil || from != ckpt || l.StepsDone() != 15 || l.Cfg.Steps != goldenSteps-15 {
+		t.Fatalf("reopen: from %q, %d done, %d left, err %v", from, l.StepsDone(), l.Cfg.Steps, err)
+	}
+	l.Train(context.Background(), ds, nil)
+	checkGolden(t, "OpenRun resumed at 15", l, goldenWorkers2)
+
+	// A finished run reopens with nothing left to do.
+	if err := l.SaveCheckpoint(ckpt, l.StepsDone()); err != nil {
+		t.Fatal(err)
+	}
+	if l, _, err = OpenRun(ckpt, ds, cfg, nil); err != nil || l.Cfg.Steps != 0 {
+		t.Fatalf("reopen of a finished run: %d left, err %v", l.Cfg.Steps, err)
+	}
+
+	// A chain that exists but does not load is refused, never a silent
+	// fresh start.
+	if err := os.WriteFile(ckpt, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenRun(ckpt, ds, cfg, nil); err == nil || errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("corrupt chain: err %v, want a load failure", err)
+	}
+
+	// No checkpoint path: always fresh, warm-started when asked, and an
+	// interrupt says the progress is gone.
+	warm := NewCRR(ds, goldenCfg(0)).Policy
+	warm.Params()[0].Data[0] = 0.625
+	l, from, err = OpenRun("", ds, cfg, warm)
+	if err != nil || from != "" || l.Policy.Params()[0].Data[0] != 0.625 {
+		t.Fatalf("warm start: from %q, err %v, first weight %v", from, err, l.Policy.Params()[0].Data[0])
+	}
+	if err := l.Interrupted("", 2); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "progress lost") {
+		t.Fatalf("Interrupted without a checkpoint = %v", err)
+	}
+
+	// A dataset the sampler cannot window is an error before any learner
+	// is built.
+	short := cfg
+	short.SeqLen = 1 << 20
+	if _, _, err := OpenRun(ckpt, ds, short, nil); !errors.Is(err, ErrShortTrajectories) {
+		t.Fatalf("unsampleable dataset: err %v", err)
 	}
 }

@@ -101,11 +101,12 @@ func (s *Sentinel) abort(reason string) error {
 		PolicyParams:     HistogramParams(s.learner.Policy),
 		CriticParams:     HistogramParams(s.learner.NAF),
 	}
-	werr := WriteDiagnostics(s.cfg.DiagPath, d)
+	diagPath := s.cfg.CheckpointPath + diagSuffix
+	werr := WriteDiagnostics(diagPath, d)
 	if werr != nil {
 		return fmt.Errorf("sentinel: training aborted at step %d: %s (and writing diagnostics failed: %v)", step, reason, werr)
 	}
-	return fmt.Errorf("sentinel: training aborted at step %d: %s (diagnostics: %s)", step, reason, s.cfg.DiagPath)
+	return fmt.Errorf("sentinel: training aborted at step %d: %s (diagnostics: %s)", step, reason, diagPath)
 }
 
 // WriteDiagnostics writes the bundle as indented JSON via an atomic

@@ -10,7 +10,7 @@
 //     crashed collector worker, an overflowed activation) or whose
 //     gradient norm explodes past a ceiling is rejected outright — the
 //     gradients are discarded and the weights never see them;
-//   - a finite critic loss spiking past SpikeFactor× its EMA is treated
+//   - a finite critic loss spiking past spikeFactor× its EMA is treated
 //     the same way (the early signature of divergence CRR shares with the
 //     Aurora-style trainers);
 //   - a periodic parameter sweep catches corruption that slipped past the
@@ -18,7 +18,7 @@
 //     learner back to the last good checkpoint (bitwise-exact resume,
 //     including RNG streams and Adam moments), halves the learning rate
 //     under a cooldown, and deterministically skips the offending batch;
-//   - after MaxRollbacks consecutive rollbacks — or MaxSkipStreak
+//   - after maxRollbacks consecutive rollbacks — or MaxSkipStreak
 //     consecutive rejected batches — training aborts with a diagnostic
 //     bundle (trip log, recent stats window, offending batch ids, and a
 //     parameter histogram) instead of burning hours on a doomed run.
@@ -37,40 +37,46 @@ import (
 	"sage/internal/telemetry"
 )
 
+// The divergence thresholds. No caller has ever needed another value, so
+// they are constants rather than Config fields.
+const (
+	// spikeFactor k: a finite critic loss above k× its EMA counts as a
+	// divergence spike and the batch is skipped (generous, because
+	// per-batch CRR losses are noisy).
+	spikeFactor = 25.0
+	// emaDecay is the critic-loss EMA decay.
+	emaDecay = 0.99
+	// warmup is how many applied steps the EMA must see before spike
+	// detection arms.
+	warmup = 50
+	// gradCeil is the absolute pre-clip gradient-norm ceiling; a finite
+	// norm above it is treated as an explosion and the batch is skipped.
+	gradCeil = 1e4
+	// maxRollbacks is how many consecutive rollbacks (with no clean
+	// cooldown between them) the sentinel tolerates before aborting with
+	// a diagnostic bundle.
+	maxRollbacks = 4
+	// lrBackoff is the learning-rate multiplier applied on every rollback,
+	// floored at lrFloor× the configured rate. After CooldownSteps clean
+	// applied steps the rate recovers one backoff notch at a time.
+	lrBackoff = 0.5
+	lrFloor   = 1.0 / 64
+	// statsWindow is how many recent TrainStats the diagnostic bundle
+	// retains.
+	statsWindow = 64
+	// diagSuffix names the abort bundle, written next to the checkpoint.
+	diagSuffix = ".diag.json"
+)
+
 // Config tunes the sentinel. The zero value of every field except
 // CheckpointPath (required) is a conservative default.
 type Config struct {
-	// SpikeFactor k: a finite critic loss above k× its EMA counts as a
-	// divergence spike and the batch is skipped (default 25 — generous,
-	// because per-batch CRR losses are noisy).
-	SpikeFactor float64
-	// EMADecay is the critic-loss EMA decay (default 0.99).
-	EMADecay float64
-	// Warmup is how many applied steps the EMA must see before spike
-	// detection arms (default 50).
-	Warmup int
-	// GradCeil is the absolute pre-clip gradient-norm ceiling; a finite
-	// norm above it is treated as an explosion and the batch is skipped
-	// (default 1e4).
-	GradCeil float64
 	// ParamSweepEvery is the period, in applied steps, of the non-finite
 	// parameter sweep (default 25).
 	ParamSweepEvery int
-
-	// MaxRollbacks is how many consecutive rollbacks (with no clean
-	// cooldown between them) the sentinel tolerates before aborting with
-	// a diagnostic bundle (default 4).
-	MaxRollbacks int
 	// MaxSkipStreak is how many consecutive rejected batches the sentinel
 	// tolerates before concluding the pool itself is garbage (default 64).
 	MaxSkipStreak int
-
-	// LRBackoff is the learning-rate multiplier applied on every rollback
-	// (default 0.5), floored at LRFloor× the configured rate (default
-	// 1/64). After CooldownSteps clean applied steps the rate recovers
-	// one backoff notch at a time.
-	LRBackoff float64
-	LRFloor   float64
 	// CooldownSteps is how many consecutive clean applied steps reset the
 	// rollback streak and recover one LR notch (default 200).
 	CooldownSteps int
@@ -82,45 +88,17 @@ type Config struct {
 	CheckpointEvery int
 	CheckpointKeep  int
 
-	// StatsWindow is how many recent TrainStats the diagnostic bundle
-	// retains (default 64).
-	StatsWindow int
-	// DiagPath is where the abort bundle is written (default
-	// CheckpointPath + ".diag.json").
-	DiagPath string
-
 	// Metrics, when non-nil, receives the sentinel.* counters. Nil costs
 	// nothing (telemetry counters are nil-safe).
 	Metrics *telemetry.Registry
 }
 
 func (c Config) fill() Config {
-	if c.SpikeFactor == 0 {
-		c.SpikeFactor = 25
-	}
-	if c.EMADecay == 0 {
-		c.EMADecay = 0.99
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 50
-	}
-	if c.GradCeil == 0 {
-		c.GradCeil = 1e4
-	}
 	if c.ParamSweepEvery == 0 {
 		c.ParamSweepEvery = 25
 	}
-	if c.MaxRollbacks == 0 {
-		c.MaxRollbacks = 4
-	}
 	if c.MaxSkipStreak == 0 {
 		c.MaxSkipStreak = 64
-	}
-	if c.LRBackoff == 0 {
-		c.LRBackoff = 0.5
-	}
-	if c.LRFloor == 0 {
-		c.LRFloor = 1.0 / 64
 	}
 	if c.CooldownSteps == 0 {
 		c.CooldownSteps = 200
@@ -130,12 +108,6 @@ func (c Config) fill() Config {
 	}
 	if c.CheckpointKeep == 0 {
 		c.CheckpointKeep = 2
-	}
-	if c.StatsWindow == 0 {
-		c.StatsWindow = 64
-	}
-	if c.DiagPath == "" {
-		c.DiagPath = c.CheckpointPath + ".diag.json"
 	}
 	return c
 }
@@ -212,6 +184,18 @@ type Sentinel struct {
 // New builds a sentinel for one training run.
 func New(cfg Config) *Sentinel {
 	return &Sentinel{cfg: cfg.fill(), lrScale: 1}
+}
+
+// Train is a whole guarded run: a fresh sentinel built from cfg drives the
+// remaining steps of learner (see Run), then appends its decision log to
+// events (nil = none). The sentinel comes back for its trip counters.
+func Train(ctx context.Context, learner *rl.CRR, ds *rl.Dataset, cfg Config, events *telemetry.JSONL, progress func(step int, criticLoss, policyLoss float64)) (*rl.CRR, *Sentinel, error) {
+	s := New(cfg)
+	trained, err := s.Run(ctx, learner, ds, progress)
+	// A failed write is sticky in the emitter: it surfaces when the owner
+	// closes it, and must not cost the caller its trained learner here.
+	_ = s.EmitEvents(events)
+	return trained, s, err
 }
 
 // Run drives learner.Cfg.Steps gradient steps under guard and returns the
@@ -306,10 +290,10 @@ func (s *Sentinel) gate(st rl.TrainStats) bool {
 	case !finite(st.GradNormPi) || !finite(st.GradNormQ):
 		reason = ReasonNonFiniteGrad
 		s.cfg.Metrics.Counter(MetricNonFiniteGrad).Inc()
-	case st.GradNormPi > s.cfg.GradCeil || st.GradNormQ > s.cfg.GradCeil:
+	case st.GradNormPi > gradCeil || st.GradNormQ > gradCeil:
 		reason = ReasonGradExplosion
 		s.cfg.Metrics.Counter(MetricGradExplosions).Inc()
-	case s.emaN >= s.cfg.Warmup && s.ema > 1e-12 && st.CriticLoss > s.cfg.SpikeFactor*s.ema:
+	case s.emaN >= warmup && s.ema > 1e-12 && st.CriticLoss > spikeFactor*s.ema:
 		reason = ReasonLossSpike
 		s.cfg.Metrics.Counter(MetricLossSpikes).Inc()
 	}
@@ -341,7 +325,7 @@ func (s *Sentinel) rollback(ds *rl.Dataset, reason string, st rl.TrainStats) err
 	s.offend = append(s.offend, st.BatchID)
 
 	fromStep := s.learner.StepsDone()
-	if s.rollbackStreak > s.cfg.MaxRollbacks {
+	if s.rollbackStreak > maxRollbacks {
 		return s.abort(fmt.Sprintf("%d consecutive rollbacks (%s at step %d)",
 			s.rollbackStreak, reason, fromStep))
 	}
@@ -365,9 +349,9 @@ func (s *Sentinel) rollback(ds *rl.Dataset, reason string, st rl.TrainStats) err
 }
 
 func (s *Sentinel) backoffLR(step int) {
-	next := s.lrScale * s.cfg.LRBackoff
-	if next < s.cfg.LRFloor {
-		next = s.cfg.LRFloor
+	next := s.lrScale * lrBackoff
+	if next < lrFloor {
+		next = lrFloor
 	}
 	if next != s.lrScale {
 		s.lrScale = next
@@ -378,7 +362,7 @@ func (s *Sentinel) backoffLR(step int) {
 }
 
 func (s *Sentinel) recoverLR(step int) {
-	s.lrScale /= s.cfg.LRBackoff
+	s.lrScale /= lrBackoff
 	if s.lrScale > 1 {
 		s.lrScale = 1
 	}
@@ -409,14 +393,17 @@ func (s *Sentinel) foldEMA(loss float64) {
 	if s.emaN == 0 {
 		s.ema = loss
 	} else {
-		s.ema = s.cfg.EMADecay*s.ema + (1-s.cfg.EMADecay)*loss
+		// 1-d in float64, as when the decay was a field: the constant
+		// expression 1-emaDecay would round differently.
+		d := float64(emaDecay)
+		s.ema = d*s.ema + (1-d)*loss
 	}
 	s.emaN++
 }
 
 func (s *Sentinel) record(st rl.TrainStats) {
 	s.statsWin = append(s.statsWin, st)
-	if n := len(s.statsWin) - s.cfg.StatsWindow; n > 0 {
+	if n := len(s.statsWin) - statsWindow; n > 0 {
 		s.statsWin = append(s.statsWin[:0], s.statsWin[n:]...)
 	}
 }

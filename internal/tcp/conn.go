@@ -221,9 +221,6 @@ func (c *Conn) MaxDeliveryRate() float64 { return c.maxRateFilter.Get() }
 // InflightPkts returns the number of unresolved packets in flight.
 func (c *Conn) InflightPkts() int { return c.inflightCnt }
 
-// InflightBytes returns the bytes in flight.
-func (c *Conn) InflightBytes() int { return c.inflightCnt * c.opt.MSS }
-
 // State returns the congestion-avoidance machine state.
 func (c *Conn) State() CAState { return c.state }
 

@@ -23,7 +23,6 @@ type Sink struct {
 	RxBytes int64
 	RxPkts  int64
 	owdSum  sim.Time
-	owdMax  sim.Time
 	AcksTx  int64
 
 	pending  [2]netem.AckItem // data packets not yet acknowledged
@@ -52,9 +51,6 @@ func (s *Sink) Receive(p *netem.Packet, now sim.Time) {
 	s.RxPkts++
 	owd := now - p.Sent
 	s.owdSum += owd
-	if owd > s.owdMax {
-		s.owdMax = owd
-	}
 	s.pending[s.npend] = netem.AckItem{Seq: p.Seq, SentAt: p.Sent, ECE: p.ECE}
 	s.npend++
 	s.pendID = p.FlowID
@@ -90,9 +86,6 @@ func (s *Sink) OWDAvg() sim.Time {
 	}
 	return s.owdSum / sim.Time(s.RxPkts)
 }
-
-// OWDMax returns the maximum observed one-way delay.
-func (s *Sink) OWDMax() sim.Time { return s.owdMax }
 
 // Totals returns the cumulative received bytes, packets, and the sum of
 // one-way delays — the counters interval scoring snapshots.

@@ -1,18 +1,17 @@
 // Package telemetry is the repository's observability layer: an
 // allocation-conscious metrics core (counters, gauges, log-bucketed
-// histograms), a sim-time-keyed timeseries sampler, per-flow datapath
-// tracing, progress/ETA reporting, and JSONL/CSV export for the
-// paper-style figures.
+// histograms), per-flow datapath tracing, progress/ETA reporting, and
+// JSONL/CSV export for the paper-style figures.
 //
 // Every type in this package is nil-safe: calling any method on a nil
-// *Registry, *Counter, *Gauge, *Histogram, *Sampler, *FlowTrace or
-// *Progress is a no-op. Hot paths therefore carry a single nil pointer
+// *Registry, *Counter, *Gauge, *Histogram, *FlowTrace or *Progress is a
+// no-op. Hot paths therefore carry a single nil pointer
 // and pay only a predicted branch when telemetry is disabled — see
 // BenchmarkNoopCounter / BenchmarkTelemetryDisabled for the guard.
 //
-// Wall-clock time never enters simulation-derived metrics: the Sampler
-// and FlowTrace are keyed by sim.Time, so traces are reproducible
-// bit-for-bit like the simulations that produce them. Only Progress
+// Wall-clock time never enters simulation-derived metrics: the FlowTrace
+// is keyed by sim.Time, so traces are reproducible bit-for-bit like the
+// simulations that produce them. Only Progress
 // (operator-facing ETA output) reads the wall clock.
 package telemetry
 
@@ -31,7 +30,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	samplers map[string]*Sampler
 }
 
 // NewRegistry returns an empty registry.
@@ -40,7 +38,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		samplers: make(map[string]*Sampler),
 	}
 }
 
@@ -88,27 +85,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// RegisterSampler attaches a sampler so it appears in snapshots and
-// exports. Re-registering a name replaces the previous sampler.
-func (r *Registry) RegisterSampler(name string, s *Sampler) {
-	if r == nil || s == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samplers[name] = s
-}
-
-// Sampler returns the sampler registered under name, or nil.
-func (r *Registry) Sampler(name string) *Sampler {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samplers[name]
 }
 
 // Snapshot returns a point-in-time flat view of every counter, gauge,

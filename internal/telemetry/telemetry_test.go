@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -98,8 +97,7 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x").Add(1)
 	r.Gauge("x").Set(1)
 	r.Histogram("x").Observe(1)
-	r.RegisterSampler("x", nil)
-	if r.Snapshot() != nil || r.Sampler("x") != nil {
+	if r.Snapshot() != nil {
 		t.Fatal("nil registry not empty")
 	}
 	if r.String() != "telemetry: disabled" {
@@ -120,13 +118,6 @@ func TestNilSafety(t *testing.T) {
 	if h.Summary().Count != 0 || h.Mean() != 0 {
 		t.Fatal("nil histogram")
 	}
-	var s *Sampler
-	if s.Sample(0, 1) || s.Len() != 0 || s.Fields() != nil {
-		t.Fatal("nil sampler")
-	}
-	if err := s.WriteCSV(nil); err != nil {
-		t.Fatal(err)
-	}
 	var ft *FlowTrace
 	ft.Record(FlowSample{})
 	if ft.Len() != 0 || ft.Samples() != nil {
@@ -146,66 +137,6 @@ func TestNilSafety(t *testing.T) {
 	p.Add(1)
 	p.AddExtra(1)
 	p.Finish()
-}
-
-func TestSamplerDecimation(t *testing.T) {
-	s := NewSampler(10*sim.Millisecond, "cwnd", "rtt")
-	kept := 0
-	for i := 0; i < 100; i++ {
-		if s.Sample(sim.Time(i)*sim.Millisecond, float64(i), float64(2*i)) {
-			kept++
-		}
-	}
-	if kept != s.Len() || kept != 10 {
-		t.Fatalf("kept %d rows (len %d), want 10", kept, s.Len())
-	}
-	at, row := s.At(1)
-	if at != 10*sim.Millisecond || row[0] != 10 || row[1] != 20 {
-		t.Fatalf("row 1 = %v %v", at, row)
-	}
-	// Short rows zero-pad, long rows truncate.
-	s2 := NewSampler(0, "a", "b")
-	s2.Sample(1, 5)
-	s2.Sample(2, 1, 2, 3)
-	if _, row := s2.At(0); row[1] != 0 {
-		t.Fatal("short row not padded")
-	}
-	if _, row := s2.At(1); len(row) != 2 {
-		t.Fatal("long row not truncated")
-	}
-}
-
-func TestSamplerExport(t *testing.T) {
-	s := NewSampler(0, "x")
-	s.Sample(sim.Second, 1.5)
-	s.Sample(2*sim.Second, 2.5)
-	var csvBuf bytes.Buffer
-	if err := s.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 3 || lines[0] != "t_us,x" || lines[1] != "1000000,1.5" {
-		t.Fatalf("csv = %q", lines)
-	}
-	var jb bytes.Buffer
-	if err := s.WriteJSONL(&jb); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&jb)
-	n := 0
-	for sc.Scan() {
-		var obj map[string]float64
-		if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
-			t.Fatalf("line %d: %v", n, err)
-		}
-		if obj["x"] == 0 || obj["t_us"] == 0 {
-			t.Fatalf("line %d = %v", n, obj)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("jsonl rows = %d", n)
-	}
 }
 
 func TestFlowTrace(t *testing.T) {
