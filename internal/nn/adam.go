@@ -9,9 +9,10 @@ import (
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
-	t int
-	m map[*Param][]float64
-	v map[*Param][]float64
+	t        int
+	bc1, bc2 float64 // bias corrections of step t
+	m        map[*Param][]float64
+	v        map[*Param][]float64
 }
 
 // NewAdam returns Adam with the standard β₁=0.9, β₂=0.999 moments.
@@ -25,27 +26,42 @@ func NewAdam(lr float64) *Adam {
 
 // Step applies one update using the accumulated gradients, then clears them.
 func (a *Adam) Step(mod Module) {
-	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.Advance(mod)
 	for _, p := range mod.Params() {
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float64, len(p.Data))
-			a.m[p] = m
-		}
-		v, ok := a.v[p]
-		if !ok {
-			v = make([]float64, len(p.Data))
-			a.v[p] = v
-		}
-		for i, g := range p.Grad {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			p.Data[i] -= a.LR * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + a.Eps)
-		}
-		p.ZeroGrad()
+		a.Update(p)
 	}
+}
+
+// Advance opens step t+1 over mod's parameters: Update then applies it to
+// each of them exactly once, in any order and from any goroutines (Update
+// only reads the optimizer's own state). Step is Advance plus every Update.
+func (a *Adam) Advance(mod Module) {
+	a.t++
+	a.bc1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.bc2 = 1 - math.Pow(a.Beta2, float64(a.t))
+	for _, p := range mod.Params() {
+		if _, ok := a.m[p]; !ok {
+			a.m[p] = make([]float64, len(p.Data))
+		}
+		if _, ok := a.v[p]; !ok {
+			a.v[p] = make([]float64, len(p.Data))
+		}
+	}
+}
+
+// Update applies the step Advance opened to p, then clears p's gradient.
+func (a *Adam) Update(p *Param) {
+	// Locals, not fields, in the loop: the stores to p.Data could alias a's
+	// fields as far as the compiler knows, which would reload them each time.
+	b1, b2, lr, eps, bc1, bc2 := a.Beta1, a.Beta2, a.LR, a.Eps, a.bc1, a.bc2
+	n := len(p.Grad)
+	m, v, data := a.m[p][:n], a.v[p][:n], p.Data[:n]
+	for i, g := range p.Grad {
+		m[i] = b1*m[i] + (1-b1)*g
+		v[i] = b2*v[i] + (1-b2)*g*g
+		data[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + eps)
+	}
+	p.ZeroGrad()
 }
 
 // AdamState is the optimizer's serializable state over one module's

@@ -62,10 +62,12 @@ func (m *Mat) fillRows(v []float64) {
 // tileRows is the SIMD tile height: 16 batch rows = 4 YMM accumulators.
 const tileRows = 16
 
-// gemmScratch holds the transposed input tile the AVX2 kernels consume;
-// one per concurrent worker (embedded in GRUScratch / PolicyBatchScratch).
+// gemmScratch holds the transposed input tile the AVX2 kernels consume and
+// the backward's accumulation list; one per concurrent worker (embedded in
+// GRUScratch / PolicyBatchScratch and the tapes).
 type gemmScratch struct {
-	xt []float64
+	xt    []float64
+	terms []axpyTerm
 }
 
 func (s *gemmScratch) tile(cols int) []float64 {
@@ -316,15 +318,6 @@ func (n *Normalizer) BatchApply(x, out *Mat) {
 				z = -10
 			}
 			or[i] = z
-		}
-	}
-}
-
-// leakyReLUInPlace applies max(x, alpha·x) elementwise over a flat buffer.
-func leakyReLUInPlace(x []float64, alpha float64) {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = alpha * v
 		}
 	}
 }

@@ -14,26 +14,30 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
-// setAVX2 forces the GEMM tile kernel on or off and returns the previous
+// setAVX2 forces the vector kernels on or off and returns the previous
 // setting; nil where the build has no such switch (gemm_amd64_test.go).
 var setAVX2 func(on bool) (was bool)
 
-// eachKernelTier runs f with useAVX2 as detected and, where the build has
-// the switch, forced off, over one batch size per matMulBias tier on each
-// side of its boundaries: single-row remainder (1), 8-row blocked scalar
-// (8, 9), 16-row AVX2 tile (16, 17, 33).
-func eachKernelTier(t *testing.T, f func(t *testing.T, B int)) {
-	run := func(name string) {
-		for _, B := range []int{1, 8, 9, 16, 17, 33} {
-			t.Run(fmt.Sprintf("%s/B=%d", name, B), func(t *testing.T) { f(t, B) })
-		}
-	}
-	run("avx2=detected")
+// kernelTiers runs f with useAVX2 as detected and, where the build has the
+// switch, forced off.
+func kernelTiers(t *testing.T, f func(t *testing.T)) {
+	t.Run("avx2=detected", f)
 	if setAVX2 != nil {
 		was := setAVX2(false)
 		defer setAVX2(was)
-		run("avx2=off")
+		t.Run("avx2=off", f)
 	}
+}
+
+// eachKernelTier runs f at both kernel tiers over one batch size per
+// matMulBias tier on each side of its boundaries: single-row remainder (1),
+// 8-row blocked scalar (8, 9), 16-row AVX2 tile (16, 17, 33).
+func eachKernelTier(t *testing.T, f func(t *testing.T, B int)) {
+	kernelTiers(t, func(t *testing.T) {
+		for _, B := range []int{1, 8, 9, 16, 17, 33} {
+			t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) { f(t, B) })
+		}
+	})
 }
 
 // checkRowsMatchOracle holds one BatchForward's heads, new hidden states and

@@ -2,9 +2,10 @@
 
 package nn
 
-// useAVX2 gates the vectorized GEMM tile kernel. The AVX2 path is
-// bitwise identical to the scalar path: each SIMD lane carries one batch
-// row's accumulator through the same mul-then-add sequence (no FMA — a
+// useAVX2 gates the vectorized kernels: the forward's GEMM tile and the
+// backward's row-blocked accumulation. The AVX2 path is bitwise identical
+// to the scalar path: each SIMD lane carries one accumulator through the
+// same mul-then-add sequence (no FMA — a
 // fused multiply-add rounds differently, which would break the batched ==
 // sequential equivalence contract).
 var useAVX2 = x86CpuidAVX2()
@@ -23,3 +24,15 @@ func x86CpuidAVX2() bool
 //
 //go:noescape
 func dotTile16(w *float64, xt *float64, n int, acc *[16]float64)
+
+// axpyList32 accumulates, for the n terms at terms in list order, the
+// 32-element rows they name into acc[0:32]:
+//
+//	acc[j] = acc[j] + t.s·base[t.off+j]   for each term t, j < 32
+//
+// with the 32 sums held in registers across the whole list. Each element's
+// operation order matches the scalar chain exactly. Implemented in
+// gemm_amd64.s; only called when useAVX2 is true, with every row in bounds.
+//
+//go:noescape
+func axpyList32(acc *float64, base *float64, terms *axpyTerm, n int)

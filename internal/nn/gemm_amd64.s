@@ -77,3 +77,65 @@ done:
 	VMOVUPD Y3, 96(DX)
 	VZEROUPPER
 	RET
+
+// func axpyList32(acc *float64, base *float64, terms *axpyTerm, n int)
+//
+// Eight YMM accumulators hold acc[0:32] across the whole list. Per term:
+// broadcast the scale, then for each 4-lane group multiply the row at
+// base + off and add — VMULPD+VADDPD, so every lane performs the scalar
+// acc = acc + (s * v) with intermediate rounding, terms in list order.
+TEXT ·axpyList32(SB), NOSPLIT, $0-32
+	MOVQ acc+0(FP), DX
+	MOVQ base+8(FP), SI
+	MOVQ terms+16(FP), DI
+	MOVQ n+24(FP), CX
+
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	VMOVUPD 128(DX), Y4
+	VMOVUPD 160(DX), Y5
+	VMOVUPD 192(DX), Y6
+	VMOVUPD 224(DX), Y7
+
+	TESTQ CX, CX
+	JZ    store
+
+term:
+	VBROADCASTSD (DI), Y8
+	MOVQ         8(DI), AX
+	LEAQ         (SI)(AX*8), BX
+
+	VMULPD (BX), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(BX), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(BX), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(BX), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD 128(BX), Y8, Y13
+	VADDPD Y13, Y4, Y4
+	VMULPD 160(BX), Y8, Y14
+	VADDPD Y14, Y5, Y5
+	VMULPD 192(BX), Y8, Y15
+	VADDPD Y15, Y6, Y6
+	VMULPD 224(BX), Y8, Y9
+	VADDPD Y9, Y7, Y7
+
+	ADDQ $16, DI
+	DECQ CX
+	JNZ  term
+
+store:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VZEROUPPER
+	RET

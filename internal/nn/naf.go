@@ -160,7 +160,7 @@ func (c *NAFCritic) BatchForward(t *NAFTape) {
 // accumulate in the order listed — bitwise a row-at-a-time backward; a row
 // not listed contributes nothing.
 func (c *NAFCritic) TDBackward(t *NAFTape, order []int, weight float64) float64 {
-	rows := t.X.Rows
+	rows, sc := t.X.Rows, &t.gemm
 	clear(t.dV.Reset(rows, 1).Data)
 	clear(t.dM.Reset(rows, 1).Data)
 	clear(t.dP.Reset(rows, 1).Data)
@@ -190,20 +190,20 @@ func (c *NAFCritic) TDBackward(t *NAFTape, order []int, weight float64) float64 
 			t.dP.Data[r] = dp * sigmoid(pPre) // d softplus/dx = σ(x)
 		}
 	}
-	gradAcc(c.headV.W, c.headV.B, &t.dV, &t.h2, order)
-	gradAcc(c.headM.W, c.headM.B, &t.dM, &t.h2, order)
-	gradAcc(c.headP.W, c.headP.B, &t.dP, &t.h2, order)
-	backMul(c.headV.W, &t.dV, &t.dh2)
-	backMul(c.headM.W, &t.dM, &t.dh2m)
-	backMul(c.headP.W, &t.dP, &t.dh2p)
+	gradAcc(c.headV.W, c.headV.B, &t.dV, &t.h2, order, sc)
+	gradAcc(c.headM.W, c.headM.B, &t.dM, &t.h2, order, sc)
+	gradAcc(c.headP.W, c.headP.B, &t.dP, &t.h2, order, sc)
+	backMul(c.headV.W, &t.dV, &t.dh2, sc)
+	backMul(c.headM.W, &t.dM, &t.dh2m, sc)
+	backMul(c.headP.W, &t.dP, &t.dh2p, sc)
 	for i := range t.dh2.Data {
 		t.dh2.Data[i] += t.dh2m.Data[i] + t.dh2p.Data[i]
 	}
 	leakyReLUBack(t.h2pre.Data, t.dh2.Data, lreluAlpha)
-	gradAcc(c.l2.W, c.l2.B, &t.dh2, &t.h1, order)
-	backMul(c.l2.W, &t.dh2, &t.dh1)
+	gradAcc(c.l2.W, c.l2.B, &t.dh2, &t.h1, order, sc)
+	backMul(c.l2.W, &t.dh2, &t.dh1, sc)
 	leakyReLUBack(t.h1pre.Data, t.dh1.Data, lreluAlpha)
-	gradAcc(c.l1.W, c.l1.B, &t.dh1, &t.xn, order)
+	gradAcc(c.l1.W, c.l1.B, &t.dh1, &t.xn, order, sc)
 	return loss
 }
 

@@ -51,9 +51,10 @@ func denseBatchBackward(d *Dense, x, dY *Mat) *Mat {
 	for i := range order {
 		order[i] = i
 	}
-	gradAcc(d.W, d.B, dY, x, order)
+	var sc gemmScratch
+	gradAcc(d.W, d.B, dY, x, order, &sc)
 	dX := NewMat(x.Rows, d.In)
-	backMulAcc(d.W, dY, dX)
+	backMulAcc(d.W, dY, dX, &sc)
 	return dX
 }
 
@@ -418,9 +419,26 @@ func TestClipGrads(t *testing.T) {
 	for i := range d.W.Grad {
 		d.W.Grad[i] = 100
 	}
-	ClipGrads(d, 1)
-	if n := GradNorm(d); math.Abs(n-1) > 1e-9 {
+	if !ClipGrads(d, 1, GradNorm(d)) {
+		t.Fatal("norm 200 not clipped to 1")
+	}
+	n := GradNorm(d)
+	if math.Abs(n-1) > 1e-9 {
 		t.Fatalf("grad norm after clip = %v", n)
+	}
+	// Under the threshold nothing moves, so the norm the caller holds is
+	// still the post-clip norm, bit for bit.
+	before := append([]float64(nil), d.W.Grad...)
+	if ClipGrads(d, 2, n) {
+		t.Fatalf("norm %v clipped at 2", n)
+	}
+	for i, g := range d.W.Grad {
+		if !sameBits(g, before[i]) {
+			t.Fatalf("W.Grad[%d] moved: %v → %v", i, before[i], g)
+		}
+	}
+	if !sameBits(GradNorm(d), n) {
+		t.Fatalf("unclipped norm %v, held %v", GradNorm(d), n)
 	}
 }
 

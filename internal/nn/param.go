@@ -75,6 +75,16 @@ func CopyParams(dst, src Module) {
 	}
 }
 
+// ShareParams points dst's parameter values at src's storage, so dst reads
+// src's weights as they change without a copy; dst's gradient accumulators
+// stay its own. The two modules must have identical shapes.
+func ShareParams(dst, src Module) {
+	dp, sp := dst.Params(), src.Params()
+	for i := range dp {
+		dp[i].Data = sp[i].Data
+	}
+}
+
 // DumpParams copies the parameter tensors of ms, in order: the one form in
 // which models, checkpoints and parameter broadcasts carry weights.
 func DumpParams(ms ...Module) [][]float64 {
@@ -150,16 +160,27 @@ func FiniteParams(m Module) bool {
 	return true
 }
 
-// ClipGrads scales gradients so their global norm is at most maxNorm.
-func ClipGrads(m Module, maxNorm float64) {
-	n := GradNorm(m)
+// ClipScale is the factor ClipGrads scales gradients of norm n (GradNorm) by
+// to bring it to at most maxNorm, and false when they need no scaling.
+func ClipScale(n, maxNorm float64) (float64, bool) {
 	if n <= maxNorm || n == 0 {
-		return
+		return 1, false
 	}
-	f := maxNorm / n
-	for _, p := range m.Params() {
-		for i := range p.Grad {
-			p.Grad[i] *= f
+	return maxNorm / n, true
+}
+
+// ClipGrads scales m's gradients, whose norm the caller has just computed as
+// n = GradNorm(m), so their global norm is at most maxNorm. It reports
+// whether it scaled them; when it did not, n is still their norm, bit for
+// bit.
+func ClipGrads(m Module, maxNorm, n float64) bool {
+	f, clip := ClipScale(n, maxNorm)
+	if clip {
+		for _, p := range m.Params() {
+			for i := range p.Grad {
+				p.Grad[i] *= f
+			}
 		}
 	}
+	return clip
 }

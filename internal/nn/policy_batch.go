@@ -36,9 +36,9 @@ func (s *PolicyBatchScratch) LastHidden() *Mat { return &s.fc }
 func (p *Policy) BatchForward(states, hidden *Mat, s *PolicyBatchScratch) (heads, hNew *Mat) {
 	p.Norm.BatchApply(states, &s.xn)
 	p.enc1.batchForward(&s.xn, &s.e1, &s.gemm)
-	leakyReLUInPlace(s.e1.Data, lreluAlpha)
+	leakyReLUTo(s.e1.Data, s.e1.Data, lreluAlpha)
 	p.enc2.batchForward(&s.e1, &s.e2, &s.gemm)
-	leakyReLUInPlace(s.e2.Data, lreluAlpha)
+	leakyReLUTo(s.e2.Data, s.e2.Data, lreluAlpha)
 
 	trunk := &s.e2
 	hNew = hidden
@@ -46,7 +46,7 @@ func (p *Policy) BatchForward(states, hidden *Mat, s *PolicyBatchScratch) (heads
 		p.gru.BatchForward(&s.e2, hidden, &s.hNew, &s.gru)
 		hNew = &s.hNew
 		p.ln.BatchForward(&s.hNew, &s.ln)
-		leakyReLUInPlace(s.ln.Data, lreluAlpha)
+		leakyReLUTo(s.ln.Data, s.ln.Data, lreluAlpha)
 		trunk = &s.ln
 	}
 	if p.enc3 != nil {
@@ -55,11 +55,11 @@ func (p *Policy) BatchForward(states, hidden *Mat, s *PolicyBatchScratch) (heads
 		trunk = &s.e3
 	}
 	p.fc.batchForward(trunk, &s.fc, &s.gemm)
-	leakyReLUInPlace(s.fc.Data, lreluAlpha)
+	leakyReLUTo(s.fc.Data, s.fc.Data, lreluAlpha)
 	cur := &s.fc
 	for i := range p.res {
 		p.res[i].ln.BatchForward(cur, &s.resLn)
-		leakyReLUInPlace(s.resLn.Data, lreluAlpha)
+		leakyReLUTo(s.resLn.Data, s.resLn.Data, lreluAlpha)
 		p.res[i].fc.batchForward(&s.resLn, &s.resD, &s.gemm)
 		for j, d := range s.resD.Data {
 			cur.Data[j] += d

@@ -24,16 +24,54 @@ func (m *Mat) rowsView(lo, hi int) Mat {
 	return Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
+// axpyTerm is one entry of an accumulation list: s times the row that
+// starts at element off of the list's base slice.
+type axpyTerm struct {
+	s   float64
+	off int
+}
+
+// axpyCols is axpyList32's block width: 32 columns, eight YMM registers.
+const axpyCols = 32
+
+// accTerms adds, for every term in list order, t.s·base[t.off+j] to acc[j]
+// for every j < len(acc) (a row shorter than acc panics). Every element of
+// acc is one chain of additions in list order — the product rounded, then
+// the sum. With AVX2 each 32-column block runs through axpyList32, which
+// keeps the block in registers across the whole list; the columns left over
+// take the scalar chain, in the same order.
+func accTerms(acc, base []float64, terms []axpyTerm) {
+	n, j := len(acc), 0
+	if len(terms) == 0 || n == 0 {
+		return
+	}
+	for _, t := range terms {
+		_ = base[t.off : t.off+n] // axpyList32 reads its rows unchecked
+	}
+	if useAVX2 {
+		for ; j+axpyCols <= n; j += axpyCols {
+			axpyList32(&acc[j], &base[j], &terms[0], len(terms))
+		}
+	}
+	rest := acc[j:n]
+	for _, t := range terms {
+		v := base[t.off+j : t.off+n][:len(rest)]
+		for k, x := range v {
+			rest[k] += t.s * x
+		}
+	}
+}
+
 // gradAcc accumulates a dense layer's parameter gradients over a batch:
 // w.Grad[o][j] += dY[r][o]·x[r][j] and, when bias is non-nil,
 // bias.Grad[o] += dY[r][o], visiting rows r in the given order. Each
 // gradient element is its own chain of additions in that order, so the
-// loop nest is free: the output index runs outermost, which keeps one row
-// of w.Grad hot while the batch streams past it.
-func gradAcc(w, bias *Param, dY, x *Mat, order []int) {
+// loop nest is free: per output o, the rows' non-zero dY[r][o] are listed in
+// that order and the whole list runs through one row of w.Grad at a time.
+func gradAcc(w, bias *Param, dY, x *Mat, order []int, sc *gemmScratch) {
 	cols, outs := w.Cols, w.Rows
 	for o := 0; o < outs; o++ {
-		grow := w.Grad[o*cols : (o+1)*cols : (o+1)*cols]
+		terms := sc.terms[:0]
 		bsum := 0.0
 		if bias != nil {
 			bsum = bias.Grad[o]
@@ -44,11 +82,10 @@ func gradAcc(w, bias *Param, dY, x *Mat, order []int) {
 				continue
 			}
 			bsum += g
-			xr := x.Data[r*cols : (r+1)*cols : (r+1)*cols]
-			for j, xj := range xr {
-				grow[j] += g * xj
-			}
+			terms = append(terms, axpyTerm{g, r * cols})
 		}
+		accTerms(w.Grad[o*cols:(o+1)*cols], x.Data, terms)
+		sc.terms = terms
 		if bias != nil {
 			bias.Grad[o] = bsum
 		}
@@ -57,39 +94,48 @@ func gradAcc(w, bias *Param, dY, x *Mat, order []int) {
 
 // backMulAcc accumulates the input gradient of a dense layer for every row:
 // dX[r][j] += Σ_o w[o][j]·dY[r][o], o ascending, zero dY[r][o] skipped.
-func backMulAcc(w *Param, dY, dX *Mat) {
+func backMulAcc(w *Param, dY, dX *Mat, sc *gemmScratch) {
 	cols, outs := w.Cols, w.Rows
 	for r := 0; r < dY.Rows; r++ {
-		d := dX.Data[r*cols : (r+1)*cols : (r+1)*cols]
+		terms := sc.terms[:0]
 		for o, g := range dY.Data[r*outs : (r+1)*outs] {
-			if g == 0 {
-				continue
-			}
-			for j, wj := range w.Data[o*cols : (o+1)*cols : (o+1)*cols] {
-				d[j] += wj * g
+			if g != 0 {
+				terms = append(terms, axpyTerm{g, o * cols})
 			}
 		}
+		accTerms(dX.Data[r*cols:(r+1)*cols], w.Data, terms)
+		sc.terms = terms
 	}
 }
 
-// leakyReLUTo writes max(x, alpha·x) of src into dst.
+// lreluSlope is leaky ReLU's slope at v: 1 where v >= 0, alpha elsewhere
+// (NaN included). The two are picked as bit patterns so the compiler emits a
+// conditional move: activation signs are coin flips to a branch predictor.
+// Multiplying by the slope 1 returns v bit for bit.
+func lreluSlope(v float64, one, alpha uint64) float64 {
+	s := alpha
+	if v >= 0 {
+		s = one
+	}
+	return math.Float64frombits(s)
+}
+
+// leakyReLUTo writes max(x, alpha·x) of src into dst (which may be src).
 func leakyReLUTo(dst, src []float64, alpha float64) {
+	one, a := math.Float64bits(1), math.Float64bits(alpha)
+	dst = dst[:len(src)]
 	for i, v := range src {
-		if v >= 0 {
-			dst[i] = v
-		} else {
-			dst[i] = alpha * v
-		}
+		dst[i] = v * lreluSlope(v, one, a)
 	}
 }
 
 // leakyReLUBack turns d (gradient wrt the activation's output) into the
 // gradient wrt its input pre, in place.
 func leakyReLUBack(pre, d []float64, alpha float64) {
+	one, a := math.Float64bits(1), math.Float64bits(alpha)
+	d = d[:len(pre)]
 	for i, v := range pre {
-		if !(v >= 0) {
-			d[i] = alpha * d[i]
-		}
+		d[i] *= lreluSlope(v, one, a)
 	}
 }
 
@@ -292,9 +338,9 @@ func (g *GRU) forwardTape(t *PolicyTape) {
 }
 
 // backMul is backMulAcc into a freshly zeroed dX of the right shape.
-func backMul(w *Param, dY, dX *Mat) *Mat {
+func backMul(w *Param, dY, dX *Mat, sc *gemmScratch) *Mat {
 	clear(dX.Reset(dY.Rows, w.Cols).Data)
-	backMulAcc(w, dY, dX)
+	backMulAcc(w, dY, dX, sc)
 	return dX
 }
 
@@ -303,13 +349,13 @@ func backMul(w *Param, dY, dX *Mat) *Mat {
 // of running, for each sequence in turn, a step-at-a-time BPTT from the last
 // timestep to the first.
 func (p *Policy) BackwardTape(t *PolicyTape) {
-	order := t.order
-	gradAcc(p.head.W, p.head.B, &t.DHeads, &t.cur, order)
-	dCur := backMul(p.head.W, &t.DHeads, &t.dA)
+	order, sc := t.order, &t.gemm
+	gradAcc(p.head.W, p.head.B, &t.DHeads, &t.cur, order, sc)
+	dCur := backMul(p.head.W, &t.DHeads, &t.dA, sc)
 	for i := len(p.res) - 1; i >= 0; i-- {
 		rt := &t.res[i]
-		gradAcc(p.res[i].fc.W, p.res[i].fc.B, dCur, &rt.act, order)
-		d := backMul(p.res[i].fc.W, dCur, &t.dB)
+		gradAcc(p.res[i].fc.W, p.res[i].fc.B, dCur, &rt.act, order, sc)
+		d := backMul(p.res[i].fc.W, dCur, &t.dB, sc)
 		leakyReLUBack(rt.lnOut.Data, d.Data, lreluAlpha)
 		p.res[i].ln.backwardTape(&rt.ln, d, order)
 		for j, v := range d.Data {
@@ -326,12 +372,12 @@ func (p *Policy) BackwardTape(t *PolicyTape) {
 	if p.enc3 != nil {
 		fcIn = &t.e3
 	}
-	gradAcc(p.fc.W, p.fc.B, dCur, fcIn, order)
-	d := backMul(p.fc.W, dCur, &t.dB)
+	gradAcc(p.fc.W, p.fc.B, dCur, fcIn, order, sc)
+	d := backMul(p.fc.W, dCur, &t.dB, sc)
 	if p.enc3 != nil {
 		tanhBack(t.e3.Data, d.Data)
-		gradAcc(p.enc3.W, p.enc3.B, d, trunk, order)
-		d = backMul(p.enc3.W, d, &t.dA)
+		gradAcc(p.enc3.W, p.enc3.B, d, trunk, order, sc)
+		d = backMul(p.enc3.W, d, &t.dA, sc)
 	}
 	if p.gru != nil {
 		leakyReLUBack(t.lnOut.Data, d.Data, lreluAlpha)
@@ -339,14 +385,14 @@ func (p *Policy) BackwardTape(t *PolicyTape) {
 		d = p.gru.backwardTape(t, d)
 	}
 	leakyReLUBack(t.e2pre.Data, d.Data, lreluAlpha)
-	gradAcc(p.enc2.W, p.enc2.B, d, &t.e1, order)
+	gradAcc(p.enc2.W, p.enc2.B, d, &t.e1, order, sc)
 	free := &t.dA // whichever scratch d is not
 	if d == free {
 		free = &t.dB
 	}
-	d1 := backMul(p.enc2.W, d, free)
+	d1 := backMul(p.enc2.W, d, free, sc)
 	leakyReLUBack(t.e1pre.Data, d1.Data, lreluAlpha)
-	gradAcc(p.enc1.W, p.enc1.B, d1, &t.xn, order)
+	gradAcc(p.enc1.W, p.enc1.B, d1, &t.xn, order, sc)
 }
 
 // backwardTape is BPTT over the tape: dHNew holds, per row, the gradient
@@ -356,7 +402,7 @@ func (p *Policy) BackwardTape(t *PolicyTape) {
 // gradients, and only then accumulates the nine parameter gradients over
 // all rows in canonical order. It returns the gradient wrt the cell's input.
 func (g *GRU) backwardTape(t *PolicyTape, dHNew *Mat) *Mat {
-	B, H, rows := t.B, g.Hidden, t.B*t.T
+	B, H, rows, sc := t.B, g.Hidden, t.B*t.T, &t.gemm
 	dX := t.dE2.Reset(rows, g.In)
 	clear(dX.Data)
 	t.dnPre.Reset(rows, H)
@@ -387,19 +433,19 @@ func (g *GRU) backwardTape(t *PolicyTape, dHNew *Mat) *Mat {
 			dz.Data[k] = dzk * zk * (1 - zk)
 		}
 		dx := dX.rowsView(lo, hi)
-		backMulAcc(g.Wn, &dn, &dx)
-		backMulAcc(g.Wr, &dr, &dx)
-		backMulAcc(g.Wz, &dz, &dx)
-		backMulAcc(g.Un, &du, dh)
-		backMulAcc(g.Ur, &dr, dh)
-		backMulAcc(g.Uz, &dz, dh)
+		backMulAcc(g.Wn, &dn, &dx, sc)
+		backMulAcc(g.Wr, &dr, &dx, sc)
+		backMulAcc(g.Wz, &dz, &dx, sc)
+		backMulAcc(g.Un, &du, dh, sc)
+		backMulAcc(g.Ur, &dr, dh, sc)
+		backMulAcc(g.Uz, &dz, dh, sc)
 	}
 	hPrev := t.h.rowsView(0, rows)
-	gradAcc(g.Wn, g.Bn, &t.dnPre, &t.e2, t.order)
-	gradAcc(g.Un, nil, &t.dUnH, &hPrev, t.order)
-	gradAcc(g.Wr, g.Br, &t.drPre, &t.e2, t.order)
-	gradAcc(g.Ur, nil, &t.drPre, &hPrev, t.order)
-	gradAcc(g.Wz, g.Bz, &t.dzPre, &t.e2, t.order)
-	gradAcc(g.Uz, nil, &t.dzPre, &hPrev, t.order)
+	gradAcc(g.Wn, g.Bn, &t.dnPre, &t.e2, t.order, sc)
+	gradAcc(g.Un, nil, &t.dUnH, &hPrev, t.order, sc)
+	gradAcc(g.Wr, g.Br, &t.drPre, &t.e2, t.order, sc)
+	gradAcc(g.Ur, nil, &t.drPre, &hPrev, t.order, sc)
+	gradAcc(g.Wz, g.Bz, &t.dzPre, &t.e2, t.order, sc)
+	gradAcc(g.Uz, nil, &t.dzPre, &hPrev, t.order, sc)
 	return dX
 }

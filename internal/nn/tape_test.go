@@ -34,15 +34,18 @@ func compareGrads(t *testing.T, got, want Module) {
 }
 
 // TestTapeMatchesSequential holds the batched training pass to the
-// sequential reference bit for bit: heads, hidden states and every parameter
-// gradient, over row counts on both sides of the 8-row block and the 16-row
-// tile, odd widths, the ablation branches, zero and non-zero incoming
-// gradients, and head gradients with exactly-zero rows and entries (the
-// reference skips those; so must the kernels).
+// sequential reference bit for bit, at both kernel tiers: heads, hidden
+// states and every parameter gradient, over row counts on both sides of the
+// 8-row block and the 16-row tile, odd widths, widths on both sides of the
+// backward's 32-column blocks (straddle: 69 = 2·32+5, 33 = 32+1, 31), the
+// ablation branches, zero and non-zero incoming gradients, and head
+// gradients with exactly-zero rows and entries (the reference skips those;
+// so must the kernels).
 func TestTapeMatchesSequential(t *testing.T) {
 	cfgs := map[string]PolicyConfig{
 		"default":   {InDim: 69, Enc: 64, Hidden: 32, ResBlocks: 2, K: 5, Seed: 1},
 		"odd":       {InDim: 11, Enc: 12, Hidden: 6, ResBlocks: 1, K: 2, Seed: 2},
+		"straddle":  {InDim: 69, Enc: 33, Hidden: 31, ResBlocks: 1, K: 2, Seed: 6},
 		"noGRU":     {InDim: 11, Enc: 12, Hidden: 6, ResBlocks: 2, K: 3, NoGRU: true, Seed: 3},
 		"noEncoder": {InDim: 11, Enc: 12, Hidden: 6, ResBlocks: 2, K: 3, NoEncoder: true, Seed: 4},
 		"k1":        {InDim: 12, Enc: 16, Hidden: 8, ResBlocks: 1, K: 1, Seed: 5},
@@ -53,74 +56,78 @@ func TestTapeMatchesSequential(t *testing.T) {
 			for _, dirty := range []bool{false, true} {
 				B, T := shape[0], shape[1]
 				t.Run(fmt.Sprintf("%s/%dx%d/dirty=%v", name, B, T, dirty), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(B*100 + T)))
-					p := NewPolicy(cfg)
-					var fit [][]float64
-					for i := 0; i < 16; i++ {
-						fit = append(fit, randVec(rng, cfg.InDim))
-					}
-					p.Norm = FitNormalizer(fit)
-					ref := ClonePolicy(p)
-					if dirty {
-						randomizeGrads(rng, p, ref)
-					}
-
-					tape := &PolicyTape{}
-					// A first pass of another shape: buffers must not leak
-					// between passes.
-					tape.Reset(3, 2, cfg.InDim)
-					copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
-					p.ForwardTape(tape)
-
-					tape.Reset(B, T, cfg.InDim)
-					copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
-					p.ForwardTape(tape)
-					for r := 0; r < B*T; r++ {
-						d := tape.DHeads.Row(r)
-						copy(d, randVec(rng, len(d)))
-						switch rng.Intn(4) {
-						case 0: // a rejected transition: the whole row is ±0
-							for k := range d {
-								d[k] = math.Copysign(0, d[k])
-							}
-						case 1:
-							d[rng.Intn(len(d))] = 0
-						}
-					}
-					dHeads := append([]float64(nil), tape.DHeads.Data...)
-					p.BackwardTape(tape)
-
-					hd := tape.Heads.Cols
-					for b := 0; b < B; b++ {
-						h := ref.InitHidden()
-						caches := make([]*policyCacheRef, T)
-						for i := 0; i < T; i++ {
-							r := tape.Row(b, i)
-							var head []float64
-							head, h, caches[i] = ref.forwardCached(tape.X.Row(r), h)
-							plain, hPlain := ref.Forward(tape.X.Row(r), caches[i].gruH())
-							for k := range head {
-								if !sameBits(head[k], tape.Heads.Row(r)[k]) || !sameBits(head[k], plain[k]) {
-									t.Fatalf("seq %d step %d head[%d]: tape %v, Forward %v, reference %v", b, i, k, tape.Heads.Row(r)[k], plain[k], head[k])
-								}
-							}
-							for k := range h {
-								if got := tape.h.Row(r + B)[k]; !sameBits(h[k], got) || !sameBits(h[k], hPlain[k]) {
-									t.Fatalf("seq %d step %d hidden[%d]: tape %v, Forward %v, reference %v", b, i, k, got, hPlain[k], h[k])
-								}
-							}
-						}
-						var dh []float64
-						for i := T - 1; i >= 0; i-- {
-							r := tape.Row(b, i)
-							dh = ref.Backward(caches[i], dHeads[r*hd:(r+1)*hd], dh)
-						}
-					}
-					compareGrads(t, p, ref)
+					kernelTiers(t, func(t *testing.T) { checkPolicyTape(t, cfg, B, T, dirty) })
 				})
 			}
 		}
 	}
+}
+
+// checkPolicyTape is one case of TestTapeMatchesSequential.
+func checkPolicyTape(t *testing.T, cfg PolicyConfig, B, T int, dirty bool) {
+	rng := rand.New(rand.NewSource(int64(B*100 + T)))
+	p := NewPolicy(cfg)
+	var fit [][]float64
+	for i := 0; i < 16; i++ {
+		fit = append(fit, randVec(rng, cfg.InDim))
+	}
+	p.Norm = FitNormalizer(fit)
+	ref := ClonePolicy(p)
+	if dirty {
+		randomizeGrads(rng, p, ref)
+	}
+
+	tape := &PolicyTape{}
+	// A first pass of another shape: buffers must not leak between passes.
+	tape.Reset(3, 2, cfg.InDim)
+	copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
+	p.ForwardTape(tape)
+
+	tape.Reset(B, T, cfg.InDim)
+	copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
+	p.ForwardTape(tape)
+	for r := 0; r < B*T; r++ {
+		d := tape.DHeads.Row(r)
+		copy(d, randVec(rng, len(d)))
+		switch rng.Intn(4) {
+		case 0: // a rejected transition: the whole row is ±0
+			for k := range d {
+				d[k] = math.Copysign(0, d[k])
+			}
+		case 1:
+			d[rng.Intn(len(d))] = 0
+		}
+	}
+	dHeads := append([]float64(nil), tape.DHeads.Data...)
+	p.BackwardTape(tape)
+
+	hd := tape.Heads.Cols
+	for b := 0; b < B; b++ {
+		h := ref.InitHidden()
+		caches := make([]*policyCacheRef, T)
+		for i := 0; i < T; i++ {
+			r := tape.Row(b, i)
+			var head []float64
+			head, h, caches[i] = ref.forwardCached(tape.X.Row(r), h)
+			plain, hPlain := ref.Forward(tape.X.Row(r), caches[i].gruH())
+			for k := range head {
+				if !sameBits(head[k], tape.Heads.Row(r)[k]) || !sameBits(head[k], plain[k]) {
+					t.Fatalf("seq %d step %d head[%d]: tape %v, Forward %v, reference %v", b, i, k, tape.Heads.Row(r)[k], plain[k], head[k])
+				}
+			}
+			for k := range h {
+				if got := tape.h.Row(r + B)[k]; !sameBits(h[k], got) || !sameBits(h[k], hPlain[k]) {
+					t.Fatalf("seq %d step %d hidden[%d]: tape %v, Forward %v, reference %v", b, i, k, got, hPlain[k], h[k])
+				}
+			}
+		}
+		var dh []float64
+		for i := T - 1; i >= 0; i-- {
+			r := tape.Row(b, i)
+			dh = ref.Backward(caches[i], dHeads[r*hd:(r+1)*hd], dh)
+		}
+	}
+	compareGrads(t, p, ref)
 }
 
 // gruH is the hidden state the cached step started from (nil without a GRU).
@@ -134,63 +141,70 @@ func (c *policyCacheRef) gruH() []float64 {
 // TestNAFTapeMatchesSequential is the same contract for the critic: the
 // state-only terms, Q, the loss sum and every gradient of the batched TD
 // backward equal a row-at-a-time one over the listed rows (every third row
-// is left out, as a transition without a next state is).
+// is left out, as a transition without a next state is), at both kernel
+// tiers, with input and hidden widths on both sides of the 32-column blocks.
 func TestNAFTapeMatchesSequential(t *testing.T) {
-	for _, cfg := range []NAFConfig{{InDim: 69, Hidden: 64, Seed: 1}, {InDim: 7, Hidden: 9, Seed: 2}} {
+	cfgs := []NAFConfig{{InDim: 69, Hidden: 64, Seed: 1}, {InDim: 7, Hidden: 9, Seed: 2}, {InDim: 33, Hidden: 65, Seed: 3}}
+	for _, cfg := range cfgs {
 		for _, rows := range []int{1, 3, 4, 7, 8, 9, 16, 17, 64} {
 			for _, dirty := range []bool{false, true} {
 				t.Run(fmt.Sprintf("in%d/rows%d/dirty=%v", cfg.InDim, rows, dirty), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(rows)))
-					c := NewNAFCritic(cfg)
-					var fit [][]float64
-					for i := 0; i < 16; i++ {
-						fit = append(fit, randVec(rng, cfg.InDim))
-					}
-					c.Norm = FitNormalizer(fit)
-					ref := CloneNAF(c)
-					if dirty {
-						randomizeGrads(rng, c, ref)
-					}
-					var tape NAFTape
-					tape.Reset(rows+2, cfg.InDim)
-					copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
-					c.BatchForward(&tape)
-
-					tape.Reset(rows, cfg.InDim)
-					copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
-					for r := 0; r < rows; r++ {
-						tape.A[r] = rng.Float64()*2 - 1
-						tape.Y[r] = rng.NormFloat64() * 60 // both clamps fire
-					}
-					const weight = 1.0 / 128
-					c.BatchForward(&tape)
-					var order []int
-					for r := 0; r < rows; r++ {
-						if rows < 3 || r%3 != 2 {
-							order = append(order, r)
-						}
-					}
-					loss := c.TDBackward(&tape, order, weight)
-
-					want := 0.0
-					for _, r := range order {
-						ca := ref.forwardCached(tape.X.Row(r), tape.A[r])
-						if !sameBits(ca.v, tape.V[r]) || !sameBits(ca.m, tape.M[r]) || !sameBits(ca.p, tape.P[r]) {
-							t.Fatalf("row %d: tape (v,m,p) = (%v,%v,%v), reference (%v,%v,%v)", r, tape.V[r], tape.M[r], tape.P[r], ca.v, ca.m, ca.p)
-						}
-						if q := ref.Q(tape.X.Row(r), tape.A[r]); !sameBits(ca.q, tape.Q(r, tape.A[r])) || !sameBits(ca.q, q) {
-							t.Fatalf("row %d: tape Q %v, Q %v, reference %v", r, tape.Q(r, tape.A[r]), q, ca.q)
-						}
-						want += ref.tdBackwardRef(tape.X.Row(r), tape.A[r], tape.Y[r], weight)
-					}
-					if !sameBits(loss, want) {
-						t.Fatalf("loss sum: tape %v, sequential %v", loss, want)
-					}
-					compareGrads(t, c, ref)
+					kernelTiers(t, func(t *testing.T) { checkNAFTape(t, cfg, rows, dirty) })
 				})
 			}
 		}
 	}
+}
+
+// checkNAFTape is one case of TestNAFTapeMatchesSequential.
+func checkNAFTape(t *testing.T, cfg NAFConfig, rows int, dirty bool) {
+	rng := rand.New(rand.NewSource(int64(rows)))
+	c := NewNAFCritic(cfg)
+	var fit [][]float64
+	for i := 0; i < 16; i++ {
+		fit = append(fit, randVec(rng, cfg.InDim))
+	}
+	c.Norm = FitNormalizer(fit)
+	ref := CloneNAF(c)
+	if dirty {
+		randomizeGrads(rng, c, ref)
+	}
+	var tape NAFTape
+	tape.Reset(rows+2, cfg.InDim)
+	copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
+	c.BatchForward(&tape)
+
+	tape.Reset(rows, cfg.InDim)
+	copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
+	for r := 0; r < rows; r++ {
+		tape.A[r] = rng.Float64()*2 - 1
+		tape.Y[r] = rng.NormFloat64() * 60 // both clamps fire
+	}
+	const weight = 1.0 / 128
+	c.BatchForward(&tape)
+	var order []int
+	for r := 0; r < rows; r++ {
+		if rows < 3 || r%3 != 2 {
+			order = append(order, r)
+		}
+	}
+	loss := c.TDBackward(&tape, order, weight)
+
+	want := 0.0
+	for _, r := range order {
+		ca := ref.forwardCached(tape.X.Row(r), tape.A[r])
+		if !sameBits(ca.v, tape.V[r]) || !sameBits(ca.m, tape.M[r]) || !sameBits(ca.p, tape.P[r]) {
+			t.Fatalf("row %d: tape (v,m,p) = (%v,%v,%v), reference (%v,%v,%v)", r, tape.V[r], tape.M[r], tape.P[r], ca.v, ca.m, ca.p)
+		}
+		if q := ref.Q(tape.X.Row(r), tape.A[r]); !sameBits(ca.q, tape.Q(r, tape.A[r])) || !sameBits(ca.q, q) {
+			t.Fatalf("row %d: tape Q %v, Q %v, reference %v", r, tape.Q(r, tape.A[r]), q, ca.q)
+		}
+		want += ref.tdBackwardRef(tape.X.Row(r), tape.A[r], tape.Y[r], weight)
+	}
+	if !sameBits(loss, want) {
+		t.Fatalf("loss sum: tape %v, sequential %v", loss, want)
+	}
+	compareGrads(t, c, ref)
 }
 
 // TestGMMGradAndSampleMatchReference pins the allocation-free head
@@ -262,4 +276,83 @@ func randVecInto(rng *rand.Rand, x []float64) []float64 {
 		x[i] = rng.NormFloat64()
 	}
 	return x
+}
+
+// sameOrNaN is sameBits, except that any two NaNs match: when both operands
+// of a product or sum are NaN, which one's payload survives depends on the
+// operand order the compiler picks for a commutative operation, and Go pins
+// neither.
+func sameOrNaN(a, b float64) bool { return sameBits(a, b) || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// TestAccTermsMatchesScalarChain holds the row-blocked accumulation to the
+// plain scalar chain — acc[j] += s·row[j], terms in list order — at both
+// kernel tiers, over every width from 1 to 70 (no, one and two 32-column
+// blocks, with and without leftover columns) and lists of 0, 1 and 17
+// terms, with ±0, ±Inf and NaN of either sign among the scales, the rows and
+// the accumulators. Nothing past len(acc) may be written.
+func TestAccTermsMatchesScalarChain(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN()}
+	rng := rand.New(rand.NewSource(25))
+	value := func() float64 {
+		if rng.Intn(8) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64()
+	}
+	kernelTiers(t, func(t *testing.T) {
+		for n := 1; n <= 70; n++ {
+			for _, L := range []int{0, 1, 17} {
+				stride := n + 3 // rows start off any block boundary
+				base := make([]float64, (L+1)*stride)
+				for i := range base {
+					base[i] = value()
+				}
+				terms := make([]axpyTerm, L)
+				for i := range terms {
+					terms[i] = axpyTerm{value(), rng.Intn(L+1) * stride}
+				}
+				const guard = 4
+				got := make([]float64, n+guard)
+				for i := range got {
+					got[i] = value()
+				}
+				want := append([]float64(nil), got...)
+				accTerms(got[:n], base, terms)
+				for _, tm := range terms {
+					for j := 0; j < n; j++ {
+						want[j] += tm.s * base[tm.off+j]
+					}
+				}
+				for j := range got {
+					if !sameOrNaN(got[j], want[j]) || (j >= n && !sameBits(got[j], want[j])) {
+						t.Fatalf("n=%d L=%d acc[%d]: %v (%#x), scalar chain %v (%#x)", n, L, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestLeakyReLUSpecialBits pins the branch-free activation, forward and
+// backward, to the predicates it replaced — forward v where v >= 0 else α·v,
+// backward d scaled by α where !(v >= 0) — bit for bit on ±0, ±Inf and NaN
+// of either sign (a sign-bit select would send +NaN down the v >= 0 side).
+func TestLeakyReLUSpecialBits(t *testing.T) {
+	const d = 3.0
+	for _, v := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), 2.5, -2.5, math.SmallestNonzeroFloat64, -math.MaxFloat64} {
+		wantY, wantD := v, d
+		if !(v >= 0) {
+			wantY, wantD = lreluAlpha*v, lreluAlpha*d
+		}
+		y := []float64{v}
+		leakyReLUTo(y, y, lreluAlpha)
+		g := []float64{d}
+		leakyReLUBack([]float64{v}, g, lreluAlpha)
+		if !sameBits(y[0], wantY) || !sameBits(g[0], wantD) {
+			t.Errorf("v=%v (%#x): forward %#x, want %#x; backward %v, want %v", v, math.Float64bits(v), math.Float64bits(y[0]), math.Float64bits(wantY), g[0], wantD)
+		}
+		if math.IsNaN(v) && !sameBits(y[0], v) {
+			t.Errorf("forward(%#x) = %#x, want the NaN itself", math.Float64bits(v), math.Float64bits(y[0]))
+		}
+	}
 }

@@ -141,10 +141,11 @@ func TrainAurora(cfg AuroraConfig) (*nn.Policy, error) {
 			}
 		}
 		pol.BackwardTape(&tape)
-		if !finite(nn.GradNorm(pol)) {
+		norm := nn.GradNorm(pol)
+		if !finite(norm) {
 			return nil, fmt.Errorf("rl: aurora diverged at episode %d: non-finite gradient", ep)
 		}
-		nn.ClipGrads(pol, 10)
+		nn.ClipGrads(pol, 10, norm)
 		opt.Step(pol)
 	}
 	return pol, nil

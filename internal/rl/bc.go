@@ -95,7 +95,7 @@ func TrainBC(ds *Dataset, cfg BCConfig, progress func(step int, nll float64)) (*
 		if !finite(nll) {
 			return nil, fmt.Errorf("rl: BC diverged at step %d: non-finite loss", step)
 		}
-		nn.ClipGrads(pol, 10)
+		nn.ClipGrads(pol, 10, nn.GradNorm(pol))
 		opt.Step(pol)
 		if progress != nil {
 			progress(step, nll/float64(cfg.Batch*cfg.SeqLen))

@@ -95,6 +95,7 @@ type CRR struct {
 	rngSrc    *rngSource // rng's source, snapshot-able for checkpoints
 	optPi     *nn.Adam
 	optQ      *nn.Adam
+	tail      stepTail
 	workerSet []*worker
 	// resumeWorkerRNG holds checkpointed per-worker RNG positions until the
 	// worker set is (lazily) built.
@@ -183,6 +184,7 @@ func NewCRR(ds *Dataset, cfg CRRConfig) *CRR {
 	l.Policy.Norm = ds.Norm
 	l.NAF.Norm = ds.Norm
 	l.nets = newNetSet(l.Policy, l.NAF)
+	l.tail.init(l.nets)
 	l.targetPolicy = nn.ClonePolicy(l.Policy)
 	l.targetNAF = nn.CloneNAF(l.NAF)
 	l.optPi = nn.NewAdam(cfg.LRPolicy)
@@ -499,12 +501,23 @@ func (l *CRR) finishStep(st ShardSums, workerBusy []float64) {
 		stats.Skipped = true
 		l.nets.zeroGrads()
 	} else {
-		nn.ClipGrads(l.NAF, cfg.ClipNorm)
-		nn.ClipGrads(l.Policy, cfg.ClipNorm)
-		stats.GradNormQClip = nn.GradNorm(l.NAF)
-		stats.GradNormPiClip = nn.GradNorm(l.Policy)
-		l.optQ.Step(l.NAF)
-		l.optPi.Step(l.Policy)
+		fPi, clipPi := nn.ClipScale(gradPi, cfg.ClipNorm)
+		fQ, clipQ := nn.ClipScale(gradQ, cfg.ClipNorm)
+		// A module left unscaled still has the norm just taken, bit for bit.
+		stats.GradNormPiClip, stats.GradNormQClip = gradPi, gradQ
+		if clipPi || clipQ {
+			l.tail.clip = [2]float64{fPi, fQ}
+			l.runTail(tailClip)
+			if clipQ {
+				stats.GradNormQClip = nn.GradNorm(l.NAF)
+			}
+			if clipPi {
+				stats.GradNormPiClip = nn.GradNorm(l.Policy)
+			}
+		}
+		l.optQ.Advance(l.NAF)
+		l.optPi.Advance(l.Policy)
+		l.runTail(tailAdam)
 	}
 	l.LastStats = stats
 	if l.OnStep != nil {

@@ -138,7 +138,7 @@ func TrainIndigo(cfg IndigoConfig) (*nn.Policy, error) {
 			if !finite(nll) {
 				return nil, fmt.Errorf("rl: indigo diverged at iteration %d step %d: non-finite loss", iter, step)
 			}
-			nn.ClipGrads(pol, 10)
+			nn.ClipGrads(pol, 10, nn.GradNorm(pol))
 			opt.Step(pol)
 		}
 	}

@@ -42,8 +42,9 @@ func BenchmarkTrainStep(b *testing.B) {
 
 // TestTrainStepAllocs: once the first step has sized the arenas, a worker's
 // share of a step allocates nothing, and a whole data-parallel TrainStep
-// only what fanning out and reporting cost (goroutines, the shard list, the
-// WorkerBusy slice handed to the caller).
+// only what fanning out and reporting cost (worker 1's goroutine, the
+// WorkerBusy slice handed to the caller): 2, held here at the 5 train_crr's
+// allocs_per_op bound was set against.
 func TestTrainStepAllocs(t *testing.T) {
 	ds := goldenDataset(t)
 	l := NewCRR(ds, CRRConfig{Workers: 2, Seed: 23})
@@ -55,7 +56,7 @@ func TestTrainStepAllocs(t *testing.T) {
 		t.Errorf("worker.run allocates %.1f objects per step after warm-up, want 0", allocs)
 	}
 	w.nets.zeroGrads()
-	if allocs := testing.AllocsPerRun(10, func() { l.TrainStep(ds) }); allocs >= 100 {
-		t.Errorf("TrainStep allocates %.1f objects after warm-up, want < 100", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { l.TrainStep(ds) }); allocs > 5 {
+		t.Errorf("TrainStep allocates %.1f objects after warm-up, want at most 5", allocs)
 	}
 }
