@@ -155,11 +155,11 @@ func (c coordOpts) serve(coord *dist.Coordinator) error {
 // wait blocks until the campaign or run completes or a signal interrupts
 // it, then shuts the coordinator down. On completion the connected agents
 // or workers first hear the done verdict and hang up before the listener
-// goes away, so supervised ones exit 0.
-func wait(ctx context.Context, coord *dist.Coordinator, meter *telemetry.Progress) error {
+// goes away, so supervised ones exit 0; drain bounds how long that may take.
+func wait(ctx context.Context, coord *dist.Coordinator, meter *telemetry.Progress, drain time.Duration) error {
 	err := coord.Wait(ctx)
 	if err == nil {
-		coord.DrainAgents(10 * time.Second)
+		coord.DrainAgents(drain)
 	}
 	coord.Shutdown()
 	meter.Finish()
@@ -205,7 +205,9 @@ func runCollect(ctx context.Context, c coordOpts, grid *cli.Scenarios, out strin
 	fmt.Printf("campaign: %d cells (%d schemes x %s grid), lease TTL %s\n",
 		coord.TotalCells(), len(grid.Schemes), grid.LevelName, leaseTTL)
 
-	if wait(ctx, coord, meter) != nil {
+	// An agent that has not said Bye may be retrying a swallowed reply; one
+	// silent for a lease TTL would have lost its lease anyway.
+	if wait(ctx, coord, meter, max(10*time.Second, leaseTTL)) != nil {
 		_, _, done, failed := coord.Tracker().Counts()
 		return cli.Exitf(cli.ExitSignal, "interrupted: %d/%d cells done (%d failed); manifest and shards kept\nrerun with -resume to continue",
 			done+failed, coord.TotalCells(), failed)
@@ -302,7 +304,7 @@ func runTrain(ctx context.Context, c coordOpts, tr *cli.Train, poolPath, modelOu
 	}
 	fmt.Printf("training: %d workers, %d total steps (resumed at %d), critic naf hidden=%d\n", workers, tr.Steps, done, learner.NAF.Cfg.Hidden)
 
-	if wait(ctx, coord, meter) != nil {
+	if wait(ctx, coord, meter, 10*time.Second) != nil {
 		return learner.Interrupted(tr.Checkpoint, tr.CheckpointKeep)
 	}
 	model := &core.Model{Policy: learner.Policy, Mask: tr.Mask, GR: pool.GR.Fill()}

@@ -197,6 +197,17 @@ func (s *session) call(ctx context.Context, req *Message) (*Message, error) {
 	return nil, fmt.Errorf("dist: request type %d to %s failed after %d attempts: %w", req.Type, s.spec, s.cfg.attempts, lastErr)
 }
 
+// notify sends req once on the current connection and ignores the
+// outcome: for a message whose loss costs the coordinator only time.
+func (s *session) notify(req *Message) {
+	req.Session = s.nonce
+	req.Req = s.reqSeq.Add(1)
+	s.mu.Lock()
+	cli := s.cli
+	s.mu.Unlock()
+	cli.roundTrip(req)
+}
+
 func (s *session) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -337,6 +348,12 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	}
 	if firstErr != nil {
 		return firstErr
+	}
+	if ctx.Err() == nil {
+		// Every runner heard MsgCampaignDone. Say so once, without
+		// redialing: the coordinator waits for it before it shuts down,
+		// and may be gone by the time a retry would land.
+		sess.notify(&Message{Type: MsgBye, AgentID: cfg.ID})
 	}
 	return ctx.Err() // nil on campaign completion, Canceled on drain
 }

@@ -11,6 +11,7 @@ import (
 	"sage/internal/collector"
 	"sage/internal/gr"
 	"sage/internal/netem"
+	"sage/internal/safeio"
 	"sage/internal/sim"
 )
 
@@ -110,11 +111,7 @@ func ShardName(cell collector.CellKey) string {
 // shard file on disk is a normal pool artifact collector.Load reads.
 func EncodeShard(pool *collector.Pool) (payload []byte, sum uint64, err error) {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(pool); err != nil {
-		return nil, 0, fmt.Errorf("dist: encode shard: %w", err)
-	}
-	if err := zw.Close(); err != nil {
+	if err := safeio.EncodeGobGz(&buf, pool); err != nil {
 		return nil, 0, fmt.Errorf("dist: encode shard: %w", err)
 	}
 	return buf.Bytes(), crc64.Checksum(buf.Bytes(), shardCRC), nil

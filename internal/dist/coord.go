@@ -336,18 +336,23 @@ func (c *Coordinator) ListenAndServe(spec string) error {
 	return c.Serve(ln)
 }
 
-// DrainAgents keeps serving until every agent connection has closed or
-// the grace period expires. Agents hang up on their own once told the
-// campaign (or training run) is done; draining before Shutdown lets them
-// observe that verdict instead of a vanished coordinator, so supervised
-// agents exit 0 rather than churning through redials.
+// DrainAgents keeps serving until every agent connection has closed and
+// every registered collection agent that is not evicted has said Bye since
+// its latest Hello, or until the grace period expires. Agents hang up on
+// their own once told the campaign (or training run) is done; draining
+// before Shutdown lets them observe that verdict instead of a vanished
+// coordinator, so supervised agents exit 0 rather than churning through
+// redials. No open connection alone is not enough: an agent whose
+// connection dropped just as the campaign finished is between redials. Nor
+// is having sent MsgCampaignDone: a partition can swallow the reply, and
+// an agent with several runners hangs up only when each has heard it.
 func (c *Coordinator) DrainAgents(grace time.Duration) {
 	deadline := time.Now().Add(grace)
 	for time.Now().Before(deadline) {
 		c.mu.Lock()
 		n := len(c.conns)
 		c.mu.Unlock()
-		if n == 0 {
+		if n == 0 && (c.tracker == nil || c.tracker.Lingering() == 0) {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -453,6 +458,8 @@ func (c *Coordinator) dispatch(req *Message) *Message {
 		return c.handleCellDone(req)
 	case MsgCellFailed:
 		return c.handleCellFailed(req)
+	case MsgBye:
+		return c.handleBye(req)
 	case MsgGrads:
 		return c.handleGrads(req)
 	default:
@@ -595,6 +602,14 @@ func (c *Coordinator) handleCellFailed(req *Message) *Message {
 		c.checkDone()
 	}
 	return &Message{Type: MsgCellAck, Verdict: verdict}
+}
+
+func (c *Coordinator) handleBye(req *Message) *Message {
+	if c.tracker == nil {
+		return errMsg("no collection campaign configured")
+	}
+	c.tracker.Bye(req.AgentID)
+	return &Message{Type: MsgCampaignDone, Verdict: VerdictOK}
 }
 
 func (c *Coordinator) handleGrads(req *Message) *Message {

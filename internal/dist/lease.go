@@ -41,6 +41,7 @@ type Tracker struct {
 	order   []collector.CellKey
 	cells   map[collector.CellKey]*cellInfo
 	evicted map[string]bool
+	bye     map[string]bool // every agent that said Hello: said Bye since?
 	ttl     time.Duration
 	now     func() time.Time
 
@@ -78,6 +79,7 @@ func NewTracker(cells []collector.CellKey, ttl time.Duration) *Tracker {
 		order:   append([]collector.CellKey(nil), cells...),
 		cells:   make(map[collector.CellKey]*cellInfo, len(cells)),
 		evicted: map[string]bool{},
+		bye:     map[string]bool{},
 		ttl:     ttl,
 		now:     time.Now,
 	}
@@ -157,11 +159,37 @@ func (t *Tracker) recordDurationLocked(d time.Duration) {
 }
 
 // Register opens (or re-opens) a session for agent: a fresh Hello clears
-// any eviction, so a relaunched agent under the same id starts clean.
+// any eviction, so a relaunched agent under the same id starts clean, and
+// any earlier Bye.
 func (t *Tracker) Register(agent string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.evicted, agent)
+	t.bye[agent] = false
+}
+
+// Bye records that agent heard the campaign verdict and is hanging up.
+func (t *Tracker) Bye(agent string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.bye[agent]; ok {
+		t.bye[agent] = true
+	}
+}
+
+// Lingering counts the registered agents, evicted ones aside, that have
+// not said Bye since their latest Hello.
+func (t *Tracker) Lingering() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.expireLocked()
+	n := 0
+	for agent, bye := range t.bye {
+		if !bye && !t.evicted[agent] {
+			n++
+		}
+	}
+	return n
 }
 
 // Evicted reports whether the agent's session has been declared dead.

@@ -65,6 +65,7 @@ const (
 	MsgGrads        = 12 // worker → coord: gradient shard for one training step
 	MsgTrainStep    = 13 // coord → worker: post-step params (or resync / done)
 	MsgError        = 14 // coord → agent: request could not be served; Err explains
+	MsgBye          = 15 // agent → coord: every runner heard MsgCampaignDone; hanging up
 )
 
 // Verdicts returned in acks.

@@ -21,13 +21,10 @@ type Monitor struct {
 	conn *tcp.Conn
 	rctx RewardContext
 
-	// Windowed raw signals.
-	sRTT     *series // ms
-	sThr     *series // Mb/s
-	sRTTRate *series // unitless
-	sRTTVar  *series // ms
-	sInfl    *series // packets
-	sLost    *series // packets newly lost this tick
+	// Windowed raw signals, one row per tick: srtt (ms), throughput (Mb/s),
+	// rtt rate (unitless), rttvar (ms), inflight (packets), packets newly
+	// lost this tick.
+	win *windows
 
 	prevNow       sim.Time
 	prevCwnd      float64
@@ -58,12 +55,7 @@ func NewMonitor(cfg Config, conn *tcp.Conn, rctx RewardContext) *Monitor {
 		cfg:        cfg,
 		conn:       conn,
 		rctx:       rctx,
-		sRTT:       newSeries(cfg.Large),
-		sThr:       newSeries(cfg.Large),
-		sRTTRate:   newSeries(cfg.Large),
-		sRTTVar:    newSeries(cfg.Large),
-		sInfl:      newSeries(cfg.Large),
-		sLost:      newSeries(cfg.Large),
+		win:        newWindows(cfg.Large),
 		prevAction: 1,
 		prevCwnd:   conn.Cwnd,
 		delHist:    make([]int64, cfg.RewardWindow+1),
@@ -123,23 +115,13 @@ func (m *Monitor) Tick(now sim.Time) Step {
 	newLostPkts := float64(c.LostPkts() - m.prevLost)
 	inflPkts := float64(c.InflightPkts())
 
-	m.sRTT.push(srttMs)
-	m.sThr.push(thrMbps)
-	m.sRTTRate.push(rttRate)
-	m.sRTTVar.push(rttvarMs)
-	m.sInfl.push(inflPkts)
-	m.sLost.push(newLostPkts)
+	m.win.push([numSignals]float64{srttMs, thrMbps, rttRate, rttvarMs, inflPkts, newLostPkts})
 
 	state := make([]float64, 0, StateDim)
 	// 1-4: instantaneous kernel signals.
 	state = append(state, srttMs, rttvarMs, thrMbps, float64(c.State()))
 	// 5-58: windowed stats, avg/min/max over Small, Medium, Large.
-	for _, s := range []*series{m.sRTT, m.sThr, m.sRTTRate, m.sRTTVar, m.sInfl, m.sLost} {
-		for _, k := range []int{m.cfg.Small, m.cfg.Medium, m.cfg.Large} {
-			avg, min, max := s.stats(k)
-			state = append(state, avg, min, max)
-		}
-	}
+	state = m.win.appendStats(state, [3]int{m.cfg.Small, m.cfg.Medium, m.cfg.Large})
 	// 59-69: scalar signals.
 	interval := now - m.prevNow
 	if m.prevNow == 0 {

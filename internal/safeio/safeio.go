@@ -183,13 +183,23 @@ func ReadFile(path string) ([]byte, error) {
 // WriteGobGz writes v as gzipped gob inside a checksummed container — the
 // shared save path for pools, checkpoints, policies, and models.
 func WriteGobGz(path string, v any) error {
-	return WriteFile(path, func(w io.Writer) error {
-		zw := gzip.NewWriter(w)
-		if err := gob.NewEncoder(zw).Encode(v); err != nil {
-			return fmt.Errorf("encode: %w", err)
-		}
-		return zw.Close()
-	})
+	return WriteFile(path, func(w io.Writer) error { return EncodeGobGz(w, v) })
+}
+
+// EncodeGobGz writes v to w as gob inside gzip — the one encoder behind every
+// artifact and every distributed pool shard. It compresses at BestSpeed:
+// about half the time of the default level for a pool, at about 7 % more
+// bytes. Readers do not depend on the level, so artifacts written at any
+// level load alike.
+func EncodeGobGz(w io.Writer, v any) error {
+	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
+	if err != nil {
+		return err
+	}
+	if err := gob.NewEncoder(zw).Encode(v); err != nil {
+		return fmt.Errorf("encode: %w", err)
+	}
+	return zw.Close()
 }
 
 // ReadGobGz reads and verifies path, then decodes its gzipped-gob payload

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -131,6 +132,48 @@ func TestGobGzRoundTrip(t *testing.T) {
 	}
 	if out.Name != in.Name || out.Steps != in.Steps || len(out.Vals) != 3 {
 		t.Fatalf("round trip = %+v", out)
+	}
+}
+
+// Artifacts are compressed at BestSpeed now; ones written at gzip's default
+// level, as every earlier binary wrote them, must still load, and to the same
+// value.
+func TestDefaultLevelArtifactLoads(t *testing.T) {
+	type blob struct {
+		Name string
+		Vals []float64
+	}
+	in := blob{Name: "pool", Vals: make([]float64, 4096)}
+	for i := range in.Vals {
+		in.Vals[i] = float64(i%37) * 0.25
+	}
+	dir := t.TempDir()
+	old, cur := filepath.Join(dir, "old.gob.gz"), filepath.Join(dir, "new.gob.gz")
+	if err := WriteFile(old, func(w io.Writer) error {
+		zw := gzip.NewWriter(w)
+		if err := gob.NewEncoder(zw).Encode(&in); err != nil {
+			return err
+		}
+		return zw.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteGobGz(cur, &in); err != nil {
+		t.Fatal(err)
+	}
+	oldRaw, _ := os.ReadFile(old)
+	curRaw, _ := os.ReadFile(cur)
+	if bytes.Equal(oldRaw, curRaw) {
+		t.Fatal("default-level and BestSpeed files are byte-identical: the test no longer covers an older file")
+	}
+	for _, path := range []string{old, cur} {
+		var out blob
+		if err := ReadGobGz(path, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Name != in.Name || !slices.Equal(out.Vals, in.Vals) {
+			t.Fatalf("%s loads as %q with %d values, want %q with %d", filepath.Base(path), out.Name, len(out.Vals), in.Name, len(in.Vals))
+		}
 	}
 }
 

@@ -404,6 +404,11 @@ func (c *Conn) onSpurious() {
 // rackDetect marks as lost every unresolved packet sent before the most
 // recently delivered one whose RACK deadline has passed, and arms a timer
 // for the earliest pending deadline. It returns how many packets it marked.
+//
+// sendPacket stamps records with the loop's clock, so sentAt never
+// decreases with seq, and rackRTT and the reorder window are fixed within
+// a call: deadlines are monotone in seq. The first record not yet due
+// therefore holds the earliest pending deadline, and none after it is due.
 func (c *Conn) rackDetect(now sim.Time) int {
 	if c.lastAckedSentAt == 0 {
 		return 0
@@ -420,12 +425,12 @@ func (c *Conn) rackDetect(now sim.Time) int {
 			break // sent after the newest delivered packet: not suspect
 		}
 		deadline := r.sentAt + c.rackRTT + reorder
-		if now >= deadline {
-			c.markLost(r)
-			marked++
-		} else if earliest == 0 || deadline < earliest {
+		if now < deadline {
 			earliest = deadline
+			break
 		}
+		c.markLost(r)
+		marked++
 	}
 	c.rackTimer.Cancel()
 	if earliest > 0 {
