@@ -28,6 +28,9 @@ import (
 const (
 	goldenPool  = "f90decce1b7e92de"
 	goldenFleet = "dc89659a3db53172"
+
+	goldenFleetSharded    = "cf3a4142a78a153c"
+	goldenFleetStochastic = "7f09921bab7bdef0"
 )
 
 // goldenCells is one scenario per path where a recycled packet or a
@@ -102,7 +105,34 @@ func TestGoldenPool(t *testing.T) {
 // TCP Pure flows under one shared serve.Engine capped at 12 packets, and
 // four Cubic flows that supply loss and recovery.
 func TestGoldenFleet(t *testing.T) {
-	const flows = 16
+	if got := fleetDigest(16, 3*sim.Second, serve.Config{}); got != goldenFleet {
+		t.Errorf("fleet digest = %s, want %s", got, goldenFleet)
+	}
+}
+
+// TestGoldenFleetSharded is the same fleet at 96 flows, 72 of them under
+// one engine: a batch large enough that Flush splits its forward across
+// Config.Workers, in deterministic and in stochastic mode (whose GMM draws
+// must stay one serial stream in enqueue order).
+func TestGoldenFleetSharded(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  serve.Config
+		want string
+	}{
+		{"deterministic", serve.Config{}, goldenFleetSharded},
+		{"stochastic", serve.Config{Stochastic: true, Seed: 3}, goldenFleetStochastic},
+	} {
+		if got := fleetDigest(96, 2*sim.Second, c.cfg); got != c.want {
+			t.Errorf("%s: fleet digest = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// fleetDigest runs flows flows on one bottleneck — every fourth Cubic, the
+// rest TCP Pure under one shared serve.Engine built from cfg with a 12-packet
+// cap — and hashes every FlowResult.
+func fleetDigest(flows int, dur sim.Time, cfg serve.Config) string {
 	pol := nn.NewPolicy(nn.PolicyConfig{InDim: gr.StateDim, Seed: 1})
 	rng := rand.New(rand.NewSource(1))
 	samples := make([][]float64, 64)
@@ -113,15 +143,16 @@ func TestGoldenFleet(t *testing.T) {
 		}
 	}
 	pol.Norm = nn.FitNormalizer(samples)
-	eng := serve.NewEngine(serve.Config{Policy: pol, MaxSessions: flows + 1, MaxCwnd: 12})
+	cfg.Policy, cfg.MaxSessions, cfg.MaxCwnd = pol, flows+1, 12
+	eng := serve.NewEngine(cfg)
 
-	rate, rtt := netem.Mbps(3*flows), 40*sim.Millisecond
+	rate, rtt := netem.Mbps(3*float64(flows)), 40*sim.Millisecond
 	sc := netem.Scenario{
 		Name:       "golden-fleet",
 		Rate:       netem.FlatRate(rate),
 		MinRTT:     rtt,
 		QueueBytes: netem.BDPBytes(rate, rtt),
-		Duration:   3 * sim.Second,
+		Duration:   dur,
 		Seed:       1,
 	}
 	specs := make([]rollout.FlowSpec, flows)
@@ -147,9 +178,7 @@ func TestGoldenFleet(t *testing.T) {
 			d.u64(uint64(s.SRTT))
 		}
 	}
-	if got := d.sum(); got != goldenFleet {
-		t.Errorf("fleet digest = %s, want %s", got, goldenFleet)
-	}
+	return d.sum()
 }
 
 // TestGoldenCells hashes a Cubic rollout's result and GR trajectory over
