@@ -187,6 +187,35 @@ func TestMatReset(t *testing.T) {
 	}
 }
 
+// A matrix grown one row at a time, as a fleet's batch grows while its flows
+// join, reallocates O(log n) times, not once per row.
+func TestMatResetGrowsGeometrically(t *testing.T) {
+	var m Mat
+	grows := 0
+	for rows := 1; rows <= 256; rows++ {
+		before := cap(m.Data)
+		m.Reset(rows, 69)
+		if cap(m.Data) != before {
+			grows++
+		}
+		if len(m.Data) != rows*69 {
+			t.Fatalf("%d rows: len %d", rows, len(m.Data))
+		}
+	}
+	if grows > 9 { // 1, 2, 4, …, 256 rows
+		t.Fatalf("256 one-row steps reallocated %d times, want ≤ 9", grows)
+	}
+	m = Mat{}
+	if allocs := testing.AllocsPerRun(1, func() {
+		m = Mat{}
+		for rows := 1; rows <= 256; rows++ {
+			m.Reset(rows, 69)
+		}
+	}); allocs > 9 {
+		t.Fatalf("256 one-row steps allocated %.0f times, want ≤ 9", allocs)
+	}
+}
+
 func benchBatchPolicy() *Policy {
 	return NewPolicy(PolicyConfig{InDim: 69, Enc: 64, Hidden: 32, ResBlocks: 2, K: 5, Seed: 1})
 }

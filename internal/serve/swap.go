@@ -79,9 +79,7 @@ func (e *Engine) Swap(pol *nn.Policy, mask []int) (SwapStats, error) {
 	e.polMu.Unlock()
 	// Rebuild the synchronous scratch eagerly (workers rebuild lazily via
 	// the generation check when their next batch arrives).
-	e.syncBuf.scratch = pol.NewBatchScratch()
-	e.syncBuf.meanBuf = make([]float64, pol.GMM.K)
-	e.syncBuf.gen = gen
+	e.syncBuf.rebuild(pol, gen)
 
 	stats.Sessions = len(e.sessions)
 	step := rl.Stepper{Policy: pol, Mask: mask}
