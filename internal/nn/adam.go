@@ -57,8 +57,8 @@ func (a *Adam) Update(p *Param) {
 	n := len(p.Grad)
 	m, v, data := a.m[p][:n], a.v[p][:n], p.Data[:n]
 	for i, g := range p.Grad {
-		m[i] = b1*m[i] + (1-b1)*g
-		v[i] = b2*v[i] + (1-b2)*g*g
+		m[i] = float64(b1*m[i]) + float64((1-b1)*g)
+		v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
 		data[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + eps)
 	}
 	p.ZeroGrad()
@@ -152,7 +152,7 @@ func FitNormalizer(samples [][]float64) *Normalizer {
 				continue
 			}
 			d := v - n.Mean[i]
-			n.Std[i] += d * d
+			n.Std[i] += float64(d * d)
 		}
 	}
 	for i := range n.Std {

@@ -96,10 +96,42 @@ func transposeTile(x *Mat, r, cols int, xt []float64) {
 
 // matMulBias computes out[r][i] = bias[i] + Σ_j W[i][j]·x[r][j], the
 // accumulator seeded with the bias and the products added in j order.
-// On amd64 with AVX2, 16-row tiles run through dotTile16; remaining rows
-// take the blocked scalar path (eight rows per weight pass).
 func matMulBias(p *Param, bias []float64, x, out *Mat, sc *gemmScratch) {
+	matMul(p, bias, x, out, false, sc)
+}
+
+// matMulAcc computes out[r][i] += Σ_j W[i][j]·x[r][j] with the dot
+// product summed separately, from 0 in j order, and added once.
+func matMulAcc(p *Param, x, out *Mat, sc *gemmScratch) {
+	matMul(p, nil, x, out, true, sc)
+}
+
+// matMul is both: per row r and output i one chain s = seed + W[i][0]·x[r][0]
+// + W[i][1]·x[r][1] + … in j order, every product rounded before its add,
+// seeded with bias[i] (0 when bias is nil), then stored in out[r][i] or,
+// with add, added to it once. Every tier keeps that chain:
+//
+//   - AVX2, whole 16-row tiles: dotTile16, one batch row per lane;
+//   - AVX2, the rows left over: one at a time through dotCols16, one output
+//     per lane and 16 outputs a call; the columns past the last multiple of
+//     4 finish in Go, and the outputs past the last multiple of 16 take the
+//     scalar chain;
+//   - without AVX2: eight rows per weight pass, then one row at a time.
+func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
 	cols := p.Cols
+	seed := func(i int) float64 {
+		if bias == nil {
+			return 0
+		}
+		return bias[i]
+	}
+	put := func(o []float64, i int, s float64) {
+		if add {
+			o[i] += s
+		} else {
+			o[i] = s
+		}
+	}
 	r := 0
 	if useAVX2 && cols > 0 {
 		xt := sc.tile(cols)
@@ -108,18 +140,18 @@ func matMulBias(p *Param, bias []float64, x, out *Mat, sc *gemmScratch) {
 			for i := 0; i < p.Rows; i++ {
 				w := p.Data[i*cols : (i+1)*cols]
 				var acc [TileRows]float64
-				b := bias[i]
+				b := seed(i)
 				for l := range acc {
 					acc[l] = b
 				}
 				dotTile16(&w[0], &xt[0], cols, &acc)
-				for l := 0; l < TileRows; l++ {
-					out.Data[(r+l)*out.Cols+i] = acc[l]
+				for l, s := range acc {
+					put(out.Data, (r+l)*out.Cols+i, s)
 				}
 			}
 		}
 	}
-	for ; r+8 <= x.Rows; r += 8 {
+	for ; !useAVX2 && r+8 <= x.Rows; r += 8 {
 		// Reslicing to cols lets the compiler drop the bounds checks in
 		// the inner loop (len(w) == len(xN) == cols is then provable).
 		x0, x1, x2, x3 := x.Row(r)[:cols], x.Row(r + 1)[:cols], x.Row(r + 2)[:cols], x.Row(r + 3)[:cols]
@@ -128,94 +160,56 @@ func matMulBias(p *Param, bias []float64, x, out *Mat, sc *gemmScratch) {
 		o4, o5, o6, o7 := out.Row(r+4), out.Row(r+5), out.Row(r+6), out.Row(r+7)
 		for i := 0; i < p.Rows; i++ {
 			w := p.Data[i*cols : (i+1)*cols : (i+1)*cols]
-			b := bias[i]
+			b := seed(i)
 			s0, s1, s2, s3 := b, b, b, b
 			s4, s5, s6, s7 := b, b, b, b
 			for j, wj := range w {
-				s0 += wj * x0[j]
-				s1 += wj * x1[j]
-				s2 += wj * x2[j]
-				s3 += wj * x3[j]
-				s4 += wj * x4[j]
-				s5 += wj * x5[j]
-				s6 += wj * x6[j]
-				s7 += wj * x7[j]
+				s0 += float64(wj * x0[j])
+				s1 += float64(wj * x1[j])
+				s2 += float64(wj * x2[j])
+				s3 += float64(wj * x3[j])
+				s4 += float64(wj * x4[j])
+				s5 += float64(wj * x5[j])
+				s6 += float64(wj * x6[j])
+				s7 += float64(wj * x7[j])
 			}
-			o0[i], o1[i], o2[i], o3[i] = s0, s1, s2, s3
-			o4[i], o5[i], o6[i], o7[i] = s4, s5, s6, s7
+			put(o0, i, s0)
+			put(o1, i, s1)
+			put(o2, i, s2)
+			put(o3, i, s3)
+			put(o4, i, s4)
+			put(o5, i, s5)
+			put(o6, i, s6)
+			put(o7, i, s7)
 		}
 	}
 	for ; r < x.Rows; r++ {
 		xr, or := x.Row(r)[:cols], out.Row(r)
-		for i := 0; i < p.Rows; i++ {
-			w := p.Data[i*cols : (i+1)*cols : (i+1)*cols]
-			s := bias[i]
-			for j, wj := range w {
-				s += wj * xr[j]
-			}
-			or[i] = s
-		}
-	}
-}
-
-// matMulAcc computes out[r][i] += Σ_j W[i][j]·x[r][j] with the dot
-// product summed separately, in j order, and added once. Same tiling
-// strategy as matMulBias.
-func matMulAcc(p *Param, x, out *Mat, sc *gemmScratch) {
-	cols := p.Cols
-	r := 0
-	if useAVX2 && cols > 0 {
-		xt := sc.tile(cols)
-		for ; r+TileRows <= x.Rows; r += TileRows {
-			transposeTile(x, r, cols, xt)
-			for i := 0; i < p.Rows; i++ {
-				w := p.Data[i*cols : (i+1)*cols]
-				var acc [TileRows]float64
-				dotTile16(&w[0], &xt[0], cols, &acc)
-				for l := 0; l < TileRows; l++ {
-					out.Data[(r+l)*out.Cols+i] += acc[l]
+		i := 0
+		if useAVX2 && cols > 0 {
+			n4 := cols &^ 3
+			for ; i+16 <= p.Rows; i += 16 {
+				w := p.Data[i*cols : (i+16)*cols] // dotCols16 reads these rows unchecked
+				var acc [16]float64
+				for k := range acc {
+					acc[k] = seed(i + k)
+				}
+				dotCols16(&acc, &w[0], cols, &xr[0], n4)
+				for k, s := range acc {
+					for j, wj := range w[k*cols+n4 : (k+1)*cols] {
+						s += float64(wj * xr[n4+j])
+					}
+					put(or, i+k, s)
 				}
 			}
 		}
-	}
-	for ; r+8 <= x.Rows; r += 8 {
-		x0, x1, x2, x3 := x.Row(r)[:cols], x.Row(r + 1)[:cols], x.Row(r + 2)[:cols], x.Row(r + 3)[:cols]
-		x4, x5, x6, x7 := x.Row(r + 4)[:cols], x.Row(r + 5)[:cols], x.Row(r + 6)[:cols], x.Row(r + 7)[:cols]
-		o0, o1, o2, o3 := out.Row(r), out.Row(r+1), out.Row(r+2), out.Row(r+3)
-		o4, o5, o6, o7 := out.Row(r+4), out.Row(r+5), out.Row(r+6), out.Row(r+7)
-		for i := 0; i < p.Rows; i++ {
+		for ; i < p.Rows; i++ {
 			w := p.Data[i*cols : (i+1)*cols : (i+1)*cols]
-			var s0, s1, s2, s3 float64
-			var s4, s5, s6, s7 float64
+			s := seed(i)
 			for j, wj := range w {
-				s0 += wj * x0[j]
-				s1 += wj * x1[j]
-				s2 += wj * x2[j]
-				s3 += wj * x3[j]
-				s4 += wj * x4[j]
-				s5 += wj * x5[j]
-				s6 += wj * x6[j]
-				s7 += wj * x7[j]
+				s += float64(wj * xr[j])
 			}
-			o0[i] += s0
-			o1[i] += s1
-			o2[i] += s2
-			o3[i] += s3
-			o4[i] += s4
-			o5[i] += s5
-			o6[i] += s6
-			o7[i] += s7
-		}
-	}
-	for ; r < x.Rows; r++ {
-		xr, or := x.Row(r)[:cols], out.Row(r)
-		for i := 0; i < p.Rows; i++ {
-			w := p.Data[i*cols : (i+1)*cols : (i+1)*cols]
-			s := 0.0
-			for j, wj := range w {
-				s += wj * xr[j]
-			}
-			or[i] += s
+			put(or, i, s)
 		}
 	}
 }
@@ -250,12 +244,12 @@ func (ln *LayerNorm) BatchForward(x, out *Mat) {
 		varr := 0.0
 		for _, v := range xr {
 			d := v - mu
-			varr += d * d
+			varr += float64(d * d)
 		}
 		varr /= n
 		std := math.Sqrt(varr + ln.Eps)
 		for i, v := range xr {
-			or[i] = ((v-mu)/std)*ln.G.Data[i] + ln.B.Data[i]
+			or[i] = float64(((v-mu)/std)*ln.G.Data[i]) + ln.B.Data[i]
 		}
 	}
 }
@@ -297,9 +291,9 @@ func (g *GRU) BatchForward(x, h, hNew *Mat, s *GRUScratch) {
 	matMulAcc(g.Un, h, &s.unH, &s.gemm)
 	// zPre and rPre now hold z and r.
 	for k := range s.nPre.Data {
-		n := math.Tanh(s.nPre.Data[k] + s.rPre.Data[k]*s.unH.Data[k])
+		n := math.Tanh(s.nPre.Data[k] + float64(s.rPre.Data[k]*s.unH.Data[k]))
 		z := s.zPre.Data[k]
-		hNew.Data[k] = (1-z)*n + z*h.Data[k]
+		hNew.Data[k] = float64((1-z)*n) + float64(z*h.Data[k])
 	}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -29,12 +30,14 @@ func kernelTiers(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// eachKernelTier runs f at both kernel tiers over one batch size per
-// matMulBias tier on each side of its boundaries: single-row remainder (1),
-// 8-row blocked scalar (8, 9), 16-row AVX2 tile (16, 17, 33).
+// eachKernelTier runs f at both kernel tiers over batch sizes on each side
+// of matMul's boundaries: rows that miss a tile, run one at a time (through
+// dotCols16 with AVX2; 1, 2, 5, 15), the 8-row blocked scalar tier without
+// it (8, 9), and the 16-row AVX2 tile with and without rows left over (16,
+// 17, 33).
 func eachKernelTier(t *testing.T, f func(t *testing.T, B int)) {
 	kernelTiers(t, func(t *testing.T) {
-		for _, B := range []int{1, 8, 9, 16, 17, 33} {
+		for _, B := range []int{1, 2, 5, 8, 9, 15, 16, 17, 33} {
 			t.Run(fmt.Sprintf("B=%d", B), func(t *testing.T) { f(t, B) })
 		}
 	})
@@ -85,6 +88,9 @@ func TestPolicyBatchForwardMatchesSequential(t *testing.T) {
 		"noGRU":     {InDim: 69, Enc: 32, Hidden: 24, ResBlocks: 2, K: 5, NoGRU: true, Seed: 2},
 		"noEncoder": {InDim: 69, Enc: 32, Hidden: 24, ResBlocks: 2, K: 5, NoEncoder: true, Seed: 3},
 		"k1":        {InDim: 12, Enc: 16, Hidden: 8, ResBlocks: 1, K: 1, Seed: 4},
+		// No width a multiple of 16 or of 4: every layer leaves outputs
+		// past its last 16-output block and columns past its last 4.
+		"ragged": {InDim: 37, Enc: 43, Hidden: 21, ResBlocks: 1, K: 3, Seed: 5},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
@@ -172,6 +178,91 @@ func TestPolicyBatchForwardNoAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, step); allocs > 0 {
 		t.Fatalf("BatchForward allocates %.1f objects/op after warm-up, want 0", allocs)
 	}
+}
+
+// TestDotCols16MatchesScalar holds matMulBias and matMulAcc to the scalar
+// chain — s = seed + W[i][0]·x[0] + W[i][1]·x[1] + … in j order, seeded
+// with the bias or 0, stored or added once — bit for bit at both kernel
+// tiers. With AVX2 every row outside a 16-row tile runs dotCols16, so the
+// sweep covers every width 0–70 (each width mod 4, for the columns the
+// kernel leaves to Go), 1–40 outputs (none, one and two 16-output blocks,
+// with and without outputs left over) and 1–17 rows (no tile, a whole tile,
+// one row past it), with NaN, ±Inf, −0 and subnormals of either sign among
+// the weights, inputs, biases and accumulators. Nothing past the output
+// matrix may be written. Under -short only rows 1, 15 and 17 run.
+func TestDotCols16MatchesScalar(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
+		math.SmallestNonzeroFloat64, -0x1p-1030}
+	rng := rand.New(rand.NewSource(29))
+	fill := func(v []float64) {
+		for i := range v {
+			if rng.Intn(12) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+	}
+	rowCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	if testing.Short() {
+		rowCounts = []int{1, 15, 17}
+	}
+	const maxRows, guard = 17, 5
+	kernelTiers(t, func(t *testing.T) {
+		for cols := 0; cols <= 70; cols++ {
+			for outs := 1; outs <= 40; outs++ {
+				p := NewParam("w", outs, cols)
+				fill(p.Data)
+				bias := make([]float64, outs)
+				fill(bias)
+				x := NewMat(maxRows, cols)
+				fill(x.Data)
+				init := make([]float64, maxRows*outs+guard)
+				fill(init)
+				// The scalar chains of every row, seeded with the bias and
+				// with 0; a matMul over the first rows of x must match theirs.
+				fromBias, fromZero := make([]float64, maxRows*outs), make([]float64, maxRows*outs)
+				for r := 0; r < maxRows; r++ {
+					for i := 0; i < outs; i++ {
+						sb, s0 := bias[i], 0.0
+						for j := 0; j < cols; j++ {
+							sb += p.Data[i*cols+j] * x.Data[r*cols+j]
+							s0 += p.Data[i*cols+j] * x.Data[r*cols+j]
+						}
+						fromBias[r*outs+i], fromZero[r*outs+i] = sb, s0
+					}
+				}
+				for _, rows := range rowCounts {
+					xr := x.rowsView(0, rows)
+					n := rows * outs
+					for _, add := range []bool{false, true} {
+						buf := append([]float64(nil), init[:n+guard]...)
+						out := &Mat{Rows: rows, Cols: outs, Data: buf[:n]}
+						var sc gemmScratch
+						if add {
+							matMulAcc(p, &xr, out, &sc)
+						} else {
+							matMulBias(p, bias, &xr, out, &sc)
+						}
+						for k, got := range buf {
+							want := init[k]
+							switch {
+							case k >= n:
+							case add:
+								want += fromZero[k]
+							default:
+								want = fromBias[k]
+							}
+							if !sameOrNaN(got, want) || (k >= n && !sameBits(got, want)) {
+								t.Fatalf("cols=%d outs=%d rows=%d add=%v: element %d is %v (%#x), scalar chain %v (%#x)",
+									cols, outs, rows, add, k, got, math.Float64bits(got), want, math.Float64bits(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestMatReset(t *testing.T) {

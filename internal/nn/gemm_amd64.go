@@ -25,6 +25,18 @@ func x86CpuidAVX2() bool
 //go:noescape
 func dotTile16(w *float64, xt *float64, n int, acc *[16]float64)
 
+// dotCols16 accumulates, for one input row x[0:n] against the 16 weight
+// rows w_k = w + k·stride (k < 16), in j order:
+//
+//	acc[k] = acc[k] + w_k[0]·x[0] + w_k[1]·x[1] + … + w_k[n-1]·x[n-1]
+//
+// n must be a multiple of 4. Each output's operation order matches the
+// scalar dot product exactly. Implemented in gemm_amd64.s; only called when
+// useAVX2 is true, with all 16 rows in bounds.
+//
+//go:noescape
+func dotCols16(acc *[16]float64, w *float64, stride int, x *float64, n int)
+
 // axpyList32 accumulates, for the n terms at terms in list order, the
 // 32-element rows they name into acc[0:32]:
 //

@@ -78,6 +78,90 @@ done:
 	VZEROUPPER
 	RET
 
+// COLS4 runs four columns of the weight rows at r, r+s, r+2s, r+3s (s in
+// BX, 3s in R8) into the accumulator acc, transposed in registers: two
+// 128-bit loads per register pair rows 0 and 2 (Y8, Y10) and rows 1 and 3
+// (Y9, Y11), columns j, j+1 (Y8, Y9) and j+2, j+3 (Y10, Y11); UNPCKLPD /
+// UNPCKHPD then leave column j+c of the four rows, one output per lane, in
+// Y12+c. Each is multiplied by its broadcast x[j+c] (Y4..Y7) and added in
+// j order. Loading the halves with VINSERTF128 keeps the shuffle port to
+// the four unpacks (a full-width load and VPERM2F128 transpose needs eight).
+#define COLS4(r, acc) \
+	VMOVUPD     (r), X8;                    \
+	VINSERTF128 $1, (r)(BX*2), Y8, Y8;      \
+	VMOVUPD     (r)(BX*1), X9;              \
+	VINSERTF128 $1, (r)(R8*1), Y9, Y9;      \
+	VMOVUPD     16(r), X10;                 \
+	VINSERTF128 $1, 16(r)(BX*2), Y10, Y10;  \
+	VMOVUPD     16(r)(BX*1), X11;           \
+	VINSERTF128 $1, 16(r)(R8*1), Y11, Y11;  \
+	VUNPCKLPD   Y9, Y8, Y12;                \
+	VUNPCKHPD   Y9, Y8, Y13;                \
+	VUNPCKLPD   Y11, Y10, Y14;              \
+	VUNPCKHPD   Y11, Y10, Y15;              \
+	VMULPD      Y4, Y12, Y12;               \
+	VADDPD      Y12, acc, acc;              \
+	VMULPD      Y5, Y13, Y13;               \
+	VADDPD      Y13, acc, acc;              \
+	VMULPD      Y6, Y14, Y14;               \
+	VADDPD      Y14, acc, acc;              \
+	VMULPD      Y7, Y15, Y15;               \
+	VADDPD      Y15, acc, acc
+
+// func dotCols16(acc *[16]float64, w *float64, stride int, x *float64, n int)
+//
+// One input row against 16 weight rows w + k·stride, k < 16: four YMM
+// accumulators carry the 16 outputs, lane l of Y(g) output 4g+l. Per four
+// columns: broadcast x[j..j+3], then per 4-output group COLS4. VMULPD then
+// VADDPD (not VFMADD), so every lane performs the exact scalar sequence
+// acc = acc + (w[j] * x[j]) with intermediate rounding. n is a multiple of
+// four; the caller finishes any remaining columns.
+TEXT ·dotCols16(SB), NOSPLIT, $0-40
+	MOVQ acc+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ stride+16(FP), BX
+	MOVQ x+24(FP), DX
+	MOVQ n+32(FP), CX
+
+	SHLQ $3, BX            // row stride in bytes
+	LEAQ (BX)(BX*2), R8    // three rows
+	LEAQ (SI)(BX*4), R9    // rows 4..7
+	LEAQ (R9)(BX*4), R10   // rows 8..11
+	LEAQ (R10)(BX*4), R11  // rows 12..15
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+
+	SHRQ $2, CX
+	JZ   colsdone
+
+cols:
+	VBROADCASTSD (DX), Y4
+	VBROADCASTSD 8(DX), Y5
+	VBROADCASTSD 16(DX), Y6
+	VBROADCASTSD 24(DX), Y7
+	COLS4(SI, Y0)
+	COLS4(R9, Y1)
+	COLS4(R10, Y2)
+	COLS4(R11, Y3)
+	ADDQ $32, SI
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  cols
+
+colsdone:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
 // func axpyList32(acc *float64, base *float64, terms *axpyTerm, n int)
 //
 // Eight YMM accumulators hold acc[0:32] across the whole list. Per term:

@@ -45,7 +45,7 @@ func (g GMM) LogProb(p []float64, a float64) float64 {
 	for k := 0; k < g.K; k++ {
 		s := clampLogStd(logstds[k])
 		z := (a - means[k]) / math.Exp(s)
-		logN := -0.5*z*z - s - 0.5*log2Pi
+		logN := float64(-0.5*z*z) - s - 0.5*log2Pi
 		logPi[k] = logits[k] - lse + logN
 	}
 	return LogSumExp(logPi)
@@ -64,7 +64,7 @@ func (g GMM) LogProbGrad(p []float64, a float64, dp []float64) float64 {
 		s := clampLogStd(logstds[k])
 		sigma[k] = math.Exp(s)
 		z := (a - means[k]) / sigma[k]
-		logJoint[k] = (logits[k] - lse) + (-0.5*z*z - s - 0.5*log2Pi)
+		logJoint[k] = (logits[k] - lse) + (float64(-0.5*z*z) - s - 0.5*log2Pi)
 	}
 	logp := LogSumExp(logJoint)
 	for k := 0; k < g.K; k++ {
@@ -75,7 +75,7 @@ func (g GMM) LogProbGrad(p []float64, a float64, dp []float64) float64 {
 		dp[k] = gamma - w[k]
 		dp[g.K+k] = gamma * z / sk // d/dmean
 		if logstds[k] > gmmLogStdMin && logstds[k] < gmmLogStdMax {
-			dp[2*g.K+k] = gamma * (z*z - 1) // d/dlogstd
+			dp[2*g.K+k] = gamma * (float64(z*z) - 1) // d/dlogstd
 		} else {
 			dp[2*g.K+k] = 0
 		}
@@ -112,7 +112,7 @@ func (g GMM) SampleWith(p []float64, u, z float64) float64 {
 			break
 		}
 	}
-	return means[k] + math.Exp(clampLogStd(logstds[k]))*z
+	return means[k] + float64(math.Exp(clampLogStd(logstds[k]))*z)
 }
 
 // Mean returns the mixture mean (the deterministic action used at
@@ -143,7 +143,7 @@ func (g GMM) MeanInto(p, w []float64) float64 {
 	}
 	m := 0.0
 	for k := 0; k < g.K; k++ {
-		m += w[k] * means[k]
+		m += float64(w[k] * means[k])
 	}
 	return m
 }

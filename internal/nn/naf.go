@@ -89,7 +89,7 @@ func softplus(x float64) float64 {
 // every evaluation path shares.
 func nafQ(v, m, p, a float64) float64 {
 	d := a - m
-	return v - p*d*d
+	return v - float64(p*d*d)
 }
 
 // Q returns the action value of one state — BatchForward on a throwaway
@@ -175,15 +175,15 @@ func (c *NAFCritic) TDBackward(t *NAFTape, order []int, weight float64) float64 
 		}
 		a, m, p := t.A[r], t.M[r], t.P[r]
 		err := t.Q(r, a) - y
-		loss += err * err
-		dq := err * weight
+		loss += float64(err * err)
+		dq := float64(err * weight) // dq*2 below becomes dq+dq, which must not fuse with it
 		d := a - m
 		// Q = v − p·d²
 		dp := -dq * d * d
 		dm := dq * 2 * p * d
 		// Head pre-activations.
 		t.dV.Data[r] = dq
-		t.dM.Data[r] = dm * (1 - m*m)
+		t.dM.Data[r] = dm * (1 - float64(m*m))
 		if pPre := t.pPre.Data[r]; pPre > 30 {
 			t.dP.Data[r] = dp
 		} else {

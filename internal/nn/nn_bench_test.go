@@ -38,22 +38,42 @@ func BenchmarkGRUStep(b *testing.B) {
 	}
 }
 
-func BenchmarkPolicyInference(b *testing.B) {
-	// The deployment-relevant number: one state → one action.
-	p := NewPolicy(PolicyConfig{InDim: 69, Enc: 32, Hidden: 16, ResBlocks: 2, K: 3, Seed: 1})
-	state, h := NewMat(1, 69), NewMat(1, 16)
-	rng := rand.New(rand.NewSource(2))
-	for i := range state.Data {
-		state.Data[i] = rng.NormFloat64()
-	}
-	scratch := p.NewBatchScratch()
-	wbuf := make([]float64, p.GMM.K)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		heads, hNew := p.BatchForward(state, h, scratch)
-		copy(h.Data, hNew.Data)
-		_ = p.GMM.MeanInto(heads.Data, wbuf)
+// BenchmarkPolicyForwardSmallBatch is the deployment-relevant number: one
+// decision round of b flows — a BatchForward and every row's MeanInto — on
+// the production architecture (69/64/32, two residual blocks, K 5), at the
+// batch sizes that miss a 16-row tile (b = 1 is every per-flow step and
+// every serve_wire decision), at both kernel tiers.
+func BenchmarkPolicyForwardSmallBatch(b *testing.B) {
+	benchKernelTiers(b, func(b *testing.B) {
+		for _, rows := range []int{1, 2, 5, 8, 15} {
+			b.Run(benchName("b", rows), func(b *testing.B) {
+				p := benchBatchPolicy()
+				rng := rand.New(rand.NewSource(2))
+				states, h := NewMat(rows, 69), NewMat(rows, p.Cfg.Hidden)
+				copy(states.Data, randVec(rng, len(states.Data)))
+				scratch := p.NewBatchScratch()
+				wbuf := make([]float64, p.GMM.K)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					heads, hNew := p.BatchForward(states, h, scratch)
+					copy(h.Data, hNew.Data)
+					for r := 0; r < rows; r++ {
+						_ = p.GMM.MeanInto(heads.Row(r), wbuf)
+					}
+				}
+			})
+		}
+	})
+}
+
+// benchKernelTiers is kernelTiers for benchmarks.
+func benchKernelTiers(b *testing.B, f func(b *testing.B)) {
+	b.Run("avx2=detected", f)
+	if setAVX2 != nil {
+		was := setAVX2(false)
+		defer setAVX2(was)
+		b.Run("avx2=off", f)
 	}
 }
 

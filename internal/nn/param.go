@@ -36,7 +36,8 @@ func NewParam(name string, rows, cols int) *Param {
 func (p *Param) GlorotInit(rng *rand.Rand) {
 	limit := math.Sqrt(6 / float64(p.Rows+p.Cols))
 	for i := range p.Data {
-		p.Data[i] = (rng.Float64()*2 - 1) * limit
+		u := float64(rng.Float64()) // math/rand's scaling multiply must not fuse with u*2
+		p.Data[i] = (float64(u*2) - 1) * limit
 	}
 }
 
@@ -121,7 +122,7 @@ func PolyakUpdate(dst, src Module, tau float64) {
 	dp, sp := dst.Params(), src.Params()
 	for i := range dp {
 		for j := range dp[i].Data {
-			dp[i].Data[j] = (1-tau)*dp[i].Data[j] + tau*sp[i].Data[j]
+			dp[i].Data[j] = float64((1-tau)*dp[i].Data[j]) + float64(tau*sp[i].Data[j])
 		}
 	}
 }
@@ -140,7 +141,7 @@ func GradNorm(m Module) float64 {
 	s := 0.0
 	for _, p := range m.Params() {
 		for _, g := range p.Grad {
-			s += g * g
+			s += float64(g * g)
 		}
 	}
 	return math.Sqrt(s)

@@ -57,7 +57,7 @@ func accTerms(acc, base []float64, terms []axpyTerm) {
 	for _, t := range terms {
 		v := base[t.off+j : t.off+n][:len(rest)]
 		for k, x := range v {
-			rest[k] += t.s * x
+			rest[k] += float64(t.s * x)
 		}
 	}
 }
@@ -142,7 +142,7 @@ func leakyReLUBack(pre, d []float64, alpha float64) {
 // tanhBack is leakyReLUBack for tanh, given the activation's output y.
 func tanhBack(y, d []float64) {
 	for i, v := range y {
-		d[i] = d[i] * (1 - v*v)
+		d[i] = d[i] * (1 - float64(v*v))
 	}
 }
 
@@ -172,14 +172,14 @@ func (ln *LayerNorm) forwardTape(x, out *Mat, t *lnTape) {
 		varr := 0.0
 		for _, v := range xr {
 			d := v - mu
-			varr += d * d
+			varr += float64(d * d)
 		}
 		varr /= n
 		std := math.Sqrt(varr + ln.Eps)
 		t.std[r] = std
 		for i, v := range xr {
 			hr[i] = (v - mu) / std
-			or[i] = hr[i]*ln.G.Data[i] + ln.B.Data[i]
+			or[i] = float64(hr[i]*ln.G.Data[i]) + ln.B.Data[i]
 		}
 	}
 }
@@ -193,12 +193,12 @@ func (ln *LayerNorm) backwardTape(t *lnTape, d *Mat, order []int) {
 		dr, hr := d.Row(r), t.xhat.Row(r)
 		sumDxhat, sumDxhatX := 0.0, 0.0
 		for i, dy := range dr {
-			ln.G.Grad[i] += dy * hr[i]
+			ln.G.Grad[i] += float64(dy * hr[i])
 			ln.B.Grad[i] += dy
-			dxhat := dy * ln.G.Data[i]
+			dxhat := float64(dy * ln.G.Data[i])
 			dr[i] = dxhat
 			sumDxhat += dxhat
-			sumDxhatX += dxhat * hr[i]
+			sumDxhatX += float64(dxhat * hr[i])
 		}
 		std := t.std[r]
 		for i, dxhat := range dr {
@@ -330,9 +330,9 @@ func (g *GRU) forwardTape(t *PolicyTape) {
 		matMulAcc(g.Un, &hPrev, &unH, sc)
 		for k, v := range z.Data {
 			zk, rk := sigmoid(v), sigmoid(r.Data[k])
-			nk := math.Tanh(n.Data[k] + rk*unH.Data[k])
+			nk := math.Tanh(n.Data[k] + float64(rk*unH.Data[k]))
 			z.Data[k], r.Data[k], n.Data[k] = zk, rk, nk
-			hNew.Data[k] = (1-zk)*nk + zk*hPrev.Data[k]
+			hNew.Data[k] = float64((1-zk)*nk) + float64(zk*hPrev.Data[k])
 		}
 	}
 }
@@ -424,8 +424,8 @@ func (g *GRU) backwardTape(t *PolicyTape, dHNew *Mat) *Mat {
 			dzk := d * (hPrev.Data[k] - nk)
 			dnk := d * (1 - zk)
 			dh.Data[k] = 0
-			dh.Data[k] += d * zk
-			dnPre := dnk * (1 - nk*nk)
+			dh.Data[k] += float64(d * zk)
+			dnPre := dnk * (1 - float64(nk*nk))
 			drk := dnPre * unH.Data[k]
 			dn.Data[k] = dnPre
 			du.Data[k] = dnPre * rk
