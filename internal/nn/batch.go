@@ -10,14 +10,14 @@ import "math"
 // identical to N one-row ones: the serving engine can multiplex thousands
 // of flows onto one matrix pass without changing a single decision.
 //
-// The speedup comes from two places. First, matrix–matrix blocking:
-// the GEMM kernels process four batch rows per weight-row pass, which
-// loads each weight row once for four flows and — more importantly —
-// runs four independent accumulation chains, hiding the FP-add latency
-// that serializes a single dot product. Each row's own summation order
-// is untouched, so equivalence survives. Second, amortization: no
-// per-step cache construction and no per-call allocations; scratch
-// buffers stay hot across the whole batch.
+// The speedup comes from two places. First, independent accumulation
+// chains, which hide the FP-add latency that serializes a single dot
+// product: a batch runs 16 rows (AVX2) or 8 rows per weight-row pass,
+// loading each weight row once for all of them, and a row on its own runs
+// 16 outputs at once (dotCols16). Each output's own summation order is
+// untouched, so equivalence survives. Second, amortization: no per-step
+// cache construction and no per-call allocations; scratch buffers stay hot
+// across the whole batch.
 
 // Mat is a dense row-major matrix backed by a single flat slice.
 type Mat struct {
@@ -140,13 +140,15 @@ func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
 			for i := 0; i < p.Rows; i++ {
 				w := p.Data[i*cols : (i+1)*cols]
 				var acc [TileRows]float64
-				b := seed(i)
-				for l := range acc {
-					acc[l] = b
+				if bias != nil {
+					b := bias[i]
+					for l := range acc {
+						acc[l] = b
+					}
 				}
 				dotTile16(&w[0], &xt[0], cols, &acc)
-				for l, s := range acc {
-					put(out.Data, (r+l)*out.Cols+i, s)
+				for l := 0; l < TileRows; l++ {
+					put(out.Data, (r+l)*out.Cols+i, acc[l])
 				}
 			}
 		}
@@ -191,8 +193,8 @@ func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
 			for ; i+16 <= p.Rows; i += 16 {
 				w := p.Data[i*cols : (i+16)*cols] // dotCols16 reads these rows unchecked
 				var acc [16]float64
-				for k := range acc {
-					acc[k] = seed(i + k)
+				if bias != nil {
+					copy(acc[:], bias[i:i+16])
 				}
 				dotCols16(&acc, &w[0], cols, &xr[0], n4)
 				for k, s := range acc {

@@ -2,8 +2,8 @@
 
 package nn
 
-// useAVX2 gates the vectorized kernels: the forward's GEMM tile and the
-// backward's row-blocked accumulation. The AVX2 path is bitwise identical
+// useAVX2 gates the vectorized kernels: the forward's GEMM tile and one-row
+// kernel and the backward's row-blocked accumulation. The AVX2 path is bitwise identical
 // to the scalar path: each SIMD lane carries one accumulator through the
 // same mul-then-add sequence (no FMA — a
 // fused multiply-add rounds differently, which would break the batched ==
