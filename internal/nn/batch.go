@@ -115,8 +115,9 @@ func matMulAcc(p *Param, x, out *Mat, sc *gemmScratch) {
 //   - AVX2, the rows left over: one at a time through dotCols16, one output
 //     per lane and 16 outputs a call; the columns past the last multiple of
 //     4 finish in Go, and the outputs past the last multiple of 16 take the
-//     scalar chain;
-//   - without AVX2: eight rows per weight pass, then one row at a time.
+//     scalar chain, four outputs side by side;
+//   - without AVX2: eight rows per weight pass, then one row at a time, its
+//     outputs four side by side.
 func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
 	cols := p.Cols
 	seed := func(i int) float64 {
@@ -197,13 +198,36 @@ func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
 					copy(acc[:], bias[i:i+16])
 				}
 				dotCols16(&acc, &w[0], cols, &xr[0], n4)
-				for k, s := range acc {
-					for j, wj := range w[k*cols+n4 : (k+1)*cols] {
-						s += float64(wj * xr[n4+j])
+				if n4 < cols {
+					for k := range acc {
+						for j := n4; j < cols; j++ {
+							acc[k] += float64(w[k*cols+j] * xr[j])
+						}
 					}
-					put(or, i+k, s)
+				}
+				for k := range acc {
+					put(or, i+k, acc[k])
 				}
 			}
+		}
+		for ; i+4 <= p.Rows; i += 4 {
+			// Four outputs' chains side by side, each in j order: the adds
+			// of one need not wait for another's.
+			w0 := p.Data[i*cols : (i+1)*cols : (i+1)*cols]
+			w1 := p.Data[(i+1)*cols : (i+2)*cols : (i+2)*cols]
+			w2 := p.Data[(i+2)*cols : (i+3)*cols : (i+3)*cols]
+			w3 := p.Data[(i+3)*cols : (i+4)*cols : (i+4)*cols]
+			s0, s1, s2, s3 := seed(i), seed(i+1), seed(i+2), seed(i+3)
+			for j, xj := range xr {
+				s0 += float64(w0[j] * xj)
+				s1 += float64(w1[j] * xj)
+				s2 += float64(w2[j] * xj)
+				s3 += float64(w3[j] * xj)
+			}
+			put(or, i, s0)
+			put(or, i+1, s1)
+			put(or, i+2, s2)
+			put(or, i+3, s3)
 		}
 		for ; i < p.Rows; i++ {
 			w := p.Data[i*cols : (i+1)*cols : (i+1)*cols]
