@@ -20,8 +20,8 @@ func randVec(rng *rand.Rand, n int) []float64 {
 var setAVX2 func(on bool) (was bool)
 
 // kernelTiers runs f with useAVX2 as detected and, where the build has the
-// switch, forced off.
-func kernelTiers(t *testing.T, f func(t *testing.T)) {
+// switch, forced off — as subtests, or as sub-benchmarks.
+func kernelTiers[T interface{ Run(string, func(T)) bool }](t T, f func(T)) {
 	t.Run("avx2=detected", f)
 	if setAVX2 != nil {
 		was := setAVX2(false)

@@ -44,7 +44,7 @@ func BenchmarkGRUStep(b *testing.B) {
 // batch sizes that miss a 16-row tile (b = 1 is every per-flow step and
 // every serve_wire decision), at both kernel tiers.
 func BenchmarkPolicyForwardSmallBatch(b *testing.B) {
-	benchKernelTiers(b, func(b *testing.B) {
+	kernelTiers(b, func(b *testing.B) {
 		for _, rows := range []int{1, 2, 5, 8, 15} {
 			b.Run(benchName("b", rows), func(b *testing.B) {
 				p := benchBatchPolicy()
@@ -65,16 +65,6 @@ func BenchmarkPolicyForwardSmallBatch(b *testing.B) {
 			})
 		}
 	})
-}
-
-// benchKernelTiers is kernelTiers for benchmarks.
-func benchKernelTiers(b *testing.B, f func(b *testing.B)) {
-	b.Run("avx2=detected", f)
-	if setAVX2 != nil {
-		was := setAVX2(false)
-		defer setAVX2(was)
-		b.Run("avx2=off", f)
-	}
 }
 
 func BenchmarkPolicyBPTTStep(b *testing.B) {
