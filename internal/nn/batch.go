@@ -140,6 +140,9 @@ func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
 			transposeTile(x, r, cols, xt)
 			for i := 0; i < p.Rows; i++ {
 				w := p.Data[i*cols : (i+1)*cols]
+				// Filled only when there is a bias: scalar stores of zeros
+				// right before the kernel's 32-byte loads of acc would stall
+				// store forwarding on every output.
 				var acc [TileRows]float64
 				if bias != nil {
 					b := bias[i]
