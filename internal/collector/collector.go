@@ -497,8 +497,8 @@ func (p *Pool) Save(path string) error {
 	return nil
 }
 
-// Load reads a pool written by Save (or a legacy pre-container pool),
-// detecting truncation and corruption before decoding.
+// Load reads a pool written by Save, detecting truncation and corruption
+// before decoding.
 func Load(path string) (*Pool, error) {
 	var p Pool
 	if err := safeio.ReadGobGz(path, &p); err != nil {

@@ -14,18 +14,6 @@ import (
 // sentinel only has to catch what slips through (or corrupts later).
 // The zero value of every field is a usable default.
 type QualityConfig struct {
-	// MinSteps is the shortest usable episode; BuildDataset needs at
-	// least one (s,a,r,s') transition, i.e. 2 steps (default 2). Empty
-	// and single-step trajectories are quarantined as truncated.
-	MinSteps int
-	// MaxAbsReward bounds |reward| per step (default 1e6): the gr reward
-	// is a bounded combination of normalized delay/throughput terms, so
-	// anything near this bound is a telemetry glitch, not a signal.
-	MaxAbsReward float64
-	// MaxActionRatio bounds the recorded cwnd ratio per step (default
-	// 1024). Ratios must also be strictly positive: a window cannot
-	// shrink to or below zero.
-	MaxActionRatio float64
 	// FrozenRun is how many consecutive identical state vectors mark a
 	// frozen flow — a wedged monitor emitting the same observation
 	// forever (default 64).
@@ -33,20 +21,26 @@ type QualityConfig struct {
 }
 
 func (c QualityConfig) fill() QualityConfig {
-	if c.MinSteps == 0 {
-		c.MinSteps = 2
-	}
-	if c.MaxAbsReward == 0 {
-		c.MaxAbsReward = 1e6
-	}
-	if c.MaxActionRatio == 0 {
-		c.MaxActionRatio = 1024
-	}
 	if c.FrozenRun == 0 {
 		c.FrozenRun = 64
 	}
 	return c
 }
+
+// The gate's fixed bounds.
+const (
+	// minSteps is the shortest usable episode; BuildDataset needs at
+	// least one (s,a,r,s') transition, i.e. 2 steps. Empty and
+	// single-step trajectories are quarantined as truncated.
+	minSteps = 2
+	// maxAbsReward bounds |reward| per step: the gr reward is a bounded
+	// combination of normalized delay/throughput terms, so anything near
+	// this bound is a telemetry glitch, not a signal.
+	maxAbsReward = 1e6
+	// maxActionRatio bounds the recorded cwnd ratio per step. Ratios must
+	// also be strictly positive: a window cannot shrink to or below zero.
+	maxActionRatio = 1024
+)
 
 // Quarantine reasons.
 const (
@@ -86,8 +80,8 @@ func CheckTrajectory(tr Trajectory, cfg QualityConfig) []TrajIssue {
 	add := func(reason string, step int, detail string) {
 		issues = append(issues, TrajIssue{Reason: reason, Step: step, Detail: detail})
 	}
-	if len(tr.Steps) < cfg.MinSteps {
-		add(ReasonTruncated, 0, fmt.Sprintf("%d steps, need %d", len(tr.Steps), cfg.MinSteps))
+	if len(tr.Steps) < minSteps {
+		add(ReasonTruncated, 0, fmt.Sprintf("%d steps, need %d", len(tr.Steps), minSteps))
 		return issues // nothing else worth scanning
 	}
 	frozen := 1
@@ -102,7 +96,7 @@ func CheckTrajectory(tr Trajectory, cfg QualityConfig) []TrajIssue {
 		case !finiteQ(s.Action):
 			add(ReasonNonFiniteAction, i, "")
 			return issues
-		case s.Action <= 0 || s.Action > cfg.MaxActionRatio:
+		case s.Action <= 0 || s.Action > maxActionRatio:
 			add(ReasonActionRange, i, fmt.Sprintf("cwnd ratio %g", s.Action))
 			return issues
 		}
@@ -110,7 +104,7 @@ func CheckTrajectory(tr Trajectory, cfg QualityConfig) []TrajIssue {
 		case !finiteQ(s.Reward):
 			add(ReasonNonFiniteReward, i, "")
 			return issues
-		case math.Abs(s.Reward) > cfg.MaxAbsReward:
+		case math.Abs(s.Reward) > maxAbsReward:
 			add(ReasonRewardRange, i, fmt.Sprintf("reward %g", s.Reward))
 			return issues
 		}

@@ -24,6 +24,7 @@ import (
 	"sage/internal/nn"
 	"sage/internal/rl"
 	"sage/internal/safeio"
+	"sage/internal/tcp"
 )
 
 // Config gathers everything Train needs.
@@ -58,11 +59,12 @@ func Train(pool *collector.Pool, cfg Config, progress func(step int, criticLoss,
 type Agent = rl.PolicyController
 
 // NewAgent returns a fresh deployment agent (its own recurrent state): cwnd
-// clamped to [2, 20000] packets, stochastic draws from stream seed+77.
+// clamped to [tcp.MinCwnd, tcp.MaxCwnd], stochastic draws from stream
+// seed+77.
 func (m *Model) NewAgent(seed int64) *Agent {
 	// rl.NewPolicyController seeds its stream at seed+991.
 	a := rl.NewPolicyController(m.Policy, m.Mask, false, seed+77-991)
-	a.MaxCwnd = 20000
+	a.MaxCwnd = tcp.MaxCwnd
 	return a
 }
 

@@ -92,7 +92,6 @@ type LeagueOptions struct {
 	Margin    float64 // winner margin (default 0.10; Appendix D.2 uses 0.05)
 	Intervals int     // score intervals per scenario (default 4)
 	Parallel  int     // rollout workers (default NumCPU)
-	Rollout   rollout.Options
 	// Ctx, when non-nil, cancels the league: no new rollouts are
 	// dispatched and in-flight ones stop at their next GR tick. The
 	// partial matrix is not meaningful for scoring; callers check the
@@ -165,9 +164,7 @@ func RunMatrix(entrants []Entrant, scenarios []netem.Scenario, opt LeagueOptions
 				if opt.Ctx != nil && opt.Ctx.Err() != nil {
 					continue
 				}
-				ro := opt.Rollout
-				ro.Intervals = opt.Intervals
-				ro.Ctx = opt.Ctx
+				ro := rollout.Options{Intervals: opt.Intervals, Ctx: opt.Ctx}
 				results[j.e][j.s] = entrants[j.e].Run(scenarios[j.s], ro)
 			}
 		}()

@@ -9,7 +9,6 @@ import (
 type TSNEOptions struct {
 	Perplexity float64 // default 20
 	Iterations int     // default 400
-	LearnRate  float64 // default 100
 	Seed       int64
 }
 
@@ -20,11 +19,10 @@ func (o TSNEOptions) fill() TSNEOptions {
 	if o.Iterations == 0 {
 		o.Iterations = 400
 	}
-	if o.LearnRate == 0 {
-		o.LearnRate = 100
-	}
 	return o
 }
+
+const learnRate = 100 // gradient-descent step size
 
 // TSNE embeds the points into 2-D with the exact t-SNE algorithm
 // (van der Maaten & Hinton 2008), used for Fig. 16's hidden-layer
@@ -165,7 +163,7 @@ func TSNE(points [][]float64, opt TSNEOptions) [][2]float64 {
 		}
 		for i := 0; i < n; i++ {
 			for k := 0; k < 2; k++ {
-				vel[i][k] = momentum*vel[i][k] - opt.LearnRate*grad[i][k]
+				vel[i][k] = momentum*vel[i][k] - learnRate*grad[i][k]
 				y[i][k] += vel[i][k]
 			}
 		}

@@ -46,9 +46,6 @@ type IngestConfig struct {
 	StateDir string // ingest journal + live pool log live here
 	// GR provides the reward constants (ξ, κ) for proxy labeling.
 	GR gr.Config
-	// Quality is the PR 4 gate live windows must pass; zero value = the
-	// collector defaults.
-	Quality collector.QualityConfig
 	// QuotaPerRegime caps admitted windows retained per regime (default
 	// 64): admission is freshness-weighted — a full regime admits the new
 	// window and evicts its oldest — so one hot regime can neither crowd
@@ -289,7 +286,7 @@ func (in *Ingester) ingestOne(pos Cursor, payload []byte) error {
 	tr := collector.Trajectory{
 		Scheme: "live", Env: "live-" + regime, Steps: steps, Score: meanReward(steps),
 	}
-	if issues := collector.CheckTrajectory(tr, in.cfg.Quality); len(issues) > 0 {
+	if issues := collector.CheckTrajectory(tr, collector.QualityConfig{}); len(issues) > 0 {
 		return in.journalDisp(journalRecord{
 			Key: pos, Disp: DispQuarantined, Regime: regime, SID: rec.SID, Why: issues[0].Reason,
 		})

@@ -49,9 +49,8 @@ type LoopConfig struct {
 	Offline  *collector.Pool
 	LiveFrac float64 // live fraction of the round mix (default 0.5)
 
-	Mask    []int
-	GR      gr.Config
-	Quality collector.QualityConfig
+	Mask []int
+	GR   gr.Config
 
 	QuotaPerRegime  int
 	MaxFallbackFrac float64
@@ -131,7 +130,6 @@ func OpenLoop(cfg LoopConfig) (*Loop, error) {
 		SpoolDir:        cfg.SpoolDir,
 		StateDir:        cfg.StateDir,
 		GR:              cfg.GR,
-		Quality:         cfg.Quality,
 		QuotaPerRegime:  cfg.QuotaPerRegime,
 		MaxFallbackFrac: cfg.MaxFallbackFrac,
 		Metrics:         cfg.Metrics,

@@ -37,10 +37,9 @@ func recordFromWindow(w serve.TraceWindow) WindowRecord {
 
 // SinkConfig tunes a SpoolSink.
 type SinkConfig struct {
-	Dir          string
-	SegmentBytes int64 // per-segment cap before rotation (0 = DefaultSegmentBytes)
-	Queue        int   // buffered windows between engine and disk (default 256)
-	Metrics      *telemetry.Registry
+	Dir     string
+	Queue   int // buffered windows between engine and disk (default 256)
+	Metrics *telemetry.Registry
 }
 
 // SpoolSink adapts a Spool to serve.TraceSink: the engine's export call
@@ -58,7 +57,7 @@ type SpoolSink struct {
 
 // NewSpoolSink opens the spool and starts the writer goroutine.
 func NewSpoolSink(cfg SinkConfig) (*SpoolSink, error) {
-	sp, err := OpenSpool(cfg.Dir, cfg.SegmentBytes)
+	sp, err := OpenSpool(cfg.Dir, DefaultSegmentBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -90,7 +90,7 @@ func R1(deliveryBps, lossBps, capacityBps float64, delay, minRTT sim.Time, xi, k
 	if capacityBps <= 0 || minRTT <= 0 || delay <= 0 {
 		return 0
 	}
-	num := (deliveryBps - xi*lossBps) / capacityBps
+	num := (deliveryBps - float64(xi*lossBps)) / capacityBps
 	if num < 0 {
 		num = 0
 	}

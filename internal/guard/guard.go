@@ -55,20 +55,6 @@ type BatchController interface {
 // Config tunes the guardian. The zero value is usable: every field has a
 // conservative default.
 type Config struct {
-	// NewFallback builds the heuristic the connection falls back to on a
-	// trip (default: Cubic). A fresh instance is built per trip, so
-	// fallback state never leaks across episodes.
-	NewFallback func() tcp.CongestionControl
-
-	MinCwnd      float64 // cwnd floor in packets (default 2)
-	MaxCwnd      float64 // hard cwnd ceiling in packets (default 20000)
-	BDPMult      float64 // adaptive ceiling: BDPMult × estimated BDP packets (default 8)
-	MaxStepRatio float64 // max multiplicative cwnd change per control interval (default 4)
-
-	// StallIntervals is K: consecutive control intervals without delivery
-	// progress (while data is outstanding) before the watchdog trips
-	// (default 8).
-	StallIntervals int
 	// CollapseIntervals is how many consecutive intervals the window may
 	// sit at the floor before the watchdog declares cwnd collapse
 	// (default 16).
@@ -87,24 +73,6 @@ type Config struct {
 }
 
 func (c Config) fill() Config {
-	if c.NewFallback == nil {
-		c.NewFallback = func() tcp.CongestionControl { return cc.MustNew("cubic") }
-	}
-	if c.MinCwnd == 0 {
-		c.MinCwnd = 2
-	}
-	if c.MaxCwnd == 0 {
-		c.MaxCwnd = 20000
-	}
-	if c.BDPMult == 0 {
-		c.BDPMult = 8
-	}
-	if c.MaxStepRatio == 0 {
-		c.MaxStepRatio = 4
-	}
-	if c.StallIntervals == 0 {
-		c.StallIntervals = 8
-	}
 	if c.CollapseIntervals == 0 {
 		c.CollapseIntervals = 16
 	}
@@ -116,6 +84,21 @@ func (c Config) fill() Config {
 	}
 	return c
 }
+
+// The guardian's fixed thresholds. The cwnd floor and hard ceiling are
+// tcp.MinCwnd and tcp.MaxCwnd.
+const (
+	bdpMult      = 8 // adaptive ceiling: bdpMult × estimated BDP packets
+	maxStepRatio = 4 // max multiplicative cwnd change per control interval
+	// stallIntervals is K: consecutive control intervals without delivery
+	// progress (while data is outstanding) before the watchdog trips.
+	stallIntervals = 8
+)
+
+// newFallback builds the heuristic the connection falls back to on a trip.
+// A fresh instance is built per trip, so fallback state never leaks
+// across episodes.
+func newFallback() tcp.CongestionControl { return cc.MustNew("cubic") }
 
 // Event is one guardian transition, in JSONL-friendly form.
 type Event struct {
@@ -284,14 +267,14 @@ func (g *GuardedController) Control(now sim.Time, conn *tcp.Conn, state []float6
 	// and a ceiling keyed to the BDP estimate.
 	clamped := w
 	if before > 0 && !math.IsNaN(before) {
-		if max := before * g.cfg.MaxStepRatio; clamped > max {
+		if max := before * maxStepRatio; clamped > max {
 			clamped = max
 		}
-		if min := before / g.cfg.MaxStepRatio; clamped < min {
+		if min := before / maxStepRatio; clamped < min {
 			clamped = min
 		}
 	}
-	clamped = tcp.ClampCwnd(clamped, g.cfg.MinCwnd, g.ceiling(conn))
+	clamped = tcp.ClampCwnd(clamped, tcp.MinCwnd, g.ceiling(conn))
 	if clamped != w {
 		g.clamps++
 		g.cfg.Metrics.Counter(MetricClamps).Inc()
@@ -304,13 +287,13 @@ func (g *GuardedController) Control(now sim.Time, conn *tcp.Conn, state []float6
 	} else {
 		g.stallTicks = 0
 	}
-	if conn.Cwnd <= g.cfg.MinCwnd {
+	if conn.Cwnd <= tcp.MinCwnd {
 		g.floorTicks++
 	} else {
 		g.floorTicks = 0
 	}
 	switch {
-	case g.stallTicks >= g.cfg.StallIntervals:
+	case g.stallTicks >= stallIntervals:
 		g.cfg.Metrics.Counter(MetricStallTrips).Inc()
 		g.trip(now, conn, ReasonStall)
 	case g.floorTicks >= g.cfg.CollapseIntervals:
@@ -319,22 +302,22 @@ func (g *GuardedController) Control(now sim.Time, conn *tcp.Conn, state []float6
 	}
 }
 
-// ceiling returns the adaptive cwnd ceiling: BDPMult × the BDP estimated
-// from the max delivery rate and min RTT, bounded by MaxCwnd. Before any
+// ceiling returns the adaptive cwnd ceiling: bdpMult × the BDP estimated
+// from the max delivery rate and min RTT, bounded by tcp.MaxCwnd. Before any
 // delivery-rate sample exists the hard ceiling applies alone.
 func (g *GuardedController) ceiling(conn *tcp.Conn) float64 {
 	bdpPkts := conn.MaxDeliveryRate() * conn.MinRTT().Seconds() / float64(conn.MSS())
 	if bdpPkts <= 0 || math.IsNaN(bdpPkts) || math.IsInf(bdpPkts, 0) {
-		return g.cfg.MaxCwnd
+		return tcp.MaxCwnd
 	}
-	ceil := g.cfg.BDPMult * bdpPkts
+	ceil := bdpMult * bdpPkts
 	// Never strangle startup: a fresh flow's delivery-rate estimate
 	// lowballs the true BDP until the pipe fills.
-	if ceil < 4*g.cfg.MinCwnd+10 {
-		ceil = 4*g.cfg.MinCwnd + 10
+	if ceil < 4*tcp.MinCwnd+10 {
+		ceil = 4*tcp.MinCwnd + 10
 	}
-	if ceil > g.cfg.MaxCwnd {
-		ceil = g.cfg.MaxCwnd
+	if ceil > tcp.MaxCwnd {
+		ceil = tcp.MaxCwnd
 	}
 	return ceil
 }
@@ -357,9 +340,9 @@ func (g *GuardedController) trip(now sim.Time, conn *tcp.Conn, reason string) {
 	// congestion state, and restarting from the floor lets the fallback
 	// slow-start back to the link's capacity instead of inheriting a
 	// possibly pathological window.
-	conn.SwitchCC(g.cfg.NewFallback(), now)
-	if w := conn.Cwnd; math.IsNaN(w) || w > g.ceiling(conn) || w < g.cfg.MinCwnd {
-		conn.SetCwnd(g.cfg.MinCwnd)
+	conn.SwitchCC(newFallback(), now)
+	if w := conn.Cwnd; math.IsNaN(w) || w > g.ceiling(conn) || w < tcp.MinCwnd {
+		conn.SetCwnd(tcp.MinCwnd)
 	}
 	conn.Kick(now)
 

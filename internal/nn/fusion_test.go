@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// TestNoFusedMultiplyAdd holds the package to DESIGN.md §11's mul-then-add
-// contract on an architecture whose compiler fuses x*y + z by itself: it
-// compiles nn for arm64 with -S and fails on any fused multiply-add. A
-// fused chain rounds once where the scalar oracle, the AVX2 kernels and
-// every golden round twice; an explicit float64(x*y) is the barrier.
+// TestNoFusedMultiplyAdd holds nn, gr and rl to DESIGN.md §11's
+// mul-then-add contract on an architecture whose compiler fuses x*y + z by
+// itself: it compiles the three for arm64 with -S and fails on any fused
+// multiply-add. A fused chain rounds once where the scalar oracle, the AVX2
+// kernels and every golden round twice; an explicit float64(x*y) is the
+// barrier.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
@@ -21,7 +22,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	if err != nil {
 		t.Skip("go is not on PATH")
 	}
-	cmd := exec.Command(goTool, "build", "-gcflags=-S", ".")
+	cmd := exec.Command(goTool, "build", "-gcflags=-S", ".", "../gr", "../rl")
 	cmd.Env = append(os.Environ(), "GOARCH=arm64", "GOOS=linux", "CGO_ENABLED=0")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -2,13 +2,16 @@ package promote
 
 import "fmt"
 
+// tripFactor / fallbackFactor: the post-swap guard trip rate (resp.
+// engine fallback ratio) may grow to this multiple of the pre-swap
+// baseline before the watchdog votes to demote.
+const (
+	tripFactor     = 2.0
+	fallbackFactor = 2.0
+)
+
 // WatchdogConfig tunes the automatic demotion watchdog.
 type WatchdogConfig struct {
-	// TripFactor / FallbackFactor: the post-swap guard trip rate (resp.
-	// engine fallback ratio) may grow to this multiple of the pre-swap
-	// baseline before the watchdog votes to demote (default 2.0 each).
-	TripFactor     float64
-	FallbackFactor float64
 	// RateFloor is the absolute per-decision rate below which a post-swap
 	// rate is never actionable (default 0.01): with a clean baseline of
 	// zero, any factor comparison would otherwise demote on a single
@@ -23,12 +26,6 @@ type WatchdogConfig struct {
 }
 
 func (c WatchdogConfig) fill() WatchdogConfig {
-	if c.TripFactor == 0 {
-		c.TripFactor = 2.0
-	}
-	if c.FallbackFactor == 0 {
-		c.FallbackFactor = 2.0
-	}
 	if c.RateFloor == 0 {
 		c.RateFloor = 0.01
 	}
@@ -116,8 +113,8 @@ func (w *Watchdog) Observe(cur WatchSample) (demote bool, reason string) {
 	}
 	tripRate := float64(cur.Trips-w.base.Trips) / float64(d)
 	fallRate := float64(cur.Fallbacks-w.base.Fallbacks) / float64(d)
-	tripLimit := maxf(w.cfg.RateFloor, w.cfg.TripFactor*w.baseTrip)
-	fallLimit := maxf(w.cfg.RateFloor, w.cfg.FallbackFactor*w.baseFall)
+	tripLimit := maxf(w.cfg.RateFloor, tripFactor*w.baseTrip)
+	fallLimit := maxf(w.cfg.RateFloor, fallbackFactor*w.baseFall)
 
 	var bad string
 	switch {

@@ -115,7 +115,7 @@ func TrainAurora(cfg AuroraConfig) (*nn.Policy, error) {
 		returns := make([]float64, n)
 		g := 0.0
 		for i := n - 1; i >= 0; i-- {
-			g = res.Steps[i].Reward + cfg.Gamma*g
+			g = res.Steps[i].Reward + float64(cfg.Gamma*g)
 			returns[i] = g
 		}
 		mean := 0.0

@@ -16,8 +16,8 @@ import (
 // every RNG stream position — enough to resume a long (paper-scale)
 // training run across process restarts with a bitwise-identical loss
 // curve. Checkpoints from before the full-state format (HasFullState
-// false, including legacy raw-gzip files) still load, but resume from
-// them re-warms Adam and reseeds the samplers.
+// false) still load, but resume from them re-warms Adam and reseeds the
+// samplers.
 type checkpointBlob struct {
 	Cfg        CRRConfig
 	Norm       nn.Normalizer

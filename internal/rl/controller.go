@@ -61,8 +61,7 @@ type PolicyController struct {
 	Stochastic bool // sample from the GMM instead of taking its mean
 	UseMode    bool // act on the highest-weight component instead of the mixture mean
 
-	MinCwnd float64 // cwnd floor in packets
-	MaxCwnd float64 // cwnd ceiling in packets (0 = none)
+	MaxCwnd float64 // cwnd ceiling in packets (0 = none); the floor is tcp.MinCwnd
 
 	step    Stepper
 	hidden  []float64
@@ -75,8 +74,8 @@ type PolicyController struct {
 	Actions []float64
 }
 
-// NewPolicyController returns a controller with fresh recurrent state, a
-// cwnd floor of 2 packets and no ceiling.
+// NewPolicyController returns a controller with fresh recurrent state and
+// no cwnd ceiling.
 func NewPolicyController(pol *nn.Policy, mask []int, stochastic bool, seed int64) *PolicyController {
 	if mask == nil {
 		mask = gr.MaskFull()
@@ -85,7 +84,6 @@ func NewPolicyController(pol *nn.Policy, mask []int, stochastic bool, seed int64
 		Policy:     pol,
 		Mask:       mask,
 		Stochastic: stochastic,
-		MinCwnd:    2,
 		step:       Stepper{Policy: pol, Mask: mask},
 		hidden:     pol.InitHidden(),
 		meanBuf:    make([]float64, pol.GMM.K),
@@ -106,7 +104,7 @@ func (pc *PolicyController) Control(now sim.Time, conn *tcp.Conn, state []float6
 		pc.States = append(pc.States, append([]float64(nil), pc.step.x.Data...))
 		pc.Actions = append(pc.Actions, clampU(u))
 	}
-	conn.SetCwnd(tcp.ClampCwnd(conn.Cwnd*ratio, pc.MinCwnd, pc.MaxCwnd))
+	conn.SetCwnd(tcp.ClampCwnd(conn.Cwnd*ratio, tcp.MinCwnd, pc.MaxCwnd))
 }
 
 // LastHiddenEmbedding runs the policy on a state (stateful) and returns the

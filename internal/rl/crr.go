@@ -390,7 +390,7 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 			}
 			rSum, g := 0.0, 1.0
 			for k := 0; k < n; k++ {
-				rSum += g * sq.tr.Rewards[idx+k]
+				rSum += float64(g * sq.tr.Rewards[idx+k])
 				g *= cfg.Gamma
 			}
 			naf.Y[r], a.discount[r] = rSum, g
@@ -400,7 +400,7 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 	}
 	l.targetNAF.BatchForward(naf)
 	for _, r := range a.tdRows {
-		naf.Y[r] += a.discount[r] * naf.Q(r, naf.A[r])
+		naf.Y[r] += float64(a.discount[r] * naf.Q(r, naf.A[r]))
 	}
 
 	// --- Online networks over the windows themselves. The critic's
@@ -439,12 +439,12 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 			st.FSum += f
 			st.FCnt++
 			st.AdvSum += adv
-			st.AdvSqSum += adv * adv
+			st.AdvSqSum += float64(adv * adv)
 			if f > 0 {
 				st.Accepted++
 			}
 			dp := pol.DHeads.Row(pol.Row(b, i))
-			st.PLoss += -f * gmm.LogProbGrad(head, act, dp)
+			st.PLoss += float64(-f * gmm.LogProbGrad(head, act, dp))
 			w := -f / float64(cfg.Batch*cfg.SeqLen)
 			for k := range dp {
 				dp[k] *= w
@@ -490,7 +490,7 @@ func (l *CRR) finishStep(st ShardSums, workerBusy []float64) {
 		fn := float64(st.FCnt)
 		stats.FilterAccept = float64(st.Accepted) / fn
 		stats.AdvMean = st.AdvSum / fn
-		variance := st.AdvSqSum/fn - stats.AdvMean*stats.AdvMean
+		variance := st.AdvSqSum/fn - float64(stats.AdvMean*stats.AdvMean)
 		if variance > 0 {
 			stats.AdvStd = math.Sqrt(variance)
 		}

@@ -131,24 +131,7 @@ func RunMulti(sc netem.Scenario, flows []FlowSpec, opt MultiOptions) []FlowResul
 					st.flow.Conn.Kick(now)
 				}
 				if opt.Trace != nil {
-					cs := st.flow.Conn.Stats()
-					q := n.Link.Queue()
-					opt.Trace.Record(telemetry.FlowSample{
-						AtUs:         int64(now),
-						Flow:         st.flow.Conn.ID,
-						Cwnd:         cs.Cwnd,
-						SRTTMs:       cs.SRTT.Millis(),
-						RTTVarMs:     cs.RTTVar.Millis(),
-						InflightPkts: cs.InflightPkts,
-						DeliveryBps:  cs.DeliveryRate * 8,
-						LostPkts:     cs.LostPkts,
-						Retrans:      cs.RTOs,
-						Recoveries:   cs.Recoveries,
-						QueuePkts:    q.Len(),
-						QueueBytes:   q.Bytes(),
-						Action:       step.Action,
-						Reward:       step.Reward,
-					})
+					opt.Trace.Record(flowSample(now, st.flow.Conn, n, step))
 				}
 			}
 		}

@@ -94,6 +94,29 @@ type Options struct {
 	Ctx context.Context
 }
 
+// flowSample snapshots conn's datapath state and the bottleneck queue for
+// a flow trace.
+func flowSample(now sim.Time, conn *tcp.Conn, n *netem.Network, step gr.Step) telemetry.FlowSample {
+	st := conn.Stats()
+	q := n.Link.Queue()
+	return telemetry.FlowSample{
+		AtUs:         int64(now),
+		Flow:         conn.ID,
+		Cwnd:         st.Cwnd,
+		SRTTMs:       st.SRTT.Millis(),
+		RTTVarMs:     st.RTTVar.Millis(),
+		InflightPkts: st.InflightPkts,
+		DeliveryBps:  st.DeliveryRate * 8,
+		LostPkts:     st.LostPkts,
+		Retrans:      st.RTOs,
+		Recoveries:   st.Recoveries,
+		QueuePkts:    q.Len(),
+		QueueBytes:   q.Bytes(),
+		Action:       step.Action,
+		Reward:       step.Reward,
+	}
+}
+
 // Run executes the scenario with the flow under test using ccUnderTest.
 func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Result {
 	opt.GR = opt.GR.Fill()
@@ -190,24 +213,7 @@ func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Resu
 			res.Steps = append(res.Steps, step)
 		}
 		if opt.Trace != nil {
-			st := ut.Conn.Stats()
-			q := n.Link.Queue()
-			opt.Trace.Record(telemetry.FlowSample{
-				AtUs:         int64(now),
-				Flow:         ut.Conn.ID,
-				Cwnd:         st.Cwnd,
-				SRTTMs:       st.SRTT.Millis(),
-				RTTVarMs:     st.RTTVar.Millis(),
-				InflightPkts: st.InflightPkts,
-				DeliveryBps:  st.DeliveryRate * 8,
-				LostPkts:     st.LostPkts,
-				Retrans:      st.RTOs,
-				Recoveries:   st.Recoveries,
-				QueuePkts:    q.Len(),
-				QueueBytes:   q.Bytes(),
-				Action:       step.Action,
-				Reward:       step.Reward,
-			})
+			opt.Trace.Record(flowSample(now, ut.Conn, n, step))
 		}
 		if opt.SamplePeriod > 0 && now >= nextSample {
 			sent := ut.Conn.SentPkts()

@@ -15,9 +15,7 @@
 //	[8]  CRC-64/ECMA of the payload (little-endian uint64)
 //
 // The trailer-at-end design lets writers stream the payload without
-// knowing its size in advance. Files that start with the gzip magic are
-// accepted as legacy (pre-container) artifacts and passed through
-// unverified, so pools and models written before this format still load.
+// knowing its size in advance.
 package safeio
 
 import (
@@ -149,7 +147,7 @@ func writeFile(path string, container bool, fn func(io.Writer) error) (err error
 
 // ReadFile reads path and returns its verified payload. Corruption and
 // truncation are reported as wrapped ErrCorrupt / ErrTruncated with the
-// path and what to do about it; legacy raw-gzip files are returned as-is.
+// path and what to do about it.
 func ReadFile(path string) ([]byte, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -157,11 +155,6 @@ func ReadFile(path string) ([]byte, error) {
 	}
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("safeio: %s: file is empty — %w (the writing process likely died before its first write; delete the file or restore a backup)", path, ErrTruncated)
-	}
-	if len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b {
-		// Legacy artifact from before the container format: raw gzip,
-		// no checksum to verify.
-		return raw, nil
 	}
 	if len(raw) < len(magic)+trailerSize || string(raw[:len(magic)]) != magic {
 		return nil, fmt.Errorf("safeio: %s: not a sage artifact (bad header) — %w (was the file overwritten by another tool?)", path, ErrCorrupt)

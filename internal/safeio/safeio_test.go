@@ -94,27 +94,6 @@ func TestForeignFileIsCorrupt(t *testing.T) {
 	}
 }
 
-func TestLegacyGzipPassthrough(t *testing.T) {
-	// Artifacts written before the container format are raw gzip; they must
-	// still load, unverified.
-	path := filepath.Join(t.TempDir(), "legacy.gob.gz")
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(map[string]int{"steps": 7}); err != nil {
-		t.Fatal(err)
-	}
-	zw.Close()
-	os.WriteFile(path, buf.Bytes(), 0o644)
-
-	var got map[string]int
-	if err := ReadGobGz(path, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got["steps"] != 7 {
-		t.Fatalf("legacy decode = %v", got)
-	}
-}
-
 func TestGobGzRoundTrip(t *testing.T) {
 	type blob struct {
 		Name  string

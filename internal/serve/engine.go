@@ -70,8 +70,7 @@ type Config struct {
 	Stochastic bool
 	Seed       int64
 
-	MinCwnd float64 // cwnd floor in packets (default 2, matching rl.PolicyController)
-	MaxCwnd float64 // cwnd ceiling in packets (default 0 = none)
+	MaxCwnd float64 // cwnd ceiling in packets (default 0 = none); the floor is tcp.MinCwnd
 
 	// MaxSessions caps resident sessions; beyond it the least-recently
 	// used idle session is evicted and a later request for its id starts
@@ -118,9 +117,6 @@ type Config struct {
 func (c Config) fill() Config {
 	if c.Mask == nil {
 		c.Mask = gr.MaskFull()
-	}
-	if c.MinCwnd == 0 {
-		c.MinCwnd = 2
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 4096
@@ -527,11 +523,11 @@ func (e *Engine) Flush(now sim.Time) {
 			// heuristic, which then really controls the window.
 			e.applyFallback(pend, now)
 			pend = pend[:0]
-		case len(pend) > e.ov.cfg.MaxPending:
+		case len(pend) > e.ov.cfg.MaxInflight:
 			// Bound the learned-path backlog; the overflow tail gets the
 			// cheap path rather than growing the batched pass without limit.
-			e.applyFallback(pend[e.ov.cfg.MaxPending:], now)
-			pend = pend[:e.ov.cfg.MaxPending]
+			e.applyFallback(pend[e.ov.cfg.MaxInflight:], now)
+			pend = pend[:e.ov.cfg.MaxInflight]
 		}
 		defer e.ov.maybeEval(time.Now())
 	}
@@ -543,7 +539,7 @@ func (e *Engine) Flush(now sim.Time) {
 		chunk := pend[lo:hi]
 		e.forwardChunk(chunk, &e.syncBuf, func(i int, ratio float64) {
 			c := chunk[i].conn
-			c.SetCwnd(tcp.ClampCwnd(c.Cwnd*ratio, e.cfg.MinCwnd, e.cfg.MaxCwnd))
+			c.SetCwnd(tcp.ClampCwnd(c.Cwnd*ratio, tcp.MinCwnd, e.cfg.MaxCwnd))
 			c.Kick(now)
 		})
 	}
@@ -563,7 +559,7 @@ func (e *Engine) Flush(now sim.Time) {
 func (e *Engine) applyFallback(pend []pendingDecision, now sim.Time) {
 	for _, p := range pend {
 		c := p.conn
-		c.SetCwnd(tcp.ClampCwnd(c.Cwnd, e.cfg.MinCwnd, e.cfg.MaxCwnd))
+		c.SetCwnd(tcp.ClampCwnd(c.Cwnd, tcp.MinCwnd, e.cfg.MaxCwnd))
 		c.Kick(now)
 	}
 	e.ov.noteDegraded(int64(len(pend)))
@@ -808,11 +804,11 @@ func (e *Engine) DecidePri(id uint64, cwnd float64, state []float64, highPri boo
 			}
 			e.ov.noteDegraded(1)
 			e.closeMu.RUnlock()
-			return tcp.ClampCwnd(cwnd, e.cfg.MinCwnd, e.cfg.MaxCwnd), true, nil
+			return tcp.ClampCwnd(cwnd, tcp.MinCwnd, e.cfg.MaxCwnd), true, nil
 		case mode >= ModeDegraded && !highPri:
 			e.ov.noteDegraded(1)
 			e.closeMu.RUnlock()
-			return tcp.ClampCwnd(cwnd, e.cfg.MinCwnd, e.cfg.MaxCwnd), true, nil
+			return tcp.ClampCwnd(cwnd, tcp.MinCwnd, e.cfg.MaxCwnd), true, nil
 		}
 	}
 	e.mu.Lock()
@@ -854,7 +850,7 @@ func (e *Engine) DecidePri(id uint64, cwnd float64, state []float64, highPri boo
 		e.ov.noteLatency(time.Since(s.admit))
 	}
 	e.release(s)
-	w := tcp.ClampCwnd(cwnd*res.ratio, e.cfg.MinCwnd, e.cfg.MaxCwnd)
+	w := tcp.ClampCwnd(cwnd*res.ratio, tcp.MinCwnd, e.cfg.MaxCwnd)
 	return w, res.fallback, nil
 }
 

@@ -92,12 +92,10 @@ type OverloadConfig struct {
 	// MaxInflight caps async decisions admitted but not yet answered
 	// (default 8×MaxBatch). At the cap Decide rejects with an
 	// OverloadError instead of queueing: queue growth is bounded and the
-	// caller learns immediately.
-	MaxInflight int
-	// MaxPending caps how much of one synchronous Flush backlog runs the
-	// learned policy (default MaxInflight); overflow is served the cheap
+	// caller learns immediately. It also caps how much of one synchronous
+	// Flush backlog runs the learned policy; overflow is served the cheap
 	// ratio-1.0 path rather than growing the batched pass without bound.
-	MaxPending int
+	MaxInflight int
 	// BatchWaitBudget is the batch-wait budget (default 50×BatchDeadline),
 	// on the time from a batch's oldest admission to the start of its pass:
 	// an evaluation window in which more than ~1% of batches waited longer
@@ -117,11 +115,6 @@ type OverloadConfig struct {
 	// RetryAfter is the base client retry hint (default 50ms); each
 	// rejection jitters it uniformly in [RetryAfter/2, 3·RetryAfter/2).
 	RetryAfter time.Duration
-	// ShedFrac / DegradeFrac / DrainFrac are the queue-occupancy rungs:
-	// when the window's peak in-flight count reaches this fraction of
-	// MaxInflight the ladder escalates to shed-shadow / degraded /
-	// draining respectively (defaults 0.5 / 0.75 / 0.95).
-	ShedFrac, DegradeFrac, DrainFrac float64
 }
 
 // fill applies defaults; maxBatch and deadline come from the engine
@@ -129,9 +122,6 @@ type OverloadConfig struct {
 func (c OverloadConfig) fill(maxBatch int, deadline time.Duration) OverloadConfig {
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 8 * maxBatch
-	}
-	if c.MaxPending == 0 {
-		c.MaxPending = c.MaxInflight
 	}
 	if c.BatchWaitBudget == 0 {
 		c.BatchWaitBudget = 50 * deadline
@@ -148,15 +138,6 @@ func (c OverloadConfig) fill(maxBatch int, deadline time.Duration) OverloadConfi
 	if c.RetryAfter == 0 {
 		c.RetryAfter = 50 * time.Millisecond
 	}
-	if c.ShedFrac == 0 {
-		c.ShedFrac = 0.5
-	}
-	if c.DegradeFrac == 0 {
-		c.DegradeFrac = 0.75
-	}
-	if c.DrainFrac == 0 {
-		c.DrainFrac = 0.95
-	}
 	return c
 }
 
@@ -167,6 +148,15 @@ func (c OverloadConfig) fill(maxBatch int, deadline time.Duration) OverloadConfi
 const (
 	waitBreachFrac = 0.01
 	missBreachFrac = 0.05
+)
+
+// The queue-occupancy rungs: when the window's peak in-flight count
+// reaches this fraction of MaxInflight the ladder escalates to
+// shed-shadow / degraded / draining respectively.
+const (
+	shedFrac    = 0.5
+	degradeFrac = 0.75
+	drainFrac   = 0.95
 )
 
 // overload is the engine's load controller: admission counters feed
@@ -285,19 +275,19 @@ func (o *overload) eval(now time.Time, force bool) {
 
 	frac := float64(peak) / float64(o.cfg.MaxInflight)
 	target := ModeFull
-	if frac >= o.cfg.ShedFrac {
+	if frac >= shedFrac {
 		target = ModeShedShadow
 	}
 	if waits > 0 && float64(over)/float64(waits) > waitBreachFrac {
 		target = max(target, ModeShedShadow)
 	}
-	if frac >= o.cfg.DegradeFrac {
+	if frac >= degradeFrac {
 		target = max(target, ModeDegraded)
 	}
 	if dec > 0 && float64(miss)/float64(dec) > missBreachFrac {
 		target = max(target, ModeDegraded)
 	}
-	if frac >= o.cfg.DrainFrac {
+	if frac >= drainFrac {
 		target = ModeDraining
 	}
 

@@ -340,42 +340,22 @@ func (c *Client) CloseSession(sid uint64) error {
 // "reload the registry incumbent"; a specific id force-swaps that model
 // (the demotion watchdog still protects a bad forced swap). The returned
 // string is the daemon's human-readable swap report.
-func (c *Client) Swap(id string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.wbuf = appendControlRequest(c.wbuf[:0], OpSwap, id)
-	_, status, msg, err := c.roundTripMsg()
-	if err != nil {
-		return msg, err
-	}
-	if status != StatusOK {
-		return msg, fmt.Errorf("serve: unexpected status %d", status)
-	}
-	return msg, nil
-}
+func (c *Client) Swap(id string) (string, error) { return c.control(OpSwap, id) }
 
 // Status returns the daemon's lifecycle status document (JSON).
-func (c *Client) Status() (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.wbuf = appendControlRequest(c.wbuf[:0], OpStatus, "")
-	_, status, msg, err := c.roundTripMsg()
-	if err != nil {
-		return msg, err
-	}
-	if status != StatusOK {
-		return msg, fmt.Errorf("serve: unexpected status %d", status)
-	}
-	return msg, nil
-}
+func (c *Client) Status() (string, error) { return c.control(OpStatus, "") }
 
 // Health returns the daemon's overload/readiness document (a JSON
 // serve.Health). Unlike Status it is served even while the daemon is
 // shedding load, so probes keep seeing brownout transitions.
-func (c *Client) Health() (string, error) {
+func (c *Client) Health() (string, error) { return c.control(OpHealth, "") }
+
+// control sends one control request and returns the daemon's reply text;
+// any status but StatusOK is an error.
+func (c *Client) control(op byte, arg string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = appendControlRequest(c.wbuf[:0], OpHealth, "")
+	c.wbuf = appendControlRequest(c.wbuf[:0], op, arg)
 	_, status, msg, err := c.roundTripMsg()
 	if err != nil {
 		return msg, err

@@ -1,10 +1,18 @@
 package tcp
 
+// MinCwnd and MaxCwnd are the cwnd floor and hard ceiling in packets.
+// rl.PolicyController, serve.Engine and guard clamp to the floor;
+// Conn.SetCwnd, guard and core.NewAgent cap at the ceiling.
+const (
+	MinCwnd float64 = 2
+	MaxCwnd float64 = 20000
+)
+
 // ClampCwnd bounds a proposed congestion window to [floor, ceil]; a
 // non-positive ceil means "no ceiling". It is the single cwnd-sanity
 // helper shared by the per-flow policy controller (rl.PolicyController,
-// which core.Agent is) and the runtime guardian, so the floor lives in
-// exactly one place.
+// which core.Agent is), the serving engine and the runtime guardian; with
+// MinCwnd and MaxCwnd the bounds each live in exactly one place.
 //
 // NaN is deliberately passed through unchanged: both comparisons are
 // false for NaN, matching the raw `w < floor` checks this helper

@@ -9,31 +9,24 @@ import (
 
 // Options tunes a connection's datapath constants.
 type Options struct {
-	MSS        int      // packet size in bytes (default netem.MTU)
-	InitCwnd   float64  // initial congestion window in packets (default 10)
-	MinRTO     sim.Time // lower bound on the retransmission timer (default 200 ms)
-	MaxCwnd    float64  // safety cap on cwnd in packets (default 20000)
-	ReorderWnd sim.Time // RACK reordering window floor (default 1 ms)
-	DelAck     bool     // delayed acknowledgments at the receiver
+	InitCwnd float64  // initial congestion window in packets (default 10)
+	MinRTO   sim.Time // lower bound on the retransmission timer (default 200 ms)
+	DelAck   bool     // delayed acknowledgments at the receiver
 }
 
 func (o *Options) fill() {
-	if o.MSS == 0 {
-		o.MSS = netem.MTU
-	}
 	if o.InitCwnd == 0 {
 		o.InitCwnd = 10
 	}
 	if o.MinRTO == 0 {
 		o.MinRTO = 200 * sim.Millisecond
 	}
-	if o.MaxCwnd == 0 {
-		o.MaxCwnd = 20000
-	}
-	if o.ReorderWnd == 0 {
-		o.ReorderWnd = sim.Millisecond
-	}
 }
+
+const (
+	mss           = netem.MTU       // packet size in bytes
+	minReorderWnd = sim.Millisecond // RACK reordering window floor
+)
 
 // txRecord tracks one transmitted packet of MSS bytes; its sequence number
 // is its position in Conn.tx.
@@ -180,7 +173,7 @@ func (c *Conn) SwitchCC(newCC CongestionControl, now sim.Time) {
 func (c *Conn) CCSwitches() int64 { return c.ccSwitches }
 
 // MSS returns the packet size in bytes.
-func (c *Conn) MSS() int { return c.opt.MSS }
+func (c *Conn) MSS() int { return mss }
 
 // SRTT returns the smoothed RTT estimate.
 func (c *Conn) SRTT() sim.Time { return c.srtt }
@@ -242,8 +235,8 @@ func (c *Conn) SetCwnd(w float64) {
 	if w < 1 {
 		w = 1
 	}
-	if w > c.opt.MaxCwnd {
-		w = c.opt.MaxCwnd
+	if w > MaxCwnd {
+		w = MaxCwnd
 	}
 	c.Cwnd = w
 }
@@ -273,7 +266,7 @@ func (c *Conn) handleAck(acks []netem.AckItem, now sim.Time) {
 			continue // duplicate ACK
 		}
 		r.acked = true
-		c.delivered += int64(c.opt.MSS)
+		c.delivered += int64(mss)
 		c.deliveredPkts++
 		if r.lost {
 			// The packet was declared lost but arrived after all: spurious.
@@ -378,8 +371,8 @@ func (c *Conn) reorderWnd() sim.Time {
 	if c.srtt > 0 && w > c.srtt {
 		w = c.srtt
 	}
-	if w < c.opt.ReorderWnd {
-		w = c.opt.ReorderWnd
+	if w < minReorderWnd {
+		w = minReorderWnd
 	}
 	return w
 }
@@ -556,7 +549,7 @@ func (c *Conn) trySend(now sim.Time) {
 		}
 		c.sendPacket(now)
 		if c.PacingRate > 0 {
-			gap := sim.Time(float64(c.opt.MSS) / c.PacingRate * float64(sim.Second))
+			gap := sim.Time(float64(mss) / c.PacingRate * float64(sim.Second))
 			if gap < 1 {
 				gap = 1
 			}
@@ -582,7 +575,7 @@ func (c *Conn) sendPacket(now sim.Time) {
 	c.inflightCnt++
 	c.sentPkts++
 	p := c.net.NewPacket()
-	p.FlowID, p.Seq, p.Size, p.Sent, p.ECT = c.ID, seq, c.opt.MSS, now, c.ecnEnabled
+	p.FlowID, p.Seq, p.Size, p.Sent, p.ECT = c.ID, seq, mss, now, c.ecnEnabled
 	c.net.SendData(p, now)
 	if !c.rtoTimer.Pending() {
 		c.resetRTO(now)
