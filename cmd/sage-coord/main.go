@@ -42,7 +42,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
@@ -54,6 +53,7 @@ import (
 	"sage/internal/nn"
 	"sage/internal/rl"
 	"sage/internal/telemetry"
+	"sage/internal/wire"
 )
 
 func main() { cli.Main(run) }
@@ -130,10 +130,7 @@ type coordOpts struct {
 // fault is counted and logged so a soak run's report can correlate faults
 // with retries and hedges.
 func (c coordOpts) serve(coord *dist.Coordinator) error {
-	if c.network == "unix" {
-		os.Remove(c.addr)
-	}
-	ln, err := net.Listen(c.network, c.addr)
+	ln, err := wire.Listen(c.network, c.addr)
 	if err != nil {
 		return err
 	}

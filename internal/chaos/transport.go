@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,15 +12,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sage/internal/wire"
 )
 
 // Transport injects deterministic, seeded network faults into
-// length-prefixed-frame connections — the framing internal/dist and
-// internal/serve both speak (u32 big-endian payload length, then
-// payload). Because the wrapper understands frames, faults land on
-// protocol-meaningful boundaries: a whole request can be dropped,
-// duplicated, or truncated mid-frame, rather than corrupting the stream
-// at an arbitrary byte where no real network component would.
+// length-prefixed-frame connections — internal/wire's framing, which
+// internal/dist and internal/serve both speak, read here through the same
+// wire.ReadFrame under dist's 1 << 28 bound. Because the wrapper
+// understands frames, faults land on protocol-meaningful boundaries: a
+// whole request can be dropped, duplicated, or truncated mid-frame,
+// rather than corrupting the stream at an arbitrary byte where no real
+// network component would.
 //
 // Faults simulated, each rolled per frame from a per-connection seeded
 // stream (so a run with the same seed replays the same schedule):
@@ -220,10 +224,11 @@ var errNotFramed = errors.New("chaos: stream is not length-prefixed framed (fram
 
 // faultSide is one direction's fault stream and buffer.
 type faultSide struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	buf  []byte // write: partial outbound frame; read: decoded inbound bytes
-	fail error  // sticky error served after buf drains (trunc/drop)
+	mu      sync.Mutex
+	rng     *rand.Rand
+	buf     []byte // write: partial outbound frame; read: decoded inbound bytes
+	fail    error  // sticky error served after buf drains (trunc/drop)
+	payload []byte // wire.ReadFrame's reused buffer; only the frame's length is used
 }
 
 // faultConn applies the schedule to each complete frame crossing the
@@ -277,15 +282,19 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	}
 	s.buf = append(s.buf, p...)
 	for {
-		frame, rest, err := splitFrame(s.buf)
+		r := bytes.NewReader(s.buf)
+		payload, err := wire.ReadFrame(r, s.payload, maxChaosFrame)
+		if errors.Is(err, wire.ErrFrameTooBig) {
+			s.fail = errNotFramed
+			return 0, s.fail
+		}
 		if err != nil {
-			s.fail = err
-			return 0, err
+			return len(p), nil // only part of a frame so far
 		}
-		if frame == nil {
-			return len(p), nil
-		}
-		s.buf = rest
+		s.payload = payload[:0]
+		n := len(s.buf) - r.Len()
+		frame := s.buf[:n:n]
+		s.buf = append([]byte(nil), s.buf[n:]...)
 		if err := c.deliver(s, "write", frame, func(b []byte) error {
 			_, werr := c.Conn.Write(b)
 			return werr
@@ -306,11 +315,18 @@ func (c *faultConn) Read(p []byte) (int, error) {
 		if s.fail != nil {
 			return 0, s.fail
 		}
-		frame, err := readFrame(c.Conn)
+		// The tee keeps the frame's bytes exactly as they arrived, header
+		// included, for the fault schedule to deliver.
+		var frame bytes.Buffer
+		payload, err := wire.ReadFrame(io.TeeReader(c.Conn, &frame), s.payload, maxChaosFrame)
+		if errors.Is(err, wire.ErrFrameTooBig) {
+			err = errNotFramed
+		}
 		if err != nil {
 			return 0, err
 		}
-		if err := c.deliver(s, "read", frame, func(b []byte) error {
+		s.payload = payload[:0]
+		if err := c.deliver(s, "read", frame.Bytes(), func(b []byte) error {
 			s.buf = append(s.buf, b...)
 			return nil
 		}); err != nil {
@@ -362,39 +378,4 @@ func (c *faultConn) deliver(s *faultSide, dir string, frame []byte, sink func([]
 		time.Sleep(spec.StallFor)
 	}
 	return sink(frame)
-}
-
-// splitFrame returns the first complete frame in buf and the remainder,
-// or (nil, buf, nil) when buf holds only a partial frame.
-func splitFrame(buf []byte) (frame, rest []byte, err error) {
-	if len(buf) < 4 {
-		return nil, buf, nil
-	}
-	n := int(uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3]))
-	if n > maxChaosFrame {
-		return nil, buf, errNotFramed
-	}
-	total := 4 + n
-	if len(buf) < total {
-		return nil, buf, nil
-	}
-	return buf[:total:total], append([]byte(nil), buf[total:]...), nil
-}
-
-// readFrame reads one complete frame (header + payload) off r.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3]))
-	if n > maxChaosFrame {
-		return nil, errNotFramed
-	}
-	frame := make([]byte, 4+n)
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(r, frame[4:]); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }

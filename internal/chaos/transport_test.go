@@ -1,21 +1,23 @@
 package chaos
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"sage/internal/wire"
 )
 
 // frame builds one length-prefixed frame around payload.
 func frame(payload []byte) []byte {
-	out := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(out, uint32(len(payload)))
-	copy(out[4:], payload)
-	return out
+	var b bytes.Buffer
+	wire.WriteFrame(&b, payload, maxChaosFrame)
+	return b.Bytes()
 }
 
 // pipePair returns a wrapped client side and the raw server side of an
@@ -30,12 +32,12 @@ func pipePair(t *testing.T, tr *Transport) (wrapped, raw net.Conn) {
 // readFrames reads frames off raw until an error, reporting payloads.
 func readFrames(raw net.Conn, out chan<- []byte) {
 	for {
-		f, err := readFrame(raw)
+		f, err := wire.ReadFrame(raw, nil, maxChaosFrame)
 		if err != nil {
 			close(out)
 			return
 		}
-		out <- f[4:]
+		out <- f
 	}
 }
 
@@ -208,5 +210,40 @@ func TestParseFaultSpec(t *testing.T) {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Fatalf("spec %q parsed", bad)
 		}
+	}
+}
+
+// A hostile length prefix costs the wrapped connection at most
+// wire.ReadFrame's first 64 KiB chunk in either direction, not the
+// 256 MiB the prefix declares.
+func TestTransportHostilePrefixAllocatesLittle(t *testing.T) {
+	hostile := []byte{0x0f, 0xff, 0xff, 0xff}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const bound = 64<<10 + 16<<10
+
+	tr := NewTransport(FaultSpec{Seed: 1})
+	wrapped, raw := pipePair(t, tr)
+	go func() { raw.Write(hostile); raw.Close() }()
+	var err error
+	if got := allocated(func() { _, err = wrapped.Read(make([]byte, 16)) }); got > bound {
+		t.Errorf("inbound hostile prefix allocated %d bytes, want ≤ %d", got, bound)
+	}
+	if err == nil {
+		t.Error("read of a frame with no body succeeded")
+	}
+
+	wrapped, raw = pipePair(t, tr)
+	go io.Copy(io.Discard, raw)
+	if got := allocated(func() { _, err = wrapped.Write(hostile) }); got > bound {
+		t.Errorf("outbound hostile prefix allocated %d bytes, want ≤ %d", got, bound)
+	}
+	if err != nil {
+		t.Errorf("buffering a partial outbound frame: %v", err)
 	}
 }

@@ -101,7 +101,7 @@ func (s *session) reconnectLocked(ctx context.Context) error {
 				return ctx.Err()
 			}
 		}
-		cli, err := dial(s.spec, s.cfg.timeout)
+		cli, err := dial(ctx, s.spec, s.cfg.timeout)
 		if err != nil {
 			lastErr = err
 			s.logf("dist: dial %s: %v (attempt %d/%d)", s.spec, err, i+1, s.cfg.attempts)

@@ -16,6 +16,7 @@ import (
 	"sage/internal/rl"
 	"sage/internal/safeio"
 	"sage/internal/telemetry"
+	"sage/internal/wire"
 )
 
 // TrainConfig configures the coordinator's data-parallel training
@@ -72,7 +73,8 @@ type CoordConfig struct {
 // Coordinator serves the distributed control plane: cell leases and
 // shard intake for collection agents, gradient all-reduce for training
 // workers. One goroutine per connection decodes request frames
-// sequentially, mirroring internal/serve's server shape.
+// sequentially, on the accept loop internal/serve's server also runs
+// (wire.Conns).
 type Coordinator struct {
 	cfg      CoordConfig
 	tracker  *Tracker
@@ -87,11 +89,7 @@ type Coordinator struct {
 	epochMu   sync.Mutex
 	lastEpoch int
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	conns wire.Conns
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -112,7 +110,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		conns:   map[net.Conn]struct{}{},
 		doneCh:  make(chan struct{}),
 		replies: newReplyCache(),
 	}
@@ -285,55 +282,7 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 // Serve accepts connections on ln until Shutdown. Always returns a
 // non-nil error; after Shutdown it is net.ErrClosed.
 func (c *Coordinator) Serve(ln net.Listener) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	}
-	c.ln = ln
-	c.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			c.mu.Lock()
-			closed := c.closed
-			c.mu.Unlock()
-			if closed {
-				return net.ErrClosed
-			}
-			return err
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		c.conns[conn] = struct{}{}
-		c.wg.Add(1)
-		c.mu.Unlock()
-		go c.handle(conn)
-	}
-}
-
-// ListenAndServe listens on the address spec ("host:port" or
-// "unix:/path") and serves until Shutdown.
-func (c *Coordinator) ListenAndServe(spec string) error {
-	network, addr, err := ParseAddr(spec)
-	if err != nil {
-		return err
-	}
-	if network == "unix" {
-		if err := os.Remove(addr); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		return err
-	}
-	return c.Serve(ln)
+	return c.conns.Serve(ln, 0, nil, c.handle)
 }
 
 // DrainAgents keeps serving until every agent connection has closed and
@@ -349,10 +298,7 @@ func (c *Coordinator) ListenAndServe(spec string) error {
 func (c *Coordinator) DrainAgents(grace time.Duration) {
 	deadline := time.Now().Add(grace)
 	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		n := len(c.conns)
-		c.mu.Unlock()
-		if n == 0 && (c.tracker == nil || c.tracker.Lingering() == 0) {
+		if n, _ := c.conns.Len(); n == 0 && (c.tracker == nil || c.tracker.Lingering() == 0) {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -363,28 +309,15 @@ func (c *Coordinator) DrainAgents(grace time.Duration) {
 // training handlers, and waits for handlers to exit. The manifest and
 // shard files stay on disk — a future coordinator resumes from them.
 func (c *Coordinator) Shutdown() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.wg.Wait()
+	if !c.conns.Close() {
+		c.conns.Wait()
 		return
 	}
-	c.closed = true
-	if c.ln != nil {
-		c.ln.Close()
-	}
-	conns := make([]net.Conn, 0, len(c.conns))
-	for conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.mu.Unlock()
 	if c.train != nil {
 		c.train.abort()
 	}
-	for _, conn := range conns {
-		conn.Close()
-	}
-	c.wg.Wait()
+	c.conns.Each(func(conn net.Conn) { conn.Close() })
+	c.conns.Wait()
 	if c.manifest != nil {
 		if err := c.manifest.Close(); err != nil {
 			c.cfg.Logf("coord: %v", err)
@@ -397,16 +330,11 @@ func (c *Coordinator) Shutdown() {
 func (c *Coordinator) handle(conn net.Conn) {
 	agentID := ""
 	defer func() {
-		conn.Close()
-		c.mu.Lock()
-		delete(c.conns, conn)
-		c.mu.Unlock()
 		// A vanished connection releases its leases immediately (faster
 		// than TTL expiry) without eviction: the agent may simply redial.
 		if agentID != "" && c.tracker != nil {
 			c.tracker.Release(agentID)
 		}
-		c.wg.Done()
 	}()
 	for {
 		req, err := readMsg(conn)

@@ -155,7 +155,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	coord1, addr := startCoordinator(t, CoordConfig{
 		Campaign: campaign, ShardDir: shardDir, ManifestPath: manifest, LeaseTTL: 10 * time.Second,
 	})
-	cli, err := dial(addr, 0)
+	cli, err := dial(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestEvictionAndDuplicateCompletion(t *testing.T) {
 	coord.Tracker().SetClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return now })
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
-	zombie, err := dial(addr, 0)
+	zombie, err := dial(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestEvictionAndDuplicateCompletion(t *testing.T) {
 
 	// The zombie goes silent past the TTL; a healthy agent gets the cell.
 	advance(25 * time.Second)
-	healthy, err := dial(addr, 0)
+	healthy, err := dial(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 // Package dist is the distributed control plane: a coordinator that
 // shards a collection campaign's (scheme, env) cells across remote
 // sage-collect agents and drives data-parallel CRR training across
-// sage-train workers, over one small length-prefixed RPC protocol.
+// sage-train workers, over one small RPC protocol: gob bodies in
+// internal/wire's length-prefixed frames, on the accept loop and dial
+// sage-serve shares.
 //
 // Collection. The coordinator owns the campaign: the cell set comes from
 // a Campaign spec (schemes × Set I/Set II grid) that both sides build

@@ -31,7 +31,7 @@ func TestDrainAgentsWaitsForTheVerdict(t *testing.T) {
 	// open sends msgs as agent over a new connection and leaves it open.
 	open := func(agent string, msgs ...*Message) (*client, *Message) {
 		t.Helper()
-		cli, err := dial(addr, 0)
+		cli, err := dial(context.Background(), addr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestGoldenCoordinatorWAL(t *testing.T) {
 		LeaseTTL: time.Minute,
 	}
 	coord, addr := startCoordinator(t, base)
-	cli, err := dial(addr, 0)
+	cli, err := dial(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func TestCoordinatorRejectsEvictedShardDone(t *testing.T) {
 	now := time.Unix(0, 0)
 	coord.Tracker().SetClock(func() time.Time { return now })
 
-	slow, err := dial(addr, 0)
+	slow, err := dial(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCoordinatorRejectsEvictedShardDone(t *testing.T) {
 	// The slow agent goes silent past its TTL; its cell returns to the
 	// head of the pending order, so the healthy agent picks it up.
 	now = now.Add(10*time.Second + time.Millisecond)
-	fast, err := dial(addr, 0)
+	fast, err := dial(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

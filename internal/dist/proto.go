@@ -2,7 +2,7 @@ package dist
 
 import (
 	"bytes"
-	"encoding/binary"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -15,6 +15,7 @@ import (
 	"sage/internal/collector"
 	"sage/internal/gr"
 	"sage/internal/rl"
+	"sage/internal/wire"
 )
 
 // gob wire type IDs are allocated from a process-global counter in the
@@ -31,20 +32,20 @@ func init() {
 	})
 }
 
-// Wire protocol of the sage-coord control plane: length-prefixed frames
-// (u32 big-endian payload length, then payload) carrying one gob-encoded
-// Message each — the internal/serve framing idiom with gob bodies, since
-// control-plane messages are low-rate and structured (campaign specs,
-// parameter tensors) rather than per-packet hot-path data. Every
-// exchange is a strict request/response pair initiated by the agent, so
-// one connection serves an agent's work loop and heartbeat goroutine
-// under a client-side mutex.
+// Wire protocol of the sage-coord control plane: internal/wire's
+// length-prefixed frames carrying one gob-encoded Message each — gob
+// bodies, since control-plane messages are low-rate and structured
+// (campaign specs, parameter tensors) rather than per-packet hot-path
+// data. Every exchange is a strict request/response pair initiated by the
+// agent, so one connection serves an agent's work loop and heartbeat
+// goroutine under a client-side mutex.
 const (
 	ProtoVersion = 1
 
 	// maxFrame bounds one frame: big enough for a full parameter
-	// broadcast or a multi-MB pool shard, small enough that a corrupt
-	// length prefix cannot OOM the receiver.
+	// broadcast or a multi-MB pool shard. wire.ReadFrame grows its buffer
+	// only as payload bytes arrive, so a corrupt length prefix costs the
+	// receiver at most 64 KiB, not this bound.
 	maxFrame = 1 << 28
 )
 
@@ -120,8 +121,6 @@ type Message struct {
 	Done       bool
 }
 
-var errFrameTooBig = errors.New("dist: frame exceeds size limit")
-
 // writeMsg writes one length-prefixed gob frame.
 func writeMsg(w io.Writer, m *Message) error {
 	m.Version = ProtoVersion
@@ -129,30 +128,13 @@ func writeMsg(w io.Writer, m *Message) error {
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 		return fmt.Errorf("dist: encode: %w", err)
 	}
-	if buf.Len() > maxFrame {
-		return errFrameTooBig
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
+	return wire.WriteFrame(w, buf.Bytes(), maxFrame)
 }
 
 // readMsg reads one frame and decodes its message.
 func readMsg(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, errFrameTooBig
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := wire.ReadFrame(r, nil, maxFrame)
+	if err != nil {
 		return nil, err
 	}
 	var m Message
@@ -199,14 +181,15 @@ type client struct {
 	onStale func()        // observes each discarded stale reply
 }
 
-// dial connects to the coordinator at spec. timeout is the per-RPC
-// deadline applied to every roundTrip on the connection (0 = none).
-func dial(spec string, timeout time.Duration) (*client, error) {
+// dial connects to the coordinator at spec under ctx, the connect bounded
+// by wire.ConnectTimeout. timeout is the per-RPC deadline applied to
+// every roundTrip on the connection (0 = none).
+func dial(ctx context.Context, spec string, timeout time.Duration) (*client, error) {
 	network, addr, err := ParseAddr(spec)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.Dial(network, addr)
+	conn, err := wire.Dial(ctx, network, addr, wire.ConnectTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +210,9 @@ func (c *client) roundTrip(req *Message) (*Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
+		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
+			return nil, err
+		}
 		defer c.conn.SetDeadline(time.Time{})
 	}
 	if err := writeMsg(c.conn, req); err != nil {

@@ -26,7 +26,7 @@ func TestIdempotentCellDoneReplay(t *testing.T) {
 	})
 	defer coord.Shutdown()
 
-	cli, err := dial(addr, 0)
+	cli, err := dial(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

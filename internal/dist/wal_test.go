@@ -24,7 +24,7 @@ func TestWALReadoptsInFlightLease(t *testing.T) {
 		LeaseTTL: 10 * time.Second,
 	}
 	coord1, addr := startCoordinator(t, base)
-	cli, err := dial(addr, 0)
+	cli, err := dial(context.Background(), addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestWALReadoptsInFlightLease(t *testing.T) {
 
 	// A different agent never receives the re-adopted cell: draining the
 	// pending set hands out every OTHER cell, then waits.
-	other, err := dial(addr2, 0)
+	other, err := dial(context.Background(), addr2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestWALReadoptsInFlightLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := dial(addr2, 0)
+	orig, err := dial(context.Background(), addr2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

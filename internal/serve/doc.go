@@ -20,7 +20,8 @@
 //     GOMAXPROCS cores once the batch is large enough — and applies
 //     every cwnd decision in enqueue order on the calling goroutine.
 //   - The sage-serve daemon (cmd/sage-serve) serves decisions over a Unix
-//     socket with a length-prefixed binary protocol (proto.go, server.go).
+//     socket: binary bodies in internal/wire's length-prefixed frames
+//     (proto.go, server.go).
 //     Its workers pull straight off the request queue: each pass takes
 //     every request already waiting, so batches form under load and an
 //     idle engine answers a lone request with no hold.

@@ -5,16 +5,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"strconv"
 	"sync"
 	"time"
+
+	"sage/internal/wire"
 )
 
-// Wire protocol of the sage-serve daemon: length-prefixed binary frames
-// over a stream socket (Unix domain in practice).
+// Wire protocol of the sage-serve daemon: internal/wire's length-prefixed
+// frames, carrying binary bodies, over a stream socket (Unix domain in
+// practice).
 //
 //	frame    := u32(BE) payload length | payload
 //	request  := u8 version | u8 op | u64(BE) session id | body
@@ -54,54 +56,11 @@ const (
 	StatusOverload = 4
 
 	// maxFrame bounds a frame payload (a 69-signal Decide is ~600 bytes;
-	// anything near this limit is a corrupt or hostile frame). Both the
-	// client and server read paths enforce it *before* allocating, so a
-	// corrupt or malicious length prefix — including one with the sign bit
-	// set, which would be negative read as int32 and near-4GiB read as
-	// uint32 — can never drive an unbounded allocation.
+	// anything near this limit is a corrupt or hostile frame). Client and
+	// server both read through wire.ReadFrame, which checks it against the
+	// length prefix — sign bit included — before allocating.
 	maxFrame = 1 << 16
 )
-
-var errFrameTooBig = errors.New("serve: frame exceeds size limit")
-
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return errFrameTooBig
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one frame into buf (grown as needed) and returns the
-// payload slice. The length prefix is validated against maxFrame before
-// any allocation or payload read: a hostile prefix costs the peer its
-// connection, not our memory.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		// Covers every oversized prefix, including 0x80000000 and up —
-		// values that would be negative if naively decoded as int32.
-		return nil, errFrameTooBig
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
 
 // Decide priority classes carried in the optional trailing priority byte.
 const (
@@ -235,7 +194,7 @@ type Client struct {
 // queue is wedged (or a socket file pointing at a hung process) must not
 // block a caller forever; callers that want different bounds use
 // DialTimeout or DialContext.
-const DefaultDialTimeout = 10 * time.Second
+const DefaultDialTimeout = wire.ConnectTimeout
 
 // Dial connects to a sage-serve daemon's Unix socket, bounding the
 // connect by DefaultDialTimeout.
@@ -247,20 +206,17 @@ func Dial(socketPath string) (*Client, error) {
 // bound). Established-connection calls are bounded separately by
 // SetTimeout.
 func DialTimeout(socketPath string, d time.Duration) (*Client, error) {
-	ctx := context.Background()
-	if d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	return DialContext(ctx, socketPath)
+	return dial(context.Background(), socketPath, d)
 }
 
 // DialContext connects under the caller's context: cancellation or
 // deadline expiry aborts a hung connect instead of blocking forever.
 func DialContext(ctx context.Context, socketPath string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "unix", socketPath)
+	return dial(ctx, socketPath, 0)
+}
+
+func dial(ctx context.Context, socketPath string, d time.Duration) (*Client, error) {
+	conn, err := wire.Dial(ctx, "unix", socketPath, d)
 	if err != nil {
 		return nil, err
 	}
@@ -385,8 +341,8 @@ func (c *Client) roundTripMsg() (float64, byte, string, error) {
 	// A failed write still reads: a server that shed this connection at
 	// accept wrote its one OVERLOAD frame and hung up, possibly before the
 	// request left, and that frame is the answer.
-	werr := writeFrame(c.conn, c.wbuf)
-	p, err := readFrame(c.conn, c.rbuf)
+	werr := wire.WriteFrame(c.conn, c.wbuf, maxFrame)
+	p, err := wire.ReadFrame(c.conn, c.rbuf, maxFrame)
 	if werr != nil && err != nil {
 		err = werr
 	}

@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"os"
 	"strconv"
 	"sync"
 	"time"
+
+	"sage/internal/wire"
 )
 
 // Control handles the lifecycle verbs of the wire protocol (OpSwap,
@@ -38,11 +39,8 @@ type Server struct {
 
 	mu     sync.Mutex
 	ctl    Control
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
+	conns  wire.Conns
 	doneCh chan struct{}
-	wg     sync.WaitGroup
 }
 
 // SetControl installs the lifecycle handler for OpSwap/OpStatus.
@@ -60,20 +58,13 @@ func (s *Server) control() Control {
 
 // NewServer wraps an engine. The engine's async path is started on Serve.
 func NewServer(eng *Engine) *Server {
-	return &Server{
-		eng:    eng,
-		conns:  make(map[net.Conn]struct{}),
-		doneCh: make(chan struct{}),
-	}
+	return &Server{eng: eng, doneCh: make(chan struct{})}
 }
 
 // ListenAndServe listens on a Unix socket at path (removing a stale
 // socket file first) and serves until Shutdown.
 func (s *Server) ListenAndServe(path string) error {
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	ln, err := net.Listen("unix", path)
+	ln, err := wire.Listen("unix", path)
 	if err != nil {
 		return err
 	}
@@ -83,42 +74,8 @@ func (s *Server) ListenAndServe(path string) error {
 // Serve accepts connections on ln until Shutdown. It always returns a
 // non-nil error; after Shutdown the error is net.ErrClosed.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	s.eng.Start()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return net.ErrClosed
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		if s.MaxConns > 0 && len(s.conns) >= s.MaxConns {
-			s.mu.Unlock()
-			s.shedConn(conn)
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handle(conn)
-	}
+	s.eng.Start() // a no-op once Shutdown has closed the engine
+	return s.conns.Serve(ln, s.MaxConns, s.shedConn, s.handle)
 }
 
 // Shutdown drains gracefully: stop accepting, let queued and in-flight
@@ -126,36 +83,25 @@ func (s *Server) Serve(ln net.Listener) error {
 // wait for every handler to exit. Safe to call from a signal handler
 // goroutine and to call more than once.
 func (s *Server) Shutdown() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	close(s.doneCh) // wake handlers parked in a backpressure pause
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.mu.Unlock()
+	if s.conns.Close() {
+		close(s.doneCh) // wake handlers parked in a backpressure pause
 
-	// Drain the engine first: handlers blocked in Decide get their
-	// responses out before connections are torn down.
-	s.eng.Close()
+		// Drain the engine first: handlers blocked in Decide get their
+		// responses out before connections are torn down.
+		s.eng.Close()
 
-	// Hang up the read side only: a handler mid-request still writes its
-	// response over the intact write side, then exits on the next read.
-	// Closing outright here would race the final response write.
-	s.mu.Lock()
-	for c := range s.conns {
-		if rc, ok := c.(interface{ CloseRead() error }); ok {
-			rc.CloseRead()
-		} else {
-			c.Close()
-		}
+		// Hang up the read side only: a handler mid-request still writes
+		// its response over the intact write side, then exits on the next
+		// read. Closing outright here would race the final response write.
+		s.conns.Each(func(c net.Conn) {
+			if rc, ok := c.(interface{ CloseRead() error }); ok {
+				rc.CloseRead()
+			} else {
+				c.Close()
+			}
+		})
 	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.conns.Wait()
 }
 
 // shedConn rejects a connection beyond MaxConns: one explicit
@@ -167,26 +113,19 @@ func (s *Server) shedConn(conn net.Conn) {
 	s.eng.cfg.Metrics.Counter(MetricOverloadConnShed).Inc()
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
 	frame := appendResponse(nil, StatusOverload, 0, strconv.Itoa(int(hint.Milliseconds())))
-	writeFrame(conn, frame)
+	wire.WriteFrame(conn, frame, maxFrame)
 	conn.Close()
 }
 
 // handle serves one client connection until EOF or Shutdown.
 func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.wg.Done()
-	}()
 	var (
 		rbuf     []byte
 		wbuf     []byte
 		stateBuf []float64
 	)
 	for {
-		p, err := readFrame(conn, rbuf)
+		p, err := wire.ReadFrame(conn, rbuf, maxFrame)
 		if err != nil {
 			return // EOF, hangup, or oversized frame: drop the connection
 		}
@@ -195,7 +134,7 @@ func (s *Server) handle(conn net.Conn) {
 		stateBuf = sb
 		if err != nil {
 			wbuf = appendResponse(wbuf[:0], StatusError, 0, err.Error())
-			if writeFrame(conn, wbuf) != nil {
+			if wire.WriteFrame(conn, wbuf, maxFrame) != nil {
 				return
 			}
 			continue
@@ -247,17 +186,14 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		case OpHealth:
 			h := s.eng.Health()
-			s.mu.Lock()
-			h.Conns = len(s.conns)
-			h.Draining = s.closed
-			s.mu.Unlock()
+			h.Conns, h.Draining = s.conns.Len()
 			if doc, err := json.Marshal(h); err != nil {
 				wbuf = appendResponse(wbuf[:0], StatusError, 0, err.Error())
 			} else {
 				wbuf = appendResponse(wbuf[:0], StatusOK, 0, string(doc))
 			}
 		}
-		if writeFrame(conn, wbuf) != nil {
+		if wire.WriteFrame(conn, wbuf, maxFrame) != nil {
 			return
 		}
 		if pause > 0 {
