@@ -195,7 +195,8 @@ func TestOverloadSoak(t *testing.T) {
 
 	// Phase 3 — bounded recovery: with load gone, the daemon must return
 	// to full service well within seconds (the configured bound is
-	// 3×HealthyEvals×EvalInterval = 150ms plus scheduling slack).
+	// 3 rungs × 10 calm windows × EvalInterval = 150ms plus scheduling
+	// slack).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		h = daemonHealth(t, sock)

@@ -201,7 +201,6 @@ func forceBaseRTT(t *testing.T, loop *sim.Loop, n *netem.Network, conn *tcp.Conn
 	n.Attach(conn.ID, netem.Endpoints{Data: sink, Ack: conn})
 	conn.Start(loop.Now())
 	loop.RunUntil(loop.Now() + 500*sim.Millisecond)
-	conn.Stop()
 	if conn.BaseRTT() <= 0 {
 		t.Fatal("no base RTT established")
 	}

@@ -4,15 +4,10 @@ import (
 	"math"
 
 	"sage/internal/nn"
+	"sage/internal/rollout"
 	"sage/internal/sim"
 	"sage/internal/tcp"
 )
-
-// controller mirrors rollout.Controller (redeclared so chaos does not
-// need to import rollout).
-type controller interface {
-	Control(now sim.Time, conn *tcp.Conn, state []float64)
-}
 
 // PoisonPolicy overwrites every parameter of pol with NaN and returns a
 // snapshot of the original values for HealPolicy — the runtime analogue
@@ -44,7 +39,7 @@ func HealPolicy(pol *nn.Policy, snap [][]float64) {
 // flip, bad checkpoint hot-swap, overflowing activation) and later comes
 // back. The zero HealAfter never heals.
 type NaNInjector struct {
-	Inner       controller
+	Inner       rollout.Controller
 	Policy      *nn.Policy
 	PoisonAfter int // poison before the Nth control tick (1-based)
 	HealAfter   int // heal before this tick (0 = never)

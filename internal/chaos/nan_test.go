@@ -9,7 +9,7 @@ import (
 	"sage/internal/tcp"
 )
 
-// controllerFunc adapts a closure to the controller interface.
+// controllerFunc adapts a closure to rollout.Controller.
 type controllerFunc func()
 
 func (f controllerFunc) Control(sim.Time, *tcp.Conn, []float64) { f() }

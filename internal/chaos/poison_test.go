@@ -37,7 +37,7 @@ func TestPoisonPoolIsDeterministicAndDetectable(t *testing.T) {
 	}
 
 	// Every injected corruption must be caught by the quality gate.
-	_, rep := collector.Sanitize(p1, collector.QualityConfig{FrozenRun: 16})
+	_, rep := collector.Sanitize(p1)
 	caught := map[int]bool{}
 	for _, is := range rep.Issues {
 		caught[is.Index] = true

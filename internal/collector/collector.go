@@ -261,19 +261,8 @@ func runCell(ctx context.Context, scheme string, sc netem.Scenario, opt Options)
 		Env:       sc.Name,
 		MultiFlow: sc.CubicFlows > 0,
 		Steps:     res.Steps,
-		Score:     meanReward(res.Steps),
+		Score:     gr.MeanReward(res.Steps),
 	}, nil
-}
-
-func meanReward(steps []gr.Step) float64 {
-	if len(steps) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, st := range steps {
-		s += st.Reward
-	}
-	return s / float64(len(steps))
 }
 
 // Merge combines pools collected separately (e.g. Set I and Set II).

@@ -8,26 +8,10 @@ import (
 	"sage/internal/telemetry"
 )
 
-// QualityConfig tunes the per-trajectory data-quality gate. The gate is
-// the collection-side half of the training-robustness story: a poisoned
+// The per-trajectory data-quality gate's fixed bounds. The gate is the
+// collection-side half of the training-robustness story: a poisoned
 // trajectory quarantined here never reaches the learner, so the training
 // sentinel only has to catch what slips through (or corrupts later).
-// The zero value of every field is a usable default.
-type QualityConfig struct {
-	// FrozenRun is how many consecutive identical state vectors mark a
-	// frozen flow — a wedged monitor emitting the same observation
-	// forever (default 64).
-	FrozenRun int
-}
-
-func (c QualityConfig) fill() QualityConfig {
-	if c.FrozenRun == 0 {
-		c.FrozenRun = 64
-	}
-	return c
-}
-
-// The gate's fixed bounds.
 const (
 	// minSteps is the shortest usable episode; BuildDataset needs at
 	// least one (s,a,r,s') transition, i.e. 2 steps. Empty and
@@ -40,6 +24,10 @@ const (
 	// maxActionRatio bounds the recorded cwnd ratio per step. Ratios must
 	// also be strictly positive: a window cannot shrink to or below zero.
 	maxActionRatio = 1024
+	// frozenRun is how many consecutive identical state vectors mark a
+	// frozen flow — a wedged monitor emitting the same observation
+	// forever.
+	frozenRun = 64
 )
 
 // Quarantine reasons.
@@ -74,8 +62,7 @@ type QualityReport struct {
 
 // CheckTrajectory validates one trajectory and returns every issue found
 // (empty = clean). Index/Scheme/Env are left for the caller to fill.
-func CheckTrajectory(tr Trajectory, cfg QualityConfig) []TrajIssue {
-	cfg = cfg.fill()
+func CheckTrajectory(tr Trajectory) []TrajIssue {
 	var issues []TrajIssue
 	add := func(reason string, step int, detail string) {
 		issues = append(issues, TrajIssue{Reason: reason, Step: step, Detail: detail})
@@ -110,7 +97,7 @@ func CheckTrajectory(tr Trajectory, cfg QualityConfig) []TrajIssue {
 		}
 		if i > 0 && equalStates(tr.Steps[i-1].State, s.State) {
 			frozen++
-			if frozen >= cfg.FrozenRun {
+			if frozen >= frozenRun {
 				add(ReasonFrozenState, i-frozen+1, fmt.Sprintf("%d identical states", frozen))
 				return issues
 			}
@@ -124,11 +111,11 @@ func CheckTrajectory(tr Trajectory, cfg QualityConfig) []TrajIssue {
 // Sanitize splits the pool into a clean copy and a quarantine report.
 // The returned pool shares trajectory backing arrays with the input (the
 // gate drops references, it does not rewrite data).
-func Sanitize(p *Pool, cfg QualityConfig) (*Pool, QualityReport) {
+func Sanitize(p *Pool) (*Pool, QualityReport) {
 	clean := &Pool{GR: p.GR, Failed: p.Failed}
 	rep := QualityReport{Total: len(p.Trajs)}
 	for i, tr := range p.Trajs {
-		issues := CheckTrajectory(tr, cfg)
+		issues := CheckTrajectory(tr)
 		if len(issues) == 0 {
 			clean.Trajs = append(clean.Trajs, tr)
 			continue
@@ -146,11 +133,11 @@ func Sanitize(p *Pool, cfg QualityConfig) (*Pool, QualityReport) {
 }
 
 // Quarantine is the data-quality gate as every tool applies it: Sanitize
-// under the default thresholds and, when anything was quarantined, the
-// report written to sidecar and one summary line on w under the caller's
-// prefix. A clean pool writes no sidecar and prints nothing.
+// and, when anything was quarantined, the report written to sidecar and
+// one summary line on w under the caller's prefix. A clean pool writes no
+// sidecar and prints nothing.
 func Quarantine(p *Pool, sidecar, prefix string, w io.Writer) (*Pool, QualityReport, error) {
-	clean, rep := Sanitize(p, QualityConfig{})
+	clean, rep := Sanitize(p)
 	if rep.Quarantined > 0 {
 		if err := rep.WriteSidecar(sidecar); err != nil {
 			return nil, rep, err

@@ -49,7 +49,7 @@ func TestCheckTrajectoryFindsEachPoison(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := qTraj("s", 80)
 			tc.mutate(&tr)
-			issues := CheckTrajectory(tr, QualityConfig{FrozenRun: 16})
+			issues := CheckTrajectory(tr)
 			if len(issues) == 0 {
 				t.Fatal("poison not detected")
 			}
@@ -62,7 +62,7 @@ func TestCheckTrajectoryFindsEachPoison(t *testing.T) {
 
 func TestCheckTrajectoryCleanPasses(t *testing.T) {
 	tr := qTraj("s", 80)
-	if issues := CheckTrajectory(tr, QualityConfig{}); len(issues) != 0 {
+	if issues := CheckTrajectory(tr); len(issues) != 0 {
 		t.Fatalf("clean trajectory flagged: %+v", issues)
 	}
 }
@@ -72,7 +72,7 @@ func TestSanitizeQuarantinesAndReports(t *testing.T) {
 	p.Trajs = []Trajectory{qTraj("a", 40), qTraj("b", 40), qTraj("c", 40)}
 	p.Trajs[1].Steps[5].Reward = math.NaN()
 
-	clean, rep := Sanitize(p, QualityConfig{})
+	clean, rep := Sanitize(p)
 	if rep.Total != 3 || rep.Kept != 2 || rep.Quarantined != 1 {
 		t.Fatalf("report %+v", rep)
 	}

@@ -77,7 +77,7 @@ func RobustnessWithModel(m *core.Model, level netem.GridLevel, dur sim.Time, see
 				StallMs:  stallTime(res.Series).Millis(),
 				LossRate: res.LossRate,
 			}
-			run.Completed = completed(res)
+			run.Completed = res.Completed()
 			if g != nil {
 				run.Trips = g.Trips()
 				run.Restores = g.Restores()
@@ -155,17 +155,6 @@ func RobustnessWithModel(m *core.Model, level netem.GridLevel, dur sim.Time, see
 	}
 
 	return []*Table{summary, detail, guardStats}
-}
-
-// completed reports whether the flow was still making delivery progress
-// by the end of the run: the final score interval saw receiver bytes. A
-// flow the adversary permanently stalled (or a policy that blackholed
-// it) fails this.
-func completed(res rollout.Result) bool {
-	if len(res.Intervals) == 0 {
-		return res.ThroughputBps > 0
-	}
-	return res.Intervals[len(res.Intervals)-1].ThroughputBps > 0
 }
 
 // stallTime sums the sampling periods in which the receiver made no

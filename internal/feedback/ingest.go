@@ -284,9 +284,9 @@ func (in *Ingester) ingestOne(pos Cursor, payload []byte) error {
 	}
 	steps := LabelWindow(rec, in.cfg.GR)
 	tr := collector.Trajectory{
-		Scheme: "live", Env: "live-" + regime, Steps: steps, Score: meanReward(steps),
+		Scheme: "live", Env: "live-" + regime, Steps: steps, Score: gr.MeanReward(steps),
 	}
-	if issues := collector.CheckTrajectory(tr, collector.QualityConfig{}); len(issues) > 0 {
+	if issues := collector.CheckTrajectory(tr); len(issues) > 0 {
 		return in.journalDisp(journalRecord{
 			Key: pos, Disp: DispQuarantined, Regime: regime, SID: rec.SID, Why: issues[0].Reason,
 		})
@@ -375,7 +375,7 @@ func (in *Ingester) LivePool() *collector.Pool {
 			Scheme: "live",
 			Env:    "live-" + e.Regime,
 			Steps:  e.Steps,
-			Score:  meanReward(e.Steps),
+			Score:  gr.MeanReward(e.Steps),
 		})
 	}
 	return p
@@ -400,15 +400,4 @@ func fallbackFrac(rec WindowRecord) float64 {
 		return 0
 	}
 	return float64(len(rec.Fallback)) / float64(len(rec.States))
-}
-
-func meanReward(steps []gr.Step) float64 {
-	if len(steps) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range steps {
-		sum += s.Reward
-	}
-	return sum / float64(len(steps))
 }

@@ -38,9 +38,12 @@ func recordFromWindow(w serve.TraceWindow) WindowRecord {
 // SinkConfig tunes a SpoolSink.
 type SinkConfig struct {
 	Dir     string
-	Queue   int // buffered windows between engine and disk (default 256)
 	Metrics *telemetry.Registry
 }
+
+// sinkQueue is how many windows a SpoolSink buffers between engine and
+// disk.
+const sinkQueue = 256
 
 // SpoolSink adapts a Spool to serve.TraceSink: the engine's export call
 // enqueues onto a bounded channel and returns immediately; a single
@@ -61,13 +64,10 @@ func NewSpoolSink(cfg SinkConfig) (*SpoolSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 256
-	}
 	s := &SpoolSink{
 		spool:   sp,
 		metrics: cfg.Metrics,
-		ch:      make(chan serve.TraceWindow, cfg.Queue),
+		ch:      make(chan serve.TraceWindow, sinkQueue),
 		done:    make(chan struct{}),
 	}
 	go s.run()

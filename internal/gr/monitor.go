@@ -13,6 +13,19 @@ type Step struct {
 	Reward float64
 }
 
+// MeanReward is a trajectory's mean per-step reward, summed in step order
+// (0 for no steps): the score of a pool trajectory and of a gate replay.
+func MeanReward(steps []Step) float64 {
+	if len(steps) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, s := range steps {
+		sum += s.Reward
+	}
+	return sum / float64(len(steps))
+}
+
 // Monitor samples a connection every Config.Interval and produces Steps.
 // It plays the GR unit's role: the underlying CC scheme is a black box whose
 // effect is visible only through the recorded raw signals and cwnd ratio.

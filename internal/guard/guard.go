@@ -20,17 +20,11 @@ import (
 	"math"
 
 	"sage/internal/cc"
+	"sage/internal/rollout"
 	"sage/internal/sim"
 	"sage/internal/tcp"
 	"sage/internal/telemetry"
 )
-
-// Controller is the wrapped interface (identical to rollout.Controller;
-// redeclared locally so guard does not import rollout, letting rollout
-// users wrap freely without an import cycle).
-type Controller interface {
-	Control(now sim.Time, conn *tcp.Conn, state []float64)
-}
 
 // resettable is implemented by controllers with recurrent state
 // (core.Agent, rl.PolicyController); the guardian resets them on
@@ -38,51 +32,11 @@ type Controller interface {
 // of one poisoned by the episode that tripped it.
 type resettable interface{ Reset() }
 
-// Flusher mirrors rollout.BatchFlusher (redeclared locally, like
-// Controller, to avoid an import cycle): a controller that defers its
-// decisions into a shared batching engine and applies them on flush.
-type Flusher interface {
-	FlushBatch(now sim.Time)
-}
-
-// BatchController is a controller whose decisions go through a batching
-// engine (serve.Controller).
-type BatchController interface {
-	Controller
-	Flusher
-}
-
-// Config tunes the guardian. The zero value is usable: every field has a
-// conservative default.
+// Config tunes the guardian. The zero value is usable.
 type Config struct {
-	// CollapseIntervals is how many consecutive intervals the window may
-	// sit at the floor before the watchdog declares cwnd collapse
-	// (default 16).
-	CollapseIntervals int
-
-	// Probation is how many healthy control intervals the fallback must
-	// serve before the policy is re-admitted (default 32). Each
-	// subsequent trip doubles the next probation, up to MaxProbation
-	// (default 8× Probation).
-	Probation    int
-	MaxProbation int
-
 	// Metrics, when non-nil, receives the guard.* counters. Nil costs
 	// nothing (telemetry counters are nil-safe).
 	Metrics *telemetry.Registry
-}
-
-func (c Config) fill() Config {
-	if c.CollapseIntervals == 0 {
-		c.CollapseIntervals = 16
-	}
-	if c.Probation == 0 {
-		c.Probation = 32
-	}
-	if c.MaxProbation == 0 {
-		c.MaxProbation = 8 * c.Probation
-	}
-	return c
 }
 
 // The guardian's fixed thresholds. The cwnd floor and hard ceiling are
@@ -93,6 +47,14 @@ const (
 	// stallIntervals is K: consecutive control intervals without delivery
 	// progress (while data is outstanding) before the watchdog trips.
 	stallIntervals = 8
+	// collapseIntervals is how many consecutive intervals the window may
+	// sit at the floor before the watchdog declares cwnd collapse.
+	collapseIntervals = 16
+	// baseProbation is how many healthy control intervals the fallback
+	// must serve before the policy is re-admitted. Each subsequent trip
+	// doubles the next probation, up to maxProbation.
+	baseProbation = 32
+	maxProbation  = 8 * baseProbation
 )
 
 // newFallback builds the heuristic the connection falls back to on a trip.
@@ -153,7 +115,7 @@ type brownable interface{ BrownedOut() bool }
 // rollout.Controller and is not safe for concurrent use (neither are the
 // controllers it wraps — one instance per flow).
 type GuardedController struct {
-	inner Controller
+	inner rollout.Controller
 	cfg   Config
 
 	origCC       tcp.CongestionControl // the module the policy drives (captured at first tick)
@@ -171,8 +133,8 @@ type GuardedController struct {
 }
 
 // New wraps inner in a guardian.
-func New(inner Controller, cfg Config) *GuardedController {
-	return &GuardedController{inner: inner, cfg: cfg.fill()}
+func New(inner rollout.Controller, cfg Config) *GuardedController {
+	return &GuardedController{inner: inner, cfg: cfg}
 }
 
 // BatchGuarded is a GuardedController over a batching controller. It
@@ -188,12 +150,15 @@ func New(inner Controller, cfg Config) *GuardedController {
 // proceeds without stalling on it.
 type BatchGuarded struct {
 	*GuardedController
-	flusher Flusher
+	flusher rollout.BatchFlusher
 }
 
 // NewBatched wraps a batching controller (e.g. serve.Controller) in a
 // guardian that keeps the flush path intact.
-func NewBatched(inner BatchController, cfg Config) *BatchGuarded {
+func NewBatched(inner interface {
+	rollout.Controller
+	rollout.BatchFlusher
+}, cfg Config) *BatchGuarded {
 	return &BatchGuarded{GuardedController: New(inner, cfg), flusher: inner}
 }
 
@@ -296,7 +261,7 @@ func (g *GuardedController) Control(now sim.Time, conn *tcp.Conn, state []float6
 	case g.stallTicks >= stallIntervals:
 		g.cfg.Metrics.Counter(MetricStallTrips).Inc()
 		g.trip(now, conn, ReasonStall)
-	case g.floorTicks >= g.cfg.CollapseIntervals:
+	case g.floorTicks >= collapseIntervals:
 		g.cfg.Metrics.Counter(MetricCollapses).Inc()
 		g.trip(now, conn, ReasonCollapse)
 	}
@@ -327,11 +292,11 @@ func (g *GuardedController) trip(now sim.Time, conn *tcp.Conn, reason string) {
 	g.tripped = true
 	g.stallTicks, g.floorTicks = 0, 0
 	if g.curProbation == 0 {
-		g.curProbation = g.cfg.Probation
+		g.curProbation = baseProbation
 	} else {
 		g.curProbation *= 2
-		if g.curProbation > g.cfg.MaxProbation {
-			g.curProbation = g.cfg.MaxProbation
+		if g.curProbation > maxProbation {
+			g.curProbation = maxProbation
 		}
 	}
 	g.probation = g.curProbation

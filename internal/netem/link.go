@@ -31,9 +31,6 @@ func NewLink(loop *sim.Loop, queue Queue, rate *RateSchedule, out Receiver) *Lin
 // Queue exposes the link's queue (for stats and tests).
 func (l *Link) Queue() Queue { return l.queue }
 
-// Rate exposes the link's rate schedule.
-func (l *Link) Rate() *RateSchedule { return l.rate }
-
 // Send enqueues p at the bottleneck, reporting whether it was admitted, and
 // kicks the server if the link is idle. A packet the queue refuses ends here.
 func (l *Link) Send(p *Packet, now sim.Time) bool {

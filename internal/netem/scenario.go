@@ -187,7 +187,6 @@ func axes(level GridLevel) gridAxes {
 type SetIOptions struct {
 	Level    GridLevel
 	Duration sim.Time // per-scenario run length (default 10 s)
-	StepAt   sim.Time // when step scenarios switch rate (default Duration/2)
 	Seed     int64
 }
 
@@ -199,9 +198,6 @@ func SetI(opt SetIOptions) []Scenario {
 	a := axes(opt.Level)
 	if opt.Duration == 0 {
 		opt.Duration = 10 * sim.Second
-	}
-	if opt.StepAt == 0 {
-		opt.StepAt = opt.Duration / 2
 	}
 	var out []Scenario
 	seed := opt.Seed
@@ -240,7 +236,7 @@ func SetI(opt SetIOptions) []Scenario {
 			seed++
 			out = append(out, Scenario{
 				Name:       fmt.Sprintf("step-%gto%gmbps-%gms-%gbdp", bw, after, midRTT, midQS),
-				Rate:       StepRate(Mbps(bw), Mbps(after), opt.StepAt),
+				Rate:       StepRate(Mbps(bw), Mbps(after), opt.Duration/2),
 				MinRTT:     mrtt,
 				QueueBytes: qb,
 				Duration:   opt.Duration,

@@ -10,9 +10,8 @@
 //     half-written candidate — because the journal is fsynced per record
 //     and torn tails are truncated on open.
 //
-//   - Shadow: a shadow evaluator that mirrors a configurable fraction of
-//     live serve.Engine decisions to the candidate model in a second
-//     session pool. Candidate decisions are recorded (divergence
+//   - Shadow: a shadow evaluator that mirrors every live serve.Engine
+//     decision to the candidate model in a second session pool. Candidate decisions are recorded (divergence
 //     histograms, per-regime stats) but never applied.
 //
 //   - Gate: a dominance promotion gate that replays the adversarial and

@@ -66,7 +66,6 @@ func TestLifecycleEndToEnd(t *testing.T) {
 		Registry: reg,
 		Engine:   eng,
 		Metrics:  metrics,
-		Watchdog: promote.WatchdogConfig{MinDecisions: 32, Consecutive: 1},
 	}, servedInfo.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -187,10 +186,13 @@ func TestLifecycleEndToEnd(t *testing.T) {
 	if math.Abs(cwnd-100*wantRatio) > 1e-9 {
 		t.Fatalf("post-swap action %v, want %v: the engine is not serving the new incumbent", cwnd, 100*wantRatio)
 	}
-	// A healthy post-swap window keeps the watchdog quiet.
-	drive(4, 50, "")
-	if demoted, why := mgr.Tick(); demoted {
-		t.Fatalf("watchdog demoted a healthy model: %s", why)
+	// A healthy post-swap window, long enough for a verdict, keeps the
+	// watchdog quiet.
+	drive(4, promote.MinDecisions/4, "")
+	for i := 0; i < promote.Consecutive; i++ {
+		if demoted, why := mgr.Tick(); demoted {
+			t.Fatalf("watchdog demoted a healthy model: %s", why)
+		}
 	}
 
 	// Stage 5: a degraded promotion (all-NaN weights — chaos-poisoned)
@@ -209,9 +211,14 @@ func TestLifecycleEndToEnd(t *testing.T) {
 	if _, err := mgr.SyncIncumbent(); err != nil {
 		t.Fatal(err)
 	}
-	drive(4, 50, "") // all fallbacks now
-	if fb := metrics.Counter(serve.MetricFallbacks).Value(); fb < 32 {
-		t.Fatalf("poisoned incumbent produced %d fallbacks, want >= 32", fb)
+	drive(4, promote.MinDecisions/4, "") // all fallbacks now
+	if fb := metrics.Counter(serve.MetricFallbacks).Value(); fb < promote.MinDecisions {
+		t.Fatalf("poisoned incumbent produced %d fallbacks, want >= %d", fb, promote.MinDecisions)
+	}
+	for i := 1; i < promote.Consecutive; i++ {
+		if demoted, why := mgr.Tick(); demoted {
+			t.Fatalf("watchdog demoted after %d of %d bad polls: %s", i, promote.Consecutive, why)
+		}
 	}
 	demoted, why := mgr.Tick()
 	if !demoted {

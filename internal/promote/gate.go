@@ -7,6 +7,7 @@ import (
 
 	"sage/internal/cc"
 	"sage/internal/core"
+	"sage/internal/gr"
 	"sage/internal/netem"
 	"sage/internal/rollout"
 	"sage/internal/sim"
@@ -195,17 +196,7 @@ func scoreScenario(m *core.Model, sc netem.Scenario, seed int64) (score float64,
 		Controller:   m.NewAgent(seed),
 		CollectSteps: true,
 	})
-	if n := len(res.Steps); n > 0 {
-		var sum float64
-		for _, st := range res.Steps {
-			sum += st.Reward
-		}
-		score = sum / float64(n)
-	}
-	if len(res.Intervals) == 0 {
-		return score, res.ThroughputBps > 0
-	}
-	return score, res.Intervals[len(res.Intervals)-1].ThroughputBps > 0
+	return gr.MeanReward(res.Steps), res.Completed()
 }
 
 // bucketOf maps a scenario name to its regime bucket: the condition

@@ -91,10 +91,10 @@ func TestDemoteLosesToConcurrentPromote(t *testing.T) {
 // unbounded stream of session ids keeps the regimes map within twice the
 // session cap, and evicting a shadow session drops its tag with it.
 func TestShadowRegimeTagsBounded(t *testing.T) {
-	const cap = 8
-	sh := NewShadow(testModel(1), ShadowConfig{MaxSessions: cap})
+	const cap = maxShadowSessions
+	sh := NewShadow(testModel(1), ShadowConfig{})
 	state := make([]float64, gr.StateDim)
-	for sid := uint64(1); sid <= 100*cap; sid++ {
+	for sid := uint64(1); sid <= 4*cap; sid++ {
 		sh.TagSession(sid, "bulk")
 		sh.Observe(sid, state, 1.0, false)
 	}
@@ -105,9 +105,9 @@ func TestShadowRegimeTagsBounded(t *testing.T) {
 		t.Fatalf("session pool holds %d entries, cap is %d", nSess, cap)
 	}
 	if nTags > 2*cap {
-		t.Fatalf("regimes map holds %d entries after 800 tagged sessions, want <= %d", nTags, 2*cap)
+		t.Fatalf("regimes map holds %d entries after %d tagged sessions, want <= %d", nTags, 4*cap, 2*cap)
 	}
-	if st := sh.Stats(); st.PerRegime["bulk"].N != int64(100*cap) {
-		t.Fatalf("per-regime n = %d, want %d (bounding tags must not drop attribution of live sessions)", st.PerRegime["bulk"].N, 100*cap)
+	if st := sh.Stats(); st.PerRegime["bulk"].N != int64(4*cap) {
+		t.Fatalf("per-regime n = %d, want %d (bounding tags must not drop attribution of live sessions)", st.PerRegime["bulk"].N, 4*cap)
 	}
 }

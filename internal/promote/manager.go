@@ -29,8 +29,7 @@ type ManagerConfig struct {
 	// Metrics is the registry the engine and the fleet's guardians report
 	// into; the watchdog reads serve.decisions / serve.fallbacks /
 	// guard.trips from it and the manager adds the promote.* counters.
-	Metrics  *telemetry.Registry
-	Watchdog WatchdogConfig
+	Metrics *telemetry.Registry
 	// Events, when non-nil, receives one JSONL record per swap/demotion.
 	Events *telemetry.JSONL
 	// OverloadActive reports whether the serving plane is in overload
@@ -72,7 +71,7 @@ func NewManager(cfg ManagerConfig, servingID string) (*Manager, error) {
 	if cfg.OverloadActive == nil {
 		cfg.OverloadActive = cfg.Engine.OverloadActive
 	}
-	return &Manager{cfg: cfg, watch: NewWatchdog(cfg.Watchdog), servingID: servingID}, nil
+	return &Manager{cfg: cfg, watch: NewWatchdog(), servingID: servingID}, nil
 }
 
 // sample reads the watchdog's counter snapshot from the shared metrics

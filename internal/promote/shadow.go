@@ -19,30 +19,12 @@ const (
 
 // ShadowConfig tunes the shadow evaluator.
 type ShadowConfig struct {
-	// Fraction of sessions mirrored onto the candidate, selected by a
-	// deterministic hash of the session id (default 1.0). Mirroring whole
-	// sessions — not individual requests — keeps the candidate's
-	// recurrent state coherent: a GRU fed every fourth observation of a
-	// flow tells you nothing about how it would actually run it.
-	Fraction float64
-	// Seed salts the session-selection hash so repeated shadow runs over
-	// the same ids can pick different subsets.
-	Seed int64
-	// MaxSessions bounds the candidate session pool (default 4096).
-	MaxSessions int
 	// Metrics receives the shadow.* series (nil costs nothing).
 	Metrics *telemetry.Registry
 }
 
-func (c ShadowConfig) fill() ShadowConfig {
-	if c.Fraction == 0 {
-		c.Fraction = 1.0
-	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 4096
-	}
-	return c
-}
+// maxShadowSessions bounds the candidate session pool.
+const maxShadowSessions = 4096
 
 // RegimeDivergence aggregates candidate/incumbent action divergence for
 // one regime bucket.
@@ -68,9 +50,8 @@ type ShadowStats struct {
 // candidate's output is recorded — divergence in action space, per-regime
 // aggregates — but can never reach a connection. Safe for concurrent use
 // (the engine's workers call Observe from multiple goroutines); the
-// candidate forward pass runs under one mutex, which is fine for the
-// mirrored fraction of traffic but is why the shadow pool is separate
-// from the serving hot path.
+// candidate forward pass runs under one mutex, which is why the shadow
+// pool is separate from the serving hot path.
 type Shadow struct {
 	cfg ShadowConfig
 
@@ -100,7 +81,7 @@ type regimeAcc struct {
 // NewShadow builds a shadow evaluator for candidate cand.
 func NewShadow(cand *core.Model, cfg ShadowConfig) *Shadow {
 	return &Shadow{
-		cfg:      cfg.fill(),
+		cfg:      cfg,
 		step:     rl.Stepper{Policy: cand.Policy, Mask: cand.Mask},
 		meanBuf:  make([]float64, cand.Policy.GMM.K),
 		sessions: make(map[uint64]*shadowSess),
@@ -117,9 +98,9 @@ func NewShadow(cand *core.Model, cfg ShadowConfig) *Shadow {
 // number of distinct regime names, not by session count.
 func (s *Shadow) TagSession(sid uint64, regime string) {
 	s.mu.Lock()
-	if _, ok := s.regimes[sid]; !ok && len(s.regimes) >= 2*s.cfg.MaxSessions {
+	if _, ok := s.regimes[sid]; !ok && len(s.regimes) >= 2*maxShadowSessions {
 		// At least half the tags have no live shadow session (the pool is
-		// capped at MaxSessions): evict one of those, never a live one.
+		// capped at maxShadowSessions): evict one of those, never a live one.
 		for k := range s.regimes {
 			if _, live := s.sessions[k]; !live {
 				delete(s.regimes, k)
@@ -131,26 +112,12 @@ func (s *Shadow) TagSession(sid uint64, regime string) {
 	s.mu.Unlock()
 }
 
-// selected reports whether sid's session is in the mirrored fraction
-// (deterministic splitmix64 hash, so a session is either always mirrored
-// or never — its candidate hidden state stays coherent).
-func (s *Shadow) selected(sid uint64) bool {
-	if s.cfg.Fraction >= 1 {
-		return true
-	}
-	x := sid + 0x9e3779b97f4a7c15 + uint64(s.cfg.Seed)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11)/(1<<53) < s.cfg.Fraction
-}
-
-// Observe implements serve.ShadowObserver. ratio is the multiplicative
-// cwnd action the incumbent actually applied; fallback marks safety
-// no-ops (non-finite state or a degraded session), which are counted but
-// not mirrored — the candidate would be judged on garbage input.
+// Observe implements serve.ShadowObserver. Every session is mirrored
+// whole, so the candidate's recurrent state stays coherent. ratio is the
+// multiplicative cwnd action the incumbent actually applied; fallback
+// marks safety no-ops (non-finite state or a degraded session), which are
+// counted but not mirrored — the candidate would be judged on garbage
+// input.
 func (s *Shadow) Observe(sid uint64, state []float64, ratio float64, fallback bool) {
 	s.cfg.Metrics.Counter(MetricShadowObserved).Inc()
 	if fallback {
@@ -161,19 +128,12 @@ func (s *Shadow) Observe(sid uint64, state []float64, ratio float64, fallback bo
 		s.mu.Unlock()
 		return
 	}
-	if !s.selected(sid) {
-		s.mu.Lock()
-		s.observed++
-		s.mu.Unlock()
-		return
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.observed++
 	sess, ok := s.sessions[sid]
 	if !ok {
-		if len(s.sessions) >= s.cfg.MaxSessions {
+		if len(s.sessions) >= maxShadowSessions {
 			for k := range s.sessions { // approximate eviction: drop one
 				delete(s.sessions, k)
 				delete(s.regimes, k) // its regime tag must not outlive it

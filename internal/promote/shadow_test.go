@@ -61,46 +61,17 @@ func TestShadowDivergenceExact(t *testing.T) {
 	}
 }
 
-// Fraction selects whole sessions, deterministically: a session is either
-// always mirrored or never, so the candidate's recurrent state stays
-// coherent, and a nil metrics registry costs nothing.
-func TestShadowFractionSelectsWholeSessions(t *testing.T) {
-	cand := constModel(0)
-	sh := promote.NewShadow(cand, promote.ShadowConfig{Fraction: 0.5, Seed: 3})
-
-	const sessions = 64
-	mirroredAt := make(map[uint64]int64)
-	for round := 0; round < 3; round++ {
-		for sid := uint64(1); sid <= sessions; sid++ {
-			before := sh.Stats().Mirrored
-			sh.Observe(sid, shadowState(int(sid)), 1.0, false)
-			if sh.Stats().Mirrored > before {
-				mirroredAt[sid]++
-			}
-		}
-	}
-	picked := 0
-	for sid, n := range mirroredAt {
-		if n != 3 {
-			t.Fatalf("session %d mirrored %d/3 rounds: selection is not per-session", sid, n)
-		}
-		picked++
-	}
-	if picked == 0 || picked == sessions {
-		t.Fatalf("fraction 0.5 picked %d/%d sessions", picked, sessions)
-	}
-}
-
 // The candidate pool is bounded: observing far more sessions than
-// MaxSessions must not grow without limit.
+// MaxShadowSessions must not grow without limit.
 func TestShadowSessionCap(t *testing.T) {
 	cand := constModel(0)
-	sh := promote.NewShadow(cand, promote.ShadowConfig{MaxSessions: 8})
-	for sid := uint64(1); sid <= 100; sid++ {
+	sh := promote.NewShadow(cand, promote.ShadowConfig{})
+	n := 3 * promote.MaxShadowSessions
+	for sid := uint64(1); sid <= uint64(n); sid++ {
 		sh.Observe(sid, shadowState(int(sid)), 1.0, false)
 	}
-	if st := sh.Stats(); st.Mirrored != 100 {
-		t.Fatalf("mirrored = %d, want 100 (the cap bounds residency, not observation)", st.Mirrored)
+	if st := sh.Stats(); st.Mirrored != int64(n) {
+		t.Fatalf("mirrored = %d, want %d (the cap bounds residency, not observation)", st.Mirrored, n)
 	}
 }
 

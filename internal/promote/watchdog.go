@@ -2,41 +2,24 @@ package promote
 
 import "fmt"
 
-// tripFactor / fallbackFactor: the post-swap guard trip rate (resp.
-// engine fallback ratio) may grow to this multiple of the pre-swap
-// baseline before the watchdog votes to demote.
+// The demotion watchdog's fixed thresholds.
 const (
+	// tripFactor / fallbackFactor: the post-swap guard trip rate (resp.
+	// engine fallback ratio) may grow to this multiple of the pre-swap
+	// baseline before the watchdog votes to demote.
 	tripFactor     = 2.0
 	fallbackFactor = 2.0
+	// rateFloor is the absolute per-decision rate below which a post-swap
+	// rate is never actionable: with a clean baseline of zero, any factor
+	// comparison would otherwise demote on a single stray trip.
+	rateFloor = 0.01
+	// minDecisions is how many post-swap decisions must accrue before a
+	// verdict: judging a model on ten decisions is noise.
+	minDecisions = 256
+	// consecutive is how many successive bad observations demote: one
+	// polluted polling window should not unseat a model.
+	consecutive = 2
 )
-
-// WatchdogConfig tunes the automatic demotion watchdog.
-type WatchdogConfig struct {
-	// RateFloor is the absolute per-decision rate below which a post-swap
-	// rate is never actionable (default 0.01): with a clean baseline of
-	// zero, any factor comparison would otherwise demote on a single
-	// stray trip.
-	RateFloor float64
-	// MinDecisions is how many post-swap decisions must accrue before a
-	// verdict (default 256): judging a model on ten decisions is noise.
-	MinDecisions int64
-	// Consecutive is how many successive bad observations demote
-	// (default 2): one polluted polling window should not unseat a model.
-	Consecutive int
-}
-
-func (c WatchdogConfig) fill() WatchdogConfig {
-	if c.RateFloor == 0 {
-		c.RateFloor = 0.01
-	}
-	if c.MinDecisions == 0 {
-		c.MinDecisions = 256
-	}
-	if c.Consecutive == 0 {
-		c.Consecutive = 2
-	}
-	return c
-}
 
 // WatchSample is a cumulative counter snapshot the watchdog compares:
 // total decisions served, engine fallback decisions, and guard trips
@@ -52,7 +35,6 @@ type WatchSample struct {
 // fallback ratios exceed it. It holds no locks and is driven by a single
 // poller (Manager.Tick).
 type Watchdog struct {
-	cfg       WatchdogConfig
 	armed     bool
 	base      WatchSample // counters at swap time
 	baseTrip  float64     // pre-swap trips per decision
@@ -61,9 +43,7 @@ type Watchdog struct {
 }
 
 // NewWatchdog builds an unarmed watchdog.
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	return &Watchdog{cfg: cfg.fill()}
-}
+func NewWatchdog() *Watchdog { return &Watchdog{} }
 
 // Arm starts a post-swap observation window: base is the counter
 // snapshot at swap time, whose all-time rates become the baseline the
@@ -108,13 +88,13 @@ func (w *Watchdog) Observe(cur WatchSample) (demote bool, reason string) {
 		return false, ""
 	}
 	d := cur.Decisions - w.base.Decisions
-	if d < w.cfg.MinDecisions {
+	if d < minDecisions {
 		return false, ""
 	}
 	tripRate := float64(cur.Trips-w.base.Trips) / float64(d)
 	fallRate := float64(cur.Fallbacks-w.base.Fallbacks) / float64(d)
-	tripLimit := maxf(w.cfg.RateFloor, tripFactor*w.baseTrip)
-	fallLimit := maxf(w.cfg.RateFloor, fallbackFactor*w.baseFall)
+	tripLimit := maxf(rateFloor, tripFactor*w.baseTrip)
+	fallLimit := maxf(rateFloor, fallbackFactor*w.baseFall)
 
 	var bad string
 	switch {
@@ -130,7 +110,7 @@ func (w *Watchdog) Observe(cur WatchSample) (demote bool, reason string) {
 		return false, ""
 	}
 	w.badStreak++
-	if w.badStreak < w.cfg.Consecutive {
+	if w.badStreak < consecutive {
 		return false, ""
 	}
 	w.Disarm()

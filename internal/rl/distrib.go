@@ -217,6 +217,3 @@ func (w *ShardWorker) ComputeShard(ds *Dataset) GradShard {
 	}
 	return sh
 }
-
-// StepsDone mirrors the replica's absolute step counter.
-func (w *ShardWorker) StepsDone() int { return w.learner.stepIdx }

@@ -11,14 +11,13 @@ import (
 )
 
 // FlowSpec describes one flow of a multi-flow run: its congestion control
-// (or controller over TCP Pure), when it joins, and when it leaves
-// (0 = runs to the end).
+// (or controller over TCP Pure) and when it joins. Every flow runs to the
+// end of the scenario.
 type FlowSpec struct {
 	Name       string
 	CC         tcp.CongestionControl
 	Controller Controller // optional; requires a GR monitor per flow
 	Start      sim.Time
-	Stop       sim.Time
 }
 
 // FlowResult reports one flow's outcome.
@@ -49,8 +48,8 @@ type MultiOptions struct {
 
 // RunMulti runs an arbitrary set of flows over one scenario's bottleneck —
 // the harness behind the fairness (Fig. 18/27) and TCP-friendliness
-// (Fig. 19/28) experiments, where several flows join and leave on a
-// schedule and each flow's throughput trajectory matters.
+// (Fig. 19/28) experiments, where several flows join on a schedule and
+// each flow's throughput trajectory matters.
 func RunMulti(sc netem.Scenario, flows []FlowSpec, opt MultiOptions) []FlowResult {
 	opt.GR = opt.GR.Fill()
 	loop := sim.NewLoop()
@@ -76,15 +75,11 @@ func RunMulti(sc netem.Scenario, flows []FlowSpec, opt MultiOptions) []FlowResul
 			})
 		}
 		states[i] = st
-		start := spec.Start
-		loop.At(start, func(t sim.Time) {
+		loop.At(spec.Start, func(t sim.Time) {
 			st.flow.Conn.Start(t)
 			st.started = true
 			st.prevAt = t
 		})
-		if spec.Stop > 0 {
-			loop.At(spec.Stop, func(t sim.Time) { st.flow.Conn.Stop() })
-		}
 	}
 
 	// Several flows may share one batching controller (serve.Controller);
@@ -119,7 +114,7 @@ func RunMulti(sc netem.Scenario, flows []FlowSpec, opt MultiOptions) []FlowResul
 		}
 		loop.RunUntil(now)
 		for _, st := range states {
-			if !st.started || (st.spec.Stop > 0 && now > st.spec.Stop) {
+			if !st.started {
 				continue
 			}
 			if st.mon != nil {
@@ -159,11 +154,7 @@ func RunMulti(sc netem.Scenario, flows []FlowSpec, opt MultiOptions) []FlowResul
 		}
 	}
 	for i, st := range states {
-		stop := st.spec.Stop
-		if stop == 0 || stop > sc.Duration {
-			stop = sc.Duration
-		}
-		window := (stop - st.spec.Start).Seconds()
+		window := (sc.Duration - st.spec.Start).Seconds()
 		rx, pkts, owdSum := st.flow.Sink.Totals()
 		if window > 0 {
 			results[i].ThroughputBps = float64(rx) * 8 / window

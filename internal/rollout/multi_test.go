@@ -55,31 +55,6 @@ func TestRunMultiStaggeredShares(t *testing.T) {
 	}
 }
 
-func TestRunMultiStopSchedule(t *testing.T) {
-	sc := netem.Scenario{
-		Name:       "stop",
-		Rate:       netem.FlatRate(netem.Mbps(24)),
-		MinRTT:     20 * sim.Millisecond,
-		QueueBytes: 1 << 20,
-		Duration:   10 * sim.Second,
-	}
-	specs := []FlowSpec{
-		{Name: "short", CC: cc.MustNew("cubic"), Start: 0, Stop: 3 * sim.Second},
-		{Name: "long", CC: cc.MustNew("cubic"), Start: 0},
-	}
-	res := RunMulti(sc, specs, MultiOptions{SamplePeriod: sim.Second})
-	// The short flow's throughput is averaged over its own 3 s window.
-	if res[0].ThroughputBps <= 0 {
-		t.Fatal("short flow unaccounted")
-	}
-	// After the short flow leaves, the long flow takes the link: its last
-	// sample should be near capacity.
-	last := res[1].Series[len(res[1].Series)-1].ThrBps
-	if last < 0.8*24e6 {
-		t.Fatalf("long flow final %v Mb/s", last/1e6)
-	}
-}
-
 func TestRunMultiControllerFlows(t *testing.T) {
 	sc := netem.Scenario{
 		Name:       "ctl",

@@ -73,6 +73,17 @@ type Result struct {
 	Interrupted bool
 }
 
+// Completed reports whether the flow was still making delivery progress
+// by the end of the run: the final score interval saw receiver bytes (the
+// whole run did, when there are no intervals). A flow an adversary
+// permanently stalled, or a policy that blackholed it, fails this.
+func (r Result) Completed() bool {
+	if len(r.Intervals) == 0 {
+		return r.ThroughputBps > 0
+	}
+	return r.Intervals[len(r.Intervals)-1].ThroughputBps > 0
+}
+
 // Options tunes a rollout.
 type Options struct {
 	GR           gr.Config     // GR sampling config (always filled)

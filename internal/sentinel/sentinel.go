@@ -18,7 +18,7 @@
 //     learner back to the last good checkpoint (bitwise-exact resume,
 //     including RNG streams and Adam moments), halves the learning rate
 //     under a cooldown, and deterministically skips the offending batch;
-//   - after maxRollbacks consecutive rollbacks — or MaxSkipStreak
+//   - after maxRollbacks consecutive rollbacks — or maxSkipStreak
 //     consecutive rejected batches — training aborts with a diagnostic
 //     bundle (trip log, recent stats window, offending batch ids, and a
 //     parameter histogram) instead of burning hours on a doomed run.
@@ -57,7 +57,7 @@ const (
 	// a diagnostic bundle.
 	maxRollbacks = 4
 	// lrBackoff is the learning-rate multiplier applied on every rollback,
-	// floored at lrFloor× the configured rate. After CooldownSteps clean
+	// floored at lrFloor× the configured rate. After cooldownSteps clean
 	// applied steps the rate recovers one backoff notch at a time.
 	lrBackoff = 0.5
 	lrFloor   = 1.0 / 64
@@ -66,21 +66,20 @@ const (
 	statsWindow = 64
 	// diagSuffix names the abort bundle, written next to the checkpoint.
 	diagSuffix = ".diag.json"
+	// paramSweepEvery is the period, in applied steps, of the non-finite
+	// parameter sweep.
+	paramSweepEvery = 25
+	// maxSkipStreak is how many consecutive rejected batches the sentinel
+	// tolerates before concluding the pool itself is garbage.
+	maxSkipStreak = 64
+	// cooldownSteps is how many consecutive clean applied steps reset the
+	// rollback streak and recover one LR notch.
+	cooldownSteps = 200
 )
 
 // Config tunes the sentinel. The zero value of every field except
 // CheckpointPath (required) is a conservative default.
 type Config struct {
-	// ParamSweepEvery is the period, in applied steps, of the non-finite
-	// parameter sweep (default 25).
-	ParamSweepEvery int
-	// MaxSkipStreak is how many consecutive rejected batches the sentinel
-	// tolerates before concluding the pool itself is garbage (default 64).
-	MaxSkipStreak int
-	// CooldownSteps is how many consecutive clean applied steps reset the
-	// rollback streak and recover one LR notch (default 200).
-	CooldownSteps int
-
 	// CheckpointPath anchors rollback: the sentinel saves rotating known-
 	// good checkpoints there every CheckpointEvery applied steps (default
 	// 500), keeping CheckpointKeep rotations (default 2). Required.
@@ -94,15 +93,6 @@ type Config struct {
 }
 
 func (c Config) fill() Config {
-	if c.ParamSweepEvery == 0 {
-		c.ParamSweepEvery = 25
-	}
-	if c.MaxSkipStreak == 0 {
-		c.MaxSkipStreak = 64
-	}
-	if c.CooldownSteps == 0 {
-		c.CooldownSteps = 200
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 500
 	}
@@ -242,7 +232,7 @@ func (s *Sentinel) Run(ctx context.Context, learner *rl.CRR, ds *rl.Dataset, pro
 			s.skips++
 			s.skipStreak++
 			s.cleanStreak = 0
-			if s.skipStreak >= s.cfg.MaxSkipStreak {
+			if s.skipStreak >= maxSkipStreak {
 				return s.learner, s.abort(fmt.Sprintf(
 					"%d consecutive batches rejected (%s last) — the pool itself looks poisoned; run the data-quality gate (sage-train -sanitize)",
 					s.skipStreak, s.pending))
@@ -252,7 +242,7 @@ func (s *Sentinel) Run(ctx context.Context, learner *rl.CRR, ds *rl.Dataset, pro
 
 		// Applied step: fold the loss into the EMA, sweep parameters.
 		s.foldEMA(st.CriticLoss)
-		due := s.learner.StepsDone()%s.cfg.ParamSweepEvery == 0
+		due := s.learner.StepsDone()%paramSweepEvery == 0
 		if due && !s.learner.ParamsFinite() {
 			s.cfg.Metrics.Counter(MetricNonFiniteParams).Inc()
 			if err := s.rollback(ds, ReasonNonFiniteParams, st); err != nil {
@@ -263,7 +253,7 @@ func (s *Sentinel) Run(ctx context.Context, learner *rl.CRR, ds *rl.Dataset, pro
 
 		s.skipStreak = 0
 		s.cleanStreak++
-		if s.cleanStreak >= s.cfg.CooldownSteps {
+		if s.cleanStreak >= cooldownSteps {
 			s.rollbackStreak = 0
 			if s.lrScale < 1 {
 				s.recoverLR(st.Step)

@@ -62,7 +62,6 @@ func TestSentinelSkipsPoisonedBatches(t *testing.T) {
 	learner := tinyCRR(ds, 80)
 	sn := sentinel.New(sentinel.Config{
 		CheckpointPath: filepath.Join(dir, "ckpt.gob.gz"),
-		MaxSkipStreak:  1000, // the poisoned traj is sampled often; don't abort
 		Metrics:        reg,
 	})
 	learner, err := sn.Run(context.Background(), learner, ds, nil)
@@ -128,24 +127,24 @@ func TestSentinelSkipsPoisonedBatches(t *testing.T) {
 }
 
 // Weight corruption that slips past the batch gate (injected here straight
-// into the parameters mid-run) must trigger a checkpoint rollback, a
-// learning-rate backoff, and — after a clean cooldown — a recovery.
+// into the parameters mid-run, on a step the parameter sweep inspects)
+// must trigger a checkpoint rollback, a learning-rate backoff, and — after
+// a clean cooldown — a recovery.
 func TestSentinelRollsBackOnParamCorruption(t *testing.T) {
 	ds := cleanDataset()
 	reg := telemetry.NewRegistry()
-	learner := tinyCRR(ds, 30)
+	steps := sentinel.CooldownSteps + 2*sentinel.ParamSweepEvery
+	learner := tinyCRR(ds, steps)
 	fired := false
 	learner.OnStep = func(st rl.TrainStats) {
-		if !fired && st.Step == 10 {
+		if !fired && st.Step == sentinel.ParamSweepEvery {
 			fired = true
 			chaos.PoisonPolicy(learner.Policy)
 		}
 	}
 	sn := sentinel.New(sentinel.Config{
-		CheckpointPath:  filepath.Join(t.TempDir(), "ckpt.gob.gz"),
-		ParamSweepEvery: 1,
-		CooldownSteps:   8,
-		Metrics:         reg,
+		CheckpointPath: filepath.Join(t.TempDir(), "ckpt.gob.gz"),
+		Metrics:        reg,
 	})
 	out, err := sn.Run(context.Background(), learner, ds, nil)
 	if err != nil {
@@ -157,8 +156,8 @@ func TestSentinelRollsBackOnParamCorruption(t *testing.T) {
 	if !out.ParamsFinite() {
 		t.Fatal("returned learner has non-finite weights")
 	}
-	if out.StepsDone() != 30 {
-		t.Fatalf("StepsDone = %d, want 30 (replayed after rollback)", out.StepsDone())
+	if out.StepsDone() != steps {
+		t.Fatalf("StepsDone = %d, want %d (replayed after rollback)", out.StepsDone(), steps)
 	}
 	if reg.Counter(sentinel.MetricRollbacks).Value() != 1 {
 		t.Fatal("rollback counter not bumped")
@@ -166,7 +165,8 @@ func TestSentinelRollsBackOnParamCorruption(t *testing.T) {
 	if reg.Counter(sentinel.MetricLRBackoffs).Value() != 1 {
 		t.Fatal("lr backoff counter not bumped")
 	}
-	// 20 clean replayed steps > CooldownSteps: the halved LR must recover.
+	// More than CooldownSteps clean replayed steps: the halved LR must
+	// recover.
 	if reg.Counter(sentinel.MetricLRRecoveries).Value() == 0 {
 		t.Fatal("lr never recovered after cooldown")
 	}
@@ -206,7 +206,6 @@ func TestSentinelAbortsOnHopelessPool(t *testing.T) {
 	learner := tinyCRR(ds, 200)
 	sn := sentinel.New(sentinel.Config{
 		CheckpointPath: ckpt,
-		MaxSkipStreak:  8,
 		Metrics:        reg,
 	})
 	_, err := sn.Run(context.Background(), learner, ds, nil)
@@ -224,11 +223,11 @@ func TestSentinelAbortsOnHopelessPool(t *testing.T) {
 	if err := json.Unmarshal(b, &d); err != nil {
 		t.Fatalf("diagnostic bundle not valid JSON: %v", err)
 	}
-	if d.Reason == "" || d.Skips != 8 {
-		t.Fatalf("bundle reason %q skips %d, want 8 consecutive skips", d.Reason, d.Skips)
+	if d.Reason == "" || d.Skips != sentinel.MaxSkipStreak {
+		t.Fatalf("bundle reason %q skips %d, want %d consecutive skips", d.Reason, d.Skips, sentinel.MaxSkipStreak)
 	}
-	if len(d.OffendingBatches) != 8 {
-		t.Fatalf("%d offending batch ids, want 8", len(d.OffendingBatches))
+	if len(d.OffendingBatches) != sentinel.MaxSkipStreak {
+		t.Fatalf("%d offending batch ids, want %d", len(d.OffendingBatches), sentinel.MaxSkipStreak)
 	}
 	if len(d.StatsWindow) == 0 || len(d.Events) == 0 {
 		t.Fatal("bundle missing stats window or events")

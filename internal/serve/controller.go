@@ -33,9 +33,6 @@ func NewController(eng *Engine) *Controller {
 	return &Controller{eng: eng, sid: eng.NewSessionID()}
 }
 
-// SessionID exposes the engine session this flow owns.
-func (c *Controller) SessionID() uint64 { return c.sid }
-
 // Control implements rollout.Controller by deferring the decision into
 // the engine's current batch.
 func (c *Controller) Control(now sim.Time, conn *tcp.Conn, state []float64) {

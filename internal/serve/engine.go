@@ -81,8 +81,9 @@ type Config struct {
 	// taking queued requests when its batch fills.
 	MaxBatch int
 	// BatchDeadline is no timer — the async batcher never holds a request
-	// while a worker idles. It is the unit of OverloadConfig.BatchWaitBudget's
-	// default: the queue wait a deployment considers normal (default 200µs).
+	// while a worker idles. It is the unit of the overload ladder's
+	// batch-wait budget (50×BatchDeadline): the queue wait a deployment
+	// considers normal (default 200µs).
 	BatchDeadline time.Duration
 	// Workers is the async forward-pass pool size (default GOMAXPROCS).
 	// Flush does not read it: it splits its forward by GOMAXPROCS and batch

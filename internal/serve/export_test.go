@@ -32,3 +32,7 @@ func (h *HoldShadow) Release() { close(h.release) }
 
 // QueueLen is how many admitted requests are waiting for a worker.
 func (e *Engine) QueueLen() int { return len(e.reqCh) }
+
+// HealthyEvals is the brownout ladder's per-rung hysteresis, for tests
+// that count calm windows from outside the package.
+const HealthyEvals = healthyEvals

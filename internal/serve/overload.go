@@ -96,11 +96,6 @@ type OverloadConfig struct {
 	// Flush backlog runs the learned policy; overflow is served the cheap
 	// ratio-1.0 path rather than growing the batched pass without bound.
 	MaxInflight int
-	// BatchWaitBudget is the batch-wait budget (default 50×BatchDeadline),
-	// on the time from a batch's oldest admission to the start of its pass:
-	// an evaluation window in which more than ~1% of batches waited longer
-	// than this counts as a p99 breach and escalates the ladder.
-	BatchWaitBudget time.Duration
 	// DecisionBudget is the end-to-end latency budget for one admitted
 	// async decision (default 250ms). Windows where >5% of decisions miss
 	// it escalate straight to ModeDegraded: stale decisions degrade flows
@@ -108,23 +103,13 @@ type OverloadConfig struct {
 	DecisionBudget time.Duration
 	// EvalInterval is the ladder evaluation period (default 10ms).
 	EvalInterval time.Duration
-	// HealthyEvals is how many consecutive healthy windows de-escalate one
-	// rung (default 10). Full recovery from ModeDraining is therefore
-	// bounded by 3×HealthyEvals×EvalInterval after load subsides.
-	HealthyEvals int
-	// RetryAfter is the base client retry hint (default 50ms); each
-	// rejection jitters it uniformly in [RetryAfter/2, 3·RetryAfter/2).
-	RetryAfter time.Duration
 }
 
-// fill applies defaults; maxBatch and deadline come from the engine
-// config the overload layer is attached to.
-func (c OverloadConfig) fill(maxBatch int, deadline time.Duration) OverloadConfig {
+// fill applies defaults; maxBatch comes from the engine config the
+// overload layer is attached to.
+func (c OverloadConfig) fill(maxBatch int) OverloadConfig {
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 8 * maxBatch
-	}
-	if c.BatchWaitBudget == 0 {
-		c.BatchWaitBudget = 50 * deadline
 	}
 	if c.DecisionBudget == 0 {
 		c.DecisionBudget = 250 * time.Millisecond
@@ -132,23 +117,31 @@ func (c OverloadConfig) fill(maxBatch int, deadline time.Duration) OverloadConfi
 	if c.EvalInterval == 0 {
 		c.EvalInterval = 10 * time.Millisecond
 	}
-	if c.HealthyEvals == 0 {
-		c.HealthyEvals = 10
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = 50 * time.Millisecond
-	}
 	return c
 }
 
 // Breach fractions for the windowed budget signals: a window where >1% of
-// batches waited past BatchWaitBudget approximates "batch-wait p99 over
-// budget"; >5% of decisions missing DecisionBudget is conclusive
+// batches waited past the batch-wait budget approximates "batch-wait p99
+// over budget"; >5% of decisions missing DecisionBudget is conclusive
 // staleness, not noise.
 const (
 	waitBreachFrac = 0.01
 	missBreachFrac = 0.05
 )
+
+// waitBudgetDeadlines is the batch-wait budget in units of the engine's
+// BatchDeadline: the budget is on the time from a batch's oldest
+// admission to the start of its pass.
+const waitBudgetDeadlines = 50
+
+// healthyEvals is how many consecutive healthy windows de-escalate one
+// rung. Full recovery from ModeDraining is therefore bounded by
+// 3×healthyEvals×EvalInterval after load subsides.
+const healthyEvals = 10
+
+// baseRetryAfter is the base client retry hint; each rejection jitters it
+// uniformly in [baseRetryAfter/2, 3·baseRetryAfter/2).
+const baseRetryAfter = 50 * time.Millisecond
 
 // The queue-occupancy rungs: when the window's peak in-flight count
 // reaches this fraction of MaxInflight the ladder escalates to
@@ -164,15 +157,16 @@ const (
 // document. Signal recording is atomics-only (hot path); eval and the
 // retry-jitter RNG serialize on mu.
 type overload struct {
-	cfg     OverloadConfig
-	metrics *telemetry.Registry
+	cfg        OverloadConfig
+	waitBudget time.Duration // waitBudgetDeadlines × the engine's BatchDeadline
+	metrics    *telemetry.Registry
 
 	modeA atomic.Int32
 
 	// Per-window signals, swapped out at each eval.
 	peak     atomic.Int64 // max in-flight seen since last eval
 	waits    atomic.Int64 // batches started since last eval
-	waitOver atomic.Int64 // ...of which waited past BatchWaitBudget
+	waitOver atomic.Int64 // ...of which waited past waitBudget
 	decided  atomic.Int64 // admitted decisions completed since last eval
 	missed   atomic.Int64 // ...of which blew DecisionBudget
 
@@ -188,9 +182,10 @@ type overload struct {
 
 func newOverload(cfg OverloadConfig, maxBatch int, deadline time.Duration, metrics *telemetry.Registry) *overload {
 	o := &overload{
-		cfg:     cfg.fill(maxBatch, deadline),
-		metrics: metrics,
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
+		cfg:        cfg.fill(maxBatch),
+		waitBudget: waitBudgetDeadlines * deadline,
+		metrics:    metrics,
+		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	metrics.Gauge(MetricOverloadMode).Set(0)
 	return o
@@ -215,7 +210,7 @@ func (o *overload) noteAdmitted() {
 
 func (o *overload) noteBatchWait(d time.Duration) {
 	o.waits.Add(1)
-	if d > o.cfg.BatchWaitBudget {
+	if d > o.waitBudget {
 		o.waitOver.Add(1)
 	}
 }
@@ -241,11 +236,10 @@ func (o *overload) noteShadowShed(n int64) {
 
 // retryAfter returns the jittered retry hint.
 func (o *overload) retryAfter() time.Duration {
-	base := o.cfg.RetryAfter
 	o.mu.Lock()
-	j := time.Duration(o.rng.Int63n(int64(base)))
+	j := time.Duration(o.rng.Int63n(int64(baseRetryAfter)))
 	o.mu.Unlock()
-	return base/2 + j
+	return baseRetryAfter/2 + j
 }
 
 // reject builds the typed rejection for one shed decision.
@@ -298,10 +292,10 @@ func (o *overload) eval(now time.Time, force bool) {
 		o.setModeLocked(target)
 		o.healthy = 0
 	case target < cur:
-		// De-escalate one rung per HealthyEvals consecutive calm windows:
+		// De-escalate one rung per healthyEvals consecutive calm windows:
 		// hysteresis keeps a marginal daemon from flapping between modes.
 		o.healthy++
-		if o.healthy >= o.cfg.HealthyEvals {
+		if o.healthy >= healthyEvals {
 			o.setModeLocked(cur - 1)
 			o.healthy = 0
 		}
@@ -391,7 +385,7 @@ func (e *Engine) Health() Health {
 // at accept time (50ms fixed when overload protection is off).
 func (e *Engine) retryHint() time.Duration {
 	if e.ov == nil {
-		return 50 * time.Millisecond
+		return baseRetryAfter
 	}
 	return e.ov.retryAfter()
 }

@@ -26,12 +26,12 @@ func (s *shadowRecorder) Observe(sid uint64, state []float64, ratio float64, fal
 // within the documented bound.
 func TestSyncBrownoutLadder(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	healthy := 2
+	healthy := serve.HealthyEvals
 	eng := serve.NewEngine(serve.Config{
 		Policy:   testPolicy(41),
 		MaxBatch: 64,
 		Metrics:  reg,
-		Overload: &serve.OverloadConfig{MaxInflight: 8, HealthyEvals: healthy},
+		Overload: &serve.OverloadConfig{MaxInflight: 8},
 	})
 	shadow := &shadowRecorder{}
 	eng.SetShadow(shadow)
@@ -76,7 +76,7 @@ func TestSyncBrownoutLadder(t *testing.T) {
 		t.Fatalf("mode gauge = %v, want %d", reg.Gauge(serve.MetricOverloadMode).Value(), serve.ModeDraining)
 	}
 
-	// Bounded recovery: one rung per HealthyEvals calm windows.
+	// Bounded recovery: one rung per serve.HealthyEvals calm windows.
 	for i := 0; i < 3*healthy; i++ {
 		eng.OverloadTick()
 	}

@@ -116,11 +116,3 @@ func (e *Engine) Swap(pol *nn.Policy, mask []int) (SwapStats, error) {
 	e.cfg.Metrics.Counter(MetricSwapDegrade).Add(int64(stats.Degraded))
 	return stats, nil
 }
-
-// Policy returns the currently served policy and mask (the incumbent from
-// the engine's point of view).
-func (e *Engine) Policy() (*nn.Policy, []int) {
-	e.polMu.RLock()
-	defer e.polMu.RUnlock()
-	return e.cfg.Policy, e.cfg.Mask
-}

@@ -254,7 +254,7 @@ func TestGuardRestoreAfterSwapUsesNewModel(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	eng := serve.NewEngine(serve.Config{Policy: pol1, Metrics: reg})
 	ctl := serve.NewController(eng)
-	g := guard.NewBatched(ctl, guard.Config{Probation: 2, Metrics: reg})
+	g := guard.NewBatched(ctl, guard.Config{Metrics: reg})
 
 	loop := sim.NewLoop()
 	n := testScenario(sim.Second).Build(loop)

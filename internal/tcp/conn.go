@@ -89,7 +89,6 @@ type Conn struct {
 	rackFn           sim.Event
 	paceFn           sim.Event
 	running          bool
-	stopped          bool
 	enterRecoveryCnt int64
 	rtoCount         int64
 	ecnEnabled       bool
@@ -129,14 +128,6 @@ func (c *Conn) Start(now sim.Time) {
 	c.trySend(now)
 }
 
-// Stop halts transmission and cancels timers.
-func (c *Conn) Stop() {
-	c.stopped = true
-	c.rtoTimer.Cancel()
-	c.rackTimer.Cancel()
-	c.paceTimer.Cancel()
-}
-
 // CC returns the connection's congestion-control module.
 func (c *Conn) CC() CongestionControl { return c.cc }
 
@@ -164,9 +155,7 @@ func (c *Conn) SwitchCC(newCC CongestionControl, now sim.Time) {
 	c.cc = newCC
 	c.ccSwitches++
 	newCC.Init(c)
-	if c.running && !c.stopped {
-		c.trySend(now)
-	}
+	c.trySend(now)
 }
 
 // CCSwitches returns how many times the CC module was swapped at runtime.
@@ -247,9 +236,6 @@ func (c *Conn) Kick(now sim.Time) { c.trySend(now) }
 
 // Receive implements netem.Receiver for the reverse (ACK) path.
 func (c *Conn) Receive(p *netem.Packet, now sim.Time) {
-	if c.stopped {
-		return
-	}
 	c.handleAck(p.Acks[:p.NAcks], now)
 }
 
@@ -433,9 +419,6 @@ func (c *Conn) rackDetect(now sim.Time) int {
 }
 
 func (c *Conn) onRackTimer(now sim.Time) {
-	if c.stopped {
-		return
-	}
 	newLost := c.rackDetect(now)
 	c.advanceHead()
 	c.maybeExitRecovery()
@@ -497,7 +480,7 @@ func (c *Conn) maybeExitRecovery() {
 
 func (c *Conn) resetRTO(now sim.Time) {
 	c.rtoTimer.Cancel()
-	if c.inflightCnt == 0 || c.stopped {
+	if c.inflightCnt == 0 {
 		return
 	}
 	d := c.rto << c.rtoBackoff
@@ -508,7 +491,7 @@ func (c *Conn) resetRTO(now sim.Time) {
 }
 
 func (c *Conn) onRTO(now sim.Time) {
-	if c.stopped || c.inflightCnt == 0 {
+	if c.inflightCnt == 0 {
 		return
 	}
 	c.rtoCount++
@@ -537,7 +520,7 @@ func (c *Conn) onRTO(now sim.Time) {
 
 // trySend transmits as long as the window (and pacing schedule) allows.
 func (c *Conn) trySend(now sim.Time) {
-	if !c.running || c.stopped {
+	if !c.running {
 		return
 	}
 	for float64(c.inflightCnt) < c.Cwnd {

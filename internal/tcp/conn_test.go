@@ -112,20 +112,6 @@ func TestPacingSpacesPackets(t *testing.T) {
 	}
 }
 
-func TestStopHaltsFlow(t *testing.T) {
-	loop := sim.NewLoop()
-	n := netem.New(loop, netem.Config{Rate: netem.FlatRate(netem.Mbps(12)), MinRTT: 20 * sim.Millisecond, Queue: netem.NewDropTail(1 << 20)})
-	fl := NewFlow(loop, n, 1, &fixedCC{w: 10}, Options{})
-	fl.Conn.Start(0)
-	loop.RunUntil(sim.Second)
-	fl.Conn.Stop()
-	sentAtStop := fl.Conn.SentPkts()
-	loop.RunUntil(2 * sim.Second)
-	if fl.Conn.SentPkts() != sentAtStop {
-		t.Fatal("flow kept sending after Stop")
-	}
-}
-
 func TestRTTEstimatorRFC6298(t *testing.T) {
 	c := &Conn{opt: Options{MinRTO: 200 * sim.Millisecond}, minRTTFilter: NewMinFilter(10 * sim.Second), loop: sim.NewLoop()}
 	c.updateRTT(100 * sim.Millisecond)

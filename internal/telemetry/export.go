@@ -49,16 +49,6 @@ func (j *JSONL) Emit(record any) error {
 	return j.enc.Encode(record)
 }
 
-// Flush forces buffered lines to the underlying writer.
-func (j *JSONL) Flush() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.bw.Flush()
-}
-
 // Close flushes and, when the emitter owns its file, closes it. The
 // first error encountered wins (flush errors are not masked by a
 // successful close, and vice versa).
