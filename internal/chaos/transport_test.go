@@ -16,7 +16,7 @@ import (
 // frame builds one length-prefixed frame around payload.
 func frame(payload []byte) []byte {
 	var b bytes.Buffer
-	wire.WriteFrame(&b, payload, maxChaosFrame)
+	wire.WriteFrame(&b, append(wire.StartFrame(nil), payload...), maxChaosFrame)
 	return b.Bytes()
 }
 

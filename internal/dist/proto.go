@@ -121,11 +121,12 @@ type Message struct {
 	Done       bool
 }
 
-// writeMsg writes one length-prefixed gob frame.
+// writeMsg writes one length-prefixed gob frame, in one Write: the
+// message is encoded straight after the frame's reserved prefix.
 func writeMsg(w io.Writer, m *Message) error {
 	m.Version = ProtoVersion
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	buf := bytes.NewBuffer(wire.StartFrame(nil))
+	if err := gob.NewEncoder(buf).Encode(m); err != nil {
 		return fmt.Errorf("dist: encode: %w", err)
 	}
 	return wire.WriteFrame(w, buf.Bytes(), maxFrame)

@@ -45,6 +45,38 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls made on it and keeps what they wrote.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// writeMsg sends each message in one Write, length prefix and gob body
+// together, and the frame reads back whole.
+func TestWriteMsgIsOneWrite(t *testing.T) {
+	for _, m := range []*Message{
+		{Type: MsgBye},
+		{Type: MsgCellDone, Shard: make([]byte, 200<<10), Checksum: 7},
+	} {
+		var w writeCounter
+		if err := writeMsg(&w, m); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("type %d: %d writes for one frame", m.Type, w.writes)
+		}
+		got, err := readMsg(&w)
+		if err != nil || got.Type != m.Type || len(got.Shard) != len(m.Shard) || w.Len() != 0 {
+			t.Errorf("type %d: read back %+v, %v, %d bytes left", m.Type, got, err, w.Len())
+		}
+	}
+}
+
 // readMsg holds dist's frame bound: a prefix one past maxFrame is
 // wire.ErrFrameTooBig, returned unwrapped.
 func TestReadMsgRejectsOversizedFrame(t *testing.T) {
@@ -77,7 +109,7 @@ func TestReadMsgRejectsVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frame bytes.Buffer
-	if err := wire.WriteFrame(&frame, body.Bytes(), maxFrame); err != nil {
+	if err := wire.WriteFrame(&frame, append(wire.StartFrame(nil), body.Bytes()...), maxFrame); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readMsg(&frame); err == nil || !strings.Contains(err.Error(), "version") {
@@ -148,7 +180,7 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var frame bytes.Buffer
-		if err := wire.WriteFrame(&frame, body, maxFrame); err != nil {
+		if err := wire.WriteFrame(&frame, append(wire.StartFrame(nil), body...), maxFrame); err != nil {
 			t.Skip() // larger than any frame the coordinator reads
 		}
 		m, err := readMsg(&frame)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -60,6 +61,12 @@ const (
 	// server both read through wire.ReadFrame, which checks it against the
 	// length prefix — sign bit included — before allocating.
 	maxFrame = 1 << 16
+
+	// readAhead sizes the buffered reader each end of a connection reads
+	// frames through: a Decide's header and body arrive in one read, and
+	// a peer that sends ahead of its replies gets at most this much read
+	// before the server's backpressure pause holds it.
+	readAhead = 4 << 10
 )
 
 // Decide priority classes carried in the optional trailing priority byte.
@@ -183,10 +190,11 @@ func parseRequest(p []byte, stateBuf []float64) (decodedRequest, []float64, erro
 type Client struct {
 	mu         sync.Mutex
 	conn       net.Conn
+	r          *bufio.Reader // conn's replies, through readAhead
 	timeout    time.Duration
 	highPri    bool
 	retryAfter time.Duration // last OVERLOAD reply's hint
-	wbuf       []byte
+	wbuf       []byte        // the request frame, built in place by wire.StartFrame
 	rbuf       []byte
 }
 
@@ -224,7 +232,9 @@ func dial(ctx context.Context, socketPath string, d time.Duration) (*Client, err
 }
 
 // NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client { return &Client{conn: conn} }
+func NewClient(conn net.Conn) *Client {
+	return &Client{conn: conn, r: bufio.NewReaderSize(conn, readAhead)}
+}
 
 // SetTimeout bounds every subsequent call's full round trip (request
 // write through response read). Zero restores the default: block until
@@ -270,7 +280,7 @@ func (c *Client) RetryAfter() time.Duration {
 func (c *Client) Decide(sid uint64, cwnd float64, state []float64) (newCwnd float64, status byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = appendDecideRequest(c.wbuf[:0], sid, cwnd, state, c.highPri)
+	c.wbuf = appendDecideRequest(wire.StartFrame(c.wbuf), sid, cwnd, state, c.highPri)
 	return c.roundTrip()
 }
 
@@ -278,7 +288,7 @@ func (c *Client) Decide(sid uint64, cwnd float64, state []float64) (newCwnd floa
 func (c *Client) Reset(sid uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = appendSessionRequest(c.wbuf[:0], OpReset, sid)
+	c.wbuf = appendSessionRequest(wire.StartFrame(c.wbuf), OpReset, sid)
 	_, status, err := c.roundTrip()
 	return statusErr(status, err)
 }
@@ -287,7 +297,7 @@ func (c *Client) Reset(sid uint64) error {
 func (c *Client) CloseSession(sid uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = appendSessionRequest(c.wbuf[:0], OpCloseSession, sid)
+	c.wbuf = appendSessionRequest(wire.StartFrame(c.wbuf), OpCloseSession, sid)
 	_, status, err := c.roundTrip()
 	return statusErr(status, err)
 }
@@ -311,7 +321,7 @@ func (c *Client) Health() (string, error) { return c.control(OpHealth, "") }
 func (c *Client) control(op byte, arg string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = appendControlRequest(c.wbuf[:0], op, arg)
+	c.wbuf = appendControlRequest(wire.StartFrame(c.wbuf), op, arg)
 	_, status, msg, err := c.roundTripMsg()
 	if err != nil {
 		return msg, err
@@ -342,7 +352,7 @@ func (c *Client) roundTripMsg() (float64, byte, string, error) {
 	// accept wrote its one OVERLOAD frame and hung up, possibly before the
 	// request left, and that frame is the answer.
 	werr := wire.WriteFrame(c.conn, c.wbuf, maxFrame)
-	p, err := wire.ReadFrame(c.conn, c.rbuf, maxFrame)
+	p, err := wire.ReadFrame(c.r, c.rbuf, maxFrame)
 	if werr != nil && err != nil {
 		err = werr
 	}
@@ -350,18 +360,9 @@ func (c *Client) roundTripMsg() (float64, byte, string, error) {
 		return 0, StatusError, "", err
 	}
 	c.rbuf = p[:0]
-	if len(p) < 12 {
-		return 0, StatusError, "", errors.New("serve: short response")
-	}
-	if p[0] != ProtoVersion {
-		return 0, StatusError, "", fmt.Errorf("serve: protocol version %d, want %d", p[0], ProtoVersion)
-	}
-	status := p[1]
-	cwnd := math.Float64frombits(binary.BigEndian.Uint64(p[2:10]))
-	msgLen := int(binary.BigEndian.Uint16(p[10:12]))
-	msg := ""
-	if 12+msgLen <= len(p) && msgLen > 0 {
-		msg = string(p[12 : 12+msgLen])
+	status, cwnd, msg, err := parseResponse(p)
+	if err != nil {
+		return 0, status, "", err
 	}
 	if status == StatusError {
 		if msg == "" {
@@ -378,6 +379,23 @@ func (c *Client) roundTripMsg() (float64, byte, string, error) {
 		}
 	}
 	return cwnd, status, msg, nil
+}
+
+// parseResponse decodes a response payload. A msg whose declared length
+// runs past the payload is read as empty.
+func parseResponse(p []byte) (status byte, cwnd float64, msg string, err error) {
+	if len(p) < 12 {
+		return StatusError, 0, "", errors.New("serve: short response")
+	}
+	if p[0] != ProtoVersion {
+		return StatusError, 0, "", fmt.Errorf("serve: protocol version %d, want %d", p[0], ProtoVersion)
+	}
+	status = p[1]
+	cwnd = math.Float64frombits(binary.BigEndian.Uint64(p[2:10]))
+	if msgLen := int(binary.BigEndian.Uint16(p[10:12])); msgLen > 0 && 12+msgLen <= len(p) {
+		msg = string(p[12 : 12+msgLen])
+	}
+	return status, cwnd, msg, nil
 }
 
 func statusErr(status byte, err error) error {

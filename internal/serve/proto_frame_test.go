@@ -41,7 +41,7 @@ func TestReadFrameRejectsHostilePrefixes(t *testing.T) {
 
 	// The boundary itself still works.
 	var b bytes.Buffer
-	if err := wire.WriteFrame(&b, make([]byte, maxFrame), maxFrame); err != nil {
+	if err := wire.WriteFrame(&b, append(wire.StartFrame(nil), make([]byte, maxFrame)...), maxFrame); err != nil {
 		t.Fatalf("WriteFrame at limit: %v", err)
 	}
 	if p, err := wire.ReadFrame(&b, nil, maxFrame); err != nil || len(p) != maxFrame {
@@ -53,7 +53,7 @@ func TestReadFrameRejectsHostilePrefixes(t *testing.T) {
 // would drop, and writes nothing at all for it.
 func TestWriteFrameRejectsOversize(t *testing.T) {
 	var b bytes.Buffer
-	if err := wire.WriteFrame(&b, make([]byte, maxFrame+1), maxFrame); !errors.Is(err, wire.ErrFrameTooBig) {
+	if err := wire.WriteFrame(&b, append(wire.StartFrame(nil), make([]byte, maxFrame+1)...), maxFrame); !errors.Is(err, wire.ErrFrameTooBig) {
 		t.Fatalf("err = %v, want wire.ErrFrameTooBig", err)
 	}
 	if b.Len() != 0 {
@@ -111,6 +111,35 @@ func FuzzParseRequest(f *testing.F) {
 		}
 		for _, v := range req.State {
 			_ = math.IsNaN(v) // touch every element: catches aliasing past the buffer
+		}
+	})
+}
+
+// FuzzParseResponse: no payload may panic the client's reply decoder; a
+// reply it accepts is at least a header long, and a msg whose declared
+// length runs past the payload reads as empty; and appendResponse
+// round-trips for every status.
+func FuzzParseResponse(f *testing.F) {
+	for _, status := range []byte{StatusOK, StatusFallback, StatusBusy, StatusError, StatusOverload} {
+		f.Add(appendResponse(nil, status, 12.5, "37"), status, 12.5, "37")
+	}
+	f.Add([]byte{ProtoVersion, StatusOK, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 'x'}, byte(StatusError), math.NaN(), "")
+	f.Add([]byte{ProtoVersion + 1, StatusOK, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, byte(0xFF), math.Inf(-1), "server draining")
+	f.Fuzz(func(t *testing.T, p []byte, status byte, cwnd float64, msg string) {
+		if st, _, m, err := parseResponse(p); err == nil {
+			if len(p) < 12 || p[0] != ProtoVersion || st != p[1] || len(m) > len(p)-12 {
+				t.Fatalf("accepted %d bytes as status %d with a %d-byte msg", len(p), st, len(m))
+			}
+			if declared := int(binary.BigEndian.Uint16(p[10:12])); declared > len(p)-12 && m != "" {
+				t.Fatalf("msg of %d bytes declared past a %d-byte payload read as %q", declared, len(p), m)
+			}
+		}
+		if len(msg) > maxFrame-12 {
+			return // no frame carries it
+		}
+		st, c, m, err := parseResponse(appendResponse(nil, status, cwnd, msg))
+		if err != nil || st != status || math.Float64bits(c) != math.Float64bits(cwnd) || m != msg {
+			t.Fatalf("round trip of (%d, %v, %q): (%d, %v, %q), %v", status, cwnd, msg, st, c, m, err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"net"
@@ -112,28 +113,32 @@ func (s *Server) shedConn(conn net.Conn) {
 	hint := s.eng.retryHint()
 	s.eng.cfg.Metrics.Counter(MetricOverloadConnShed).Inc()
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
-	frame := appendResponse(nil, StatusOverload, 0, strconv.Itoa(int(hint.Milliseconds())))
+	frame := appendResponse(wire.StartFrame(nil), StatusOverload, 0, strconv.Itoa(int(hint.Milliseconds())))
 	wire.WriteFrame(conn, frame, maxFrame)
 	conn.Close()
 }
 
-// handle serves one client connection until EOF or Shutdown.
+// handle serves one client connection until EOF or Shutdown. It reads
+// through one readAhead buffer and builds each reply in place behind its
+// frame prefix, so a decision costs one read, one write and no allocation.
 func (s *Server) handle(conn net.Conn) {
 	var (
+		r        = bufio.NewReaderSize(conn, readAhead)
 		rbuf     []byte
 		wbuf     []byte
 		stateBuf []float64
 	)
 	for {
-		p, err := wire.ReadFrame(conn, rbuf, maxFrame)
+		p, err := wire.ReadFrame(r, rbuf, maxFrame)
 		if err != nil {
 			return // EOF, hangup, or oversized frame: drop the connection
 		}
 		rbuf = p[:0]
+		wbuf = wire.StartFrame(wbuf)
 		req, sb, err := parseRequest(p, stateBuf)
 		stateBuf = sb
 		if err != nil {
-			wbuf = appendResponse(wbuf[:0], StatusError, 0, err.Error())
+			wbuf = appendResponse(wbuf, StatusError, 0, err.Error())
 			if wire.WriteFrame(conn, wbuf, maxFrame) != nil {
 				return
 			}
@@ -143,54 +148,41 @@ func (s *Server) handle(conn net.Conn) {
 		switch req.Op {
 		case OpDecide:
 			newCwnd, fallback, err := s.eng.DecidePri(req.SID, req.Cwnd, req.State, req.Pri)
-			var oe *OverloadError
 			switch {
-			case errors.As(err, &oe):
-				// Typed OVERLOAD reply (cwnd echoed, retry hint in msg),
-				// then read-side backpressure: pause before the next read
-				// so a hot-looping client is rate-limited by its own TCP
-				// window instead of hammering admission control.
-				wbuf = appendResponse(wbuf[:0], StatusOverload, req.Cwnd,
-					strconv.Itoa(int(oe.RetryAfter.Milliseconds())))
-				pause = min(oe.RetryAfter, 100*time.Millisecond)
-			case errors.Is(err, ErrSessionBusy):
-				wbuf = appendResponse(wbuf[:0], StatusBusy, req.Cwnd, "")
-			case errors.Is(err, ErrClosed):
-				wbuf = appendResponse(wbuf[:0], StatusError, req.Cwnd, "server draining")
 			case err != nil:
-				wbuf = appendResponse(wbuf[:0], StatusError, req.Cwnd, err.Error())
+				wbuf, pause = appendDecideError(wbuf, req.Cwnd, err)
 			case fallback:
-				wbuf = appendResponse(wbuf[:0], StatusFallback, newCwnd, "")
+				wbuf = appendResponse(wbuf, StatusFallback, newCwnd, "")
 			default:
-				wbuf = appendResponse(wbuf[:0], StatusOK, newCwnd, "")
+				wbuf = appendResponse(wbuf, StatusOK, newCwnd, "")
 			}
 		case OpReset:
 			s.eng.ResetSession(req.SID)
-			wbuf = appendResponse(wbuf[:0], StatusOK, 0, "")
+			wbuf = appendResponse(wbuf, StatusOK, 0, "")
 		case OpCloseSession:
 			s.eng.CloseSession(req.SID)
-			wbuf = appendResponse(wbuf[:0], StatusOK, 0, "")
+			wbuf = appendResponse(wbuf, StatusOK, 0, "")
 		case OpSwap:
 			if ctl := s.control(); ctl == nil {
-				wbuf = appendResponse(wbuf[:0], StatusError, 0, "no lifecycle control handler")
+				wbuf = appendResponse(wbuf, StatusError, 0, "no lifecycle control handler")
 			} else if report, err := ctl.Swap(req.Arg); err != nil {
-				wbuf = appendResponse(wbuf[:0], StatusError, 0, err.Error())
+				wbuf = appendResponse(wbuf, StatusError, 0, err.Error())
 			} else {
-				wbuf = appendResponse(wbuf[:0], StatusOK, 0, report)
+				wbuf = appendResponse(wbuf, StatusOK, 0, report)
 			}
 		case OpStatus:
 			if ctl := s.control(); ctl == nil {
-				wbuf = appendResponse(wbuf[:0], StatusError, 0, "no lifecycle control handler")
+				wbuf = appendResponse(wbuf, StatusError, 0, "no lifecycle control handler")
 			} else {
-				wbuf = appendResponse(wbuf[:0], StatusOK, 0, ctl.Status())
+				wbuf = appendResponse(wbuf, StatusOK, 0, ctl.Status())
 			}
 		case OpHealth:
 			h := s.eng.Health()
 			h.Conns, h.Draining = s.conns.Len()
 			if doc, err := json.Marshal(h); err != nil {
-				wbuf = appendResponse(wbuf[:0], StatusError, 0, err.Error())
+				wbuf = appendResponse(wbuf, StatusError, 0, err.Error())
 			} else {
-				wbuf = appendResponse(wbuf[:0], StatusOK, 0, string(doc))
+				wbuf = appendResponse(wbuf, StatusOK, 0, string(doc))
 			}
 		}
 		if wire.WriteFrame(conn, wbuf, maxFrame) != nil {
@@ -203,5 +195,27 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		}
+	}
+}
+
+// appendDecideError encodes the reply to a Decide the engine refused,
+// and the read-side pause before the connection's next request. Only
+// this path pays for errors.As's target.
+func appendDecideError(b []byte, cwnd float64, err error) ([]byte, time.Duration) {
+	var oe *OverloadError
+	switch {
+	case errors.As(err, &oe):
+		// Typed OVERLOAD reply (cwnd echoed, retry hint in msg), then
+		// read-side backpressure: pause before the next read so a
+		// hot-looping client is rate-limited by its own TCP window
+		// instead of hammering admission control.
+		return appendResponse(b, StatusOverload, cwnd, strconv.Itoa(int(oe.RetryAfter.Milliseconds()))),
+			min(oe.RetryAfter, 100*time.Millisecond)
+	case errors.Is(err, ErrSessionBusy):
+		return appendResponse(b, StatusBusy, cwnd, ""), 0
+	case errors.Is(err, ErrClosed):
+		return appendResponse(b, StatusError, cwnd, "server draining"), 0
+	default:
+		return appendResponse(b, StatusError, cwnd, err.Error()), 0
 	}
 }

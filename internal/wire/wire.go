@@ -7,7 +7,8 @@
 // Each protocol passes its own bound on the payload length: 64 KiB for
 // sage-serve's binary bodies, 1 << 28 for sage-coord's gob bodies (and
 // the chaos transport in front of them). The bound is checked against
-// the prefix before anything is allocated.
+// the prefix before the payload is allocated, and before anything is
+// written.
 package wire
 
 import (
@@ -29,34 +30,46 @@ var ErrFrameTooBig = errors.New("wire: frame exceeds size limit")
 // bytes start to arrive.
 const firstChunk = 64 << 10
 
-// WriteFrame writes one frame carrying payload. A payload over limit is
-// refused before anything is written.
-func WriteFrame(w io.Writer, payload []byte, limit int) error {
-	if len(payload) > limit {
+// headerLen is the size of a frame's length prefix.
+const headerLen = 4
+
+// StartFrame empties b, keeping its storage, and reserves a frame's
+// length prefix in it. The caller appends the payload and hands the
+// whole frame to WriteFrame, which fills the prefix in.
+func StartFrame(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
+
+// WriteFrame fills in the length prefix of frame, built by StartFrame and
+// the payload appended after it, and writes the frame in one Write. A
+// payload over limit is refused before anything is written.
+func WriteFrame(w io.Writer, frame []byte, limit int) error {
+	n := len(frame) - headerLen
+	if n > limit {
 		return ErrFrameTooBig
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame[:headerLen], uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
 // ReadFrame reads one frame and returns its payload, which reuses buf
-// when the payload fits in cap(buf). A length prefix over limit — the sign
-// bit included — is ErrFrameTooBig before anything is allocated. A
-// larger payload than buf holds is read into a buffer that starts at
-// firstChunk and doubles only as bytes arrive, so a prefix is a claim the
-// peer has to pay for: one that promises 256 MiB and hangs up costs
-// 64 KiB. A body cut short is an error, never a short frame.
+// when the payload fits in cap(buf). The length prefix is read into buf
+// too, so a caller that reuses its buffer reads without allocating; read
+// through a buffered reader, header and payload arrive in one read. A
+// length prefix over limit — the sign bit included — is ErrFrameTooBig
+// before the payload is allocated. A larger payload than buf holds is read
+// into a buffer that starts at firstChunk and doubles only as bytes
+// arrive, so a prefix is a claim the peer has to pay for: one that
+// promises 256 MiB and hangs up costs 64 KiB. A body cut short is an
+// error, never a short frame.
 func ReadFrame(r io.Reader, buf []byte, limit int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < headerLen {
+		buf = make([]byte, 0, headerLen)
+	}
+	hdr := buf[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n64 := int64(binary.BigEndian.Uint32(hdr[:]))
+	n64 := int64(binary.BigEndian.Uint32(hdr))
 	if n64 > int64(limit) {
 		return nil, ErrFrameTooBig
 	}

@@ -21,6 +21,10 @@ var bounds = []struct {
 
 func header(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
 
+// frame builds a frame around payload the way writers do: StartFrame,
+// then the payload appended after the reserved prefix.
+func frame(payload []byte) []byte { return append(StartFrame(nil), payload...) }
+
 // countingReader counts the bytes read through it.
 type countingReader struct {
 	r    io.Reader
@@ -76,14 +80,14 @@ func TestFrameBounds(t *testing.T) {
 	// bound only: at dist's, each would touch 256 MiB.
 	limit := bounds[0].limit
 	var w bytes.Buffer
-	if err := WriteFrame(&w, make([]byte, limit), limit); err != nil {
+	if err := WriteFrame(&w, frame(make([]byte, limit)), limit); err != nil {
 		t.Fatalf("WriteFrame at limit: %v", err)
 	}
 	if p, err := ReadFrame(&w, nil, limit); err != nil || len(p) != limit {
 		t.Fatalf("ReadFrame at limit: len %d, %v", len(p), err)
 	}
 	// The write side refuses to emit a frame the read side would drop.
-	if err := WriteFrame(&w, make([]byte, limit+1), limit); !errors.Is(err, ErrFrameTooBig) {
+	if err := WriteFrame(&w, frame(make([]byte, limit+1)), limit); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("WriteFrame oversize: %v, want ErrFrameTooBig", err)
 	}
 	if w.Len() != 0 {
@@ -91,23 +95,52 @@ func TestFrameBounds(t *testing.T) {
 	}
 }
 
-// A payload that fits the caller's buffer is read into it: the serve
-// loop's steady state allocates nothing per frame but the 4-byte header.
+// writeCounter counts the Write calls made on it and keeps what they wrote.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// A frame leaves in one Write, prefix and payload together, so a socket
+// sees one syscall per frame; an oversize one leaves in none.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	for _, n := range []int{0, 1, 600, 1 << 16} {
+		var w writeCounter
+		if err := WriteFrame(&w, frame(make([]byte, n)), 1<<16); err != nil {
+			t.Fatalf("%d-byte payload: %v", n, err)
+		}
+		if w.writes != 1 || w.Len() != 4+n || !bytes.Equal(w.Bytes()[:4], header(uint32(n))) {
+			t.Fatalf("%d-byte payload: %d writes, %d bytes, prefix % x", n, w.writes, w.Len(), w.Bytes()[:min(4, w.Len())])
+		}
+	}
+	var w writeCounter
+	if err := WriteFrame(&w, frame(make([]byte, 1<<16+1)), 1<<16); !errors.Is(err, ErrFrameTooBig) || w.writes != 0 {
+		t.Fatalf("oversize: %v after %d writes", err, w.writes)
+	}
+}
+
+// A payload that fits the caller's buffer is read into it, header
+// included: the serve loop's steady state allocates nothing per frame.
 func TestReadFrameReusesBuffer(t *testing.T) {
 	var w bytes.Buffer
-	WriteFrame(&w, []byte("decide"), 1<<16)
-	frame := w.Bytes()
+	WriteFrame(&w, frame([]byte("decide")), 1<<16)
+	stream := w.Bytes()
 	buf := make([]byte, 0, 64)
-	r := bytes.NewReader(frame)
+	r := bytes.NewReader(stream)
 	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset(frame)
+		r.Reset(stream)
 		p, err := ReadFrame(r, buf, 1<<16)
 		if err != nil || string(p) != "decide" || &p[0] != &buf[:1][0] {
 			t.Fatalf("ReadFrame = %q, %v (aliases buf: %v)", p, err, err == nil && &p[0] == &buf[:1][0])
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("ReadFrame into a large-enough buffer: %.1f allocs, want ≤ 1 (the header)", allocs)
+	if allocs != 0 {
+		t.Fatalf("ReadFrame into a large-enough buffer: %.1f allocs, want 0", allocs)
 	}
 }
 
@@ -119,7 +152,7 @@ func TestReadFrameGrows(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	var w bytes.Buffer
-	if err := WriteFrame(&w, payload, 1<<28); err != nil {
+	if err := WriteFrame(&w, frame(payload), 1<<28); err != nil {
 		t.Fatal(err)
 	}
 	stream := w.Bytes()
@@ -148,7 +181,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte, prefix uint32) {
 		for _, b := range bounds {
 			var w bytes.Buffer
-			err := WriteFrame(&w, payload, b.limit)
+			err := WriteFrame(&w, frame(payload), b.limit)
 			if len(payload) > b.limit {
 				if !errors.Is(err, ErrFrameTooBig) || w.Len() != 0 {
 					t.Fatalf("%s: WriteFrame of %d bytes: %v, %d bytes written", b.name, len(payload), err, w.Len())
