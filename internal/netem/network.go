@@ -34,8 +34,8 @@ type Network struct {
 	ge           *geChain
 
 	flows   map[int]Endpoints
-	free    *Packet     // released packets; starts empty, grows on demand
-	arrives sim.Handler // n.deliver, bound once
+	free    *Packet  // released packets; starts empty, grows on demand
+	arrives sim.Line // packets on either propagation path, delivered by n.deliver
 
 	RandomLosses int64
 	BurstLosses  int64 // data packets dropped by the Gilbert-Elliott chain
@@ -87,7 +87,7 @@ func New(loop *sim.Loop, cfg Config) *Network {
 	if cfg.Gilbert.Enabled() {
 		n.ge = &geChain{cfg: cfg.Gilbert, rng: rand.New(rand.NewSource(cfg.Seed + 2))}
 	}
-	n.arrives = n.deliver
+	n.arrives.Init(loop, n.deliver)
 	n.Link = NewLink(loop, q, cfg.Rate, ReceiverFunc(n.afterBottleneck))
 	return n
 }
@@ -129,7 +129,7 @@ func (n *Network) SendData(p *Packet, now sim.Time) bool {
 
 func (n *Network) afterBottleneck(p *Packet, now sim.Time) {
 	d := n.owd + n.extraJitter() + n.extraReorder()
-	n.Loop.AtArg(now+d, n.arrives, p)
+	n.arrives.Push(now+d, p)
 }
 
 // deliver hands p to its flow's endpoint at the end of either path; when
@@ -160,7 +160,7 @@ func (n *Network) SendAck(p *Packet, now sim.Time) {
 		return
 	}
 	p.Ack = true
-	n.Loop.AtArg(now+n.owd+n.extraJitter(), n.arrives, p)
+	n.arrives.Push(now+n.owd+n.extraJitter(), p)
 	if n.ackDupProb > 0 && n.rng.Float64() < n.ackDupProb {
 		n.AckDups++
 		// The copy is a packet of its own (each is released at its own
@@ -169,7 +169,7 @@ func (n *Network) SendAck(p *Packet, now sim.Time) {
 		dup := n.NewPacket()
 		*dup = *p
 		dup.net = n
-		n.Loop.AtArg(now+n.owd+n.extraJitter()+n.owd/4+1, n.arrives, dup)
+		n.arrives.Push(now+n.owd+n.extraJitter()+n.owd/4+1, dup)
 	}
 }
 

@@ -200,9 +200,30 @@ func TestThresholdECNStepMarking(t *testing.T) {
 	}
 	// Overflow still drops.
 	for i := 0; i < 200; i++ {
-		q.Enqueue(&Packet{Size: MTU, ECT: true}, 0)
+		q.Enqueue(&Packet{Size: MTU, ECT: true, Seq: int64(i)}, 0)
 	}
 	if q.Drops() == 0 {
 		t.Fatal("overflow did not drop")
+	}
+	// Drain: the seven packets above come out first, then the admitted
+	// overflow arrivals in arrival order, and nothing is left behind.
+	for i := 0; i < 7; i++ {
+		if q.Dequeue(0) == nil {
+			t.Fatalf("queue empty after %d dequeues", i)
+		}
+	}
+	for want := int64(0); q.Len() > 0; want++ {
+		if p := q.Dequeue(0); p.Seq != want {
+			t.Fatalf("dequeued seq %d, want %d: not FIFO", p.Seq, want)
+		}
+	}
+	if q.Bytes() != 0 || q.Dequeue(0) != nil {
+		t.Fatalf("after the drain: %d bytes queued, want 0 and nothing to dequeue", q.Bytes())
+	}
+	// Back under K, an ECT arrival passes unmarked again.
+	p = &Packet{Size: MTU, ECT: true}
+	q.Enqueue(p, 0)
+	if p.ECE || q.Marks() != 1+100-7 {
+		t.Fatalf("ECE = %v, marks = %d after the backlog fell under K", p.ECE, q.Marks())
 	}
 }

@@ -20,22 +20,42 @@ func BenchmarkLoopScheduleFire(b *testing.B) {
 }
 
 // BenchmarkLoopRearmTimer is the retransmission-timer pattern: with 1 024
-// events pending, cancel a timer 200 ms out and arm its replacement, once
-// per iteration — what tcp.Conn does on every ACK.
+// events pending, re-arm a timer 200 ms out to a slightly later deadline,
+// once per iteration — what tcp.Conn does on every ACK. Cancel+At removes
+// the node and pushes a new one; Timer.Reset leaves the node in place.
 func BenchmarkLoopRearmTimer(b *testing.B) {
-	l := NewLoop()
 	nop := Event(func(Time) {})
-	for i := 0; i < 1023; i++ {
-		l.At(Time(i)*Millisecond, nop)
+	setup := func() *Loop {
+		l := NewLoop()
+		for i := 0; i < 1023; i++ {
+			l.At(Time(i)*Millisecond, nop)
+		}
+		return l
 	}
-	timer := l.At(200*Millisecond, nop)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		timer.Cancel()
-		timer = l.At(200*Millisecond+Time(i), nop)
-	}
-	if l.PendingEvents() != 1024 {
-		b.Fatalf("PendingEvents = %d: cancelled timers were not removed", l.PendingEvents())
-	}
+	b.Run("Cancel+At", func(b *testing.B) {
+		l := setup()
+		timer := l.At(200*Millisecond, nop)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			timer.Cancel()
+			timer = l.At(200*Millisecond+Time(i), nop)
+		}
+		if len(l.heap) != 1024 {
+			b.Fatalf("%d heap nodes: cancelled timers were not removed", len(l.heap))
+		}
+	})
+	b.Run("Timer.Reset", func(b *testing.B) {
+		l := setup()
+		var timer Timer
+		timer.Init(l, nop)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			timer.Reset(200*Millisecond + Time(i))
+		}
+		if l.PendingEvents() != 1024 || len(l.heap) != 1024 {
+			b.Fatalf("%d events pending in %d heap nodes, want 1024 in 1024", l.PendingEvents(), len(l.heap))
+		}
+	})
 }

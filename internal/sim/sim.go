@@ -7,9 +7,16 @@
 //
 // The queue is a 4-ary min-heap of value nodes over a table of event slots:
 // scheduling allocates nothing in steady state, and Cancel removes its event
-// instead of leaving a tombstone, so the heap holds live events only. A
-// Handle names a slot and the slot's generation, bumped whenever the slot is
-// vacated, so a stale handle is inert even when the slot has a new tenant.
+// instead of leaving a tombstone. A Handle names a slot and the slot's
+// generation, bumped whenever the slot is vacated, so a stale handle is inert
+// even when the slot has a new tenant.
+//
+// The heap holds only what can fire next. A Line queues any number of events
+// for one handler behind a single node, keyed by its earliest entry, and a
+// Timer that is re-armed later keeps the node it has, re-keying it to the
+// new deadline when it comes up early. Every event reserves its schedule
+// order when it is scheduled, whichever way it is, so the fire order is the
+// one separate At calls would give.
 package sim
 
 import "fmt"
@@ -44,19 +51,27 @@ type Event func(now Time)
 
 // Handler is a callback bound once — typically to a method value held in a
 // field — and scheduled many times with a per-event argument through
-// Loop.AtArg.
+// Loop.AtArg or a Line.
 type Handler func(now Time, arg any)
+
+// What a heap node's slot holds.
+const (
+	eventNode uint8 = iota // one event, scheduled with At or AtArg
+	lineNode               // a Line's earliest entry; the slot's arg is the *Line
+	timerNode              // a Timer, possibly keyed earlier than its deadline; the arg is the *Timer
+)
 
 // node is one heap entry; the callback lives in slots[slot].
 type node struct {
 	at   Time
 	seq  uint64 // tie-breaker: schedule order
 	slot int32
+	kind uint8
 }
 
 func (a node) before(b node) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
 
-// slot holds a pending event's callback and where its node sits in the heap.
+// slot holds a pending node's callback and where the node sits in the heap.
 type slot struct {
 	h   Handler
 	arg any
@@ -83,18 +98,20 @@ func (h Handle) Cancel() {
 		l := h.loop
 		l.remove(int(l.slots[h.slot].pos))
 		l.vacate(h.slot)
+		l.pending--
 	}
 }
 
 // Loop is a single-threaded discrete-event loop.
 // The zero value is not usable; use NewLoop.
 type Loop struct {
-	now   Time
-	heap  []node
-	slots []slot
-	free  []int32 // vacant slots
-	seq   uint64
-	ran   uint64
+	now     Time
+	heap    []node
+	slots   []slot
+	free    []int32 // vacant slots
+	seq     uint64
+	ran     uint64
+	pending int // events waiting to fire: line entries and armed timers count one each
 }
 
 // NewLoop returns an empty event loop positioned at time zero.
@@ -118,23 +135,9 @@ func runEvent(now Time, arg any) { arg.(Event)(now) }
 // the caller made once and arg is pointer-shaped (a pointer, or nil) — the
 // entry point for per-packet events. Order and panics are as for At.
 func (l *Loop) AtArg(at Time, h Handler, arg any) Handle {
-	if at < l.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, l.now))
-	}
-	var s int32
-	if n := len(l.free); n > 0 {
-		s = l.free[n-1]
-		l.free = l.free[:n-1]
-	} else {
-		s = int32(len(l.slots))
-		l.slots = append(l.slots, slot{})
-	}
-	sl := &l.slots[s]
-	sl.h, sl.arg = h, arg
-	l.heap = append(l.heap, node{})
-	l.up(len(l.heap)-1, node{at: at, seq: l.seq, slot: s})
-	l.seq++
-	return Handle{loop: l, slot: s, gen: sl.gen}
+	s := l.push(at, l.reserve(at), eventNode, h, arg)
+	l.pending++
+	return Handle{loop: l, slot: s, gen: l.slots[s].gen}
 }
 
 // After schedules fn to run d after the current time.
@@ -147,18 +150,22 @@ func (l *Loop) After(d Time, fn Event) Handle {
 
 // Step executes the next pending event, if any, and reports whether one ran.
 func (l *Loop) Step() bool {
-	if len(l.heap) == 0 {
+	if !l.settle() {
 		return false
 	}
 	top := l.heap[0]
-	l.remove(0)
 	sl := &l.slots[top.slot]
 	h, arg := sl.h, sl.arg
 	// Vacated before the callback runs: inside it the event's own handle is
-	// already stale, and the slot is free for whatever it schedules.
-	l.vacate(top.slot)
+	// already stale, and the slot is free for whatever it schedules. A line
+	// keeps its node; fireLine re-keys it to the next entry.
+	if top.kind != lineNode {
+		l.remove(0)
+		l.vacate(top.slot)
+	}
 	l.now = top.at
 	l.ran++
+	l.pending--
 	h(l.now, arg)
 	return true
 }
@@ -167,7 +174,7 @@ func (l *Loop) Step() bool {
 // event is later than deadline. The loop's clock is left at the time of the
 // last executed event, or advanced to deadline if that is later.
 func (l *Loop) RunUntil(deadline Time) {
-	for len(l.heap) > 0 && l.heap[0].at <= deadline {
+	for l.settle() && l.heap[0].at <= deadline {
 		l.Step()
 	}
 	if l.now < deadline {
@@ -181,8 +188,75 @@ func (l *Loop) Run() {
 	}
 }
 
-// PendingEvents returns the number of events waiting to fire.
-func (l *Loop) PendingEvents() int { return len(l.heap) }
+// PendingEvents returns the number of events waiting to fire. Each entry of
+// a Line counts, and an armed Timer counts once however often it was re-armed.
+func (l *Loop) PendingEvents() int { return l.pending }
+
+// reserve takes the schedule order of an event due at at: the next
+// sequence number, whether the event gets a node of its own or not.
+func (l *Loop) reserve(at Time) uint64 {
+	if at < l.now {
+		l.past(at)
+	}
+	l.seq++
+	return l.seq - 1
+}
+
+// past reports scheduling in the past. It is kept out of line so that
+// reserve stays small enough to inline.
+//
+//go:noinline
+func (l *Loop) past(at Time) {
+	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, l.now))
+}
+
+// push puts a node keyed (at, seq) for h(·, arg) in the heap and returns
+// its slot.
+func (l *Loop) push(at Time, seq uint64, kind uint8, h Handler, arg any) int32 {
+	var s int32
+	if n := len(l.free); n > 0 {
+		s = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		s = int32(len(l.slots))
+		l.slots = append(l.slots, slot{})
+	}
+	sl := &l.slots[s]
+	sl.h, sl.arg = h, arg
+	l.heap = append(l.heap, node{})
+	l.up(len(l.heap)-1, node{at: at, seq: seq, slot: s, kind: kind})
+	return s
+}
+
+// settle brings the next event to fire to the top of the heap and reports
+// whether there is one. Only a timer's node can stand in the way: one its
+// timer was re-armed past comes up early and is re-keyed to the deadline the
+// timer reserved, and one its timer was stopped with is dropped. Neither
+// runs anything or moves the clock.
+func (l *Loop) settle() bool {
+	return len(l.heap) > 0 && (l.heap[0].kind != timerNode || l.settleTimers())
+}
+
+func (l *Loop) settleTimers() bool {
+	for len(l.heap) > 0 {
+		top := l.heap[0]
+		if top.kind != timerNode {
+			return true
+		}
+		t := l.slots[top.slot].arg.(*Timer)
+		switch {
+		case !t.armed:
+			l.remove(0)
+			l.vacate(top.slot)
+			t.queued = false
+		case top.at != t.at || top.seq != t.seq:
+			l.down(0, node{at: t.at, seq: t.seq, slot: top.slot, kind: timerNode})
+		default:
+			return true
+		}
+	}
+	return false
+}
 
 func (l *Loop) vacate(s int32) {
 	sl := &l.slots[s]
@@ -244,4 +318,141 @@ func (l *Loop) down(i int, n node) {
 func (l *Loop) set(i int, n node) {
 	l.heap[i] = n
 	l.slots[n.slot].pos = int32(i)
+}
+
+// Line is a queue of events for one handler that takes a single heap node,
+// keyed by its earliest entry — the way in-flight packets ride a
+// propagation path. Push reserves the schedule order an AtArg at that moment
+// would take, so entries fire exactly when and in the order separate AtArg
+// calls would. A Line works where it was Init'ed: its node points at it, so a
+// copy must be Init'ed before it is used.
+type Line struct {
+	loop       *Loop
+	h          Handler
+	buf        []lineEntry // ring: entries [head, tail) at index i&(len(buf)-1), in (at, seq) order
+	head, tail int
+	slot       int32 // the line's heap node, while it has entries
+}
+
+type lineEntry struct {
+	at  Time
+	seq uint64
+	arg any
+}
+
+// Init binds a line not yet in use (or a copy) to l, to fire h(at, arg) for
+// each entry.
+func (ln *Line) Init(l *Loop, h Handler) { *ln = Line{loop: l, h: h} }
+
+// Push schedules the line's handler to run with arg at time at. It
+// allocates nothing once the ring has grown to the line's peak length, and
+// arg must be pointer-shaped as for AtArg. Order and panics are as for At.
+// An entry is inserted from the tail, so one that overtakes others walks
+// back past only those.
+func (ln *Line) Push(at Time, arg any) {
+	l := ln.loop
+	seq := l.reserve(at)
+	l.pending++
+	if ln.tail-ln.head == len(ln.buf) {
+		ln.grow()
+	}
+	mask := len(ln.buf) - 1
+	j := ln.tail
+	for j > ln.head && ln.buf[(j-1)&mask].at > at {
+		ln.buf[j&mask] = ln.buf[(j-1)&mask]
+		j--
+	}
+	ln.buf[j&mask] = lineEntry{at: at, seq: seq, arg: arg}
+	ln.tail++
+	switch {
+	case ln.tail-ln.head == 1:
+		ln.slot = l.push(at, seq, lineNode, fireLine, ln)
+	case j == ln.head:
+		l.up(int(l.slots[ln.slot].pos), node{at: at, seq: seq, slot: ln.slot, kind: lineNode})
+	}
+}
+
+func (ln *Line) grow() {
+	buf := make([]lineEntry, max(16, 2*len(ln.buf)))
+	for i := ln.head; i < ln.tail; i++ {
+		buf[i&(len(buf)-1)] = ln.buf[i&(len(ln.buf)-1)]
+	}
+	ln.buf = buf
+}
+
+// fireLine runs a line's earliest entry. Its node is the top of the heap:
+// it is re-keyed to the next entry, or dropped with the last, before the
+// handler runs, so the handler may push onto the line.
+func fireLine(now Time, arg any) {
+	ln := arg.(*Line)
+	l := ln.loop
+	mask := len(ln.buf) - 1
+	e := ln.buf[ln.head&mask]
+	ln.buf[ln.head&mask] = lineEntry{}
+	ln.head++
+	if ln.head == ln.tail {
+		l.remove(0)
+		l.vacate(ln.slot)
+	} else {
+		next := &ln.buf[ln.head&mask]
+		l.down(0, node{at: next.at, seq: next.seq, slot: ln.slot, kind: lineNode})
+	}
+	ln.h(now, e.arg)
+}
+
+// Timer is a one-shot event that can be re-armed and stopped without
+// cancelling its heap node — the retransmission-timer pattern, re-armed
+// later on nearly every ACK. Reset reserves the schedule order an At at
+// that moment would take. A node already due no later than the new
+// deadline stays in the heap, and is re-keyed to the deadline when it
+// comes up early; so the timer fires exactly when Cancel plus At would
+// have had it fire. A Timer works where it was Init'ed: its node points at
+// it, so a copy must be Init'ed before it is used.
+type Timer struct {
+	loop   *Loop
+	fn     Event
+	at     Time   // deadline, while armed
+	seq    uint64 // the schedule order the deadline reserved
+	slot   int32  // the timer's heap node, while queued
+	armed  bool   // a deadline is pending
+	queued bool   // the timer has a node in the heap, armed or not
+}
+
+// Init binds a timer not yet in use (or a copy) to l, to run fn at each
+// deadline.
+func (t *Timer) Init(l *Loop, fn Event) { *t = Timer{loop: l, fn: fn} }
+
+// Pending reports whether the timer is armed.
+func (t *Timer) Pending() bool { return t.armed }
+
+// Reset arms the timer for at, replacing any pending deadline. Scheduling
+// in the past panics, as for At.
+func (t *Timer) Reset(at Time) {
+	l := t.loop
+	seq := l.reserve(at)
+	if !t.armed {
+		l.pending++
+	}
+	t.at, t.seq, t.armed = at, seq, true
+	if !t.queued {
+		t.slot, t.queued = l.push(at, seq, timerNode, fireTimer, t), true
+	} else if i := int(l.slots[t.slot].pos); at < l.heap[i].at {
+		l.up(i, node{at: at, seq: seq, slot: t.slot, kind: timerNode})
+	}
+}
+
+// Stop disarms the timer. Stopping a timer that is not armed is a no-op.
+func (t *Timer) Stop() {
+	if t.armed {
+		t.armed = false
+		t.loop.pending--
+	}
+}
+
+// fireTimer runs a timer whose node came up at its deadline; fire has
+// already dropped the node.
+func fireTimer(now Time, arg any) {
+	t := arg.(*Timer)
+	t.armed, t.queued = false, false
+	t.fn(now)
 }

@@ -69,8 +69,8 @@ type Conn struct {
 	baseRTT          sim.Time // all-time minimum
 	rto              sim.Time
 	rtoBackoff       int
-	rtoTimer         sim.Handle
-	rackTimer        sim.Handle
+	rtoTimer         sim.Timer // runs onRTO
+	rackTimer        sim.Timer // runs onRackTimer
 	lastAckedSentAt  sim.Time
 	rackRTT          sim.Time
 	delivered        int64 // bytes acknowledged
@@ -85,9 +85,7 @@ type Conn struct {
 	lossEpisodeLoss  int
 	nextSendAt       sim.Time
 	paceTimer        sim.Handle
-	rtoFn            sim.Event // onRTO, onRackTimer, trySend: bound once
-	rackFn           sim.Event
-	paceFn           sim.Event
+	paceFn           sim.Event // trySend, bound once
 	running          bool
 	enterRecoveryCnt int64
 	rtoCount         int64
@@ -114,7 +112,9 @@ func NewConn(loop *sim.Loop, n *netem.Network, id int, cc CongestionControl, opt
 		maxRateFilter: NewMaxFilter(10 * sim.Second),
 		rto:           sim.Second,
 	}
-	c.rtoFn, c.rackFn, c.paceFn = c.onRTO, c.onRackTimer, c.trySend
+	c.rtoTimer.Init(loop, c.onRTO)
+	c.rackTimer.Init(loop, c.onRackTimer)
+	c.paceFn = c.trySend
 	return c
 }
 
@@ -411,9 +411,10 @@ func (c *Conn) rackDetect(now sim.Time) int {
 		c.markLost(r)
 		marked++
 	}
-	c.rackTimer.Cancel()
 	if earliest > 0 {
-		c.rackTimer = c.loop.At(earliest, c.rackFn)
+		c.rackTimer.Reset(earliest)
+	} else {
+		c.rackTimer.Stop()
 	}
 	return marked
 }
@@ -479,15 +480,15 @@ func (c *Conn) maybeExitRecovery() {
 }
 
 func (c *Conn) resetRTO(now sim.Time) {
-	c.rtoTimer.Cancel()
 	if c.inflightCnt == 0 {
+		c.rtoTimer.Stop()
 		return
 	}
 	d := c.rto << c.rtoBackoff
 	if d > 60*sim.Second {
 		d = 60 * sim.Second
 	}
-	c.rtoTimer = c.loop.At(now+d, c.rtoFn)
+	c.rtoTimer.Reset(now + d)
 }
 
 func (c *Conn) onRTO(now sim.Time) {

@@ -87,9 +87,8 @@ func (a *RACKAudit) auditAt(c *Conn, now sim.Time) error {
 	cp := *c
 	cp.tx = a.scratch
 	cp.loop = sim.NewLoop()
-	cp.rackTimer = sim.Handle{}
 	var armedAt sim.Time
-	cp.rackFn = func(at sim.Time) { armedAt = at }
+	cp.rackTimer.Init(cp.loop, func(at sim.Time) { armedAt = at })
 	marked := cp.rackDetect(now)
 	cp.loop.Run()
 
