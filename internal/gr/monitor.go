@@ -77,6 +77,21 @@ func NewMonitor(cfg Config, conn *tcp.Conn, rctx RewardContext) *Monitor {
 	}
 }
 
+// Release gives the monitor's signal windows back for the next monitor on
+// any goroutine to reuse. Call it after the last Tick; a Tick after Release
+// panics.
+func (m *Monitor) Release() {
+	m.checkLive()
+	releasedWindows.Put(m.win)
+	m.win = nil
+}
+
+func (m *Monitor) checkLive() {
+	if m.win == nil {
+		panic("gr: monitor used after Release")
+	}
+}
+
 // smoothedRates returns delivery and loss rates in bits/second over the
 // trailing reward window ending at now.
 func (m *Monitor) smoothedRates(now sim.Time, delivered, lostBytes int64) (delBps, lossBps float64) {
@@ -113,6 +128,7 @@ func mbpsOfBytesPerSec(b float64) float64 { return b * 8 / 1e6 }
 
 // Tick samples the connection at now and returns the completed Step.
 func (m *Monitor) Tick(now sim.Time) Step {
+	m.checkLive()
 	c := m.conn
 	mss := float64(c.MSS())
 

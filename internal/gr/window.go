@@ -1,5 +1,7 @@
 package gr
 
+import "sync"
+
 // numSignals is how many raw signals the monitor keeps windows over: srtt,
 // throughput, rtt rate, rttvar, inflight and newly lost packets, in the
 // order of Table 1's windowed rows.
@@ -40,9 +42,19 @@ type block struct {
 	has      [numSignals]bool
 }
 
+// releasedWindows holds the windows of released monitors. A query reads only
+// samples pushed since total was last zero, and blocks it has summarized
+// since, so windows of the same length serve a new monitor once their count
+// is reset.
+var releasedWindows sync.Pool // of *windows
+
 func newWindows(large int) *windows {
 	if large < 1 {
 		large = 1
+	}
+	if w, _ := releasedWindows.Get().(*windows); w != nil && len(w.ring) == large {
+		w.total = 0
+		return w
 	}
 	w := &windows{ring: make([][numSignals]float64, large)}
 	if large >= blockLen {

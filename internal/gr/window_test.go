@@ -3,6 +3,7 @@ package gr
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sage/internal/cc"
@@ -232,4 +233,43 @@ func BenchmarkMonitorTick(b *testing.B) {
 		now += mon.Config().Interval
 		mon.Tick(now)
 	}
+}
+
+// A monitor built after another has been released takes its windows, and
+// must read none of its samples: its states, from the first tick on, are
+// those of a monitor whose windows were never used. A monitor used after
+// Release panics.
+func TestMonitorAfterReleaseStartsEmpty(t *testing.T) {
+	run := func() (*Monitor, [][]float64) {
+		loop := sim.NewLoop()
+		rate, mrtt := netem.FlatRate(netem.Mbps(24)), 20*sim.Millisecond
+		n := netem.New(loop, netem.Config{Rate: rate, MinRTT: mrtt})
+		fl := tcp.NewFlow(loop, n, 1, cc.MustNew("cubic"), tcp.Options{})
+		mon := NewMonitor(Config{}, fl.Conn, RewardContext{Kind: RewardSingleFlow, Capacity: rate.At, MinRTT: mrtt})
+		fl.Conn.Start(0)
+		var states [][]float64
+		for i := 0; i <= mon.Config().Large; i++ {
+			loop.RunUntil(loop.Now() + mon.Config().Interval)
+			states = append(states, mon.Tick(loop.Now()).State)
+		}
+		mon.Release()
+		return mon, states
+	}
+	runtime.GC() // two collections empty every sync.Pool
+	runtime.GC()
+	_, fresh := run()
+	mon, again := run() // over the windows the first monitor released
+	for i := range fresh {
+		for j := range fresh[i] {
+			if math.Float64bits(fresh[i][j]) != math.Float64bits(again[i][j]) {
+				t.Fatalf("tick %d, state[%d]: %v after a release, %v fresh", i, j, again[i][j], fresh[i][j])
+			}
+		}
+	}
+	defer func() {
+		if r := recover(); r != "gr: monitor used after Release" {
+			t.Errorf("Tick after Release: recovered %v, want the used-after-Release panic", r)
+		}
+	}()
+	mon.Tick(sim.Second)
 }

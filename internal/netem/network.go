@@ -33,9 +33,12 @@ type Network struct {
 	ackDupProb   float64
 	ge           *geChain
 
-	flows   map[int]Endpoints
-	free    *Packet  // released packets; starts empty, grows on demand
-	arrives sim.Line // packets on either propagation path, delivered by n.deliver
+	flows    map[int]Endpoints
+	free     *Packet  // released packets; starts empty, grows on demand
+	unused   []Packet // the newest slab's packets not yet handed out
+	slabs    []*slab  // every slab the network's packets live in
+	arrives  sim.Line // packets on either propagation path, delivered by n.deliver
+	released bool     // Release has given the network's buffers away
 
 	RandomLosses int64
 	BurstLosses  int64 // data packets dropped by the Gilbert-Elliott chain
@@ -98,11 +101,60 @@ func New(loop *sim.Loop, cfg Config) *Network {
 func (n *Network) NewPacket() *Packet {
 	p := n.free
 	if p == nil {
-		return &Packet{net: n}
+		p = n.fromSlab()
+	} else {
+		n.free = p.next
 	}
-	n.free = p.next
 	*p = Packet{net: n}
 	return p
+}
+
+// fromSlab takes a packet the network has never handed out, from a slab it
+// holds or the next one it takes — a released network's, if any is left.
+func (n *Network) fromSlab() *Packet {
+	n.checkLive()
+	if len(n.unused) == 0 {
+		s, _ := slabs.Get().(*slab)
+		if s == nil {
+			s = new(slab)
+		}
+		n.slabs = append(n.slabs, s)
+		n.unused = s[:]
+	}
+	p := &n.unused[0]
+	n.unused = n.unused[1:]
+	return p
+}
+
+// Release ends the simulation's hold on the network's memory: every packet
+// it handed out, free or in flight, goes back in its slab, and the delay
+// line's and the queue's rings with them, for the next network on any
+// goroutine to reuse. Call it once the loop will not run again. A network
+// used after Release panics rather than share a packet with the simulation
+// that took it over, and a packet still held is poisoned as a released one
+// until it is handed out again. Each packet is cleared of its pointers as
+// well, so a pooled slab does not keep this simulation's network, and all
+// it reaches, alive.
+func (n *Network) Release() {
+	n.checkLive()
+	n.released = true
+	for _, s := range n.slabs {
+		for i := range s {
+			s[i] = Packet{Seq: releasedSeq}
+		}
+		slabs.Put(s)
+	}
+	n.slabs, n.unused, n.free = nil, nil, nil
+	n.arrives.Release()
+	if q, ok := n.Link.queue.(interface{ release() }); ok {
+		q.release()
+	}
+}
+
+func (n *Network) checkLive() {
+	if n.released {
+		panic("netem: network used after Release")
+	}
 }
 
 // MinRTT returns the propagation round-trip time.
@@ -114,6 +166,7 @@ func (n *Network) Attach(id int, ep Endpoints) { n.flows[id] = ep }
 // SendData injects a data packet from flow p.FlowID into the bottleneck.
 // It returns false if the packet was dropped at the queue or by random loss.
 func (n *Network) SendData(p *Packet, now sim.Time) bool {
+	n.checkLive()
 	if n.lossProb > 0 && n.rng.Float64() < n.lossProb {
 		n.RandomLosses++
 		p.release()
@@ -154,6 +207,7 @@ func (n *Network) deliver(t sim.Time, arg any) {
 // acknowledgments (cumulative delivery arrives late, via later ACKs) and
 // the duplicate ones (already-resolved sequence numbers re-acknowledged).
 func (n *Network) SendAck(p *Packet, now sim.Time) {
+	n.checkLive()
 	if n.ackLossProb > 0 && n.rng.Float64() < n.ackLossProb {
 		n.AckLosses++
 		p.release()

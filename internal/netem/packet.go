@@ -4,9 +4,16 @@
 // Mahimahi plays in the paper: the only emulated component; everything above
 // it (TCP datapath, CC logic) is the real control loop. The per-packet path
 // allocates nothing: packets are recycled (see Packet for who owns one when).
+// Nor does a network built after another has been Released grow from
+// nothing: it takes the packet slabs, delay-line ring and queue ring that
+// network gave back to this package's pools, on any goroutine.
 package netem
 
-import "sage/internal/sim"
+import (
+	"sync"
+
+	"sage/internal/sim"
+)
 
 // MTU is the default packet size in bytes (payload + headers), matching the
 // 1500-byte packets the paper's emulator carries.
@@ -27,8 +34,11 @@ type AckItem struct {
 // moment it is passed to SendData or SendAck. The network returns it to its
 // free list at the packet's one terminal point — after the receiver's
 // Receive returns, or where it is dropped — so a Receiver copies out what it
-// needs and never retains the pointer. A packet the caller allocated itself
-// (&Packet{...}) is carried the same way and never recycled.
+// needs and never retains the pointer. The network's ownership of every
+// packet it handed out, free or in flight, ends at Network.Release: the
+// slabs they live in go to a package pool, and another network hands them
+// out again. A packet the caller allocated itself (&Packet{...}) is carried
+// the same way and never recycled.
 type Packet struct {
 	FlowID   int
 	Seq      int64
@@ -53,6 +63,15 @@ type Packet struct {
 // event or receiver still holding the pointer fails loudly in checkLive
 // instead of silently reading another packet's fields.
 const releasedSeq = -1 << 63
+
+// slabLen is how many packets a network takes at a time: its packets live
+// in slabs of this many, and Release gives each slab back whole.
+const slabLen = 128
+
+type slab [slabLen]Packet
+
+// slabs holds the slabs of released networks.
+var slabs sync.Pool // of *slab
 
 // release ends the packet's life: the holder must not touch it afterwards.
 func (p *Packet) release() {

@@ -48,15 +48,38 @@ func (q *fifo) markOrDrop(p *Packet) bool {
 func (q *fifo) push(p *Packet, now sim.Time) {
 	p.Enqueued = now
 	if q.n == len(q.ring) {
-		grown := make([]*Packet, max(16, 2*len(q.ring)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
-		}
-		q.ring, q.head = grown, 0
+		q.grow()
 	}
 	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
 	q.n++
 	q.bytes += p.Size
+}
+
+// queueRings holds the rings of released queues.
+var queueRings sim.BufPool[*Packet]
+
+func (q *fifo) grow() {
+	if len(q.ring) == 0 {
+		// An empty queue reads no slot it has not written, so a ring a
+		// released queue left behind serves as is.
+		if q.ring = queueRings.Get(); len(q.ring) > 0 {
+			return
+		}
+	}
+	grown := make([]*Packet, max(16, 2*len(q.ring)))
+	for i := 0; i < q.n; i++ {
+		grown[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	}
+	q.ring, q.head = grown, 0
+}
+
+// release gives the ring, cleared of the packets still queued, back for the
+// next queue to grow into, and leaves the queue empty. Network.Release calls
+// it; the packets themselves go back with the network's slabs.
+func (q *fifo) release() {
+	clear(q.ring)
+	queueRings.Put(q.ring)
+	q.ring, q.head, q.n, q.bytes = nil, 0, 0, 0
 }
 
 func (q *fifo) popHead() *Packet {

@@ -163,5 +163,11 @@ func RunMulti(sc netem.Scenario, flows []FlowSpec, opt MultiOptions) []FlowResul
 			results[i].AvgOWD = owdSum / sim.Time(pkts)
 		}
 	}
+	fls := make([]*tcp.Flow, len(states))
+	mons := make([]*gr.Monitor, len(states))
+	for i, st := range states {
+		fls[i], mons[i] = st.flow, st.mon
+	}
+	release(n, fls, mons...)
 	return results
 }

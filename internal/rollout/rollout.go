@@ -138,8 +138,9 @@ func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Resu
 	n := sc.Build(loop)
 
 	// Background Cubic flows join first (Appendix C.2), slightly staggered
-	// so they do not move in lockstep.
-	bg := make([]*tcp.Flow, sc.CubicFlows)
+	// so they do not move in lockstep. The spare slot takes the flow under
+	// test at release.
+	bg := make([]*tcp.Flow, sc.CubicFlows, sc.CubicFlows+1)
 	for i := range bg {
 		f := tcp.NewFlow(loop, n, 100+i, cc.MustNew("cubic"), opt.TCP)
 		stagger := sim.Time(i) * 50 * sim.Millisecond
@@ -272,5 +273,23 @@ func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Resu
 	for _, f := range bg {
 		res.BgThroughput = append(res.BgThroughput, float64(f.Sink.RxBytes)*8/sc.Duration.Seconds())
 	}
+	release(n, append(bg, ut), mon)
 	return res
+}
+
+// release gives a finished simulation's memory back for the next one on any
+// goroutine to reuse: each connection's tx ring, each monitor's signal
+// windows, and the network's packets, delay line and queue ring. Run and
+// RunMulti call it on normal return only; a rollout that panicked leaves
+// its memory to the garbage collector. Nothing a Result holds is released.
+func release(n *netem.Network, flows []*tcp.Flow, mons ...*gr.Monitor) {
+	for _, f := range flows {
+		f.Conn.Release()
+	}
+	for _, m := range mons {
+		if m != nil {
+			m.Release()
+		}
+	}
+	n.Release()
 }

@@ -17,9 +17,17 @@
 // new deadline when it comes up early. Every event reserves its schedule
 // order when it is scheduled, whichever way it is, so the fire order is the
 // one separate At calls would give.
+//
+// A simulation's buffers outlive it. A Line that is Released gives its ring
+// to a package pool, and the next Line to grow on any goroutine takes it
+// instead of allocating; BufPool does the same for the rings of the
+// packages built on this one.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Time is a simulated timestamp in microseconds since the start of the run.
 type Time int64
@@ -373,11 +381,52 @@ func (ln *Line) Push(at Time, arg any) {
 }
 
 func (ln *Line) grow() {
+	if len(ln.buf) == 0 {
+		// Entries outside [head, tail) are never read, so a ring a
+		// released line left behind serves as is.
+		if ln.buf = lineRings.Get(); len(ln.buf) > 0 {
+			return
+		}
+	}
 	buf := make([]lineEntry, max(16, 2*len(ln.buf)))
 	for i := ln.head; i < ln.tail; i++ {
 		buf[i&(len(buf)-1)] = ln.buf[i&(len(ln.buf)-1)]
 	}
 	ln.buf = buf
+}
+
+// lineRings holds the rings of released lines.
+var lineRings BufPool[lineEntry]
+
+// Release ends the line's use: its ring, cleared of the entries' arguments,
+// goes back for the next line to grow into. Call it when the loop will not
+// run again; the line must be Init'ed before any further use.
+func (ln *Line) Release() {
+	clear(ln.buf)
+	lineRings.Put(ln.buf)
+	*ln = Line{}
+}
+
+// BufPool recycles the backing arrays of slices between simulations — a
+// ring that has grown to one run's peak serves the next run without growing
+// again. Get returns a slice some earlier Put gave back, on any goroutine,
+// or nil; what it holds is whatever that user left in it. The zero BufPool
+// is empty and ready to use.
+type BufPool[T any] struct{ p sync.Pool }
+
+// Get returns a recycled slice, or nil if there is none.
+func (b *BufPool[T]) Get() []T {
+	if s, ok := b.p.Get().(*[]T); ok {
+		return *s
+	}
+	return nil
+}
+
+// Put gives s back; the caller must not use it afterwards.
+func (b *BufPool[T]) Put(s []T) {
+	if len(s) > 0 {
+		b.p.Put(&s)
+	}
 }
 
 // fireLine runs a line's earliest entry. Its node is the top of the heap:

@@ -54,9 +54,12 @@ type Conn struct {
 	PacingRate float64 // bytes/second; 0 disables pacing
 
 	// tx is a ring of the records of seqs [base, nextSeq): seq lives at
-	// index seq&(len(tx)-1), and the ring doubles when full. head is the
-	// oldest unresolved seq; records in [base, head) are resolved and kept
-	// only until advanceHead retires them.
+	// index seq&(len(tx)-1). The first send takes the ring a released
+	// connection left in txRings, if there is one, and a full ring doubles;
+	// no record outside [base, nextSeq) is ever read, so what a recycled
+	// ring holds there does not matter. head is the oldest unresolved seq;
+	// records in [base, head) are resolved and kept only until advanceHead
+	// retires them.
 	tx          []txRecord
 	base        int64
 	head        int64
@@ -93,7 +96,11 @@ type Conn struct {
 	ecePkts          int64
 	reoSteps         int // adaptive RACK reorder-window multiplier (starts at 1)
 	ccSwitches       int64
+	released         bool // Release has given tx away
 }
+
+// txRings holds the tx rings of released connections.
+var txRings sim.BufPool[txRecord]
 
 // NewConn builds a connection for flow id over n, controlled by cc.
 // Call Start to begin transmission; the caller must also attach a Sink for
@@ -236,7 +243,25 @@ func (c *Conn) Kick(now sim.Time) { c.trySend(now) }
 
 // Receive implements netem.Receiver for the reverse (ACK) path.
 func (c *Conn) Receive(p *netem.Packet, now sim.Time) {
+	c.checkLive()
 	c.handleAck(p.Acks[:p.NAcks], now)
+}
+
+// Release gives the connection's tx ring back for the next connection on
+// any goroutine to send into. Call it once the loop will not run again; the
+// counters stay readable, but a connection that sends or takes an ACK after
+// Release panics rather than share the ring with whoever took it.
+func (c *Conn) Release() {
+	c.checkLive()
+	c.released = true
+	txRings.Put(c.tx)
+	c.tx = nil
+}
+
+func (c *Conn) checkLive() {
+	if c.released {
+		panic("tcp: connection used after Release")
+	}
 }
 
 func (c *Conn) handleAck(acks []netem.AckItem, now sim.Time) {
@@ -546,12 +571,9 @@ func (c *Conn) trySend(now sim.Time) {
 }
 
 func (c *Conn) sendPacket(now sim.Time) {
+	c.checkLive()
 	if int(c.nextSeq-c.base) == len(c.tx) {
-		grown := make([]txRecord, max(16, 2*len(c.tx)))
-		for seq := c.base; seq < c.nextSeq; seq++ {
-			grown[seq&int64(len(grown)-1)] = *c.rec(seq)
-		}
-		c.tx = grown
+		c.growTx()
 	}
 	seq := c.nextSeq
 	c.nextSeq++
@@ -564,4 +586,17 @@ func (c *Conn) sendPacket(now sim.Time) {
 	if !c.rtoTimer.Pending() {
 		c.resetRTO(now)
 	}
+}
+
+func (c *Conn) growTx() {
+	if len(c.tx) == 0 {
+		if c.tx = txRings.Get(); len(c.tx) > 0 {
+			return
+		}
+	}
+	grown := make([]txRecord, max(16, 2*len(c.tx)))
+	for seq := c.base; seq < c.nextSeq; seq++ {
+		grown[seq&int64(len(grown)-1)] = *c.rec(seq)
+	}
+	c.tx = grown
 }

@@ -19,8 +19,19 @@ import (
 // into a piecewise rate schedule so recorded traces can drive the emulator
 // directly.
 
+// maxMahimahiSpan is the longest trace ParseMahimahi and MahimahiToSchedule
+// accept: an hour, where recorded traces run for minutes and loop. A
+// schedule is binned over the whole span, so this bounds what one file can
+// make them allocate.
+const maxMahimahiSpan = sim.Time(3600) * sim.Second
+
+// maxMahimahiBins bounds the bins of a schedule, whatever bin width the
+// caller asks for: an hour at the 100 ms LoadMahimahi uses fits.
+const maxMahimahiBins = 1 << 16
+
 // ParseMahimahi reads a Mahimahi-format trace and returns the delivery
-// opportunities in milliseconds.
+// opportunities in milliseconds. A timestamp past an hour
+// (maxMahimahiSpan) is refused with its line number.
 func ParseMahimahi(r io.Reader) ([]int64, error) {
 	var out []int64
 	sc := bufio.NewScanner(r)
@@ -38,10 +49,13 @@ func ParseMahimahi(r io.Reader) ([]int64, error) {
 		if v < 0 {
 			return nil, fmt.Errorf("trace: line %d: negative timestamp", line)
 		}
+		if v > int64(maxMahimahiSpan/sim.Millisecond) {
+			return nil, fmt.Errorf("trace: line %d: timestamp %d ms is past the %v a trace may span", line, v, maxMahimahiSpan)
+		}
 		out = append(out, v)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("trace: empty trace")
@@ -53,20 +67,31 @@ func ParseMahimahi(r io.Reader) ([]int64, error) {
 // MahimahiToSchedule converts delivery opportunities into a rate schedule by
 // binning them into bin-sized windows: rate(bin) = opportunities × MTU×8 /
 // bin. The trace loops implicitly: the final window's rate extends forever,
-// so callers should load a trace at least as long as the experiment.
+// so callers should load a trace at least as long as the experiment. Every
+// opportunity must lie within the first hour (maxMahimahiSpan), and a span
+// of more than 65 536 bins is refused.
 func MahimahiToSchedule(opportunitiesMs []int64, bin sim.Time) (*netem.RateSchedule, error) {
 	if bin <= 0 {
 		bin = 100 * sim.Millisecond
 	}
-	last := opportunitiesMs[len(opportunitiesMs)-1]
-	n := int(sim.Time(last)*sim.Millisecond/bin) + 1
+	if len(opportunitiesMs) == 0 {
+		return nil, fmt.Errorf("trace: empty trace")
+	}
+	var last int64
+	for i, ms := range opportunitiesMs {
+		if ms < 0 || ms > int64(maxMahimahiSpan/sim.Millisecond) {
+			return nil, fmt.Errorf("trace: opportunity %d at %d ms is outside [0, %v]", i, ms, maxMahimahiSpan)
+		}
+		last = max(last, ms)
+	}
+	span := sim.Time(last) * sim.Millisecond
+	if span/bin >= maxMahimahiBins {
+		return nil, fmt.Errorf("trace: %v in bins of %v is %d bins, more than %d", span, bin, span/bin+1, maxMahimahiBins)
+	}
+	n := int(span/bin) + 1
 	counts := make([]int, n)
 	for _, ms := range opportunitiesMs {
-		idx := int(sim.Time(ms) * sim.Millisecond / bin)
-		if idx >= n {
-			idx = n - 1
-		}
-		counts[idx]++
+		counts[sim.Time(ms)*sim.Millisecond/bin]++
 	}
 	times := make([]sim.Time, n)
 	bps := make([]float64, n)

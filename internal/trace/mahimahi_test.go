@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -100,4 +101,85 @@ func TestLoadMahimahiFile(t *testing.T) {
 	if _, err := LoadMahimahi(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// A trace one line long can name any time at all. Sizing a schedule from
+// it used to ask for ≈ 800 GB on the first line below (an unrecoverable
+// out-of-memory crash) and to overflow into a one-bin schedule on the
+// second; both are refused now, with the line named.
+func TestMahimahiRefusesOverlongTraces(t *testing.T) {
+	for _, in := range []string{"0\n10000000000000\n", "0\n9223372036854775807\n", "0\n3600001\n"} {
+		_, err := ParseMahimahi(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("ParseMahimahi(%q) = %v, want an error naming line 2", in, err)
+		}
+	}
+	if _, err := ParseMahimahi(strings.NewReader("0\n3600000\n")); err != nil {
+		t.Errorf("a trace of exactly maxMahimahiSpan refused: %v", err)
+	}
+	for _, c := range []struct {
+		ops []int64
+		bin sim.Time
+	}{
+		{[]int64{0, math.MaxInt64}, 0},
+		{[]int64{0, 10000000000000}, 0},
+		{[]int64{-1, 5}, 0},
+		{[]int64{0, 3600000}, sim.Millisecond}, // 3.6 M bins
+		{nil, 0},
+	} {
+		if s, err := MahimahiToSchedule(c.ops, c.bin); err == nil {
+			t.Errorf("MahimahiToSchedule(%v, %v) = %v, want an error", c.ops, c.bin, s)
+		}
+	}
+}
+
+// FuzzParseMahimahi feeds arbitrary bytes through the trace reader. Whatever
+// it accepts becomes a schedule with bounded allocation, and the schedule
+// written back out in Mahimahi format parses again, ends in the bin the
+// trace ended in, and carries at most one opportunity per bin more than the
+// trace did.
+func FuzzParseMahimahi(f *testing.F) {
+	for _, s := range []string{
+		"10000000000000\n",
+		"9223372036854775807\n",
+		"0\n1\n# comment\n\n5\n3\n",
+		"0\n0\n0\n250\n251\n3599999\n",
+		"3600000\n",
+		"-4\n",
+		"12 \n 7\n",
+	} {
+		f.Add([]byte(s))
+	}
+	const bin = 100 * sim.Millisecond
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ops, err := ParseMahimahi(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		s, err := MahimahiToSchedule(ops, bin)
+		if err != nil {
+			t.Fatalf("a parsed trace was refused: %v", err)
+		}
+		lastBin := sim.Time(ops[len(ops)-1]) * sim.Millisecond / bin
+		var out bytes.Buffer
+		if err := WriteMahimahi(&out, s, (lastBin+1)*bin); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseMahimahi(&out)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatalf("the written schedule does not parse: %v", err)
+		}
+		if got := sim.Time(back[len(back)-1]) * sim.Millisecond / bin; got != lastBin {
+			t.Fatalf("round trip ends in bin %d, the trace in bin %d", got, lastBin)
+		}
+		if len(back) > len(ops)+int(lastBin)+1 {
+			t.Fatalf("round trip carries %d opportunities over %d bins, the trace %d", len(back), lastBin+1, len(ops))
+		}
+		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(64*len(in)+16<<20); grew > bound {
+			t.Fatalf("%d input bytes allocated %d bytes, bound %d", len(in), grew, bound)
+		}
+	})
 }
