@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -477,21 +478,26 @@ func (p *Pool) TopSchemes(k int) []string {
 	return out
 }
 
-// Save writes the pool as gzipped gob inside safeio's atomic, checksummed
-// container: an interrupted save leaves any previous pool at path intact.
+// Save writes the pool in the pool format (EncodePool) inside safeio's
+// atomic, checksummed container: an interrupted save leaves any previous
+// pool at path intact.
 func (p *Pool) Save(path string) error {
-	if err := safeio.WriteGobGz(path, p); err != nil {
+	if err := safeio.WriteFile(path, func(w io.Writer) error { return EncodePool(w, p) }); err != nil {
 		return fmt.Errorf("collector: save: %w", err)
 	}
 	return nil
 }
 
-// Load reads a pool written by Save, detecting truncation and corruption
-// before decoding.
+// Load reads a pool written by Save, or a gob pool from before the pool
+// format, detecting truncation and corruption before decoding.
 func Load(path string) (*Pool, error) {
-	var p Pool
-	if err := safeio.ReadGobGz(path, &p); err != nil {
+	payload, err := safeio.ReadFile(path)
+	if err != nil {
 		return nil, fmt.Errorf("collector: load: %w", err)
 	}
-	return &p, nil
+	p, err := DecodePool(payload)
+	if err != nil {
+		return nil, fmt.Errorf("collector: load: %s: %w", path, err)
+	}
+	return p, nil
 }

@@ -39,6 +39,7 @@ const (
 	ReasonRewardRange     = "reward out of range"
 	ReasonActionRange     = "action out of range"
 	ReasonFrozenState     = "frozen state flow"
+	ReasonStateWidth      = "ragged state width"
 )
 
 // TrajIssue is one quarantine decision, JSONL-friendly for the sidecar
@@ -70,6 +71,10 @@ func CheckTrajectory(tr Trajectory) []TrajIssue {
 	if len(tr.Steps) < minSteps {
 		add(ReasonTruncated, 0, fmt.Sprintf("%d steps, need %d", len(tr.Steps), minSteps))
 		return issues // nothing else worth scanning
+	}
+	if i, ok := raggedStep(tr.Steps); !ok {
+		add(ReasonStateWidth, i, fmt.Sprintf("%d state values, step 0 has %d", len(tr.Steps[i].State), len(tr.Steps[0].State)))
+		return issues
 	}
 	frozen := 1
 	for i, s := range tr.Steps {

@@ -39,6 +39,7 @@ func TestCheckTrajectoryFindsEachPoison(t *testing.T) {
 		{"huge-action", func(tr *Trajectory) { tr.Steps[2].Action = 1e9 }, ReasonActionRange},
 		{"nan-reward", func(tr *Trajectory) { tr.Steps[4].Reward = math.NaN() }, ReasonNonFiniteReward},
 		{"huge-reward", func(tr *Trajectory) { tr.Steps[4].Reward = 1e12 }, ReasonRewardRange},
+		{"ragged-state", func(tr *Trajectory) { tr.Steps[5].State = tr.Steps[5].State[:1] }, ReasonStateWidth},
 		{"frozen", func(tr *Trajectory) {
 			for i := range tr.Steps {
 				tr.Steps[i].State = []float64{7, 7}

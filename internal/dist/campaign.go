@@ -2,8 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/gob"
 	"fmt"
 	"hash/crc64"
 
@@ -11,7 +9,6 @@ import (
 	"sage/internal/collector"
 	"sage/internal/gr"
 	"sage/internal/netem"
-	"sage/internal/safeio"
 	"sage/internal/sim"
 )
 
@@ -105,13 +102,14 @@ func ShardName(cell collector.CellKey) string {
 	return fmt.Sprintf("shard-%016x.pool", h.Sum64())
 }
 
-// EncodeShard serializes a single-cell pool as the gzipped-gob payload
-// that travels in MsgCellDone, with its CRC-64 for wire verification.
-// The coordinator wraps the same bytes in safeio's container, so the
-// shard file on disk is a normal pool artifact collector.Load reads.
+// EncodeShard serializes a single-cell pool in the pool format
+// (collector.EncodePool) as the payload that travels in MsgCellDone, with
+// its CRC-64 for wire verification. The coordinator wraps the same bytes
+// in safeio's container, so the shard file on disk is a normal pool
+// artifact collector.Load reads.
 func EncodeShard(pool *collector.Pool) (payload []byte, sum uint64, err error) {
 	var buf bytes.Buffer
-	if err := safeio.EncodeGobGz(&buf, pool); err != nil {
+	if err := collector.EncodePool(&buf, pool); err != nil {
 		return nil, 0, fmt.Errorf("dist: encode shard: %w", err)
 	}
 	return buf.Bytes(), crc64.Checksum(buf.Bytes(), shardCRC), nil
@@ -124,16 +122,9 @@ func ChecksumShard(payload []byte) uint64 { return crc64.Checksum(payload, shard
 // coordinator's pre-persist sanity check that the shard really carries
 // the cell it claims.
 func decodeShard(payload []byte) (*collector.Pool, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(payload))
+	p, err := collector.DecodePool(payload)
 	if err != nil {
 		return nil, fmt.Errorf("dist: decode shard: %w", err)
 	}
-	var p collector.Pool
-	if err := gob.NewDecoder(zr).Decode(&p); err != nil {
-		return nil, fmt.Errorf("dist: decode shard: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("dist: decode shard: %w", err)
-	}
-	return &p, nil
+	return p, nil
 }

@@ -12,25 +12,9 @@ import (
 	"sync"
 	"time"
 
-	"sage/internal/collector"
-	"sage/internal/gr"
 	"sage/internal/rl"
 	"sage/internal/wire"
 )
-
-// gob wire type IDs are allocated from a process-global counter in the
-// order types are first encoded. A coordinator exchanges Messages before
-// it saves the merged pool; without care the pool's types would get
-// different IDs than in a single-process sage-collect run, and the two
-// saved pools — identical in content — would differ in bytes. Priming
-// the registry with the pool's type graph first restores the canonical
-// numbering for every binary that links this package.
-func init() {
-	gob.NewEncoder(io.Discard).Encode(&collector.Pool{
-		Trajs:  []collector.Trajectory{{Steps: []gr.Step{{State: []float64{0}}}}},
-		Failed: []collector.FailedCell{{}},
-	})
-}
 
 // Wire protocol of the sage-coord control plane: internal/wire's
 // length-prefixed frames carrying one gob-encoded Message each — gob
@@ -102,7 +86,7 @@ type Message struct {
 	LeaseTTL    time.Duration
 	Scheme, Env string
 	Backoff     time.Duration
-	Shard       []byte // gzipped-gob single-cell pool payload
+	Shard       []byte // single-cell pool payload (collector.EncodePool)
 	Checksum    uint64 // CRC-64/ECMA of Shard
 	Verdict     string
 	Metrics     map[string]float64

@@ -10,7 +10,8 @@
 // Container layout:
 //
 //	[8]  magic+version  "SAGEIO01"
-//	[n]  payload        (opaque bytes, typically gzipped gob)
+//	[n]  payload        (opaque bytes: collector.EncodePool's gzipped
+//	                     columns for a pool, gzipped gob for the rest)
 //	[8]  payload length (little-endian uint64)
 //	[8]  CRC-64/ECMA of the payload (little-endian uint64)
 //
@@ -173,26 +174,22 @@ func ReadFile(path string) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteGobGz writes v as gzipped gob inside a checksummed container — the
-// shared save path for pools, checkpoints, policies, and models.
+// WriteGobGz writes v as gob inside gzip inside a checksummed container —
+// the save path for checkpoints, policies and models. It compresses at
+// BestSpeed: about half the time of the default level, at a few per cent
+// more bytes. Readers do not depend on the level, so artifacts written at
+// any level load alike.
 func WriteGobGz(path string, v any) error {
-	return WriteFile(path, func(w io.Writer) error { return EncodeGobGz(w, v) })
-}
-
-// EncodeGobGz writes v to w as gob inside gzip — the one encoder behind every
-// artifact and every distributed pool shard. It compresses at BestSpeed:
-// about half the time of the default level for a pool, at about 7 % more
-// bytes. Readers do not depend on the level, so artifacts written at any
-// level load alike.
-func EncodeGobGz(w io.Writer, v any) error {
-	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(zw).Encode(v); err != nil {
-		return fmt.Errorf("encode: %w", err)
-	}
-	return zw.Close()
+	return WriteFile(path, func(w io.Writer) error {
+		zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
+		if err != nil {
+			return err
+		}
+		if err := gob.NewEncoder(zw).Encode(v); err != nil {
+			return fmt.Errorf("encode: %w", err)
+		}
+		return zw.Close()
+	})
 }
 
 // ReadGobGz reads and verifies path, then decodes its gzipped-gob payload
