@@ -88,10 +88,9 @@ func FriendlinessScore(thrBps, fairBps float64) float64 {
 
 // LeagueOptions tunes a league run.
 type LeagueOptions struct {
-	Alpha     float64 // throughput/delay exponent in Sp (default 2)
-	Margin    float64 // winner margin (default 0.10; Appendix D.2 uses 0.05)
-	Intervals int     // score intervals per scenario (default 4)
-	Parallel  int     // rollout workers (default NumCPU)
+	Alpha    float64 // throughput/delay exponent in Sp (default 2)
+	Margin   float64 // winner margin (default 0.10; Appendix D.2 uses 0.05)
+	Parallel int     // rollout workers (default NumCPU)
 	// Ctx, when non-nil, cancels the league: no new rollouts are
 	// dispatched and in-flight ones stop at their next GR tick. The
 	// partial matrix is not meaningful for scoring; callers check the
@@ -105,9 +104,6 @@ func (o LeagueOptions) fill() LeagueOptions {
 	}
 	if o.Margin == 0 {
 		o.Margin = 0.10
-	}
-	if o.Intervals == 0 {
-		o.Intervals = 4
 	}
 	if o.Parallel == 0 {
 		o.Parallel = runtime.NumCPU()
@@ -164,8 +160,7 @@ func RunMatrix(entrants []Entrant, scenarios []netem.Scenario, opt LeagueOptions
 				if opt.Ctx != nil && opt.Ctx.Err() != nil {
 					continue
 				}
-				ro := rollout.Options{Intervals: opt.Intervals, Ctx: opt.Ctx}
-				results[j.e][j.s] = entrants[j.e].Run(scenarios[j.s], ro)
+				results[j.e][j.s] = entrants[j.e].Run(scenarios[j.s], rollout.Options{Ctx: opt.Ctx})
 			}
 		}()
 	}
@@ -211,7 +206,7 @@ func ScoreLeague(m *Matrix, opt LeagueOptions) *LeagueResult {
 	cellsSingle, cellsMulti := 0, 0
 	for s := 0; s < nS; s++ {
 		multi := all[s].CubicFlows > 0
-		for iv := 0; iv < opt.Intervals; iv++ {
+		for iv := 0; iv < rollout.ScoreIntervals; iv++ {
 			winners := cellWinners(results, s, iv, multi, opt)
 			if multi {
 				cellsMulti++

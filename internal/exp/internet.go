@@ -2,12 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"sage/internal/cc"
 	"sage/internal/eval"
 	"sage/internal/netem"
-	"sage/internal/rollout"
 	"sage/internal/tcp"
 	"sage/internal/trace"
 )
@@ -39,89 +37,56 @@ func Fig08(a *Artifacts) []*Table {
 	}}
 	var tables []*Table
 	for ri, reg := range regimes {
-		type agg struct {
-			thr, owd float64
-			n        int
-		}
-		perScheme := map[string]*agg{}
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, parallelism(s.Parallel))
-		schemes := fig08Schemes
-		entrants := map[string]eval.Entrant{}
-		for _, n := range schemes {
-			entrants[n] = a.Entrant(n)
+		var entrants []eval.Entrant
+		for _, n := range fig08Schemes {
+			entrants = append(entrants, a.Entrant(n))
 		}
 		if ri == 2 { // cellular regime gets the oracle reference
-			schemes = append(append([]string(nil), schemes...), natcp.Name)
-			entrants[natcp.Name] = natcp
+			entrants = append(entrants, natcp)
 		}
-		for _, name := range schemes {
-			ent := entrants[name]
-			for i, sc := range reg.scens {
-				for r := 0; r < s.Repeats; r++ {
-					wg.Add(1)
-					sc := sc
-					sc.Seed += int64(r) * 101
-					name, ent := name, ent
-					_ = i
-					sem <- struct{}{}
-					go func() {
-						defer wg.Done()
-						defer func() { <-sem }()
-						res := ent.Run(sc, rollout.Options{})
-						mu.Lock()
-						ag := perScheme[name]
-						if ag == nil {
-							ag = &agg{}
-							perScheme[name] = ag
-						}
-						ag.thr += res.ThroughputBps
-						ag.owd += res.AvgOWD.Millis()
-						ag.n++
-						mu.Unlock()
-					}()
-				}
+		var scens []netem.Scenario
+		for _, sc := range reg.scens {
+			for r := 0; r < s.Repeats; r++ {
+				rep := sc
+				rep.Seed += int64(r) * 101
+				scens = append(scens, rep)
 			}
 		}
-		wg.Wait()
+		// Means add in matrix order, so they are a function of the seed
+		// alone, whatever order the rollouts finish in.
+		m := eval.RunMatrix(entrants, scens, a.leagueOpts())
+		thr := make([]float64, len(entrants))
+		owd := make([]float64, len(entrants))
+		for e, row := range m.Results {
+			for _, res := range row {
+				thr[e] += res.ThroughputBps
+				owd[e] += res.AvgOWD.Millis()
+			}
+			thr[e] /= float64(len(row))
+			owd[e] /= float64(len(row))
+		}
 
 		// Normalize: throughput over the max mean, delay over the min mean.
 		maxThr, minOWD := 0.0, 0.0
-		for _, ag := range perScheme {
-			t := ag.thr / float64(ag.n)
-			d := ag.owd / float64(ag.n)
-			if t > maxThr {
-				maxThr = t
+		for e := range entrants {
+			if thr[e] > maxThr {
+				maxThr = thr[e]
 			}
-			if minOWD == 0 || d < minOWD {
-				minOWD = d
+			if minOWD == 0 || owd[e] < minOWD {
+				minOWD = owd[e]
 			}
 		}
 		t := &Table{Title: reg.name,
 			Header: []string{"scheme", "norm_thr", "norm_delay", "thr_mbps", "owd_ms"}}
-		for _, name := range schemes {
-			ag := perScheme[name]
-			if ag == nil || ag.n == 0 {
-				continue
-			}
-			thr := ag.thr / float64(ag.n)
-			owd := ag.owd / float64(ag.n)
-			t.AddRow(name,
-				fmt.Sprintf("%.2f", thr/maxThr),
-				fmt.Sprintf("%.2f", owd/minOWD),
-				mbps(thr),
-				fmt.Sprintf("%.1f", owd),
+		for e, ent := range entrants {
+			t.AddRow(ent.Name,
+				fmt.Sprintf("%.2f", thr[e]/maxThr),
+				fmt.Sprintf("%.2f", owd[e]/minOWD),
+				mbps(thr[e]),
+				fmt.Sprintf("%.1f", owd[e]),
 			)
 		}
 		tables = append(tables, t)
 	}
 	return tables
-}
-
-func parallelism(p int) int {
-	if p > 0 {
-		return p
-	}
-	return 8
 }

@@ -102,7 +102,7 @@ func TrainAurora(cfg AuroraConfig) (*nn.Policy, error) {
 		res := rollout.Run(sc, cc.MustNew("pure"), rollout.Options{
 			GR: cfg.GR, CollectSteps: true, Controller: ctl,
 			// Aurora considers only the single-flow reward (Section 6.2).
-			RewardKind: gr.RewardSingleFlow, ForceReward: true,
+			SingleFlowReward: true,
 		})
 		if len(ctl.States) == 0 {
 			continue

@@ -31,11 +31,10 @@ type FlowResult struct {
 	Interrupted bool
 }
 
-// MultiOptions tunes a multi-flow run.
+// MultiOptions tunes a multi-flow run. Flows run over default TCP with the
+// default GR config.
 type MultiOptions struct {
-	GR           gr.Config
 	SamplePeriod sim.Time
-	TCP          tcp.Options
 	// Trace, when non-nil, receives one telemetry.FlowSample per GR tick
 	// for every controller-driven flow (distinguished by the Flow field) —
 	// the multi-flow counterpart of Options.Trace.
@@ -51,123 +50,25 @@ type MultiOptions struct {
 // (Fig. 19/28) experiments, where several flows join on a schedule and
 // each flow's throughput trajectory matters.
 func RunMulti(sc netem.Scenario, flows []FlowSpec, opt MultiOptions) []FlowResult {
-	opt.GR = opt.GR.Fill()
-	loop := sim.NewLoop()
-	n := sc.Build(loop)
-
-	type state struct {
-		spec    FlowSpec
-		flow    *tcp.Flow
-		mon     *gr.Monitor
-		prevRx  int64
-		prevAt  sim.Time
-		started bool
-	}
-	states := make([]*state, len(flows))
+	d := newDriver(sc, len(flows), Options{SamplePeriod: opt.SamplePeriod, Trace: opt.Trace, Ctx: opt.Ctx})
 	for i, spec := range flows {
-		fl := tcp.NewFlow(loop, n, i+1, spec.CC, opt.TCP)
-		st := &state{spec: spec, flow: fl}
+		f := d.add(i+1, spec.CC, spec.Controller)
 		if spec.Controller != nil {
-			st.mon = gr.NewMonitor(opt.GR, fl.Conn, gr.RewardContext{
+			f.mon = gr.NewMonitor(d.opt.GR, f.Conn, gr.RewardContext{
 				Kind:     gr.RewardSingleFlow,
 				Capacity: sc.Rate.At,
 				MinRTT:   sc.MinRTT,
 			})
 		}
-		states[i] = st
-		loop.At(spec.Start, func(t sim.Time) {
-			st.flow.Conn.Start(t)
-			st.started = true
-			st.prevAt = t
-		})
+		d.loop.At(spec.Start, f.begin)
 	}
-
-	// Several flows may share one batching controller (serve.Controller);
-	// flush each distinct flusher once per interval, after every flow has
-	// enqueued its decision.
-	flushers := make(map[BatchFlusher]bool)
-	for _, spec := range flows {
-		if bf, ok := spec.Controller.(BatchFlusher); ok {
-			flushers[bf] = true
-		}
-	}
-	flushOrder := make([]BatchFlusher, 0, len(flushers))
-	for _, spec := range flows {
-		if bf, ok := spec.Controller.(BatchFlusher); ok && flushers[bf] {
-			flushers[bf] = false
-			flushOrder = append(flushOrder, bf)
-		}
-	}
-
-	interval := opt.GR.Interval
-	nextSample := opt.SamplePeriod
+	interrupted := d.run(0, sc.Duration, nil)
 	results := make([]FlowResult, len(flows))
 	for i := range results {
-		results[i].Name = flows[i].Name
+		f := &d.flows[i]
+		results[i] = FlowResult{Name: flows[i].Name, Series: f.series, Interrupted: interrupted}
+		results[i].ThroughputBps, results[i].AvgOWD = f.totals(flows[i].Start, sc.Duration)
 	}
-	for now := interval; now <= sc.Duration; now += interval {
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			for i := range results {
-				results[i].Interrupted = true
-			}
-			break
-		}
-		loop.RunUntil(now)
-		for _, st := range states {
-			if !st.started {
-				continue
-			}
-			if st.mon != nil {
-				step := st.mon.Tick(now)
-				st.spec.Controller.Control(now, st.flow.Conn, step.State)
-				if _, ok := st.spec.Controller.(BatchFlusher); !ok {
-					// Batching controllers apply + kick in their flush;
-					// kicking here would send at the pre-decision window.
-					st.flow.Conn.Kick(now)
-				}
-				if opt.Trace != nil {
-					opt.Trace.Record(flowSample(now, st.flow.Conn, n, step))
-				}
-			}
-		}
-		for _, bf := range flushOrder {
-			bf.FlushBatch(now)
-		}
-		if opt.SamplePeriod > 0 && now >= nextSample {
-			for i, st := range states {
-				rx, _, _ := st.flow.Sink.Totals()
-				span := (now - st.prevAt).Seconds()
-				thr := 0.0
-				if span > 0 {
-					thr = float64(rx-st.prevRx) * 8 / span
-				}
-				results[i].Series = append(results[i].Series, Sample{
-					At:     now,
-					ThrBps: thr,
-					Cwnd:   st.flow.Conn.Cwnd,
-					OWD:    st.flow.Sink.OWDAvg(),
-					SRTT:   st.flow.Conn.SRTT(),
-				})
-				st.prevRx, st.prevAt = rx, now
-			}
-			nextSample += opt.SamplePeriod
-		}
-	}
-	for i, st := range states {
-		window := (sc.Duration - st.spec.Start).Seconds()
-		rx, pkts, owdSum := st.flow.Sink.Totals()
-		if window > 0 {
-			results[i].ThroughputBps = float64(rx) * 8 / window
-		}
-		if pkts > 0 {
-			results[i].AvgOWD = owdSum / sim.Time(pkts)
-		}
-	}
-	fls := make([]*tcp.Flow, len(states))
-	mons := make([]*gr.Monitor, len(states))
-	for i, st := range states {
-		fls[i], mons[i] = st.flow, st.mon
-	}
-	release(n, fls, mons...)
+	d.release()
 	return results
 }

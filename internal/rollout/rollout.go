@@ -1,8 +1,10 @@
-// Package rollout runs one flow-under-test through a netem scenario —
-// optionally against competing Cubic background flows — and gathers
-// everything downstream consumers need: GR trajectories for the Policy
-// Collector, interval scores for the leagues, and sampled time series for
-// the behaviour figures.
+// Package rollout runs flows through a netem scenario and gathers everything
+// downstream consumers need: GR trajectories for the Policy Collector,
+// interval scores for the leagues, and sampled time series for the behaviour
+// figures. One driver builds each simulation and runs its per-interval
+// sweep; it has two entry points. Run puts one flow under test against
+// optional competing Cubic background flows, and RunMulti runs an arbitrary
+// set of flows that join on a schedule.
 package rollout
 
 import (
@@ -29,9 +31,6 @@ type Controller interface {
 // FlushBatch once per GR interval after every flow's Control hook has
 // enqueued its state, letting one batched forward pass serve all flows;
 // the flusher applies each flow's cwnd update and kicks its connection.
-// Within an interval no simulation events run between the Control calls
-// and the flush, so deferred application is semantically identical to
-// acting inline.
 type BatchFlusher interface {
 	FlushBatch(now sim.Time)
 }
@@ -86,14 +85,14 @@ func (r Result) Completed() bool {
 
 // Options tunes a rollout.
 type Options struct {
-	GR           gr.Config     // GR sampling config (always filled)
-	CollectSteps bool          // record the GR trajectory
-	Controller   Controller    // optional periodic controller for the test flow
-	SamplePeriod sim.Time      // 0 = no time series
-	Intervals    int           // score intervals (default 4)
-	RewardKind   gr.RewardKind // reward override (with ForceReward set)
-	ForceReward  bool          // use RewardKind instead of deriving from the scenario
-	TCP          tcp.Options
+	GR           gr.Config  // GR sampling config (always filled)
+	CollectSteps bool       // record the GR trajectory
+	Controller   Controller // optional periodic controller for the test flow
+	SamplePeriod sim.Time   // 0 = no time series
+	// SingleFlowReward scores the flow under test with the single-flow
+	// reward even where Cubic flows compete (Aurora considers no other).
+	SingleFlowReward bool
+	TCP              tcp.Options
 	// Trace, when non-nil, receives one telemetry.FlowSample per GR tick
 	// for the flow under test — sender datapath state plus bottleneck
 	// queue occupancy. Recording reads snapshots only; it cannot perturb
@@ -105,59 +104,29 @@ type Options struct {
 	Ctx context.Context
 }
 
-// flowSample snapshots conn's datapath state and the bottleneck queue for
-// a flow trace.
-func flowSample(now sim.Time, conn *tcp.Conn, n *netem.Network, step gr.Step) telemetry.FlowSample {
-	st := conn.Stats()
-	q := n.Link.Queue()
-	return telemetry.FlowSample{
-		AtUs:         int64(now),
-		Flow:         conn.ID,
-		Cwnd:         st.Cwnd,
-		SRTTMs:       st.SRTT.Millis(),
-		RTTVarMs:     st.RTTVar.Millis(),
-		InflightPkts: st.InflightPkts,
-		DeliveryBps:  st.DeliveryRate * 8,
-		LostPkts:     st.LostPkts,
-		Retrans:      st.RTOs,
-		Recoveries:   st.Recoveries,
-		QueuePkts:    q.Len(),
-		QueueBytes:   q.Bytes(),
-		Action:       step.Action,
-		Reward:       step.Reward,
-	}
-}
+// ScoreIntervals is how many equal intervals of the test window Run scores
+// (Result.Intervals).
+const ScoreIntervals = 4
 
 // Run executes the scenario with the flow under test using ccUnderTest.
 func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Result {
-	opt.GR = opt.GR.Fill()
-	if opt.Intervals == 0 {
-		opt.Intervals = 4
-	}
-	loop := sim.NewLoop()
-	n := sc.Build(loop)
+	d := newDriver(sc, sc.CubicFlows+1, opt)
 
 	// Background Cubic flows join first (Appendix C.2), slightly staggered
-	// so they do not move in lockstep. The spare slot takes the flow under
-	// test at release.
-	bg := make([]*tcp.Flow, sc.CubicFlows, sc.CubicFlows+1)
-	for i := range bg {
-		f := tcp.NewFlow(loop, n, 100+i, cc.MustNew("cubic"), opt.TCP)
-		stagger := sim.Time(i) * 50 * sim.Millisecond
-		loop.At(stagger, func(t sim.Time) { f.Conn.Start(t) })
-		bg[i] = f
+	// so they do not move in lockstep.
+	for i := 0; i < sc.CubicFlows; i++ {
+		f := d.add(100+i, cc.MustNew("cubic"), nil)
+		f.bg = true
+		d.loop.At(sim.Time(i)*50*sim.Millisecond, f.begin)
 	}
 
-	ut := tcp.NewFlow(loop, n, 1, ccUnderTest, opt.TCP)
-
+	start := sc.TestStart
+	ut := d.add(1, ccUnderTest, opt.Controller)
 	kind := gr.RewardSingleFlow
-	if sc.CubicFlows > 0 {
+	if sc.CubicFlows > 0 && !opt.SingleFlowReward {
 		kind = gr.RewardFriendly
 	}
-	if opt.ForceReward {
-		kind = opt.RewardKind
-	}
-	mon := gr.NewMonitor(opt.GR, ut.Conn, gr.RewardContext{
+	ut.mon = gr.NewMonitor(d.opt.GR, ut.Conn, gr.RewardContext{
 		Kind:      kind,
 		Capacity:  sc.Rate.At,
 		MinRTT:    sc.MinRTT,
@@ -170,18 +139,12 @@ func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Resu
 		FairShareBps: sc.FairShare(),
 	}
 
-	// Warm up the background traffic before the test flow joins.
-	start := sc.TestStart
-	loop.RunUntil(start)
-	ut.Conn.Start(loop.Now())
-
-	var (
-		prevSent    int64
-		prevRx      int64
-		prevSampleT = start
-	)
-	interval := opt.GR.Interval
-	nextSample := start + opt.SamplePeriod
+	// Warm up the background traffic before the test flow joins. The test
+	// flow starts here rather than from an event at TestStart: RunUntil
+	// includes its deadline, so such an event would run before others due
+	// at the same time.
+	d.loop.RunUntil(start)
+	ut.begin(start)
 
 	type snap struct {
 		rxBytes int64
@@ -194,102 +157,42 @@ func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Resu
 		return snap{rxBytes: b, rxPkts: p, owdSum: s, lost: ut.Conn.LostPkts()}
 	}
 	window := sc.Duration - start
-	boundaries := make([]sim.Time, opt.Intervals)
-	for i := range boundaries {
-		boundaries[i] = start + window*sim.Time(i+1)/sim.Time(opt.Intervals)
+	if opt.CollectSteps {
+		res.Steps = make([]gr.Step, 0, window/d.opt.GR.Interval) // one per tick
 	}
-	lastSnap := takeSnap()
-	lastBoundary := start
-	bi := 0
-
-	for now := start + interval; now <= sc.Duration; now += interval {
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			res.Interrupted = true
-			break
-		}
-		loop.RunUntil(now)
-		step := mon.Tick(now)
-		if opt.Controller != nil {
-			opt.Controller.Control(now, ut.Conn, step.State)
-			if bf, ok := opt.Controller.(BatchFlusher); ok {
-				// A batching controller only enqueued its decision; the
-				// flush applies the cwnd update and kicks the connection.
-				// Kicking here with the pre-decision window could send
-				// packets the decision would not have allowed.
-				bf.FlushBatch(now)
-			} else {
-				ut.Conn.Kick(now)
-			}
-		}
+	last, lastAt, bi := takeSnap(), start, 0
+	res.Interrupted = d.run(start, sc.Duration, func(now sim.Time) {
 		if opt.CollectSteps {
-			res.Steps = append(res.Steps, step)
+			res.Steps = append(res.Steps, ut.step)
 		}
-		if opt.Trace != nil {
-			opt.Trace.Record(flowSample(now, ut.Conn, n, step))
-		}
-		if opt.SamplePeriod > 0 && now >= nextSample {
-			sent := ut.Conn.SentPkts()
-			rx, _, _ := ut.Sink.Totals()
-			span := (now - prevSampleT).Seconds()
-			s := Sample{
-				At:          now,
-				Cwnd:        ut.Conn.Cwnd,
-				SendRateBps: float64(sent-prevSent) * float64(ut.Conn.MSS()) * 8 / span,
-				ThrBps:      float64(rx-prevRx) * 8 / span,
-				OWD:         ut.Sink.OWDAvg(),
-				SRTT:        ut.Conn.SRTT(),
+		for ; bi < ScoreIntervals; bi++ {
+			at := start + window*sim.Time(bi+1)/ScoreIntervals
+			if now < at {
+				break
 			}
-			res.Series = append(res.Series, s)
-			prevSent, prevRx, prevSampleT = sent, rx, now
-			nextSample += opt.SamplePeriod
-		}
-		for bi < len(boundaries) && now >= boundaries[bi] {
 			cur := takeSnap()
-			span := (boundaries[bi] - lastBoundary).Seconds()
 			st := IntervalStats{
-				ThroughputBps: float64(cur.rxBytes-lastSnap.rxBytes) * 8 / span,
-				LossPkts:      cur.lost - lastSnap.lost,
+				ThroughputBps: float64(cur.rxBytes-last.rxBytes) * 8 / (at - lastAt).Seconds(),
+				LossPkts:      cur.lost - last.lost,
 			}
-			if dp := cur.rxPkts - lastSnap.rxPkts; dp > 0 {
-				st.AvgRTT = 2 * (cur.owdSum - lastSnap.owdSum) / sim.Time(dp)
+			if dp := cur.rxPkts - last.rxPkts; dp > 0 {
+				st.AvgRTT = 2 * (cur.owdSum - last.owdSum) / sim.Time(dp)
 			}
 			res.Intervals = append(res.Intervals, st)
-			lastSnap = cur
-			lastBoundary = boundaries[bi]
-			bi++
+			last, lastAt = cur, at
 		}
-	}
+	})
 
 	// Whole-window aggregates.
-	rxBytes, rxPkts, owdSum := ut.Sink.Totals()
-	res.ThroughputBps = float64(rxBytes) * 8 / window.Seconds()
-	if rxPkts > 0 {
-		res.AvgOWD = owdSum / sim.Time(rxPkts)
-		res.AvgRTT = 2 * res.AvgOWD
-	}
+	res.ThroughputBps, res.AvgOWD = ut.totals(start, sc.Duration)
+	res.AvgRTT = 2 * res.AvgOWD
 	if sent := ut.Conn.SentPkts(); sent > 0 {
 		res.LossRate = float64(ut.Conn.LostPkts()) / float64(sent)
 	}
-	for _, f := range bg {
+	for _, f := range d.flows[:sc.CubicFlows] {
 		res.BgThroughput = append(res.BgThroughput, float64(f.Sink.RxBytes)*8/sc.Duration.Seconds())
 	}
-	release(n, append(bg, ut), mon)
+	res.Series = ut.series
+	d.release()
 	return res
-}
-
-// release gives a finished simulation's memory back for the next one on any
-// goroutine to reuse: each connection's tx ring, each monitor's signal
-// windows, and the network's packets, delay line and queue ring. Run and
-// RunMulti call it on normal return only; a rollout that panicked leaves
-// its memory to the garbage collector. Nothing a Result holds is released.
-func release(n *netem.Network, flows []*tcp.Flow, mons ...*gr.Monitor) {
-	for _, f := range flows {
-		f.Conn.Release()
-	}
-	for _, m := range mons {
-		if m != nil {
-			m.Release()
-		}
-	}
-	n.Release()
 }
