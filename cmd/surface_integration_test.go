@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -22,11 +21,10 @@ import (
 	"time"
 
 	"sage/internal/core"
+	"sage/internal/golden"
 	"sage/internal/gr"
 	"sage/internal/nn"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/*.flags.golden from the binaries' -h output")
 
 var binaries = []string{
 	"sage-bench", "sage-collect", "sage-coord", "sage-eval", "sage-loop", "sage-serve", "sage-train",
@@ -36,7 +34,6 @@ var binaries = []string{
 var binDir string
 
 func TestMain(m *testing.M) {
-	flag.Parse()
 	dir, err := os.MkdirTemp("", "sage-cmd-")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -80,7 +77,8 @@ func exitCode(err error) int {
 }
 
 // Every binary's -h output, minus the "Usage of <path>:" line, is its flag
-// surface. A refactor of the mains must leave it byte-identical.
+// surface (testdata/<binary>.flags.golden). A refactor of the mains must
+// leave it byte-identical.
 func TestFlagSurface(t *testing.T) {
 	for _, name := range binaries {
 		t.Run(name, func(t *testing.T) {
@@ -94,20 +92,7 @@ func TestFlagSurface(t *testing.T) {
 			if !ok || !strings.HasPrefix(stderr.String(), "Usage of ") {
 				t.Fatalf("-h did not print a usage header:\n%s", stderr.String())
 			}
-			golden := filepath.Join("testdata", name+".flags.golden")
-			if *update {
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("flag surface of %s changed (rerun with -update only if the change is intended and named in CHANGES.md)\n--- got\n%s--- want\n%s", name, got, want)
-			}
+			golden.Check(t, name+".flags", got)
 		})
 	}
 }

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"testing"
 
 	"sage/internal/cc"
+	"sage/internal/golden"
 	"sage/internal/gr"
 	"sage/internal/netem"
 	"sage/internal/nn"
@@ -16,17 +13,9 @@ import (
 	"sage/internal/sim"
 )
 
-// The golden digests pin the deployment agent's decisions across commits:
-// the per-flow decision step may be made smaller or cheaper, never
-// different. A constant below changes only with a CHANGES.md sentence
-// saying why.
-var goldenAgentRollout = map[string]string{
-	"mean":       "d89ff323ddc48597",
-	"mode":       "886428ce997fb74f",
-	"stochastic": "d57655a9bdceeffe",
-}
-
-const goldenAgentEmbedding = "f8fa010e220dc0cb"
+// The golden pins (testdata/*.golden) hold the deployment agent's decisions
+// across commits: the per-flow decision step may be made smaller or cheaper,
+// never different.
 
 // goldenModel is an untrained default-width policy with a fitted
 // normalizer: random weights spread the mixture components, so the three
@@ -50,16 +39,6 @@ func goldenState(rng *rand.Rand) []float64 {
 	return v
 }
 
-func floatDigest(vals []float64) string {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // TestGoldenAgentRollout pins an Agent-driven rollout in each action mode:
 // the sampled cwnd series and the throughput.
 func TestGoldenAgentRollout(t *testing.T) {
@@ -73,13 +52,12 @@ func TestGoldenAgentRollout(t *testing.T) {
 		if len(res.Series) < 50 {
 			t.Fatalf("%s: %d samples", mode, len(res.Series))
 		}
-		vals := []float64{res.ThroughputBps}
+		d := golden.NewDigest()
+		d.F64(res.ThroughputBps)
 		for _, s := range res.Series {
-			vals = append(vals, s.Cwnd)
+			d.F64(s.Cwnd)
 		}
-		if got := floatDigest(vals); got != goldenAgentRollout[mode] {
-			t.Errorf("%s: digest %s, want %s", mode, got, goldenAgentRollout[mode])
-		}
+		golden.Check(t, "agent-rollout-"+mode, d.Sum())
 	}
 }
 
@@ -89,18 +67,18 @@ func TestGoldenAgentEmbedding(t *testing.T) {
 	model := goldenModel()
 	agent := model.NewAgent(0)
 	rng := rand.New(rand.NewSource(29))
-	var vals []float64
 	var embs [][]float64
 	for i := 0; i < 6; i++ {
 		embs = append(embs, agent.LastHiddenEmbedding(goldenState(rng)))
 	}
+	d := golden.NewDigest()
 	for _, e := range embs { // read after the last call: embeddings must not alias scratch
-		vals = append(vals, e...)
+		if len(e) != model.Policy.Cfg.Enc {
+			t.Fatalf("%d embedding values", len(e))
+		}
+		for _, v := range e {
+			d.F64(v)
+		}
 	}
-	if len(vals) != 6*model.Policy.Cfg.Enc {
-		t.Fatalf("%d embedding values", len(vals))
-	}
-	if got := floatDigest(vals); got != goldenAgentEmbedding {
-		t.Errorf("embedding digest %s, want %s", got, goldenAgentEmbedding)
-	}
+	golden.Check(t, "agent-embedding", d.Sum())
 }

@@ -2,24 +2,20 @@ package dist
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"sage/internal/collector"
+	"sage/internal/golden"
 	"sage/internal/telemetry"
 )
 
-// goldenWAL pins the coordinator WAL's on-disk bytes across commits: a
-// .wal written by one binary must reopen in the next. It changes only with
-// a CHANGES.md sentence saying why.
-const goldenWAL = "4596457a51feeef2"
-
-// TestGoldenCoordinatorWAL drives one agent through the coordinator's wire
-// API — cell 1 granted and completed, cell 2 granted and failed, cell 3
+// TestGoldenCoordinatorWAL pins the coordinator WAL's on-disk bytes across
+// commits (testdata/coordinator-wal.golden): a .wal written by one binary
+// must reopen in the next. It drives one agent through the coordinator's
+// wire API — cell 1 granted and completed, cell 2 granted and failed, cell 3
 // granted and left in flight — then digests the log and checks what a
 // restarted coordinator rebuilds from it.
 func TestGoldenCoordinatorWAL(t *testing.T) {
@@ -88,10 +84,10 @@ func TestGoldenCoordinatorWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	h.Write(raw)
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenWAL {
-		t.Errorf("wal digest = %s, want %s\n%s", got, goldenWAL, raw)
+	d := golden.NewDigest()
+	d.Write(raw)
+	if !golden.Check(t, "coordinator-wal", d.Sum()) {
+		t.Logf("%s", raw)
 	}
 
 	resume := base

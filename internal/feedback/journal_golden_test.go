@@ -2,36 +2,32 @@ package feedback
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"sage/internal/golden"
 	"sage/internal/promote"
 )
 
-// The golden digests pin the feedback plane's three ledgers byte for byte
-// across commits: a state dir written by one binary must reopen in the
-// next. A constant changes only with a CHANGES.md sentence saying why.
-// goldenLoopJournal embeds the candidate's id, which is the fingerprint of
-// a four-step retrain: a change to the learner's outputs (pinned in
-// internal/rl/golden_test.go) moves it too.
-const (
-	goldenIngestJournal = "7b11c4c7021f9353"
-	goldenLivePoolLog   = "a0420ab6f5fcedd1"
-	goldenLoopJournal   = "10d0a01185a924ec"
-)
+// The golden pins (testdata/*.golden) hold the feedback plane's three
+// ledgers byte for byte across commits: a state dir written by one binary
+// must reopen in the next. The loop journal embeds the candidate's id,
+// which is the fingerprint of a four-step retrain: a change to the
+// learner's outputs (pinned in internal/rl) moves it too.
 
-func fileDigest(t *testing.T, path string) string {
+// checkFile holds the bytes of path to pin, and shows them if they moved.
+func checkFile(t *testing.T, pin, path string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	h.Write(raw)
-	return fmt.Sprintf("%016x", h.Sum64())
+	d := golden.NewDigest()
+	d.Write(raw)
+	if !golden.Check(t, pin, d.Sum()) {
+		t.Logf("%s", raw)
+	}
 }
 
 // TestGoldenIngestJournals feeds an ingester a fixed six-window spool —
@@ -57,12 +53,8 @@ func TestGoldenIngestJournals(t *testing.T) {
 	if err := in.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fileDigest(t, filepath.Join(stateDir, ingestJournalName)); got != goldenIngestJournal {
-		t.Errorf("%s digest = %s, want %s", ingestJournalName, got, goldenIngestJournal)
-	}
-	if got := fileDigest(t, filepath.Join(stateDir, livePoolLogName)); got != goldenLivePoolLog {
-		t.Errorf("%s digest = %s, want %s", livePoolLogName, got, goldenLivePoolLog)
-	}
+	checkFile(t, "ingest-journal", filepath.Join(stateDir, ingestJournalName))
+	checkFile(t, "live-pool-log", filepath.Join(stateDir, livePoolLogName))
 
 	in2, _ := newTestIngester(t, spoolDir, stateDir, 0)
 	defer in2.Close()
@@ -100,10 +92,7 @@ func TestGoldenLoopJournal(t *testing.T) {
 	if err := lp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fileDigest(t, filepath.Join(d.state, loopJournalName)); got != goldenLoopJournal {
-		raw, _ := os.ReadFile(filepath.Join(d.state, loopJournalName))
-		t.Errorf("%s digest = %s, want %s\n%s", loopJournalName, got, goldenLoopJournal, raw)
-	}
+	checkFile(t, "loop-journal", filepath.Join(d.state, loopJournalName))
 
 	lp2, err := OpenLoop(cfg)
 	if err != nil {

@@ -2,20 +2,17 @@ package promote_test
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"sage/internal/golden"
 	"sage/internal/promote"
 )
 
-// goldenRegistryJournal pins registry.journal's on-disk bytes across
-// commits: a registry dir written by one binary must reopen in the next.
-// It changes only with a CHANGES.md sentence saying why.
-const goldenRegistryJournal = "0d96b3ef12891277"
-
-// TestGoldenRegistryJournal walks every transition — two promotions, a
+// TestGoldenRegistryJournal pins registry.journal's on-disk bytes across
+// commits (testdata/registry-journal.golden): a registry dir written by one
+// binary must reopen in the next. It walks every transition — two promotions, a
 // rejection, then a demotion back to the first incumbent — digests the
 // journal and checks the state machine a reopen replays out of it.
 func TestGoldenRegistryJournal(t *testing.T) {
@@ -51,10 +48,10 @@ func TestGoldenRegistryJournal(t *testing.T) {
 
 	raw, err := os.ReadFile(filepath.Join(dir, promote.JournalName))
 	must(err)
-	h := fnv.New64a()
-	h.Write(raw)
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenRegistryJournal {
-		t.Errorf("journal digest = %s, want %s\n%s", got, goldenRegistryJournal, raw)
+	d := golden.NewDigest()
+	d.Write(raw)
+	if !golden.Check(t, "registry-journal", d.Sum()) {
+		t.Logf("%s", raw)
 	}
 
 	r2, err := promote.OpenRegistry(dir)

@@ -2,14 +2,13 @@ package promote
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
 	"sage/internal/core"
+	"sage/internal/golden"
 	"sage/internal/safeio"
 )
 
@@ -175,22 +174,20 @@ func (r *Registry) appendLocked(rec record) error {
 	return r.refreshLocked()
 }
 
-// Fingerprint hashes a model's parameters (FNV-1a over the float bits):
-// two models with the same fingerprint make bitwise-identical decisions,
-// so the fingerprint is the eval identity of a checkpoint.
+// Fingerprint is an FNV-1a digest of the policy's weights: the float bits
+// of every value in Policy.Params(), in order, with no shapes. It does not
+// cover the input normalizer (Policy.Norm), the feature mask or the GR
+// config, so two models with one fingerprint share their weights but may
+// still decide differently. Journals record it, and published ids without
+// a name carry its first ten digits.
 func Fingerprint(m *core.Model) string {
-	h := fnv.New64a()
-	var b [8]byte
+	d := golden.NewDigest()
 	for _, p := range m.Policy.Params() {
 		for _, v := range p.Data {
-			bits := math.Float64bits(v)
-			for i := 0; i < 8; i++ {
-				b[i] = byte(bits >> (8 * i))
-			}
-			h.Write(b[:])
+			d.F64(v)
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return d.Sum()
 }
 
 // Publish writes the model checkpoint and journals it as a candidate.

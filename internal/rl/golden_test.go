@@ -2,33 +2,23 @@ package rl
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"math"
 	"os"
 	"strings"
 	"testing"
 
 	"sage/internal/collector"
+	"sage/internal/golden"
 	"sage/internal/netem"
 	"sage/internal/nn"
 	"sage/internal/sim"
 )
 
-// The golden digests pin the learner's outputs across commits: the CRR step
-// may be made smaller or cheaper, never different. Each digest covers every
-// parameter of the online policy and critic (goldenLearner.online) or of
-// both target networks (goldenLearner.targets) after goldenSteps TrainSteps.
-// A constant below changes only with a CHANGES.md sentence saying why.
-type goldenLearner struct{ online, targets string }
-
-var (
-	goldenSerial   = goldenLearner{online: "283e42fecfbc8828", targets: "43c2e153ba54a98a"}
-	goldenWorkers2 = goldenLearner{online: "af305c4567f9df05", targets: "19392f121f3ea36e"}
-)
+// The golden pins (testdata/*.golden) hold the learner's outputs across
+// commits: the CRR step may be made smaller or cheaper, never different. A
+// <pin>.online digest covers every parameter of the online policy and
+// critic, a <pin>.targets digest both target networks.
 
 const goldenSteps = 40
 
@@ -55,31 +45,26 @@ func goldenCfg(workers int) CRRConfig {
 }
 
 func paramDigest(tensors [][]float64) string {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	put(uint64(len(tensors)))
+	d := golden.NewDigest()
+	d.U64(uint64(len(tensors)))
 	for _, t := range tensors {
-		put(uint64(len(t)))
+		d.U64(uint64(len(t)))
 		for _, v := range t {
-			put(math.Float64bits(v))
+			d.F64(v)
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return d.Sum()
 }
 
-func checkGolden(t *testing.T, label string, l *CRR, want goldenLearner) {
+// checkGolden holds a learner after goldenSteps to the pins <pin>.online
+// and <pin>.targets; a failure names the line of the route that got there.
+func checkGolden(t *testing.T, pin string, l *CRR) {
 	t.Helper()
 	if l.StepsDone() != goldenSteps {
-		t.Fatalf("%s: %d steps done, want %d", label, l.StepsDone(), goldenSteps)
+		t.Fatalf("%d steps done, want %d", l.StepsDone(), goldenSteps)
 	}
-	got := goldenLearner{online: paramDigest(l.SnapshotParams()), targets: paramDigest(l.SnapshotTargets())}
-	if got != want {
-		t.Errorf("%s: digests = %+v, want %+v", label, got, want)
-	}
+	golden.Check(t, pin+".online", paramDigest(l.SnapshotParams()))
+	golden.Check(t, pin+".targets", paramDigest(l.SnapshotTargets()))
 }
 
 func TestGoldenSerial(t *testing.T) {
@@ -88,7 +73,7 @@ func TestGoldenSerial(t *testing.T) {
 	for l.StepsDone() < goldenSteps {
 		l.TrainStep(ds)
 	}
-	checkGolden(t, "Workers=0", l, goldenSerial)
+	checkGolden(t, "serial", l)
 }
 
 // TestGoldenParallel holds three routes to the same 40 data-parallel steps
@@ -103,7 +88,7 @@ func TestGoldenParallel(t *testing.T) {
 	for l.StepsDone() < goldenSteps {
 		l.TrainStep(ds)
 	}
-	checkGolden(t, "Workers=2", l, goldenWorkers2)
+	checkGolden(t, "workers2", l)
 
 	head := NewCRR(ds, cfg)
 	for head.StepsDone() < goldenSteps/2 {
@@ -123,7 +108,7 @@ func TestGoldenParallel(t *testing.T) {
 	for resumed.StepsDone() < goldenSteps {
 		resumed.TrainStep(ds)
 	}
-	checkGolden(t, "Workers=2 resumed at 20", resumed, goldenWorkers2)
+	checkGolden(t, "workers2", resumed)
 
 	master := NewCRR(ds, cfg)
 	seeds := InitialWorkerRNGStates(cfg)
@@ -152,13 +137,11 @@ func TestGoldenParallel(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, "two ShardWorkers + ApplyShards", master, goldenWorkers2)
+	checkGolden(t, "workers2", master)
 	// The workers replicate the target-sync schedule locally; their replicas
 	// must have landed on the master's targets.
-	for i, w := range workers {
-		if got := paramDigest(w.learner.SnapshotTargets()); got != goldenWorkers2.targets {
-			t.Errorf("shard worker %d targets = %s, want %s", i, got, goldenWorkers2.targets)
-		}
+	for _, w := range workers {
+		golden.Check(t, "workers2.targets", paramDigest(w.learner.SnapshotTargets()))
 	}
 }
 
@@ -168,50 +151,32 @@ func TestGoldenParallel(t *testing.T) {
 // enough to truncate the n-step horizon, and the imitation baselines that
 // share the policy's BPTT.
 
-// statsDigest folds every deterministic TrainStats field of a run.
-type statsDigest struct{ h hash.Hash64 }
-
-func newStatsDigest() *statsDigest { return &statsDigest{h: fnv.New64a()} }
-
-func (d *statsDigest) put(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	d.h.Write(b[:])
-}
-
-func (d *statsDigest) add(s TrainStats) {
-	for _, f := range []float64{
-		s.CriticLoss, s.PolicyLoss, s.MeanFilter, s.FilterAccept, s.AdvMean, s.AdvStd,
-		s.GradNormPi, s.GradNormQ, s.GradNormPiClip, s.GradNormQClip,
-	} {
-		d.put(math.Float64bits(f))
-	}
-	d.put(s.BatchID)
-}
-
-func (d *statsDigest) sum() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
-
-// goldenRun is what a short run leaves behind: parameters, the per-step
-// stats stream and the worker sampler positions.
-type goldenRun struct{ online, targets, stats, rng string }
-
-func runGolden(ds *Dataset, cfg CRRConfig, steps int) goldenRun {
+// runGolden holds what a short run leaves behind to the pins <pin>.online
+// and <pin>.targets (parameters), <pin>.stats (every deterministic
+// TrainStats field of every step) and <pin>.rng (the sampler positions).
+func runGolden(t *testing.T, pin string, ds *Dataset, cfg CRRConfig, steps int) {
+	t.Helper()
 	l := NewCRR(ds, cfg)
-	sd := newStatsDigest()
+	stats := golden.NewDigest()
 	for l.StepsDone() < steps {
-		sd.add(l.TrainStep(ds))
+		s := l.TrainStep(ds)
+		for _, f := range []float64{
+			s.CriticLoss, s.PolicyLoss, s.MeanFilter, s.FilterAccept, s.AdvMean, s.AdvStd,
+			s.GradNormPi, s.GradNormQ, s.GradNormPiClip, s.GradNormQClip,
+		} {
+			stats.F64(f)
+		}
+		stats.U64(s.BatchID)
 	}
-	rd := newStatsDigest()
+	rng := golden.NewDigest()
 	for _, s := range l.WorkerRNGStates() {
-		rd.put(s)
+		rng.U64(s)
 	}
-	rd.put(l.rngSrc.State())
-	return goldenRun{
-		online:  paramDigest(l.SnapshotParams()),
-		targets: paramDigest(l.SnapshotTargets()),
-		stats:   sd.sum(),
-		rng:     rd.sum(),
-	}
+	rng.U64(l.rngSrc.State())
+	golden.Check(t, pin+".online", paramDigest(l.SnapshotParams()))
+	golden.Check(t, pin+".targets", paramDigest(l.SnapshotTargets()))
+	golden.Check(t, pin+".stats", stats.Sum())
+	golden.Check(t, pin+".rng", rng.Sum())
 }
 
 // TestGoldenBenchShape runs the default CRRConfig — Enc 64, Hidden 32, K 5,
@@ -219,16 +184,8 @@ func runGolden(ds *Dataset, cfg CRRConfig, steps int) goldenRun {
 // with two workers.
 func TestGoldenBenchShape(t *testing.T) {
 	ds := goldenDataset(t)
-	for _, c := range []struct {
-		workers int
-		want    goldenRun
-	}{
-		{0, goldenRun{online: "fac0cd3e637bf6c3", targets: "0a94766bd0cd0c09", stats: "88f0781614c8c47f", rng: "5a5670933092353b"}},
-		{2, goldenRun{online: "b928d7436997d445", targets: "0a94766bd0cd0c09", stats: "d6678a3e9c1b16eb", rng: "3404e465dc37f648"}},
-	} {
-		if got := runGolden(ds, CRRConfig{Workers: c.workers, Seed: 23}, 6); got != c.want {
-			t.Errorf("Workers=%d: %+v, want %+v", c.workers, got, c.want)
-		}
+	for _, workers := range []int{0, 2} {
+		runGolden(t, fmt.Sprintf("bench-shape-w%d", workers), ds, CRRConfig{Workers: workers, Seed: 23}, 6)
 	}
 }
 
@@ -238,18 +195,15 @@ func TestGoldenAblations(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		mod  func(*nn.PolicyConfig)
-		want goldenRun
 	}{
-		{"NoGRU", func(p *nn.PolicyConfig) { p.NoGRU = true }, goldenRun{online: "339dadafdfe97493", targets: "5808ff7dbcc8d524", stats: "cb41eefaf87b028e", rng: "7e985630335df0f0"}},
-		{"NoEncoder", func(p *nn.PolicyConfig) { p.NoEncoder = true }, goldenRun{online: "ed4e64fb45e7172f", targets: "0a77a87c9d6e4fbd", stats: "da6f4432945014c9", rng: "7e985630335df0f0"}},
-		{"K1", func(p *nn.PolicyConfig) { p.K = 1 }, goldenRun{online: "5a6cd3e878ea963a", targets: "3b46101a1485f097", stats: "40942cbc220e91fc", rng: "7e985630335df0f0"}},
+		{"NoGRU", func(p *nn.PolicyConfig) { p.NoGRU = true }},
+		{"NoEncoder", func(p *nn.PolicyConfig) { p.NoEncoder = true }},
+		{"K1", func(p *nn.PolicyConfig) { p.K = 1 }},
 	} {
 		cfg := goldenCfg(2)
 		cfg.TargetEvery = 8
 		c.mod(&cfg.Policy)
-		if got := runGolden(ds, cfg, 12); got != c.want {
-			t.Errorf("%s: %+v, want %+v", c.name, got, c.want)
-		}
+		runGolden(t, "ablation-"+c.name, ds, cfg, 12)
 	}
 }
 
@@ -272,18 +226,10 @@ func shortTrajDataset(t *testing.T) *Dataset {
 
 func TestGoldenShortTrajectories(t *testing.T) {
 	ds := shortTrajDataset(t)
-	for _, c := range []struct {
-		workers int
-		want    goldenRun
-	}{
-		{0, goldenRun{online: "8ab210a6e35575eb", targets: "958efd61271cf171", stats: "cd273766309b8d89", rng: "6526e6d1343660bd"}},
-		{2, goldenRun{online: "df252c545b2669e4", targets: "91fccc0460809c4b", stats: "d7c617f80af839e1", rng: "7e985630335df0f0"}},
-	} {
-		cfg := goldenCfg(c.workers)
+	for _, workers := range []int{0, 2} {
+		cfg := goldenCfg(workers)
 		cfg.TargetEvery = 8
-		if got := runGolden(ds, cfg, 12); got != c.want {
-			t.Errorf("Workers=%d: %+v, want %+v", c.workers, got, c.want)
-		}
+		runGolden(t, fmt.Sprintf("short-traj-w%d", workers), ds, cfg, 12)
 	}
 }
 
@@ -296,26 +242,20 @@ func TestGoldenImitation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := paramDigest(nn.DumpParams(bc)), "1e0a401df482296f"; got != want {
-		t.Errorf("TrainBC: %s, want %s", got, want)
-	}
+	golden.Check(t, "imitation-bc", paramDigest(nn.DumpParams(bc)))
 
 	scs := netem.SetI(netem.SetIOptions{Level: netem.GridTiny, Duration: sim.Second, Seed: 1})[:2]
 	indigo, err := TrainIndigo(IndigoConfig{Policy: tinyPolicyCfg(), Scenarios: scs, DaggerIters: 1, StepsPer: 20, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := paramDigest(nn.DumpParams(indigo)), "16eb48fb73a844f9"; got != want {
-		t.Errorf("TrainIndigo: %s, want %s", got, want)
-	}
+	golden.Check(t, "imitation-indigo", paramDigest(nn.DumpParams(indigo)))
 
 	aurora, err := TrainAurora(AuroraConfig{Policy: tinyPolicyCfg(), Scenarios: scs, Episodes: 2, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := paramDigest(nn.DumpParams(aurora)), "dc2ae8ea3d91f9b0"; got != want {
-		t.Errorf("TrainAurora: %s, want %s", got, want)
-	}
+	golden.Check(t, "imitation-aurora", paramDigest(nn.DumpParams(aurora)))
 }
 
 // TestGoldenWindowWithoutNextState: when no trajectory holds SeqLen+1 states
@@ -331,26 +271,16 @@ func TestGoldenWindowWithoutNextState(t *testing.T) {
 		n := 4 - i%2 // SeqLen states, or one fewer
 		tr.States, tr.Actions, tr.Rewards = tr.States[:n], tr.Actions[:n], tr.Rewards[:n]
 	}
-	for _, c := range []struct {
-		workers int
-		want    goldenRun
-	}{
-		{0, goldenRun{online: "00165ccdbf7746db", targets: "8b021b8335b298f6", stats: "95f3d452395f058e", rng: "a0723c9780b25670"}},
-		{2, goldenRun{online: "b70344b7e43bd1f3", targets: "bdb50a367b9510b7", stats: "f621e93d635a50df", rng: "6a9349721511b338"}},
-	} {
-		cfg := goldenCfg(c.workers)
+	for _, workers := range []int{0, 2} {
+		cfg := goldenCfg(workers)
 		cfg.TargetEvery = 3
-		if got := runGolden(ds, cfg, 8); got != c.want {
-			t.Errorf("Workers=%d: %+v, want %+v", c.workers, got, c.want)
-		}
+		runGolden(t, fmt.Sprintf("no-next-state-w%d", workers), ds, cfg, 8)
 	}
 	bc, err := TrainBC(ds, BCConfig{Policy: tinyPolicyCfg(), Steps: 10, Batch: 6, SeqLen: 4, Seed: 23}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := paramDigest(nn.DumpParams(bc)), "22fb1a4b509703a4"; got != want {
-		t.Errorf("TrainBC: %s, want %s", got, want)
-	}
+	golden.Check(t, "no-next-state-bc", paramDigest(nn.DumpParams(bc)))
 }
 
 // TestOpenRunResumesBitwise drives the one open-or-resume entry the way the
@@ -378,7 +308,7 @@ func TestOpenRunResumesBitwise(t *testing.T) {
 		t.Fatalf("reopen: from %q, %d done, %d left, err %v", from, l.StepsDone(), l.Cfg.Steps, err)
 	}
 	l.Train(context.Background(), ds, nil)
-	checkGolden(t, "OpenRun resumed at 15", l, goldenWorkers2)
+	checkGolden(t, "workers2", l)
 
 	// A finished run reopens with nothing left to do.
 	if err := l.SaveCheckpoint(ckpt, l.StepsDone()); err != nil {

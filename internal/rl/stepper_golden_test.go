@@ -4,16 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"sage/internal/golden"
 	"sage/internal/gr"
 	"sage/internal/nn"
 )
 
-// goldenStepper pins the one-row decision step every B = 1 caller shares
+// TestGoldenStepper pins the one-row decision step every B = 1 caller shares
 // (core.Agent, promote.Shadow, Engine.Swap's re-prime) at the default
-// architecture. It changes only with a CHANGES.md sentence saying why.
-const goldenStepper = "0e2d0ee1e6e0e24f"
-
-// TestGoldenStepper digests every GMM head, and the hidden vector at the
+// architecture (testdata/stepper.golden). It digests every GMM head, and the hidden vector at the
 // end, of 1 000 Steps of the default-config seeded policy with a fitted
 // normalizer over seeded uniform states, the recurrent state threaded through.
 func TestGoldenStepper(t *testing.T) {
@@ -39,7 +37,5 @@ func TestGoldenStepper(t *testing.T) {
 		out = append(out, append([]float64(nil), st.Step(state(), hidden)...))
 	}
 	out = append(out, hidden)
-	if got := paramDigest(out); got != goldenStepper {
-		t.Errorf("stepper digest %s, want %s", got, goldenStepper)
-	}
+	golden.Check(t, "stepper", paramDigest(out))
 }

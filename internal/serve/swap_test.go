@@ -1,9 +1,6 @@
 package serve_test
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -12,6 +9,7 @@ import (
 
 	"sage/internal/cc"
 	"sage/internal/chaos"
+	"sage/internal/golden"
 	"sage/internal/gr"
 	"sage/internal/guard"
 	"sage/internal/nn"
@@ -322,12 +320,11 @@ func TestGuardRestoreAfterSwapUsesNewModel(t *testing.T) {
 	}
 }
 
-// TestSwapGolden pins the re-prime bit for bit: an FNV digest of the first
-// two post-Swap decisions of three sessions whose histories are shorter
-// than, equal to and longer than the re-prime window. The constant changes
-// only with a CHANGES.md sentence saying why.
+// TestSwapGolden pins the re-prime bit for bit
+// (testdata/swap-decisions.golden): a digest of the first two post-Swap
+// decisions of three sessions whose histories are shorter than, equal to
+// and longer than the re-prime window.
 func TestSwapGolden(t *testing.T) {
-	const want = "30c2656cd5f5a12d"
 	eng := serve.NewEngine(serve.Config{Policy: testPolicy(71), ReprimeWindow: 8})
 	eng.Start()
 	defer eng.Close()
@@ -348,19 +345,15 @@ func TestSwapGolden(t *testing.T) {
 	if stats.Reprimed != 3 {
 		t.Fatalf("swap stats = %+v, want three sessions reprimed", stats)
 	}
-	h := fnv.New64a()
+	d := golden.NewDigest()
 	for step := 0; step < 2; step++ {
 		for _, sid := range sids {
 			cwnd, fallback, err := eng.Decide(sid, 100, randState(rng))
 			if err != nil || fallback {
 				t.Fatalf("post-swap decision: cwnd %v fallback %v err %v", cwnd, fallback, err)
 			}
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(cwnd))
-			h.Write(b[:])
+			d.F64(cwnd)
 		}
 	}
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
-		t.Errorf("post-swap decisions digest %s, want %s", got, want)
-	}
+	golden.Check(t, "swap-decisions", d.Sum())
 }

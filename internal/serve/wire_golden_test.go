@@ -1,28 +1,21 @@
 package serve_test
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"sage/internal/golden"
 	"sage/internal/gr"
 	"sage/internal/serve"
 	"sage/internal/tcp"
 )
 
-// goldenWireReplies pins what the daemon answers, end to end: framing,
-// admission, the micro-batcher and the policy forward. Replaying a session
-// through an in-process engine (serve_wire's check) runs the same kernels on
-// both sides, so only a constant taken before a kernel change can catch one.
-// It changes only with a CHANGES.md sentence saying why.
-const goldenWireReplies = "b2b7cf41dc685bc6"
-
-// TestGoldenWireReplies drives a real Server over a unix socket the way the
+// TestGoldenWireReplies pins what the daemon answers, end to end
+// (testdata/wire-replies.golden): framing, admission, the micro-batcher and
+// the policy forward. Replaying a session through an in-process engine
+// (serve_wire's check) runs the same kernels on both sides, so only a pin
+// taken before a kernel change can catch one. It drives a real Server over a unix socket the way the
 // serve_wire workload does — 2 connections, each round-robining 5 sessions
 // of seeded uniform states, every reply fed back as the next cwnd, clamped
 // as a connection would clamp it — and digests the first 200 replies of
@@ -39,12 +32,12 @@ func TestGoldenWireReplies(t *testing.T) {
 		id   uint64
 		rng  *rand.Rand
 		cwnd float64
-		h    hash.Hash64
+		d    *golden.Digest
 	}
 	sessions := make([]*session, conns*perConn)
 	for i := range sessions {
 		id := uint64(i + 1)
-		sessions[i] = &session{id: id, rng: rand.New(rand.NewSource(1000 + int64(id))), cwnd: 10, h: fnv.New64a()}
+		sessions[i] = &session{id: id, rng: rand.New(rand.NewSource(1000 + int64(id))), cwnd: 10, d: golden.NewDigest()}
 	}
 	var wg sync.WaitGroup
 	for c := 0; c < conns; c++ {
@@ -57,7 +50,6 @@ func TestGoldenWireReplies(t *testing.T) {
 		go func(cl *serve.Client, own []*session) {
 			defer wg.Done()
 			state := make([]float64, gr.StateDim)
-			var b [8]byte
 			for i := 0; i < replies*len(own); i++ {
 				s := own[i%len(own)]
 				for j := range state {
@@ -68,8 +60,7 @@ func TestGoldenWireReplies(t *testing.T) {
 					t.Errorf("session %d reply %d: status %d, err %v", s.id, i/len(own), status, err)
 					return
 				}
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(w))
-				s.h.Write(b[:])
+				s.d.F64(w)
 				s.cwnd = tcp.ClampCwnd(w, 2, 20000)
 			}
 		}(cl, sessions[c*perConn:(c+1)*perConn])
@@ -78,13 +69,9 @@ func TestGoldenWireReplies(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	h := fnv.New64a()
-	var b [8]byte
+	d := golden.NewDigest()
 	for _, s := range sessions {
-		binary.LittleEndian.PutUint64(b[:], s.h.Sum64())
-		h.Write(b[:])
+		d.U64(s.d.Sum64())
 	}
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenWireReplies {
-		t.Errorf("wire replies digest %s, want %s", got, goldenWireReplies)
-	}
+	golden.Check(t, "wire-replies", d.Sum())
 }
