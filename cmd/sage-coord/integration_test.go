@@ -116,16 +116,10 @@ func TestDistributedCollectionSurvivesAgentKill(t *testing.T) {
 
 	// SIGKILL the victim once the campaign is demonstrably underway: its
 	// in-flight cells must be reassigned to the survivor.
-	manifest := outPool + ".manifest"
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("manifest never gained an ok entry")
-		}
-		if raw, err := os.ReadFile(manifest); err == nil && strings.Contains(string(raw), `"ok"`) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	waitForFile(t, outPool+".wal", "WAL done record", 2*time.Minute,
+		func(raw []byte) bool { return strings.Contains(string(raw), `"t":"done"`) })
+	if _, err := os.Stat(outPool + ".manifest"); err == nil {
+		t.Fatal("coordinator wrote a manifest next to its WAL")
 	}
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -146,11 +140,11 @@ func TestDistributedCollectionSurvivesAgentKill(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("distributed pool differs from single-process run (%d vs %d bytes)", len(got), len(want))
 	}
-	// Resume state is cleaned up after a successful merge.
-	if _, err := os.Stat(manifest); err == nil {
-		t.Fatal("manifest left behind after success")
-	}
-	if _, err := os.Stat(outPool + ".shards"); err == nil {
-		t.Fatal("shard directory left behind after success")
+	// Resume state is cleaned up after a successful merge, and the
+	// coordinator keeps no second ledger.
+	for _, leftover := range []string{outPool + ".wal", outPool + ".shards", outPool + ".manifest"} {
+		if _, err := os.Stat(leftover); err == nil {
+			t.Fatalf("%s left behind after success", leftover)
+		}
 	}
 }

@@ -12,10 +12,10 @@
 // Collection mode owns the campaign: agents connect, lease (scheme, env)
 // cells under a heartbeat-renewed TTL, and ship back checksummed pool
 // shards; dead or stalled agents are evicted and their cells reassigned.
-// Shards persist through internal/safeio next to a manifest journal, so a
-// killed coordinator rerun with -resume re-admits verified cells and the
-// final pool is byte-identical to an uninterrupted single-process
-// sage-collect run.
+// Shards persist through internal/safeio, and each cell's outcome goes to
+// a write-ahead log (<out>.wal) after its shard, so a killed coordinator
+// rerun with -resume re-admits verified cells and the final pool is
+// byte-identical to an uninterrupted single-process sage-collect run.
 //
 // Train mode holds the master learner: per step every worker pushes its
 // gradient shard, the coordinator all-reduces them in worker order,
@@ -24,14 +24,13 @@
 // carry the remote sampler positions, so worker or coordinator restarts
 // resume exactly.
 //
-// SIGINT/SIGTERM drain: collection leaves the manifest and shards for
-// -resume; training checkpoints the current step. Both exit 130.
+// SIGINT/SIGTERM drain: collection leaves the WAL and shards for -resume;
+// training checkpoints the current step. Both exit 130.
 //
-// The coordinator also journals lease grants, shard completions, and
-// committed barrier steps to a write-ahead log (<out>.wal in collect
-// mode, <checkpoint>.wal in train mode) so even a SIGKILL'd coordinator
+// The WAL also journals lease grants, so even a SIGKILL'd coordinator
 // restarted with -resume re-adopts in-flight leases instead of
-// re-collecting them. With -hedge-factor, cells leased far longer than
+// re-collecting them; train mode journals committed barrier steps to
+// <checkpoint>.wal. With -hedge-factor, cells leased far longer than
 // the fleet's typical completion time are speculatively re-leased to
 // idle agents; the first checksummed shard wins. With -chaos, a seeded
 // fault-injecting transport wraps every agent connection (drops,
@@ -70,7 +69,7 @@ func run(ctx context.Context, f *cli.Flags) error {
 		// Collection mode.
 		out     = f.String("out", "pool.gob.gz", "collect: output pool file")
 		grid    = f.Scenarios("collect: ")
-		resume  = f.Bool("resume", false, "collect: re-admit cells finished by a previous coordinator (reads <out>.shards + <out>.manifest)")
+		resume  = f.Bool("resume", false, "collect: re-admit cells finished by a previous coordinator (reads <out>.shards + <out>.wal)")
 		quality = f.Bool("quality", true, "collect: quarantine bad trajectories before saving (report: <out>.quarantine.jsonl)")
 
 		// Train mode.
@@ -175,15 +174,14 @@ func runCollect(ctx context.Context, c coordOpts, grid *cli.Scenarios, out strin
 			Seed:       seed,
 			Window:     grid.Window,
 		},
-		ShardDir:     out + ".shards",
-		ManifestPath: out + ".manifest",
-		WALPath:      out + ".wal",
-		LeaseTTL:     leaseTTL,
-		Resume:       resume,
-		HedgeFactor:  hedge,
-		Metrics:      c.reg,
-		Fleet:        fleet,
-		Logf:         cli.Logf,
+		ShardDir:    out + ".shards",
+		WALPath:     out + ".wal",
+		LeaseTTL:    leaseTTL,
+		Resume:      resume,
+		HedgeFactor: hedge,
+		Metrics:     c.reg,
+		Fleet:       fleet,
+		Logf:        cli.Logf,
 	})
 	if err != nil {
 		return cli.Exit(cli.ExitUsage, err)
@@ -206,7 +204,7 @@ func runCollect(ctx context.Context, c coordOpts, grid *cli.Scenarios, out strin
 	// silent for a lease TTL would have lost its lease anyway.
 	if wait(ctx, coord, meter, max(10*time.Second, leaseTTL)) != nil {
 		_, _, done, failed := coord.Tracker().Counts()
-		return cli.Exitf(cli.ExitSignal, "interrupted: %d/%d cells done (%d failed); manifest and shards kept\nrerun with -resume to continue",
+		return cli.Exitf(cli.ExitSignal, "interrupted: %d/%d cells done (%d failed); WAL and shards kept\nrerun with -resume to continue",
 			done+failed, coord.TotalCells(), failed)
 	}
 

@@ -316,33 +316,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestTornFinalLine: a crash mid-append tears the last line; the
-// loader keeps every complete entry and ignores the tail.
-func TestManifestTornFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pool.manifest")
-	m, _, err := OpenManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Record("cubic", "env-a", nil)
-	m.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"scheme":"vegas","env":"en`) // torn: no closing brace/newline
-	f.Close()
-
-	m2, seen, err := OpenManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	if len(seen) != 1 || seen[CellKey{"cubic", "env-a"}] != "ok" {
-		t.Fatalf("torn manifest state = %v", seen)
-	}
-}
-
 // TestPoolLoadDetectsCorruption: collector.Load reports corruption of the
 // saved pool via safeio instead of a bare gzip/gob error.
 func TestPoolLoadDetectsCorruption(t *testing.T) {

@@ -39,13 +39,12 @@ func TestCampaignByteIdenticalUnderChaos(t *testing.T) {
 	dir := t.TempDir()
 	coordMetrics := telemetry.NewRegistry()
 	coord, err := NewCoordinator(CoordConfig{
-		Campaign:     testCampaign(),
-		ShardDir:     filepath.Join(dir, "shards"),
-		ManifestPath: filepath.Join(dir, "manifest"),
-		WALPath:      filepath.Join(dir, "wal"),
-		LeaseTTL:     30 * time.Second,
-		HedgeFactor:  4,
-		Metrics:      coordMetrics,
+		Campaign:    testCampaign(),
+		ShardDir:    filepath.Join(dir, "shards"),
+		WALPath:     filepath.Join(dir, "wal"),
+		LeaseTTL:    30 * time.Second,
+		HedgeFactor: 4,
+		Metrics:     coordMetrics,
 	})
 	if err != nil {
 		t.Fatal(err)

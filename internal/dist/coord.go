@@ -42,24 +42,23 @@ type CoordConfig struct {
 	Campaign *Campaign
 	// ShardDir is where verified pool shards are persisted (collection).
 	ShardDir string
-	// ManifestPath is the campaign's cell ledger (collector.Manifest) — the
-	// same file sage-collect -resume reads, reused for coordinator restarts.
-	ManifestPath string
 	// LeaseTTL bounds how long a silent agent keeps its cells
 	// (default 30s). Agents heartbeat at TTL/3.
 	LeaseTTL time.Duration
-	// Resume re-admits cells whose manifest entry says "ok" AND whose
-	// shard file verifies; anything less is re-collected.
+	// Resume replays the WAL: a cell whose last record is done AND whose
+	// shard file verifies is re-admitted, one whose last record is a grant
+	// is re-adopted; anything else is re-collected.
 	Resume bool
 	// HedgeFactor enables straggler hedging: a cell leased for longer
 	// than HedgeFactor × the fleet's p75 completion duration is
 	// speculatively re-leased to an idle agent; the first checksummed
 	// shard wins. 0 disables hedging.
 	HedgeFactor float64
-	// WALPath, when set, makes lease grants, terminal cell outcomes and
-	// training barrier epochs durable in a write-ahead log, so a
-	// restarted coordinator (Resume) re-adopts in-flight leases instead
-	// of waiting out their TTLs.
+	// WALPath is the write-ahead log of lease grants, terminal cell
+	// outcomes and training barrier epochs — the coordinator's one ledger,
+	// required with a Campaign and optional for training. A restarted
+	// coordinator (Resume) re-admits done cells and re-adopts in-flight
+	// leases from it instead of waiting out their TTLs.
 	WALPath string
 
 	Train *TrainConfig
@@ -76,17 +75,15 @@ type CoordConfig struct {
 // sequentially, on the accept loop internal/serve's server also runs
 // (wire.Conns).
 type Coordinator struct {
-	cfg      CoordConfig
-	tracker  *Tracker
-	manifest *collector.Manifest
-	grCfg    gr.Config
-	total    int
-	resumed  int
-	train    *trainState
-	replies  *replyCache
-	wal      *wal
-
-	epochMu   sync.Mutex
+	cfg     CoordConfig
+	tracker *Tracker
+	grCfg   gr.Config
+	total   int
+	resumed int
+	train   *trainState
+	replies *replyCache
+	wal     *wal
+	// lastEpoch is the last training step the WAL held when opened.
 	lastEpoch int
 
 	conns wire.Conns
@@ -96,8 +93,7 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the configuration, rebuilds resume state from
-// the manifest and shard directory, and returns a coordinator ready to
-// Serve.
+// the WAL and shard directory, and returns a coordinator ready to Serve.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Campaign == nil && cfg.Train == nil {
 		return nil, errors.New("dist: coordinator needs a campaign, a training config, or both")
@@ -117,8 +113,8 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		if err := cfg.Campaign.Validate(); err != nil {
 			return nil, err
 		}
-		if cfg.ShardDir == "" || cfg.ManifestPath == "" {
-			return nil, errors.New("dist: collection coordinator needs ShardDir and ManifestPath")
+		if cfg.ShardDir == "" || cfg.WALPath == "" {
+			return nil, errors.New("dist: collection coordinator needs ShardDir and WALPath")
 		}
 		if err := os.MkdirAll(cfg.ShardDir, 0o755); err != nil {
 			return nil, fmt.Errorf("dist: shard dir: %w", err)
@@ -130,29 +126,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		c.total = len(cells)
 		c.grCfg = cfg.Campaign.GR().Fill()
 		c.tracker = NewTracker(cells, cfg.LeaseTTL)
-		if !cfg.Resume {
-			os.Remove(cfg.ManifestPath)
-		}
-		manifest, recorded, err := collector.OpenManifest(cfg.ManifestPath)
-		if err != nil {
-			return nil, err
-		}
-		c.manifest = manifest
-		if cfg.Resume {
-			// A cell is finished only when the ledger and a verified
-			// shard agree — the ledger alone could claim a cell whose
-			// shard never reached disk (crash between record and fsync
-			// ordering is write-shard-first, but trust nothing).
-			for cell, status := range recorded {
-				if status != "ok" {
-					continue
-				}
-				if c.shardHasCell(cell) {
-					c.tracker.MarkDone(cell)
-					c.resumed++
-				}
-			}
-		}
 		c.tracker.SetHedge(cfg.HedgeFactor)
 	}
 	if cfg.WALPath != "" {
@@ -173,9 +146,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		tc := *cfg.Train
 		userOnStep := tc.OnStep
 		tc.OnStep = func(st rl.TrainStats) {
-			c.epochMu.Lock()
-			c.lastEpoch = st.Step
-			c.epochMu.Unlock()
 			c.wal.append(walRecord{T: "epoch", Step: st.Step})
 			if userOnStep != nil {
 				userOnStep(st)
@@ -192,34 +162,39 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// replayWAL rebuilds in-flight state from the recovered log: a cell
-// whose last record is a grant (no terminal done/fail, not completed
-// per the manifest) is re-adopted — leased back to its agent with a
-// fresh TTL, so a live agent's in-flight work lands without
-// re-collection while a dead agent's lease simply expires. Epoch
-// records recover the last committed training step.
+// replayWAL rebuilds the campaign from the recovered log by folding each
+// cell's last record. A done cell is finished only when a verified shard
+// agrees — the log alone could claim a cell whose shard never reached disk
+// (the shard is written first, but trust nothing). A cell whose last
+// record is a grant is re-adopted — leased back to its agent with a fresh
+// TTL, so a live agent's in-flight work lands without re-collection while
+// a dead agent's lease simply expires. A failed cell stays pending, so a
+// resumed campaign retries it. Epoch records recover the last committed
+// training step.
 func (c *Coordinator) replayWAL(recs []walRecord) {
 	if len(recs) == 0 {
 		return
 	}
-	inflight := map[collector.CellKey]string{}
+	last := map[collector.CellKey]walRecord{}
 	for _, rec := range recs {
 		switch rec.T {
-		case "grant":
-			inflight[rec.cell()] = rec.Agent
-		case "done", "fail":
-			delete(inflight, rec.cell())
+		case "grant", "done", "fail":
+			last[rec.cell()] = rec
 		case "epoch":
-			if rec.Step > c.lastEpoch {
-				c.lastEpoch = rec.Step
-			}
+			c.lastEpoch = max(c.lastEpoch, rec.Step)
 		}
 	}
 	c.cfg.Metrics.Counter("dist.wal_replayed").Add(int64(len(recs)))
 	if c.tracker != nil {
-		for cell, agent := range inflight {
-			c.tracker.Readopt(cell, agent)
-			c.cfg.Logf("coord: wal: re-adopted lease %s/%s → %s", cell.Scheme, cell.Env, agent)
+		for cell, rec := range last {
+			switch {
+			case rec.T == "done" && c.shardHasCell(cell):
+				c.tracker.MarkDone(cell)
+				c.resumed++
+			case rec.T == "grant":
+				c.tracker.Readopt(cell, rec.Agent)
+				c.cfg.Logf("coord: wal: re-adopted lease %s/%s → %s", cell.Scheme, cell.Env, rec.Agent)
+			}
 		}
 	}
 	if c.lastEpoch > 0 {
@@ -227,16 +202,13 @@ func (c *Coordinator) replayWAL(recs []walRecord) {
 	}
 }
 
-// LastEpoch reports the most recent training step committed to the WAL
-// (applied live or recovered at startup); 0 before any step.
-func (c *Coordinator) LastEpoch() int {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	return c.lastEpoch
-}
+// LastEpoch reports the last training step the WAL recorded when the
+// coordinator opened it (0 for a fresh log); steps applied since are the
+// learner's to report.
+func (c *Coordinator) LastEpoch() int { return c.lastEpoch }
 
 // Resumed reports how many cells were re-admitted from a previous
-// coordinator's manifest and shards.
+// coordinator's WAL and shards.
 func (c *Coordinator) Resumed() int { return c.resumed }
 
 // TotalCells reports the campaign's cell count.
@@ -306,8 +278,9 @@ func (c *Coordinator) DrainAgents(grace time.Duration) {
 }
 
 // Shutdown stops accepting, closes every connection, wakes blocked
-// training handlers, and waits for handlers to exit. The manifest and
-// shard files stay on disk — a future coordinator resumes from them.
+// training handlers, waits for handlers to exit, and closes the WAL. The
+// WAL and shard files stay on disk — a future coordinator resumes from
+// them.
 func (c *Coordinator) Shutdown() {
 	if !c.conns.Close() {
 		c.conns.Wait()
@@ -318,11 +291,6 @@ func (c *Coordinator) Shutdown() {
 	}
 	c.conns.Each(func(conn net.Conn) { conn.Close() })
 	c.conns.Wait()
-	if c.manifest != nil {
-		if err := c.manifest.Close(); err != nil {
-			c.cfg.Logf("coord: %v", err)
-		}
-	}
 	c.wal.close()
 }
 
@@ -495,7 +463,6 @@ func (c *Coordinator) handleCellDone(req *Message) *Message {
 	}
 	verdict, hedgeWin := c.tracker.Complete(req.AgentID, cell)
 	if verdict == VerdictOK {
-		c.manifest.Record(cell.Scheme, cell.Env, nil)
 		c.wal.appendCell("done", req.AgentID, cell, "")
 		c.cfg.Metrics.Counter("coord.cells_done").Inc()
 		c.cfg.Metrics.Counter("coord.shard_bytes").Add(int64(len(req.Shard)))
@@ -522,7 +489,6 @@ func (c *Coordinator) handleCellFailed(req *Message) *Message {
 	cell := collector.CellKey{Scheme: req.Scheme, Env: req.Env}
 	verdict := c.tracker.Fail(req.AgentID, cell, req.Err)
 	if verdict == VerdictOK {
-		c.manifest.Record(cell.Scheme, cell.Env, errors.New(req.Err))
 		c.wal.appendCell("fail", req.AgentID, cell, req.Err)
 		c.cfg.Metrics.Counter("coord.cells_failed").Inc()
 		c.cfg.Progress.Add(1)
@@ -594,17 +560,10 @@ func (c *Coordinator) MergedPool() (*collector.Pool, error) {
 	return pool, nil
 }
 
-// CleanupResumeState removes the manifest and shard files after the
-// final pool is safely saved.
+// CleanupResumeState removes the WAL and shard files after the final pool
+// is safely saved. Call it after Shutdown, which closes the WAL.
 func (c *Coordinator) CleanupResumeState() {
-	if c.manifest != nil {
-		c.manifest.Close()
-	}
-	if c.cfg.ManifestPath != "" {
-		os.Remove(c.cfg.ManifestPath)
-	}
 	if c.cfg.WALPath != "" {
-		c.wal.close()
 		os.Remove(c.cfg.WALPath)
 	}
 	if c.cfg.ShardDir != "" {

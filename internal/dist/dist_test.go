@@ -94,10 +94,10 @@ func savedBytes(t *testing.T, pool *collector.Pool) []byte {
 func TestShardedCampaignByteIdenticalToSingleProcess(t *testing.T) {
 	dir := t.TempDir()
 	coord, addr := startCoordinator(t, CoordConfig{
-		Campaign:     testCampaign(),
-		ShardDir:     filepath.Join(dir, "shards"),
-		ManifestPath: filepath.Join(dir, "manifest"),
-		LeaseTTL:     10 * time.Second,
+		Campaign: testCampaign(),
+		ShardDir: filepath.Join(dir, "shards"),
+		WALPath:  filepath.Join(dir, "wal"),
+		LeaseTTL: 10 * time.Second,
 	})
 	defer coord.Shutdown()
 
@@ -130,12 +130,14 @@ func TestShardedCampaignByteIdenticalToSingleProcess(t *testing.T) {
 }
 
 // TestCoordinatorRestartMidCampaign: a coordinator killed mid-campaign
-// leaves its manifest and shards; a successor with -resume re-admits the
-// verified cells and the completed campaign is still byte-identical.
+// leaves its WAL and shards; a successor with -resume re-admits the
+// verified cells and the completed campaign is still byte-identical. Once
+// the pool is merged and the successor shut down, CleanupResumeState
+// leaves the state dir empty.
 func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	dir := t.TempDir()
 	shardDir := filepath.Join(dir, "shards")
-	manifest := filepath.Join(dir, "manifest")
+	wal := filepath.Join(dir, "wal")
 	campaign := testCampaign()
 	cells, err := campaign.Cells()
 	if err != nil {
@@ -153,7 +155,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	// Phase 1: a raw protocol client completes three cells, then the
 	// coordinator dies without merging.
 	coord1, addr := startCoordinator(t, CoordConfig{
-		Campaign: campaign, ShardDir: shardDir, ManifestPath: manifest, LeaseTTL: 10 * time.Second,
+		Campaign: campaign, ShardDir: shardDir, WALPath: wal, LeaseTTL: 10 * time.Second,
 	})
 	cli, err := dial(context.Background(), addr, 0)
 	if err != nil {
@@ -186,7 +188,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 
 	// Phase 2: the successor resumes and two agents finish the campaign.
 	coord2, addr2 := startCoordinator(t, CoordConfig{
-		Campaign: campaign, ShardDir: shardDir, ManifestPath: manifest,
+		Campaign: campaign, ShardDir: shardDir, WALPath: wal,
 		LeaseTTL: 10 * time.Second, Resume: true,
 	})
 	defer coord2.Shutdown()
@@ -219,6 +221,17 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	if len(cells) != len(merged.Trajs) {
 		t.Fatalf("trajs = %d, want %d", len(merged.Trajs), len(cells))
 	}
+
+	coord2.Shutdown()
+	for _, p := range []string{wal, shardDir} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("resume state before cleanup: %v", err)
+		}
+	}
+	coord2.CleanupResumeState()
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("state dir after CleanupResumeState holds %v (%v), want nothing", left, err)
+	}
 }
 
 // TestEvictionAndDuplicateCompletion drives the revived-agent story at
@@ -229,7 +242,7 @@ func TestEvictionAndDuplicateCompletion(t *testing.T) {
 	dir := t.TempDir()
 	campaign := &Campaign{Schemes: []string{"cubic"}, Level: "tiny", SetIDurSec: 3, SetIIDur: 5, Seed: 1}
 	coord, addr := startCoordinator(t, CoordConfig{
-		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"), ManifestPath: filepath.Join(dir, "manifest"),
+		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"), WALPath: filepath.Join(dir, "wal"),
 		LeaseTTL: 10 * time.Second,
 	})
 	defer coord.Shutdown()

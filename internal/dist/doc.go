@@ -11,12 +11,12 @@
 // serialized scenarios. Agents lease cells, renew the leases with
 // heartbeats, run each cell with collector.CollectCell, and ship the
 // resulting single-cell pool shard back checksummed; the coordinator
-// persists every shard through internal/safeio and records completion in
-// the same manifest journal sage-collect's resume path uses. A lease that
-// is not renewed within its TTL returns the cell to the pending set and
-// marks the holder evicted — a revived agent learns its session is dead
-// on its next message and exits with a distinct status so a supervisor
-// can relaunch it. Because each cell's trajectory is a pure function of
+// persists every shard through internal/safeio and then records
+// completion in its write-ahead log, the one ledger a restarted
+// coordinator resumes from. A lease that is not renewed within its TTL
+// returns the cell to the pending set and marks the holder evicted — a
+// revived agent learns its session is dead on its next message and exits
+// with a distinct status so a supervisor can relaunch it. Because each cell's trajectory is a pure function of
 // (scheme, scenario, GR config), the merged pool is byte-identical to a
 // single-process sage-collect run over the same campaign, no matter how
 // cells were distributed, reassigned, or duplicated.

@@ -20,7 +20,7 @@ func TestDrainAgentsWaitsForTheVerdict(t *testing.T) {
 	dir := t.TempDir()
 	campaign := &Campaign{Schemes: []string{"cubic"}, Level: "tiny", SetIDurSec: 3, SetIIDur: 5, Seed: 1}
 	coord, addr := startCoordinator(t, CoordConfig{
-		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"), ManifestPath: filepath.Join(dir, "manifest"),
+		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"), WALPath: filepath.Join(dir, "wal"),
 		LeaseTTL: 10 * time.Second,
 	})
 	defer coord.Shutdown()

@@ -23,7 +23,7 @@ func TestGoldenCoordinatorWAL(t *testing.T) {
 	campaign := &Campaign{Schemes: []string{"cubic"}, Level: "tiny", SetIDurSec: 3, SetIIDur: 5, Seed: 1}
 	base := CoordConfig{
 		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"),
-		ManifestPath: filepath.Join(dir, "manifest"), WALPath: filepath.Join(dir, "wal"),
+		WALPath:  filepath.Join(dir, "wal"),
 		LeaseTTL: time.Minute,
 	}
 	coord, addr := startCoordinator(t, base)
@@ -98,8 +98,9 @@ func TestGoldenCoordinatorWAL(t *testing.T) {
 	if got := resume.Metrics.Snapshot()["dist.wal_replayed"]; got != 5 {
 		t.Errorf("dist.wal_replayed = %v, want 5 (grant, done, grant, fail, grant)", got)
 	}
-	// The done cell comes back through manifest + shard, the in-flight one
-	// through the WAL; a failed cell is retried by a resumed campaign.
+	// The done cell comes back through its WAL record and verified shard,
+	// the in-flight one as a re-adopted lease; a failed cell is retried by a
+	// resumed campaign.
 	pending, leased, done, failed := coord2.Tracker().Counts()
 	if leased != 1 || done != 1 || failed != 0 || pending != coord2.TotalCells()-2 {
 		t.Errorf("resumed tracker: pending=%d leased=%d done=%d failed=%d of %d cells", pending, leased, done, failed, coord2.TotalCells())

@@ -357,8 +357,8 @@ func (t *Tracker) Readopt(cell collector.CellKey, agent string) {
 	ci.leasedAt = now
 }
 
-// MarkDone pre-completes a cell (coordinator resume from manifest +
-// shard files).
+// MarkDone pre-completes a cell (coordinator resume: a done record in the
+// WAL and a verified shard file).
 func (t *Tracker) MarkDone(cell collector.CellKey) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

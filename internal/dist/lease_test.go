@@ -217,8 +217,8 @@ func TestCoordinatorRejectsEvictedShardDone(t *testing.T) {
 	metrics := telemetry.NewRegistry()
 	coord, addr := startCoordinator(t, CoordConfig{
 		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"),
-		ManifestPath: filepath.Join(dir, "manifest"),
-		LeaseTTL:     10 * time.Second, Metrics: metrics,
+		WALPath:  filepath.Join(dir, "wal"),
+		LeaseTTL: 10 * time.Second, Metrics: metrics,
 	})
 	defer coord.Shutdown()
 	now := time.Unix(0, 0)

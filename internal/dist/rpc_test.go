@@ -21,7 +21,7 @@ func TestIdempotentCellDoneReplay(t *testing.T) {
 	campaign := &Campaign{Schemes: []string{"cubic"}, Level: "tiny", SetIDurSec: 3, SetIIDur: 5, Seed: 1}
 	metrics := telemetry.NewRegistry()
 	coord, addr := startCoordinator(t, CoordConfig{
-		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"), ManifestPath: filepath.Join(dir, "manifest"),
+		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"), WALPath: filepath.Join(dir, "wal"),
 		LeaseTTL: 10 * time.Second, Metrics: metrics,
 	})
 	defer coord.Shutdown()

@@ -7,15 +7,14 @@ import (
 )
 
 // The coordinator's write-ahead log extends the "any agent may die"
-// guarantee to the coordinator itself. The manifest and shard files
-// already make *completed* work durable; the WAL makes *in-flight*
-// state durable too: every lease grant, terminal cell outcome, and
-// applied training step is appended (checksummed, fsynced — see
-// safeio.Journal) before or immediately after the action it records.
-// A restarted coordinator replays the log, re-adopts leases whose
-// agents may still be alive (their next heartbeat renews; their
-// in-flight shard lands without re-collection), and knows the last
-// committed barrier epoch.
+// guarantee to the coordinator itself. It is the coordinator's one
+// ledger: every lease grant, terminal cell outcome, and applied training
+// step is appended (checksummed, fsynced — see safeio.Journal) before or
+// immediately after the action it records. A restarted coordinator
+// replays the log, re-admits done cells whose shard files verify,
+// re-adopts leases whose agents may still be alive (their next heartbeat
+// renews; their in-flight shard lands without re-collection), and knows
+// the last committed barrier epoch.
 //
 // WAL record, one JSON object per log line:
 //
@@ -48,7 +47,8 @@ type wal struct {
 }
 
 // openWAL opens the log at path, replaying intact records. The returned
-// records drive lease re-adoption and epoch recovery in NewCoordinator.
+// records drive cell re-admission, lease re-adoption and epoch recovery in
+// NewCoordinator.
 func openWAL(path string, metrics *telemetry.Registry, logf func(string, ...any)) (*wal, []walRecord, error) {
 	var recs []walRecord
 	log, err := safeio.OpenJournal(path, func(rec walRecord) { recs = append(recs, rec) })

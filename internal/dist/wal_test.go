@@ -20,7 +20,7 @@ func TestWALReadoptsInFlightLease(t *testing.T) {
 	campaign := &Campaign{Schemes: []string{"cubic"}, Level: "tiny", SetIDurSec: 3, SetIIDur: 5, Seed: 1}
 	base := CoordConfig{
 		Campaign: campaign, ShardDir: filepath.Join(dir, "shards"),
-		ManifestPath: filepath.Join(dir, "manifest"), WALPath: filepath.Join(dir, "wal"),
+		WALPath:  filepath.Join(dir, "wal"),
 		LeaseTTL: 10 * time.Second,
 	}
 	coord1, addr := startCoordinator(t, base)
@@ -111,8 +111,9 @@ func TestWALReadoptsInFlightLease(t *testing.T) {
 }
 
 // TestWALDoneRecordPreventsReadoption: a cell whose grant is followed by
-// a done record is not re-leased — the manifest/shard path already owns
-// completed work; the WAL only resurrects genuinely in-flight leases.
+// a done record is not re-leased — the WAL only resurrects genuinely
+// in-flight leases — and, with no verified shard behind the done record,
+// not re-admitted either: it stays pending.
 func TestWALDoneRecordPreventsReadoption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal")

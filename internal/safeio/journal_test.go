@@ -76,8 +76,8 @@ var ledgers = []ledger{
 			m := telemetry.NewRegistry()
 			c, err := dist.NewCoordinator(dist.CoordConfig{
 				Campaign: &dist.Campaign{Schemes: []string{"cubic"}, Level: "tiny", SetIDurSec: 3, SetIIDur: 5, Seed: 1},
-				ShardDir: filepath.Join(dir, "shards"), ManifestPath: filepath.Join(dir, "manifest"),
-				WALPath: filepath.Join(dir, "wal"), Resume: true, Metrics: m,
+				ShardDir: filepath.Join(dir, "shards"), WALPath: filepath.Join(dir, "wal"),
+				Resume: true, Metrics: m,
 			})
 			if err != nil {
 				return "", err

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Fleet aggregates metric snapshots reported by remote agents — the
@@ -14,37 +13,22 @@ import (
 // Registry.Snapshot() in heartbeats; the fleet keeps the latest snapshot
 // per agent and exposes cross-fleet totals, so one scrape of the
 // coordinator answers "how many rollouts/transitions has the whole fleet
-// done" without touching any agent. Nil-safe like the rest of the
-// package: every method on a nil *Fleet is a no-op.
+// done" without touching any agent. It keeps no liveness clock: the
+// coordinator's lease table expires silent agents. Nil-safe like the rest
+// of the package: every method on a nil *Fleet is a no-op.
 type Fleet struct {
 	mu     sync.Mutex
-	agents map[string]*agentSnap
-	now    func() time.Time
-}
-
-type agentSnap struct {
-	metrics  map[string]float64
-	lastSeen time.Time
+	agents map[string]map[string]float64
 }
 
 // NewFleet returns an empty aggregator.
 func NewFleet() *Fleet {
-	return &Fleet{agents: make(map[string]*agentSnap), now: time.Now}
+	return &Fleet{agents: make(map[string]map[string]float64)}
 }
 
-// SetClock overrides the time source (tests).
-func (f *Fleet) SetClock(now func() time.Time) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now = now
-}
-
-// Update replaces agent's latest snapshot and stamps it as seen now.
-// Counter-style metrics must be cumulative per agent (which is what
-// Registry.Snapshot produces), so totals never double-count.
+// Update replaces agent's latest snapshot. Counter-style metrics must be
+// cumulative per agent (which is what Registry.Snapshot produces), so
+// totals never double-count.
 func (f *Fleet) Update(agent string, snap map[string]float64) {
 	if f == nil || agent == "" {
 		return
@@ -55,65 +39,7 @@ func (f *Fleet) Update(agent string, snap map[string]float64) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.agents[agent] = &agentSnap{metrics: cp, lastSeen: f.now()}
-}
-
-// Forget drops an agent (evicted or drained) from the aggregate.
-func (f *Fleet) Forget(agent string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.agents, agent)
-}
-
-// Agents returns the known agent ids, sorted.
-func (f *Fleet) Agents() []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.agents))
-	for id := range f.agents {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LastSeen returns when the agent last reported, or a zero time if it
-// never has.
-func (f *Fleet) LastSeen(agent string) time.Time {
-	if f == nil {
-		return time.Time{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if a, ok := f.agents[agent]; ok {
-		return a.lastSeen
-	}
-	return time.Time{}
-}
-
-// Stale returns the ids of agents not heard from within ttl, sorted —
-// the coordinator's liveness sweep reads this to expire leases.
-func (f *Fleet) Stale(ttl time.Duration) []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cutoff := f.now().Add(-ttl)
-	var out []string
-	for id, a := range f.agents {
-		if a.lastSeen.Before(cutoff) {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
+	f.agents[agent] = cp
 }
 
 // Totals sums every metric across agents, keyed by metric name. Gauges
@@ -124,29 +50,22 @@ func (f *Fleet) Totals() map[string]float64 {
 	if f == nil {
 		return nil
 	}
+	out, _ := f.totals()
+	return out
+}
+
+// totals sums every metric across agents and counts the agents, under one
+// hold of the lock.
+func (f *Fleet) totals() (map[string]float64, int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := map[string]float64{}
 	for _, a := range f.agents {
-		for k, v := range a.metrics {
+		for k, v := range a {
 			out[k] += v
 		}
 	}
-	return out
-}
-
-// Total returns the fleet-wide sum of one metric.
-func (f *Fleet) Total(name string) float64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := 0.0
-	for _, a := range f.agents {
-		s += a.metrics[name]
-	}
-	return s
+	return out, len(f.agents)
 }
 
 // String renders a sorted name=total line, mirroring Registry.String.
@@ -178,8 +97,9 @@ func (f *Fleet) PublishExpvar(name string) {
 		return
 	}
 	expvar.Publish(name, expvar.Func(func() any {
-		v := map[string]any{"agents": len(f.Agents())}
-		for k, t := range f.Totals() {
+		totals, agents := f.totals()
+		v := map[string]any{"agents": agents}
+		for k, t := range totals {
 			v[k] = t
 		}
 		return v

@@ -1,9 +1,9 @@
 package telemetry
 
 import (
-	"strings"
+	"encoding/json"
+	"expvar"
 	"testing"
-	"time"
 )
 
 func TestFleetTotals(t *testing.T) {
@@ -12,44 +12,23 @@ func TestFleetTotals(t *testing.T) {
 	f.Update("agent-b", map[string]float64{"cells_done": 2})
 	f.Update("agent-a", map[string]float64{"cells_done": 5, "shard_bytes": 150}) // replaces, not adds
 
-	if got := f.Total("cells_done"); got != 7 {
+	if got := f.Totals()["cells_done"]; got != 7 {
 		t.Fatalf("cells_done total = %g, want 7", got)
 	}
 	if got := f.Totals()["shard_bytes"]; got != 150 {
 		t.Fatalf("shard_bytes total = %g, want 150", got)
 	}
-	if agents := f.Agents(); len(agents) != 2 || agents[0] != "agent-a" || agents[1] != "agent-b" {
-		t.Fatalf("agents = %v", agents)
-	}
-	if s := f.String(); !strings.Contains(s, "cells_done=7") {
+	if s := f.String(); s != "cells_done=7 shard_bytes=150" {
 		t.Fatalf("String() = %q", s)
 	}
 
-	f.Forget("agent-a")
-	if got := f.Total("cells_done"); got != 2 {
-		t.Fatalf("after forget, cells_done = %g, want 2", got)
+	f.PublishExpvar("test-fleet")
+	var v map[string]float64
+	if err := json.Unmarshal([]byte(expvar.Get("test-fleet").String()), &v); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestFleetStale(t *testing.T) {
-	f := NewFleet()
-	now := time.Unix(1000, 0)
-	f.SetClock(func() time.Time { return now })
-	f.Update("fresh", map[string]float64{})
-	f.Update("dead", map[string]float64{})
-
-	now = now.Add(10 * time.Second)
-	f.Update("fresh", map[string]float64{})
-
-	stale := f.Stale(5 * time.Second)
-	if len(stale) != 1 || stale[0] != "dead" {
-		t.Fatalf("stale = %v, want [dead]", stale)
-	}
-	if got := f.LastSeen("fresh"); !got.Equal(now) {
-		t.Fatalf("lastSeen = %v, want %v", got, now)
-	}
-	if !f.LastSeen("unknown").IsZero() {
-		t.Fatal("unknown agent has a LastSeen")
+	if v["agents"] != 2 || v["cells_done"] != 7 || v["shard_bytes"] != 150 {
+		t.Fatalf("expvar = %v, want 2 agents, cells_done 7, shard_bytes 150", v)
 	}
 }
 
@@ -58,16 +37,8 @@ func TestFleetStale(t *testing.T) {
 func TestFleetNilSafe(t *testing.T) {
 	var f *Fleet
 	f.Update("a", map[string]float64{"x": 1})
-	f.Forget("a")
-	f.SetClock(time.Now)
-	if f.Agents() != nil || f.Stale(time.Second) != nil {
-		t.Fatal("nil fleet invented agents")
-	}
-	if f.Total("x") != 0 || f.Totals() != nil || f.String() != "" {
+	if f.Totals() != nil || f.String() != "" {
 		t.Fatal("nil fleet invented totals")
-	}
-	if !f.LastSeen("a").IsZero() {
-		t.Fatal("nil fleet has a LastSeen")
 	}
 	f.PublishExpvar("nil-fleet") // must not panic
 }
