@@ -126,8 +126,17 @@ func msOf(t sim.Time) float64 { return t.Millis() }
 
 func mbpsOfBytesPerSec(b float64) float64 { return b * 8 / 1e6 }
 
-// Tick samples the connection at now and returns the completed Step.
+// Tick samples the connection at now and returns the completed Step. Its
+// State is a new slice the caller owns.
 func (m *Monitor) Tick(now sim.Time) Step {
+	return m.TickInto(now, make([]float64, 0, StateDim))
+}
+
+// TickInto is Tick with the state built in dst[:0]: the returned Step's
+// State is dst[:StateDim] when cap(dst) ≥ StateDim, so a caller that
+// reuses dst allocates nothing per tick, and a caller that keeps the state
+// hands each tick its own dst.
+func (m *Monitor) TickInto(now sim.Time, dst []float64) Step {
 	m.checkLive()
 	c := m.conn
 	mss := float64(c.MSS())
@@ -146,7 +155,7 @@ func (m *Monitor) Tick(now sim.Time) Step {
 
 	m.win.push([numSignals]float64{srttMs, thrMbps, rttRate, rttvarMs, inflPkts, newLostPkts})
 
-	state := make([]float64, 0, StateDim)
+	state := dst[:0]
 	// 1-4: instantaneous kernel signals.
 	state = append(state, srttMs, rttvarMs, thrMbps, float64(c.State()))
 	// 5-58: windowed stats, avg/min/max over Small, Medium, Large.

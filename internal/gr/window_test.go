@@ -209,16 +209,67 @@ func newTickMonitor(tb testing.TB) (*Monitor, *sim.Loop) {
 	return mon, loop
 }
 
+// tickSink keeps Tick's result alive: a discarded Step could live on the
+// stack once Tick inlines, and the pin would read 0.
+var tickSink Step
+
 // TestMonitorTickAllocatesOnlyTheState pins Monitor.Tick at one allocation:
-// the state it returns.
+// the state it returns, which the caller keeps.
 func TestMonitorTickAllocatesOnlyTheState(t *testing.T) {
 	mon, loop := newTickMonitor(t)
 	allocs := testing.AllocsPerRun(200, func() {
 		loop.RunUntil(loop.Now() + mon.Config().Interval)
-		mon.Tick(loop.Now())
+		tickSink = mon.Tick(loop.Now())
 	})
 	if allocs != 1 {
 		t.Fatalf("Monitor.Tick allocates %v times per tick, want 1 (the state)", allocs)
+	}
+}
+
+// TestMonitorTickIntoAllocatesNothing pins Monitor.TickInto at no allocation
+// when the caller reuses one buffer for every tick.
+func TestMonitorTickIntoAllocatesNothing(t *testing.T) {
+	mon, loop := newTickMonitor(t)
+	var buf [StateDim]float64
+	allocs := testing.AllocsPerRun(200, func() {
+		loop.RunUntil(loop.Now() + mon.Config().Interval)
+		tickSink = mon.TickInto(loop.Now(), buf[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("Monitor.TickInto allocates %v times per tick into a reused buffer, want 0", allocs)
+	}
+	if &tickSink.State[0] != &buf[0] || len(tickSink.State) != StateDim {
+		t.Fatal("TickInto did not build the state in the buffer it was given")
+	}
+}
+
+// Two monitors on identical connections, one ticked by Tick and one by
+// TickInto into a reused buffer (and, every third tick, into one too small,
+// which append grows), produce the same Steps bit for bit.
+func TestMonitorTickIntoMatchesTick(t *testing.T) {
+	a, loopA := newTickMonitor(t)
+	b, loopB := newTickMonitor(t)
+	var buf [StateDim]float64
+	var small [StateDim / 2]float64
+	for i := 0; i < 300; i++ {
+		now := loopA.Now() + a.Config().Interval
+		loopA.RunUntil(now)
+		loopB.RunUntil(now)
+		dst := buf[:0]
+		if i%3 == 0 {
+			dst = small[:0]
+		}
+		want, got := a.Tick(now), b.TickInto(now, dst)
+		if math.Float64bits(got.Action) != math.Float64bits(want.Action) ||
+			math.Float64bits(got.Reward) != math.Float64bits(want.Reward) ||
+			len(got.State) != len(want.State) {
+			t.Fatalf("tick %d: TickInto %+v, Tick %+v", i, got, want)
+		}
+		for j := range want.State {
+			if math.Float64bits(got.State[j]) != math.Float64bits(want.State[j]) {
+				t.Fatalf("tick %d: state[%d] = %v via TickInto, %v via Tick", i, j, got.State[j], want.State[j])
+			}
+		}
 	}
 }
 
@@ -231,7 +282,22 @@ func BenchmarkMonitorTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += mon.Config().Interval
-		mon.Tick(now)
+		tickSink = mon.Tick(now)
+	}
+}
+
+// BenchmarkMonitorTickInto is BenchmarkMonitorTick with the state written
+// into one reused buffer, as the rollout driver ticks a flow it does not
+// record.
+func BenchmarkMonitorTickInto(b *testing.B) {
+	mon, loop := newTickMonitor(b)
+	now := loop.Now()
+	var buf [StateDim]float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += mon.Config().Interval
+		tickSink = mon.TickInto(now, buf[:0])
 	}
 }
 

@@ -20,6 +20,11 @@ type driver struct {
 	flows      []flow         // sized up front: add hands out pointers into it
 	flushers   []BatchFlusher // distinct batching controllers, first-seen order
 	nextSample sim.Time
+	// state is where every flow whose states nothing keeps ticks, made at
+	// the first such tick (a collection has none): a flow's state is read
+	// only by its own controller, before the next flow's tick overwrites
+	// it.
+	state []float64
 }
 
 // flow is one connection of a driver and what the sweep keeps for it.
@@ -30,8 +35,16 @@ type flow struct {
 	batched bool        // ctl is a BatchFlusher: its flush applies and kicks
 	bg      bool        // Run's background traffic: no time series
 	started bool
+	record  bool    // Run with CollectSteps: mon's states are kept
 	step    gr.Step // mon's latest tick
 	series  []Sample
+
+	// A recorded flow ticks into the next StateDim slot of arena, a block
+	// shared by up to stateBlock ticks; a slot once handed out is never
+	// written again. left counts the ticks still expected, to size the
+	// last block.
+	left  int
+	arena []float64
 
 	prevSent, prevRx int64
 	prevAt           sim.Time
@@ -57,6 +70,39 @@ func (d *driver) add(id int, c tcp.CongestionControl, ctl Controller) *flow {
 	return f
 }
 
+// stateBlock is the most states one arena block holds: 59 of them fill
+// 32 KiB, the allocator's largest size class, to within 200 B. A larger
+// block is charged in whole 8 KiB pages, which for the 1–2 s cells of a
+// tiny grid costs more than a state per tick did.
+const stateBlock = (32 << 10) / (gr.StateDim * 8)
+
+// recordSteps turns f's next n ticks into states the caller keeps.
+func (f *flow) recordSteps(n int) {
+	f.record, f.left = true, n
+}
+
+// stateDst returns the memory f's next tick builds its state in. A
+// recorded flow's state is carved from its arena with len == cap ==
+// StateDim, so appending to it cannot reach the next one. A full block is
+// left to the states it holds and a new one is made for the ticks still
+// expected (at least one, should a run tick more often than recordSteps
+// was told).
+func (d *driver) stateDst(f *flow) []float64 {
+	if !f.record {
+		if d.state == nil {
+			d.state = make([]float64, 0, gr.StateDim)
+		}
+		return d.state
+	}
+	if len(f.arena) == cap(f.arena) {
+		f.arena = make([]float64, 0, min(max(f.left, 1), stateBlock)*gr.StateDim)
+	}
+	f.left--
+	lo := len(f.arena)
+	f.arena = f.arena[:lo+gr.StateDim]
+	return f.arena[lo : lo : lo+gr.StateDim]
+}
+
 func (f *flow) begin(now sim.Time) {
 	f.Conn.Start(now)
 	f.started, f.prevAt = true, now
@@ -80,7 +126,7 @@ func (d *driver) run(origin, end sim.Time, each func(now sim.Time)) (interrupted
 			if !f.started || f.mon == nil {
 				continue
 			}
-			f.step = f.mon.Tick(now)
+			f.step = f.mon.TickInto(now, d.stateDst(f))
 			if f.ctl != nil {
 				f.ctl.Control(now, f.Conn, f.step.State)
 				if !f.batched {

@@ -3,6 +3,7 @@
 package rollout_test
 
 import (
+	"math"
 	"runtime/debug"
 	"testing"
 
@@ -10,16 +11,18 @@ import (
 	"sage/internal/netem"
 	"sage/internal/rollout"
 	"sage/internal/sim"
+	"sage/internal/tcp"
 )
 
 // A rollout run after another on the same goroutine builds its simulation
 // from the memory the first one released: no packet, tx ring, delay-line
-// ring, queue ring or GR window is allocated again. What is left is the
+// ring, queue ring or GR window is allocated again. The GR states of the
+// trajectory are carved from 59-state arena blocks, so what is left is the
 // fixed cost of a run — the loop, network, connection, monitor and result
-// structs, a handful each — and the state vector of every GR tick, which the
-// trajectory keeps. Without the reuse a run of this scenario allocates
-// its peak population of packets one by one on top of that, about 300, and
-// grows each ring from empty: 436 allocations in all.
+// structs, a handful each — and one block per 59 ticks. Without the reuse a
+// run of this scenario allocates its peak population of packets one by one
+// on top of that, about 300, and grows each ring from empty (436
+// allocations in all when each of its 50 ticks also allocated a state).
 func TestSecondRunReusesBuffers(t *testing.T) {
 	// 48 Mb/s over 40 ms: about 160 packets a BDP, all of them in flight
 	// or queued at once by the end of slow start.
@@ -40,15 +43,57 @@ func TestSecondRunReusesBuffers(t *testing.T) {
 	// collector runs.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(3, run)
-	// ticks state vectors (and the slice holding them), plus the fixed cost:
-	// about 50 allocations today.
-	if bound := float64(ticks + fixedAllocs); allocs > bound {
-		t.Fatalf("a second run allocates %.0f times over %d GR ticks, want ≤ %.0f: it grew memory the first run released", allocs, ticks, bound)
+	if allocs > fixedAllocs {
+		t.Fatalf("a second run allocates %.0f times over %d GR ticks, want ≤ %d: it grew memory the first run released, or allocated per tick", allocs, ticks, fixedAllocs)
 	}
 	t.Logf("%.0f allocations over %d GR ticks", allocs, ticks)
 }
 
-// fixedAllocs bounds what a run allocates besides its GR states: the loop,
-// network, queue, link, connection, sink, CC module, monitor and result, and
-// the heap, slot and history slices behind them.
+// The RunMulti twin of TestSecondRunReusesBuffers: a fleet of
+// controller-driven flows ticks every monitor into one buffer the driver
+// owns, so a second run of twice the length allocates what the shorter one
+// does, give or take the few slices (event heap, tx ring) that a longer run
+// may find too small and double once.
+func TestSecondRunMultiAllocatesPerRunNotPerTick(t *testing.T) {
+	sc := netem.Scenario{
+		Name:       "reuse-multi",
+		Rate:       netem.FlatRate(netem.Mbps(48)),
+		MinRTT:     40 * sim.Millisecond,
+		QueueBytes: netem.BDPBytes(netem.Mbps(48), 40*sim.Millisecond),
+	}
+	const flows = 4
+	allocsOver := func(d sim.Time) float64 {
+		sc.Duration = d
+		run := func() {
+			specs := make([]rollout.FlowSpec, flows)
+			for i := range specs {
+				specs[i] = rollout.FlowSpec{CC: cc.MustNew("pure"), Controller: fixedCwnd(40), Start: sim.Time(i) * 100 * sim.Millisecond}
+			}
+			rollout.RunMulti(sc, specs, rollout.MultiOptions{})
+		}
+		run() // the first run of a length fills the pools for it
+		return testing.AllocsPerRun(3, run)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	short, long := allocsOver(2*sim.Second), allocsOver(4*sim.Second)
+	// 4 flows × 100 more GR ticks: a state per tick would be 400 more.
+	if math.Abs(long-short) > multiSlack {
+		t.Fatalf("a 4 s run allocates %.0f times, a 2 s run %.0f: want the same ± %d, the run allocates per tick", long, short, multiSlack)
+	}
+	t.Logf("%.0f allocations at 2 s, %.0f at 4 s", short, long)
+}
+
+// fixedCwnd is a controller that holds the window and allocates nothing.
+type fixedCwnd float64
+
+func (w fixedCwnd) Control(_ sim.Time, conn *tcp.Conn, _ []float64) { conn.SetCwnd(float64(w)) }
+
+// fixedAllocs bounds what a run allocates in all: the loop, network, queue,
+// link, connection, sink, CC module, monitor and result, the heap, slot and
+// history slices behind them, and the trajectory's step slice and state
+// arena.
 const fixedAllocs = 80
+
+// multiSlack bounds how far apart the allocation counts of RunMulti runs
+// of two lengths may be.
+const multiSlack = 8

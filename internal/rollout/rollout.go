@@ -21,7 +21,9 @@ import (
 // Controller is a periodic cwnd/pacing controller: the deployment-side
 // counterpart of a kernel CC module. It is invoked every GR interval with
 // the freshly computed state vector (Sage's TCP Pure execution block, and
-// the rate-based ML baselines, act through this hook).
+// the rate-based ML baselines, act through this hook). The state is only
+// valid during Control: the driver writes the next tick's state into the
+// same memory, so a controller that keeps it must copy it.
 type Controller interface {
 	Control(now sim.Time, conn *tcp.Conn, state []float64)
 }
@@ -158,7 +160,9 @@ func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Resu
 	}
 	window := sc.Duration - start
 	if opt.CollectSteps {
-		res.Steps = make([]gr.Step, 0, window/d.opt.GR.Interval) // one per tick
+		n := int(window / d.opt.GR.Interval) // one per tick
+		res.Steps = make([]gr.Step, 0, n)
+		ut.recordSteps(n)
 	}
 	last, lastAt, bi := takeSnap(), start, 0
 	res.Interrupted = d.run(start, sc.Duration, func(now sim.Time) {

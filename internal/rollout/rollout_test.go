@@ -1,9 +1,11 @@
 package rollout
 
 import (
+	"math"
 	"testing"
 
 	"sage/internal/cc"
+	"sage/internal/gr"
 	"sage/internal/netem"
 	"sage/internal/sim"
 	"sage/internal/tcp"
@@ -156,4 +158,78 @@ func TestSeriesSampling(t *testing.T) {
 			t.Fatalf("bad sample %+v", s)
 		}
 	}
+}
+
+// stateCopier is a controller that keeps a copy of every state it is
+// handed, as the Controller contract asks of one that keeps them.
+type stateCopier struct{ states [][]float64 }
+
+func (c *stateCopier) Control(_ sim.Time, _ *tcp.Conn, state []float64) {
+	c.states = append(c.states, append([]float64(nil), state...))
+}
+
+// A recorded trajectory's states are carved from an arena (here three
+// blocks): each step's State holds exactly what the controller saw on its
+// tick, bit for bit, and is a StateDim slot with no spare capacity, so
+// appending to one step's State moves it off the arena instead of over the
+// next step's.
+func TestRunStepsComeFromAnArena(t *testing.T) {
+	sc := flatScenario(24, 20, 2, 3*sim.Second)
+	sc.CubicFlows, sc.TestStart = 1, 500*sim.Millisecond
+	ctl := &stateCopier{}
+	res := Run(sc, cc.MustNew("cubic"), Options{CollectSteps: true, Controller: ctl})
+	if len(res.Steps) == 0 || len(res.Steps) != len(ctl.states) {
+		t.Fatalf("%d steps, controller saw %d states", len(res.Steps), len(ctl.states))
+	}
+	for i, st := range res.Steps {
+		if len(st.State) != gr.StateDim || cap(st.State) != gr.StateDim {
+			t.Fatalf("step %d: len %d cap %d, want both %d", i, len(st.State), cap(st.State), gr.StateDim)
+		}
+		for j, v := range st.State {
+			if math.Float64bits(v) != math.Float64bits(ctl.states[i][j]) {
+				t.Fatalf("step %d: state[%d] = %v, controller saw %v", i, j, v, ctl.states[i][j])
+			}
+		}
+	}
+	next := append([]float64(nil), res.Steps[1].State...)
+	grown := append(res.Steps[0].State, -1)
+	if &grown[0] == &res.Steps[0].State[0] {
+		t.Fatal("append to a step's State wrote into the arena")
+	}
+	for j, v := range res.Steps[1].State {
+		if math.Float64bits(v) != math.Float64bits(next[j]) {
+			t.Fatalf("append to step 0's State changed step 1's state[%d]: %v, was %v", j, v, next[j])
+		}
+	}
+}
+
+// A recorded flow that ticks more often than recordSteps was told gets a
+// block per extra tick; the states it handed out before keep their values.
+func TestArenaGrowthKeepsHandedOutStates(t *testing.T) {
+	sc := flatScenario(24, 20, 2, 2*sim.Second)
+	d := newDriver(sc, 1, Options{})
+	f := d.add(1, cc.MustNew("cubic"), nil)
+	f.mon = gr.NewMonitor(d.opt.GR, f.Conn, gr.RewardContext{Kind: gr.RewardSingleFlow, Capacity: sc.Rate.At, MinRTT: sc.MinRTT})
+	f.begin(0)
+	f.recordSteps(2)
+	var steps []gr.Step
+	var copies [][]float64
+	d.run(0, sc.Duration, func(sim.Time) {
+		steps = append(steps, f.step)
+		copies = append(copies, append([]float64(nil), f.step.State...))
+	})
+	if len(steps) <= 2 {
+		t.Fatalf("%d ticks, want more than the arena's 2", len(steps))
+	}
+	for i, st := range steps {
+		if len(st.State) != gr.StateDim || cap(st.State) != gr.StateDim {
+			t.Fatalf("step %d: len %d cap %d, want both %d", i, len(st.State), cap(st.State), gr.StateDim)
+		}
+		for j, v := range st.State {
+			if math.Float64bits(v) != math.Float64bits(copies[i][j]) {
+				t.Fatalf("step %d: state[%d] = %v after the arena grew, was %v", i, j, v, copies[i][j])
+			}
+		}
+	}
+	d.release()
 }

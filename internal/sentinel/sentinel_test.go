@@ -39,6 +39,18 @@ func cleanDataset() *rl.Dataset {
 	return ds
 }
 
+// checkTrips holds Trips to what it counts: every skipped batch and every
+// rollback, as the trip counter saw them.
+func checkTrips(t *testing.T, sn *sentinel.Sentinel, reg *telemetry.Registry) {
+	t.Helper()
+	if sn.Trips() != sn.Skips()+sn.Rollbacks() {
+		t.Fatalf("Trips = %d, want skips %d + rollbacks %d", sn.Trips(), sn.Skips(), sn.Rollbacks())
+	}
+	if got := reg.Counter(sentinel.MetricTrips).Value(); got != int64(sn.Trips()) {
+		t.Fatalf("trip counter %d, accessor %d", got, sn.Trips())
+	}
+}
+
 func tinyCRR(ds *rl.Dataset, steps int) *rl.CRR {
 	return rl.NewCRR(ds, rl.CRRConfig{
 		Policy: nn.PolicyConfig{Enc: 8, Hidden: 4, ResBlocks: 1, K: 2},
@@ -80,6 +92,7 @@ func TestSentinelSkipsPoisonedBatches(t *testing.T) {
 	if reg.Counter(sentinel.MetricTrips).Value() == 0 {
 		t.Fatal("trip counter not bumped")
 	}
+	checkTrips(t, sn, reg)
 
 	// Every skip event must carry the reason and a batch id, and the whole
 	// log must round-trip as JSONL.
@@ -162,6 +175,7 @@ func TestSentinelRollsBackOnParamCorruption(t *testing.T) {
 	if reg.Counter(sentinel.MetricRollbacks).Value() != 1 {
 		t.Fatal("rollback counter not bumped")
 	}
+	checkTrips(t, sn, reg)
 	if reg.Counter(sentinel.MetricLRBackoffs).Value() != 1 {
 		t.Fatal("lr backoff counter not bumped")
 	}

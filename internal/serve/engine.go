@@ -187,21 +187,33 @@ type session struct {
 }
 
 // recordWindow appends a decided state to the re-prime ring (copying it).
+// The ring's rows are carved once, on the first record, from one flat
+// limit × len(state) buffer; a state of another length gets a row of its
+// own.
 func (s *session) recordWindow(state []float64, limit int) {
 	if limit <= 0 {
 		return
 	}
+	if cap(s.window) < limit {
+		d := len(state)
+		flat := make([]float64, limit*d)
+		s.window = make([][]float64, limit)
+		for i := range s.window {
+			s.window[i] = flat[i*d : (i+1)*d : (i+1)*d]
+		}
+		s.window = s.window[:0]
+	}
+	i := s.wpos
 	if len(s.window) < limit {
-		s.window = append(s.window, append([]float64(nil), state...))
-		return
+		i = len(s.window)
+		s.window = s.window[:i+1]
+	} else {
+		s.wpos = (s.wpos + 1) % limit
 	}
-	dst := s.window[s.wpos]
-	if len(dst) != len(state) {
-		dst = make([]float64, len(state))
+	if len(s.window[i]) != len(state) {
+		s.window[i] = make([]float64, len(state))
 	}
-	copy(dst, state)
-	s.window[s.wpos] = dst[:len(state)]
-	s.wpos = (s.wpos + 1) % limit
+	copy(s.window[i], state)
 }
 
 // windowOrdered returns the ring oldest-first (aliasing the ring's slices).

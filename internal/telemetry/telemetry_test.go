@@ -227,6 +227,33 @@ func TestProgress(t *testing.T) {
 	}
 }
 
+// ExtraLabel names the secondary unit in the rate line; without it the
+// unit reads "extra", and on a nil meter it is a no-op that chains.
+func TestProgressExtraLabel(t *testing.T) {
+	for _, tc := range []struct{ label, want string }{
+		{"transitions", " transitions/s"},
+		{"", " extra/s"},
+	} {
+		var buf bytes.Buffer
+		p := NewProgress(&buf, "rollouts", 2, time.Nanosecond)
+		if tc.label != "" {
+			if p.ExtraLabel(tc.label) != p {
+				t.Fatal("ExtraLabel does not return its meter")
+			}
+		}
+		p.AddExtra(50)
+		p.Add(2)
+		p.Finish()
+		if out := buf.String(); !strings.Contains(out, tc.want) {
+			t.Fatalf("label %q: no %q in %q", tc.label, tc.want, out)
+		}
+	}
+	var nilp *Progress
+	if nilp.ExtraLabel("transitions") != nil {
+		t.Fatal("ExtraLabel on a nil meter returned a meter")
+	}
+}
+
 func TestServeDebug(t *testing.T) {
 	srv, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
