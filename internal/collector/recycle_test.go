@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -31,13 +30,6 @@ func recycleScenario(name string, mbps float64, rtt sim.Time, cubicFlows int, du
 		sc.TestStart = dur / 4
 	}
 	return sc
-}
-
-// emptyPools drops whatever earlier simulations released: two collections
-// empty every sync.Pool, which is the memory state of a fresh process.
-func emptyPools() {
-	runtime.GC()
-	runtime.GC()
 }
 
 func sameSteps(a, b []gr.Step) error {
@@ -74,7 +66,7 @@ func TestRecycledCellMatchesFresh(t *testing.T) {
 		return tr.Steps
 	}
 
-	emptyPools()
+	sim.EmptyPools()
 	fresh := cell("cubic", small)
 	func() {
 		// No collection between the two cells, so the small one takes what
@@ -91,7 +83,7 @@ func TestRecycledCellMatchesFresh(t *testing.T) {
 	want := map[CellKey][]gr.Step{}
 	for _, s := range schemes {
 		for _, sc := range scs {
-			emptyPools()
+			sim.EmptyPools()
 			want[CellKey{s, sc.Name}] = cell(s, sc)
 		}
 	}

@@ -1,6 +1,6 @@
 package gr
 
-import "sync"
+import "sage/internal/sim"
 
 // numSignals is how many raw signals the monitor keeps windows over: srtt,
 // throughput, rtt rate, rttvar, inflight and newly lost packets, in the
@@ -46,13 +46,13 @@ type block struct {
 // samples pushed since total was last zero, and blocks it has summarized
 // since, so windows of the same length serve a new monitor once their count
 // is reset.
-var releasedWindows sync.Pool // of *windows
+var releasedWindows sim.Pool[*windows]
 
 func newWindows(large int) *windows {
 	if large < 1 {
 		large = 1
 	}
-	if w, _ := releasedWindows.Get().(*windows); w != nil && len(w.ring) == large {
+	if w := releasedWindows.Get(); w != nil && len(w.ring) == large {
 		w.total = 0
 		return w
 	}

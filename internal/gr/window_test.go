@@ -3,7 +3,6 @@ package gr
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"sage/internal/cc"
@@ -321,8 +320,7 @@ func TestMonitorAfterReleaseStartsEmpty(t *testing.T) {
 		mon.Release()
 		return mon, states
 	}
-	runtime.GC() // two collections empty every sync.Pool
-	runtime.GC()
+	sim.EmptyPools()
 	_, fresh := run()
 	mon, again := run() // over the windows the first monitor released
 	for i := range fresh {

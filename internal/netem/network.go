@@ -114,7 +114,7 @@ func (n *Network) NewPacket() *Packet {
 func (n *Network) fromSlab() *Packet {
 	n.checkLive()
 	if len(n.unused) == 0 {
-		s, _ := slabs.Get().(*slab)
+		s := slabs.Get()
 		if s == nil {
 			s = new(slab)
 		}

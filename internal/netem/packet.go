@@ -9,11 +9,7 @@
 // network gave back to this package's pools, on any goroutine.
 package netem
 
-import (
-	"sync"
-
-	"sage/internal/sim"
-)
+import "sage/internal/sim"
 
 // MTU is the default packet size in bytes (payload + headers), matching the
 // 1500-byte packets the paper's emulator carries.
@@ -71,7 +67,7 @@ const slabLen = 128
 type slab [slabLen]Packet
 
 // slabs holds the slabs of released networks.
-var slabs sync.Pool // of *slab
+var slabs sim.Pool[*slab]
 
 // release ends the packet's life: the holder must not touch it afterwards.
 func (p *Packet) release() {

@@ -1,11 +1,7 @@
-//go:build !race
-
 package netem
 
 import (
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"testing"
 )
 
@@ -13,12 +9,8 @@ import (
 // plain arrivals and departures, wrapping the ring many times, against a
 // slice model of the queue. Every departure is the model's oldest packet,
 // every arrival is marked exactly when the model holds K or more, and the
-// counters agree throughout. (The race detector drops pooled items at
-// random, so the file does not build under it.)
+// counters agree throughout.
 func TestThresholdECNAcrossRecycledRing(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: Get sees what Put gave
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
 	old := NewThresholdECN(1000*MTU, 5)
 	for i := 0; i < 100; i++ {
 		old.Enqueue(&Packet{Size: MTU, Seq: -1, ECT: true}, 0)

@@ -73,14 +73,12 @@ func TrainAurora(cfg AuroraConfig) (*nn.Policy, error) {
 
 	// Seed rollout for the normalizer (run cubic once).
 	seedRes := rollout.Run(scens[0], cc.MustNew("cubic"), rollout.Options{GR: cfg.GR, CollectSteps: true})
-	var sample [][]float64
-	for _, s := range seedRes.Steps {
-		sample = append(sample, gr.ApplyMask(s.State, cfg.Mask))
-	}
+	seedDS := &Dataset{Mask: cfg.Mask, Trajs: []Traj{{Steps: seedRes.Steps}}}
+	seedDS.fitNorm()
 	cfg.Policy.InDim = len(cfg.Mask)
 	cfg.Policy.Seed = cfg.Seed
 	pol := nn.NewPolicy(cfg.Policy)
-	pol.Norm = nn.FitNormalizer(sample)
+	pol.Norm = seedDS.Norm
 	opt := nn.NewAdam(cfg.LR)
 	var tape nn.PolicyTape // every step of an episode is a one-step sequence
 
@@ -104,14 +102,13 @@ func TrainAurora(cfg AuroraConfig) (*nn.Policy, error) {
 			// Aurora considers only the single-flow reward (Section 6.2).
 			SingleFlowReward: true,
 		})
-		if len(ctl.States) == 0 {
+		// Run records one step per Control call, so Actions[i] was taken in
+		// Steps[i].State.
+		n := min(len(ctl.Actions), len(res.Steps))
+		if n == 0 {
 			continue
 		}
 		// Discounted returns with mean baseline.
-		n := len(ctl.States)
-		if n > len(res.Steps) {
-			n = len(res.Steps)
-		}
 		returns := make([]float64, n)
 		g := 0.0
 		for i := n - 1; i >= 0; i-- {
@@ -129,7 +126,7 @@ func TrainAurora(cfg AuroraConfig) (*nn.Policy, error) {
 
 		tape.Reset(n, 1, len(cfg.Mask))
 		for i := 0; i < n; i++ {
-			tape.X.SetRow(i, ctl.States[i])
+			gr.ApplyMaskInto(tape.X.Row(i), res.Steps[i].State, cfg.Mask)
 		}
 		pol.ForwardTape(&tape)
 		for i := 0; i < n; i++ {

@@ -55,7 +55,7 @@ func (m *imitator) accumulate(ds *Dataset, rng *rand.Rand, batch, seqLen int) (n
 	for b := 0; b < batch; b++ {
 		tr, start := ds.sampleSeq(rng, seqLen)
 		for i := 0; i < seqLen; i++ {
-			t.X.SetRow(t.Row(b, i), tr.States[start+i])
+			ds.row(t.X.Row(t.Row(b, i)), tr, start+i)
 			m.actions[b*seqLen+i] = tr.Actions[start+i]
 		}
 	}

@@ -68,9 +68,9 @@ type PolicyController struct {
 	meanBuf []float64 // scratch for GMM weight normalization
 	rng     *rand.Rand
 
-	// Recorded trajectory (for online learners).
+	// Recorded u-space actions (for online learners; the states are the
+	// rollout's steps).
 	Record  bool
-	States  [][]float64
 	Actions []float64
 }
 
@@ -96,12 +96,11 @@ func NewPolicyController(pol *nn.Policy, mask []int, stochastic bool, seed int64
 func (pc *PolicyController) Reset() { clear(pc.hidden) }
 
 // Control implements rollout.Controller. After the first call the decision
-// path allocates nothing (but a trajectory copy when recording).
+// path allocates nothing (but the growth of Actions when recording).
 func (pc *PolicyController) Control(now sim.Time, conn *tcp.Conn, state []float64) {
 	head := pc.step.Step(state, pc.hidden)
 	u, ratio := HeadAction(pc.Policy.GMM, head, pc.meanBuf, pc.Stochastic, pc.UseMode, pc.rng)
 	if pc.Record {
-		pc.States = append(pc.States, append([]float64(nil), pc.step.x.Data...))
 		pc.Actions = append(pc.Actions, clampU(u))
 	}
 	conn.SetCwnd(tcp.ClampCwnd(conn.Cwnd*ratio, tcp.MinCwnd, pc.MaxCwnd))

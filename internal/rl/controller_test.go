@@ -29,29 +29,6 @@ func controllerFixture(tb testing.TB) (*PolicyController, *tcp.Conn, []float64) 
 	return pc, fl.Conn, state
 }
 
-// Recording must snapshot the masked state: the controller reuses one
-// scratch buffer across intervals, so the trajectory entries have to be
-// copies, not views of it.
-func TestControllerRecordCopiesState(t *testing.T) {
-	pc, conn, state := controllerFixture(t)
-	pc.Record = true
-	pc.Control(sim.Second, conn, state)
-	first := append([]float64(nil), pc.States[0]...)
-	state[0] += 100 // next interval's observation differs
-	pc.Control(2*sim.Second, conn, state)
-	if len(pc.States) != 2 {
-		t.Fatalf("recorded %d states, want 2", len(pc.States))
-	}
-	for i := range first {
-		if pc.States[0][i] != first[i] {
-			t.Fatalf("recorded state 0 mutated at %d: %v != %v", i, pc.States[0][i], first[i])
-		}
-	}
-	if pc.States[1][0] == pc.States[0][0] {
-		t.Error("recorded states alias one buffer")
-	}
-}
-
 // A warmed, non-recording controller decides without allocating, taking the
 // mixture mean (the trainer-side default) or its mode (core.Agent's
 // UseMode): the mask projection, the one-row forward and the mixture mean

@@ -343,7 +343,7 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 	// a batch's draws can be taken before any forward pass runs.
 	for b := range a.seqs {
 		tr, start := ds.sampleSeqPrioritized(rng, L, cfg.EventFrac)
-		horizon := min(L+cfg.NStep, len(tr.States)-1-start)
+		horizon := min(L+cfg.NStep, len(tr.Steps)-1-start)
 		if horizon < L-1 {
 			panic(fmt.Sprintf("rl: sampled a window of %d states, SeqLen is %d (Dataset.CheckSeqLen guards this)", horizon+1, L))
 		}
@@ -369,7 +369,7 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 	pol.Reset(nSeqs, L+cfg.NStep+1, inDim)
 	for b, sq := range a.seqs {
 		for j := 0; j < pol.T; j++ {
-			pol.X.SetRow(pol.Row(b, j), sq.tr.States[sq.start+min(j, sq.horizon)])
+			ds.row(pol.X.Row(pol.Row(b, j)), sq.tr, sq.start+min(j, sq.horizon))
 		}
 	}
 	l.targetPolicy.ForwardTape(pol)
@@ -385,17 +385,17 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 			if n < 1 {
 				// The trajectory ends here: no next state, no TD target.
 				// The row is evaluated on its own state and never read.
-				naf.X.SetRow(r, sq.tr.States[idx])
+				ds.row(naf.X.Row(r), sq.tr, idx)
 				continue
 			}
 			rSum, g := 0.0, 1.0
 			for k := 0; k < n; k++ {
-				rSum += float64(g * sq.tr.Rewards[idx+k])
+				rSum += float64(g * sq.tr.Steps[idx+k].Reward)
 				g *= cfg.Gamma
 			}
 			naf.Y[r], a.discount[r] = rSum, g
 			naf.A[r] = clampU(gmm.SampleWith(pol.Heads.Row(pol.Row(b, i+n)), a.tdU[r], a.tdZ[r]))
-			naf.X.SetRow(r, sq.tr.States[idx+n])
+			ds.row(naf.X.Row(r), sq.tr, idx+n)
 		}
 	}
 	l.targetNAF.BatchForward(naf)
@@ -409,9 +409,8 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 	pol.Reset(nSeqs, L, inDim)
 	for b, sq := range a.seqs {
 		for i := 0; i < L; i++ {
-			s := sq.tr.States[sq.start+i]
-			pol.X.SetRow(pol.Row(b, i), s)
-			naf.X.SetRow(b*L+i, s)
+			ds.row(pol.X.Row(pol.Row(b, i)), sq.tr, sq.start+i)
+			ds.row(naf.X.Row(b*L+i), sq.tr, sq.start+i)
 			naf.A[b*L+i] = sq.tr.Actions[sq.start+i]
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"sage/internal/collector"
 	"sage/internal/gr"
@@ -45,17 +46,18 @@ func UToRatio(u float64) float64 {
 	return math.Exp2(u)
 }
 
-// Traj is one trajectory in learner form.
+// Traj is one trajectory in learner form: the pool's steps, read through
+// the dataset's mask, and their actions in u-space.
 type Traj struct {
 	Scheme  string
 	Env     string
-	States  [][]float64 // masked state vectors
-	Actions []float64   // u-space actions
-	Rewards []float64
+	Steps   []gr.Step // the pool's own steps: shared, never written
+	Actions []float64 // u-space actions
 }
 
-// Dataset is the pool converted for training: masked states, log-ratio
-// actions, and a fitted input normalizer.
+// Dataset is the pool as the learner reads it: trajectories whose states
+// are projected through Mask as they are read, log-ratio actions, and a
+// fitted input normalizer.
 type Dataset struct {
 	Mask  []int
 	Trajs []Traj
@@ -64,58 +66,87 @@ type Dataset struct {
 	events []eventPos // lazily built index of large-action steps
 }
 
-// BuildDataset converts a collector pool, projecting states through mask
-// (nil = all 69 signals) and fitting the normalizer.
+// BuildDataset converts a collector pool, reading states through mask
+// (nil = all 69 signals) and fitting the normalizer. The dataset shares the
+// pool's steps, so the pool must not change while it is in use. A state
+// too narrow for the mask panics here, naming its trajectory, rather than in
+// a training worker.
 func BuildDataset(pool *collector.Pool, mask []int) *Dataset {
 	if mask == nil {
 		mask = gr.MaskFull()
 	}
 	ds := &Dataset{Mask: mask}
-	var sample [][]float64
 	for _, tr := range pool.Trajs {
-		if len(tr.Steps) < 2 {
-			continue
-		}
-		t := Traj{Scheme: tr.Scheme, Env: tr.Env}
-		for _, s := range tr.Steps {
-			t.States = append(t.States, gr.ApplyMask(s.State, mask))
-			t.Actions = append(t.Actions, ActionToU(s.Action))
-			t.Rewards = append(t.Rewards, s.Reward)
-		}
-		ds.Trajs = append(ds.Trajs, t)
+		ds.add(tr.Scheme, tr.Env, tr.Steps, nil)
 	}
-	// Fit the normalizer on a subsample to bound memory.
-	stride := 1
-	if n := countStates(ds); n > 50000 {
-		stride = n / 50000
+	ds.fitNorm()
+	return ds
+}
+
+// add appends steps as a trajectory, with actions in u-space (nil = each
+// step's cwnd ratio through ActionToU). A trajectory of fewer than two
+// steps holds no transition and is dropped.
+func (ds *Dataset) add(scheme, env string, steps []gr.Step, actions []float64) {
+	if len(steps) < 2 {
+		return
 	}
-	i := 0
+	w := slices.Max(ds.Mask) + 1 // how many values of a state the mask reads
+	for i, s := range steps {
+		if len(s.State) < w {
+			panic(fmt.Sprintf("rl: trajectory %d (%s on %s): step %d has a state of %d values, the mask reads %d",
+				len(ds.Trajs), scheme, env, i, len(s.State), w))
+		}
+	}
+	if actions == nil {
+		actions = make([]float64, len(steps))
+		for i, s := range steps {
+			actions[i] = ActionToU(s.Action)
+		}
+	}
+	ds.Trajs = append(ds.Trajs, Traj{Scheme: scheme, Env: env, Steps: steps, Actions: actions})
+}
+
+// fitNorm fits the normalizer on a stride sample of at most about 50 000
+// raw states and projects it through the mask. FitNormalizer sums every
+// dimension on its own, so this is bit for bit the fit on the sample's
+// masked copies.
+func (ds *Dataset) fitNorm() {
+	n, w := 0, slices.Max(ds.Mask)+1
 	for _, t := range ds.Trajs {
-		for _, s := range t.States {
+		n += len(t.Steps)
+	}
+	stride, i := max(1, n/50000), 0
+	var sample [][]float64
+	for _, t := range ds.Trajs {
+		for _, s := range t.Steps {
 			if i%stride == 0 {
-				sample = append(sample, s)
+				sample = append(sample, s.State[:w])
 			}
 			i++
 		}
 	}
-	ds.Norm = nn.FitNormalizer(sample)
-	return ds
+	raw := nn.FitNormalizer(sample)
+	ds.Norm = raw
+	if len(raw.Mean) > 0 {
+		ds.Norm = &nn.Normalizer{Mean: make([]float64, len(ds.Mask)), Std: make([]float64, len(ds.Mask))}
+		for j, k := range ds.Mask {
+			ds.Norm.Mean[j], ds.Norm.Std[j] = raw.Mean[k], raw.Std[k]
+		}
+	}
 }
 
-func countStates(ds *Dataset) int {
-	n := 0
-	for _, t := range ds.Trajs {
-		n += len(t.States)
-	}
-	return n
+// row writes step i of tr through the mask into dst (len == InDim): the one
+// place the learner reads a state.
+func (ds *Dataset) row(dst []float64, tr *Traj, i int) {
+	gr.ApplyMaskInto(dst, tr.Steps[i].State, ds.Mask)
 }
 
 // Transitions returns the number of usable (s,a,r,s') tuples.
 func (ds *Dataset) Transitions() int {
 	n := 0
 	for _, t := range ds.Trajs {
-		if len(t.States) > 1 {
-			n += len(t.States) - 1
+		if len(t.Steps) > 1 {
+			n += len(t.Steps) - 1
 		}
 	}
 	return n
@@ -132,7 +163,7 @@ func (ds *Dataset) Transitions() int {
 func (ds *Dataset) CheckSeqLen(L int) error {
 	longest := 0
 	for i := range ds.Trajs {
-		longest = max(longest, len(ds.Trajs[i].States))
+		longest = max(longest, len(ds.Trajs[i].Steps))
 	}
 	if longest < L {
 		return fmt.Errorf("rl: %w: the longest of %d trajectories has %d states, sequences need %d",
@@ -152,15 +183,15 @@ func (ds *Dataset) InDim() int { return len(ds.Mask) }
 func (ds *Dataset) sampleSeq(rng *rand.Rand, L int) (t *Traj, start int) {
 	for tries := 0; tries < 100; tries++ {
 		tr := &ds.Trajs[rng.Intn(len(ds.Trajs))]
-		if len(tr.States) < L+1 {
+		if len(tr.Steps) < L+1 {
 			continue
 		}
-		return tr, rng.Intn(len(tr.States) - L)
+		return tr, rng.Intn(len(tr.Steps) - L)
 	}
 	// Fall back to the longest trajectory.
 	best := &ds.Trajs[0]
 	for i := range ds.Trajs {
-		if len(ds.Trajs[i].States) > len(best.States) {
+		if len(ds.Trajs[i].Steps) > len(best.Steps) {
 			best = &ds.Trajs[i]
 		}
 	}
@@ -201,15 +232,15 @@ func (ds *Dataset) sampleSeqPrioritized(rng *rand.Rand, L int, eventFrac float64
 	for tries := 0; tries < 20; tries++ {
 		ev := ds.events[rng.Intn(len(ds.events))]
 		tr := &ds.Trajs[ev.traj]
-		if len(tr.States) < L+1 {
+		if len(tr.Steps) < L+1 {
 			continue
 		}
 		start := ev.step - rng.Intn(L)
 		if start < 0 {
 			start = 0
 		}
-		if start > len(tr.States)-L-1 {
-			start = len(tr.States) - L - 1
+		if start > len(tr.Steps)-L-1 {
+			start = len(tr.Steps) - L - 1
 		}
 		return tr, start
 	}

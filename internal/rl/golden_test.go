@@ -219,7 +219,7 @@ func shortTrajDataset(t *testing.T) *Dataset {
 		if i == len(ds.Trajs)-1 {
 			n = 40 // one trajectory long enough for a full horizon
 		}
-		tr.States, tr.Actions, tr.Rewards = tr.States[:n], tr.Actions[:n], tr.Rewards[:n]
+		tr.Steps, tr.Actions = tr.Steps[:n], tr.Actions[:n]
 	}
 	return ds
 }
@@ -269,7 +269,7 @@ func TestGoldenWindowWithoutNextState(t *testing.T) {
 	for i := range ds.Trajs {
 		tr := &ds.Trajs[i]
 		n := 4 - i%2 // SeqLen states, or one fewer
-		tr.States, tr.Actions, tr.Rewards = tr.States[:n], tr.Actions[:n], tr.Rewards[:n]
+		tr.Steps, tr.Actions = tr.Steps[:n], tr.Actions[:n]
 	}
 	for _, workers := range []int{0, 2} {
 		cfg := goldenCfg(workers)

@@ -55,13 +55,12 @@ func (c IndigoConfig) fill() IndigoConfig {
 
 // oracleController labels every visited state with the expert action while
 // letting either the oracle itself or the learner pick the executed action
-// (DAgger's mixing).
+// (DAgger's mixing). The states are the rollout's own steps: Run records
+// one per Control call, so targets[i] labels Steps[i].
 type oracleController struct {
 	sc      netem.Scenario
 	learner *PolicyController // nil = pure oracle rollout
-	mask    []int
 
-	states  [][]float64
 	targets []float64
 }
 
@@ -80,7 +79,6 @@ func (o *oracleController) oracleU(conn *tcp.Conn, now sim.Time) float64 {
 // Control implements rollout.Controller.
 func (o *oracleController) Control(now sim.Time, conn *tcp.Conn, state []float64) {
 	u := o.oracleU(conn, now)
-	o.states = append(o.states, gr.ApplyMask(state, o.mask))
 	o.targets = append(o.targets, u)
 	if o.learner != nil {
 		o.learner.Control(now, conn, state)
@@ -106,27 +104,15 @@ func TrainIndigo(cfg IndigoConfig) (*nn.Policy, error) {
 		// Collect labeled rollouts: first iteration from the oracle, later
 		// iterations from the current policy (DAgger aggregation).
 		for _, sc := range cfg.Scenarios {
-			oc := &oracleController{sc: sc, mask: cfg.Mask}
+			oc := &oracleController{sc: sc}
 			if iter > 0 {
 				oc.learner = NewPolicyController(pol, cfg.Mask, false, cfg.Seed+int64(iter))
 			}
-			rollout.Run(sc, cc.MustNew("pure"), rollout.Options{GR: cfg.GR, Controller: oc})
-			if len(oc.states) > 1 {
-				ds.Trajs = append(ds.Trajs, Traj{
-					Scheme:  "oracle",
-					Env:     sc.Name,
-					States:  oc.states,
-					Actions: oc.targets,
-					Rewards: make([]float64, len(oc.states)),
-				})
-			}
+			res := rollout.Run(sc, cc.MustNew("pure"), rollout.Options{GR: cfg.GR, Controller: oc, CollectSteps: true})
+			ds.add("oracle", sc.Name, res.Steps, oc.targets)
 		}
 		if ds.Norm == nil {
-			var sample [][]float64
-			for _, t := range ds.Trajs {
-				sample = append(sample, t.States...)
-			}
-			ds.Norm = nn.FitNormalizer(sample)
+			ds.fitNorm()
 			pol.Norm = ds.Norm
 		}
 		// Supervised regression on the aggregated dataset.

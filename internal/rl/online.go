@@ -63,43 +63,24 @@ func TrainOnlineRL(cfg OnlineRLConfig) (*nn.Policy, error) {
 	var learner *CRR
 	for round := 0; round < cfg.Rounds; round++ {
 		sc := cfg.Scenarios[rng.Intn(len(cfg.Scenarios))]
-		var ctl *PolicyController
-		if learner != nil {
-			ctl = NewPolicyController(learner.Policy, cfg.Mask, true, cfg.Seed+int64(round))
-		} else {
-			// Before the first update the policy does not exist yet: run the
-			// underlying scheme alone to seed the buffer.
-			ctl = nil
-		}
 		opt := rollout.Options{GR: cfg.GR, CollectSteps: true}
-		if ctl != nil {
-			opt.Controller = ctl
+		// Before the first update the policy does not exist yet: the
+		// underlying scheme runs alone to seed the buffer.
+		if learner != nil {
+			opt.Controller = NewPolicyController(learner.Policy, cfg.Mask, true, cfg.Seed+int64(round))
 		}
 		res := rollout.Run(sc, cc.MustNew(cfg.Underlying), opt)
-		tr := Traj{Scheme: "online", Env: sc.Name}
-		for _, s := range res.Steps {
-			tr.States = append(tr.States, gr.ApplyMask(s.State, cfg.Mask))
-			tr.Actions = append(tr.Actions, ActionToU(s.Action))
-			tr.Rewards = append(tr.Rewards, s.Reward)
-		}
-		if len(tr.States) > 1 {
-			ds.Trajs = append(ds.Trajs, tr)
-		}
+		ds.add("online", sc.Name, res.Steps, nil)
 		if learner == nil {
 			if len(ds.Trajs) == 0 {
 				continue
 			}
 			// Fit the normalizer on the seed data and build the learner.
-			var sample [][]float64
-			for _, t := range ds.Trajs {
-				sample = append(sample, t.States...)
-			}
-			ds.Norm = nn.FitNormalizer(sample)
+			ds.fitNorm()
 			learner = NewCRR(ds, crrCfg)
 		}
-		steps := cfg.StepsPer
 		saved := learner.Cfg.Steps
-		learner.Cfg.Steps = steps
+		learner.Cfg.Steps = cfg.StepsPer
 		learner.Train(context.Background(), ds, nil)
 		learner.Cfg.Steps = saved
 		if !finite(learner.LastCriticLoss) || !finite(learner.LastPolicyLoss) || !learner.ParamsFinite() {

@@ -42,9 +42,18 @@ func TestBuildDatasetMasksAndTransforms(t *testing.T) {
 	if ds.Transitions() == 0 {
 		t.Fatal("empty dataset")
 	}
+	row := make([]float64, ds.InDim())
 	for _, tr := range ds.Trajs {
-		if len(tr.States[0]) != len(mask) {
-			t.Fatal("mask not applied")
+		// Every row the dataset hands the learner is the step's state
+		// through the mask.
+		for i, s := range tr.Steps {
+			ds.row(row, &tr, i)
+			want := gr.ApplyMask(s.State, mask)
+			for j := range want {
+				if math.Float64bits(row[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s on %s, step %d, column %d: row %v, masked state %v", tr.Scheme, tr.Env, i, j, row[j], want[j])
+				}
+			}
 		}
 		for _, a := range tr.Actions {
 			if a < -1 || a > 1 {
@@ -63,12 +72,11 @@ func TestBCConvergesOnConstantPolicy(t *testing.T) {
 	ds := &Dataset{Mask: []int{0, 1}}
 	tr := Traj{Scheme: "const", Env: "synthetic"}
 	for i := 0; i < 100; i++ {
-		tr.States = append(tr.States, []float64{1, -1})
+		tr.Steps = append(tr.Steps, gr.Step{State: []float64{1, -1}, Reward: 1})
 		tr.Actions = append(tr.Actions, 0.5)
-		tr.Rewards = append(tr.Rewards, 1)
 	}
 	ds.Trajs = []Traj{tr}
-	ds.Norm = nn.FitNormalizer(tr.States)
+	ds.Norm = nn.FitNormalizer(trajStates(tr))
 	pol, err := TrainBC(ds, BCConfig{Policy: nn.PolicyConfig{Enc: 8, Hidden: 4, ResBlocks: 1, K: 2}, Steps: 250, Batch: 4, SeqLen: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -87,15 +95,13 @@ func TestCRRPrefersHighRewardActions(t *testing.T) {
 	good := Traj{Scheme: "good", Env: "synthetic"}
 	bad := Traj{Scheme: "bad", Env: "synthetic"}
 	for i := 0; i < 120; i++ {
-		good.States = append(good.States, []float64{1, -1})
+		good.Steps = append(good.Steps, gr.Step{State: []float64{1, -1}, Reward: 1})
 		good.Actions = append(good.Actions, 0.5)
-		good.Rewards = append(good.Rewards, 1)
-		bad.States = append(bad.States, []float64{1, -1})
+		bad.Steps = append(bad.Steps, gr.Step{State: []float64{1, -1}, Reward: 0})
 		bad.Actions = append(bad.Actions, -0.5)
-		bad.Rewards = append(bad.Rewards, 0)
 	}
 	ds.Trajs = []Traj{good, bad}
-	ds.Norm = nn.FitNormalizer(good.States)
+	ds.Norm = nn.FitNormalizer(trajStates(good))
 	learner := NewCRR(ds, CRRConfig{
 		Policy: nn.PolicyConfig{Enc: 8, Hidden: 4, ResBlocks: 1, K: 2},
 		Steps:  400, Batch: 8, SeqLen: 2, Seed: 3,
@@ -117,12 +123,12 @@ func TestPolicyControllerDrivesFlow(t *testing.T) {
 	sc := tinyScenarios()[0]
 	ctl := NewPolicyController(pol, nil, true, 7)
 	ctl.Record = true
-	res := rollout.Run(sc, cc.MustNew("pure"), rollout.Options{Controller: ctl})
+	res := rollout.Run(sc, cc.MustNew("pure"), rollout.Options{Controller: ctl, CollectSteps: true})
 	if res.ThroughputBps <= 0 {
 		t.Fatal("no traffic")
 	}
-	if len(ctl.States) == 0 || len(ctl.Actions) != len(ctl.States) {
-		t.Fatalf("recording broken: %d states, %d actions", len(ctl.States), len(ctl.Actions))
+	if len(res.Steps) == 0 || len(ctl.Actions) != len(res.Steps) {
+		t.Fatalf("recording broken: %d steps, %d actions", len(res.Steps), len(ctl.Actions))
 	}
 	for _, u := range ctl.Actions {
 		if u < -1 || u > 1 {
@@ -220,11 +226,11 @@ func TestDifficultyOrdering(t *testing.T) {
 
 func TestSampleSeqBounds(t *testing.T) {
 	ds := &Dataset{Mask: []int{0}}
-	ds.Trajs = []Traj{{States: [][]float64{{1}, {2}, {3}}, Actions: []float64{0, 0, 0}, Rewards: []float64{0, 0, 0}}}
+	ds.Trajs = []Traj{{Steps: []gr.Step{{State: []float64{1}}, {State: []float64{2}}, {State: []float64{3}}}, Actions: []float64{0, 0, 0}}}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
 		tr, start := ds.sampleSeq(rng, 2)
-		if start+2 >= len(tr.States)+1 {
+		if start+2 >= len(tr.Steps)+1 {
 			t.Fatalf("start %d overruns", start)
 		}
 	}
@@ -249,7 +255,7 @@ func TestParallelTrainingMatchesShapes(t *testing.T) {
 	}
 	// The trained policy must produce finite in-range actions.
 	h := learner.Policy.InitHidden()
-	head, _ := learner.Policy.Forward(ds.Trajs[0].States[0], h)
+	head, _ := learner.Policy.Forward(gr.ApplyMask(ds.Trajs[0].Steps[0].State, ds.Mask), h)
 	u := learner.Policy.GMM.Mean(head)
 	if u != u {
 		t.Fatal("NaN action after parallel training")
@@ -267,15 +273,13 @@ func TestParallelAndSerialBothLearnBandit(t *testing.T) {
 	good := Traj{Scheme: "good", Env: "synthetic"}
 	bad := Traj{Scheme: "bad", Env: "synthetic"}
 	for i := 0; i < 120; i++ {
-		good.States = append(good.States, []float64{1, -1})
+		good.Steps = append(good.Steps, gr.Step{State: []float64{1, -1}, Reward: 1})
 		good.Actions = append(good.Actions, 0.5)
-		good.Rewards = append(good.Rewards, 1)
-		bad.States = append(bad.States, []float64{1, -1})
+		bad.Steps = append(bad.Steps, gr.Step{State: []float64{1, -1}, Reward: 0})
 		bad.Actions = append(bad.Actions, -0.5)
-		bad.Rewards = append(bad.Rewards, 0)
 	}
 	ds.Trajs = []Traj{good, bad}
-	ds.Norm = nn.FitNormalizer(good.States)
+	ds.Norm = nn.FitNormalizer(trajStates(good))
 	learner := NewCRR(ds, CRRConfig{
 		Policy: nn.PolicyConfig{Enc: 8, Hidden: 4, ResBlocks: 1, K: 2},
 		Steps:  400, Batch: 8, SeqLen: 2, Workers: 4, Seed: 3,
@@ -376,7 +380,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("steps = %d", steps)
 	}
 	// Restored policy behaves identically.
-	s := ds.Trajs[0].States[0]
+	s := gr.ApplyMask(ds.Trajs[0].Steps[0].State, ds.Mask)
 	h1, _ := learner.Policy.Forward(s, learner.Policy.InitHidden())
 	h2, _ := resumed.Policy.Forward(s, resumed.Policy.InitHidden())
 	for i := range h1 {

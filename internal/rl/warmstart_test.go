@@ -3,6 +3,7 @@ package rl
 import (
 	"testing"
 
+	"sage/internal/gr"
 	"sage/internal/nn"
 )
 
@@ -10,12 +11,11 @@ func warmstartDS() *Dataset {
 	ds := &Dataset{Mask: []int{0, 1}}
 	tr := Traj{Scheme: "const", Env: "synthetic"}
 	for i := 0; i < 16; i++ {
-		tr.States = append(tr.States, []float64{1, -1})
+		tr.Steps = append(tr.Steps, gr.Step{State: []float64{1, -1}, Reward: 1})
 		tr.Actions = append(tr.Actions, 0.25)
-		tr.Rewards = append(tr.Rewards, 1)
 	}
 	ds.Trajs = []Traj{tr}
-	ds.Norm = nn.FitNormalizer(tr.States)
+	ds.Norm = nn.FitNormalizer(trajStates(tr))
 	return ds
 }
 

@@ -4,6 +4,7 @@ package rollout_test
 
 import (
 	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -19,27 +20,17 @@ import (
 // ring, queue ring or GR window is allocated again. The GR states of the
 // trajectory are carved from 59-state arena blocks, so what is left is the
 // fixed cost of a run — the loop, network, connection, monitor and result
-// structs, a handful each — and one block per 59 ticks. Without the reuse a
-// run of this scenario allocates its peak population of packets one by one
-// on top of that, about 300, and grows each ring from empty (436
-// allocations in all when each of its 50 ticks also allocated a state).
+// structs, a handful each — and one block per 59 ticks: 41 allocations.
+// Without the reuse a run of this scenario also allocates its packet slabs
+// and grows each ring from empty, 72 allocations in all.
 func TestSecondRunReusesBuffers(t *testing.T) {
-	// 48 Mb/s over 40 ms: about 160 packets a BDP, all of them in flight
-	// or queued at once by the end of slow start.
-	sc := netem.Scenario{
-		Name:       "reuse",
-		Rate:       netem.FlatRate(netem.Mbps(48)),
-		MinRTT:     40 * sim.Millisecond,
-		QueueBytes: netem.BDPBytes(netem.Mbps(48), 40*sim.Millisecond),
-		Duration:   sim.Second,
-	}
+	sc := reuseScenario()
 	ticks := 0
 	run := func() {
 		res := rollout.Run(sc, cc.MustNew("cubic"), rollout.Options{CollectSteps: true})
 		ticks = len(res.Steps)
 	}
-	// A collection would move pooled memory to the victim cache or drop it;
-	// which allocations a run makes is the question here, not when the
+	// Which allocations a run makes is the question here, not when the
 	// collector runs.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(3, run)
@@ -47,6 +38,47 @@ func TestSecondRunReusesBuffers(t *testing.T) {
 		t.Fatalf("a second run allocates %.0f times over %d GR ticks, want ≤ %d: it grew memory the first run released, or allocated per tick", allocs, ticks, fixedAllocs)
 	}
 	t.Logf("%.0f allocations over %d GR ticks", allocs, ticks)
+}
+
+// A garbage collection between two runs takes none of what the first
+// released: the second still reuses every packet slab, ring and GR window,
+// so it allocates what a run right after another does (the count
+// TestSecondRunReusesBuffers pins), give or take collectSlack. Pools that
+// a collection empties make it allocate the slabs and grow the rings again,
+// about 30 more.
+func TestRunAfterCollectionReusesBuffers(t *testing.T) {
+	sc := reuseScenario()
+	mallocs := func(collect bool) uint64 {
+		if collect {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rollout.Run(sc, cc.MustNew("cubic"), rollout.Options{CollectSteps: true})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(false) // fills the pools
+	for i := 0; i < 3; i++ {
+		warm, collected := mallocs(false), mallocs(true)
+		if collected > warm+collectSlack || collected > fixedAllocs {
+			t.Fatalf("a run after two collections allocates %d times, one right after another %d: want the same ± %d, ≤ %d; the collections took memory a run released",
+				collected, warm, collectSlack, fixedAllocs)
+		}
+	}
+}
+
+// reuseScenario is 48 Mb/s over 40 ms for a second: about 160 packets a
+// BDP, all of them in flight or queued at once by the end of slow start.
+func reuseScenario() netem.Scenario {
+	return netem.Scenario{
+		Name:       "reuse",
+		Rate:       netem.FlatRate(netem.Mbps(48)),
+		MinRTT:     40 * sim.Millisecond,
+		QueueBytes: netem.BDPBytes(netem.Mbps(48), 40*sim.Millisecond),
+		Duration:   sim.Second,
+	}
 }
 
 // The RunMulti twin of TestSecondRunReusesBuffers: a fleet of
@@ -91,8 +123,12 @@ func (w fixedCwnd) Control(_ sim.Time, conn *tcp.Conn, _ []float64) { conn.SetCw
 // fixedAllocs bounds what a run allocates in all: the loop, network, queue,
 // link, connection, sink, CC module, monitor and result, the heap, slot and
 // history slices behind them, and the trajectory's step slice and state
-// arena.
-const fixedAllocs = 80
+// arena. It sits between a run that reuses (41) and one that does not (72).
+const fixedAllocs = 56
+
+// collectSlack bounds how many more times a run after a collection may
+// allocate than one right after another run.
+const collectSlack = 4
 
 // multiSlack bounds how far apart the allocation counts of RunMulti runs
 // of two lengths may be.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sage/internal/chaos"
+	"sage/internal/gr"
 	"sage/internal/nn"
 	"sage/internal/rl"
 	"sage/internal/sentinel"
@@ -22,11 +23,19 @@ import (
 func cleanTraj(scheme string, action, reward float64, n int) rl.Traj {
 	tr := rl.Traj{Scheme: scheme, Env: "synthetic"}
 	for i := 0; i < n; i++ {
-		tr.States = append(tr.States, []float64{1, -1})
+		tr.Steps = append(tr.Steps, gr.Step{State: []float64{1, -1}, Reward: reward})
 		tr.Actions = append(tr.Actions, action)
-		tr.Rewards = append(tr.Rewards, reward)
 	}
 	return tr
+}
+
+// trajStates lists a trajectory's states, for fitting a normalizer on it.
+func trajStates(tr rl.Traj) [][]float64 {
+	states := make([][]float64, len(tr.Steps))
+	for i, s := range tr.Steps {
+		states[i] = s.State
+	}
+	return states
 }
 
 func cleanDataset() *rl.Dataset {
@@ -35,7 +44,7 @@ func cleanDataset() *rl.Dataset {
 		cleanTraj("good", 0.5, 1, 120),
 		cleanTraj("bad", -0.5, 0, 120),
 	}
-	ds.Norm = nn.FitNormalizer(ds.Trajs[0].States)
+	ds.Norm = nn.FitNormalizer(trajStates(ds.Trajs[0]))
 	return ds
 }
 
@@ -64,8 +73,8 @@ func tinyCRR(ds *rl.Dataset, steps int) *rl.CRR {
 func TestSentinelSkipsPoisonedBatches(t *testing.T) {
 	ds := cleanDataset()
 	poison := cleanTraj("poison", 0.5, 1, 120)
-	for i := range poison.Rewards {
-		poison.Rewards[i] = math.NaN()
+	for i := range poison.Steps {
+		poison.Steps[i].Reward = math.NaN()
 	}
 	ds.Trajs = append(ds.Trajs, poison)
 
@@ -212,7 +221,7 @@ func TestSentinelAbortsOnHopelessPool(t *testing.T) {
 	p1 := cleanTraj("p1", 0.5, math.NaN(), 120)
 	p2 := cleanTraj("p2", -0.5, math.NaN(), 120)
 	ds.Trajs = []rl.Traj{p1, p2}
-	ds.Norm = nn.FitNormalizer(p1.States)
+	ds.Norm = nn.FitNormalizer(trajStates(p1))
 
 	reg := telemetry.NewRegistry()
 	dir := t.TempDir()

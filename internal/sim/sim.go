@@ -19,9 +19,9 @@
 // one separate At calls would give.
 //
 // A simulation's buffers outlive it. A Line that is Released gives its ring
-// to a package pool, and the next Line to grow on any goroutine takes it
-// instead of allocating; BufPool does the same for the rings of the
-// packages built on this one.
+// to a package Pool, and the next Line to grow on any goroutine takes it
+// instead of allocating; Pool and BufPool do the same for the packet slabs,
+// rings and windows of the packages built on this one.
 package sim
 
 import (
@@ -407,25 +407,80 @@ func (ln *Line) Release() {
 	*ln = Line{}
 }
 
-// BufPool recycles the backing arrays of slices between simulations — a
-// ring that has grown to one run's peak serves the next run without growing
-// again. Get returns a slice some earlier Put gave back, on any goroutine,
-// or nil; what it holds is whatever that user left in it. The zero BufPool
-// is empty and ready to use.
-type BufPool[T any] struct{ p sync.Pool }
-
-// Get returns a recycled slice, or nil if there is none.
-func (b *BufPool[T]) Get() []T {
-	if s, ok := b.p.Get().(*[]T); ok {
-		return *s
-	}
-	return nil
+// Pool recycles memory between simulations: Get returns the item the
+// latest Put gave back, on any goroutine, or the zero T when it holds none;
+// what an item holds is whatever its last user left in it. Unlike a
+// sync.Pool it keeps what it is given across garbage collections, so a run
+// that follows a collection still finds everything the runs before it
+// released — never more than they had out at once — until EmptyPools. Its
+// mutex orders a Put before the Get that returns it. The zero Pool is empty
+// and ready to use.
+type Pool[T any] struct {
+	mu     sync.Mutex
+	items  []T
+	listed bool // in pools, for EmptyPools
 }
 
-// Put gives s back; the caller must not use it afterwards.
+// Get returns a recycled item, or the zero T if there is none.
+func (p *Pool[T]) Get() (item T) {
+	p.mu.Lock()
+	if n := len(p.items) - 1; n >= 0 {
+		item = p.items[n]
+		var zero T
+		p.items[n] = zero
+		p.items = p.items[:n]
+	}
+	p.mu.Unlock()
+	return item
+}
+
+// Put gives item back; the caller must not use it afterwards.
+func (p *Pool[T]) Put(item T) {
+	p.mu.Lock()
+	p.items = append(p.items, item)
+	first := !p.listed
+	p.listed = true
+	p.mu.Unlock()
+	if first {
+		pools.Lock()
+		pools.all = append(pools.all, p)
+		pools.Unlock()
+	}
+}
+
+func (p *Pool[T]) empty() {
+	p.mu.Lock()
+	p.items = nil
+	p.mu.Unlock()
+}
+
+// pools lists every Pool that has been given an item.
+var pools struct {
+	sync.Mutex
+	all []interface{ empty() }
+}
+
+// EmptyPools drops what every Pool holds, for the collector to take: the
+// next simulation allocates its memory as in a fresh process.
+func EmptyPools() {
+	pools.Lock()
+	all := pools.all
+	pools.Unlock()
+	for _, p := range all {
+		p.empty()
+	}
+}
+
+// BufPool is a Pool of slices' backing arrays — a ring that has grown to
+// one run's peak serves the next run without growing again. Get returns nil
+// when it holds none; an empty slice is not kept.
+type BufPool[T any] struct{ Pool[[]T] }
+
+// Put gives s back unless it is empty; the caller must not use it
+// afterwards.
 func (b *BufPool[T]) Put(s []T) {
 	if len(s) > 0 {
-		b.p.Put(&s)
+		b.Pool.Put(s)
 	}
 }
 
