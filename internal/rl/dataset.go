@@ -85,7 +85,9 @@ func BuildDataset(pool *collector.Pool, mask []int) *Dataset {
 
 // add appends steps as a trajectory, with actions in u-space (nil = each
 // step's cwnd ratio through ActionToU). A trajectory of fewer than two
-// steps holds no transition and is dropped.
+// steps holds no transition and is dropped. Adding drops the event index;
+// it is rebuilt by the next prioritized sample, or before a parallel step
+// fans out, on the training goroutine either way.
 func (ds *Dataset) add(scheme, env string, steps []gr.Step, actions []float64) {
 	if len(steps) < 2 {
 		return
@@ -104,6 +106,7 @@ func (ds *Dataset) add(scheme, env string, steps []gr.Step, actions []float64) {
 		}
 	}
 	ds.Trajs = append(ds.Trajs, Traj{Scheme: scheme, Env: env, Steps: steps, Actions: actions})
+	ds.events = nil // the next sample re-indexes, this trajectory's events included
 }
 
 // fitNorm fits the normalizer on a stride sample of at most about 50 000

@@ -91,6 +91,41 @@ func TestSampleSeqPrioritizedEmptyEventIndex(t *testing.T) {
 	}
 }
 
+// TestAddAfterSampleIndexesNewEvents is TrainOnlineRL's order: sample from
+// a dataset whose only trajectory has no event, then add one that has two.
+// The index must hold the new trajectory's events, and prioritized windows
+// must now cover them.
+func TestAddAfterSampleIndexesNewEvents(t *testing.T) {
+	ds := &Dataset{Mask: gr.MaskFull()}
+	steps := func(n int) []gr.Step {
+		s := make([]gr.Step, n)
+		for i := range s {
+			s[i].State = make([]float64, len(ds.Mask))
+		}
+		return s
+	}
+	ds.add("calm", "env", steps(20), make([]float64, 20))
+	rng := rand.New(rand.NewSource(3))
+	ds.sampleSeqPrioritized(rng, 4, 1.0)
+	if len(ds.events) != 0 {
+		t.Fatalf("calm dataset indexed %d events", len(ds.events))
+	}
+
+	acts := make([]float64, 20)
+	acts[6], acts[13] = 0.15, -0.4
+	ds.add("bursty", "env", steps(20), acts)
+	ds.sampleSeqPrioritized(rng, 4, 1.0)
+	want := []eventPos{{1, 6}, {1, 13}}
+	if fmt.Sprint(ds.events) != fmt.Sprint(want) {
+		t.Fatalf("event index %v after adding a trajectory with events at steps 6 and 13, want %v", ds.events, want)
+	}
+	for i := 0; i < 200; i++ {
+		if tr, _ := ds.sampleSeqPrioritized(rng, 4, 1.0); tr.Scheme != "bursty" {
+			t.Fatalf("draw %d: an event-anchored window came from %q", i, tr.Scheme)
+		}
+	}
+}
+
 // With events present, anchored windows must stay in bounds even when the
 // event sits at a trajectory edge.
 func TestSampleSeqPrioritizedAnchorsInBounds(t *testing.T) {

@@ -60,7 +60,9 @@ func newBenchFleet(tb testing.TB, n int) *benchFleet {
 // batched through the shared engine versus run as N independent
 // rl.PolicyController decisions — the same kernel at B = 1, so the gap is
 // what the blocked and AVX2 tiers buy (≈ 2.3x at 1000 flows on one core),
-// plus, from 64 flows up, Flush's row shards on every core GOMAXPROCS allows.
+// plus, from two tiles up, the helpers that forward tiles on every core
+// GOMAXPROCS allows. The loop enqueues back to back, so it shows the tile
+// balancing at Flush more than the overlap with a sweep.
 func benchmarkServe(b *testing.B, flows int) {
 	pol := benchPolicy()
 	fleet := newBenchFleet(b, flows)
@@ -98,8 +100,8 @@ func benchmarkSequential(b *testing.B, flows int) {
 }
 
 func BenchmarkServe10Flows(b *testing.B)        { benchmarkServe(b, 10) }
-func BenchmarkServe64Flows(b *testing.B)        { benchmarkServe(b, 64) } // the fewest rows Flush shards two ways
-func BenchmarkServe95Flows(b *testing.B)        { benchmarkServe(b, 95) } // six tiles, the last partial: 48 + 47 rows on two cores
+func BenchmarkServe64Flows(b *testing.B)        { benchmarkServe(b, 64) } // four full tiles
+func BenchmarkServe95Flows(b *testing.B)        { benchmarkServe(b, 95) } // six tiles, the last partial
 func BenchmarkServe100Flows(b *testing.B)       { benchmarkServe(b, 100) }
 func BenchmarkServe1000Flows(b *testing.B)      { benchmarkServe(b, 1000) }
 func BenchmarkSequential10Flows(b *testing.B)   { benchmarkSequential(b, 10) }

@@ -15,10 +15,11 @@
 //
 //   - serve.Controller implements rollout.Controller + rollout.BatchFlusher,
 //     so fairness/friendliness RunMulti experiments transparently share one
-//     engine: each flow's Control enqueues its state, and the end-of-interval
-//     flush runs one batched pass — its rows split into shards across up to
-//     GOMAXPROCS cores once the batch is large enough — and applies
-//     every cwnd decision in enqueue order on the calling goroutine.
+//     engine: each flow's Control enqueues its state into the interval's
+//     batched pass, whose 16-row tiles helper goroutines (up to one per
+//     extra core) start forwarding while the sweep is still enqueuing; the
+//     end-of-interval flush finishes the pass and applies every cwnd
+//     decision in enqueue order on the calling goroutine.
 //   - The sage-serve daemon (cmd/sage-serve) serves decisions over a Unix
 //     socket: binary bodies in internal/wire's length-prefixed frames
 //     (proto.go, server.go).

@@ -86,8 +86,8 @@ type Config struct {
 	// considers normal (default 200µs).
 	BatchDeadline time.Duration
 	// Workers is the async forward-pass pool size (default GOMAXPROCS).
-	// Flush does not read it: it splits its forward by GOMAXPROCS and batch
-	// size alone (see forwardShards).
+	// Flush does not read it: its pass is forwarded tile by tile by the
+	// sim goroutine and at most GOMAXPROCS−1 helpers (see tilePass).
 	Workers int
 
 	// Overload, when non-nil, enables admission control and the brownout
@@ -154,6 +154,10 @@ type session struct {
 	stateBuf []float64
 	busy     bool // one outstanding async request per session
 	elem     *list.Element
+	// inPass is the epoch of the synchronous pass that gathered this
+	// session's row; a write to the row's inputs while that pass is open
+	// makes the pass stale.
+	inPass uint64
 
 	// The async request slot. busy admits one outstanding Decide per
 	// session, so the session itself is the queued request: stateBuf carries
@@ -243,44 +247,25 @@ type asyncResult struct {
 	fallback bool
 }
 
-// batchBuf is the per-worker scratch for one batched pass: input and
-// hidden matrices plus one policy scratch set per row shard. After warm-up
-// a pass allocates nothing.
+// batchBuf is an async worker's scratch for one batched pass: input and
+// hidden matrices, one policy scratch set, and the serial tail's buffers.
+// After warm-up a pass allocates nothing.
 type batchBuf struct {
 	states, hidden nn.Mat
-	// shards[0] is the whole batch, or its first rows, forwarded on the
-	// calling goroutine. Only a split buffer (the synchronous path's) grows
-	// more, the first time a pass is cut that many ways; one short-lived
-	// goroutine each forwards them (see forwardShards).
-	shards  []*forwardShard
-	split   bool
-	left    *atomic.Int32 // helper shards of the running pass not yet done
-	meanBuf []float64
-	flags   []bool // per-row fallback flags
-	rng     *rand.Rand
-	gen     uint64 // swap generation the scratch was built for
-}
-
-// minShardRows is the fewest rows Flush hands one shard of a batched pass:
-// below two tiles a second core buys less than starting it costs.
-const minShardRows = 2 * nn.TileRows
-
-// forwardShard is one contiguous row range [lo, hi) of a batched pass: row
-// views of the batch's input and hidden matrices, the policy scratch its
-// BatchForward writes into, and the outputs, which are views into that
-// scratch until the next pass.
-type forwardShard struct {
-	lo, hi         int
-	states, hidden nn.Mat
-	pol            *nn.Policy
 	scratch        *nn.PolicyBatchScratch
-	heads, hNew    *nn.Mat
-	panicked       any    // a helper's panic, re-raised on the caller
-	run            func() // a helper's entry point, built once per shard
+	flags          []bool // per-row fallback flags
+	tail           tailBuf
 }
 
-func (p *forwardShard) forward() {
-	p.heads, p.hNew = p.pol.BatchForward(&p.states, &p.hidden, p.scratch)
+// tailBuf is what the serial tail of a pass (decide) needs of its own: the
+// GMM mean buffer and the RNG stochastic mode draws from.
+type tailBuf struct {
+	meanBuf []float64
+	rng     *rand.Rand
+}
+
+func (e *Engine) newTailBuf(worker int) tailBuf {
+	return tailBuf{rng: rand.New(rand.NewSource(e.cfg.Seed + 7919*int64(worker+1)))}
 }
 
 // Engine multiplexes flows onto shared batched forward passes.
@@ -291,18 +276,25 @@ type Engine struct {
 	sessions map[uint64]*session
 	lru      list.List // front = most recently used
 	pending  []pendingDecision
+	// The open synchronous pass: its epoch, which every session it gathered
+	// carries in inPass, and whether a row it gathered went stale before
+	// Flush (Swap, ResetSession, a second Enqueue of one session). Flush
+	// forwards a stale pass again from the sessions as they are then.
+	passEpoch uint64
+	passStale bool
 
 	nextID atomic.Uint64
 
-	syncBuf batchBuf // synchronous Flush path (single caller: the sim loop)
+	// The synchronous path's forward (Enqueue gathers, Flush seals and
+	// joins) and its serial tail; single caller, the sim loop.
+	tiles    tilePass
+	syncTail tailBuf
 
 	// polMu guards the hot-swappable parts of cfg (Policy, Mask) plus the
-	// swap generation and shadow observer. forwardChunk snapshots them
-	// under a read lock; Swap mutates them only after draining every
-	// in-flight batch.
-	polMu   sync.RWMutex
-	swapGen uint64
-	shadow  ShadowObserver
+	// shadow observer. Passes snapshot them under a read lock; Swap mutates
+	// them only after draining every in-flight batch.
+	polMu  sync.RWMutex
+	shadow ShadowObserver
 
 	// Async machinery (Start/Decide/Close).
 	closeMu sync.RWMutex
@@ -327,45 +319,10 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Overload != nil {
 		e.ov = newOverload(*cfg.Overload, cfg.MaxBatch, cfg.BatchDeadline, cfg.Metrics)
 	}
-	e.syncBuf = e.newBatchBuf(0, true)
+	e.tiles.limit, e.tiles.own = cfg.MaxBatch, new(nn.PolicyBatchScratch)
+	e.syncTail = e.newTailBuf(0)
+	e.passEpoch = 1
 	return e
-}
-
-// newBatchBuf builds the scratch for one batched pass; split lets the pass
-// be cut into row shards.
-func (e *Engine) newBatchBuf(worker int, split bool) batchBuf {
-	b := batchBuf{
-		shards: []*forwardShard{{}},
-		split:  split,
-		left:   new(atomic.Int32),
-		rng:    rand.New(rand.NewSource(e.cfg.Seed + 7919*int64(worker+1))),
-	}
-	b.rebuild(e.cfg.Policy, 0)
-	return b
-}
-
-// addShard appends a helper shard with scratch for pol. Its entry point is
-// built here, once, so starting it allocates nothing.
-func (b *batchBuf) addShard(pol *nn.Policy) {
-	p, left := &forwardShard{scratch: pol.NewBatchScratch()}, b.left
-	p.run = func() {
-		defer func() {
-			p.panicked = recover()
-			left.Add(-1)
-		}()
-		p.forward()
-	}
-	b.shards = append(b.shards, p)
-}
-
-// rebuild sizes the buffer's scratch for pol, the policy of swap generation
-// gen (the scratch sets grow lazily to the rows each shard sees).
-func (b *batchBuf) rebuild(pol *nn.Policy, gen uint64) {
-	for _, p := range b.shards {
-		p.scratch = pol.NewBatchScratch()
-	}
-	b.meanBuf = make([]float64, pol.GMM.K)
-	b.gen = gen
 }
 
 // NewSessionID allocates a session id no other caller holds. Sessions
@@ -436,6 +393,9 @@ func (e *Engine) ResetSession(id uint64) {
 // resetLocked clears a session's recurrent state, degraded pin, and
 // re-prime window. Caller holds e.mu and the session must not be busy.
 func (e *Engine) resetLocked(s *session) {
+	if s.inPass == e.passEpoch {
+		e.passStale = true
+	}
 	e.exportTrace(s, TraceReasonReset)
 	for i := range s.hidden {
 		s.hidden[i] = 0
@@ -490,25 +450,41 @@ func (e *Engine) Sessions() int {
 
 // Enqueue records that session id's flow wants a decision on state this
 // interval; the decision is computed and applied (SetCwnd + Kick) by the
-// next Flush, in enqueue order. The state slice is copied. An Enqueue that
-// races with Close is a no-op: a draining engine accepts no new work, and
-// the session is left idle so CloseSession can release it.
+// next Flush, in enqueue order. The state slice is copied, and the first
+// Config.MaxBatch rows of the interval are gathered into the open pass at
+// once, so its forward can start before Flush (see tilePass). An Enqueue
+// that races with Close is a no-op: a draining engine accepts no new work,
+// and the session is left idle so CloseSession can release it.
 func (e *Engine) Enqueue(id uint64, conn *tcp.Conn, state []float64) {
 	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
 	if e.closed {
-		e.closeMu.RUnlock()
 		return
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	s := e.sessionLocked(id)
-	if cap(s.stateBuf) < len(state) {
-		s.stateBuf = make([]float64, len(state))
+	s.stateBuf = append(s.stateBuf[:0], state...)
+	switch n := len(e.pending); {
+	case s.inPass == e.passEpoch:
+		// The row gathered for this session read the state just overwritten.
+		e.passStale = true
+	case n < e.cfg.MaxBatch && !e.passStale:
+		if n == 0 {
+			// Swap writes Policy and Mask under mu too.
+			e.tiles.open(e.cfg.Policy, e.cfg.Mask, len(s.hidden))
+		}
+		s.inPass = e.passEpoch
+		e.tiles.add(s)
 	}
-	s.stateBuf = s.stateBuf[:len(state)]
-	copy(s.stateBuf, state)
 	e.pending = append(e.pending, pendingDecision{sess: s, conn: conn})
-	e.mu.Unlock()
-	e.closeMu.RUnlock()
+}
+
+// endPassLocked closes the open synchronous pass: the next Enqueue opens
+// another. Caller holds e.mu.
+func (e *Engine) endPassLocked() {
+	e.passEpoch++
+	e.passStale = false
 }
 
 // Flush runs the batched forward pass over everything enqueued since the
@@ -518,14 +494,23 @@ func (e *Engine) Enqueue(id uint64, conn *tcp.Conn, state []float64) {
 // to deciding inline — and in deterministic mode bitwise identical to a
 // per-flow rl.PolicyController. Not safe for concurrent use (the sim loop
 // is single-threaded); concurrent servers use Start/Decide instead.
+//
+// The first Config.MaxBatch rows were gathered as they were enqueued and
+// may be forwarded already; Flush finishes their pass. Every later chunk of
+// MaxBatch rows, and the first one when its pass went stale, is gathered
+// here and forwarded the same way. Each chunk's decisions are then taken
+// and applied serially on the calling goroutine.
 func (e *Engine) Flush(now sim.Time) {
 	e.mu.Lock()
 	pend := e.pending
 	e.pending = e.pending[len(e.pending):]
+	stale := e.passStale
+	e.endPassLocked()
 	e.mu.Unlock()
 	if len(pend) == 0 {
 		return
 	}
+	t := &e.tiles
 	if e.ov != nil {
 		e.ov.notePeak(int64(len(pend)))
 		switch {
@@ -536,6 +521,7 @@ func (e *Engine) Flush(now sim.Time) {
 			// heuristic, which then really controls the window.
 			e.applyFallback(pend, now)
 			pend = pend[:0]
+			t.quiesce() // no tile of the pass may run once Flush returns
 		case len(pend) > e.ov.cfg.MaxInflight:
 			// Bound the learned-path backlog; the overflow tail gets the
 			// cheap path rather than growing the batched pass without limit.
@@ -545,12 +531,19 @@ func (e *Engine) Flush(now sim.Time) {
 		defer e.ov.maybeEval(time.Now())
 	}
 	for lo := 0; lo < len(pend); lo += e.cfg.MaxBatch {
-		hi := lo + e.cfg.MaxBatch
-		if hi > len(pend) {
-			hi = len(pend)
+		chunk := pend[lo:min(lo+e.cfg.MaxBatch, len(pend))]
+		if lo > 0 || stale {
+			e.polMu.RLock()
+			pol, mask := e.cfg.Policy, e.cfg.Mask
+			e.polMu.RUnlock()
+			t.open(pol, mask, len(chunk[0].sess.hidden))
+			for _, p := range chunk {
+				t.add(p.sess)
+			}
 		}
-		chunk := pend[lo:hi]
-		e.forwardChunk(chunk, &e.syncBuf, func(i int, ratio float64) {
+		t.seal()
+		t.join()
+		e.decide(chunk, t.pol, &t.heads, &t.hNew, t.fallback, &e.syncTail, func(i int, ratio float64) {
 			c := chunk[i].conn
 			c.SetCwnd(tcp.ClampCwnd(c.Cwnd*ratio, tcp.MinCwnd, e.cfg.MaxCwnd))
 			c.Kick(now)
@@ -578,13 +571,37 @@ func (e *Engine) applyFallback(pend []pendingDecision, now sim.Time) {
 	e.ov.noteDegraded(int64(len(pend)))
 }
 
-// forwardChunk runs one batched pass over chunk and hands each row's cwnd
-// ratio to apply, in order. Fallback rows (non-finite state or action, or a
-// session degraded by a failed hot-swap re-prime) get ratio 1.0 and keep
-// their previous hidden state.
+// forwardChunk is an async worker's batched pass over chunk: one forward
+// over every row, then the serial tail.
 func (e *Engine) forwardChunk(chunk []pendingDecision, buf *batchBuf, apply func(i int, ratio float64)) {
 	e.polMu.RLock()
-	pol, mask, gen, shadow := e.cfg.Policy, e.cfg.Mask, e.swapGen, e.shadow
+	pol, mask := e.cfg.Policy, e.cfg.Mask
+	e.polMu.RUnlock()
+	n := len(chunk)
+	buf.states.Reset(n, len(mask))
+	buf.hidden.Reset(n, len(chunk[0].sess.hidden))
+	if cap(buf.flags) < n {
+		buf.flags = make([]bool, n)
+	}
+	buf.flags = buf.flags[:n]
+	for i, p := range chunk {
+		buf.flags[i] = gather(buf.states.Row(i), buf.hidden.Row(i), p.sess, mask)
+	}
+	heads, hNew := pol.BatchForward(&buf.states, &buf.hidden, buf.scratch)
+	e.decide(chunk, pol, heads, hNew, buf.flags, &buf.tail, apply)
+}
+
+// decide is the serial tail of a batched pass, in enqueue order on the
+// calling goroutine: per row, rl.HeadAction (and, in stochastic mode, the
+// RNG's draws), the hidden-state copy and re-prime window, trace, shadow,
+// metrics, then apply with the row's cwnd ratio. Row i's outputs are
+// heads.Row(i) and hNew.Row(i). fallback[i] marks on entry a non-finite
+// state; a session degraded by a failed hot-swap re-prime, or a non-finite
+// action, falls back too. A fallback row gets ratio 1.0 and keeps its
+// previous hidden state; on return fallback marks every such row.
+func (e *Engine) decide(chunk []pendingDecision, pol *nn.Policy, heads, hNew *nn.Mat, fallback []bool, tb *tailBuf, apply func(i int, ratio float64)) {
+	e.polMu.RLock()
+	shadow := e.shadow
 	e.polMu.RUnlock()
 	if shadow != nil && e.ov != nil && e.ov.mode() >= ModeShedShadow {
 		// First rung of the brownout ladder: candidate mirroring is load
@@ -592,44 +609,21 @@ func (e *Engine) forwardChunk(chunk []pendingDecision, buf *batchBuf, apply func
 		e.ov.noteShadowShed(int64(len(chunk)))
 		shadow = nil
 	}
-	if buf.gen != gen {
-		// A hot-swap replaced the policy since this buffer last ran: its
-		// scratch sets and GMM mean buffer are sized for the old network.
-		buf.rebuild(pol, gen)
+	if len(tb.meanBuf) != pol.GMM.K {
+		tb.meanBuf = make([]float64, pol.GMM.K)
 	}
-	n := len(chunk)
-	inDim := len(mask)
-	hDim := len(chunk[0].sess.hidden)
-	buf.states.Reset(n, inDim)
-	buf.hidden.Reset(n, hDim)
-	fallback := buf.ensureFlags(n)
 	for i, p := range chunk {
-		fallback[i] = p.sess.degraded || !finiteVec(p.sess.stateBuf)
-		if fallback[i] {
-			zero(buf.states.Row(i))
-		} else {
-			gr.ApplyMaskInto(buf.states.Row(i), p.sess.stateBuf, mask)
-		}
-		buf.hidden.SetRow(i, p.sess.hidden)
-	}
-	shards := buf.forwardShards(pol)
-	// Everything from here on is serial, in enqueue order, on the calling
-	// goroutine: the RNG draws, the session writes, trace, shadow, apply.
-	j := 0
-	for i := range chunk {
-		if i == shards[j].hi {
-			j++
-		}
-		sh := shards[j]
+		s := p.sess
+		fallback[i] = fallback[i] || s.degraded
 		ratio := 1.0
 		if !fallback[i] {
-			u, r := rl.HeadAction(pol.GMM, sh.heads.Row(i-sh.lo), buf.meanBuf, e.cfg.Stochastic, false, buf.rng)
+			u, r := rl.HeadAction(pol.GMM, heads.Row(i), tb.meanBuf, e.cfg.Stochastic, false, tb.rng)
 			if math.IsNaN(u) || math.IsNaN(r) || math.IsInf(r, 0) {
 				fallback[i] = true
 			} else {
 				ratio = r
-				copy(chunk[i].sess.hidden, sh.hNew.Row(i-sh.lo))
-				chunk[i].sess.recordWindow(chunk[i].sess.stateBuf, e.cfg.ReprimeWindow)
+				copy(s.hidden, hNew.Row(i))
+				s.recordWindow(s.stateBuf, e.cfg.ReprimeWindow)
 			}
 		}
 		if fallback[i] {
@@ -639,104 +633,19 @@ func (e *Engine) forwardChunk(chunk []pendingDecision, buf *batchBuf, apply func
 		// Trace and shadow before apply: on the async path apply hands the
 		// session back to its caller, after which the next Decide may rewrite
 		// stateBuf and a concurrent CloseSession may export the window.
-		if e.cfg.Trace != nil && finiteVec(chunk[i].sess.stateBuf) {
-			s := chunk[i].sess
+		if e.cfg.Trace != nil && finiteVec(s.stateBuf) {
 			s.recordTrace(s.stateBuf, ratio, fallback[i])
 			if len(s.trace) >= e.cfg.TraceWindowSteps {
 				e.exportTrace(s, TraceReasonRotate)
 			}
 		}
 		if shadow != nil {
-			shadow.Observe(chunk[i].sess.id, chunk[i].sess.stateBuf, ratio, fallback[i])
+			shadow.Observe(s.id, s.stateBuf, ratio, fallback[i])
 		}
 		apply(i, ratio)
 	}
 	e.cfg.Metrics.Counter(MetricBatches).Inc()
-	e.cfg.Metrics.Histogram(MetricBatchSize).Observe(float64(n))
-}
-
-// forwardShards runs pol's batched forward over the buffer's n = states.Rows
-// rows and returns the shards that hold the outputs, in row order. A split
-// buffer cuts the rows into shardCount(n, GOMAXPROCS) contiguous shards at
-// tile multiples; the caller forwards the first and one goroutine per other
-// shard forwards the rest. Rows are independent and every kernel tier
-// computes a row bit for bit alike (TestPolicyBatchForwardMatchesSequential),
-// so sharding changes no output.
-//
-// The caller waits by spinning on an atomic counter and yielding, never by
-// parking: a parked sim goroutine tends to resume on the helper's core, and
-// the migration costs more than the wait. Helpers exit when their shard is
-// done, so an engine that is dropped without Close leaves nothing running.
-func (b *batchBuf) forwardShards(pol *nn.Policy) []*forwardShard {
-	n := b.states.Rows
-	k := 1
-	if b.split {
-		k = shardCount(n, runtime.GOMAXPROCS(0))
-	}
-	for len(b.shards) < k {
-		b.addShard(pol)
-	}
-	shards := b.shards[:k]
-	for j, p := range shards {
-		p.lo, p.hi = shardCut(n, k, j), shardCut(n, k, j+1)
-		p.states, p.hidden, p.pol = rowView(&b.states, p.lo, p.hi), rowView(&b.hidden, p.lo, p.hi), pol
-	}
-	if k == 1 {
-		shards[0].forward()
-		return shards
-	}
-	b.left.Store(int32(k - 1))
-	for j := 1; j < k; j++ {
-		go shards[j].run()
-	}
-	defer b.join(shards[1:])
-	shards[0].forward()
-	return shards
-}
-
-// join waits until every helper shard is done — also when the caller's own
-// shard panicked, so no helper outlives the pass — and re-raises a helper's
-// panic on the caller, where a recover up the sim goroutine can see it.
-func (b *batchBuf) join(helpers []*forwardShard) {
-	for b.left.Load() != 0 {
-		runtime.Gosched()
-	}
-	for _, p := range helpers {
-		if v := p.panicked; v != nil {
-			p.panicked = nil
-			panic(v)
-		}
-	}
-}
-
-// shardCount is how many row shards a split pass over n rows runs on procs
-// cores: one per core, while every shard still gets minShardRows rows.
-// Passes on more than two cores are unmeasured (DESIGN.md §10).
-func shardCount(n, procs int) int {
-	return max(1, min(procs, n/minShardRows))
-}
-
-// shardCut is the first row of shard j of k over n rows (shardCut(n, k, k)
-// is n). The cuts spread whole tiles evenly, the last shard taking the most
-// tiles and the partial one, so shards differ by at most one tile; at
-// k ≤ n/minShardRows every shard gets at least minShardRows rows.
-func shardCut(n, k, j int) int {
-	tiles := (n + nn.TileRows - 1) / nn.TileRows
-	return min(j*tiles/k*nn.TileRows, n)
-}
-
-// rowView is rows [lo, hi) of m, sharing its backing array.
-func rowView(m *nn.Mat, lo, hi int) nn.Mat {
-	return nn.Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-// ensureFlags returns a reusable []bool of length n.
-func (b *batchBuf) ensureFlags(n int) []bool {
-	if cap(b.flags) < n {
-		b.flags = make([]bool, n)
-	}
-	b.flags = b.flags[:n]
-	return b.flags
+	e.cfg.Metrics.Histogram(MetricBatchSize).Observe(float64(len(chunk)))
 }
 
 // ---------------------------------------------------------------------------
@@ -764,7 +673,7 @@ func (e *Engine) Start() {
 	e.reqCh = make(chan *session, depth)
 	e.wg.Add(e.cfg.Workers)
 	for w := 0; w < e.cfg.Workers; w++ {
-		go e.worker(e.newBatchBuf(w+1, false))
+		go e.worker(batchBuf{scratch: new(nn.PolicyBatchScratch), tail: e.newTailBuf(w + 1)})
 	}
 	if e.ov != nil {
 		e.ovStop = make(chan struct{})
@@ -961,6 +870,7 @@ func (e *Engine) Close() {
 	// race-free.
 	e.mu.Lock()
 	e.pending = nil
+	e.endPassLocked()
 	// Every worker has exited and no new decision can start, so each
 	// session's open trace window is final: flush them whole, so a drain
 	// never strands served experience in memory.

@@ -66,9 +66,8 @@ type oracleFlow struct {
 // to a wider model before the third. Batch sizes run from one tile to past
 // MaxBatch (300 = a 256-row chunk and a 44-row one), including sizes that are
 // no multiple of the 16-row tile; every 29th row carries a NaN state and
-// every 31st sits in a degraded session, so each shard of ≥ 32 rows holds
-// both kinds of fallback. The engine has one async worker: Workers does not
-// limit Flush's shards.
+// every 31st sits in a degraded session, marked after its row was gathered.
+// The engine has one async worker: Workers does not limit Flush's helpers.
 func TestFlushShardedMatchesSerial(t *testing.T) {
 	for _, procs := range []int{1, 2, 3} {
 		for _, n := range []int{16, 31, 32, 63, 64, 65, 95, 96, 100, 127, 128, 143, 192, 255, 256, 300} {
@@ -76,40 +75,6 @@ func TestFlushShardedMatchesSerial(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				checkShardedFlush(t, n)
 			})
-		}
-	}
-}
-
-// TestShardCutsBalanced checks the row cuts of every pass size up to past
-// MaxBatch on 1 to 40 cores: contiguous shards from row 0 to n, interior cuts
-// on tile boundaries, every shard of a split pass at least minShardRows rows,
-// and no shard more than one tile longer than another (cutting at rows/k
-// rounded down to a tile, the remainder on the last shard, would give 32 + 63
-// rows at 95).
-func TestShardCutsBalanced(t *testing.T) {
-	for procs := 1; procs <= 40; procs++ {
-		for n := 1; n <= 1100; n++ {
-			k := shardCount(n, procs)
-			if k > procs || (k > 1 && n < k*minShardRows) {
-				t.Fatalf("n=%d procs=%d: %d shards", n, procs, k)
-			}
-			if shardCut(n, k, 0) != 0 || shardCut(n, k, k) != n {
-				t.Fatalf("n=%d k=%d: cuts span [%d, %d)", n, k, shardCut(n, k, 0), shardCut(n, k, k))
-			}
-			lo, hi := n, 0
-			for j := 0; j < k; j++ {
-				a, b := shardCut(n, k, j), shardCut(n, k, j+1)
-				if j > 0 && a%nn.TileRows != 0 {
-					t.Fatalf("n=%d k=%d: shard %d starts at row %d, inside a tile", n, k, j, a)
-				}
-				lo, hi = min(lo, b-a), max(hi, b-a)
-			}
-			if k > 1 && lo < minShardRows {
-				t.Fatalf("n=%d k=%d: a shard of %d rows", n, k, lo)
-			}
-			if hi-lo > nn.TileRows {
-				t.Fatalf("n=%d k=%d: shards of %d to %d rows", n, k, lo, hi)
-			}
 		}
 	}
 }
@@ -204,9 +169,11 @@ func checkShardedFlush(t *testing.T, n int) {
 	}
 }
 
-// TestFlushShardedLeaksNoGoroutines flushes a shardable batch through 50
+// TestFlushShardedLeaksNoGoroutines flushes a four-tile batch through 50
 // engines that are then dropped without Close, as a RunMulti fleet drops
-// its engine: no helper goroutine may outlive its Flush.
+// its engine, and enqueues one through 50 more that are dropped mid-sweep,
+// never flushed, as when a controller panics: no helper goroutine may
+// outlive the tiles it found to forward.
 func TestFlushShardedLeaksNoGoroutines(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -221,20 +188,24 @@ func TestFlushShardedLeaksNoGoroutines(t *testing.T) {
 			eng.Enqueue(uint64(i+1), c, shardState(rng))
 		}
 		eng.Flush(sim.Second)
+		dropped := NewEngine(Config{Policy: pol})
+		for i, c := range conns {
+			dropped.Enqueue(uint64(i+1), c, shardState(rng))
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after 50 sharded flushes, %d before", runtime.NumGoroutine(), before)
+			t.Fatalf("%d goroutines after 50 flushed and 50 unflushed passes, %d before", runtime.NumGoroutine(), before)
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestFlushShardPanicReachesCaller breaks the policy so every shard's
+// TestFlushShardPanicReachesCaller breaks the policy so every tile's
 // forward panics: Flush must panic on its caller, and only after every
-// helper shard has finished.
+// claimed tile is done.
 func TestFlushShardPanicReachesCaller(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -254,7 +225,7 @@ func TestFlushShardPanicReachesCaller(t *testing.T) {
 		}()
 		eng.Flush(sim.Second)
 	}()
-	if left := eng.syncBuf.left.Load(); left != 0 {
-		t.Fatalf("Flush panicked with %d helper shards still running", left)
+	if left := eng.tiles.next.Load() - eng.tiles.done.Load(); left != 0 {
+		t.Fatalf("Flush panicked with %d claimed tiles still running", left)
 	}
 }

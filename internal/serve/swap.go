@@ -39,7 +39,9 @@ func (s SwapStats) String() string {
 // trips to the heuristic path and is re-admitted fresh after probation.
 //
 // Decisions already enqueued on the synchronous path but not yet flushed
-// are carried across: the next Flush serves them with the new model.
+// are carried across: the next Flush serves them with the new model and the
+// migrated hidden states, discarding whatever of their pass was forwarded
+// under the old one.
 // Decisions blocked in Decide during the swap are served by the new model
 // once it completes; none are dropped.
 //
@@ -74,12 +76,14 @@ func (e *Engine) Swap(pol *nn.Policy, mask []int) (SwapStats, error) {
 	e.polMu.Lock()
 	e.cfg.Policy = pol
 	e.cfg.Mask = mask
-	e.swapGen++
-	gen := e.swapGen
 	e.polMu.Unlock()
-	// Rebuild the synchronous scratch eagerly (workers rebuild lazily via
-	// the generation check when their next batch arrives).
-	e.syncBuf.rebuild(pol, gen)
+	// The open synchronous pass read the outgoing model and hidden states:
+	// Flush forwards it again. No tile of it is running once Swap returns,
+	// so nothing reads the outgoing policy after that.
+	if len(e.pending) > 0 {
+		e.passStale = true
+	}
+	e.tiles.quiesce()
 
 	stats.Sessions = len(e.sessions)
 	step := rl.Stepper{Policy: pol, Mask: mask}
