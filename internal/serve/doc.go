@@ -25,7 +25,9 @@
 //     (proto.go, server.go).
 //     Its workers pull straight off the request queue: each pass takes
 //     every request already waiting, so batches form under load and an
-//     idle engine answers a lone request with no hold.
+//     idle engine answers a lone request with no hold. A worker's pass is
+//     the same pass as the flush's, but the worker forwards every tile of
+//     it itself: it starts no helper.
 //   - Direct library use: Engine.Decide (async, after Start) or the
 //     enqueue/Flush pair (synchronous, deterministic).
 //

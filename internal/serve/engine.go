@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"errors"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -76,18 +75,19 @@ type Config struct {
 	// used idle session is evicted and a later request for its id starts
 	// from a fresh hidden state (default 4096).
 	MaxSessions int
-	// MaxBatch bounds one batched forward pass (default 256). The
-	// synchronous Flush path chunks larger backlogs; an async worker stops
-	// taking queued requests when its batch fills.
+	// MaxBatch bounds one pass (default 256): Flush gathers a larger
+	// backlog chunk by chunk, and an async worker stops taking queued
+	// requests when its pass is full.
 	MaxBatch int
 	// BatchDeadline is no timer — the async batcher never holds a request
 	// while a worker idles. It is the unit of the overload ladder's
 	// batch-wait budget (50×BatchDeadline): the queue wait a deployment
 	// considers normal (default 200µs).
 	BatchDeadline time.Duration
-	// Workers is the async forward-pass pool size (default GOMAXPROCS).
-	// Flush does not read it: its pass is forwarded tile by tile by the
-	// sim goroutine and at most GOMAXPROCS−1 helpers (see tilePass).
+	// Workers is the async pool size (default GOMAXPROCS). Each worker
+	// owns one pass, starts no helper and forwards every tile of it itself.
+	// Flush does not read it: its pass is forwarded by the sim goroutine
+	// and at most GOMAXPROCS−1 helpers (see tilePass).
 	Workers int
 
 	// Overload, when non-nil, enables admission control and the brownout
@@ -247,27 +247,6 @@ type asyncResult struct {
 	fallback bool
 }
 
-// batchBuf is an async worker's scratch for one batched pass: input and
-// hidden matrices, one policy scratch set, and the serial tail's buffers.
-// After warm-up a pass allocates nothing.
-type batchBuf struct {
-	states, hidden nn.Mat
-	scratch        *nn.PolicyBatchScratch
-	flags          []bool // per-row fallback flags
-	tail           tailBuf
-}
-
-// tailBuf is what the serial tail of a pass (decide) needs of its own: the
-// GMM mean buffer and the RNG stochastic mode draws from.
-type tailBuf struct {
-	meanBuf []float64
-	rng     *rand.Rand
-}
-
-func (e *Engine) newTailBuf(worker int) tailBuf {
-	return tailBuf{rng: rand.New(rand.NewSource(e.cfg.Seed + 7919*int64(worker+1)))}
-}
-
 // Engine multiplexes flows onto shared batched forward passes.
 type Engine struct {
 	cfg Config
@@ -285,10 +264,9 @@ type Engine struct {
 
 	nextID atomic.Uint64
 
-	// The synchronous path's forward (Enqueue gathers, Flush seals and
-	// joins) and its serial tail; single caller, the sim loop.
-	tiles    tilePass
-	syncTail tailBuf
+	// The synchronous path's pass (Enqueue gathers, Flush decides); single
+	// caller, the sim loop.
+	tiles *tilePass
 
 	// polMu guards the hot-swappable parts of cfg (Policy, Mask) plus the
 	// shadow observer. Passes snapshot them under a read lock; Swap mutates
@@ -301,6 +279,7 @@ type Engine struct {
 	closed  bool
 	started bool
 	reqCh   chan *session // busy sessions awaiting a worker (see session.done)
+	passes  []*tilePass   // each worker's own
 	wg      sync.WaitGroup
 	queued  atomic.Int64
 
@@ -319,8 +298,7 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Overload != nil {
 		e.ov = newOverload(*cfg.Overload, cfg.MaxBatch, cfg.BatchDeadline, cfg.Metrics)
 	}
-	e.tiles.limit, e.tiles.own = cfg.MaxBatch, new(nn.PolicyBatchScratch)
-	e.syncTail = e.newTailBuf(0)
+	e.tiles = newTilePass(cfg.MaxBatch, cfg.Seed+7919, false)
 	e.passEpoch = 1
 	return e
 }
@@ -510,7 +488,6 @@ func (e *Engine) Flush(now sim.Time) {
 	if len(pend) == 0 {
 		return
 	}
-	t := &e.tiles
 	if e.ov != nil {
 		e.ov.notePeak(int64(len(pend)))
 		switch {
@@ -521,7 +498,7 @@ func (e *Engine) Flush(now sim.Time) {
 			// heuristic, which then really controls the window.
 			e.applyFallback(pend, now)
 			pend = pend[:0]
-			t.quiesce() // no tile of the pass may run once Flush returns
+			e.tiles.quiesce() // no tile of the pass may run once Flush returns
 		case len(pend) > e.ov.cfg.MaxInflight:
 			// Bound the learned-path backlog; the overflow tail gets the
 			// cheap path rather than growing the batched pass without limit.
@@ -533,17 +510,9 @@ func (e *Engine) Flush(now sim.Time) {
 	for lo := 0; lo < len(pend); lo += e.cfg.MaxBatch {
 		chunk := pend[lo:min(lo+e.cfg.MaxBatch, len(pend))]
 		if lo > 0 || stale {
-			e.polMu.RLock()
-			pol, mask := e.cfg.Policy, e.cfg.Mask
-			e.polMu.RUnlock()
-			t.open(pol, mask, len(chunk[0].sess.hidden))
-			for _, p := range chunk {
-				t.add(p.sess)
-			}
+			e.fillPass(e.tiles, chunk)
 		}
-		t.seal()
-		t.join()
-		e.decide(chunk, t.pol, &t.heads, &t.hNew, t.fallback, &e.syncTail, func(i int, ratio float64) {
+		e.decide(chunk, e.tiles, func(i int, ratio float64) {
 			c := chunk[i].conn
 			c.SetCwnd(tcp.ClampCwnd(c.Cwnd*ratio, tcp.MinCwnd, e.cfg.MaxCwnd))
 			c.Kick(now)
@@ -571,35 +540,30 @@ func (e *Engine) applyFallback(pend []pendingDecision, now sim.Time) {
 	e.ov.noteDegraded(int64(len(pend)))
 }
 
-// forwardChunk is an async worker's batched pass over chunk: one forward
-// over every row, then the serial tail.
-func (e *Engine) forwardChunk(chunk []pendingDecision, buf *batchBuf, apply func(i int, ratio float64)) {
+// fillPass opens t over the current policy and mask and gathers chunk's
+// sessions into it: Flush's later and stale chunks, and an async worker's
+// batch.
+func (e *Engine) fillPass(t *tilePass, chunk []pendingDecision) {
 	e.polMu.RLock()
 	pol, mask := e.cfg.Policy, e.cfg.Mask
 	e.polMu.RUnlock()
-	n := len(chunk)
-	buf.states.Reset(n, len(mask))
-	buf.hidden.Reset(n, len(chunk[0].sess.hidden))
-	if cap(buf.flags) < n {
-		buf.flags = make([]bool, n)
+	t.open(pol, mask, len(chunk[0].sess.hidden))
+	for _, p := range chunk {
+		t.add(p.sess)
 	}
-	buf.flags = buf.flags[:n]
-	for i, p := range chunk {
-		buf.flags[i] = gather(buf.states.Row(i), buf.hidden.Row(i), p.sess, mask)
-	}
-	heads, hNew := pol.BatchForward(&buf.states, &buf.hidden, buf.scratch)
-	e.decide(chunk, pol, heads, hNew, buf.flags, &buf.tail, apply)
 }
 
-// decide is the serial tail of a batched pass, in enqueue order on the
-// calling goroutine: per row, rl.HeadAction (and, in stochastic mode, the
-// RNG's draws), the hidden-state copy and re-prime window, trace, shadow,
-// metrics, then apply with the row's cwnd ratio. Row i's outputs are
-// heads.Row(i) and hNew.Row(i). fallback[i] marks on entry a non-finite
-// state; a session degraded by a failed hot-swap re-prime, or a non-finite
-// action, falls back too. A fallback row gets ratio 1.0 and keeps its
-// previous hidden state; on return fallback marks every such row.
-func (e *Engine) decide(chunk []pendingDecision, pol *nn.Policy, heads, hNew *nn.Mat, fallback []bool, tb *tailBuf, apply func(i int, ratio float64)) {
+// decide seals and joins t, whose rows are chunk's, then runs its serial
+// tail in enqueue order on the calling goroutine: per row, rl.HeadAction
+// (and, in stochastic mode, the draws from t's RNG), the hidden-state copy
+// and re-prime window, trace, shadow, metrics, then apply with the row's
+// cwnd ratio. t.fallback[i] marks on entry a non-finite state; a session
+// degraded by a failed hot-swap re-prime, or a non-finite action, falls
+// back too. A fallback row gets ratio 1.0 and keeps its previous hidden
+// state; on return t.fallback marks every such row.
+func (e *Engine) decide(chunk []pendingDecision, t *tilePass, apply func(i int, ratio float64)) {
+	t.seal()
+	t.join()
 	e.polMu.RLock()
 	shadow := e.shadow
 	e.polMu.RUnlock()
@@ -609,20 +573,18 @@ func (e *Engine) decide(chunk []pendingDecision, pol *nn.Policy, heads, hNew *nn
 		e.ov.noteShadowShed(int64(len(chunk)))
 		shadow = nil
 	}
-	if len(tb.meanBuf) != pol.GMM.K {
-		tb.meanBuf = make([]float64, pol.GMM.K)
-	}
+	fallback := t.fallback
 	for i, p := range chunk {
 		s := p.sess
 		fallback[i] = fallback[i] || s.degraded
 		ratio := 1.0
 		if !fallback[i] {
-			u, r := rl.HeadAction(pol.GMM, heads.Row(i), tb.meanBuf, e.cfg.Stochastic, false, tb.rng)
+			u, r := rl.HeadAction(t.pol.GMM, t.heads.Row(i), t.meanBuf, e.cfg.Stochastic, false, t.rng)
 			if math.IsNaN(u) || math.IsNaN(r) || math.IsInf(r, 0) {
 				fallback[i] = true
 			} else {
 				ratio = r
-				copy(s.hidden, hNew.Row(i))
+				copy(s.hidden, t.hNew.Row(i))
 				s.recordWindow(s.stateBuf, e.cfg.ReprimeWindow)
 			}
 		}
@@ -672,8 +634,10 @@ func (e *Engine) Start() {
 	}
 	e.reqCh = make(chan *session, depth)
 	e.wg.Add(e.cfg.Workers)
-	for w := 0; w < e.cfg.Workers; w++ {
-		go e.worker(batchBuf{scratch: new(nn.PolicyBatchScratch), tail: e.newTailBuf(w + 1)})
+	e.passes = make([]*tilePass, e.cfg.Workers)
+	for w := range e.passes {
+		e.passes[w] = newTilePass(e.cfg.MaxBatch, e.cfg.Seed+7919*int64(w+2), true)
+		go e.worker(e.passes[w])
 	}
 	if e.ov != nil {
 		e.ovStop = make(chan struct{})
@@ -792,11 +756,11 @@ func (e *Engine) release(s *session) {
 }
 
 // worker blocks for one request, takes whatever else is already queued,
-// runs the batched pass and completes each request's future. The single
-// yield between two drains lets connection goroutines that are runnable
-// right now enqueue first: with every worker busy that is what rebuilds
-// large batches, and on an idle engine it returns at once.
-func (e *Engine) worker(buf batchBuf) {
+// gathers them into its pass t, decides and completes each request's
+// future. The single yield between two drains lets connection goroutines
+// that are runnable right now enqueue first: with every worker busy that is
+// what rebuilds large batches, and on an idle engine it returns at once.
+func (e *Engine) worker(t *tilePass) {
 	defer e.wg.Done()
 	chunk := make([]pendingDecision, 0, e.cfg.MaxBatch)
 	for {
@@ -816,8 +780,9 @@ func (e *Engine) worker(buf batchBuf) {
 		if e.ov != nil {
 			e.ov.noteBatchWait(wait)
 		}
-		e.forwardChunk(chunk, &buf, func(i int, ratio float64) {
-			chunk[i].sess.done <- asyncResult{ratio: ratio, fallback: buf.flags[i]}
+		e.fillPass(t, chunk)
+		e.decide(chunk, t, func(i int, ratio float64) {
+			chunk[i].sess.done <- asyncResult{ratio: ratio, fallback: t.fallback[i]}
 		})
 	}
 }

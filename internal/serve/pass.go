@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 
@@ -8,20 +9,23 @@ import (
 	"sage/internal/nn"
 )
 
-// tilePass is the synchronous path's forward pass. Enqueue gathers each row
-// into it during the control sweep; each time a 16-row tile (nn.TileRows)
-// fills, the tile is published and a helper goroutine — at most one per
-// extra core — claims published tiles and forwards them while the sweep goes
-// on. Flush seals the pass, which publishes the partial last tile, claims
-// whatever is left on the sim goroutine and waits for every claimed tile
-// (DESIGN.md §10). Rows are independent and every kernel tier computes a row
-// alike (TestPolicyBatchForwardMatchesSequential), so forwarding tile by
-// tile, on any goroutine, changes no output bit.
+// tilePass is one batched forward pass and its serial tail's own state. The
+// synchronous path has one: Enqueue gathers each row into it during the
+// control sweep; each time a 16-row tile (nn.TileRows) fills, the tile is
+// published and a helper goroutine — at most one per extra core — claims
+// published tiles and forwards them while the sweep goes on. Flush seals the
+// pass, which publishes the partial last tile, claims whatever is left on
+// the sim goroutine and waits for every claimed tile (DESIGN.md §10). Each
+// async worker has a solo one: the worker gathers its batch, starts no
+// helper and forwards every tile itself at the join. Rows are independent
+// and every kernel tier computes a row alike
+// (TestPolicyBatchForwardMatchesSequential), so forwarding tile by tile, on
+// any goroutine, changes no output bit.
 //
-// Only the sim goroutine gathers, grows, opens and seals. A helper reads
-// the pass's fields only for a tile it claimed; the tile was published after
-// they were written, and none of them is written again until every claimed
-// tile is done (quiesce).
+// Only the pass's owner gathers, grows, opens, seals and runs the tail. A
+// helper reads the pass's fields only for a tile it claimed; the tile was
+// published after they were written, and none of them is written again
+// until every claimed tile is done (quiesce).
 type tilePass struct {
 	pol  *nn.Policy
 	mask []int
@@ -35,17 +39,29 @@ type tilePass struct {
 	fallback                    []bool // row r's state is not finite
 	rows, limit                 int    // rows gathered; the most a pass holds (Config.MaxBatch)
 
+	// The serial tail's own: the GMM mean buffer and the RNG stochastic mode
+	// draws from.
+	meanBuf []float64
+	rng     *rand.Rand
+
 	// Tile indices count up across passes and are never reused, so a claim
 	// a stale helper makes against a finished pass cannot succeed.
 	ready    atomic.Int64        // one past the last published tile
 	next     atomic.Int64        // the next tile to claim
 	done     atomic.Int64        // tiles forwarded, or cancelled unclaimed
 	sealed   atomic.Int64        // rows of the sealed pass; -1 while the sweep may still add
-	panicked atomic.Pointer[any] // the first panic of a tile's forward, for Flush to re-raise
+	panicked atomic.Pointer[any] // the first panic of a tile's forward, for the join to re-raise
 
-	own        *nn.PolicyBatchScratch // the sim goroutine's
+	own        *nn.PolicyBatchScratch // the owner's
+	solo       bool                   // never starts a helper
 	helpers    []*tileHelper
-	maxHelpers int // GOMAXPROCS − 1 when the pass opened
+	maxHelpers int // GOMAXPROCS − 1 when the pass opened; 0 when solo
+}
+
+// newTilePass builds a pass of at most limit rows whose serial tail draws
+// from seed. A solo pass never starts a helper.
+func newTilePass(limit int, seed int64, solo bool) *tilePass {
+	return &tilePass{limit: limit, rng: rand.New(rand.NewSource(seed)), own: new(nn.PolicyBatchScratch), solo: solo}
 }
 
 // tileHelper is one helper slot: its own one-tile scratch, and busy from
@@ -64,10 +80,15 @@ func (t *tilePass) open(pol *nn.Policy, mask []int, hDim int) {
 	if t.states.Cols != len(mask) || t.hidden.Cols != hDim || t.heads.Cols != pol.GMM.HeadDim() {
 		t.resize(t.states.Rows, 0, hDim)
 	}
+	if len(t.meanBuf) != pol.GMM.K {
+		t.meanBuf = make([]float64, pol.GMM.K)
+	}
 	t.rows = 0
 	t.base = t.ready.Load()
 	t.sealed.Store(-1)
-	t.maxHelpers = runtime.GOMAXPROCS(0) - 1
+	if !t.solo {
+		t.maxHelpers = runtime.GOMAXPROCS(0) - 1
+	}
 }
 
 // add gathers s as the pass's next row and publishes the tile it fills.
@@ -97,7 +118,7 @@ func gather(state, hidden []float64, s *session, mask []int) (fallback bool) {
 }
 
 // grow doubles the pass's rows, keeping what is gathered and forwarded. The
-// sim goroutine forwards the published tiles nobody claimed and waits out
+// owner forwards the published tiles nobody claimed and waits out
 // the claimed ones first, so no helper reads or writes the rows being moved.
 func (t *tilePass) grow() {
 	t.drain()
@@ -135,9 +156,9 @@ func (t *tilePass) seal() {
 	}
 }
 
-// join forwards on the sim goroutine every tile no helper has claimed,
-// waits for the claimed ones, and re-raises the first panic any tile's
-// forward raised, here, where a recover up the sim goroutine can see it.
+// join forwards on the owner every tile no helper has claimed, waits for
+// the claimed ones, and re-raises the first panic any tile's forward raised,
+// here, where a recover up the owner's goroutine can see it.
 func (t *tilePass) join() {
 	t.drain()
 	if p := t.panicked.Swap(nil); p != nil {
@@ -145,7 +166,7 @@ func (t *tilePass) join() {
 	}
 }
 
-// drain forwards on the sim goroutine every published tile it can claim,
+// drain forwards on the owner every published tile it can claim,
 // then quiesces.
 func (t *tilePass) drain() {
 	for g, ok := t.claim(); ok; g, ok = t.claim() {
@@ -159,7 +180,7 @@ func (t *tilePass) drain() {
 // parking: a parked sim goroutine tends to resume on the helper's core, and
 // the migration costs more than the wait. It never waits for a helper that
 // has not started; such a helper finds nothing left to claim and returns.
-// Any goroutine may call it while the sim goroutine is not gathering.
+// Any goroutine may call it while the owner is not gathering.
 func (t *tilePass) quiesce() {
 	for {
 		g, r := t.next.Load(), t.ready.Load()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,9 +26,29 @@ type passOracle struct {
 	flows                 []oracleFlow
 	states                [][]float64 // each flow's latest enqueued state
 	cwnd                  []float64
-	pend                  []int // flows in enqueue order
+	fellBack              []bool // each flow's last decision was a fallback
+	pend                  []int  // flows in enqueue order
 	decisions, fallbacks  int64
 	maxBatch, maxInflight int
+}
+
+// oracleFlow is one flow decided row by row through rl.Stepper (the policy's
+// BatchForward on one row), mirroring the engine's session rules: fallback
+// rows keep their hidden state, decided states fill the re-prime window,
+// Swap replays the window through the incoming model.
+type oracleFlow struct {
+	hidden   []float64
+	window   [][]float64
+	degraded bool
+}
+
+func newPassOracle(pol *nn.Policy, n, maxBatch, maxInflight int) *passOracle {
+	o := &passOracle{pol: pol, flows: make([]oracleFlow, n), states: make([][]float64, n), cwnd: make([]float64, n),
+		fellBack: make([]bool, n), maxBatch: maxBatch, maxInflight: maxInflight}
+	for i := range o.flows {
+		o.flows[i].hidden = pol.InitHidden()
+	}
+	return o
 }
 
 func (o *passOracle) swap(pol *nn.Policy) {
@@ -68,12 +89,12 @@ func (o *passOracle) flush(brownout bool) {
 		}
 		for k, i := range chunk {
 			f, state := &o.flows[i], o.states[i]
-			ratio := 1.0
+			ratio, fellBack := 1.0, true
 			if !f.degraded && finiteVec(state) {
 				h := hidden[k]
 				u, r := rl.HeadAction(o.pol.GMM, step.Step(state, h), meanBuf, false, false, nil)
 				if !math.IsNaN(u) && !math.IsNaN(r) && !math.IsInf(r, 0) {
-					ratio = r
+					ratio, fellBack = r, false
 					f.hidden = append(f.hidden[:0], h...)
 					f.window = append(f.window, state)
 					if len(f.window) > 8 {
@@ -81,9 +102,10 @@ func (o *passOracle) flush(brownout bool) {
 					}
 				}
 			}
-			if ratio == 1 {
+			if fellBack {
 				o.fallbacks++
 			}
+			o.fellBack[i] = fellBack
 			o.decisions++
 			o.cwnd[i] = tcp.ClampCwnd(o.cwnd[i]*ratio, tcp.MinCwnd, 0)
 		}
@@ -125,11 +147,9 @@ func checkPass(t *testing.T, n int, cut string) {
 	}
 	cfg.Overload = &ov
 	eng := NewEngine(cfg)
-	o := &passOracle{pol: pols[0], flows: make([]oracleFlow, n), states: make([][]float64, n), cwnd: make([]float64, n),
-		maxBatch: eng.cfg.MaxBatch, maxInflight: eng.ov.cfg.MaxInflight}
+	o := newPassOracle(pols[0], n, eng.cfg.MaxBatch, eng.ov.cfg.MaxInflight)
 	conns := shardConns(n)
-	for i := range o.flows {
-		o.flows[i].hidden = pols[0].InitHidden()
+	for i := range o.cwnd {
 		o.cwnd[i] = conns[i].Cwnd
 	}
 	rng := rand.New(rand.NewSource(int64(11 * n)))
@@ -184,15 +204,7 @@ func checkPass(t *testing.T, n int, cut string) {
 			if got, want := conns[i].Cwnd, o.cwnd[i]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("step %d row %d: cwnd %v, per-row oracle %v", step, i, got, want)
 			}
-			got, want := eng.sessions[uint64(i+1)].hidden, o.flows[i].hidden
-			if len(got) != len(want) {
-				t.Fatalf("step %d row %d: %d hidden values, per-row oracle %d", step, i, len(got), len(want))
-			}
-			for j := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("step %d row %d: hidden[%d] %v, per-row oracle %v", step, i, j, got[j], want[j])
-				}
-			}
+			checkHidden(t, step, i, eng.sessions[uint64(i+1)].hidden, o.flows[i].hidden)
 		}
 	}
 	if got := eng.cfg.Metrics.Counter(MetricDecisions).Value(); got != o.decisions {
@@ -203,6 +215,115 @@ func checkPass(t *testing.T, n int, cut string) {
 	}
 	if left := eng.tiles.next.Load() - eng.tiles.done.Load(); left != 0 {
 		t.Errorf("%d claimed tiles still running after Flush", left)
+	}
+}
+
+// checkHidden fails t unless row i's hidden state after step is the
+// oracle's, bit for bit.
+func checkHidden(t *testing.T, step, i int, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("step %d row %d: %d hidden values, per-row oracle %d", step, i, len(got), len(want))
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("step %d row %d: hidden[%d] %v, per-row oracle %v", step, i, j, got[j], want[j])
+		}
+	}
+}
+
+// TestDecidePassMatchesSerial holds an async worker's pass to the per-row
+// oracle, bit for bit: every reply's cwnd and fallback flag, and every
+// session's hidden state. The engine's one worker is parked on flow 0's
+// request while n more queue behind it in a fixed order; released, it
+// drains them in passes of at most MaxBatch 40 rows, so 33 rows are one
+// pass of three tiles and 64 are two passes. Every 29th state has a NaN and
+// one session is pinned degraded. Two rounds run, so the second reads the
+// hidden states the first wrote. The worker's pass must start no helper.
+func TestDecidePassMatchesSerial(t *testing.T) {
+	for _, n := range []int{1, 15, 16, 17, 33, 64} {
+		t.Run(fmt.Sprintf("queued=%d", n), func(t *testing.T) {
+			checkDecidePass(t, n)
+		})
+	}
+}
+
+func checkDecidePass(t *testing.T, n int) {
+	const maxBatch = 40
+	pol := shardPolicy(int64(n), 24)
+	reg := telemetry.NewRegistry()
+	eng := NewEngine(Config{Policy: pol, Workers: 1, MaxBatch: maxBatch, Metrics: reg})
+	eng.Start()
+	defer eng.Close()
+	o := newPassOracle(pol, n+1, maxBatch, n+1)
+	pinned := n/2 + 1
+	eng.mu.Lock()
+	eng.sessionLocked(uint64(pinned + 1)).degraded = true
+	eng.mu.Unlock()
+	o.flows[pinned].degraded = true
+
+	rng := rand.New(rand.NewSource(int64(13 * n)))
+	cwnd := make([]float64, n+1)
+	fellBack := make([]bool, n+1)
+	var wg sync.WaitGroup
+	decide := func(i int) {
+		state := shardState(rng)
+		if i%29 == 3 {
+			state[5] = math.NaN()
+		}
+		o.states[i] = state
+		o.cwnd[i] = float64(10 + i)
+		o.pend = append(o.pend, i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			cwnd[i], fellBack[i], err = eng.Decide(uint64(i+1), float64(10+i), state)
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for round := 0; round < 2; round++ {
+		hold := HoldWorker(eng)
+		decide(0)
+		<-hold.Held()
+		o.flush(false)
+		for i := 1; i <= n; i++ {
+			decide(i)
+			for deadline := time.Now().Add(5 * time.Second); eng.QueueLen() < i; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					hold.Release() // or the deferred Close waits for the parked worker
+					t.Fatalf("round %d: only %d of %d requests queued", round, eng.QueueLen(), i)
+				}
+			}
+		}
+		hold.Release()
+		wg.Wait()
+		o.flush(false)
+
+		for i := 0; i <= n; i++ {
+			if got, want := cwnd[i], o.cwnd[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("round %d row %d: cwnd %v, per-row oracle %v", round, i, got, want)
+			}
+			if fellBack[i] != o.fellBack[i] {
+				t.Fatalf("round %d row %d: fallback %v, per-row oracle %v", round, i, fellBack[i], o.fellBack[i])
+			}
+			checkHidden(t, round, i, eng.sessions[uint64(i+1)].hidden, o.flows[i].hidden)
+		}
+	}
+	eng.Close() // the worker counts a pass after its last reply
+	if got, want := reg.Counter(MetricBatches).Value(), int64(2*(1+(n+maxBatch-1)/maxBatch)); got != want {
+		t.Errorf("%d passes, want %d: the held one and %d queued rows in passes of %d", got, want, n, maxBatch)
+	}
+	if got, want := reg.Counter(MetricDecisions).Value(), o.decisions; got != want {
+		t.Errorf("decisions = %d, want %d", got, want)
+	}
+	if got, want := reg.Counter(MetricFallbacks).Value(), o.fallbacks; got != want {
+		t.Errorf("fallbacks = %d, want %d", got, want)
+	}
+	if h := len(eng.passes[0].helpers); h != 0 {
+		t.Errorf("the worker's pass started %d helpers, want none", h)
 	}
 }
 

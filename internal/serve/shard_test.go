@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -12,10 +11,8 @@ import (
 	"sage/internal/gr"
 	"sage/internal/netem"
 	"sage/internal/nn"
-	"sage/internal/rl"
 	"sage/internal/sim"
 	"sage/internal/tcp"
-	"sage/internal/telemetry"
 )
 
 func shardPolicy(seed int64, hidden int) *nn.Policy {
@@ -50,122 +47,18 @@ func shardConns(n int) []*tcp.Conn {
 	return conns
 }
 
-// oracleFlow is one flow decided row by row through rl.Stepper (the policy's
-// BatchForward on one row), mirroring the engine's session rules: fallback
-// rows keep their hidden state, decided states fill the re-prime window,
-// Swap replays the window through the incoming model.
-type oracleFlow struct {
-	hidden   []float64
-	window   [][]float64
-	degraded bool
-}
-
-// TestFlushShardedMatchesSerial holds the synchronous Flush, at GOMAXPROCS 1,
-// 2 and 3, to a per-row BatchForward oracle: every window, every hidden state
-// and the decision/fallback counts bitwise, over four flushes with a hot Swap
-// to a wider model before the third. Batch sizes run from one tile to past
-// MaxBatch (300 = a 256-row chunk and a 44-row one), including sizes that are
-// no multiple of the 16-row tile; every 29th row carries a NaN state and
-// every 31st sits in a degraded session, marked after its row was gathered.
+// TestFlushShardedMatchesSerial runs checkPass's engine without a cut at
+// GOMAXPROCS 1, 2 and 3, whatever -cpu the binary runs under: row counts from
+// one tile to past MaxBatch, most of them no multiple of the 16-row tile.
 // The engine has one async worker: Workers does not limit Flush's helpers.
 func TestFlushShardedMatchesSerial(t *testing.T) {
 	for _, procs := range []int{1, 2, 3} {
 		for _, n := range []int{16, 31, 32, 63, 64, 65, 95, 96, 100, 127, 128, 143, 192, 255, 256, 300} {
 			t.Run(fmt.Sprintf("procs=%d/rows=%d", procs, n), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				checkShardedFlush(t, n)
+				checkPass(t, n, "none")
 			})
 		}
-	}
-}
-
-func checkShardedFlush(t *testing.T, n int) {
-	pols := []*nn.Policy{shardPolicy(int64(n), 24), shardPolicy(int64(n)+1, 32)}
-	reg := telemetry.NewRegistry()
-	eng := NewEngine(Config{Policy: pols[0], Workers: 1, MaxSessions: n + 1, Metrics: reg})
-	conns := shardConns(n)
-	flows := make([]oracleFlow, n)
-	for i := range flows {
-		flows[i].hidden = pols[0].InitHidden()
-	}
-	mask := gr.MaskFull()
-	rng := rand.New(rand.NewSource(int64(7 * n)))
-	var decisions, fallbacks int64
-
-	for step := 0; step < 4; step++ {
-		pol := pols[0]
-		if step >= 2 {
-			pol = pols[1]
-		}
-		if step == 2 {
-			if _, err := eng.Swap(pol, nil); err != nil {
-				t.Fatal(err)
-			}
-			stepper := rl.Stepper{Policy: pol, Mask: mask}
-			for i := range flows {
-				f := &flows[i]
-				f.hidden, f.degraded = pol.InitHidden(), false
-				for _, st := range f.window {
-					stepper.Step(st, f.hidden)
-				}
-			}
-		}
-		stepper := rl.Stepper{Policy: pol, Mask: mask}
-		meanBuf := make([]float64, pol.GMM.K)
-		want := make([]float64, n)
-		for i := range flows {
-			state := shardState(rng)
-			if i%29 == 3 {
-				state[5] = math.NaN()
-			}
-			id := uint64(i + 1)
-			eng.Enqueue(id, conns[i], state)
-			if i%31 == 17 && step != 2 {
-				eng.mu.Lock()
-				eng.sessions[id].degraded = true
-				eng.mu.Unlock()
-				flows[i].degraded = true
-			}
-
-			f := &flows[i]
-			ratio := 1.0
-			if !f.degraded && finiteVec(state) {
-				h := append([]float64(nil), f.hidden...)
-				u, r := rl.HeadAction(pol.GMM, stepper.Step(state, h), meanBuf, false, false, nil)
-				if !math.IsNaN(u) && !math.IsNaN(r) && !math.IsInf(r, 0) {
-					ratio = r
-					f.hidden = h
-					f.window = append(f.window, state)
-					if len(f.window) > 8 {
-						f.window = f.window[1:]
-					}
-				}
-			}
-			if ratio == 1 {
-				fallbacks++
-			}
-			decisions++
-			want[i] = tcp.ClampCwnd(conns[i].Cwnd*ratio, 2, 0)
-		}
-		eng.Flush(sim.Time(step+1) * 20 * sim.Millisecond)
-
-		for i, f := range flows {
-			if got := conns[i].Cwnd; math.Float64bits(got) != math.Float64bits(want[i]) {
-				t.Fatalf("step %d row %d: cwnd %v, per-row oracle %v", step, i, got, want[i])
-			}
-			got := eng.sessions[uint64(i+1)].hidden
-			for j := range f.hidden {
-				if math.Float64bits(got[j]) != math.Float64bits(f.hidden[j]) {
-					t.Fatalf("step %d row %d: hidden[%d] %v, per-row oracle %v", step, i, j, got[j], f.hidden[j])
-				}
-			}
-		}
-	}
-	if got := reg.Counter(MetricDecisions).Value(); got != decisions {
-		t.Errorf("decisions = %d, want %d", got, decisions)
-	}
-	if got := reg.Counter(MetricFallbacks).Value(); got != fallbacks {
-		t.Errorf("fallbacks = %d, want %d", got, fallbacks)
 	}
 }
 
