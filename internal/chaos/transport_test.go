@@ -5,11 +5,11 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"sage/internal/alloctest"
 	"sage/internal/wire"
 )
 
@@ -218,20 +218,13 @@ func TestParseFaultSpec(t *testing.T) {
 // 256 MiB the prefix declares.
 func TestTransportHostilePrefixAllocatesLittle(t *testing.T) {
 	hostile := []byte{0x0f, 0xff, 0xff, 0xff}
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
 	const bound = 64<<10 + 16<<10
 
 	tr := NewTransport(FaultSpec{Seed: 1})
 	wrapped, raw := pipePair(t, tr)
 	go func() { raw.Write(hostile); raw.Close() }()
 	var err error
-	if got := allocated(func() { _, err = wrapped.Read(make([]byte, 16)) }); got > bound {
+	if got := alloctest.Measure(func() { _, err = wrapped.Read(make([]byte, 16)) }).Bytes; got > bound {
 		t.Errorf("inbound hostile prefix allocated %d bytes, want ≤ %d", got, bound)
 	}
 	if err == nil {
@@ -240,7 +233,7 @@ func TestTransportHostilePrefixAllocatesLittle(t *testing.T) {
 
 	wrapped, raw = pipePair(t, tr)
 	go io.Copy(io.Discard, raw)
-	if got := allocated(func() { _, err = wrapped.Write(hostile) }); got > bound {
+	if got := alloctest.Measure(func() { _, err = wrapped.Write(hostile) }).Bytes; got > bound {
 		t.Errorf("outbound hostile prefix allocated %d bytes, want ≤ %d", got, bound)
 	}
 	if err != nil {

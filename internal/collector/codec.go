@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -19,9 +20,9 @@ import (
 	"sage/internal/sim"
 )
 
-// A pool on disk and a pool shard on the wire are one gzip stream
-// (BestSpeed) of a columnar encoding, all integers little-endian uint64
-// (signed ones two's complement, floats as math.Float64bits):
+// A pool on disk and a pool shard on the wire carry one stream, a
+// columnar encoding with all integers little-endian uint64 (signed ones
+// two's complement, floats as math.Float64bits):
 //
 //	"SAGEPOOL" version
 //	gr.Config: Interval Small Medium Large Xi Kappa RewardWindow
@@ -37,6 +38,14 @@ import (
 // to each other, where deflate finds them (DESIGN.md §6.2).
 // The stream ends after the last failed cell: the decoder refuses
 // trailing bytes, so a pool it accepts re-encodes to the same stream.
+//
+// The payload is one or more gzip members (BestSpeed) whose concatenation
+// gunzips to the stream: member i holds stream bytes [i·memberChunk,
+// (i+1)·memberChunk), the last one the rest. The cuts depend on stream
+// offsets alone, so a pool's payload bytes do not depend on how many
+// lanes deflated them. gzip.Reader reads concatenated members as one
+// stream, so a payload of one member, as every pool before the cuts was
+// written, decodes alike.
 const (
 	poolMagic   = "SAGEPOOL"
 	poolVersion = 1
@@ -48,37 +57,60 @@ const (
 	// as bytes arrive, so a count or width that lies costs what its bytes
 	// paid for plus this chunk.
 	decodeChunk = 64 << 10
-	// encodeBuffer is the encoder's one write buffer in front of gzip.
-	encodeBuffer = 32 << 10
+	// memberChunk is the stream bytes one gzip member carries.
+	memberChunk = 256 << 10
+	// maxLanes bounds the goroutines that deflate members at once.
+	maxLanes = 4
 )
 
-// poolWriter is the encoder's state: the gzip writer and the buffer in
-// front of it. Both are reused across encodes.
+// poolWriter is the encoder's state, reused across encodes through the
+// poolWriters free list. The caller fills one chunk while up to lanes
+// goroutines deflate the chunks before it; chunk k fills slot k % slots
+// of members, and the caller writes the gzip members to w in stream
+// order. With one lane the caller deflates each chunk itself and starts
+// no goroutine.
 type poolWriter struct {
-	zw  *gzip.Writer
-	buf []byte
-	err error
+	w        io.Writer
+	err      error // the first write error; nothing is written after it
+	buf      []byte
+	members  []*member // the chunk buffers, of which this encode uses slots
+	slots    int
+	zws      []*gzip.Writer // one per lane
+	jobs     chan *member   // nil when the caller deflates
+	lanes    sync.WaitGroup
+	cut, out int // chunks cut, and members written or dropped, so far
 }
 
-var poolWriters = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is valid
-	return &poolWriter{zw: zw, buf: make([]byte, 0, encodeBuffer)}
-}}
+// member is one chunk of the stream and, once deflated, its gzip member.
+type member struct {
+	in   []byte
+	gz   bytes.Buffer
+	live bool          // cut before any write failed, so it is deflated
+	done chan struct{} // a lane's signal that gz is complete
+}
+
+// poolWriters holds idle encoders. Unlike a sync.Pool, a garbage
+// collection does not empty it, so an encode after a collection does not
+// build its deflaters (about 1.2 MB each) again. It keeps two, up to
+// ≈ 8 MB at four lanes: one for a pool's save and one for a shard encoded
+// while it runs, not one for every encode that ever overlapped.
+var poolWriters = make(chan *poolWriter, 2)
 
 // EncodePool writes p to w in the pool format. A ragged trajectory (two
 // states of different widths) or an over-long string is an error naming
 // the cell, found before anything is written.
 func EncodePool(w io.Writer, p *Pool) error {
-	if err := checkEncodable(p); err != nil {
+	size, err := checkEncodable(p)
+	if err != nil {
 		return err
 	}
-	e := poolWriters.Get().(*poolWriter)
-	defer func() {
-		e.zw.Reset(nil)
-		e.buf, e.err = e.buf[:0], nil
-		poolWriters.Put(e)
-	}()
-	e.zw.Reset(w)
+	var e *poolWriter
+	select {
+	case e = <-poolWriters:
+	default:
+		e = new(poolWriter)
+	}
+	e.start(w, size)
 	e.buf = append(e.buf, poolMagic...)
 	e.u64(poolVersion)
 	c := p.GR
@@ -125,32 +157,40 @@ func EncodePool(w io.Writer, p *Pool) error {
 		e.str(f.Env)
 		e.str(f.Err)
 	}
-	e.flush()
-	if e.err != nil {
-		return e.err
+	err = e.finish()
+	select {
+	case poolWriters <- e:
+	default:
 	}
-	return e.zw.Close()
+	return err
 }
 
 // checkEncodable finds what the format cannot hold before a byte is
-// written.
-func checkEncodable(p *Pool) error {
+// written, and returns the stream's length.
+func checkEncodable(p *Pool) (int, error) {
 	long := func(s string) bool { return len(s) > maxPoolString }
+	size := len(poolMagic) + 8*(1+7+1+1)
 	for i := range p.Trajs {
 		tr := &p.Trajs[i]
 		if long(tr.Scheme) || long(tr.Env) {
-			return fmt.Errorf("trajectory %d: name over %d bytes", i, maxPoolString)
+			return 0, fmt.Errorf("trajectory %d: name over %d bytes", i, maxPoolString)
 		}
 		if s, ok := raggedStep(tr.Steps); !ok {
-			return fmt.Errorf("trajectory %s/%s: step %d has %d state values, step 0 has %d", tr.Scheme, tr.Env, s, len(tr.Steps[s].State), len(tr.Steps[0].State))
+			return 0, fmt.Errorf("trajectory %s/%s: step %d has %d state values, step 0 has %d", tr.Scheme, tr.Env, s, len(tr.Steps[s].State), len(tr.Steps[0].State))
 		}
+		d := 0
+		if len(tr.Steps) > 0 {
+			d = len(tr.Steps[0].State)
+		}
+		size += 8*5 + 1 + len(tr.Scheme) + len(tr.Env) + 8*len(tr.Steps)*(d+2)
 	}
 	for _, f := range p.Failed {
 		if long(f.Scheme) || long(f.Env) || long(f.Err) {
-			return fmt.Errorf("failed cell %.64s/%.64s: string over %d bytes", f.Scheme, f.Env, maxPoolString)
+			return 0, fmt.Errorf("failed cell %.64s/%.64s: string over %d bytes", f.Scheme, f.Env, maxPoolString)
 		}
+		size += 8*3 + len(f.Scheme) + len(f.Env) + len(f.Err)
 	}
-	return nil
+	return size, nil
 }
 
 // raggedStep returns the first step whose state width differs from step
@@ -164,40 +204,139 @@ func raggedStep(steps []gr.Step) (int, bool) {
 	return 0, true
 }
 
-// flush hands the buffered bytes to gzip.
-func (e *poolWriter) flush() {
-	if e.err == nil && len(e.buf) > 0 {
-		_, e.err = e.zw.Write(e.buf)
+// start readies e for a stream of size bytes to w: as many lanes as there
+// are cores and chunks, at most maxLanes, and one chunk slot more than
+// lanes, for the caller to fill.
+func (e *poolWriter) start(w io.Writer, size int) {
+	chunks := (size + memberChunk - 1) / memberChunk
+	lanes := min(runtime.GOMAXPROCS(0), maxLanes, chunks)
+	slots := 1
+	if lanes > 1 {
+		slots = min(lanes+1, chunks)
 	}
-	e.buf = e.buf[:0]
+	for len(e.members) < slots {
+		e.members = append(e.members, &member{in: make([]byte, 0, memberChunk), done: make(chan struct{}, 1)})
+	}
+	for len(e.zws) < max(lanes, 1) {
+		zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is valid
+		e.zws = append(e.zws, zw)
+	}
+	e.w, e.err, e.slots, e.cut, e.out = w, nil, slots, 0, 0
+	e.buf = e.members[0].in[:0]
+	if lanes > 1 {
+		e.jobs = make(chan *member, slots) // room for every chunk a cut can find in flight
+		e.lanes.Add(lanes)
+		for _, zw := range e.zws[:lanes] {
+			go e.lane(zw)
+		}
+	}
+}
+
+// lane deflates the chunks it is handed until the encode ends.
+func (e *poolWriter) lane(zw *gzip.Writer) {
+	defer e.lanes.Done()
+	for m := range e.jobs {
+		m.deflate(zw)
+		m.done <- struct{}{}
+	}
+}
+
+func (m *member) deflate(zw *gzip.Writer) {
+	m.gz.Reset()
+	zw.Reset(&m.gz)
+	zw.Write(m.in) // a bytes.Buffer does not fail a write
+	zw.Close()
+	zw.Reset(nil)
+}
+
+// cutChunk ends the chunk being filled: it goes to a lane, or is deflated
+// and written on the caller when there are no lanes. After a write error
+// a chunk is dropped instead.
+func (e *poolWriter) cutChunk() {
+	m := e.members[e.cut%e.slots]
+	m.in, m.live = e.buf, e.err == nil
+	e.cut++
+	switch {
+	case !m.live:
+	case e.jobs == nil:
+		m.deflate(e.zws[0])
+	default:
+		e.jobs <- m
+	}
+	if e.jobs == nil {
+		e.collect()
+	}
+}
+
+// collect writes the next member in stream order, waiting for its lane.
+func (e *poolWriter) collect() {
+	m := e.members[e.out%e.slots]
+	e.out++
+	if !m.live {
+		return
+	}
+	if e.jobs != nil {
+		<-m.done
+	}
+	if e.err == nil {
+		_, e.err = e.w.Write(m.gz.Bytes())
+	}
+}
+
+// next cuts the full chunk and readies the next one's slot, first
+// writing the member that slot held.
+func (e *poolWriter) next() {
+	e.cutChunk()
+	for e.out+e.slots <= e.cut {
+		e.collect()
+	}
+	e.buf = e.members[e.cut%e.slots].in[:0]
+}
+
+// finish cuts the last chunk, writes every member still in a lane, and
+// stops the lanes, so no goroutine outlives the encode, error or not.
+func (e *poolWriter) finish() error {
+	e.cutChunk()
+	for e.out < e.cut {
+		e.collect()
+	}
+	if e.jobs != nil {
+		close(e.jobs)
+		e.lanes.Wait()
+		e.jobs = nil
+	}
+	err := e.err
+	e.w, e.err, e.buf = nil, nil, nil
+	return err
 }
 
 func (e *poolWriter) byte(b byte) {
-	if len(e.buf) == cap(e.buf) {
-		e.flush()
+	if len(e.buf) == memberChunk {
+		e.next()
 	}
 	e.buf = append(e.buf, b)
 }
 
 func (e *poolWriter) u64(v uint64) {
-	if len(e.buf)+8 > cap(e.buf) {
-		e.flush()
+	if len(e.buf)+8 <= memberChunk {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+		return
 	}
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	for i := 0; i < 8; i++ { // a value that straddles a cut
+		e.byte(byte(v >> (8 * i)))
+	}
 }
 
 func (e *poolWriter) str(s string) {
 	e.u64(uint64(len(s)))
-	if len(e.buf)+len(s) > cap(e.buf) {
-		e.flush()
-		if len(s) > cap(e.buf) {
-			if e.err == nil {
-				_, e.err = io.WriteString(e.zw, s)
-			}
+	for {
+		n := copy(e.buf[len(e.buf):memberChunk], s)
+		e.buf, s = e.buf[:len(e.buf)+n], s[n:]
+		if len(s) == 0 {
 			return
 		}
+		e.next()
 	}
-	e.buf = append(e.buf, s...)
 }
 
 // DecodePool decodes a payload EncodePool wrote. A payload whose gunzipped

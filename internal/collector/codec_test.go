@@ -11,11 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"sage/internal/alloctest"
 	"sage/internal/golden"
 	"sage/internal/gr"
 	"sage/internal/netem"
@@ -370,11 +370,10 @@ func checkDecode(t *testing.T, payload []byte) {
 	if inFormat {
 		fixed = 1 << 20
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	p, err := DecodePool(payload)
-	runtime.ReadMemStats(&m1)
-	if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(64*len(stream)+fixed); grew > bound {
+	var p *Pool
+	var err error
+	grew := alloctest.Measure(func() { p, err = DecodePool(payload) }).Bytes
+	if bound := uint64(64*len(stream) + fixed); grew > bound {
 		t.Fatalf("a %d-byte stream allocated %d bytes, bound %d", len(stream), grew, bound)
 	}
 	if err != nil {

@@ -8,11 +8,11 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"sage/internal/alloctest"
 	"sage/internal/wire"
 )
 
@@ -90,14 +90,12 @@ func TestReadMsgRejectsOversizedFrame(t *testing.T) {
 // path at most wire.ReadFrame's first 64 KiB chunk, not the 256 MiB the
 // prefix declares.
 func TestReadMsgHostilePrefixAllocatesLittle(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := readMsg(bytes.NewReader([]byte{0x0f, 0xff, 0xff, 0xff}))
-	runtime.ReadMemStats(&after)
+	var err error
+	got := alloctest.Measure(func() { _, err = readMsg(bytes.NewReader([]byte{0x0f, 0xff, 0xff, 0xff})) }).Bytes
 	if err == nil {
 		t.Fatal("readMsg accepted a frame with no body")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10+16<<10 {
+	if got > 64<<10+16<<10 {
 		t.Fatalf("a 4-byte hostile prefix allocated %d bytes, want ≤ %d", got, 64<<10+16<<10)
 	}
 }

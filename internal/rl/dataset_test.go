@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"sage/internal/alloctest"
 	"sage/internal/collector"
 	"sage/internal/gr"
 	"sage/internal/nn"
@@ -266,15 +267,10 @@ func TestDatasetNormMatchesMaskedFit(t *testing.T) {
 // headers, not a state per step.
 func TestBuildDatasetKeepsNoStateCopy(t *testing.T) {
 	pool := randomPool(40, 500, gr.StateDim, 3)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	ds := BuildDataset(pool, nil)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perTransition := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(ds.Transitions())
+	var ds *Dataset
+	kept := alloctest.Retained(func() { ds = BuildDataset(pool, nil) })
+	perTransition := float64(kept) / float64(ds.Transitions())
 	runtime.KeepAlive(pool)
-	runtime.KeepAlive(ds)
 	if perTransition > 16 {
 		t.Fatalf("a built dataset keeps %.1f B of heap per transition, want ≤ 16", perTransition)
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"sage/internal/alloctest"
 	"sage/internal/cc"
 	"sage/internal/netem"
 	"sage/internal/rollout"
@@ -53,11 +54,9 @@ func TestRunAfterCollectionReusesBuffers(t *testing.T) {
 			runtime.GC()
 			runtime.GC()
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rollout.Run(sc, cc.MustNew("cubic"), rollout.Options{CollectSteps: true})
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return alloctest.Measure(func() {
+			rollout.Run(sc, cc.MustNew("cubic"), rollout.Options{CollectSteps: true})
+		}).Mallocs
 	}
 	mallocs(false) // fills the pools
 	for i := 0; i < 3; i++ {

@@ -10,8 +10,10 @@
 // Container layout:
 //
 //	[8]  magic+version  "SAGEIO01"
-//	[n]  payload        (opaque bytes: collector.EncodePool's gzipped
-//	                     columns for a pool, gzipped gob for the rest)
+//	[n]  payload        (opaque bytes: for a pool, collector.EncodePool's
+//	                     columns as one or more gzip members cut at fixed
+//	                     stream offsets, which gunzip to one unchanged
+//	                     stream; gzipped gob for the rest)
 //	[8]  payload length (little-endian uint64)
 //	[8]  CRC-64/ECMA of the payload (little-endian uint64)
 //

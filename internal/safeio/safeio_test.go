@@ -3,8 +3,10 @@ package safeio
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc64"
 	"io"
 	"os"
 	"path/filepath"
@@ -215,4 +217,82 @@ func TestWriteFileRawIsPlain(t *testing.T) {
 	if string(got) != string(raw) {
 		t.Fatalf("old export clobbered: %q", got)
 	}
+}
+
+// container is the file WriteFile makes of payload.
+func container(payload []byte) []byte {
+	b := append([]byte(magic), payload...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(payload, crcTable))
+}
+
+// readBack writes raw as a file and reads it with ReadFile. The result is
+// an error wrapping ErrCorrupt or ErrTruncated, or a payload that raw
+// holds whole: magic, payload, its length and its checksum.
+func readBack(t *testing.T, path string, raw []byte) ([]byte, error) {
+	t.Helper()
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%d-byte file: %v, want ErrCorrupt or ErrTruncated", len(raw), err)
+		}
+		return nil, err
+	}
+	if !bytes.Equal(raw, container(got)) {
+		t.Fatalf("%d-byte file read as a %d-byte payload it does not hold", len(raw), len(got))
+	}
+	return got, nil
+}
+
+// FuzzReadFile: a container written by WriteFile and then given an
+// arbitrary magic, length or checksum (each XORed with an input), or cut
+// short by an input's count of bytes, reads back as the payload written
+// exactly when nothing was changed, and as an error wrapping ErrCorrupt
+// or ErrTruncated otherwise; the payload bytes taken as a whole file
+// read back as an error or as a payload they hold whole.
+func FuzzReadFile(f *testing.F) {
+	f.Add([]byte("the pool of policies"), uint64(0), uint64(0), uint64(0), uint16(0))
+	f.Add([]byte{}, uint64(0), uint64(0), uint64(0), uint16(0))
+	f.Add([]byte("SAGEIO01"), uint64(1), uint64(0), uint64(0), uint16(0))
+	f.Add(bytes.Repeat([]byte("x"), 4096), uint64(0), uint64(1<<63), uint64(0), uint16(0))
+	f.Add([]byte("some payload worth protecting"), uint64(0), uint64(0), uint64(0x40), uint16(0))
+	f.Add([]byte("payload"), uint64(0), uint64(0), uint64(0), uint16(9))
+	f.Add(container([]byte("a container inside a payload")), uint64(0), uint64(0), uint64(0), uint16(16))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, payload []byte, magicXor, lenXor, sumXor uint64, cut uint16) {
+		path := filepath.Join(dir, "a.bin")
+		write(t, path, payload)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, container(payload)) {
+			t.Fatalf("WriteFile of %d bytes made a %d-byte file that is not its container", len(payload), len(raw))
+		}
+		n := len(raw)
+		xor := func(at int, v uint64) {
+			binary.LittleEndian.PutUint64(raw[at:], binary.LittleEndian.Uint64(raw[at:])^v)
+		}
+		xor(0, magicXor)
+		xor(n-16, lenXor)
+		xor(n-8, sumXor)
+		intact := magicXor == 0 && lenXor == 0 && sumXor == 0
+		if int(cut) > 0 && int(cut) <= n {
+			// A cut file may still hold a container: one that the payload
+			// carried at its end. readBack checks it is one.
+			readBack(t, path, raw[:n-int(cut)])
+		} else {
+			got, err := readBack(t, path, raw)
+			if intact && (err != nil || !bytes.Equal(got, payload)) {
+				t.Fatalf("an intact %d-byte payload read back as %d bytes, %v", len(payload), len(got), err)
+			}
+			if !intact && err == nil {
+				t.Fatalf("magic ^ %#x, length ^ %#x, checksum ^ %#x: read back as a payload", magicXor, lenXor, sumXor)
+			}
+		}
+		readBack(t, path, payload)
+	})
 }

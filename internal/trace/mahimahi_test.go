@@ -5,10 +5,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
+	"sage/internal/alloctest"
 	"sage/internal/sim"
 )
 
@@ -152,25 +152,35 @@ func FuzzParseMahimahi(f *testing.F) {
 	}
 	const bin = 100 * sim.Millisecond
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		ops, err := ParseMahimahi(bytes.NewReader(in))
-		if err != nil {
+		var (
+			ops, back                 []int64
+			lastBin                   sim.Time
+			perr, serr, werr, backErr error
+		)
+		grew := alloctest.Measure(func() {
+			if ops, perr = ParseMahimahi(bytes.NewReader(in)); perr != nil {
+				return
+			}
+			s, err := MahimahiToSchedule(ops, bin)
+			if serr = err; err != nil {
+				return
+			}
+			lastBin = sim.Time(ops[len(ops)-1]) * sim.Millisecond / bin
+			var out bytes.Buffer
+			if werr = WriteMahimahi(&out, s, (lastBin+1)*bin); werr != nil {
+				return
+			}
+			back, backErr = ParseMahimahi(&out)
+		}).Bytes
+		switch {
+		case perr != nil:
 			return
-		}
-		s, err := MahimahiToSchedule(ops, bin)
-		if err != nil {
-			t.Fatalf("a parsed trace was refused: %v", err)
-		}
-		lastBin := sim.Time(ops[len(ops)-1]) * sim.Millisecond / bin
-		var out bytes.Buffer
-		if err := WriteMahimahi(&out, s, (lastBin+1)*bin); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseMahimahi(&out)
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			t.Fatalf("the written schedule does not parse: %v", err)
+		case serr != nil:
+			t.Fatalf("a parsed trace was refused: %v", serr)
+		case werr != nil:
+			t.Fatal(werr)
+		case backErr != nil:
+			t.Fatalf("the written schedule does not parse: %v", backErr)
 		}
 		if got := sim.Time(back[len(back)-1]) * sim.Millisecond / bin; got != lastBin {
 			t.Fatalf("round trip ends in bin %d, the trace in bin %d", got, lastBin)
@@ -178,7 +188,7 @@ func FuzzParseMahimahi(f *testing.F) {
 		if len(back) > len(ops)+int(lastBin)+1 {
 			t.Fatalf("round trip carries %d opportunities over %d bins, the trace %d", len(back), lastBin+1, len(ops))
 		}
-		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, uint64(64*len(in)+16<<20); grew > bound {
+		if bound := uint64(64*len(in) + 16<<20); grew > bound {
 			t.Fatalf("%d input bytes allocated %d bytes, bound %d", len(in), grew, bound)
 		}
 	})

@@ -7,8 +7,9 @@ import (
 	"io"
 	"net"
 	"path/filepath"
-	"runtime"
 	"testing"
+
+	"sage/internal/alloctest"
 )
 
 // bounds are the two payload bounds the repository's protocols read
@@ -63,14 +64,12 @@ func TestFrameBounds(t *testing.T) {
 			// passes the check and fails only on its missing body, having
 			// allocated no more than the first chunk.
 			stream := append(header(uint32(b.limit)), "short"...)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := ReadFrame(bytes.NewReader(stream), nil, b.limit)
-			runtime.ReadMemStats(&after)
+			var err error
+			got := alloctest.Measure(func() { _, err = ReadFrame(bytes.NewReader(stream), nil, b.limit) }).Bytes
 			if !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Errorf("prefix at limit with a short body: err = %v, want io.ErrUnexpectedEOF", err)
 			}
-			if got := after.TotalAlloc - before.TotalAlloc; got > firstChunk+4<<10 {
+			if got > firstChunk+4<<10 {
 				t.Errorf("prefix at limit with a short body allocated %d bytes, want ≤ %d", got, firstChunk+4<<10)
 			}
 		})
