@@ -347,3 +347,29 @@ func TestOpenRunResumesBitwise(t *testing.T) {
 		t.Fatalf("unsampleable dataset: err %v", err)
 	}
 }
+
+// TestGoldenOnlineAndGenet pins the two baselines whose data comes from the
+// policy's own rollouts: OnlineRL (three rounds of rollout then CRR steps,
+// so the stepper's GRU forward, the target pass and the backward all feed
+// the next round) and Genet (Aurora with its curriculum over the sorted
+// scenarios).
+func TestGoldenOnlineAndGenet(t *testing.T) {
+	scs := netem.SetI(netem.SetIOptions{Level: netem.GridTiny, Duration: sim.Second, Seed: 1})
+	online, err := TrainOnlineRL(OnlineRLConfig{
+		CRR:       CRRConfig{Policy: tinyPolicyCfg(), Batch: 4, SeqLen: 4, TargetEvery: 8},
+		Scenarios: scs[:2],
+		Rounds:    3,
+		StepsPer:  10,
+		Seed:      23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "online-rl", paramDigest(nn.DumpParams(online)))
+
+	genet, err := TrainAurora(AuroraConfig{Policy: tinyPolicyCfg(), Scenarios: scs[:4], Episodes: 3, Curriculum: true, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "genet", paramDigest(nn.DumpParams(genet)))
+}
