@@ -148,8 +148,8 @@ func (c *NAFCritic) BatchForward(t *NAFTape) {
 	c.headM.batchForward(&t.h2, &t.mPre, sc)
 	c.headP.batchForward(&t.h2, &t.pPre, sc)
 	t.V = t.v.Data
+	tanhTo(t.M, t.mPre.Data)
 	for r := 0; r < rows; r++ {
-		t.M[r] = math.Tanh(t.mPre.Data[r])
 		t.P[r] = softplus(t.pPre.Data[r]) + c.Cfg.PMin
 	}
 }

@@ -356,3 +356,60 @@ func TestLeakyReLUSpecialBits(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardTapeFromMatchesForwardTape: a pass trimmed to the steps from
+// onward leaves those heads bitwise equal to the whole pass's and every
+// earlier head NaN, at both kernel tiers, for the default shape and the
+// ablations, at batch sizes on both sides of the 16-row tile and at the
+// learner's target-pass length (SeqLen 8 + NStep 5). A whole pass on the
+// same tape afterwards — the learner runs its online policy there next — is
+// again the whole pass.
+func TestForwardTapeFromMatchesForwardTape(t *testing.T) {
+	cfgs := map[string]PolicyConfig{
+		"default":   {InDim: 69, Enc: 64, Hidden: 32, ResBlocks: 2, K: 5, Seed: 1},
+		"noGRU":     {InDim: 11, Enc: 12, Hidden: 6, ResBlocks: 2, K: 3, NoGRU: true, Seed: 3},
+		"noEncoder": {InDim: 11, Enc: 12, Hidden: 6, ResBlocks: 2, K: 3, NoEncoder: true, Seed: 4},
+		"k1":        {InDim: 12, Enc: 16, Hidden: 8, ResBlocks: 1, K: 1, Seed: 5},
+	}
+	const T = 13
+	for name, cfg := range cfgs {
+		for _, B := range []int{1, 8, 16, 17} {
+			t.Run(fmt.Sprintf("%s/B=%d", name, B), func(t *testing.T) {
+				kernelTiers(t, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(B)))
+					p := NewPolicy(cfg)
+					var fit [][]float64
+					for i := 0; i < 16; i++ {
+						fit = append(fit, randVec(rng, cfg.InDim))
+					}
+					p.Norm = FitNormalizer(fit)
+					full, trim := &PolicyTape{}, &PolicyTape{}
+					full.Reset(B, T, cfg.InDim)
+					copy(full.X.Data, randVec(rng, len(full.X.Data)))
+					p.ForwardTape(full)
+					want := append([]float64(nil), full.Heads.Data...)
+					hd := full.Heads.Cols
+					for _, from := range []int{0, 1, 5, T - 1, T} {
+						trim.Reset(B, T, cfg.InDim)
+						copy(trim.X.Data, full.X.Data)
+						p.ForwardTapeFrom(trim, from)
+						for k, v := range trim.Heads.Data {
+							if k < from*B*hd && !math.IsNaN(v) {
+								t.Fatalf("from %d: row %d (step %d) head %v, want NaN", from, k/hd, k/hd/B, v)
+							}
+							if k >= from*B*hd && !sameBits(v, want[k]) {
+								t.Fatalf("from %d: row %d (step %d) head %v, whole pass %v", from, k/hd, k/hd/B, v, want[k])
+							}
+						}
+					}
+					p.ForwardTape(trim)
+					for k, v := range trim.Heads.Data {
+						if !sameBits(v, want[k]) {
+							t.Fatalf("whole pass after a trimmed one: row %d head %v, want %v", k/hd, v, want[k])
+						}
+					}
+				})
+			})
+		}
+	}
+}

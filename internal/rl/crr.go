@@ -363,16 +363,19 @@ func (l *CRR) processSeqs(nets netSet, ds *Dataset, rng *rand.Rand, nSeqs int) (
 	}
 
 	// --- Target policy over every window plus its n-step lookahead (for the
-	// TD target actions at s_{t+n}). A window cut short by its trajectory's
-	// end is padded with the last state; padded heads are never read.
+	// TD target actions at s_{t+n}). Transition i reads the head of step
+	// i+min(NStep, horizon−i): never past L−1+NStep, and never before
+	// min(NStep, L−1), the first step whose head is computed. A window cut
+	// short by its trajectory's end is padded with the last state; padded
+	// heads are never read.
 	pol, naf := &a.pol, &a.naf
-	pol.Reset(nSeqs, L+cfg.NStep+1, inDim)
+	pol.Reset(nSeqs, L+cfg.NStep, inDim)
 	for b, sq := range a.seqs {
 		for j := 0; j < pol.T; j++ {
 			ds.row(pol.X.Row(pol.Row(b, j)), sq.tr, sq.start+min(j, sq.horizon))
 		}
 	}
-	l.targetPolicy.ForwardTape(pol)
+	l.targetPolicy.ForwardTapeFrom(pol, min(cfg.NStep, L-1))
 
 	// --- Policy evaluation (Eq. 5): n-step TD targets from the target
 	// networks. Until the target critic has run, Y holds the discounted
