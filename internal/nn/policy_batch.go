@@ -51,7 +51,7 @@ func (p *Policy) BatchForward(states, hidden *Mat, s *PolicyBatchScratch) (heads
 	}
 	if p.enc3 != nil {
 		p.enc3.batchForward(trunk, &s.e3, &s.gemm)
-		tanhInPlace(s.e3.Data)
+		tanhTo(s.e3.Data, s.e3.Data)
 		trunk = &s.e3
 	}
 	p.fc.batchForward(trunk, &s.fc, &s.gemm)
