@@ -1,14 +1,14 @@
 package nn
 
-import "math"
-
-// Batched inference kernels. A Mat is a row-major batch: row r is one
-// flow's vector. Every Batch* kernel performs, per row, exactly the same
-// floating-point operations in exactly the same order whatever the batch
-// size and whichever kernel tier the row lands in — the order of the scalar
-// oracle in reference_test.go — so a batched forward pass is bitwise
-// identical to N one-row ones: the serving engine can multiplex thousands
-// of flows onto one matrix pass without changing a single decision.
+// Batched kernels: the products and the normalizer of the one Fig. 6 graph
+// walk (tape.go), which training and inference share. A Mat is a row-major
+// batch: row r is one flow's vector, or one step of one sequence. Every
+// kernel performs, per row, exactly the same floating-point operations in
+// exactly the same order whatever the batch size and whichever kernel tier
+// the row lands in — the order of the scalar oracle in reference_test.go —
+// so a batched forward pass is bitwise identical to N one-row ones: the
+// serving engine can multiplex thousands of flows onto one matrix pass
+// without changing a single decision.
 //
 // The speedup comes from two places. First, independent accumulation
 // chains, which hide the FP-add latency that serializes a single dot
@@ -40,12 +40,19 @@ func NewMat(rows, cols int) *Mat {
 
 // Reset resizes the matrix in place, reusing the backing array when it is
 // large enough (contents are unspecified afterwards). Returns m. A backing
-// array that must grow at least doubles, so a batch that gains a row at a
-// time — a fleet whose flows join one by one — reallocates O(log n) times.
+// array that must grow at least doubles, and one that grows past one row
+// takes a whole TileRows-row tile at once: a batch that gains a row at a
+// time — a fleet whose flows join one by one — reallocates O(log n) times
+// and fills its first tile in one, while a one-row matrix (a per-flow
+// stepper's) keeps one row.
 func (m *Mat) Reset(rows, cols int) *Mat {
 	n := rows * cols
 	if cap(m.Data) < n {
-		m.Data = make([]float64, n, max(n, 2*cap(m.Data)))
+		c := max(n, 2*cap(m.Data))
+		if rows > 1 {
+			c = max(c, TileRows*cols)
+		}
+		m.Data = make([]float64, n, c)
 	}
 	m.Data = m.Data[:n]
 	m.Rows, m.Cols = rows, cols
@@ -74,7 +81,7 @@ const TileRows = 16
 
 // gemmScratch holds the transposed input tile the AVX2 kernels consume and
 // the backward's accumulation list; one per concurrent worker (embedded in
-// GRUScratch / PolicyBatchScratch and the tapes).
+// the tapes).
 type gemmScratch struct {
 	xt    []float64
 	terms []axpyTerm
@@ -249,74 +256,11 @@ func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
 	}
 }
 
-// BatchForward computes out[r] = W·x[r] + b for every row, writing into
-// out (resized to x.Rows × d.Outs). This convenience form allocates its own
-// tile scratch; hot paths go through Policy.BatchForward, whose
-// PolicyBatchScratch is reused.
-func (d *Dense) BatchForward(x, out *Mat) {
-	var sc gemmScratch
-	d.batchForward(x, out, &sc)
-}
-
+// batchForward computes out[r] = W·x[r] + b for every row, out resized to
+// x.Rows × d.Outs.
 func (d *Dense) batchForward(x, out *Mat, sc *gemmScratch) {
 	out.Reset(x.Rows, d.Outs)
 	matMulBias(d.W, d.B.Data, x, out, sc)
-}
-
-// BatchForward normalizes every row of x into out (no cache: inference
-// only).
-func (ln *LayerNorm) BatchForward(x, out *Mat) {
-	out.Reset(x.Rows, ln.N)
-	n := float64(ln.N)
-	for r := 0; r < x.Rows; r++ {
-		xr := x.Row(r)
-		or := out.Row(r)
-		mu := 0.0
-		for _, v := range xr {
-			mu += v
-		}
-		mu /= n
-		varr := 0.0
-		for _, v := range xr {
-			d := v - mu
-			varr += float64(d * d)
-		}
-		varr /= n
-		std := math.Sqrt(varr + ln.Eps)
-		for i, v := range xr {
-			or[i] = float64(((v-mu)/std)*ln.G.Data[i]) + ln.B.Data[i]
-		}
-	}
-}
-
-// GRUScratch holds the gate pre-activation matrices BatchForward reuses
-// across calls; one scratch per concurrent worker.
-type GRUScratch struct {
-	zPre, rPre, nPre, unH Mat
-	gemm                  gemmScratch
-}
-
-// BatchForward advances the cell one step for every row: hNew[r] =
-// GRU(x[r], h[r]), each row by itself.
-func (g *GRU) BatchForward(x, h, hNew *Mat, s *GRUScratch) {
-	B, H := x.Rows, g.Hidden
-	hNew.Reset(B, H)
-	s.zPre.Reset(B, H)
-	s.rPre.Reset(B, H)
-	s.nPre.Reset(B, H)
-	s.unH.Reset(B, H)
-
-	s.zPre.fillRows(g.Bz.Data)
-	s.rPre.fillRows(g.Br.Data)
-	matMulAcc(g.Wz, x, &s.zPre, &s.gemm)
-	matMulAcc(g.Uz, h, &s.zPre, &s.gemm)
-	matMulAcc(g.Wr, x, &s.rPre, &s.gemm)
-	matMulAcc(g.Ur, h, &s.rPre, &s.gemm)
-	s.nPre.fillRows(g.Bn.Data)
-	clear(s.unH.Data)
-	matMulAcc(g.Wn, x, &s.nPre, &s.gemm)
-	matMulAcc(g.Un, h, &s.unH, &s.gemm)
-	gruGates(s.zPre.Data, s.rPre.Data, s.nPre.Data, s.unH.Data, h.Data, hNew.Data)
 }
 
 // BatchApply standardizes every row of x into out, clipped to ±10σ so

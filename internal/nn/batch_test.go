@@ -296,6 +296,15 @@ func TestMatResetGrowsGeometrically(t *testing.T) {
 	if grows > 9 { // 1, 2, 4, …, 256 rows
 		t.Fatalf("256 one-row steps reallocated %d times, want ≤ 9", grows)
 	}
+	// A one-row matrix keeps one row of capacity (a per-flow stepper's
+	// row); its second row brings a whole tile, and growth past the tile
+	// still doubles.
+	m = Mat{}
+	for _, step := range []struct{ rows, capRows int }{{1, 1}, {2, TileRows}, {TileRows, TileRows}, {TileRows + 1, 2 * TileRows}, {5 * TileRows, 5 * TileRows}} {
+		if m.Reset(step.rows, 69); cap(m.Data) != step.capRows*69 {
+			t.Fatalf("%d rows: capacity %d rows, want %d", step.rows, cap(m.Data)/69, step.capRows)
+		}
+	}
 	m = Mat{}
 	if allocs := testing.AllocsPerRun(1, func() {
 		m = Mat{}

@@ -12,29 +12,13 @@ import (
 func BenchmarkDenseForward256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense("d", 256, 256, rng)
-	x, out := NewMat(1, 256), NewMat(1, 256)
+	x, out, sc := NewMat(1, 256), NewMat(1, 256), &gemmScratch{}
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.BatchForward(x, out)
-	}
-}
-
-func BenchmarkGRUStep(b *testing.B) {
-	for _, h := range []int{32, 128} {
-		h := h
-		b.Run(benchName("hidden", h), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			g := NewGRU("g", 64, h, rng)
-			x, hid, hNew := NewMat(1, 64), NewMat(1, h), NewMat(1, h)
-			var scratch GRUScratch
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.BatchForward(x, hid, hNew, &scratch)
-			}
-		})
+		d.batchForward(x, out, sc)
 	}
 }
 

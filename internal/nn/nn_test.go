@@ -42,7 +42,7 @@ func checkModuleGrads(t *testing.T, m Module, loss func() float64, backward func
 // the input gradient.
 func denseBatch(d *Dense, x *Mat) *Mat {
 	out := &Mat{}
-	d.BatchForward(x, out)
+	d.batchForward(x, out, &gemmScratch{})
 	return out
 }
 
@@ -153,7 +153,7 @@ func gruTape(g *GRU, x *Mat, B, T int) *PolicyTape {
 	t := &PolicyTape{}
 	t.Reset(B, T, g.In)
 	t.e2 = *x
-	g.forwardTape(t)
+	g.forwardTape(t, nil)
 	return t
 }
 

@@ -2,11 +2,14 @@ package nn
 
 import "math"
 
-// Batched training. A tape holds the activations of one forward pass over a
-// whole minibatch — every sequence × timestep is a row — so the dense layers
-// run as a few large GEMMs through the inference kernels (batch.go) instead
-// of one dot product at a time, and nothing is allocated after the first
-// step.
+// The Fig. 6 graph and its backward. A tape holds the activations of one
+// forward pass over a whole minibatch — every sequence × timestep is a row —
+// so the dense layers run as a few large GEMMs through the kernels of
+// batch.go instead of one dot product at a time, and nothing is allocated
+// after the first step. The network is walked in one place, forward:
+// ForwardTapeFrom runs it over a minibatch from a zero hidden state, and
+// inference (BatchForward, policy_batch.go) over one step of a serving batch
+// from the flows' own hidden states.
 //
 // The backward pass keeps one contract: gradients are bitwise what a
 // sequence-at-a-time, step-at-a-time backward would accumulate. Per row,
@@ -147,20 +150,16 @@ func tanhBack(y, d []float64) {
 }
 
 // lnTape is what LayerNorm's backward needs from its forward: the
-// normalized rows and each row's standard deviation.
+// normalized rows and each row's standard deviation (one column).
 type lnTape struct {
-	xhat Mat
-	std  []float64
+	xhat, std Mat
 }
 
-// forwardTape is BatchForward keeping the normalization statistics.
+// forwardTape normalizes every row of x into out, keeping the statistics.
 func (ln *LayerNorm) forwardTape(x, out *Mat, t *lnTape) {
 	out.Reset(x.Rows, ln.N)
 	t.xhat.Reset(x.Rows, ln.N)
-	if cap(t.std) < x.Rows {
-		t.std = make([]float64, x.Rows)
-	}
-	t.std = t.std[:x.Rows]
+	t.std.Reset(x.Rows, 1)
 	n := float64(ln.N)
 	for r := 0; r < x.Rows; r++ {
 		xr, or, hr := x.Row(r), out.Row(r), t.xhat.Row(r)
@@ -176,7 +175,7 @@ func (ln *LayerNorm) forwardTape(x, out *Mat, t *lnTape) {
 		}
 		varr /= n
 		std := math.Sqrt(varr + ln.Eps)
-		t.std[r] = std
+		t.std.Data[r] = std
 		for i, v := range xr {
 			hr[i] = (v - mu) / std
 			or[i] = float64(hr[i]*ln.G.Data[i]) + ln.B.Data[i]
@@ -200,7 +199,7 @@ func (ln *LayerNorm) backwardTape(t *lnTape, d *Mat, order []int) {
 			sumDxhat += dxhat
 			sumDxhatX += float64(dxhat * hr[i])
 		}
-		std := t.std[r]
+		std := t.std.Data[r]
 		for i, dxhat := range dr {
 			dr[i] = (dxhat - sumDxhat/n - hr[i]*sumDxhatX/n) / std
 		}
@@ -218,7 +217,8 @@ type resTape struct {
 // t·B+b is sequence b at step t — so one timestep of every sequence is a
 // contiguous block the GRU can advance in lock-step. A tape belongs to one
 // goroutine and holds one pass at a time: a learner runs its target network
-// and then its online network over the same tape.
+// and then its online network over the same tape, and an inference scratch
+// (PolicyBatchScratch) is a tape that only ever holds one step.
 type PolicyTape struct {
 	B, T int
 	// X holds the raw (masked, un-normalized) states; the caller fills it
@@ -228,7 +228,8 @@ type PolicyTape struct {
 	Heads, DHeads Mat
 
 	xn, e1pre, e1, e2pre, e2 Mat
-	h                        Mat // (T+1)·B rows: the zero initial state, then each step's new state
+	h                        Mat // (T+1)·B rows: the initial state, then each step's new state
+	hLast                    Mat // view of h's last B rows
 	z, r, n, unH             Mat
 	ln                       lnTape
 	lnOut, lrOut             Mat
@@ -236,7 +237,8 @@ type PolicyTape struct {
 	fcPre, cur               Mat // cur: fc's activation, then the residual stream in place
 	res                      []resTape
 
-	order []int // canonical accumulation order: sequence-major, time descending
+	order  []int // canonical accumulation order: sequence-major, time descending
+	orderB int   // the B order was built for; len(order) is its B·T
 
 	dA, dB                    Mat // row-parallel gradient scratch
 	dE2, dhPrev               Mat // gradient wrt the GRU's input rows; wrt one step's incoming state
@@ -248,16 +250,24 @@ type PolicyTape struct {
 // states. Buffer contents are unspecified afterwards: the caller fills X,
 // ForwardTape overwrites everything else.
 func (t *PolicyTape) Reset(b, steps, inDim int) {
-	if b != t.B || steps != t.T {
-		t.B, t.T = b, steps
-		t.order = t.order[:0]
-		for s := 0; s < b; s++ {
-			for i := steps - 1; i >= 0; i-- {
-				t.order = append(t.order, i*b+s)
+	t.B, t.T = b, steps
+	t.X.Reset(b*steps, inDim)
+}
+
+// canonicalOrder returns the order every parameter gradient accumulates its
+// rows in, building it on the first backward after the shape changed — so a
+// tape that only runs forward, such as a serving scratch whose batch size
+// changes every flush, never builds one.
+func (t *PolicyTape) canonicalOrder() []int {
+	if t.orderB != t.B || len(t.order) != t.B*t.T {
+		t.orderB, t.order = t.B, t.order[:0]
+		for s := 0; s < t.B; s++ {
+			for i := t.T - 1; i >= 0; i-- {
+				t.order = append(t.order, i*t.B+s)
 			}
 		}
 	}
-	t.X.Reset(b*steps, inDim)
+	return t.order
 }
 
 // Row is the tape row of sequence b at step i.
@@ -274,9 +284,19 @@ func (p *Policy) ForwardTape(t *PolicyTape) { p.ForwardTapeFrom(t, 0) }
 // steps ≥ from — one contiguous suffix of the time-major tape. The heads of
 // earlier steps are NaN. BackwardTape needs a whole pass (from = 0).
 func (p *Policy) ForwardTapeFrom(t *PolicyTape, from int) {
+	p.forward(t, &t.X, nil, from)
+	t.DHeads.Reset(t.Heads.Rows, t.Heads.Cols)
+}
+
+// forward is the one walk of the Fig. 6 graph, training's and inference's:
+// x holds the tape's B·T time-major rows of raw states, h0 the B initial
+// hidden states (nil: zero), and only the rows of steps ≥ from run above
+// the GRU. It returns t.Heads and the last step's new hidden rows — h0
+// itself without a GRU.
+func (p *Policy) forward(t *PolicyTape, x, h0 *Mat, from int) (heads, hNew *Mat) {
 	rows, lo := t.B*t.T, from*t.B
 	n, sc := rows-lo, &t.gemm
-	p.Norm.BatchApply(&t.X, &t.xn)
+	p.Norm.BatchApply(x, &t.xn)
 	p.enc1.batchForward(&t.xn, &t.e1pre, sc)
 	leakyReLUTo(t.e1.Reset(rows, p.Cfg.Enc).Data, t.e1pre.Data, lreluAlpha)
 	p.enc2.batchForward(&t.e1, &t.e2pre, sc)
@@ -284,10 +304,13 @@ func (p *Policy) ForwardTapeFrom(t *PolicyTape, from int) {
 
 	e2 := t.e2.rowsView(lo, rows)
 	trunk := &e2
+	hNew = h0
 	if p.gru != nil {
-		p.gru.forwardTape(t)
-		hNew := t.h.rowsView(t.B+lo, rows+t.B)
-		p.ln.forwardTape(&hNew, &t.lnOut, &t.ln)
+		p.gru.forwardTape(t, h0)
+		t.hLast = t.h.rowsView(rows, rows+t.B)
+		hNew = &t.hLast
+		hs := t.h.rowsView(t.B+lo, rows+t.B)
+		p.ln.forwardTape(&hs, &t.lnOut, &t.ln)
 		leakyReLUTo(t.lrOut.Reset(n, p.Cfg.Hidden).Data, t.lnOut.Data, lreluAlpha)
 		trunk = &t.lrOut
 	}
@@ -314,15 +337,15 @@ func (p *Policy) ForwardTapeFrom(t *PolicyTape, from int) {
 	for i := range t.Heads.Data[:lo*t.Heads.Cols] {
 		t.Heads.Data[i] = math.NaN()
 	}
-	heads := t.Heads.rowsView(lo, rows)
-	matMulBias(p.head.W, p.head.B.Data, &t.cur, &heads, sc)
-	t.DHeads.Reset(rows, t.Heads.Cols)
+	hv := t.Heads.rowsView(lo, rows)
+	matMulBias(p.head.W, p.head.B.Data, &t.cur, &hv, sc)
+	return &t.Heads, hNew
 }
 
-// forwardTape advances the cell over the tape: the input products W·x run
-// once over every row, only the recurrent products U·h step through time,
-// all sequences in lock-step.
-func (g *GRU) forwardTape(t *PolicyTape) {
+// forwardTape advances the cell over the tape from h0 (nil: zero): the
+// input products W·x run once over every row, only the recurrent products
+// U·h step through time, all sequences in lock-step.
+func (g *GRU) forwardTape(t *PolicyTape, h0 *Mat) {
 	B, H, rows := t.B, g.Hidden, t.B*t.T
 	sc := &t.gemm
 	t.z.Reset(rows, H).fillRows(g.Bz.Data)
@@ -333,7 +356,11 @@ func (g *GRU) forwardTape(t *PolicyTape) {
 	matMulAcc(g.Wn, &t.e2, &t.n, sc)
 	clear(t.unH.Reset(rows, H).Data)
 	t.h.Reset(rows+B, H)
-	clear(t.h.Data[:B*H])
+	if h0 == nil {
+		clear(t.h.Data[:B*H])
+	} else {
+		copy(t.h.Data, h0.Data[:B*H])
+	}
 	for s := 0; s < t.T; s++ {
 		lo, hi := s*B, (s+1)*B
 		hPrev, hNew := t.h.rowsView(lo, hi), t.h.rowsView(hi, hi+B)
@@ -374,7 +401,7 @@ func backMul(w *Param, dY, dX *Mat, sc *gemmScratch) *Mat {
 // of running, for each sequence in turn, a step-at-a-time BPTT from the last
 // timestep to the first.
 func (p *Policy) BackwardTape(t *PolicyTape) {
-	order, sc := t.order, &t.gemm
+	order, sc := t.canonicalOrder(), &t.gemm
 	gradAcc(p.head.W, p.head.B, &t.DHeads, &t.cur, order, sc)
 	dCur := backMul(p.head.W, &t.DHeads, &t.dA, sc)
 	for i := len(p.res) - 1; i >= 0; i-- {
@@ -427,7 +454,7 @@ func (p *Policy) BackwardTape(t *PolicyTape) {
 // gradients, and only then accumulates the nine parameter gradients over
 // all rows in canonical order. It returns the gradient wrt the cell's input.
 func (g *GRU) backwardTape(t *PolicyTape, dHNew *Mat) *Mat {
-	B, H, rows, sc := t.B, g.Hidden, t.B*t.T, &t.gemm
+	B, H, rows, order, sc := t.B, g.Hidden, t.B*t.T, t.canonicalOrder(), &t.gemm
 	dX := t.dE2.Reset(rows, g.In)
 	clear(dX.Data)
 	t.dnPre.Reset(rows, H)
@@ -466,11 +493,11 @@ func (g *GRU) backwardTape(t *PolicyTape, dHNew *Mat) *Mat {
 		backMulAcc(g.Uz, &dz, dh, sc)
 	}
 	hPrev := t.h.rowsView(0, rows)
-	gradAcc(g.Wn, g.Bn, &t.dnPre, &t.e2, t.order, sc)
-	gradAcc(g.Un, nil, &t.dUnH, &hPrev, t.order, sc)
-	gradAcc(g.Wr, g.Br, &t.drPre, &t.e2, t.order, sc)
-	gradAcc(g.Ur, nil, &t.drPre, &hPrev, t.order, sc)
-	gradAcc(g.Wz, g.Bz, &t.dzPre, &t.e2, t.order, sc)
-	gradAcc(g.Uz, nil, &t.dzPre, &hPrev, t.order, sc)
+	gradAcc(g.Wn, g.Bn, &t.dnPre, &t.e2, order, sc)
+	gradAcc(g.Un, nil, &t.dUnH, &hPrev, order, sc)
+	gradAcc(g.Wr, g.Br, &t.drPre, &t.e2, order, sc)
+	gradAcc(g.Ur, nil, &t.drPre, &hPrev, order, sc)
+	gradAcc(g.Wz, g.Bz, &t.dzPre, &t.e2, order, sc)
+	gradAcc(g.Uz, nil, &t.dzPre, &hPrev, order, sc)
 	return dX
 }

@@ -130,6 +130,47 @@ func checkPolicyTape(t *testing.T, cfg PolicyConfig, B, T int, dirty bool) {
 	compareGrads(t, p, ref)
 }
 
+// TestTapeOrderFollowsShape runs one tape through four shapes of twelve rows
+// each — (B, T) = (2, 6), (3, 4), (4, 3), then (2, 6) again — with a
+// one-step BatchForward of another batch size between two of them. After
+// every BackwardTape each head and each parameter gradient must be bitwise
+// a fresh tape's: the canonical order a backward builds is keyed on the
+// tape's shape, not on its row count.
+func TestTapeOrderFollowsShape(t *testing.T) {
+	cfg := PolicyConfig{InDim: 11, Enc: 12, Hidden: 6, ResBlocks: 1, K: 2, Seed: 7}
+	rng := rand.New(rand.NewSource(7))
+	p := NewPolicy(cfg)
+	ref := ClonePolicy(p)
+	reused := &PolicyTape{}
+	for i, shape := range [][2]int{{2, 6}, {3, 4}, {4, 3}, {2, 6}} {
+		B, T := shape[0], shape[1]
+		x := randVec(rng, B*T*cfg.InDim)
+		dHeads := randVec(rng, B*T*p.GMM.HeadDim())
+		pass := func(m *Policy, tape *PolicyTape) {
+			ZeroGrads(m)
+			tape.Reset(B, T, cfg.InDim)
+			copy(tape.X.Data, x)
+			m.ForwardTape(tape)
+			copy(tape.DHeads.Data, dHeads)
+			m.BackwardTape(tape)
+		}
+		fresh := &PolicyTape{}
+		pass(p, reused)
+		pass(ref, fresh)
+		for k, v := range fresh.Heads.Data {
+			if !sameBits(reused.Heads.Data[k], v) {
+				t.Fatalf("%dx%d: head value %d is %v on the reused tape, %v on a fresh one", B, T, k, reused.Heads.Data[k], v)
+			}
+		}
+		compareGrads(t, p, ref)
+		if i == 1 {
+			states, hidden := NewMat(5, cfg.InDim), NewMat(5, cfg.Hidden)
+			copy(states.Data, randVec(rng, len(states.Data)))
+			p.BatchForward(states, hidden, reused)
+		}
+	}
+}
+
 // gruH is the hidden state the cached step started from (nil without a GRU).
 func (c *policyCacheRef) gruH() []float64 {
 	if c.gruC == nil {
