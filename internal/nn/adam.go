@@ -49,19 +49,21 @@ func (a *Adam) Advance(mod Module) {
 	}
 }
 
-// Update applies the step Advance opened to p, then clears p's gradient.
+// Update applies the step Advance opened to p and clears p's gradient, each
+// element as the update reads it: one pass over the gradient.
 func (a *Adam) Update(p *Param) {
 	// Locals, not fields, in the loop: the stores to p.Data could alias a's
 	// fields as far as the compiler knows, which would reload them each time.
 	b1, b2, lr, eps, bc1, bc2 := a.Beta1, a.Beta2, a.LR, a.Eps, a.bc1, a.bc2
-	n := len(p.Grad)
+	grad := p.Grad
+	n := len(grad)
 	m, v, data := a.m[p][:n], a.v[p][:n], p.Data[:n]
-	for i, g := range p.Grad {
+	for i, g := range grad {
 		m[i] = float64(b1*m[i]) + float64((1-b1)*g)
 		v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
 		data[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + eps)
+		grad[i] = 0
 	}
-	p.ZeroGrad()
 }
 
 // AdamState is the optimizer's serializable state over one module's

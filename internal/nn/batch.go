@@ -12,18 +12,21 @@ package nn
 //
 // The speedup comes from two places. First, independent accumulation
 // chains, which hide the FP-add latency that serializes a single dot
-// product: a batch runs 16 rows (AVX2) or 8 rows per weight-row pass,
-// loading each weight row once for all of them, and a row on its own runs
-// 16 outputs at once (dotCols16). Each output's own summation order is
-// untouched, so equivalence survives. Second, amortization: no per-step
-// cache construction and no per-call allocations; scratch buffers stay hot
-// across the whole batch.
+// product: a 16-row tile runs four outputs at once (AVX2, gemmTile16: one
+// call per layer and tile), a batch without AVX2 8 rows per weight-row
+// pass, and a row on its own 16 outputs at once (dotCols16). Each output's
+// own summation order is untouched, so equivalence survives. Second,
+// amortization: no per-step cache construction and no per-call
+// allocations; scratch buffers stay hot across the whole batch, and a tile
+// is transposed once for every product that reads it.
 //
 // The activations between the layers have two tiers as well: with AVX2 and
 // FMA3 the GRU's gates and the tanh layers run four elements at a time
 // through the activation kernel (act.go), which reproduces math.Exp's fused
 // path and math.Tanh bit for bit; without them, or where its start-up probe
-// finds no match (GODEBUG=cpu.fma=off), they run the scalar loop.
+// finds no match (GODEBUG=cpu.fma=off), they run the scalar loop. Leaky
+// ReLU and LayerNorm's normalize step run four lanes wide with AVX2 alone
+// (lreluGroups, lnNormRows), each lane the scalar expression.
 
 // Mat is a dense row-major matrix backed by a single flat slice.
 type Mat struct {
@@ -97,12 +100,19 @@ func (s *gemmScratch) tile(cols int) []float64 {
 
 // transposeTile packs rows [r, r+TileRows) of x into xt with layout
 // xt[j*TileRows+l] = x[r+l][j], so one unaligned vector load fetches
-// element j of four consecutive batch rows.
+// element j of four consecutive batch rows. With AVX2 (the only tier that
+// runs tiles) transposeTile16 moves four columns of four rows at a time;
+// the columns past the last multiple of 4 move one by one.
 func transposeTile(x *Mat, r, cols int, xt []float64) {
+	_ = x.Data[(r+TileRows-1)*x.Cols+cols-1]
+	j0 := cols &^ 3
+	if j0 > 0 {
+		transposeTile16(&xt[0], &x.Data[r*x.Cols], x.Cols, j0/4)
+	}
 	for l := 0; l < TileRows; l++ {
 		xr := x.Row(r + l)[:cols]
-		for j, v := range xr {
-			xt[j*TileRows+l] = v
+		for j := j0; j < cols; j++ {
+			xt[j*TileRows+l] = xr[j]
 		}
 	}
 }
@@ -110,28 +120,107 @@ func transposeTile(x *Mat, r, cols int, xt []float64) {
 // matMulBias computes out[r][i] = bias[i] + Σ_j W[i][j]·x[r][j], the
 // accumulator seeded with the bias and the products added in j order.
 func matMulBias(p *Param, bias []float64, x, out *Mat, sc *gemmScratch) {
-	matMul(p, bias, x, out, false, sc)
+	matMul(x, sc, gemmJob{p, bias, out, false})
 }
 
 // matMulAcc computes out[r][i] += Σ_j W[i][j]·x[r][j] with the dot
 // product summed separately, from 0 in j order, and added once.
 func matMulAcc(p *Param, x, out *Mat, sc *gemmScratch) {
-	matMul(p, nil, x, out, true, sc)
+	matMul(x, sc, gemmJob{p, nil, out, true})
 }
 
-// matMul is both: per row r and output i one chain s = seed + W[i][0]·x[r][0]
-// + W[i][1]·x[r][1] + … in j order, every product rounded before its add,
-// seeded with bias[i] (0 when bias is nil), then stored in out[r][i] or,
-// with add, added to it once. Every tier keeps that chain:
+// gemmJob is one product of matMul: weights p, seeds bias (nil: 0), the
+// result stored in out or, with add, added to it.
+type gemmJob struct {
+	p    *Param
+	bias []float64
+	out  *Mat
+	add  bool
+}
+
+// matMul runs every job over the rows of x, which all of them read (their
+// weights have x's width): per row r and output i one chain s = seed +
+// W[i][0]·x[r][0] + W[i][1]·x[r][1] + … in j order, every product rounded
+// before its add, seeded with bias[i] (0 when bias is nil), then stored in
+// out[r][i] or, with add, added to it once. Every tier keeps that chain:
 //
-//   - AVX2, whole 16-row tiles: dotTile16, one batch row per lane;
+//   - AVX2, whole 16-row tiles: the tile is transposed once for all the
+//     jobs, then one gemmTile16 call per job runs its outputs four at a
+//     time, one batch row per lane; the outputs past the last multiple of
+//     4 are redone by an overlapping last group when stored, and run one
+//     at a time through dotTile16 when added;
 //   - AVX2, the rows left over: one at a time through dotCols16, one output
 //     per lane and 16 outputs a call; the columns past the last multiple of
 //     4 finish in Go, and the outputs past the last multiple of 16 take the
 //     scalar chain, four outputs side by side;
 //   - without AVX2: eight rows per weight pass, then one row at a time, its
 //     outputs four side by side.
-func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
+func matMul(x *Mat, sc *gemmScratch, jobs ...gemmJob) {
+	r := 0
+	if cols := jobs[0].p.Cols; useAVX2 && cols > 0 {
+		xt := sc.tile(cols)
+		for ; r+TileRows <= x.Rows; r += TileRows {
+			transposeTile(x, r, cols, xt)
+			for k := range jobs {
+				jobs[k].tile(xt, r)
+			}
+		}
+	}
+	for k := range jobs {
+		jobs[k].rows(x, r)
+	}
+}
+
+// tile runs the job over the transposed tile xt of batch rows [r, r+16).
+func (jb *gemmJob) tile(xt []float64, r int) {
+	p, out, cols := jb.p, jb.out, jb.p.Cols
+	o := out.Data[r*out.Cols : (r+TileRows-1)*out.Cols+p.Rows] // gemmTile16 writes these unchecked
+	_ = xt[TileRows*cols-1]
+	var bias *float64
+	if jb.bias != nil {
+		bias = &jb.bias[:p.Rows][0]
+	}
+	groups, i := p.Rows/4, 0
+	if groups > 0 {
+		gemmTile16(&o[0], out.Cols, &p.Data[0], cols, &xt[0], bias, groups, jb.add)
+		i = 4 * groups
+		if i < p.Rows && !jb.add {
+			// Storing again what the group before stored is harmless: the
+			// last four outputs in one more call.
+			k := p.Rows - 4
+			if bias != nil {
+				bias = &jb.bias[k]
+			}
+			gemmTile16(&o[k], out.Cols, &p.Data[k*cols], cols, &xt[0], bias, 1, false)
+			i = p.Rows
+		}
+	}
+	for ; i < p.Rows; i++ {
+		w := p.Data[i*cols : (i+1)*cols]
+		// Filled only when there is a bias: scalar stores of zeros right
+		// before the kernel's 32-byte loads of acc would stall store
+		// forwarding on every output.
+		var acc [TileRows]float64
+		if jb.bias != nil {
+			b := jb.bias[i]
+			for l := range acc {
+				acc[l] = b
+			}
+		}
+		dotTile16(&w[0], &xt[0], cols, &acc)
+		for l, s := range acc {
+			if jb.add {
+				o[l*out.Cols+i] += s
+			} else {
+				o[l*out.Cols+i] = s
+			}
+		}
+	}
+}
+
+// rows runs the job over the rows of x from r on, outside the tiles.
+func (jb *gemmJob) rows(x *Mat, r int) {
+	p, bias, out, add := jb.p, jb.bias, jb.out, jb.add
 	cols := p.Cols
 	seed := func(i int) float64 {
 		if bias == nil {
@@ -144,30 +233,6 @@ func matMul(p *Param, bias []float64, x, out *Mat, add bool, sc *gemmScratch) {
 			o[i] += s
 		} else {
 			o[i] = s
-		}
-	}
-	r := 0
-	if useAVX2 && cols > 0 {
-		xt := sc.tile(cols)
-		for ; r+TileRows <= x.Rows; r += TileRows {
-			transposeTile(x, r, cols, xt)
-			for i := 0; i < p.Rows; i++ {
-				w := p.Data[i*cols : (i+1)*cols]
-				// Filled only when there is a bias: scalar stores of zeros
-				// right before the kernel's 32-byte loads of acc would stall
-				// store forwarding on every output.
-				var acc [TileRows]float64
-				if bias != nil {
-					b := bias[i]
-					for l := range acc {
-						acc[l] = b
-					}
-				}
-				dotTile16(&w[0], &xt[0], cols, &acc)
-				for l := 0; l < TileRows; l++ {
-					put(out.Data, (r+l)*out.Cols+i, acc[l])
-				}
-			}
 		}
 	}
 	for ; !useAVX2 && r+8 <= x.Rows; r += 8 {

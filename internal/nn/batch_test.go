@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -183,13 +184,16 @@ func TestPolicyBatchForwardNoAllocs(t *testing.T) {
 // TestDotCols16MatchesScalar holds matMulBias and matMulAcc to the scalar
 // chain — s = seed + W[i][0]·x[0] + W[i][1]·x[1] + … in j order, seeded
 // with the bias or 0, stored or added once — bit for bit at both kernel
-// tiers. With AVX2 every row outside a 16-row tile runs dotCols16, so the
-// sweep covers every width 0–70 (each width mod 4, for the columns the
-// kernel leaves to Go), 1–40 outputs (none, one and two 16-output blocks,
-// with and without outputs left over) and 1–17 rows (no tile, a whole tile,
-// one row past it), with NaN, ±Inf, −0 and subnormals of either sign among
-// the weights, inputs, biases and accumulators. Nothing past the output
-// matrix may be written. Under -short only rows 1, 15 and 17 run.
+// tiers. With AVX2 every row outside a 16-row tile runs dotCols16 and every
+// tile gemmTile16, so the sweep covers every width 0–70 (each width mod 4,
+// for the columns the kernels leave to Go), 1–40 outputs (none, one and two
+// 16-output blocks, and every count mod 4, with and without outputs left
+// over) and 1–17, 32, 33 and 48 rows (no tile, a whole tile, one row past
+// it, a second and a third tile, two tiles and a row), with NaN, ±Inf, −0
+// and subnormals of either sign among the weights, inputs, biases and
+// accumulators. Nothing past the output matrix may be written: the guard
+// words after it catch a 32-byte store past the last output. Under -short
+// only rows 1, 15, 17 and 33 run.
 func TestDotCols16MatchesScalar(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
 		math.SmallestNonzeroFloat64, -0x1p-1030}
@@ -203,11 +207,11 @@ func TestDotCols16MatchesScalar(t *testing.T) {
 			}
 		}
 	}
-	rowCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	rowCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32, 33, 48}
 	if testing.Short() {
-		rowCounts = []int{1, 15, 17}
+		rowCounts = []int{1, 15, 17, 33}
 	}
-	const maxRows, guard = 17, 5
+	const maxRows, guard = 48, 5
 	kernelTiers(t, func(t *testing.T) {
 		for cols := 0; cols <= 70; cols++ {
 			for outs := 1; outs <= 40; outs++ {
@@ -260,6 +264,79 @@ func TestDotCols16MatchesScalar(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	})
+}
+
+// FuzzMatMulTile holds matMul to the scalar chain on arbitrary float64 bit
+// patterns, bit for bit as TestDotCols16MatchesScalar compares: the input
+// picks the shape — 1–40 outputs, 0–70 columns, 16–33 rows (one tile, with
+// and without rows left over), bias or nil, stored or added — and its bytes,
+// repeated as far as needed, are the weights, bias, inputs and initial
+// outputs. Guard words after the output catch a store past its end.
+func FuzzMatMulTile(f *testing.F) {
+	f.Add(uint8(15), uint8(64), uint8(0), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0xc0})
+	f.Add(uint8(31), uint8(69), uint8(17), uint8(2), []byte{0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Add(uint8(2), uint8(3), uint8(1), uint8(3), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, outs, cols, rows, mode uint8, data []byte) {
+		const guard = 5
+		nOut, nCol, nRow := 1+int(outs)%40, int(cols)%71, TileRows+int(rows)%18
+		withBias, add := mode&1 != 0, mode&2 != 0
+		k := 0
+		next := func() float64 {
+			var b [8]byte
+			for i := range b {
+				if len(data) > 0 {
+					b[i] = data[(8*k+i)%len(data)]
+				}
+			}
+			k++
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		p := NewParam("w", nOut, nCol)
+		for i := range p.Data {
+			p.Data[i] = next()
+		}
+		var bias []float64
+		if withBias {
+			bias = make([]float64, nOut)
+			for i := range bias {
+				bias[i] = next()
+			}
+		}
+		x := NewMat(nRow, nCol)
+		for i := range x.Data {
+			x.Data[i] = next()
+		}
+		n := nRow * nOut
+		init := make([]float64, n+guard)
+		for i := range init {
+			init[i] = next()
+		}
+		buf := append([]float64(nil), init...)
+		out := &Mat{Rows: nRow, Cols: nOut, Data: buf[:n]}
+		matMul(x, &gemmScratch{}, gemmJob{p, bias, out, add})
+		for e, got := range buf {
+			want := init[e]
+			if e < n {
+				r, i := e/nOut, e%nOut
+				s := 0.0
+				if bias != nil {
+					s = bias[i]
+				}
+				for j := 0; j < nCol; j++ {
+					s += float64(p.Data[i*nCol+j] * x.Data[r*nCol+j])
+				}
+				if add {
+					want += s
+				} else {
+					want = s
+				}
+			}
+			if !sameOrNaN(got, want) || (e >= n && !sameBits(got, want)) {
+				t.Fatalf("outs=%d cols=%d rows=%d bias=%v add=%v: element %d is %v (%#x), scalar chain %v (%#x)",
+					nOut, nCol, nRow, withBias, add, e, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package nn
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -38,5 +39,38 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	}
 	if len(sites) > 0 {
 		t.Errorf("%d fused multiply-adds in the arm64 build; add float64(x*y) barriers at:\n%s", len(sites), strings.Join(sites, "\n"))
+	}
+}
+
+// TestAssemblyHasNoFusedMultiplyAdd holds nn's amd64 assembly to the same
+// contract, which TestNoFusedMultiplyAdd (an arm64 build of the Go code)
+// cannot see: it scans every .s file of the package for a fused
+// multiply-add or multiply-subtract mnemonic and fails on any. The
+// activation kernel, act_amd64.s, copies math.Exp's fused path on purpose
+// and stays out of the scan.
+func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
+	files, err := filepath.Glob("*.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := regexp.MustCompile(`\bVFN?M(?:ADD|SUB)\w*`)
+	scanned := 0
+	for _, name := range files {
+		if name == "act_amd64.s" {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned++
+		for i, line := range strings.Split(string(src), "\n") {
+			if code, _, _ := strings.Cut(line, "//"); fused.MatchString(code) {
+				t.Errorf("%s:%d: fused multiply-add %q", name, i+1, fused.FindString(code))
+			}
+		}
+	}
+	if scanned == 0 {
+		t.Fatal("no assembly file to scan: gemm_amd64.s is missing")
 	}
 }

@@ -51,6 +51,26 @@ func BenchmarkPolicyForwardSmallBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkPolicyTileForward is one 16-row tile through BatchForward on the
+// production architecture — the unit a serving pass hands a helper
+// goroutine, and the one every sim_fleet tick waits on — at both kernel
+// tiers.
+func BenchmarkPolicyTileForward(b *testing.B) {
+	kernelTiers(b, func(b *testing.B) {
+		p := benchBatchPolicy()
+		rng := rand.New(rand.NewSource(2))
+		states, h := NewMat(TileRows, 69), NewMat(TileRows, p.Cfg.Hidden)
+		copy(states.Data, randVec(rng, len(states.Data)))
+		scratch := p.NewBatchScratch()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, hNew := p.BatchForward(states, h, scratch)
+			copy(h.Data, hNew.Data)
+		}
+	})
+}
+
 func BenchmarkPolicyBPTTStep(b *testing.B) {
 	// One training sample: forward+backward over an 8-step segment.
 	p := NewPolicy(PolicyConfig{InDim: 69, Enc: 32, Hidden: 16, ResBlocks: 2, K: 3, Seed: 1})

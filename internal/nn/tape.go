@@ -123,11 +123,18 @@ func lreluSlope(v float64, one, alpha uint64) float64 {
 	return math.Float64frombits(s)
 }
 
-// leakyReLUTo writes max(x, alpha·x) of src into dst (which may be src).
+// leakyReLUTo writes max(x, alpha·x) of src into dst (which may be src),
+// four elements at a time with AVX2.
 func leakyReLUTo(dst, src []float64, alpha float64) {
 	one, a := math.Float64bits(1), math.Float64bits(alpha)
 	dst = dst[:len(src)]
-	for i, v := range src {
+	i := 0
+	if useAVX2 && len(src) >= 4 {
+		i = len(src) &^ 3
+		lreluGroups(&dst[0], &src[0], i/4, alpha)
+	}
+	for ; i < len(src); i++ {
+		v := src[i]
 		dst[i] = v * lreluSlope(v, one, a)
 	}
 }
@@ -156,29 +163,80 @@ type lnTape struct {
 }
 
 // forwardTape normalizes every row of x into out, keeping the statistics.
+// Four rows run side by side — their mean chains, then their variance
+// chains, each in column order — and with AVX2 the normalize-and-affine
+// step runs four columns at a time (lnNormRows); the rows past the last
+// four, and the columns past the last multiple of 4, run alone.
 func (ln *LayerNorm) forwardTape(x, out *Mat, t *lnTape) {
-	out.Reset(x.Rows, ln.N)
-	t.xhat.Reset(x.Rows, ln.N)
+	N := ln.N
+	out.Reset(x.Rows, N)
+	t.xhat.Reset(x.Rows, N)
 	t.std.Reset(x.Rows, 1)
-	n := float64(ln.N)
-	for r := 0; r < x.Rows; r++ {
-		xr, or, hr := x.Row(r), out.Row(r), t.xhat.Row(r)
-		mu := 0.0
-		for _, v := range xr {
-			mu += v
+	n := float64(N)
+	var mu [4]float64
+	r := 0
+	for ; r+4 <= x.Rows; r += 4 {
+		x0, x1, x2, x3 := x.Row(r)[:N], x.Row(r + 1)[:N], x.Row(r + 2)[:N], x.Row(r + 3)[:N]
+		m0, m1, m2, m3 := 0.0, 0.0, 0.0, 0.0
+		for j, v := range x0 {
+			m0 += v
+			m1 += x1[j]
+			m2 += x2[j]
+			m3 += x3[j]
 		}
-		mu /= n
+		m0, m1, m2, m3 = m0/n, m1/n, m2/n, m3/n
+		v0, v1, v2, v3 := 0.0, 0.0, 0.0, 0.0
+		for j, v := range x0 {
+			d0, d1, d2, d3 := v-m0, x1[j]-m1, x2[j]-m2, x3[j]-m3
+			v0 += float64(d0 * d0)
+			v1 += float64(d1 * d1)
+			v2 += float64(d2 * d2)
+			v3 += float64(d3 * d3)
+		}
+		std := t.std.Data[r : r+4]
+		std[0] = math.Sqrt(v0/n + ln.Eps)
+		std[1] = math.Sqrt(v1/n + ln.Eps)
+		std[2] = math.Sqrt(v2/n + ln.Eps)
+		std[3] = math.Sqrt(v3/n + ln.Eps)
+		mu = [4]float64{m0, m1, m2, m3}
+		ln.normalize(x, out, t, r, r+4, mu[:])
+	}
+	for ; r < x.Rows; r++ {
+		xr := x.Row(r)[:N]
+		m := 0.0
+		for _, v := range xr {
+			m += v
+		}
+		m /= n
 		varr := 0.0
 		for _, v := range xr {
-			d := v - mu
+			d := v - m
 			varr += float64(d * d)
 		}
-		varr /= n
-		std := math.Sqrt(varr + ln.Eps)
-		t.std.Data[r] = std
-		for i, v := range xr {
-			hr[i] = (v - mu) / std
-			or[i] = float64(hr[i]*ln.G.Data[i]) + ln.B.Data[i]
+		t.std.Data[r] = math.Sqrt(varr/n + ln.Eps)
+		mu[0] = m
+		ln.normalize(x, out, t, r, r+1, mu[:1])
+	}
+}
+
+// normalize writes rows [lo, hi) of x, normalized with the means mu and the
+// standard deviations t.std holds, into t.xhat and — through the gain and
+// bias — out.
+func (ln *LayerNorm) normalize(x, out *Mat, t *lnTape, lo, hi int, mu []float64) {
+	N := ln.N
+	g, b := ln.G.Data[:N], ln.B.Data[:N]
+	j0 := 0
+	if n4 := N &^ 3; useAVX2 && n4 > 0 && x.Cols == N {
+		_, _, _ = x.Data[(hi-1)*x.Cols+N-1], out.Data[hi*N-1], t.xhat.Data[hi*N-1] // lnNormRows writes these unchecked
+		lnNormRows(&out.Data[lo*N], &t.xhat.Data[lo*N], &x.Data[lo*x.Cols], &g[0], &b[0], &mu[0], &t.std.Data[lo], hi-lo, N, n4)
+		j0 = n4
+	}
+	for r := lo; r < hi; r++ {
+		xr, or, hr := x.Row(r)[:N], out.Row(r)[:N], t.xhat.Row(r)[:N]
+		m, std := mu[r-lo], t.std.Data[r]
+		for i := j0; i < N; i++ {
+			hr[i] = (xr[i] - m) / std
+			or[i] = float64(hr[i]*g[i]) + b[i]
 		}
 	}
 }
@@ -344,16 +402,15 @@ func (p *Policy) forward(t *PolicyTape, x, h0 *Mat, from int) (heads, hNew *Mat)
 
 // forwardTape advances the cell over the tape from h0 (nil: zero): the
 // input products W·x run once over every row, only the recurrent products
-// U·h step through time, all sequences in lock-step.
+// U·h step through time, all sequences in lock-step. The three gates'
+// products of one input share its transposed tiles.
 func (g *GRU) forwardTape(t *PolicyTape, h0 *Mat) {
 	B, H, rows := t.B, g.Hidden, t.B*t.T
 	sc := &t.gemm
 	t.z.Reset(rows, H).fillRows(g.Bz.Data)
 	t.r.Reset(rows, H).fillRows(g.Br.Data)
 	t.n.Reset(rows, H).fillRows(g.Bn.Data)
-	matMulAcc(g.Wz, &t.e2, &t.z, sc)
-	matMulAcc(g.Wr, &t.e2, &t.r, sc)
-	matMulAcc(g.Wn, &t.e2, &t.n, sc)
+	matMul(&t.e2, sc, gemmJob{g.Wz, nil, &t.z, true}, gemmJob{g.Wr, nil, &t.r, true}, gemmJob{g.Wn, nil, &t.n, true})
 	clear(t.unH.Reset(rows, H).Data)
 	t.h.Reset(rows+B, H)
 	if h0 == nil {
@@ -365,9 +422,7 @@ func (g *GRU) forwardTape(t *PolicyTape, h0 *Mat) {
 		lo, hi := s*B, (s+1)*B
 		hPrev, hNew := t.h.rowsView(lo, hi), t.h.rowsView(hi, hi+B)
 		z, r, n, unH := t.z.rowsView(lo, hi), t.r.rowsView(lo, hi), t.n.rowsView(lo, hi), t.unH.rowsView(lo, hi)
-		matMulAcc(g.Uz, &hPrev, &z, sc)
-		matMulAcc(g.Ur, &hPrev, &r, sc)
-		matMulAcc(g.Un, &hPrev, &unH, sc)
+		matMul(&hPrev, sc, gemmJob{g.Uz, nil, &z, true}, gemmJob{g.Ur, nil, &r, true}, gemmJob{g.Un, nil, &unH, true})
 		gruGates(z.Data, r.Data, n.Data, unH.Data, hPrev.Data, hNew.Data)
 	}
 }

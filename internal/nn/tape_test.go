@@ -396,6 +396,68 @@ func TestLeakyReLUSpecialBits(t *testing.T) {
 			t.Errorf("forward(%#x) = %#x, want the NaN itself", math.Float64bits(v), math.Float64bits(y[0]))
 		}
 	}
+	// The same values at every position of a slice, four lanes wide with
+	// AVX2 and in the scalar tail, into another slice and in place.
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), 2.5, -2.5, math.SmallestNonzeroFloat64, -math.MaxFloat64, -0x1p-1030}
+	kernelTiers(t, func(t *testing.T) {
+		for shift := range vals {
+			in := append(append([]float64(nil), vals[shift:]...), vals[:shift]...)
+			src, dst := append([]float64(nil), in...), make([]float64, len(in))
+			leakyReLUTo(dst, src, lreluAlpha)
+			leakyReLUTo(src, src, lreluAlpha)
+			for i, v := range in {
+				want := v * lreluSlope(v, math.Float64bits(1), math.Float64bits(lreluAlpha))
+				if !sameBits(dst[i], want) || !sameBits(src[i], want) {
+					t.Fatalf("shift %d, element %d: %#x (in place %#x), want %#x", shift, i, math.Float64bits(dst[i]), math.Float64bits(src[i]), math.Float64bits(want))
+				}
+			}
+		}
+	})
+}
+
+// TestLayerNormTapeMatchesScalar holds the batched LayerNorm — four rows'
+// statistics side by side, the normalize step four columns at a time — to
+// the scalar oracle's output, normalized rows and standard deviation, bit
+// for bit at both kernel tiers, over widths 1–13 (each width mod 4) and
+// 1–9 rows (each row count mod 4), with ±0, ±Inf, NaN and subnormals among
+// the inputs, gains and biases.
+func TestLayerNormTapeMatchesScalar(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, -0x1p-1030, 1e300}
+	rng := rand.New(rand.NewSource(49))
+	fill := func(v []float64) {
+		for i := range v {
+			if rng.Intn(10) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+	}
+	kernelTiers(t, func(t *testing.T) {
+		for N := 1; N <= 13; N++ {
+			for rows := 1; rows <= 9; rows++ {
+				ln := NewLayerNorm("ln", N)
+				fill(ln.G.Data)
+				fill(ln.B.Data)
+				x := NewMat(rows, N)
+				fill(x.Data)
+				var out Mat
+				var lt lnTape
+				ln.forwardTape(x, &out, &lt)
+				for r := 0; r < rows; r++ {
+					y, c := ln.forwardCached(x.Row(r))
+					if !sameOrNaN(lt.std.Data[r], c.std) {
+						t.Fatalf("N=%d rows=%d row %d: std %v, oracle %v", N, rows, r, lt.std.Data[r], c.std)
+					}
+					for i := range y {
+						if !sameOrNaN(out.Row(r)[i], y[i]) || !sameOrNaN(lt.xhat.Row(r)[i], c.xhat[i]) {
+							t.Fatalf("N=%d rows=%d row %d col %d: out %v xhat %v, oracle %v and %v", N, rows, r, i, out.Row(r)[i], lt.xhat.Row(r)[i], y[i], c.xhat[i])
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestForwardTapeFromMatchesForwardTape: a pass trimmed to the steps from
