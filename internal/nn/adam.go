@@ -49,8 +49,16 @@ func (a *Adam) Advance(mod Module) {
 	}
 }
 
+// adamConsts are the scalars of one Adam step in the order adamGroups
+// reads them.
+type adamConsts struct {
+	b1, c1, b2, c2, lr, bc1, bc2, eps float64
+}
+
 // Update applies the step Advance opened to p and clears p's gradient, each
-// element as the update reads it: one pass over the gradient.
+// element as the update reads it: one pass over the gradient. With AVX2 the
+// elements run four at a time through adamGroups, every lane the scalar
+// loop's operations in its order; the last len%4 take the scalar loop.
 func (a *Adam) Update(p *Param) {
 	// Locals, not fields, in the loop: the stores to p.Data could alias a's
 	// fields as far as the compiler knows, which would reload them each time.
@@ -58,7 +66,14 @@ func (a *Adam) Update(p *Param) {
 	grad := p.Grad
 	n := len(grad)
 	m, v, data := a.m[p][:n], a.v[p][:n], p.Data[:n]
-	for i, g := range grad {
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		c := adamConsts{b1, 1 - b1, b2, 1 - b2, lr, bc1, bc2, eps}
+		adamGroups(&data[0], &grad[0], &m[0], &v[0], i/4, &c)
+	}
+	for ; i < n; i++ {
+		g := grad[i]
 		m[i] = float64(b1*m[i]) + float64((1-b1)*g)
 		v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
 		data[i] -= lr * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + eps)

@@ -27,6 +27,13 @@ package nn
 // finds no match (GODEBUG=cpu.fma=off), they run the scalar loop. Leaky
 // ReLU and LayerNorm's normalize step run four lanes wide with AVX2 alone
 // (lreluGroups, lnNormRows), each lane the scalar expression.
+//
+// The backward (tape.go) keeps the same per-element contract with its own
+// AVX2 kernels: both products of a dense layer through axpyLanes (four
+// accumulator rows in registers across a list of steps, scales read from
+// dY in place), and LayerNorm's and leaky ReLU's backward and the Adam
+// update four lanes wide (lnBackGrads, lnBackFinish, lreluBackGroups,
+// adamGroups).
 
 // Mat is a dense row-major matrix backed by a single flat slice.
 type Mat struct {
@@ -82,12 +89,25 @@ func (m *Mat) fillRows(v []float64) {
 // TileRows, so every part but the last runs whole tiles.
 const TileRows = 16
 
-// gemmScratch holds the transposed input tile the AVX2 kernels consume and
-// the backward's accumulation list; one per concurrent worker (embedded in
+// gemmScratch holds the transposed input tile the AVX2 kernels consume, the
+// backward's row kinds, step and row lists, and the row an unused lane of
+// the backward's kernel writes to; one per concurrent worker (embedded in
 // the tapes).
 type gemmScratch struct {
 	xt    []float64
-	terms []axpyTerm
+	kinds []uint8
+	steps []laneStep
+	rows  []int
+	lane  []float64
+}
+
+// spare returns the first element of a row of at least max(cols, 1) elements
+// that no result lives in: the accumulator row of an unused lane.
+func (s *gemmScratch) spare(cols int) *float64 {
+	if len(s.lane) < cols || len(s.lane) == 0 {
+		s.lane = make([]float64, max(cols, 1))
+	}
+	return &s.lane[0]
 }
 
 func (s *gemmScratch) tile(cols int) []float64 {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"sage/internal/alloctest"
 )
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -178,6 +180,38 @@ func TestPolicyBatchForwardNoAllocs(t *testing.T) {
 	step() // warm the scratch buffers
 	if allocs := testing.AllocsPerRun(50, step); allocs > 0 {
 		t.Fatalf("BatchForward allocates %.1f objects/op after warm-up, want 0", allocs)
+	}
+}
+
+// TestTileScratchNoAllocs: a scratch from NewTileScratch is sized for a
+// whole tile, so its first BatchForward of any batch up to TileRows rows —
+// one row or nine, whose hidden rows a lazily grown scratch would size at
+// 18 — allocates nothing, and its outputs are the oracle's.
+func TestTileScratchNoAllocs(t *testing.T) {
+	cfgs := []PolicyConfig{{InDim: 30, Enc: 16, Hidden: 12, ResBlocks: 2, K: 3, Seed: 21}, {InDim: 30, Enc: 16, Hidden: 12, ResBlocks: 1, K: 3, NoGRU: true, Seed: 22}}
+	for _, cfg := range cfgs {
+		p := NewPolicy(cfg)
+		rng := rand.New(rand.NewSource(7))
+		for _, B := range []int{1, 9, TileRows, 2} {
+			states, hidden := NewMat(B, cfg.InDim), NewMat(B, cfg.Hidden)
+			copy(states.Data, randVec(rng, len(states.Data)))
+			copy(hidden.Data, randVec(rng, len(hidden.Data)))
+			seqH := make([][]float64, B)
+			for r := range seqH {
+				seqH[r] = append([]float64(nil), hidden.Row(r)...)
+			}
+			scratch := p.NewTileScratch()
+			var heads, hNew *Mat
+			if c := alloctest.Measure(func() { heads, hNew = p.BatchForward(states, hidden, scratch) }); c.Mallocs > 0 {
+				t.Fatalf("NoGRU=%v B=%d: first BatchForward on a tile scratch allocates %d objects", cfg.NoGRU, B, c.Mallocs)
+			}
+			if cfg.NoGRU {
+				for r := range seqH {
+					seqH[r] = nil
+				}
+			}
+			checkRowsMatchOracle(t, p, states, seqH, heads, hNew, scratch)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ package nn
 // (transposeTile16, then one gemmTile16 call per layer, with dotTile16 for
 // added outputs past the last group of four), its one-row kernel
 // (dotCols16), LayerNorm's normalize step and leaky ReLU, the backward's
-// row-blocked accumulation and, with actKernel, the activation kernel
+// lane kernel (axpyLanes) and, with actKernel, the activation kernel
 // (act.go). The AVX2 path is bitwise identical to the scalar path: each
 // SIMD lane carries one accumulator through the same mul-then-add sequence
 // (no FMA — a fused multiply-add rounds differently, which would break the
@@ -65,17 +65,23 @@ func transposeTile16(xt *float64, x *float64, stride int, groups int)
 //go:noescape
 func dotCols16(acc *[16]float64, w *float64, stride int, x *float64, n int)
 
-// axpyList32 accumulates, for the n terms at terms in list order, the
-// 32-element rows they name into acc[0:32]:
+// axpyLanes runs the backward's products (tape.go): four accumulator
+// rows, lane k's at lb.out[k], take the n steps at steps in list order,
 //
-//	acc[j] = acc[j] + t.s·base[t.off+j]   for each term t, j < 32
+//	out_k[j] = out_k[j] + s·v[st.v+j]   for j < cols, s = lb.g[k][st.g]
 //
-// with the 32 sums held in registers across the whole list. Each element's
-// operation order matches the scalar chain exactly. Implemented in
-// gemm_amd64.s; only called when useAVX2 is true, with every row in bounds.
+// skipping the lane where s is ±0 (a step marked dense has no such scale:
+// the eight-column blocks run it without looking); with bias,
+// *lb.bias[k] = *lb.bias[k] + s first, over the same steps with the same
+// skips. The rows are held in
+// registers eight columns at a time across the whole list, and each
+// element's operation order matches the scalar chain exactly. Nothing past a
+// row's cols columns is read or written. Implemented in gemm_amd64.s; only
+// called when useAVX2 is true, with n > 0, cols > 0 and everything in
+// bounds.
 //
 //go:noescape
-func axpyList32(acc *float64, base *float64, terms *axpyTerm, n int)
+func axpyLanes(lb *laneBlock, v *float64, steps *laneStep, n, cols int, bias bool)
 
 // lnNormRows is LayerNorm's normalize-and-affine step over rows row-major
 // rows of cols columns, the first n of each (a multiple of 4):
@@ -96,3 +102,48 @@ func lnNormRows(out, xhat, x, gain, beta, mu, std *float64, rows, cols, n int)
 //
 //go:noescape
 func lreluGroups(dst, src *float64, groups int, alpha float64)
+
+// lreluBackGroups is leakyReLUBack over groups·4 elements: d = d·slope(pre)
+// with the slope of lreluSlope. Implemented in gemm_amd64.s; only called
+// when useAVX2 is true, with groups > 0.
+//
+//go:noescape
+func lreluBackGroups(d, pre *float64, groups int, alpha float64)
+
+// lnBackGrads is the first half of LayerNorm's backward over the rows
+// listed at rows (row-major, cols columns each), in list order, the first n
+// columns of each (a multiple of 4): with dy the row of d,
+//
+//	gGrad[i] += dy[i]·xhat[i];  bGrad[i] += dy[i];  d[i] = dy[i]·gain[i]
+//
+// every operation rounded, as the scalar expressions. Implemented in
+// gemm_amd64.s; only called when useAVX2 is true, with nrows > 0, n > 0
+// and every row in bounds.
+//
+//go:noescape
+func lnBackGrads(gGrad, bGrad, gain, d, xhat *float64, rows *int, nrows, cols, n int)
+
+// lnBackFinish is the second half of LayerNorm's backward over the first n
+// columns of one row (a multiple of 4):
+//
+//	d[i] = (d[i] − a − xhat[i]·s/cnt) / std
+//
+// every operation rounded, in the scalar expression's order. Implemented in
+// gemm_amd64.s; only called when useAVX2 is true, with n > 0.
+//
+//go:noescape
+func lnBackFinish(d, xhat *float64, n int, a, s, cnt, std float64)
+
+// adamGroups is Adam.Update over groups·4 elements, every operation of the
+// scalar update rounded in its order, the gradient cleared. Implemented in
+// gemm_amd64.s; only called when useAVX2 is true, with groups > 0.
+//
+//go:noescape
+func adamGroups(data, grad, m, v *float64, groups int, c *adamConsts)
+
+// rowKinds sets kinds[r] to the rowNonzero and rowHasZero bits of row r of
+// the rows×cols matrix at x. Implemented in gemm_amd64.s; only called when
+// useAVX2 is true, with rows > 0 and cols >= 4.
+//
+//go:noescape
+func rowKinds(kinds *uint8, x *float64, rows, cols int)

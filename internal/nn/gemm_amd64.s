@@ -162,65 +162,249 @@ colsdone:
 	VZEROUPPER
 	RET
 
-// func axpyList32(acc *float64, base *float64, terms *axpyTerm, n int)
+// LANE2 adds s·v to the accumulators a0, a1 of one lane — v in Y8, Y9, s
+// the lane's scale at gp + AX·8 — unless s is ±0: the sign-shifting ADDQ
+// leaves zero only for ±0, and then the lane is skipped, so no ±0·v (NaN for
+// an infinite or NaN v) and no −0 + +0 reaches the accumulators. Otherwise
+// VMULPD then VADDPD, the accumulator the first operand, as the scalar
+// acc = acc + (s * v).
+#define LANE2(gp, a0, a1, skip) \
+	MOVQ         (gp)(AX*8), R12; \
+	ADDQ         R12, R12;        \
+	JZ           skip;            \
+	VBROADCASTSD (gp)(AX*8), Y10; \
+	VMULPD       Y8, Y10, Y11;    \
+	VADDPD       Y11, a0, a0;     \
+	VMULPD       Y9, Y10, Y12;    \
+	VADDPD       Y12, a1, a1;     \
+skip:
+
+// DENSE2 is LANE2 for a step whose four scales are known not to be ±0.
+#define DENSE2(gp, a0, a1) \
+	VBROADCASTSD (gp)(AX*8), Y10; \
+	VMULPD       Y8, Y10, Y11;    \
+	VADDPD       Y11, a0, a0;     \
+	VMULPD       Y9, Y10, Y12;    \
+	VADDPD       Y12, a1, a1
+
+// LANE1 is LANE2 for one accumulator per lane (v in Y8).
+#define LANE1(gp, a, skip) \
+	MOVQ         (gp)(AX*8), R12; \
+	ADDQ         R12, R12;        \
+	JZ           skip;            \
+	VBROADCASTSD (gp)(AX*8), Y10; \
+	VMULPD       Y8, Y10, Y11;    \
+	VADDPD       Y11, a, a;       \
+skip:
+
+// BIAS1 adds one lane's scale at gp + AX·8 to the scalar acc unless it is
+// ±0, as the scalar acc = acc + s.
+#define BIAS1(gp, acc, skip) \
+	MOVQ   (gp)(AX*8), R12; \
+	ADDQ   R12, R12;        \
+	JZ     skip;            \
+	VADDSD (gp)(AX*8), acc, acc; \
+skip:
+
+// LOADROW2 and STOREROW2 move the two accumulators of the lane whose row
+// pointer is at off(DI) — the block at column byte R13 of the row — and
+// LOADROW1/STOREROW1 its one; LOADMASKED/STOREMASKED move the columns the
+// mask Y13 selects and touch no other.
+#define LOADROW2(off, a0, a1) \
+	MOVQ    off(DI), BX;        \
+	VMOVUPD (BX)(R13*1), a0;    \
+	VMOVUPD 32(BX)(R13*1), a1
+
+#define STOREROW2(off, a0, a1) \
+	MOVQ    off(DI), BX;        \
+	VMOVUPD a0, (BX)(R13*1);    \
+	VMOVUPD a1, 32(BX)(R13*1)
+
+#define LOADROW1(off, a) \
+	MOVQ    off(DI), BX; \
+	VMOVUPD (BX)(R13*1), a
+
+#define STOREROW1(off, a) \
+	MOVQ    off(DI), BX; \
+	VMOVUPD a, (BX)(R13*1)
+
+#define LOADMASKED(off, a) \
+	MOVQ       off(DI), BX; \
+	VMASKMOVPD (BX)(R13*1), Y13, a
+
+#define STOREMASKED(off, a) \
+	MOVQ       off(DI), BX; \
+	VMASKMOVPD a, Y13, (BX)(R13*1)
+
+// lanemask+8·(3−c) is the mask of the first c of four lanes, c = 1..3.
+DATA lanemask<>+0(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+8(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+16(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+24(SB)/8, $0
+DATA lanemask<>+32(SB)/8, $0
+DATA lanemask<>+40(SB)/8, $0
+GLOBL lanemask<>(SB), RODATA|NOPTR, $48
+
+// func axpyLanes(lb *laneBlock, v *float64, steps *laneStep, n, cols int, bias bool)
 //
-// Eight YMM accumulators hold acc[0:32] across the whole list. Per term:
-// broadcast the scale, then for each 4-lane group multiply the row at
-// base + off and add — VMULPD+VADDPD, so every lane performs the scalar
-// acc = acc + (s * v) with intermediate rounding, terms in list order.
-TEXT ·axpyList32(SB), NOSPLIT, $0-32
-	MOVQ acc+0(FP), DX
-	MOVQ base+8(FP), SI
-	MOVQ terms+16(FP), DI
+// Four accumulator rows, lane k's at lb.out[k], run through the n steps in
+// list order: step i adds s·v[steps[i].v + j] to column j < cols of lane k,
+// s = lb.g[k][steps[i].g], and skips the lane where s is ±0 — in the
+// eight-column blocks only where the step is not marked dense, none of its
+// scales ±0. With bias, the
+// scales themselves are first added to *lb.bias[k] the same way. The rows
+// run in blocks of eight columns held in registers across the whole list
+// (Y0..Y7, two per lane), then a block of four, then the last one to three
+// columns through masked loads and stores, so nothing past a row's cols
+// columns is read or written. n > 0.
+TEXT ·axpyLanes(SB), NOSPLIT, $0-41
+	MOVQ lb+0(FP), DI
+	MOVQ 32(DI), R8            // the lanes' scale bases
+	MOVQ 40(DI), R9
+	MOVQ 48(DI), R10
+	MOVQ 56(DI), R11
+	MOVQ v+8(FP), DX
+	MOVQ cols+32(FP), R14      // columns left
+	XORQ R13, R13              // the block's first column, in bytes
+
+	MOVBQZX bias+40(FP), AX
+	TESTQ   AX, AX
+	JZ      wide
+	MOVQ    64(DI), BX
+	VMOVSD  (BX), X0
+	MOVQ    72(DI), BX
+	VMOVSD  (BX), X1
+	MOVQ    80(DI), BX
+	VMOVSD  (BX), X2
+	MOVQ    88(DI), BX
+	VMOVSD  (BX), X3
+	MOVQ    steps+16(FP), SI
+	MOVQ    n+24(FP), CX
+
+biasstep:
+	MOVQ (SI), AX
+	BIAS1(R8, X0, bias0)
+	BIAS1(R9, X1, bias1)
+	BIAS1(R10, X2, bias2)
+	BIAS1(R11, X3, bias3)
+	ADDQ $24, SI
+	DECQ CX
+	JNZ  biasstep
+
+	MOVQ   64(DI), BX
+	VMOVSD X0, (BX)
+	MOVQ   72(DI), BX
+	VMOVSD X1, (BX)
+	MOVQ   80(DI), BX
+	VMOVSD X2, (BX)
+	MOVQ   88(DI), BX
+	VMOVSD X3, (BX)
+
+wide:
+	CMPQ R14, $8
+	JLT  narrow
+	LOADROW2(0, Y0, Y1)
+	LOADROW2(8, Y2, Y3)
+	LOADROW2(16, Y4, Y5)
+	LOADROW2(24, Y6, Y7)
+	MOVQ steps+16(FP), SI
 	MOVQ n+24(FP), CX
 
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	VMOVUPD 64(DX), Y2
-	VMOVUPD 96(DX), Y3
-	VMOVUPD 128(DX), Y4
-	VMOVUPD 160(DX), Y5
-	VMOVUPD 192(DX), Y6
-	VMOVUPD 224(DX), Y7
+widestep:
+	MOVQ    (SI), AX           // the scales' offset
+	MOVQ    8(SI), BX          // the vector's
+	VMOVUPD (DX)(BX*8), Y8
+	VMOVUPD 32(DX)(BX*8), Y9
+	CMPB    16(SI), $0
+	JNE     widedense
+	LANE2(R8, Y0, Y1, wide0)
+	LANE2(R9, Y2, Y3, wide1)
+	LANE2(R10, Y4, Y5, wide2)
+	LANE2(R11, Y6, Y7, wide3)
+	JMP     widenext
 
-	TESTQ CX, CX
-	JZ    store
+widedense:
+	DENSE2(R8, Y0, Y1)
+	DENSE2(R9, Y2, Y3)
+	DENSE2(R10, Y4, Y5)
+	DENSE2(R11, Y6, Y7)
 
-term:
-	VBROADCASTSD (DI), Y8
-	MOVQ         8(DI), AX
-	LEAQ         (SI)(AX*8), BX
-
-	VMULPD (BX), Y8, Y9
-	VADDPD Y9, Y0, Y0
-	VMULPD 32(BX), Y8, Y10
-	VADDPD Y10, Y1, Y1
-	VMULPD 64(BX), Y8, Y11
-	VADDPD Y11, Y2, Y2
-	VMULPD 96(BX), Y8, Y12
-	VADDPD Y12, Y3, Y3
-	VMULPD 128(BX), Y8, Y13
-	VADDPD Y13, Y4, Y4
-	VMULPD 160(BX), Y8, Y14
-	VADDPD Y14, Y5, Y5
-	VMULPD 192(BX), Y8, Y15
-	VADDPD Y15, Y6, Y6
-	VMULPD 224(BX), Y8, Y9
-	VADDPD Y9, Y7, Y7
-
-	ADDQ $16, DI
+widenext:
+	ADDQ $24, SI
 	DECQ CX
-	JNZ  term
+	JNZ  widestep
 
-store:
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
-	VMOVUPD Y4, 128(DX)
-	VMOVUPD Y5, 160(DX)
-	VMOVUPD Y6, 192(DX)
-	VMOVUPD Y7, 224(DX)
+	STOREROW2(0, Y0, Y1)
+	STOREROW2(8, Y2, Y3)
+	STOREROW2(16, Y4, Y5)
+	STOREROW2(24, Y6, Y7)
+	ADDQ $64, DX
+	ADDQ $64, R13
+	SUBQ $8, R14
+	JMP  wide
+
+narrow:
+	CMPQ R14, $4
+	JLT  tail
+	LOADROW1(0, Y0)
+	LOADROW1(8, Y1)
+	LOADROW1(16, Y2)
+	LOADROW1(24, Y3)
+	MOVQ steps+16(FP), SI
+	MOVQ n+24(FP), CX
+
+narrowstep:
+	MOVQ    (SI), AX
+	MOVQ    8(SI), BX
+	VMOVUPD (DX)(BX*8), Y8
+	LANE1(R8, Y0, narrow0)
+	LANE1(R9, Y1, narrow1)
+	LANE1(R10, Y2, narrow2)
+	LANE1(R11, Y3, narrow3)
+	ADDQ $24, SI
+	DECQ CX
+	JNZ  narrowstep
+
+	STOREROW1(0, Y0)
+	STOREROW1(8, Y1)
+	STOREROW1(16, Y2)
+	STOREROW1(24, Y3)
+	ADDQ $32, DX
+	ADDQ $32, R13
+	SUBQ $4, R14
+
+tail:
+	TESTQ R14, R14
+	JZ    done
+	LEAQ  lanemask<>(SB), AX
+	MOVQ  $3, BX
+	SUBQ  R14, BX
+	VMOVUPD (AX)(BX*8), Y13
+	LOADMASKED(0, Y0)
+	LOADMASKED(8, Y1)
+	LOADMASKED(16, Y2)
+	LOADMASKED(24, Y3)
+	MOVQ steps+16(FP), SI
+	MOVQ n+24(FP), CX
+
+tailstep:
+	MOVQ       (SI), AX
+	MOVQ       8(SI), BX
+	VMASKMOVPD (DX)(BX*8), Y13, Y8
+	LANE1(R8, Y0, tail0)
+	LANE1(R9, Y1, tail1)
+	LANE1(R10, Y2, tail2)
+	LANE1(R11, Y3, tail3)
+	ADDQ $24, SI
+	DECQ CX
+	JNZ  tailstep
+
+	STOREMASKED(0, Y0)
+	STOREMASKED(8, Y1)
+	STOREMASKED(16, Y2)
+	STOREMASKED(24, Y3)
+
+done:
 	VZEROUPPER
 	RET
 
@@ -513,6 +697,235 @@ tcols:
 	ADDQ $512, DI
 	DECQ CX
 	JNZ  tcols
+
+	VZEROUPPER
+	RET
+
+// func lreluBackGroups(d, pre *float64, groups int, alpha float64)
+//
+// Leaky ReLU's backward over groups·4 elements, four at a time: the slope
+// of pre — 1 where pre >= 0 (ordered, so NaN takes alpha), alpha elsewhere
+// — scales d in place, d = d·slope, the scalar leakyReLUBack lane by lane.
+TEXT ·lreluBackGroups(SB), NOSPLIT, $0-32
+	MOVQ         d+0(FP), DI
+	MOVQ         pre+8(FP), SI
+	MOVQ         groups+16(FP), CX
+	VBROADCASTSD alpha+24(FP), Y3
+	MOVQ         $0x3ff0000000000000, AX // 1.0
+	VMOVQ        AX, X2
+	VBROADCASTSD X2, Y2
+	VXORPD       Y4, Y4, Y4
+
+lrelub:
+	VMOVUPD   (SI), Y0
+	VCMPPD    $0x1d, Y4, Y0, Y1 // pre >= 0, ordered
+	VBLENDVPD Y1, Y2, Y3, Y1    // 1 where set, alpha elsewhere
+	VMULPD    (DI), Y1, Y1      // d·slope
+	VMOVUPD   Y1, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       lrelub
+
+	VZEROUPPER
+	RET
+
+// func lnBackGrads(gGrad, bGrad, gain, d, xhat *float64, rows *int, nrows, cols, n int)
+//
+// The first half of LayerNorm's backward over the rows listed at rows, in
+// list order, the first n columns (a multiple of 4) of each, four at a
+// time: with dy the row of d, gGrad += dy·xhat, bGrad += dy and
+// d = dy·gain — each operation rounded, the accumulator the first operand,
+// as the scalar expressions. nrows > 0, n > 0.
+TEXT ·lnBackGrads(SB), NOSPLIT, $0-72
+	MOVQ gGrad+0(FP), DI
+	MOVQ bGrad+8(FP), SI
+	MOVQ gain+16(FP), R8
+	MOVQ d+24(FP), R9
+	MOVQ xhat+32(FP), R10
+	MOVQ rows+40(FP), R11
+	MOVQ nrows+48(FP), R12
+	MOVQ cols+56(FP), BX
+	MOVQ n+64(FP), CX
+	SHLQ $3, BX            // row stride in bytes
+	SHRQ $2, CX            // groups of four columns per row
+
+lnbrow:
+	MOVQ  (R11), AX
+	IMULQ BX, AX
+	LEAQ  (R9)(AX*1), DX   // the row of d
+	LEAQ  (R10)(AX*1), R13 // the row of xhat
+	XORQ  AX, AX           // column offset in bytes
+	MOVQ  CX, R14
+
+lnbcol:
+	VMOVUPD (DX)(AX*1), Y0      // dy
+	VMULPD  (R13)(AX*1), Y0, Y1 // dy·xhat
+	VMOVUPD (DI)(AX*1), Y2
+	VADDPD  Y1, Y2, Y2          // gGrad + dy·xhat
+	VMOVUPD Y2, (DI)(AX*1)
+	VMOVUPD (SI)(AX*1), Y3
+	VADDPD  Y0, Y3, Y3          // bGrad + dy
+	VMOVUPD Y3, (SI)(AX*1)
+	VMULPD  (R8)(AX*1), Y0, Y4  // dy·gain
+	VMOVUPD Y4, (DX)(AX*1)
+	ADDQ    $32, AX
+	DECQ    R14
+	JNZ     lnbcol
+
+	ADDQ $8, R11
+	DECQ R12
+	JNZ  lnbrow
+
+	VZEROUPPER
+	RET
+
+// func lnBackFinish(d, xhat *float64, n int, a, s, cnt, std float64)
+//
+// The second half of LayerNorm's backward over one row's first n columns
+// (a multiple of 4), four at a time: d = ((d − a) − (xhat·s)/cnt) / std —
+// VSUBPD, VMULPD, VDIVPD, VSUBPD, VDIVPD, each rounded and in the scalar
+// expression's operand order. n > 0.
+TEXT ·lnBackFinish(SB), NOSPLIT, $0-56
+	MOVQ         d+0(FP), DI
+	MOVQ         xhat+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD a+24(FP), Y4
+	VBROADCASTSD s+32(FP), Y5
+	VBROADCASTSD cnt+40(FP), Y6
+	VBROADCASTSD std+48(FP), Y7
+	SHRQ         $2, CX
+
+lnbfin:
+	VMOVUPD (SI), Y1
+	VMULPD  Y5, Y1, Y1     // xhat·s
+	VDIVPD  Y6, Y1, Y1     // / cnt
+	VMOVUPD (DI), Y0
+	VSUBPD  Y4, Y0, Y0     // d − a
+	VSUBPD  Y1, Y0, Y0     // − xhat·s/cnt
+	VDIVPD  Y7, Y0, Y0     // / std
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     lnbfin
+
+	VZEROUPPER
+	RET
+
+// func adamGroups(data, grad, m, v *float64, groups int, c *adamConsts)
+//
+// One Adam step over groups·4 elements, four at a time, each lane the
+// scalar update's operations, rounded, in Go's left-to-right order:
+//
+//	m    = b1·m + c1·g                      (c1 = 1 − b1)
+//	v    = b2·v + (c2·g)·g                  (c2 = 1 − b2)
+//	data = data − (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
+//
+// VMULPD, VADDPD, VDIVPD, VSQRTPD and VSUBPD, never fused and with no
+// reciprocal; the gradient is cleared in the same pass.
+TEXT ·adamGroups(SB), NOSPLIT, $0-48
+	MOVQ         data+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), R8
+	MOVQ         v+24(FP), R9
+	MOVQ         groups+32(FP), CX
+	MOVQ         c+40(FP), AX
+	VBROADCASTSD 0(AX), Y8   // b1
+	VBROADCASTSD 8(AX), Y9   // c1
+	VBROADCASTSD 16(AX), Y10 // b2
+	VBROADCASTSD 24(AX), Y11 // c2
+	VBROADCASTSD 32(AX), Y12 // lr
+	VBROADCASTSD 40(AX), Y13 // bc1
+	VBROADCASTSD 48(AX), Y14 // bc2
+	VBROADCASTSD 56(AX), Y15 // eps
+	VXORPD       Y7, Y7, Y7
+
+adam:
+	VMOVUPD (SI), Y0       // g
+	VMOVUPD Y7, (SI)
+	VMOVUPD (R8), Y1
+	VMULPD  Y1, Y8, Y1     // b1·m
+	VMULPD  Y0, Y9, Y2     // c1·g
+	VADDPD  Y2, Y1, Y1     // m
+	VMOVUPD Y1, (R8)
+	VMOVUPD (R9), Y2
+	VMULPD  Y2, Y10, Y2    // b2·v
+	VMULPD  Y0, Y11, Y3    // c2·g
+	VMULPD  Y0, Y3, Y3     // (c2·g)·g
+	VADDPD  Y3, Y2, Y2     // v
+	VMOVUPD Y2, (R9)
+	VDIVPD  Y13, Y1, Y1    // m/bc1
+	VMULPD  Y1, Y12, Y1    // lr·(m/bc1)
+	VDIVPD  Y14, Y2, Y2    // v/bc2
+	VSQRTPD Y2, Y2
+	VADDPD  Y15, Y2, Y2    // sqrt(v/bc2) + eps
+	VDIVPD  Y2, Y1, Y1     // (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
+	VMOVUPD (DI), Y0
+	VSUBPD  Y1, Y0, Y0     // data − step
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     adam
+
+	VZEROUPPER
+	RET
+
+// func rowKinds(kinds *uint8, x *float64, rows, cols int)
+//
+// Classifies every row of x (row-major, cols >= 4 columns): kinds[r] has
+// bit 0 set if row r holds an element that is not ±0 and bit 1 if it holds
+// one that is. Four columns at a time, an ordered compare with 0 — true for
+// ±0 only, false for NaN — ORed (some lane ±0) and ANDed (every lane ±0)
+// across the row; the last four columns are read first, so the columns past
+// the last multiple of 4 are covered. rows > 0.
+TEXT ·rowKinds(SB), NOSPLIT, $0-32
+	MOVQ   kinds+0(FP), DI
+	MOVQ   x+8(FP), SI
+	MOVQ   rows+16(FP), R8
+	MOVQ   cols+24(FP), R9
+	MOVQ   R9, R11
+	SHLQ   $3, R11         // row stride in bytes
+	SHRQ   $2, R9          // whole groups of four columns
+	VXORPD Y15, Y15, Y15
+
+kindrow:
+	VMOVUPD -32(SI)(R11*1), Y0 // the row's last four columns
+	VCMPPD  $0, Y15, Y0, Y1    // ±0 lanes
+	VMOVAPD Y1, Y2
+	MOVQ    R9, CX
+	XORQ    BX, BX
+
+kindgroup:
+	VMOVUPD (SI)(BX*1), Y0
+	VCMPPD  $0, Y15, Y0, Y0
+	VORPD   Y0, Y1, Y1         // some element ±0
+	VANDPD  Y0, Y2, Y2         // every element ±0
+	ADDQ    $32, BX
+	DECQ    CX
+	JNZ     kindgroup
+
+	VMOVMSKPD Y1, AX
+	VMOVMSKPD Y2, BX
+	XORQ      R12, R12
+	CMPQ      BX, $15
+	JEQ       kindzeros
+	ORQ       $1, R12
+
+kindzeros:
+	TESTQ AX, AX
+	JZ    kindstore
+	ORQ   $2, R12
+
+kindstore:
+	MOVB R12, (DI)
+	INCQ DI
+	ADDQ R11, SI
+	DECQ R8
+	JNZ  kindrow
 
 	VZEROUPPER
 	RET

@@ -21,8 +21,8 @@ func dotCols16(acc *[16]float64, w *float64, stride int, x *float64, n int) {
 	panic("nn: dotCols16 without AVX2")
 }
 
-func axpyList32(acc *float64, base *float64, terms *axpyTerm, n int) {
-	panic("nn: axpyList32 without AVX2")
+func axpyLanes(lb *laneBlock, v *float64, steps *laneStep, n, cols int, bias bool) {
+	panic("nn: axpyLanes without AVX2")
 }
 
 func lnNormRows(out, xhat, x, gain, beta, mu, std *float64, rows, cols, n int) {
@@ -31,6 +31,26 @@ func lnNormRows(out, xhat, x, gain, beta, mu, std *float64, rows, cols, n int) {
 
 func lreluGroups(dst, src *float64, groups int, alpha float64) {
 	panic("nn: lreluGroups without AVX2")
+}
+
+func lreluBackGroups(d, pre *float64, groups int, alpha float64) {
+	panic("nn: lreluBackGroups without AVX2")
+}
+
+func lnBackGrads(gGrad, bGrad, gain, d, xhat *float64, rows *int, nrows, cols, n int) {
+	panic("nn: lnBackGrads without AVX2")
+}
+
+func lnBackFinish(d, xhat *float64, n int, a, s, cnt, std float64) {
+	panic("nn: lnBackFinish without AVX2")
+}
+
+func adamGroups(data, grad, m, v *float64, groups int, c *adamConsts) {
+	panic("nn: adamGroups without AVX2")
+}
+
+func rowKinds(kinds *uint8, x *float64, rows, cols int) {
+	panic("nn: rowKinds without AVX2")
 }
 
 // No activation kernel: actTo runs the scalar functions.

@@ -144,9 +144,12 @@ func (c *NAFCritic) BatchForward(t *NAFTape) {
 	leakyReLUTo(t.h1.Reset(rows, c.Cfg.Hidden).Data, t.h1pre.Data, lreluAlpha)
 	c.l2.batchForward(&t.h1, &t.h2pre, sc)
 	leakyReLUTo(t.h2.Reset(rows, c.Cfg.Hidden).Data, t.h2pre.Data, lreluAlpha)
-	c.headV.batchForward(&t.h2, &t.v, sc)
-	c.headM.batchForward(&t.h2, &t.mPre, sc)
-	c.headP.batchForward(&t.h2, &t.pPre, sc)
+	// The three one-output heads read h2 as one product's jobs, so each
+	// tile of it is transposed once.
+	matMul(&t.h2, sc,
+		gemmJob{c.headV.W, c.headV.B.Data, t.v.Reset(rows, 1), false},
+		gemmJob{c.headM.W, c.headM.B.Data, t.mPre.Reset(rows, 1), false},
+		gemmJob{c.headP.W, c.headP.B.Data, t.pPre.Reset(rows, 1), false})
 	t.V = t.v.Data
 	tanhTo(t.M, t.mPre.Data)
 	for r := 0; r < rows; r++ {

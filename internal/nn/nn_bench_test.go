@@ -116,3 +116,31 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
+
+// BenchmarkPolicyBackwardWorkerTape is one learner worker's BackwardTape:
+// the production architecture (69/64/32, two residual blocks, K 5) over a
+// tape of 8 sequences × 8 steps, half of the DHeads rows zero as CRR's
+// filter leaves them, at both kernel tiers. The forward runs once, outside
+// the timer: a backward reads the tape and only adds to the gradients.
+func BenchmarkPolicyBackwardWorkerTape(b *testing.B) {
+	kernelTiers(b, func(b *testing.B) {
+		p := benchBatchPolicy()
+		rng := rand.New(rand.NewSource(4))
+		tape := &PolicyTape{}
+		tape.Reset(8, 8, 69)
+		copy(tape.X.Data, randVec(rng, len(tape.X.Data)))
+		p.ForwardTape(tape)
+		clear(tape.DHeads.Data)
+		for r := 0; r < tape.DHeads.Rows; r++ {
+			if r%2 == 0 {
+				continue // a rejected transition: the row stays zero
+			}
+			p.GMM.LogProbGrad(tape.Heads.Row(r), rng.Float64()*2-1, tape.DHeads.Row(r))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.BackwardTape(tape)
+		}
+	})
+}

@@ -14,6 +14,23 @@ type PolicyBatchScratch = PolicyTape
 // to the batch sizes actually seen).
 func (p *Policy) NewBatchScratch() *PolicyBatchScratch { return &PolicyTape{} }
 
+// NewTileScratch returns a scratch set for p with every buffer sized for a
+// whole TileRows-row tile — by one BatchForward over a zero tile — so no
+// batch of up to TileRows rows grows it. A scratch that grows lazily sizes
+// a buffer by the first batches it sees (the hidden rows of a first batch
+// of nine rows are 18 rows, then 36), so what a tile scratch allocates
+// would depend on which tile it happened to take first. The zero tile is
+// the scratch's own normalized-state buffer, which the pass normalizes in
+// place, and the hidden state is nil (zero): sizing allocates nothing a
+// lazily grown scratch would not.
+func (p *Policy) NewTileScratch() *PolicyBatchScratch {
+	s := p.NewBatchScratch()
+	zero := s.xn.Reset(TileRows, p.Cfg.InDim)
+	clear(zero.Data)
+	p.BatchForward(zero, nil, s)
+	return s
+}
+
 // LastHidden returns the last hidden layer's activations from the latest
 // BatchForward on t — row r is the embedding Fig. 16 visualizes for flow r —
 // as a view valid until the next call.

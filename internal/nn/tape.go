@@ -27,87 +27,189 @@ func (m *Mat) rowsView(lo, hi int) Mat {
 	return Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
-// axpyTerm is one entry of an accumulation list: s times the row that
-// starts at element off of the list's base slice.
-type axpyTerm struct {
-	s   float64
-	off int
+// laneStep is one step of the backward's lane kernel: the element offsets,
+// from each lane's base, of the step's scales and of its vector, and
+// whether none of its scales is ±0.
+type laneStep struct {
+	g, v  int
+	dense bool
 }
 
-// axpyCols is axpyList32's block width: 32 columns, eight YMM registers.
-const axpyCols = 32
+// laneBlock names the four lanes of one axpyLanes call: each lane's
+// accumulator row, the base of its scales and, for a weight gradient, its
+// bias gradient.
+type laneBlock struct {
+	out, g, bias [4]*float64
+}
 
-// accTerms adds, for every term in list order, t.s·base[t.off+j] to acc[j]
-// for every j < len(acc) (a row shorter than acc panics). Every element of
-// acc is one chain of additions in list order — the product rounded, then
-// the sum. With AVX2 each 32-column block runs through axpyList32, which
-// keeps the block in registers across the whole list; the columns left over
-// take the scalar chain, in the same order.
-func accTerms(acc, base []float64, terms []axpyTerm) {
-	n, j := len(acc), 0
-	if len(terms) == 0 || n == 0 {
-		return
+// Both products of a dense layer's backward are the same loop: rows of
+// accumulators, each taking one scaled vector per step, in the order the
+// steps come in, with the steps whose scale is exactly zero skipped. For
+// the weight gradient the rows are four outputs' rows of W.Grad, the steps
+// the tape's rows in canonical order and the vectors the layer's input
+// rows; for the input gradient the rows are four rows of dX, the steps the
+// outputs in ascending order and the vectors the rows of W. With AVX2
+// axpyLanes runs four rows at once, each scale read straight from dY. The
+// rows of dY are classified first (rowKinds): a row that is ±0 throughout
+// contributes nothing to either product and is left out, and a step all of
+// whose scales come from rows without a ±0 skips the kernel's zero tests.
+// Without AVX2 the plain scalar chains below run, in the same order.
+
+// Row kinds of a matrix of output gradients: a row holds an element that is
+// not ±0, or one that is.
+const (
+	rowNonzero = 1 << iota
+	rowHasZero
+)
+
+// kindsOf classifies every row of dY (rowNonzero, rowHasZero) into the
+// scratch's kind list and returns it.
+func (s *gemmScratch) kindsOf(dY *Mat) []uint8 {
+	if cap(s.kinds) < dY.Rows {
+		s.kinds = make([]uint8, dY.Rows, 2*dY.Rows)
 	}
-	for _, t := range terms {
-		_ = base[t.off : t.off+n] // axpyList32 reads its rows unchecked
+	kinds := s.kinds[:dY.Rows]
+	if dY.Rows == 0 {
+		return kinds
 	}
-	if useAVX2 {
-		for ; j+axpyCols <= n; j += axpyCols {
-			axpyList32(&acc[j], &base[j], &terms[0], len(terms))
+	if useAVX2 && dY.Cols >= 4 {
+		_ = dY.Data[dY.Rows*dY.Cols-1] // rowKinds reads these unchecked
+		rowKinds(&kinds[0], &dY.Data[0], dY.Rows, dY.Cols)
+		return kinds
+	}
+	for r := range kinds {
+		k := uint8(0)
+		for _, v := range dY.Row(r) {
+			if v == 0 {
+				k |= rowHasZero
+			} else {
+				k |= rowNonzero
+			}
 		}
+		kinds[r] = k
 	}
-	rest := acc[j:n]
-	for _, t := range terms {
-		v := base[t.off+j : t.off+n][:len(rest)]
-		for k, x := range v {
-			rest[k] += float64(t.s * x)
-		}
-	}
+	return kinds
 }
 
 // gradAcc accumulates a dense layer's parameter gradients over a batch:
 // w.Grad[o][j] += dY[r][o]·x[r][j] and, when bias is non-nil,
-// bias.Grad[o] += dY[r][o], visiting rows r in the given order. Each
-// gradient element is its own chain of additions in that order, so the
-// loop nest is free: per output o, the rows' non-zero dY[r][o] are listed in
-// that order and the whole list runs through one row of w.Grad at a time.
+// bias.Grad[o] += dY[r][o], visiting rows r in the given order and
+// skipping every dY[r][o] that is ±0. Each gradient element is its own
+// chain of additions in that order.
 func gradAcc(w, bias *Param, dY, x *Mat, order []int, sc *gemmScratch) {
 	cols, outs := w.Cols, w.Rows
-	for o := 0; o < outs; o++ {
-		terms := sc.terms[:0]
-		bsum := 0.0
-		if bias != nil {
-			bsum = bias.Grad[o]
+	kinds, steps := sc.kindsOf(dY), sc.steps[:0]
+	for _, r := range order {
+		if k := kinds[r]; k&rowNonzero != 0 {
+			steps = append(steps, laneStep{r * outs, r * x.Cols, k&rowHasZero == 0})
 		}
-		for _, r := range order {
-			g := dY.Data[r*outs+o]
-			if g == 0 {
-				continue
+	}
+	sc.steps = steps
+	if len(steps) == 0 {
+		return
+	}
+	if !useAVX2 || cols == 0 {
+		for o := 0; o < outs; o++ {
+			grow := w.Grad[o*cols : (o+1)*cols]
+			for _, st := range steps {
+				g := dY.Data[st.g+o]
+				if g == 0 {
+					continue
+				}
+				if bias != nil {
+					bias.Grad[o] += g
+				}
+				for j, xj := range x.Data[st.v : st.v+cols] {
+					grow[j] += float64(g * xj)
+				}
 			}
-			bsum += g
-			terms = append(terms, axpyTerm{g, r * cols})
 		}
-		accTerms(w.Grad[o*cols:(o+1)*cols], x.Data, terms)
-		sc.terms = terms
-		if bias != nil {
-			bias.Grad[o] = bsum
+		return
+	}
+	for _, st := range steps {
+		_ = x.Data[st.v+cols-1] // axpyLanes reads the rows unchecked
+	}
+	_ = w.Grad[outs*cols-1]
+	if bias != nil {
+		_ = bias.Grad[outs-1]
+	}
+	spare := sc.spare(cols)
+	var lb laneBlock
+	for o := 0; o < outs; o += 4 {
+		for k := range 4 {
+			lb.out[k], lb.g[k], lb.bias[k] = spare, lb.g[0], spare // a lane past the last output
+			if o+k < outs {
+				lb.out[k], lb.g[k] = &w.Grad[(o+k)*cols], &dY.Data[o+k]
+				if bias != nil {
+					lb.bias[k] = &bias.Grad[o+k]
+				}
+			}
 		}
+		axpyLanes(&lb, &x.Data[0], &steps[0], len(steps), cols, bias != nil)
 	}
 }
 
 // backMulAcc accumulates the input gradient of a dense layer for every row:
-// dX[r][j] += Σ_o w[o][j]·dY[r][o], o ascending, zero dY[r][o] skipped.
+// dX[r][j] += Σ_o w[o][j]·dY[r][o], o ascending, dY[r][o] of ±0 skipped.
 func backMulAcc(w *Param, dY, dX *Mat, sc *gemmScratch) {
 	cols, outs := w.Cols, w.Rows
-	for r := 0; r < dY.Rows; r++ {
-		terms := sc.terms[:0]
-		for o, g := range dY.Data[r*outs : (r+1)*outs] {
-			if g != 0 {
-				terms = append(terms, axpyTerm{g, o * cols})
+	// The rows with a non-zero dY, those without a ±0 first: their groups
+	// of four run the kernel's dense steps.
+	kinds, rows := sc.kindsOf(dY), sc.rows[:0]
+	for r, k := range kinds {
+		if k == rowNonzero {
+			rows = append(rows, r)
+		}
+	}
+	dense := len(rows)
+	for r, k := range kinds {
+		if k == rowNonzero|rowHasZero {
+			rows = append(rows, r)
+		}
+	}
+	sc.rows = rows
+	if len(rows) == 0 {
+		return
+	}
+	if !useAVX2 || cols == 0 {
+		for _, r := range rows {
+			dr := dX.Data[r*cols : (r+1)*cols]
+			for o, g := range dY.Data[r*outs : (r+1)*outs] {
+				if g == 0 {
+					continue
+				}
+				for j, wj := range w.Data[o*cols : (o+1)*cols] {
+					dr[j] += float64(g * wj)
+				}
 			}
 		}
-		accTerms(dX.Data[r*cols:(r+1)*cols], w.Data, terms)
-		sc.terms = terms
+		return
+	}
+	_ = dX.Data[(dY.Rows-1)*cols+cols-1]
+	_ = w.Data[outs*cols-1]
+	// The outputs in ascending order, as tested steps and as dense ones.
+	steps := sc.steps[:0]
+	for _, d := range [2]bool{false, true} {
+		for o := 0; o < outs; o++ {
+			steps = append(steps, laneStep{o, o * cols, d})
+		}
+	}
+	sc.steps = steps
+	spare := sc.spare(cols)
+	var lb laneBlock
+	for i := 0; i < len(rows); i += 4 {
+		for k := range 4 {
+			lb.out[k], lb.g[k] = spare, lb.g[0] // a lane past the last row
+			if i+k < len(rows) {
+				r := rows[i+k]
+				lb.out[k], lb.g[k] = &dX.Data[r*cols], &dY.Data[r*outs]
+			}
+		}
+		st := &steps[0]
+		if i+4 <= dense {
+			st = &steps[outs]
+		}
+		axpyLanes(&lb, &w.Data[0], st, outs, cols, false)
 	}
 }
 
@@ -140,12 +242,17 @@ func leakyReLUTo(dst, src []float64, alpha float64) {
 }
 
 // leakyReLUBack turns d (gradient wrt the activation's output) into the
-// gradient wrt its input pre, in place.
+// gradient wrt its input pre, in place, four elements at a time with AVX2.
 func leakyReLUBack(pre, d []float64, alpha float64) {
 	one, a := math.Float64bits(1), math.Float64bits(alpha)
 	d = d[:len(pre)]
-	for i, v := range pre {
-		d[i] *= lreluSlope(v, one, a)
+	i := 0
+	if useAVX2 && len(pre) >= 4 {
+		i = len(pre) &^ 3
+		lreluBackGroups(&d[0], &pre[0], i/4, alpha)
+	}
+	for ; i < len(pre); i++ {
+		d[i] *= lreluSlope(pre[i], one, a)
 	}
 }
 
@@ -243,24 +350,80 @@ func (ln *LayerNorm) normalize(x, out *Mat, t *lnTape, lo, hi int, mu []float64)
 
 // backwardTape accumulates the gain and bias gradients (rows in the given
 // order) and replaces each row of d — the gradient wrt the layer's output —
-// with the gradient wrt its input.
+// with the gradient wrt its input. Per row it is the scalar oracle's
+//
+//	G.Grad[i] += dy·xhat[i];  B.Grad[i] += dy;  dxhat = dy·G[i]
+//	dx[i] = (dxhat − sumDxhat/n − xhat[i]·sumDxhatX/n) / std
+//
+// with the two sums over dxhat and dxhat·xhat[i] in column order. With
+// AVX2 the per-element lines run four columns at a time (lnBackGrads, rows
+// in the given order, then lnBackFinish), the columns past the last
+// multiple of 4 in Go; the sums of four rows run side by side.
 func (ln *LayerNorm) backwardTape(t *lnTape, d *Mat, order []int) {
-	n := float64(ln.N)
+	N := ln.N
+	gG, gB, gain := ln.G.Grad[:N], ln.B.Grad[:N], ln.G.Data[:N]
+	n4 := 0
+	if useAVX2 && len(order) > 0 && d.Cols == N && t.xhat.Cols == N {
+		if n4 = N &^ 3; n4 > 0 {
+			for _, r := range order {
+				_, _ = d.Row(r)[N-1], t.xhat.Row(r)[N-1] // lnBackGrads reads these unchecked
+			}
+			lnBackGrads(&gG[0], &gB[0], &gain[0], &d.Data[0], &t.xhat.Data[0], &order[0], len(order), N, n4)
+		}
+	}
 	for _, r := range order {
-		dr, hr := d.Row(r), t.xhat.Row(r)
-		sumDxhat, sumDxhatX := 0.0, 0.0
-		for i, dy := range dr {
-			ln.G.Grad[i] += float64(dy * hr[i])
-			ln.B.Grad[i] += dy
-			dxhat := float64(dy * ln.G.Data[i])
-			dr[i] = dxhat
-			sumDxhat += dxhat
-			sumDxhatX += float64(dxhat * hr[i])
+		dr, hr := d.Row(r)[:N], t.xhat.Row(r)[:N]
+		for i := n4; i < N; i++ {
+			dy := dr[i]
+			gG[i] += float64(dy * hr[i])
+			gB[i] += dy
+			dr[i] = float64(dy * gain[i])
 		}
-		std := t.std.Data[r]
-		for i, dxhat := range dr {
-			dr[i] = (dxhat - sumDxhat/n - hr[i]*sumDxhatX/n) / std
+	}
+	k := 0
+	for ; k+4 <= len(order); k += 4 {
+		d0, d1, d2, d3 := d.Row(order[k])[:N], d.Row(order[k+1])[:N], d.Row(order[k+2])[:N], d.Row(order[k+3])[:N]
+		h0, h1, h2, h3 := t.xhat.Row(order[k])[:N], t.xhat.Row(order[k+1])[:N], t.xhat.Row(order[k+2])[:N], t.xhat.Row(order[k+3])[:N]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		x0, x1, x2, x3 := 0.0, 0.0, 0.0, 0.0
+		for i, v := range d0 {
+			s0 += v
+			x0 += float64(v * h0[i])
+			s1 += d1[i]
+			x1 += float64(d1[i] * h1[i])
+			s2 += d2[i]
+			x2 += float64(d2[i] * h2[i])
+			s3 += d3[i]
+			x3 += float64(d3[i] * h3[i])
 		}
+		ln.finishRow(t, d, order[k], n4, s0, x0)
+		ln.finishRow(t, d, order[k+1], n4, s1, x1)
+		ln.finishRow(t, d, order[k+2], n4, s2, x2)
+		ln.finishRow(t, d, order[k+3], n4, s3, x3)
+	}
+	for ; k < len(order); k++ {
+		dr, hr := d.Row(order[k])[:N], t.xhat.Row(order[k])[:N]
+		sum, sumX := 0.0, 0.0
+		for i, v := range dr {
+			sum += v
+			sumX += float64(v * hr[i])
+		}
+		ln.finishRow(t, d, order[k], n4, sum, sumX)
+	}
+}
+
+// finishRow turns row r of d from dxhat into the gradient wrt the layer's
+// input, given the row's sums of dxhat and of dxhat·xhat: the columns
+// before n4 through lnBackFinish, the rest in Go.
+func (ln *LayerNorm) finishRow(t *lnTape, d *Mat, r, n4 int, sumDxhat, sumDxhatX float64) {
+	n := float64(ln.N)
+	dr, hr := d.Row(r)[:ln.N], t.xhat.Row(r)[:ln.N]
+	a, std := sumDxhat/n, t.std.Data[r]
+	if n4 > 0 {
+		lnBackFinish(&dr[0], &hr[0], n4, a, sumDxhatX, n, std)
+	}
+	for i := n4; i < len(dr); i++ {
+		dr[i] = (dr[i] - a - float64(hr[i]*sumDxhatX)/n) / std
 	}
 }
 

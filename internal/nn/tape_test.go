@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -325,52 +326,240 @@ func randVecInto(rng *rand.Rand, x []float64) []float64 {
 // neither.
 func sameOrNaN(a, b float64) bool { return sameBits(a, b) || (math.IsNaN(a) && math.IsNaN(b)) }
 
-// TestAccTermsMatchesScalarChain holds the row-blocked accumulation to the
-// plain scalar chain — acc[j] += s·row[j], terms in list order — at both
-// kernel tiers, over every width from 1 to 70 (no, one and two 32-column
-// blocks, with and without leftover columns) and lists of 0, 1 and 17
-// terms, with ±0, ±Inf and NaN of either sign among the scales, the rows and
-// the accumulators. Nothing past len(acc) may be written.
-func TestAccTermsMatchesScalarChain(t *testing.T) {
-	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN()}
-	rng := rand.New(rand.NewSource(25))
-	value := func() float64 {
+// canonicalOrderOf is a PolicyTape's canonical order for b sequences of
+// steps timesteps.
+func canonicalOrderOf(b, steps int) []int {
+	t := PolicyTape{B: b, T: steps}
+	return t.canonicalOrder()
+}
+
+// backwardGuard is the number of guard words after every buffer the
+// backward's products write: a store past a row's or a matrix's end shows
+// as a changed guard word.
+const backwardGuard = 5
+
+// guarded returns a slice of n values from next with backwardGuard more
+// values after its end, in its backing array.
+func guarded(n int, next func() float64) []float64 {
+	buf := make([]float64, n+backwardGuard)
+	for i := range buf {
+		buf[i] = next()
+	}
+	return buf[:n]
+}
+
+// sameBuffers holds got to want bit for bit, with any two NaNs matching,
+// over len(want) values and then exactly over the guard words after them.
+func sameBuffers(t testing.TB, what string, got, want []float64) {
+	t.Helper()
+	g, w := got[:len(got)+backwardGuard], want[:len(want)+backwardGuard]
+	for k := range w {
+		if !sameOrNaN(g[k], w[k]) || (k >= len(want) && !sameBits(g[k], w[k])) {
+			t.Fatalf("%s element %d (of %d): %v (%#x), scalar chain %v (%#x)", what, k, len(want), g[k], math.Float64bits(g[k]), w[k], math.Float64bits(w[k]))
+		}
+	}
+}
+
+// checkGradAcc runs gradAcc over the rows of order and holds W.Grad and
+// bias.Grad (bias may be nil) to the scalar chain: per output o, for each
+// row r in order, dY[r][o] skipped if ±0, else added to bias.Grad[o] and
+// dY[r][o]·x[r][j] to W.Grad[o][j]. The gradients must have guard words
+// after them (guarded).
+func checkGradAcc(t testing.TB, w, bias *Param, dY, x *Mat, order []int) {
+	t.Helper()
+	cols, outs := w.Cols, w.Rows
+	want := append([]float64(nil), w.Grad[:len(w.Grad)+backwardGuard]...)[:len(w.Grad)]
+	var wantB []float64
+	if bias != nil {
+		wantB = append([]float64(nil), bias.Grad[:len(bias.Grad)+backwardGuard]...)[:len(bias.Grad)]
+	}
+	for o := 0; o < outs; o++ {
+		for _, r := range order {
+			g := dY.Data[r*outs+o]
+			if g == 0 {
+				continue
+			}
+			if bias != nil {
+				wantB[o] += g
+			}
+			for j := 0; j < cols; j++ {
+				want[o*cols+j] += g * x.Data[r*x.Cols+j]
+			}
+		}
+	}
+	gradAcc(w, bias, dY, x, order, &gemmScratch{})
+	sameBuffers(t, fmt.Sprintf("outs=%d cols=%d rows=%d W.Grad", outs, cols, len(order)), w.Grad, want)
+	if bias != nil {
+		sameBuffers(t, fmt.Sprintf("outs=%d cols=%d rows=%d bias.Grad", outs, cols, len(order)), bias.Grad, wantB)
+	}
+}
+
+// checkBackMul runs backMulAcc and holds dX to the scalar chain: per row r
+// and output o ascending, dY[r][o] skipped if ±0, else dY[r][o]·W[o][j]
+// added to dX[r][j]. dX must have guard words after it (guarded).
+func checkBackMul(t testing.TB, w *Param, dY, dX *Mat) {
+	t.Helper()
+	cols, outs := w.Cols, w.Rows
+	want := append([]float64(nil), dX.Data[:len(dX.Data)+backwardGuard]...)[:len(dX.Data)]
+	for r := 0; r < dY.Rows; r++ {
+		for o := 0; o < outs; o++ {
+			g := dY.Data[r*outs+o]
+			if g == 0 {
+				continue
+			}
+			for j := 0; j < cols; j++ {
+				want[r*cols+j] += g * w.Data[o*cols+j]
+			}
+		}
+	}
+	backMulAcc(w, dY, dX, &gemmScratch{})
+	sameBuffers(t, fmt.Sprintf("outs=%d cols=%d rows=%d dX", outs, cols, dY.Rows), dX.Data, want)
+}
+
+// backwardValues returns a source of operands for the backward's products:
+// mostly normal values, one in eight a special — ±0, ±Inf, NaN of either
+// sign, a subnormal.
+func backwardValues(rng *rand.Rand) func() float64 {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), math.SmallestNonzeroFloat64, -0x1p-1030}
+	return func() float64 {
 		if rng.Intn(8) == 0 {
 			return specials[rng.Intn(len(specials))]
 		}
 		return rng.NormFloat64()
 	}
+}
+
+// zeroSome gives dY the zeros the backward meets: whole rows of ±0 (a
+// rejected transition, and every row below it) and single ±0 entries.
+func zeroSome(rng *rand.Rand, dY *Mat) {
+	for r := 0; r < dY.Rows; r++ {
+		d := dY.Row(r)
+		switch rng.Intn(4) {
+		case 0:
+			for k := range d {
+				d[k] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+			}
+		case 1:
+			d[rng.Intn(len(d))] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+	}
+}
+
+// backwardShapes are the (B, T) tape shapes the product tests take their
+// canonical orders from: 1 to 40 rows, one sequence and many, one step and
+// many.
+var backwardShapes = [][2]int{{1, 1}, {2, 1}, {1, 3}, {3, 2}, {1, 7}, {3, 4}, {2, 8}, {5, 5}, {13, 3}, {8, 5}, {40, 1}}
+
+// TestGradAccMatchesScalarChain holds the weight-gradient product to the
+// scalar chain bit for bit, at both kernel tiers, over every width 1–70
+// (blocks of eight columns, a block of four, one to three masked columns)
+// and 1–20 outputs (lanes past the last output unused), with the rows of
+// three tape shapes per case in canonical order — 1 to 40 rows across the
+// sweep — ±0 rows and ±0 entries in dY, ±Inf and NaN in x and dY, dirty
+// gradients (−0 among them), with and without a bias, and a subset order
+// that leaves rows out (the NAF critic's). Nothing past W.Grad or
+// bias.Grad may be written.
+func TestGradAccMatchesScalarChain(t *testing.T) {
 	kernelTiers(t, func(t *testing.T) {
-		for n := 1; n <= 70; n++ {
-			for _, L := range []int{0, 1, 17} {
-				stride := n + 3 // rows start off any block boundary
-				base := make([]float64, (L+1)*stride)
-				for i := range base {
-					base[i] = value()
-				}
-				terms := make([]axpyTerm, L)
-				for i := range terms {
-					terms[i] = axpyTerm{value(), rng.Intn(L+1) * stride}
-				}
-				const guard = 4
-				got := make([]float64, n+guard)
-				for i := range got {
-					got[i] = value()
-				}
-				want := append([]float64(nil), got...)
-				accTerms(got[:n], base, terms)
-				for _, tm := range terms {
-					for j := 0; j < n; j++ {
-						want[j] += tm.s * base[tm.off+j]
+		rng := rand.New(rand.NewSource(50))
+		next := backwardValues(rng)
+		for cols := 1; cols <= 70; cols++ {
+			for outs := 1; outs <= 20; outs++ {
+				for k := 0; k < 3; k++ {
+					shape := backwardShapes[(cols*3+outs+k*5)%len(backwardShapes)]
+					B, T := shape[0], shape[1]
+					rows := B * T
+					w := NewParam("w", outs, cols)
+					w.Grad = guarded(outs*cols, next)
+					var bias *Param
+					if k != 1 {
+						bias = NewParam("b", outs, 1)
+						bias.Grad = guarded(outs, next)
 					}
-				}
-				for j := range got {
-					if !sameOrNaN(got[j], want[j]) || (j >= n && !sameBits(got[j], want[j])) {
-						t.Fatalf("n=%d L=%d acc[%d]: %v (%#x), scalar chain %v (%#x)", n, L, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+					x := &Mat{Rows: rows, Cols: cols, Data: guarded(rows*cols, next)}
+					dY := &Mat{Rows: rows, Cols: outs, Data: guarded(rows*outs, next)}
+					zeroSome(rng, dY)
+					order := canonicalOrderOf(B, T)
+					if k == 2 {
+						var sub []int
+						for i, r := range order {
+							if i%3 != 2 {
+								sub = append(sub, r)
+							}
+						}
+						order = sub
 					}
+					checkGradAcc(t, w, bias, dY, x, order)
 				}
 			}
 		}
+	})
+}
+
+// TestBackMulMatchesScalarChain holds the input-gradient product to the
+// scalar chain bit for bit, at both kernel tiers, over every width 1–70 and
+// 1–20 outputs, 1–40 rows (groups of four rows, lanes past the last row
+// unused), ±0 rows and ±0 entries in dY, ±Inf and NaN in W and dY, and a
+// dirty dX with −0 among its values. Nothing past dX may be written.
+func TestBackMulMatchesScalarChain(t *testing.T) {
+	kernelTiers(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(51))
+		next := backwardValues(rng)
+		for cols := 1; cols <= 70; cols++ {
+			for outs := 1; outs <= 20; outs++ {
+				for k := 0; k < 2; k++ {
+					rows := 1 + (cols*7+outs*3+k*17)%40
+					w := NewParam("w", outs, cols)
+					w.Data = guarded(outs*cols, next)
+					dY := &Mat{Rows: rows, Cols: outs, Data: guarded(rows*outs, next)}
+					zeroSome(rng, dY)
+					dX := &Mat{Rows: rows, Cols: cols, Data: guarded(rows*cols, next)}
+					checkBackMul(t, w, dY, dX)
+				}
+			}
+		}
+	})
+}
+
+// FuzzBackwardKernels holds both backward products to their scalar chains
+// on arbitrary float64 bit patterns, at the detected kernel tier: the input
+// picks 1–20 outputs, 1–70 columns, a tape of 1–8 sequences of 1–5 steps
+// (its canonical order), bias or none, and its bytes, repeated as far as
+// needed, are the weights, inputs, output gradients and the dirty
+// gradients they add to. Guard words after every written buffer catch a
+// store past its end.
+func FuzzBackwardKernels(f *testing.F) {
+	f.Add(uint8(3), uint8(8), uint8(1), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(15), uint8(63), uint8(0x27), uint8(0), []byte{0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(0), uint8(68), uint8(0x74), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xe0, 0xbf})
+	f.Fuzz(func(t *testing.T, outs, cols, shape, mode uint8, data []byte) {
+		nOut, nCol := 1+int(outs)%20, 1+int(cols)%70
+		B, T := 1+int(shape&7), 1+int(shape>>3)%5
+		k := 0
+		next := func() float64 {
+			var b [8]byte
+			for i := range b {
+				if len(data) > 0 {
+					b[i] = data[(8*k+i)%len(data)]
+				}
+			}
+			k++
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		rows := B * T
+		w := NewParam("w", nOut, nCol)
+		w.Data = guarded(nOut*nCol, next)
+		w.Grad = guarded(nOut*nCol, next)
+		var bias *Param
+		if mode&1 != 0 {
+			bias = NewParam("b", nOut, 1)
+			bias.Grad = guarded(nOut, next)
+		}
+		x := &Mat{Rows: rows, Cols: nCol, Data: guarded(rows*nCol, next)}
+		dY := &Mat{Rows: rows, Cols: nOut, Data: guarded(rows*nOut, next)}
+		dX := &Mat{Rows: rows, Cols: nCol, Data: guarded(rows*nCol, next)}
+		checkGradAcc(t, w, bias, dY, x, canonicalOrderOf(B, T))
+		checkBackMul(t, w, dY, dX)
 	})
 }
 
@@ -515,4 +704,64 @@ func TestForwardTapeFromMatchesForwardTape(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestLayerNormBackwardMatchesScalar holds the batched LayerNorm backward —
+// its per-element lines four columns at a time, the sums of four rows side
+// by side — to the scalar oracle's Backward run row by row in the same
+// order, bit for bit at both kernel tiers: the gain and bias gradients
+// (dirty, −0 among them) and every row's input gradient, over widths 1–70
+// (each width mod 4), 1–11 rows (each row count mod 4) in a shuffled
+// order, with ±0, ±Inf, NaN and subnormals among the inputs, gains and
+// output gradients.
+func TestLayerNormBackwardMatchesScalar(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, -0x1p-1030, 1e300}
+	rng := rand.New(rand.NewSource(52))
+	fill := func(v []float64) {
+		for i := range v {
+			if rng.Intn(10) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+	}
+	kernelTiers(t, func(t *testing.T) {
+		for N := 1; N <= 70; N++ {
+			rows := 1 + (N*5)%11
+			ln, ref := NewLayerNorm("ln", N), NewLayerNorm("ln", N)
+			fill(ln.G.Data)
+			fill(ln.B.Data)
+			fill(ln.G.Grad)
+			fill(ln.B.Grad)
+			copy(ref.G.Data, ln.G.Data)
+			copy(ref.B.Data, ln.B.Data)
+			copy(ref.G.Grad, ln.G.Grad)
+			copy(ref.B.Grad, ln.B.Grad)
+			x := NewMat(rows, N)
+			fill(x.Data)
+			var out Mat
+			var lt lnTape
+			ln.forwardTape(x, &out, &lt)
+			d := NewMat(rows, N)
+			fill(d.Data)
+			dy := append([]float64(nil), d.Data...)
+			order := rng.Perm(rows)
+			ln.backwardTape(&lt, d, order)
+			for _, r := range order {
+				_, c := ref.forwardCached(x.Row(r))
+				want := ref.Backward(c, dy[r*N:(r+1)*N])
+				for i, w := range want {
+					if got := d.Row(r)[i]; !sameOrNaN(got, w) {
+						t.Fatalf("N=%d rows=%d row %d col %d: dx %v, oracle %v", N, rows, r, i, got, w)
+					}
+				}
+			}
+			for i := 0; i < N; i++ {
+				if !sameOrNaN(ln.G.Grad[i], ref.G.Grad[i]) || !sameOrNaN(ln.B.Grad[i], ref.B.Grad[i]) {
+					t.Fatalf("N=%d rows=%d col %d: gain/bias grad %v/%v, oracle %v/%v", N, rows, i, ln.G.Grad[i], ln.B.Grad[i], ref.G.Grad[i], ref.B.Grad[i])
+				}
+			}
+		}
+	})
 }

@@ -52,7 +52,7 @@ type tilePass struct {
 	sealed   atomic.Int64        // rows of the sealed pass; -1 while the sweep may still add
 	panicked atomic.Pointer[any] // the first panic of a tile's forward, for the join to re-raise
 
-	own        *nn.PolicyBatchScratch // the owner's
+	own        *nn.PolicyBatchScratch // the owner's, made at its first tile
 	solo       bool                   // never starts a helper
 	helpers    []*tileHelper
 	maxHelpers int // GOMAXPROCS − 1 when the pass opened; 0 when solo
@@ -61,11 +61,14 @@ type tilePass struct {
 // newTilePass builds a pass of at most limit rows whose serial tail draws
 // from seed. A solo pass never starts a helper.
 func newTilePass(limit int, seed int64, solo bool) *tilePass {
-	return &tilePass{limit: limit, rng: rand.New(rand.NewSource(seed)), own: new(nn.PolicyBatchScratch), solo: solo}
+	return &tilePass{limit: limit, rng: rand.New(rand.NewSource(seed)), solo: solo}
 }
 
 // tileHelper is one helper slot: its own one-tile scratch, and busy from
-// the go statement that starts it until its goroutine returns.
+// the go statement that starts it until its goroutine returns. Every tile
+// scratch, the owner's too, is made at its first tile sized for a whole
+// one (nn.Policy.NewTileScratch): which tile a scratch takes first is a
+// race, and a lazily grown one would allocate by its outcome.
 type tileHelper struct {
 	busy    atomic.Bool
 	scratch *nn.PolicyBatchScratch
@@ -170,7 +173,7 @@ func (t *tilePass) join() {
 // then quiesces.
 func (t *tilePass) drain() {
 	for g, ok := t.claim(); ok; g, ok = t.claim() {
-		t.forward(g, t.own)
+		t.forward(g, &t.own)
 	}
 	t.quiesce()
 }
@@ -212,16 +215,20 @@ func (t *tilePass) claim() (int64, bool) {
 	return 0, false
 }
 
-// forward runs tile g's rows through the pass's policy on scratch sc and
-// copies the outputs into the pass. A panic is recorded, not propagated:
-// the tile still counts as done, so nobody waits for it forever.
-func (t *tilePass) forward(g int64, sc *nn.PolicyBatchScratch) {
+// forward runs tile g's rows through the pass's policy on the scratch at
+// sc, made first if there is none, and copies the outputs into the pass. A
+// panic is recorded, not propagated: the tile still counts as done, so
+// nobody waits for it forever.
+func (t *tilePass) forward(g int64, sc **nn.PolicyBatchScratch) {
 	defer func() {
 		if v := recover(); v != nil {
 			t.fail(v)
 		}
 		t.done.Add(1)
 	}()
+	if *sc == nil {
+		*sc = t.pol.NewTileScratch()
+	}
 	lo := int(g-t.base) * nn.TileRows
 	hi := lo + nn.TileRows
 	if n := int(t.sealed.Load()); n >= 0 {
@@ -229,7 +236,7 @@ func (t *tilePass) forward(g int64, sc *nn.PolicyBatchScratch) {
 	}
 	states := nn.Mat{Rows: hi - lo, Cols: t.states.Cols, Data: t.states.Data[lo*t.states.Cols : hi*t.states.Cols]}
 	hidden := nn.Mat{Rows: hi - lo, Cols: t.hidden.Cols, Data: t.hidden.Data[lo*t.hidden.Cols : hi*t.hidden.Cols]}
-	heads, hNew := t.pol.BatchForward(&states, &hidden, sc)
+	heads, hNew := t.pol.BatchForward(&states, &hidden, *sc)
 	copy(t.heads.Data[lo*t.heads.Cols:], heads.Data)
 	copy(t.hNew.Data[lo*t.hNew.Cols:], hNew.Data)
 }
@@ -243,7 +250,7 @@ func (t *tilePass) fail(v any) { t.panicked.CompareAndSwap(nil, &v) }
 func (t *tilePass) spawn() {
 	for i := 0; i < t.maxHelpers; i++ {
 		if i == len(t.helpers) {
-			h := &tileHelper{scratch: new(nn.PolicyBatchScratch)}
+			h := &tileHelper{}
 			h.run = func() { t.help(h) }
 			t.helpers = append(t.helpers, h)
 		}
@@ -260,7 +267,7 @@ func (t *tilePass) spawn() {
 func (t *tilePass) help(h *tileHelper) {
 	for {
 		for g, ok := t.claim(); ok; g, ok = t.claim() {
-			t.forward(g, h.scratch)
+			t.forward(g, &h.scratch)
 		}
 		h.busy.Store(false)
 		// A tile published between the last failed claim and the store above

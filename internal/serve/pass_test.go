@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sage/internal/alloctest"
 	"sage/internal/gr"
 	"sage/internal/nn"
 	"sage/internal/rl"
@@ -372,5 +373,41 @@ func TestFlushPassPanicDuringSweep(t *testing.T) {
 	eng.Flush(2 * sim.Second)
 	if conns[0].Cwnd == before {
 		t.Fatalf("cwnd %v unchanged after a Flush with a good model", before)
+	}
+}
+
+// TestTileScratchAllocatesAlike pins what a pass allocates to the rows it
+// forwards, not to which tile its scratch takes first: engines whose first
+// pass is one row, nine rows (its hidden rows straddle a tile) or a whole
+// tile, each followed by a pass of two whole tiles over the same 32
+// sessions, allocate the same objects and bytes. A tile scratch grown
+// lazily by its first tile failed this; sim_fleet's helper takes whichever
+// tile is left, and its byte count moved between runs of one commit.
+func TestTileScratchAllocatesAlike(t *testing.T) {
+	pol := shardPolicy(7, 32)
+	rng := rand.New(rand.NewSource(7))
+	states := make([][]float64, 2*nn.TileRows)
+	for i := range states {
+		states[i] = shardState(rng)
+	}
+	var want alloctest.Count
+	for k, first := range []int{1, 9, nn.TileRows} {
+		conns := shardConns(len(states))
+		eng := NewEngine(Config{Policy: pol, Workers: 1, MaxSessions: len(states) + 1, Metrics: telemetry.NewRegistry()})
+		got := alloctest.Measure(func() {
+			for i := 0; i < first; i++ {
+				eng.Enqueue(uint64(i+1), conns[i], states[i])
+			}
+			eng.Flush(20 * sim.Millisecond)
+			for i := range states {
+				eng.Enqueue(uint64(i+1), conns[i], states[i])
+			}
+			eng.Flush(40 * sim.Millisecond)
+		})
+		if k == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("first pass of %d rows: %d objects, %d bytes; first pass of one row: %d objects, %d bytes", first, got.Mallocs, got.Bytes, want.Mallocs, want.Bytes)
+		}
 	}
 }
